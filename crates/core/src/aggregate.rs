@@ -36,7 +36,7 @@ use corra_encodings::{AggInt, AggStr, IntEncoding};
 
 use crate::compressor::{BlockView, ColumnCodec, CompressedBlock};
 use crate::query::{eval_formula_mask, int_column, IntColumn};
-use crate::scan::{scan_pruned, validate_pred, Predicate, ScanStats};
+use crate::scan::{scan_pruned, validate_pred_with, Predicate, ScanStats};
 
 /// The aggregate function of an [`AggExpr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,11 +367,12 @@ fn finalize_str(func: AggFunc, s: &StrAggState) -> AggValue {
     }
 }
 
-fn is_string_codec(codec: &ColumnCodec) -> bool {
-    matches!(
-        codec,
-        ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. }
-    )
+/// The error for a `GROUP BY` column that cannot expose dictionary codes.
+pub(crate) fn group_not_dictionary(group: &str) -> Error {
+    Error::invalid(format!(
+        "GROUP BY column {group} must be dictionary-encoded \
+         (a Dict plan or a hierarchical parent)"
+    ))
 }
 
 /// Checks a `GROUP BY` column's codec exposes dictionary codes. Shared
@@ -381,10 +382,7 @@ fn is_string_codec(codec: &ColumnCodec) -> bool {
 pub(crate) fn validate_group_codec(codec: &ColumnCodec, group: &str) -> Result<()> {
     match codec {
         ColumnCodec::Int(IntEncoding::Dict(_)) | ColumnCodec::Str(_) => Ok(()),
-        _ => Err(Error::invalid(format!(
-            "GROUP BY column {group} must be dictionary-encoded \
-             (a Dict plan or a hierarchical parent)"
-        ))),
+        _ => Err(group_not_dictionary(group)),
     }
 }
 
@@ -393,17 +391,30 @@ pub(crate) fn validate_group_codec(codec: &ColumnCodec, group: &str) -> Result<(
 /// malformed filters error deterministically, before any kernel runs and
 /// regardless of what the filter selects.
 pub(crate) fn validate_expr<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) -> Result<()> {
+    let codec = |column: &str| block.view_codec(block.index_of(column)?);
+    validate_expr_with(expr, &|column| Ok(codec(column)?.is_string()), &|group| {
+        validate_group_codec(codec(group)?, group)
+    })
+}
+
+/// The one expression type-check: `is_string` answers whether a column
+/// holds strings (or does not exist), `check_group` whether it can be
+/// grouped by. In-memory blocks answer from the codec; the store answers
+/// from footer tags alone (names, string-ness, horizontal-ness) and leaves
+/// the payload-level dictionary check to the kernel.
+pub(crate) fn validate_expr_with(
+    expr: &AggExpr,
+    is_string: &dyn Fn(&str) -> Result<bool>,
+    check_group: &dyn Fn(&str) -> Result<()>,
+) -> Result<()> {
     if let Some(pred) = &expr.filter {
-        validate_pred(block, pred)?;
+        validate_pred_with(pred, is_string)?;
     }
     match (&expr.column, expr.func) {
         (None, AggFunc::Count) => {}
         (None, _) => return Err(Error::invalid("aggregate function requires a column")),
         (Some(col), func) => {
-            let idx = block.index_of(col)?;
-            if is_string_codec(block.view_codec(idx)?)
-                && matches!(func, AggFunc::Sum | AggFunc::Avg)
-            {
+            if is_string(col)? && matches!(func, AggFunc::Sum | AggFunc::Avg) {
                 return Err(Error::TypeMismatch {
                     expected: "integer column for SUM/AVG",
                     found: "string column",
@@ -411,11 +422,7 @@ pub(crate) fn validate_expr<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) ->
             }
         }
     }
-    if let Some(group) = &expr.group_by {
-        let idx = block.index_of(group)?;
-        validate_group_codec(block.view_codec(idx)?, group)?;
-    }
-    Ok(())
+    expr.group_by.as_deref().map_or(Ok(()), check_group)
 }
 
 /// Evaluates `expr` against one block, returning
@@ -662,7 +669,8 @@ pub fn aggregate<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) -> Result<Agg
 /// Evaluates `expr` across many blocks, merging per-block partial states
 /// in block order. Returns the result plus [`ScanStats`] (`rows_matched` =
 /// rows aggregated; `blocks_pruned` = blocks whose *filter* was answered
-/// from zone maps without a kernel).
+/// from zone maps without a kernel). This is [`aggregate_blocks_parallel`]
+/// on the calling thread.
 ///
 /// # Errors
 ///
@@ -671,25 +679,14 @@ pub fn aggregate_blocks(
     blocks: &[CompressedBlock],
     expr: &AggExpr,
 ) -> Result<(AggResult, ScanStats)> {
-    let mut merger = AggMerger::new();
-    let mut stats = ScanStats::default();
-    for block in blocks {
-        let (partial, pruned, matched) = aggregate_partial(block, expr)?;
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.rows_total += block.rows();
-        stats.rows_matched += matched;
-        merger.merge(partial)?;
-    }
-    Ok((merger.finish(expr), stats))
+    aggregate_blocks_parallel(blocks, expr, 1)
 }
 
-/// Morsel-driven parallel [`aggregate_blocks`]: `threads` scoped workers
-/// pull block morsels off a shared atomic counter (mirroring
-/// [`crate::scan::scan_blocks_parallel`]); per-block partials land in
-/// indexed slots and merge in block order, so the result — including the
-/// exact `i128` sums — is byte-identical to the serial fold for any thread
-/// count.
+/// Morsel-driven parallel [`aggregate_blocks`]: `threads` workers pull
+/// block morsels off the shared `crate::morsel::run` counter (mirroring
+/// [`crate::scan::scan_blocks_parallel`]); per-block partials merge in
+/// block order, so the result — including the exact `i128` sums — is
+/// byte-identical to the serial fold for any thread count.
 ///
 /// # Errors
 ///
@@ -699,46 +696,17 @@ pub fn aggregate_blocks_parallel(
     expr: &AggExpr,
     threads: usize,
 ) -> Result<(AggResult, ScanStats)> {
-    let threads = threads.max(1).min(blocks.len().max(1));
-    if threads <= 1 || blocks.len() <= 1 {
-        return aggregate_blocks(blocks, expr);
-    }
-    type Slot = std::sync::Mutex<Option<Result<(PartialAgg, bool, usize)>>>;
-    let slots: Vec<Slot> = (0..blocks.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= blocks.len() {
-                        break;
-                    }
-                    let partial = aggregate_partial(&blocks[i], expr);
-                    *slots[i].lock().expect("aggregate slot poisoned") = Some(partial);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel aggregate worker panicked"));
-    }
     let mut merger = AggMerger::new();
     let mut stats = ScanStats::default();
-    for (slot, block) in slots.into_iter().zip(blocks) {
-        let (partial, pruned, matched) = slot
-            .into_inner()
-            .expect("aggregate slot poisoned")
-            .expect("every block visited")?;
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.rows_total += block.rows();
-        stats.rows_matched += matched;
-        merger.merge(partial)?;
-    }
+    crate::morsel::run(
+        blocks.len(),
+        threads,
+        |i| aggregate_partial(&blocks[i], expr),
+        |i, (partial, pruned, matched)| {
+            stats.record_block(blocks[i].rows(), matched, pruned, None);
+            merger.merge(partial)
+        },
+    )?;
     Ok((merger.finish(expr), stats))
 }
 

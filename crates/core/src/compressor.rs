@@ -202,6 +202,15 @@ impl ColumnCodec {
         self.len() == 0
     }
 
+    /// Whether the codec stores strings (integer predicates and `SUM`/`AVG`
+    /// do not apply).
+    pub(crate) fn is_string(&self) -> bool {
+        matches!(
+            self,
+            ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. }
+        )
+    }
+
     /// Whether queries on this codec must first fetch reference column(s).
     pub fn is_horizontal(&self) -> bool {
         matches!(
@@ -626,50 +635,17 @@ fn codec_kind(c: &ColumnCodec) -> &'static str {
     }
 }
 
-/// Compresses many blocks in parallel with scoped threads (blocks are
-/// self-contained by construction, so this is embarrassingly parallel).
+/// Compresses many blocks in parallel (blocks are self-contained by
+/// construction, so this is embarrassingly parallel): one
+/// `crate::morsel::run` over the block indices.
 pub fn compress_blocks(
     blocks: &[DataBlock],
     config: &CompressionConfig,
     threads: usize,
 ) -> Result<Vec<CompressedBlock>> {
-    let threads = threads.max(1).min(blocks.len().max(1));
-    if threads <= 1 || blocks.len() <= 1 {
-        return blocks
-            .iter()
-            .map(|b| CompressedBlock::compress(b, config))
-            .collect();
-    }
-    let results: Vec<std::sync::Mutex<Option<Result<CompressedBlock>>>> = (0..blocks.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= blocks.len() {
-                        break;
-                    }
-                    let compressed = CompressedBlock::compress(&blocks[i], config);
-                    *results[i].lock().expect("result slot poisoned") = Some(compressed);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel compression worker panicked"));
-    }
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every block visited")
-        })
-        .collect()
+    crate::morsel::collect(blocks.len(), threads, |i| {
+        CompressedBlock::compress(&blocks[i], config)
+    })
 }
 
 #[cfg(test)]

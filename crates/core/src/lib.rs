@@ -73,6 +73,7 @@ pub mod hier;
 pub mod ingest;
 pub mod io;
 pub mod manifest;
+mod morsel;
 pub mod multiref;
 pub mod nonhier;
 pub mod operator;

@@ -3,9 +3,10 @@
 //!
 //! Both operators follow the same shape as [`mod@crate::aggregate`]: a
 //! per-block kernel dispatched through the `IntColumn` visitor (so each
-//! codec family contributes one fast path, not seven ladders), a serial
-//! driver, and a morsel-parallel driver that is bit-identical to the
-//! serial one for any thread count.
+//! codec family contributes one fast path, not seven ladders) and one
+//! multi-block driver over `crate::morsel::run` whose output is
+//! bit-identical for any thread count (the serial entry points are that
+//! driver at `threads = 1`).
 //!
 //! **TOP-K** exploits codec order: sorted int dictionaries select winners
 //! in the code domain, RLE folds whole runs, FOR/plain stream through the
@@ -28,8 +29,8 @@
 //! so only touched blocks and only named columns decode.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
@@ -139,7 +140,7 @@ impl TopKRow {
     }
 }
 
-pub(crate) fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
+fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
     heap.into_sorted()
         .into_iter()
         .map(|(value, pos)| TopKRow {
@@ -150,7 +151,7 @@ pub(crate) fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
         .collect()
 }
 
-/// The shared k-th bound threaded through morsel-parallel TOP-K drivers:
+/// The shared k-th bound threaded through the multi-block TOP-K drivers:
 /// a mutex-protected global heap plus a lock-free snapshot of the current
 /// k-th value's rank for block-level pruning.
 pub struct TopKBound {
@@ -158,6 +159,8 @@ pub struct TopKBound {
     /// Rank of the k-th (worst kept) value once the heap is full;
     /// `u64::MAX` (accept everything) until then.
     worst: AtomicU64,
+    k: usize,
+    descending: bool,
 }
 
 impl TopKBound {
@@ -167,6 +170,8 @@ impl TopKBound {
         Self {
             heap: Mutex::new(TopKHeap::new(k, descending)),
             worst: AtomicU64::new(u64::MAX),
+            k,
+            descending,
         }
     }
 
@@ -176,21 +181,59 @@ impl TopKBound {
         (w != u64::MAX).then_some(w)
     }
 
-    /// Folds one block's local heap into the global one and refreshes the
-    /// pruning snapshot.
-    pub fn merge(&self, local: TopKHeap) {
-        let mut heap = self.heap.lock().unwrap();
-        for (v, p) in local.into_sorted() {
-            heap.offer(v, p);
-        }
+    /// The global heap. A poisoned lock means a sibling worker panicked
+    /// while holding it; that panic is what `crate::morsel::run` reports,
+    /// and the heap is a valid (if incomplete) heap after every `offer`,
+    /// so take the inner value rather than panicking in turn.
+    fn lock(&self) -> MutexGuard<'_, TopKHeap> {
+        self.heap.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Refreshes the pruning snapshot from the (locked) global heap.
+    fn publish(&self, heap: &TopKHeap) {
         if let Some(r) = heap.worst_rank() {
             self.worst.store(r, Ordering::Relaxed);
         }
     }
 
+    /// Folds one block's local heap into the global one and refreshes the
+    /// pruning snapshot.
+    pub fn merge(&self, local: TopKHeap) {
+        let mut heap = self.lock();
+        for (v, p) in local.into_sorted() {
+            heap.offer(v, p);
+        }
+        self.publish(&heap);
+    }
+
+    /// Runs one block's kernel `fill` and folds its candidates into the
+    /// bound. A lone caller (`exclusive`: the drivers at one thread) offers
+    /// straight into the global heap, so the kernel rejects against the
+    /// running k-th value exactly as a plain loop over one heap would and
+    /// nothing is copied; concurrent callers fill a local heap and
+    /// [`merge`](Self::merge) it, keeping the lock out of the kernel. The
+    /// kept rows are the same either way.
+    pub(crate) fn fill<R>(
+        &self,
+        exclusive: bool,
+        fill: impl FnOnce(&mut TopKHeap) -> Result<R>,
+    ) -> Result<R> {
+        if exclusive {
+            let mut heap = self.lock();
+            let out = fill(&mut heap)?;
+            self.publish(&heap);
+            return Ok(out);
+        }
+        let mut local = TopKHeap::new(self.k, self.descending);
+        let out = fill(&mut local)?;
+        self.merge(local);
+        Ok(out)
+    }
+
     /// Consumes the bound, returning the global result best-first.
     pub fn into_rows(self) -> Vec<TopKRow> {
-        rows_from(self.heap.into_inner().unwrap())
+        let heap = self.heap.into_inner();
+        rows_from(heap.unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -326,8 +369,9 @@ pub(crate) fn top_k_block<B: BlockView + ?Sized>(
     }
 }
 
-/// Serial TOP-K over in-memory blocks (any [`BlockView`] — compressed
-/// blocks or store handles).
+/// Serial TOP-K over in-memory blocks: [`top_k_blocks_parallel`] on the
+/// calling thread (hence `B: Sync`; lazy store handles are not — the
+/// store's own `top_k` covers them).
 ///
 /// Result rows come back best-first with the deterministic tie-break
 /// `(value, block, row)`; [`ScanStats::rows_matched`] counts rows that
@@ -336,41 +380,17 @@ pub(crate) fn top_k_block<B: BlockView + ?Sized>(
 /// # Errors
 ///
 /// Unknown or non-integer target column, or an invalid filter.
-pub fn top_k_blocks<B: BlockView>(
+pub fn top_k_blocks<B: BlockView + Sync>(
     blocks: &[B],
     expr: &TopKExpr,
 ) -> Result<(Vec<TopKRow>, ScanStats)> {
-    let mut stats = ScanStats::default();
-    let mut heap = TopKHeap::new(expr.k, expr.descending);
-    for (b, block) in blocks.iter().enumerate() {
-        stats.blocks += 1;
-        stats.rows_total += block.rows();
-        if expr.k == 0 {
-            validate_topk(block, expr)?;
-            continue;
-        }
-        let idx = block.index_of(&expr.column)?;
-        if zone_skips_topk(
-            column_bounds(block, idx),
-            expr.descending,
-            heap.worst_rank(),
-        ) {
-            stats.blocks_pruned += 1;
-            continue;
-        }
-        let (pruned, matched) = top_k_block(block, b as u32, expr, &mut heap)?;
-        if pruned {
-            stats.blocks_pruned += 1;
-        }
-        stats.rows_matched += matched;
-    }
-    Ok((rows_from(heap), stats))
+    top_k_blocks_parallel(blocks, expr, 1)
 }
 
 /// Morsel-parallel TOP-K over in-memory blocks: workers pull block
-/// indices off a shared counter, prune against the shared [`TopKBound`],
-/// and merge per-block heaps. Result rows are bit-identical to
-/// [`top_k_blocks`] for any `threads`.
+/// indices off the shared `crate::morsel::run` counter, prune against the
+/// shared [`TopKBound`], and fill it block by block. Result rows are
+/// bit-identical for any `threads`.
 ///
 /// # Errors
 ///
@@ -381,58 +401,30 @@ pub fn top_k_blocks_parallel<B: BlockView + Sync>(
     expr: &TopKExpr,
     threads: usize,
 ) -> Result<(Vec<TopKRow>, ScanStats)> {
-    let n = blocks.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 || expr.k == 0 {
-        return top_k_blocks(blocks, expr);
-    }
     let bound = TopKBound::new(expr.k, expr.descending);
-    let next = AtomicUsize::new(0);
-    type Slot = Mutex<Option<Result<(usize, bool, usize)>>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= n {
-                        break;
-                    }
-                    let block = &blocks[b];
-                    let out = (|| {
-                        let idx = block.index_of(&expr.column)?;
-                        let zone = column_bounds(block, idx);
-                        if zone_skips_topk(zone, expr.descending, bound.worst_rank()) {
-                            return Ok((block.rows(), true, 0));
-                        }
-                        let mut local = TopKHeap::new(expr.k, expr.descending);
-                        let (pruned, matched) = top_k_block(block, b as u32, expr, &mut local)?;
-                        bound.merge(local);
-                        Ok((block.rows(), pruned, matched))
-                    })();
-                    *slots[b].lock().unwrap() = Some(out);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel top-k worker panicked"));
-    }
+    let alone = crate::morsel::is_serial(blocks.len(), threads);
     let mut stats = ScanStats::default();
-    for slot in &slots {
-        let (rows, pruned, matched) = slot
-            .lock()
-            .unwrap()
-            .take()
-            .expect("every block slot visited")?;
-        stats.blocks += 1;
-        stats.rows_total += rows;
-        if pruned {
-            stats.blocks_pruned += 1;
-        }
-        stats.rows_matched += matched;
-    }
+    crate::morsel::run(
+        blocks.len(),
+        threads,
+        |b| {
+            let block = &blocks[b];
+            if expr.k == 0 {
+                validate_topk(block, expr)?;
+                return Ok((false, 0));
+            }
+            let idx = block.index_of(&expr.column)?;
+            let zone = column_bounds(block, idx);
+            if zone_skips_topk(zone, expr.descending, bound.worst_rank()) {
+                return Ok((true, 0));
+            }
+            bound.fill(alone, |heap| top_k_block(block, b as u32, expr, heap))
+        },
+        |b, (pruned, matched)| {
+            stats.record_block(blocks[b].rows(), matched, pruned, None);
+            Ok(())
+        },
+    )?;
     Ok((bound.into_rows(), stats))
 }
 
@@ -621,14 +613,14 @@ impl BuildTable {
 
     /// Probes one block: resolves each *distinct* probe key against the
     /// build table once (code→global-id remap), then streams the packed
-    /// codes emitting pairs in probe-row order.
+    /// codes emitting pairs in probe-row order. Returns the block's pairs
+    /// and its probe row count.
     pub(crate) fn probe_block<B: BlockView + ?Sized>(
         &self,
         block: &B,
         block_no: u32,
         key: &str,
-        pairs: &mut Vec<JoinPair>,
-    ) -> Result<usize> {
+    ) -> Result<(Vec<JoinPair>, usize)> {
         let idx = block.index_of(key)?;
         let (remap, codes) = match block.view_codec(idx)? {
             ColumnCodec::Int(IntEncoding::Dict(d)) => {
@@ -675,6 +667,7 @@ impl BuildTable {
                 )))
             }
         };
+        let mut pairs = Vec::new();
         for (i, &c) in codes.iter().enumerate() {
             let id = remap[c as usize];
             if id != MISS {
@@ -687,11 +680,13 @@ impl BuildTable {
                 }
             }
         }
-        Ok(codes.len())
+        Ok((pairs, codes.len()))
     }
 }
 
-/// Serial dict-code hash join: builds over `build`, probes over `probe`.
+/// Serial dict-code hash join: builds over `build`, probes over `probe`
+/// ([`hash_join_blocks_parallel`] on the calling thread, hence
+/// `B2: Sync`).
 ///
 /// Pairs come back in probe order — probe blocks ascending, probe rows
 /// ascending within a block, build rows in `(block, row)` order within a
@@ -702,32 +697,18 @@ impl BuildTable {
 ///
 /// Unknown key columns, a non-dictionary key codec, or mismatched key
 /// types between the two sides.
-pub fn hash_join_blocks<B1: BlockView, B2: BlockView>(
+pub fn hash_join_blocks<B1: BlockView, B2: BlockView + Sync>(
     build: &[B1],
     probe: &[B2],
     expr: &JoinExpr,
 ) -> Result<(Vec<JoinPair>, JoinStats)> {
-    let mut table = BuildTable::new();
-    for (b, block) in build.iter().enumerate() {
-        table.add_block(block, b as u32, &expr.build_key)?;
-    }
-    let mut pairs = Vec::new();
-    let mut stats = JoinStats {
-        build_rows: table.build_rows(),
-        distinct_keys: table.distinct(),
-        ..JoinStats::default()
-    };
-    for (b, block) in probe.iter().enumerate() {
-        stats.probe_rows += table.probe_block(block, b as u32, &expr.probe_key, &mut pairs)?;
-    }
-    stats.pairs = pairs.len();
-    Ok((pairs, stats))
+    hash_join_blocks_parallel(build, probe, expr, 1)
 }
 
 /// Morsel-parallel probe: the build phase stays serial (key-table ids are
 /// assigned in first-occurrence order), probe blocks fan out to workers,
-/// and per-block pair lists concatenate in block order — bit-identical to
-/// [`hash_join_blocks`] for any `threads`.
+/// and per-block pair lists concatenate in block order — bit-identical
+/// for any `threads`.
 ///
 /// # Errors
 ///
@@ -739,57 +720,26 @@ pub fn hash_join_blocks_parallel<B1: BlockView, B2: BlockView + Sync>(
     expr: &JoinExpr,
     threads: usize,
 ) -> Result<(Vec<JoinPair>, JoinStats)> {
-    let n = probe.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return hash_join_blocks(build, probe, expr);
-    }
     let mut table = BuildTable::new();
     for (b, block) in build.iter().enumerate() {
         table.add_block(block, b as u32, &expr.build_key)?;
     }
-    let table = &table;
-    let next = AtomicUsize::new(0);
-    type Slot = Mutex<Option<Result<(Vec<JoinPair>, usize)>>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= n {
-                        break;
-                    }
-                    let out = (|| {
-                        let mut pairs = Vec::new();
-                        let rows =
-                            table.probe_block(&probe[b], b as u32, &expr.probe_key, &mut pairs)?;
-                        Ok((pairs, rows))
-                    })();
-                    *slots[b].lock().unwrap() = Some(out);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel join worker panicked"));
-    }
-    let mut pairs = Vec::new();
     let mut stats = JoinStats {
         build_rows: table.build_rows(),
         distinct_keys: table.distinct(),
         ..JoinStats::default()
     };
-    for slot in &slots {
-        let (mut block_pairs, rows) = slot
-            .lock()
-            .unwrap()
-            .take()
-            .expect("every probe slot visited")?;
-        stats.probe_rows += rows;
-        pairs.append(&mut block_pairs);
-    }
+    let mut pairs = Vec::new();
+    crate::morsel::run(
+        probe.len(),
+        threads,
+        |b| table.probe_block(&probe[b], b as u32, &expr.probe_key),
+        |_, (mut block_pairs, rows)| {
+            stats.probe_rows += rows;
+            pairs.append(&mut block_pairs);
+            Ok(())
+        },
+    )?;
     stats.pairs = pairs.len();
     Ok((pairs, stats))
 }

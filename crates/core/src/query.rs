@@ -79,7 +79,11 @@ pub(crate) enum RefAccess<'a> {
 }
 
 impl RefAccess<'_> {
-    #[inline]
+    // `always`: this is the per-value step of every MultiRef / NonHier
+    // kernel. Under the plain hint, whether it was inlined into
+    // `eval_formula_mask` depended on which other callers shared its
+    // codegen unit — a ~10 % swing on MultiRef scans from unrelated edits.
+    #[inline(always)]
     pub(crate) fn get(&self, i: usize) -> i64 {
         match self {
             RefAccess::For { base, offsets } => base.wrapping_add(offsets.get(i) as i64),

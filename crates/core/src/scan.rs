@@ -19,11 +19,11 @@
 //!    produced selection into the existing [`crate::query`] kernels, so
 //!    filter → materialize runs end to end on compressed data.
 //!
-//! Multi-block scans also come in a morsel-parallel flavor
-//! ([`scan_blocks_parallel`] / [`query_parallel`]): scoped workers pull
-//! block morsels off an atomic counter and write into indexed result
-//! slots, so output order (and every [`SelectionVector`]) is byte-identical
-//! to the serial path.
+//! Multi-block scans ([`scan_blocks_parallel`] / [`query_parallel`]) are
+//! one `crate::morsel::run` over the block indices: results merge in block
+//! order, so output order (and every [`SelectionVector`]) is byte-identical
+//! for any thread count, and the serial entry points are the same body at
+//! `threads = 1`.
 
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::{IntRange, RangeVerdict};
@@ -33,6 +33,7 @@ use corra_encodings::FilterInt;
 
 use crate::compressor::{BlockView, ColumnCodec, CompressedBlock};
 use crate::query::{code_access, eval_formula_mask, int_column, IntColumn, QueryOutput};
+use crate::store::LoadCost;
 
 /// A comparison operator of a scan predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,8 +237,33 @@ pub struct ScanStats {
 }
 
 impl ScanStats {
+    /// Folds one visited block into the counters — the one per-block fold
+    /// every multi-block driver (in-memory and store, scan through join)
+    /// shares. `matched` is the rows the operator kept, `pruned` whether no
+    /// per-row kernel ran; `io` is the store's `(skipped_io, load cost)` for
+    /// the block — whether the footer alone decided it, and what its lazy
+    /// handle fetched — and `None` for in-memory blocks.
+    pub(crate) fn record_block(
+        &mut self,
+        rows: usize,
+        matched: usize,
+        pruned: bool,
+        io: Option<(bool, LoadCost)>,
+    ) {
+        self.blocks += 1;
+        self.blocks_pruned += usize::from(pruned);
+        self.rows_total += rows;
+        self.rows_matched += matched;
+        if let Some((skipped_io, cost)) = io {
+            self.blocks_skipped_io += usize::from(skipped_io);
+            self.bytes_read += cost.bytes;
+            self.cache_hits += cost.cache_hits;
+            self.cache_misses += cost.cache_misses;
+        }
+    }
+
     /// Folds another operation's counters into this one — the one place
-    /// multi-block, multi-segment, and multi-request accounting merge.
+    /// multi-segment and multi-request accounting merge.
     pub fn absorb(&mut self, other: &ScanStats) {
         self.blocks += other.blocks;
         self.blocks_pruned += other.blocks_pruned;
@@ -352,122 +378,86 @@ pub fn scan_pruned<B: BlockView + ?Sized>(
 /// predicate's operand type. Shared with the aggregate engine, which
 /// validates its optional filter the same way before any kernel runs.
 pub(crate) fn validate_pred<B: BlockView + ?Sized>(block: &B, pred: &Predicate) -> Result<()> {
+    validate_pred_with(pred, &|column| {
+        Ok(block.view_codec(block.index_of(column)?)?.is_string())
+    })
+}
+
+/// The one predicate type-check: walks `pred` asking `is_string` whether
+/// each referenced column holds strings (or does not exist). In-memory
+/// blocks answer from the codec, the store from footer tags alone — no
+/// payload is loaded to validate.
+pub(crate) fn validate_pred_with(
+    pred: &Predicate,
+    is_string: &dyn Fn(&str) -> Result<bool>,
+) -> Result<()> {
     match pred {
         Predicate::Compare { column, .. } | Predicate::Between { column, .. } => {
-            let idx = block.index_of(column)?;
-            match block.view_codec(idx)? {
-                ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. } => {
-                    Err(Error::TypeMismatch {
-                        expected: "integer column for integer predicate",
-                        found: "string column",
-                    })
-                }
-                _ => Ok(()),
-            }
-        }
-        Predicate::StrEq { column, .. } => {
-            let idx = block.index_of(column)?;
-            match block.view_codec(idx)? {
-                ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. } => {
-                    Ok(())
-                }
-                _ => Err(Error::TypeMismatch {
-                    expected: "string column for string predicate",
-                    found: "integer column",
-                }),
-            }
-        }
-        Predicate::And(children) | Predicate::Or(children) => {
-            for child in children {
-                validate_pred(block, child)?;
+            if is_string(column)? {
+                return Err(Error::TypeMismatch {
+                    expected: "integer column for integer predicate",
+                    found: "string column",
+                });
             }
             Ok(())
         }
-        Predicate::Not(child) => validate_pred(block, child),
+        Predicate::StrEq { column, .. } => {
+            if !is_string(column)? {
+                return Err(Error::TypeMismatch {
+                    expected: "string column for string predicate",
+                    found: "integer column",
+                });
+            }
+            Ok(())
+        }
+        Predicate::And(children) | Predicate::Or(children) => children
+            .iter()
+            .try_for_each(|c| validate_pred_with(c, is_string)),
+        Predicate::Not(child) => validate_pred_with(child, is_string),
     }
 }
 
-/// Scans every block, returning per-block selections plus aggregate stats.
+/// Scans every block, returning per-block selections plus aggregate stats
+/// ([`scan_blocks_parallel`] on the calling thread).
 pub fn scan_blocks(
     blocks: &[CompressedBlock],
     pred: &Predicate,
 ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-    let mut stats = ScanStats::default();
-    let mut selections = Vec::with_capacity(blocks.len());
-    for block in blocks {
-        let (sel, pruned) = scan_pruned(block, pred)?;
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.rows_total += block.rows();
-        stats.rows_matched += sel.len();
-        selections.push(sel);
-    }
-    Ok((selections, stats))
+    scan_blocks_parallel(blocks, pred, 1)
 }
 
-/// One indexed result slot per block: workers write each block's outcome
-/// into its own slot, which is what makes parallel output order (and
-/// content) identical to the serial path.
-type ResultSlots<T> = Vec<std::sync::Mutex<Option<Result<T>>>>;
-
-/// Morsel-driven parallel [`scan_blocks`]: `threads` scoped workers pull
-/// block-granularity morsels off a shared atomic counter (blocks are
-/// self-contained, mirroring [`crate::compressor::compress_blocks`]).
+/// Morsel-driven parallel [`scan_blocks`]: `threads` workers pull
+/// block-granularity morsels off the shared `crate::morsel::run` counter
+/// (blocks are self-contained, mirroring
+/// [`crate::compressor::compress_blocks`]).
 ///
-/// Output is deterministic: per-block selections land in indexed slots, so
-/// the returned vector is byte-identical to the serial scan's regardless of
-/// worker interleaving, and [`ScanStats`] are merged in block order.
+/// Output is deterministic: per-block selections and [`ScanStats`] merge in
+/// block order, so the returned vector is byte-identical to the serial
+/// scan's regardless of worker interleaving.
 pub fn scan_blocks_parallel(
     blocks: &[CompressedBlock],
     pred: &Predicate,
     threads: usize,
 ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-    let threads = threads.max(1).min(blocks.len().max(1));
-    if threads <= 1 || blocks.len() <= 1 {
-        return scan_blocks(blocks, pred);
-    }
-    let slots: ResultSlots<(SelectionVector, bool)> = (0..blocks.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= blocks.len() {
-                        break;
-                    }
-                    let scanned = scan_pruned(&blocks[i], pred);
-                    *slots[i].lock().expect("scan slot poisoned") = Some(scanned);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel scan worker panicked"));
-    }
     let mut stats = ScanStats::default();
     let mut selections = Vec::with_capacity(blocks.len());
-    for (slot, block) in slots.into_iter().zip(blocks) {
-        let (sel, pruned) = slot
-            .into_inner()
-            .expect("scan slot poisoned")
-            .expect("every block visited")?;
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.rows_total += block.rows();
-        stats.rows_matched += sel.len();
-        selections.push(sel);
-    }
+    crate::morsel::run(
+        blocks.len(),
+        threads,
+        |i| scan_pruned(&blocks[i], pred),
+        |i, (sel, pruned)| {
+            stats.record_block(blocks[i].rows(), sel.len(), pruned, None);
+            selections.push(sel);
+            Ok(())
+        },
+    )?;
     Ok((selections, stats))
 }
 
 /// Morsel-driven parallel materialization: runs
 /// [`crate::query::query_column`] for `column` against every
-/// `(block, selection)` pair with `threads` scoped workers. Outputs land in
-/// indexed slots, so the result order matches the serial loop exactly.
+/// `(block, selection)` pair with `threads` workers. Outputs merge in block
+/// order, so the result order matches the serial loop exactly.
 ///
 /// # Errors
 ///
@@ -485,72 +475,9 @@ pub fn query_parallel(
             right: selections.len(),
         });
     }
-    let threads = threads.max(1).min(blocks.len().max(1));
-    if threads <= 1 || blocks.len() <= 1 {
-        return blocks
-            .iter()
-            .zip(selections)
-            .map(|(b, sel)| crate::query::query_column(b, column, sel))
-            .collect();
-    }
-    let slots: ResultSlots<QueryOutput> = (0..blocks.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= blocks.len() {
-                        break;
-                    }
-                    let out = crate::query::query_column(&blocks[i], column, &selections[i]);
-                    *slots[i].lock().expect("query slot poisoned") = Some(out);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel query worker panicked"));
-    }
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("query slot poisoned")
-                .expect("every block visited")
-        })
-        .collect()
-}
-
-/// What a filter → materialize call should project.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Projection<'a> {
-    /// Materialize one column.
-    Column(&'a str),
-    /// Materialize a diff-encoded target and its reference column.
-    Both(&'a str),
-}
-
-/// The one filter → materialize path: scans for `pred`, then feeds the
-/// selection into the query kernels. [`scan_query`], [`scan_query_both`]
-/// and the [`crate::store::TableReader`] query entry points all route
-/// through here.
-pub(crate) fn scan_materialize<B: BlockView + ?Sized>(
-    block: &B,
-    pred: &Predicate,
-    projection: Projection<'_>,
-) -> Result<(QueryOutput, Option<QueryOutput>)> {
-    let sel = scan(block, pred)?;
-    match projection {
-        Projection::Column(name) => Ok((crate::query::query_column(block, name, &sel)?, None)),
-        Projection::Both(name) => {
-            let (target, reference) = crate::query::query_both(block, name, &sel)?;
-            Ok((target, Some(reference)))
-        }
-    }
+    crate::morsel::collect(blocks.len(), threads, |i| {
+        crate::query::query_column(&blocks[i], column, &selections[i])
+    })
 }
 
 /// Filter → materialize in one call: scans for `pred` and materializes
@@ -560,7 +487,7 @@ pub fn scan_query<B: BlockView + ?Sized>(
     pred: &Predicate,
     project: &str,
 ) -> Result<QueryOutput> {
-    Ok(scan_materialize(block, pred, Projection::Column(project))?.0)
+    crate::query::query_column(block, project, &scan(block, pred)?)
 }
 
 /// Filter → materialize for a diff-encoded target *and* its reference
@@ -570,11 +497,7 @@ pub fn scan_query_both<B: BlockView + ?Sized>(
     pred: &Predicate,
     target: &str,
 ) -> Result<(QueryOutput, QueryOutput)> {
-    let (target, reference) = scan_materialize(block, pred, Projection::Both(target))?;
-    Ok((
-        target,
-        reference.expect("Both projection returns a reference"),
-    ))
+    crate::query::query_both(block, target, &scan(block, pred)?)
 }
 
 /// Returns `(selection, ran_kernel)`; `ran_kernel` is false when the result

@@ -5,12 +5,12 @@
 //! a [`ShardedCache`](crate::cache::ShardedCache) via
 //! [`TableReader::with_cache`] — and executes a batch of
 //! [`ServeRequest`]s. With `threads > 1`, workers pull request indices off
-//! an atomic counter (the same morsel pattern as the parallel scan
-//! drivers) and write into indexed slots, so the returned results are
-//! **byte-identical to a serial run for any thread count**; only the
-//! latency distribution changes. Per-request wall latencies are recorded
-//! for p50/p99 reporting, and the scan/aggregate byte + cache counters are
-//! folded into one [`ScanStats`].
+//! the shared `crate::morsel::run` counter (the same loop as the parallel
+//! scan drivers) and results merge in request order, so the returned
+//! results are **byte-identical to a serial run for any thread count**;
+//! only the latency distribution changes. Per-request wall latencies are
+//! recorded for p50/p99 reporting, and the scan/aggregate byte + cache
+//! counters are folded into one [`ScanStats`].
 //!
 //! ```no_run
 //! # use std::sync::Arc;
@@ -31,90 +31,38 @@
 //! # }
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use corra_columnar::column::Column;
-use corra_columnar::error::{Error, Result};
+use corra_columnar::error::Result;
 use corra_columnar::selection::SelectionVector;
 
 use crate::aggregate::{AggExpr, AggResult};
 use crate::operator::{TopKExpr, TopKRow};
 use crate::scan::{Predicate, ScanStats};
-use crate::store::{BlockHandle, SegmentedTable, TableReader};
+use crate::store::{self, SegmentedTable, TableReader};
 
-/// What a [`ServeSession`] serves from: any table-shaped source that can
-/// hand out block handles and run whole-table scans and aggregates.
-/// Implemented by the single-file [`TableReader`] and the multi-segment
-/// [`SegmentedTable`], so the front door is indifferent to whether the
-/// table is one immutable file or an ingest directory's current
-/// manifest.
+/// What a [`ServeSession`] serves from: any table-shaped source made of
+/// segment readers. Implemented by the single-file [`TableReader`] (the
+/// one-segment case) and the multi-segment [`SegmentedTable`], so the
+/// front door is indifferent to whether the table is one immutable file or
+/// an ingest directory's current manifest — every request runs the one
+/// whole-table body the store's own entry points use.
 pub trait ServeSource: Send + Sync {
-    /// A lazy handle on one block (global block index for multi-segment
-    /// sources).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range block index; I/O failures.
-    fn block_handle(&self, block: usize) -> Result<BlockHandle<'_>>;
-
-    /// Predicate scan over every block (zone-map pruning included).
-    ///
-    /// # Errors
-    ///
-    /// Unknown columns; decode or I/O failures.
-    fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)>;
-
-    /// Aggregate over every block (zone short-circuits included).
-    ///
-    /// # Errors
-    ///
-    /// Unknown columns; decode or I/O failures.
-    fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)>;
-
-    /// TOP-K / ORDER BY over every block (zone-map pruning against the
-    /// running k-th bound included).
-    ///
-    /// # Errors
-    ///
-    /// Unknown or non-integer target column; decode or I/O failures.
-    fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)>;
+    /// The source's segment readers, in table order.
+    fn readers(&self) -> Vec<&TableReader>;
 }
 
 impl ServeSource for TableReader {
-    fn block_handle(&self, block: usize) -> Result<BlockHandle<'_>> {
-        TableReader::block_handle(self, block)
-    }
-
-    fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        TableReader::scan_blocks(self, pred)
-    }
-
-    fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        TableReader::aggregate(self, expr)
-    }
-
-    fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        TableReader::top_k(self, expr)
+    fn readers(&self) -> Vec<&TableReader> {
+        vec![self]
     }
 }
 
 impl ServeSource for SegmentedTable {
-    fn block_handle(&self, block: usize) -> Result<BlockHandle<'_>> {
-        SegmentedTable::block_handle(self, block)
-    }
-
-    fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        SegmentedTable::scan_blocks(self, pred)
-    }
-
-    fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        SegmentedTable::aggregate(self, expr)
-    }
-
-    fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        SegmentedTable::top_k(self, expr)
+    fn readers(&self) -> Vec<&TableReader> {
+        self.refs()
     }
 }
 
@@ -234,9 +182,11 @@ impl<S: ServeSource> ServeSession<S> {
 
     /// Executes one request, returning its result and cost counters.
     fn execute(&self, request: &ServeRequest) -> Result<(ServeResult, ScanStats)> {
+        let readers = self.reader.readers();
         match request {
             ServeRequest::Point { block, column } => {
-                let handle = self.reader.block_handle(*block)?;
+                let (reader, local) = store::locate(&readers, *block)?;
+                let handle = reader.block_handle(local)?;
                 let values = handle.decompress(column)?;
                 let stats = ScanStats {
                     bytes_read: handle.loaded_bytes(),
@@ -248,15 +198,15 @@ impl<S: ServeSource> ServeSession<S> {
                 Ok((ServeResult::Column(values), stats))
             }
             ServeRequest::Scan(pred) => {
-                let (sels, stats) = self.reader.scan_blocks(pred)?;
+                let (sels, stats) = store::scan_table(&readers, pred, 1)?;
                 Ok((ServeResult::Scan(sels), stats))
             }
             ServeRequest::Aggregate(expr) => {
-                let (agg, stats) = self.reader.aggregate(expr)?;
+                let (agg, stats) = store::aggregate_table(&readers, expr)?;
                 Ok((ServeResult::Aggregate(agg), stats))
             }
             ServeRequest::TopK(expr) => {
-                let (rows, stats) = self.reader.top_k(expr)?;
+                let (rows, stats) = store::top_k_table(&readers, expr, 1)?;
                 Ok((ServeResult::TopK(rows), stats))
             }
         }
@@ -270,68 +220,33 @@ impl<S: ServeSource> ServeSession<S> {
     /// The first failing request's error (in request order); worker panics
     /// surface as errors.
     pub fn run(&self, requests: &[ServeRequest], threads: usize) -> Result<ServeOutcome> {
-        type Served = Option<Result<(ServeResult, ScanStats, Duration)>>;
         let n = requests.len();
-        let threads = threads.max(1).min(n.max(1));
-        let start = Instant::now();
-        let mut slots: Vec<Served> = if threads <= 1 {
-            requests
-                .iter()
-                .map(|req| {
-                    let t = Instant::now();
-                    Some(self.execute(req).map(|(r, s)| (r, s, t.elapsed())))
-                })
-                .collect()
-        } else {
-            let slots: Vec<Mutex<Served>> = (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let panicked = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(|| loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t = Instant::now();
-                            let served =
-                                self.execute(&requests[i]).map(|(r, s)| (r, s, t.elapsed()));
-                            *slots[i].lock().expect("serve slot poisoned") = Some(served);
-                        })
-                    })
-                    .collect();
-                workers.into_iter().any(|w| w.join().is_err())
-            });
-            if panicked {
-                return Err(Error::invalid("serve worker panicked"));
-            }
-            slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("serve slot poisoned"))
-                .collect()
-        };
-        let wall = start.elapsed();
         let mut results = Vec::with_capacity(n);
         let mut latencies = Vec::with_capacity(n);
         let mut stats = ScanStats::default();
-        for slot in slots.iter_mut() {
-            let (result, req_stats, latency) =
-                slot.take().expect("every request visited by a worker")?;
-            results.push(result);
-            latencies.push(latency);
-            merge(&mut stats, &req_stats);
-        }
+        let start = Instant::now();
+        crate::morsel::run(
+            n,
+            threads,
+            |i| {
+                let t = Instant::now();
+                let (result, req_stats) = self.execute(&requests[i])?;
+                Ok((result, req_stats, t.elapsed()))
+            },
+            |_, (result, req_stats, latency)| {
+                results.push(result);
+                latencies.push(latency);
+                stats.absorb(&req_stats);
+                Ok(())
+            },
+        )?;
         Ok(ServeOutcome {
             results,
             latencies,
             stats,
-            wall,
+            wall: start.elapsed(),
         })
     }
-}
-
-fn merge(into: &mut ScanStats, from: &ScanStats) {
-    into.absorb(from);
 }
 
 #[cfg(test)]

@@ -40,10 +40,10 @@
 //! All reads go through the pluggable [`IoBackend`] seam (see
 //! [`crate::io`]), which is also where the torture harness injects faults.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::io::{Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 use corra_columnar::column::{Column, DataType};
@@ -54,19 +54,20 @@ use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 
 use crate::aggregate::{
-    aggregate_partial, exact_column_bounds, AggExpr, AggFunc, AggMerger, AggResult, PartialAgg,
+    aggregate_partial, exact_column_bounds, group_not_dictionary, validate_expr_with, AggExpr,
+    AggFunc, AggMerger, AggResult, PartialAgg,
 };
 use crate::cache::{next_table_id, CacheKey, CacheValue, ShardedCache};
 use crate::compressor::{decompress_column, BlockView, ColumnCodec, CompressedBlock};
 use crate::format::{read_codec_payload, CodecHeader, PayloadSpan};
 use crate::io::{checksum64, read_full_at, FileBackend, IoBackend, MemBackend};
 use crate::operator::{
-    top_k_block, zone_skips_topk, JoinExpr, JoinPair, JoinStats, RowId, TopKBound, TopKExpr,
-    TopKRow,
+    top_k_block, zone_skips_topk, BuildTable, JoinExpr, JoinPair, JoinStats, RowId, TopKBound,
+    TopKExpr, TopKRow,
 };
 use crate::query::QueryOutput;
 use crate::scan::{
-    column_bounds, scan_materialize, scan_pruned, tree_verdict, Predicate, Projection, ScanStats,
+    column_bounds, scan_pruned, tree_verdict, validate_pred_with, Predicate, ScanStats,
 };
 use corra_columnar::aggregate::{IntAggState, StrAggState};
 use corra_columnar::topk::TopKHeap;
@@ -588,9 +589,9 @@ pub struct TableReader {
 /// backend, and whether an attached cache answered it.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LoadCost {
-    bytes: u64,
-    cache_hits: u64,
-    cache_misses: u64,
+    pub(crate) bytes: u64,
+    pub(crate) cache_hits: u64,
+    pub(crate) cache_misses: u64,
 }
 
 impl TableReader {
@@ -796,9 +797,7 @@ impl TableReader {
             block,
             rows: meta.rows as usize,
             cells: (0..meta.columns.len()).map(|_| OnceCell::new()).collect(),
-            loaded_bytes: std::cell::Cell::new(0),
-            cache_hits: std::cell::Cell::new(0),
-            cache_misses: std::cell::Cell::new(0),
+            cost: Cell::default(),
         })
     }
 
@@ -810,9 +809,7 @@ impl TableReader {
     ///
     /// Unknown column, out-of-range block, I/O errors, or corruption.
     pub fn read_column(&self, block: usize, column: &str) -> Result<Column> {
-        let handle = self.block_handle(block)?;
-        let idx = handle.index_of(column)?;
-        decompress_column(&handle, idx)
+        self.block_handle(block)?.decompress(column)
     }
 
     /// Loads the codec of `(block, col)` from its footer-addressed payload,
@@ -888,36 +885,18 @@ impl TableReader {
             .ok_or_else(|| Error::ColumnNotFound(name.to_owned()))
     }
 
+    /// The footer zone of column `name` in the block `meta` describes.
+    fn zone_of(&self, meta: &BlockMeta, name: &str) -> Option<ZoneMap> {
+        meta.columns[self.col_index(name).ok()?].zone
+    }
+
     /// Validates `pred` against footer metadata alone (names + codec
-    /// tags), mirroring the in-memory up-front validation so pruned scans
+    /// tags) through the walker the in-memory scan uses, so pruned scans
     /// report the same errors as kernel scans.
     fn validate_pred_footer(&self, meta: &BlockMeta, pred: &Predicate) -> Result<()> {
-        match pred {
-            Predicate::Compare { column, .. } | Predicate::Between { column, .. } => {
-                let idx = self.col_index(column)?;
-                if meta.columns[idx].header.is_string() {
-                    return Err(Error::TypeMismatch {
-                        expected: "integer column for integer predicate",
-                        found: "string column",
-                    });
-                }
-                Ok(())
-            }
-            Predicate::StrEq { column, .. } => {
-                let idx = self.col_index(column)?;
-                if !meta.columns[idx].header.is_string() {
-                    return Err(Error::TypeMismatch {
-                        expected: "string column for string predicate",
-                        found: "integer column",
-                    });
-                }
-                Ok(())
-            }
-            Predicate::And(children) | Predicate::Or(children) => children
-                .iter()
-                .try_for_each(|c| self.validate_pred_footer(meta, c)),
-            Predicate::Not(child) => self.validate_pred_footer(meta, child),
-        }
+        validate_pred_with(pred, &|column| {
+            Ok(meta.columns[self.col_index(column)?].header.is_string())
+        })
     }
 
     /// Scans one block, consulting footer zone maps before touching any
@@ -933,9 +912,7 @@ impl TableReader {
         if rows == 0 {
             return Ok((SelectionVector::empty(), true, true, LoadCost::default()));
         }
-        let zone_of =
-            |name: &str| -> Option<ZoneMap> { meta.columns[self.col_index(name).ok()?].zone };
-        match tree_verdict(pred, &zone_of) {
+        match tree_verdict(pred, &|name| self.zone_of(meta, name)) {
             RangeVerdict::None => Ok((SelectionVector::empty(), true, true, LoadCost::default())),
             RangeVerdict::All => Ok((SelectionVector::all(rows), true, true, LoadCost::default())),
             RangeVerdict::Partial => {
@@ -963,23 +940,13 @@ impl TableReader {
     ///
     /// As [`scan`](Self::scan).
     pub fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        let mut stats = ScanStats {
-            segments_opened: 1,
-            ..ScanStats::default()
-        };
-        let mut selections = Vec::with_capacity(self.n_blocks());
-        for i in 0..self.n_blocks() {
-            let (sel, pruned, skipped, cost) = self.scan_block_inner(i, pred)?;
-            self.merge_stats(&mut stats, i, &sel, pruned, skipped, cost);
-            selections.push(sel);
-        }
-        Ok((selections, stats))
+        scan_table(&[self], pred, 1)
     }
 
-    /// Morsel-parallel [`scan_blocks`](Self::scan_blocks): `threads` scoped
-    /// workers pull block indices off an atomic counter and write into
-    /// indexed slots, so selections and stats are identical to the serial
-    /// store scan for any thread count.
+    /// Morsel-parallel [`scan_blocks`](Self::scan_blocks): `threads`
+    /// workers pull block indices off the shared `crate::morsel::run`
+    /// counter and results merge in block order, so selections and stats
+    /// are identical to the serial store scan for any thread count.
     ///
     /// # Errors
     ///
@@ -989,100 +956,21 @@ impl TableReader {
         pred: &Predicate,
         threads: usize,
     ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        let n = self.n_blocks();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            return self.scan_blocks(pred);
-        }
-        type Slot = Mutex<Option<Result<(SelectionVector, bool, bool, LoadCost)>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let scanned = self.scan_block_inner(i, pred);
-                        *slots[i].lock().expect("scan slot poisoned") = Some(scanned);
-                    })
-                })
-                .collect();
-            workers.into_iter().any(|w| w.join().is_err())
-        });
-        if panicked {
-            return Err(Error::invalid("parallel store scan worker panicked"));
-        }
-        let mut stats = ScanStats {
-            segments_opened: 1,
-            ..ScanStats::default()
-        };
-        let mut selections = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (sel, pruned, skipped, cost) = slot
-                .into_inner()
-                .expect("scan slot poisoned")
-                .expect("every block visited")?;
-            self.merge_stats(&mut stats, i, &sel, pruned, skipped, cost);
-            selections.push(sel);
-        }
-        Ok((selections, stats))
+        scan_table(&[self], pred, threads)
     }
 
-    fn merge_stats(
-        &self,
-        stats: &mut ScanStats,
-        block: usize,
-        sel: &SelectionVector,
-        pruned: bool,
-        skipped: bool,
-        cost: LoadCost,
-    ) {
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.blocks_skipped_io += usize::from(skipped);
-        stats.rows_total += self.footer.blocks[block].rows as usize;
-        stats.rows_matched += sel.len();
-        stats.bytes_read += cost.bytes;
-        stats.cache_hits += cost.cache_hits;
-        stats.cache_misses += cost.cache_misses;
-    }
-
-    /// Mirrors the in-memory up-front expression validation with footer
+    /// The in-memory up-front expression validation, answered from footer
     /// metadata alone (names, string-ness, horizontal-ness); dictionary
     /// layout of an integer `GROUP BY` column is payload-level and is
     /// checked by the kernel when a block actually evaluates.
     fn validate_expr_footer(&self, meta: &BlockMeta, expr: &AggExpr) -> Result<()> {
-        if let Some(pred) = expr.filter() {
-            self.validate_pred_footer(meta, pred)?;
-        }
-        match (expr.column(), expr.func()) {
-            (None, AggFunc::Count) => {}
-            (None, _) => return Err(Error::invalid("aggregate function requires a column")),
-            (Some(col), func) => {
-                let idx = self.col_index(col)?;
-                if meta.columns[idx].header.is_string()
-                    && matches!(func, AggFunc::Sum | AggFunc::Avg)
-                {
-                    return Err(Error::TypeMismatch {
-                        expected: "integer column for SUM/AVG",
-                        found: "string column",
-                    });
-                }
+        let header = |column: &str| Ok(&meta.columns[self.col_index(column)?].header);
+        validate_expr_with(expr, &|column| Ok(header(column)?.is_string()), &|group| {
+            if header(group)?.is_horizontal() {
+                return Err(group_not_dictionary(group));
             }
-        }
-        if let Some(group) = expr.group_by() {
-            let idx = self.col_index(group)?;
-            if meta.columns[idx].header.is_horizontal() {
-                return Err(Error::invalid(format!(
-                    "GROUP BY column {group} must be dictionary-encoded \
-                     (a Dict plan or a hierarchical parent)"
-                )));
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Evaluates `expr` against one block, consulting footer zone maps
@@ -1101,35 +989,21 @@ impl TableReader {
             Err(_) => false,
         });
         let grouped = expr.group_by().is_some();
+        // A block the footer alone answers: pruned, zero payload bytes.
+        let footer_only =
+            |partial, matched| Ok((partial, true, true, LoadCost::default(), matched));
         if rows == 0 && !grouped {
-            return Ok((
-                PartialAgg::empty(string_target, false),
-                true,
-                true,
-                LoadCost::default(),
-                0,
-            ));
+            return footer_only(PartialAgg::empty(string_target, false), 0);
         }
         // Footer verdict of the filter; no filter covers every row.
         let verdict = match expr.filter() {
             None => RangeVerdict::All,
-            Some(pred) => {
-                let zone_of = |name: &str| -> Option<ZoneMap> {
-                    meta.columns[self.col_index(name).ok()?].zone
-                };
-                tree_verdict(pred, &zone_of)
-            }
+            Some(pred) => tree_verdict(pred, &|name| self.zone_of(meta, name)),
         };
         if matches!(verdict, RangeVerdict::None) {
             if !grouped {
                 // Provably empty selection: nothing to fold, zero bytes.
-                return Ok((
-                    PartialAgg::empty(string_target, false),
-                    true,
-                    true,
-                    LoadCost::default(),
-                    0,
-                ));
+                return footer_only(PartialAgg::empty(string_target, false), 0);
             }
             // The group column's dictionary layout is payload-level (the
             // footer tag cannot distinguish Dict from other vertical int
@@ -1164,7 +1038,7 @@ impl TableReader {
                             ..IntAggState::default()
                         })
                     };
-                    return Ok((partial, true, true, LoadCost::default(), rows));
+                    return footer_only(partial, rows);
                 }
                 // MIN/MAX over a fully-covered block with *exact* footer
                 // bounds: answered from the zone map alone. The partial's
@@ -1174,18 +1048,13 @@ impl TableReader {
                     let idx = self.col_index(expr.column().expect("validated"))?;
                     let cm = &meta.columns[idx];
                     if let (Some(zone), true) = (cm.zone, cm.zone_exact) {
-                        return Ok((
-                            PartialAgg::Int(IntAggState {
-                                count: rows as u64,
-                                sum: 0,
-                                min: Some(zone.min),
-                                max: Some(zone.max),
-                            }),
-                            true,
-                            true,
-                            LoadCost::default(),
-                            rows,
-                        ));
+                        let state = IntAggState {
+                            count: rows as u64,
+                            sum: 0,
+                            min: Some(zone.min),
+                            max: Some(zone.max),
+                        };
+                        return footer_only(PartialAgg::Int(state), rows);
                     }
                 }
                 _ => {}
@@ -1212,24 +1081,7 @@ impl TableReader {
     /// As [`crate::aggregate::aggregate`], plus I/O and corruption errors
     /// from lazy payload loads.
     pub fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        let mut merger = AggMerger::new();
-        let mut stats = ScanStats {
-            segments_opened: 1,
-            ..ScanStats::default()
-        };
-        for i in 0..self.n_blocks() {
-            let (partial, pruned, skipped, cost, matched) = self.aggregate_block_inner(i, expr)?;
-            stats.blocks += 1;
-            stats.blocks_pruned += usize::from(pruned);
-            stats.blocks_skipped_io += usize::from(skipped);
-            stats.rows_total += self.footer.blocks[i].rows as usize;
-            stats.rows_matched += matched;
-            stats.bytes_read += cost.bytes;
-            stats.cache_hits += cost.cache_hits;
-            stats.cache_misses += cost.cache_misses;
-            merger.merge(partial)?;
-        }
-        Ok((merger.finish(expr), stats))
+        aggregate_table(&[self], expr)
     }
 
     /// Filter → materialize against one block, loading only the predicate
@@ -1239,8 +1091,7 @@ impl TableReader {
     ///
     /// As [`crate::scan::scan_query`].
     pub fn scan_query(&self, block: usize, pred: &Predicate, project: &str) -> Result<QueryOutput> {
-        let handle = self.block_handle(block)?;
-        Ok(scan_materialize(&handle, pred, Projection::Column(project))?.0)
+        crate::scan::scan_query(&self.block_handle(block)?, pred, project)
     }
 
     /// Filter → materialize for a diff-encoded target *and* its reference
@@ -1255,12 +1106,7 @@ impl TableReader {
         pred: &Predicate,
         target: &str,
     ) -> Result<(QueryOutput, QueryOutput)> {
-        let handle = self.block_handle(block)?;
-        let (target, reference) = scan_materialize(&handle, pred, Projection::Both(target))?;
-        Ok((
-            target,
-            reference.expect("Both projection returns a reference"),
-        ))
+        crate::scan::scan_query_both(&self.block_handle(block)?, pred, target)
     }
 
     /// Mirrors the in-memory TOP-K validation with footer metadata alone
@@ -1304,9 +1150,8 @@ impl TableReader {
             return Ok((true, true, LoadCost::default(), 0));
         }
         if let Some(pred) = expr.filter() {
-            let zone_of =
-                |name: &str| -> Option<ZoneMap> { meta.columns[self.col_index(name).ok()?].zone };
-            if matches!(tree_verdict(pred, &zone_of), RangeVerdict::None) {
+            let verdict = tree_verdict(pred, &|name| self.zone_of(meta, name));
+            if matches!(verdict, RangeVerdict::None) {
                 return Ok((true, true, LoadCost::default(), 0));
             }
         }
@@ -1326,25 +1171,14 @@ impl TableReader {
     /// Unknown or non-integer target column, invalid filter, I/O errors,
     /// or corruption.
     pub fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        let mut heap = TopKHeap::new(expr.k(), expr.descending());
-        let mut stats = ScanStats {
-            segments_opened: 1,
-            ..ScanStats::default()
-        };
-        for i in 0..self.n_blocks() {
-            let worst = heap.worst_rank();
-            let (pruned, skipped, cost, matched) =
-                self.top_k_block_inner(i, i as u32, expr, worst, &mut heap)?;
-            self.merge_topk_stats(&mut stats, i, pruned, skipped, cost, matched);
-        }
-        Ok((crate::operator::rows_from(heap), stats))
+        top_k_table(&[self], expr, 1)
     }
 
     /// Morsel-parallel [`top_k`](Self::top_k): workers pull block indices
-    /// off an atomic counter and prune against a shared [`TopKBound`].
-    /// Result rows are bit-identical to the serial path for any thread
-    /// count; pruning counters may differ (which blocks get pruned depends
-    /// on how fast the bound tightens).
+    /// off the shared `crate::morsel::run` counter and prune against a
+    /// shared [`TopKBound`]. Result rows are bit-identical to the serial
+    /// path for any thread count; pruning counters may differ (which blocks
+    /// get pruned depends on how fast the bound tightens).
     ///
     /// # Errors
     ///
@@ -1354,75 +1188,7 @@ impl TableReader {
         expr: &TopKExpr,
         threads: usize,
     ) -> Result<(Vec<TopKRow>, ScanStats)> {
-        let n = self.n_blocks();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n <= 1 || expr.k() == 0 {
-            return self.top_k(expr);
-        }
-        let bound = TopKBound::new(expr.k(), expr.descending());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Mutex<Option<Result<(bool, bool, LoadCost, usize)>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let out = (|| {
-                            let mut local = TopKHeap::new(expr.k(), expr.descending());
-                            let res = self.top_k_block_inner(
-                                i,
-                                i as u32,
-                                expr,
-                                bound.worst_rank(),
-                                &mut local,
-                            )?;
-                            bound.merge(local);
-                            Ok(res)
-                        })();
-                        *slots[i].lock().expect("top-k slot poisoned") = Some(out);
-                    })
-                })
-                .collect();
-            workers.into_iter().any(|w| w.join().is_err())
-        });
-        if panicked {
-            return Err(Error::invalid("parallel store top-k worker panicked"));
-        }
-        let mut stats = ScanStats {
-            segments_opened: 1,
-            ..ScanStats::default()
-        };
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (pruned, skipped, cost, matched) = slot
-                .into_inner()
-                .expect("top-k slot poisoned")
-                .expect("every block visited")?;
-            self.merge_topk_stats(&mut stats, i, pruned, skipped, cost, matched);
-        }
-        Ok((bound.into_rows(), stats))
-    }
-
-    fn merge_topk_stats(
-        &self,
-        stats: &mut ScanStats,
-        block: usize,
-        pruned: bool,
-        skipped: bool,
-        cost: LoadCost,
-        matched: usize,
-    ) {
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.blocks_skipped_io += usize::from(skipped);
-        stats.rows_total += self.footer.blocks[block].rows as usize;
-        stats.rows_matched += matched;
-        stats.bytes_read += cost.bytes;
-        stats.cache_hits += cost.cache_hits;
-        stats.cache_misses += cost.cache_misses;
+        top_k_table(&[self], expr, threads)
     }
 
     /// Materializes `columns` for an arbitrary row-id list (TOP-K winners,
@@ -1434,12 +1200,7 @@ impl TableReader {
     ///
     /// Unknown columns, out-of-range row ids, I/O errors, or corruption.
     pub fn gather_rows(&self, ids: &[RowId], columns: &[&str]) -> Result<Vec<QueryOutput>> {
-        crate::operator::gather_rows_with(ids, columns, |block, sel, cols| {
-            let handle = self.block_handle(block as usize)?;
-            cols.iter()
-                .map(|c| crate::query::query_column(&handle, c, sel))
-                .collect()
-        })
+        gather_table(&[self], ids, columns)
     }
 
     /// Dict-code hash join: builds over this table's `build_key` column,
@@ -1458,16 +1219,7 @@ impl TableReader {
         probe: &TableReader,
         expr: &JoinExpr,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        let (table, mut stats) = self.join_build(expr)?;
-        let mut pairs = Vec::new();
-        for b in 0..probe.n_blocks() {
-            let handle = probe.block_handle(b)?;
-            stats.probe_rows +=
-                table.probe_block(&handle, b as u32, expr.probe_key(), &mut pairs)?;
-            absorb_join_cost(&mut stats.io, handle.rows(), handle.load_cost());
-        }
-        stats.pairs = pairs.len();
-        Ok((pairs, stats))
+        hash_join_tables(&[self], &[probe], expr, 1)
     }
 
     /// Morsel-parallel [`hash_join`](Self::hash_join): the build phase
@@ -1484,88 +1236,198 @@ impl TableReader {
         expr: &JoinExpr,
         threads: usize,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        let n = probe.n_blocks();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            return self.hash_join(probe, expr);
-        }
-        let (table, mut stats) = self.join_build(expr)?;
-        let table = &table;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Mutex<Option<Result<(Vec<JoinPair>, usize, usize, LoadCost)>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let out = (|| {
-                            let handle = probe.block_handle(i)?;
-                            let mut pairs = Vec::new();
-                            let rows = table.probe_block(
-                                &handle,
-                                i as u32,
-                                expr.probe_key(),
-                                &mut pairs,
-                            )?;
-                            Ok((pairs, rows, handle.rows(), handle.load_cost()))
-                        })();
-                        *slots[i].lock().expect("join slot poisoned") = Some(out);
-                    })
-                })
-                .collect();
-            workers.into_iter().any(|w| w.join().is_err())
-        });
-        if panicked {
-            return Err(Error::invalid("parallel store join worker panicked"));
-        }
-        let mut pairs = Vec::new();
-        for slot in slots {
-            let (mut block_pairs, rows, block_rows, cost) = slot
-                .into_inner()
-                .expect("join slot poisoned")
-                .expect("every probe block visited")?;
-            stats.probe_rows += rows;
-            absorb_join_cost(&mut stats.io, block_rows, cost);
-            pairs.append(&mut block_pairs);
-        }
-        stats.pairs = pairs.len();
-        Ok((pairs, stats))
-    }
-
-    /// Builds the join key table over this reader's blocks; `stats.io`
-    /// starts with the build side's traffic and `segments_opened = 2`
-    /// (build + probe tables).
-    fn join_build(&self, expr: &JoinExpr) -> Result<(crate::operator::BuildTable, JoinStats)> {
-        let mut table = crate::operator::BuildTable::new();
-        let mut stats = JoinStats {
-            io: ScanStats {
-                segments_opened: 2,
-                ..ScanStats::default()
-            },
-            ..JoinStats::default()
-        };
-        for b in 0..self.n_blocks() {
-            let handle = self.block_handle(b)?;
-            table.add_block(&handle, b as u32, expr.build_key())?;
-            absorb_join_cost(&mut stats.io, handle.rows(), handle.load_cost());
-        }
-        stats.build_rows = table.build_rows();
-        stats.distinct_keys = table.distinct();
-        Ok((table, stats))
+        hash_join_tables(&[self], &[probe], expr, threads)
     }
 }
 
-/// Folds one lazy handle's traffic into a join's I/O accounting.
-fn absorb_join_cost(io: &mut ScanStats, rows: usize, cost: LoadCost) {
-    io.blocks += 1;
-    io.rows_total += rows;
-    io.bytes_read += cost.bytes;
-    io.cache_hits += cost.cache_hits;
-    io.cache_misses += cost.cache_misses;
+/// One block of a (possibly multi-segment) table: its segment reader and
+/// its index within that segment.
+#[derive(Clone, Copy)]
+struct BlockRef<'a> {
+    reader: &'a TableReader,
+    local: usize,
+}
+
+impl<'a> BlockRef<'a> {
+    fn rows(&self) -> usize {
+        self.reader.footer.blocks[self.local].rows as usize
+    }
+
+    fn handle(&self) -> Result<BlockHandle<'a>> {
+        self.reader.block_handle(self.local)
+    }
+}
+
+/// The one block list every whole-table store operator runs over: the
+/// blocks of `readers` in table order, so a block's position in the list is
+/// its global index — the number that enters every `(value, block, row)`
+/// tie-break and [`RowId`]. A single file is the one-segment case —
+/// [`TableReader`]'s operators pass `&[self]`, [`SegmentedTable`]'s pass
+/// its segment readers, and both run the same bodies below, serial being
+/// `threads = 1`.
+fn block_list<'a>(readers: &[&'a TableReader]) -> Vec<BlockRef<'a>> {
+    let blocks_of = |reader: &'a TableReader| {
+        (0..reader.n_blocks()).map(move |local| BlockRef { reader, local })
+    };
+    readers.iter().copied().flat_map(blocks_of).collect()
+}
+
+/// Maps a global block index to `(segment reader, local block index)`.
+pub(crate) fn locate<'a>(
+    readers: &[&'a TableReader],
+    block: usize,
+) -> Result<(&'a TableReader, usize)> {
+    let mut remaining = block;
+    for &reader in readers {
+        if remaining < reader.n_blocks() {
+            return Ok((reader, remaining));
+        }
+        remaining -= reader.n_blocks();
+    }
+    Err(Error::IndexOutOfBounds {
+        index: block,
+        len: readers.iter().map(|r| r.n_blocks()).sum(),
+    })
+}
+
+/// Counters for an operator about to visit every block of `segments`
+/// segment files.
+fn stats_over(segments: usize) -> ScanStats {
+    ScanStats {
+        segments_opened: segments,
+        ..ScanStats::default()
+    }
+}
+
+/// Whole-table predicate scan (the body behind every store `scan_blocks`).
+pub(crate) fn scan_table(
+    readers: &[&TableReader],
+    pred: &Predicate,
+    threads: usize,
+) -> Result<(Vec<SelectionVector>, ScanStats)> {
+    let blocks = block_list(readers);
+    let mut stats = stats_over(readers.len());
+    let mut selections = Vec::with_capacity(blocks.len());
+    crate::morsel::run(
+        blocks.len(),
+        threads,
+        |i| blocks[i].reader.scan_block_inner(blocks[i].local, pred),
+        |i, (sel, pruned, skipped, cost)| {
+            stats.record_block(blocks[i].rows(), sel.len(), pruned, Some((skipped, cost)));
+            selections.push(sel);
+            Ok(())
+        },
+    )?;
+    Ok((selections, stats))
+}
+
+/// Whole-table aggregate (the body behind every store `aggregate`):
+/// per-block partials merge through one [`AggMerger`] in table order, so
+/// `AVG` and friends stay exact across block and segment boundaries.
+pub(crate) fn aggregate_table(
+    readers: &[&TableReader],
+    expr: &AggExpr,
+) -> Result<(AggResult, ScanStats)> {
+    let mut merger = AggMerger::new();
+    let mut stats = stats_over(readers.len());
+    for b in block_list(readers) {
+        let (partial, pruned, skipped, cost, matched) =
+            b.reader.aggregate_block_inner(b.local, expr)?;
+        stats.record_block(b.rows(), matched, pruned, Some((skipped, cost)));
+        merger.merge(partial)?;
+    }
+    Ok((merger.finish(expr), stats))
+}
+
+/// Whole-table TOP-K (the body behind every store `top_k`): each block
+/// is pruned against, then fills, one shared [`TopKBound`].
+pub(crate) fn top_k_table(
+    readers: &[&TableReader],
+    expr: &TopKExpr,
+    threads: usize,
+) -> Result<(Vec<TopKRow>, ScanStats)> {
+    let blocks = block_list(readers);
+    let bound = TopKBound::new(expr.k(), expr.descending());
+    let alone = crate::morsel::is_serial(blocks.len(), threads);
+    let mut stats = stats_over(readers.len());
+    crate::morsel::run(
+        blocks.len(),
+        threads,
+        |i| {
+            let (b, worst) = (blocks[i], bound.worst_rank());
+            bound.fill(alone, |heap| {
+                b.reader
+                    .top_k_block_inner(b.local, i as u32, expr, worst, heap)
+            })
+        },
+        |i, (pruned, skipped, cost, matched)| {
+            stats.record_block(blocks[i].rows(), matched, pruned, Some((skipped, cost)));
+            Ok(())
+        },
+    )?;
+    Ok((bound.into_rows(), stats))
+}
+
+/// Whole-table late materialization (the body behind every store
+/// `gather_rows`): one lazy handle per touched global block.
+fn gather_table(
+    readers: &[&TableReader],
+    ids: &[RowId],
+    columns: &[&str],
+) -> Result<Vec<QueryOutput>> {
+    crate::operator::gather_rows_with(ids, columns, |block, sel, cols| {
+        let (reader, local) = locate(readers, block as usize)?;
+        let handle = reader.block_handle(local)?;
+        cols.iter()
+            .map(|c| crate::query::query_column(&handle, c, sel))
+            .collect()
+    })
+}
+
+/// Whole-table dict-code hash join (the body behind every store
+/// `hash_join`): a serial build over `build`'s blocks (key ids are assigned
+/// in first-occurrence order), then probe blocks fan out and their pair
+/// lists concatenate in global block order. `stats.io` accounts both
+/// sides' traffic and segments.
+fn hash_join_tables(
+    build: &[&TableReader],
+    probe: &[&TableReader],
+    expr: &JoinExpr,
+    threads: usize,
+) -> Result<(Vec<JoinPair>, JoinStats)> {
+    let mut io = stats_over(build.len() + probe.len());
+    let mut table = BuildTable::new();
+    for (i, b) in block_list(build).into_iter().enumerate() {
+        let handle = b.handle()?;
+        table.add_block(&handle, i as u32, expr.build_key())?;
+        io.record_block(b.rows(), 0, false, Some((false, handle.load_cost())));
+    }
+    let blocks = block_list(probe);
+    let mut pairs = Vec::new();
+    let mut probe_rows = 0;
+    crate::morsel::run(
+        blocks.len(),
+        threads,
+        |i| {
+            let handle = blocks[i].handle()?;
+            let probed = table.probe_block(&handle, i as u32, expr.probe_key())?;
+            Ok((probed, handle.load_cost()))
+        },
+        |i, ((mut block_pairs, rows), cost)| {
+            probe_rows += rows;
+            io.record_block(blocks[i].rows(), 0, false, Some((false, cost)));
+            pairs.append(&mut block_pairs);
+            Ok(())
+        },
+    )?;
+    let stats = JoinStats {
+        build_rows: table.build_rows(),
+        probe_rows,
+        distinct_keys: table.distinct(),
+        pairs: pairs.len(),
+        io,
+    };
+    Ok((pairs, stats))
 }
 
 /// A lazy view over one block of a [`TableReader`]: every column's codec is
@@ -1581,13 +1443,10 @@ pub struct BlockHandle<'a> {
     block: usize,
     rows: usize,
     cells: Vec<OnceCell<Arc<ColumnCodec>>>,
-    /// Payload bytes this handle has fetched (per-handle, so per-scan byte
-    /// accounting stays exact even when scans share the reader).
-    loaded_bytes: std::cell::Cell<u64>,
-    /// Column loads the reader's cache answered for this handle.
-    cache_hits: std::cell::Cell<u64>,
-    /// Column loads that fell through to the backend (cache attached only).
-    cache_misses: std::cell::Cell<u64>,
+    /// What this handle's loads have cost so far (per-handle, so per-scan
+    /// byte and cache accounting stays exact even when scans share the
+    /// reader).
+    cost: Cell<LoadCost>,
 }
 
 impl BlockHandle<'_> {
@@ -1598,27 +1457,23 @@ impl BlockHandle<'_> {
 
     /// Payload bytes this handle has fetched so far.
     pub fn loaded_bytes(&self) -> u64 {
-        self.loaded_bytes.get()
+        self.cost.get().bytes
     }
 
     /// Column loads the attached cache answered for this handle (0 when
     /// the reader has no cache).
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.get()
+        self.cost.get().cache_hits
     }
 
     /// Column loads that missed the attached cache (0 without a cache).
     pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.get()
+        self.cost.get().cache_misses
     }
 
     /// This handle's cost counters, snapshot.
     fn load_cost(&self) -> LoadCost {
-        LoadCost {
-            bytes: self.loaded_bytes.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-        }
+        self.cost.get()
     }
 
     /// Fully decompresses column `name`, loading only its payload and its
@@ -1649,16 +1504,15 @@ impl BlockView for BlockHandle<'_> {
         })?;
         if cell.get().is_none() {
             let (codec, from_cache) = self.reader.load_codec(self.block, i)?;
+            let mut cost = self.cost.get();
             if from_cache {
-                self.cache_hits.set(self.cache_hits.get() + 1);
+                cost.cache_hits += 1;
             } else {
                 let span = self.reader.footer.blocks[self.block].columns[i].span;
-                self.loaded_bytes
-                    .set(self.loaded_bytes.get() + span.len as u64);
-                if self.reader.cache.is_some() {
-                    self.cache_misses.set(self.cache_misses.get() + 1);
-                }
+                cost.bytes += u64::from(span.len);
+                cost.cache_misses += u64::from(self.reader.cache.is_some());
             }
+            self.cost.set(cost);
             // A concurrent set is impossible (&self is single-threaded via
             // !Sync OnceCell), so the only race is with ourselves above.
             let _ = cell.set(codec);
@@ -1672,11 +1526,11 @@ impl BlockView for BlockHandle<'_> {
 /// single table whose block indices run through the segments in manifest
 /// order.
 ///
-/// Scans and aggregates are exactly the concatenation/merge of the
-/// per-segment operations — selections are byte-identical to a single
-/// file holding the same blocks, and aggregate partials merge through the
-/// same `AggMerger` the single-file path uses, so `AVG` and friends
-/// stay exact across segment boundaries.
+/// Every whole-table operator is the body [`TableReader`] runs (a single
+/// file is the one-segment case) over all segments' blocks — selections,
+/// TOP-K rows and join pairs are byte-identical to a single file holding
+/// the same blocks, and aggregate partials merge through one `AggMerger`,
+/// so `AVG` and friends stay exact across segment boundaries.
 ///
 /// When opened with a cache, each segment reader takes its own
 /// process-unique table id ([`TableReader::with_cache`]), so compaction
@@ -1770,19 +1624,10 @@ impl SegmentedTable {
         self.readers.iter().map(|r| r.rows_total()).sum()
     }
 
-    /// Maps a global block index to `(segment reader, local block index)`.
-    fn locate(&self, block: usize) -> Result<(&Arc<TableReader>, usize)> {
-        let mut remaining = block;
-        for reader in &self.readers {
-            if remaining < reader.n_blocks() {
-                return Ok((reader, remaining));
-            }
-            remaining -= reader.n_blocks();
-        }
-        Err(Error::IndexOutOfBounds {
-            index: block,
-            len: self.n_blocks(),
-        })
+    /// The segment readers as the plain reference list the shared
+    /// whole-table bodies ([`scan_table`] and friends) run over.
+    pub(crate) fn refs(&self) -> Vec<&TableReader> {
+        self.readers.iter().map(Arc::as_ref).collect()
     }
 
     /// A lazy handle on the global `block` index.
@@ -1791,7 +1636,7 @@ impl SegmentedTable {
     ///
     /// Unknown block; I/O errors reading the segment.
     pub fn block_handle(&self, block: usize) -> Result<BlockHandle<'_>> {
-        let (reader, local) = self.locate(block)?;
+        let (reader, local) = locate(&self.refs(), block)?;
         reader.block_handle(local)
     }
 
@@ -1801,8 +1646,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::read_column`].
     pub fn read_column(&self, block: usize, column: &str) -> Result<Column> {
-        let (reader, local) = self.locate(block)?;
-        reader.read_column(local, column)
+        self.block_handle(block)?.decompress(column)
     }
 
     /// Loads and verifies the global `block` index in full.
@@ -1811,7 +1655,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::read_block`].
     pub fn read_block(&self, block: usize) -> Result<CompressedBlock> {
-        let (reader, local) = self.locate(block)?;
+        let (reader, local) = locate(&self.refs(), block)?;
         reader.read_block(local)
     }
 
@@ -1822,18 +1666,13 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::scan_blocks`].
     pub fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        let mut stats = ScanStats::default();
-        let mut selections = Vec::with_capacity(self.n_blocks());
-        for reader in &self.readers {
-            let (sels, seg_stats) = reader.scan_blocks(pred)?;
-            stats.absorb(&seg_stats);
-            selections.extend(sels);
-        }
-        Ok((selections, stats))
+        scan_table(&self.refs(), pred, 1)
     }
 
-    /// Morsel-parallel [`scan_blocks`](Self::scan_blocks), segment by
-    /// segment; identical output for any thread count.
+    /// Morsel-parallel [`scan_blocks`](Self::scan_blocks) across all
+    /// segments' blocks — a table of single-block segments (every
+    /// un-compacted append) fans out like any other; identical output for
+    /// any thread count.
     ///
     /// # Errors
     ///
@@ -1843,14 +1682,7 @@ impl SegmentedTable {
         pred: &Predicate,
         threads: usize,
     ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        let mut stats = ScanStats::default();
-        let mut selections = Vec::with_capacity(self.n_blocks());
-        for reader in &self.readers {
-            let (sels, seg_stats) = reader.scan_blocks_parallel(pred, threads)?;
-            stats.absorb(&seg_stats);
-            selections.extend(sels);
-        }
-        Ok((selections, stats))
+        scan_table(&self.refs(), pred, threads)
     }
 
     /// Evaluates an aggregate across every segment, merging per-block
@@ -1861,39 +1693,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::aggregate`].
     pub fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        let mut merger = AggMerger::new();
-        let mut stats = ScanStats::default();
-        for reader in &self.readers {
-            stats.segments_opened += 1;
-            for i in 0..reader.n_blocks() {
-                let (partial, pruned, skipped, cost, matched) =
-                    reader.aggregate_block_inner(i, expr)?;
-                stats.blocks += 1;
-                stats.blocks_pruned += usize::from(pruned);
-                stats.blocks_skipped_io += usize::from(skipped);
-                stats.rows_total += reader.footer.blocks[i].rows as usize;
-                stats.rows_matched += matched;
-                stats.bytes_read += cost.bytes;
-                stats.cache_hits += cost.cache_hits;
-                stats.cache_misses += cost.cache_misses;
-                merger.merge(partial)?;
-            }
-        }
-        Ok((merger.finish(expr), stats))
-    }
-
-    /// The `(segment index, local block, global block)` triples, in table
-    /// order — the morsel list for cross-segment parallel drivers.
-    fn block_triples(&self) -> Vec<(usize, usize, u32)> {
-        let mut triples = Vec::with_capacity(self.n_blocks());
-        let mut global = 0u32;
-        for (seg, reader) in self.readers.iter().enumerate() {
-            for local in 0..reader.n_blocks() {
-                triples.push((seg, local, global));
-                global += 1;
-            }
-        }
-        triples
+        aggregate_table(&self.refs(), expr)
     }
 
     /// TOP-K across every segment's blocks, sharing one running k-th
@@ -1905,19 +1705,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::top_k`].
     pub fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        let mut heap = TopKHeap::new(expr.k(), expr.descending());
-        let mut stats = ScanStats {
-            segments_opened: self.readers.len(),
-            ..ScanStats::default()
-        };
-        for (seg, local, global) in self.block_triples() {
-            let reader = &self.readers[seg];
-            let worst = heap.worst_rank();
-            let (pruned, skipped, cost, matched) =
-                reader.top_k_block_inner(local, global, expr, worst, &mut heap)?;
-            reader.merge_topk_stats(&mut stats, local, pruned, skipped, cost, matched);
-        }
-        Ok((crate::operator::rows_from(heap), stats))
+        top_k_table(&self.refs(), expr, 1)
     }
 
     /// Morsel-parallel [`top_k`](Self::top_k) across all segments' blocks
@@ -1932,59 +1720,7 @@ impl SegmentedTable {
         expr: &TopKExpr,
         threads: usize,
     ) -> Result<(Vec<TopKRow>, ScanStats)> {
-        let triples = self.block_triples();
-        let n = triples.len();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n <= 1 || expr.k() == 0 {
-            return self.top_k(expr);
-        }
-        let bound = TopKBound::new(expr.k(), expr.descending());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Mutex<Option<Result<(bool, bool, LoadCost, usize)>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let (seg, local, global) = triples[i];
-                        let out = (|| {
-                            let mut heap = TopKHeap::new(expr.k(), expr.descending());
-                            let res = self.readers[seg].top_k_block_inner(
-                                local,
-                                global,
-                                expr,
-                                bound.worst_rank(),
-                                &mut heap,
-                            )?;
-                            bound.merge(heap);
-                            Ok(res)
-                        })();
-                        *slots[i].lock().expect("top-k slot poisoned") = Some(out);
-                    })
-                })
-                .collect();
-            workers.into_iter().any(|w| w.join().is_err())
-        });
-        if panicked {
-            return Err(Error::invalid("parallel segmented top-k worker panicked"));
-        }
-        let mut stats = ScanStats {
-            segments_opened: self.readers.len(),
-            ..ScanStats::default()
-        };
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (pruned, skipped, cost, matched) = slot
-                .into_inner()
-                .expect("top-k slot poisoned")
-                .expect("every block visited")?;
-            let (seg, local, _) = triples[i];
-            self.readers[seg].merge_topk_stats(&mut stats, local, pruned, skipped, cost, matched);
-        }
-        Ok((bound.into_rows(), stats))
+        top_k_table(&self.refs(), expr, threads)
     }
 
     /// Materializes `columns` for row ids addressed by *global* block
@@ -1994,12 +1730,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::gather_rows`].
     pub fn gather_rows(&self, ids: &[RowId], columns: &[&str]) -> Result<Vec<QueryOutput>> {
-        crate::operator::gather_rows_with(ids, columns, |block, sel, cols| {
-            let handle = self.block_handle(block as usize)?;
-            cols.iter()
-                .map(|c| crate::query::query_column(&handle, c, sel))
-                .collect()
-        })
+        gather_table(&self.refs(), ids, columns)
     }
 
     /// Dict-code hash join building over this table, probing `probe` —
@@ -2014,15 +1745,7 @@ impl SegmentedTable {
         probe: &SegmentedTable,
         expr: &JoinExpr,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        let (table, mut stats) = self.segmented_join_build(probe, expr)?;
-        let mut pairs = Vec::new();
-        for (seg, local, global) in probe.block_triples() {
-            let handle = probe.readers[seg].block_handle(local)?;
-            stats.probe_rows += table.probe_block(&handle, global, expr.probe_key(), &mut pairs)?;
-            absorb_join_cost(&mut stats.io, handle.rows(), handle.load_cost());
-        }
-        stats.pairs = pairs.len();
-        Ok((pairs, stats))
+        hash_join_tables(&self.refs(), &probe.refs(), expr, 1)
     }
 
     /// Morsel-parallel [`hash_join`](Self::hash_join): serial build,
@@ -2038,77 +1761,7 @@ impl SegmentedTable {
         expr: &JoinExpr,
         threads: usize,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        let triples = probe.block_triples();
-        let n = triples.len();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            return self.hash_join(probe, expr);
-        }
-        let (table, mut stats) = self.segmented_join_build(probe, expr)?;
-        let table = &table;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Mutex<Option<Result<(Vec<JoinPair>, usize, usize, LoadCost)>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let (seg, local, global) = triples[i];
-                        let out = (|| {
-                            let handle = probe.readers[seg].block_handle(local)?;
-                            let mut pairs = Vec::new();
-                            let rows =
-                                table.probe_block(&handle, global, expr.probe_key(), &mut pairs)?;
-                            Ok((pairs, rows, handle.rows(), handle.load_cost()))
-                        })();
-                        *slots[i].lock().expect("join slot poisoned") = Some(out);
-                    })
-                })
-                .collect();
-            workers.into_iter().any(|w| w.join().is_err())
-        });
-        if panicked {
-            return Err(Error::invalid("parallel segmented join worker panicked"));
-        }
-        let mut pairs = Vec::new();
-        for slot in slots {
-            let (mut block_pairs, rows, block_rows, cost) = slot
-                .into_inner()
-                .expect("join slot poisoned")
-                .expect("every probe block visited")?;
-            stats.probe_rows += rows;
-            absorb_join_cost(&mut stats.io, block_rows, cost);
-            pairs.append(&mut block_pairs);
-        }
-        stats.pairs = pairs.len();
-        Ok((pairs, stats))
-    }
-
-    fn segmented_join_build(
-        &self,
-        probe: &SegmentedTable,
-        expr: &JoinExpr,
-    ) -> Result<(crate::operator::BuildTable, JoinStats)> {
-        let mut table = crate::operator::BuildTable::new();
-        let mut stats = JoinStats {
-            io: ScanStats {
-                segments_opened: self.readers.len() + probe.readers.len(),
-                ..ScanStats::default()
-            },
-            ..JoinStats::default()
-        };
-        for (seg, local, global) in self.block_triples() {
-            let handle = self.readers[seg].block_handle(local)?;
-            table.add_block(&handle, global, expr.build_key())?;
-            absorb_join_cost(&mut stats.io, handle.rows(), handle.load_cost());
-        }
-        stats.build_rows = table.build_rows();
-        stats.distinct_keys = table.distinct();
-        Ok((table, stats))
+        hash_join_tables(&self.refs(), &probe.refs(), expr, threads)
     }
 }
 
