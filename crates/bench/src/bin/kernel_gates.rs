@@ -1,0 +1,231 @@
+//! **Kernel gates** — the four timing-*ratio* properties that need a clock.
+//! Everything else the retired bench bins asserted is a tier-1 test (see
+//! the gate → test table in `docs/TESTING.md`); throughput *series* live in
+//! `e2e_bench`'s per-layer metrics. On the acceptance widths 8 / 12 / 16:
+//!
+//! * batched unpack ≥ [`MIN_BATCHED`]× the per-value getter loop;
+//! * the active SIMD tier ≥ [`MIN_SIMD`]× the batched-scalar engine;
+//! * fused decode+filter ≥ [`MIN_FUSED`]× unpack-then-compare;
+//!
+//! and the RLE / Dict aggregate fast paths ≥ [`MIN_AGG`]× decompress-then-
+//! fold. Each gate asserts parity of its two legs, then times them
+//! alternately [`PAIRS`] times and compares the *median of the per-pair
+//! ratios* with its threshold, so drift that hits both legs of a pair
+//! cancels. The two SIMD gates bind only when a SIMD tier resolved; under
+//! `CORRA_DECODE_KERNEL=scalar` (or on a host without AVX2) they print as
+//! skipped. Exit code 1 when a binding gate fails. No flags.
+//!
+//! ```sh
+//! cargo run --release -p corra-bench --bin kernel_gates
+//! CORRA_DECODE_KERNEL=scalar cargo run --release -p corra-bench --bin kernel_gates
+//! ```
+
+use std::hint::black_box;
+use std::time::Instant;
+
+use corra_columnar::aggregate::IntAggState;
+use corra_columnar::bitpack::BitPackedVec;
+use corra_columnar::simd::{self, KernelTier};
+use corra_encodings::aggregate::aggregate_naive;
+use corra_encodings::{AggInt, DictInt, IntAccess, RleInt};
+
+/// Batched unpack vs one getter call per value.
+const MIN_BATCHED: f64 = 2.0;
+/// Active SIMD tier vs the batched-scalar engine.
+const MIN_SIMD: f64 = 1.2;
+/// Fused decode+filter vs unpack-then-compare. Below 1: at mid selectivity
+/// both legs are dominated by the same position-emit loop, so the ratio
+/// sits near its floor of 1 and the gate only catches the fused path
+/// *losing*.
+const MIN_FUSED: f64 = 0.95;
+/// RLE / Dict compressed-domain fold vs decompress-then-fold.
+const MIN_AGG: f64 = 2.0;
+
+const GATED_WIDTHS: [u8; 3] = [8, 12, 16];
+/// Values per packed vector: L1-resident, so the unpack gates measure the
+/// kernels rather than the host's store bandwidth.
+const VALUES: usize = 4_096;
+/// Passes over the vector per timed unpack leg (~2 M values, far above
+/// clock granularity).
+const PASSES: usize = 512;
+/// Rows behind each aggregate gate.
+const AGG_ROWS: usize = 400_000;
+/// Timed (slow, fast) pairs per gate.
+const PAIRS: usize = 15;
+
+struct Gate {
+    name: String,
+    ratio: f64,
+    min: f64,
+    binding: bool,
+}
+
+/// Median over [`PAIRS`] rounds of `time(slow) / time(fast)`, a leg being
+/// `passes` calls; each round times the two legs back to back, alternating
+/// which one goes first.
+fn median_ratio(passes: usize, mut slow: impl FnMut(), mut fast: impl FnMut()) -> f64 {
+    let secs = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        (0..passes).for_each(|_| f());
+        t.elapsed().as_secs_f64()
+    };
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|round| {
+            let (s, f) = if round % 2 == 0 {
+                let s = secs(&mut slow);
+                (s, secs(&mut fast))
+            } else {
+                let f = secs(&mut fast);
+                (secs(&mut slow), f)
+            };
+            s / f.max(f64::MIN_POSITIVE)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[PAIRS / 2]
+}
+
+/// The pre-batching decode loop: one getter call per element.
+fn per_value_unpack(packed: &BitPackedVec, out: &mut Vec<u64>) {
+    out.clear();
+    for i in 0..packed.len() {
+        out.push(packed.get_unchecked_len(i));
+    }
+}
+
+/// Materialize through the active tier, then compare in a second pass.
+fn two_pass_filter(
+    packed: &BitPackedVec,
+    lo: u64,
+    hi: u64,
+    vals: &mut Vec<u64>,
+    sel: &mut Vec<u32>,
+) {
+    packed.unpack_into(vals);
+    sel.clear();
+    for (i, &v) in vals.iter().enumerate() {
+        if v >= lo && v <= hi {
+            sel.push(i as u32);
+        }
+    }
+}
+
+fn unpack_gates(bits: u8, simd_on: bool, gates: &mut Vec<Gate>) {
+    let mask = u64::MAX >> (64 - u32::from(bits));
+    let values: Vec<u64> = (0..VALUES as u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
+        .collect();
+    let packed = BitPackedVec::pack(&values, bits).expect("pack");
+    // Mid-selectivity interval inside the packed domain.
+    let (lo, hi) = (mask / 4, mask / 2);
+
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    let (mut sel_a, mut sel_b) = (Vec::new(), Vec::new());
+    // Parity first: a gate never times a wrong kernel.
+    per_value_unpack(&packed, &mut a);
+    assert_eq!(a, values, "{bits}-bit per-value decode diverged");
+    packed.unpack_into(&mut b);
+    assert_eq!(b, values, "{bits}-bit active-tier decode diverged");
+    packed.unpack_into_with(simd::scalar(), &mut b);
+    assert_eq!(b, values, "{bits}-bit batched-scalar decode diverged");
+    packed.filter_range_into(lo, hi, false, &mut sel_a);
+    two_pass_filter(&packed, lo, hi, &mut b, &mut sel_b);
+    assert_eq!(sel_a, sel_b, "{bits}-bit fused filter diverged");
+    assert!(!sel_a.is_empty() && sel_a.len() < VALUES);
+
+    let batched = median_ratio(
+        PASSES,
+        || per_value_unpack(&packed, black_box(&mut a)),
+        || packed.unpack_into(black_box(&mut b)),
+    );
+    let tiered = median_ratio(
+        PASSES,
+        || packed.unpack_into_with(simd::scalar(), black_box(&mut a)),
+        || packed.unpack_into(black_box(&mut b)),
+    );
+    let fused = median_ratio(
+        PASSES,
+        || two_pass_filter(&packed, lo, hi, &mut b, black_box(&mut sel_b)),
+        || {
+            sel_a.clear();
+            packed.filter_range_into(lo, hi, false, black_box(&mut sel_a));
+        },
+    );
+    for (what, ratio, min, binding) in [
+        ("batched unpack / per-value", batched, MIN_BATCHED, true),
+        ("active tier / batched scalar", tiered, MIN_SIMD, simd_on),
+        ("fused filter / two-pass", fused, MIN_FUSED, simd_on),
+    ] {
+        gates.push(Gate {
+            name: format!("{bits:>2}-bit {what}"),
+            ratio,
+            min,
+            binding,
+        });
+    }
+}
+
+fn agg_gate(name: &str, enc: &(impl AggInt + IntAccess)) -> Gate {
+    let mut decoded = Vec::new();
+    enc.decode_into(&mut decoded);
+    let mut got = IntAggState::default();
+    enc.aggregate_into(&mut got);
+    assert_eq!(got, aggregate_naive(&decoded), "{name}: fold diverged");
+    let ratio = median_ratio(
+        1,
+        || {
+            enc.decode_into(&mut decoded);
+            black_box(aggregate_naive(&decoded));
+        },
+        || {
+            let mut state = IntAggState::default();
+            enc.aggregate_into(&mut state);
+            black_box(state);
+        },
+    );
+    Gate {
+        name: format!("{name} fold / decompress-then-fold"),
+        ratio,
+        min: MIN_AGG,
+        binding: true,
+    }
+}
+
+fn main() {
+    let tier = simd::active().tier;
+    let simd_on = tier != KernelTier::Scalar;
+    println!(
+        "kernel_gates: kernel={}, {PAIRS} alternating pairs per gate, median of per-pair ratios",
+        tier.as_str()
+    );
+    let mut gates = Vec::new();
+    for bits in GATED_WIDTHS {
+        unpack_gates(bits, simd_on, &mut gates);
+    }
+    // RLE territory: long runs, one fold per run. Dict territory: few
+    // distinct values, one count-weighted fold per distinct value.
+    let runs: Vec<i64> = (0..AGG_ROWS).map(|i| (i / 1_000) as i64).collect();
+    gates.push(agg_gate("rle/runs1k", &RleInt::encode(&runs)));
+    let few: Vec<i64> = (0..AGG_ROWS)
+        .map(|i| (i % 16) as i64 * 1_000_000_007)
+        .collect();
+    gates.push(agg_gate("dict/16distinct", &DictInt::encode(&few)));
+
+    let mut failed = false;
+    for g in &gates {
+        let verdict = match (g.binding, g.ratio >= g.min) {
+            (false, _) => "skipped (scalar tier)",
+            (true, true) => "OK",
+            (true, false) => "FAIL",
+        };
+        println!(
+            "gate: {:<44} {:>7.2}x (>= {:.2}x) {verdict}",
+            g.name, g.ratio, g.min
+        );
+        failed |= verdict == "FAIL";
+    }
+    if failed {
+        eprintln!("kernel_gates: a ratio gate failed");
+        std::process::exit(1);
+    }
+}

@@ -125,46 +125,6 @@ pub fn column_bytes(blocks: &[CompressedBlock], column: &str) -> usize {
         .sum()
 }
 
-/// The pre-batching scalar decode loop: one getter call per element, push
-/// into the output — byte-for-byte what `unpack_into` did before the
-/// width-specialized kernels. Shared by the decode benches so the "old
-/// path" baseline cannot drift between them.
-pub fn scalar_unpack_into(packed: &corra_columnar::bitpack::BitPackedVec, out: &mut Vec<u64>) {
-    out.clear();
-    out.reserve(packed.len());
-    for i in 0..packed.len() {
-        out.push(packed.get_unchecked_len(i));
-    }
-}
-
-/// Deterministic bench payload for a bit width: golden-ratio mixed values
-/// masked to `bits`.
-pub fn width_payload(bits: u8, n: usize) -> Vec<u64> {
-    let mask = if bits == 0 {
-        0
-    } else {
-        u64::MAX >> (64 - bits as u32)
-    };
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15) & mask)
-        .collect()
-}
-
-/// A process-unique scratch directory under the system temp dir
-/// (`corra_<tag>_<pid>_<counter>`), created before returning. Fixed
-/// temp paths make concurrently running benches clobber each other's
-/// table files; callers `remove_dir_all` the returned dir when done.
-pub fn unique_temp_dir(tag: &str) -> std::path::PathBuf {
-    static COUNTER: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "corra_{tag}_{}_{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
 /// Times `f` over `reps` repetitions and returns the median seconds.
 pub fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..reps.max(1))

@@ -228,7 +228,7 @@ impl ColumnCodec {
 ///
 /// Implemented by [`CompressedBlock`] (all codecs resident in memory) and
 /// by [`crate::store::BlockHandle`] (codecs loaded lazily, one payload at a
-/// time, from a v2 table file). The query and scan kernels are generic over
+/// time, from a table file). The query and scan kernels are generic over
 /// this trait, which is what lets projection pushdown and footer-driven
 /// scans run the *same* code paths as in-memory blocks — only the codec
 /// source differs.

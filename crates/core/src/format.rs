@@ -9,24 +9,23 @@
 //!
 //! ```text
 //! magic   "CORA"          4 bytes
-//! version u16             1 (legacy) or 2 (current)
+//! version u16             2
 //! rows    u32
 //! n_cols  u16
 //! per column:
 //!   name_len u16 | name bytes (UTF-8)
 //!   codec header: codec_tag u8 | wiring (reference index / groups)
-//!   v1: codec payload (sequential, self-delimiting)
-//!   v2: payload_len u32 | codec payload
+//!   payload_len u32 | codec payload
 //! ```
 //!
-//! Version 2 length-prefixes every codec payload (see
-//! [`corra_columnar::frame`]), which makes each payload independently
-//! addressable: the table footer built by [`crate::store`] records the
-//! `(offset, len)` of every `(block, column)` payload plus the
-//! [`CodecHeader`] wiring, so a reader can fetch exactly one column — and
-//! walk its reference chain — without touching any other payload bytes.
-//! Version 1 blocks remain readable behind the version switch in
-//! [`CompressedBlock::from_bytes`].
+//! Every codec payload is length-prefixed (see [`corra_columnar::frame`]),
+//! which makes each payload independently addressable: the table footer
+//! built by [`crate::store`] records the `(offset, len)` of every
+//! `(block, column)` payload plus the [`CodecHeader`] wiring, so a reader
+//! can fetch exactly one column — and walk its reference chain — without
+//! touching any other payload bytes. There is one block version
+//! ([`VERSION`]); [`CompressedBlock::from_bytes`] rejects any other version
+//! word as [`Error::Corrupt`].
 
 use bytes::{Buf, BufMut};
 use corra_columnar::error::{Error, Result};
@@ -41,10 +40,8 @@ use crate::nonhier::NonHierInt;
 
 /// File magic identifying a Corra block.
 pub const MAGIC: [u8; 4] = *b"CORA";
-/// Current format version (framed payloads).
+/// The block format version (framed payloads).
 pub const VERSION: u16 = 2;
-/// Legacy format version (sequential payloads), still readable.
-pub const VERSION_V1: u16 = 1;
 
 pub(crate) const TAG_INT: u8 = 0;
 pub(crate) const TAG_STR: u8 = 1;
@@ -200,7 +197,7 @@ impl CodecHeader {
 }
 
 /// Serializes a codec's raw payload (everything after the header). This is
-/// the byte sequence the v2 frame wraps — and the byte range the table
+/// the byte sequence the frame wraps — and the byte range the table
 /// footer addresses per `(block, column)`.
 pub(crate) fn write_codec_payload(codec: &ColumnCodec, buf: &mut Vec<u8>) {
     match codec {
@@ -243,7 +240,7 @@ pub(crate) fn read_codec_payload(header: &CodecHeader, buf: &mut &[u8]) -> Resul
     }
 }
 
-/// Parses a *framed* (v2) codec payload, requiring exact consumption.
+/// Parses a *framed* codec payload, requiring exact consumption.
 pub(crate) fn read_codec_payload_framed(
     header: &CodecHeader,
     buf: &mut &[u8],
@@ -259,7 +256,7 @@ pub(crate) fn read_codec_payload_framed(
     Ok(codec)
 }
 
-/// The byte range of one column's framed payload within a serialized v2
+/// The byte range of one column's framed payload within a serialized
 /// block, relative to the block's first byte. Recorded per
 /// `(block, column)` in the table footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,8 +269,7 @@ pub struct PayloadSpan {
 }
 
 impl CompressedBlock {
-    /// Serializes the block into a fresh buffer using the current format
-    /// version (v2, framed payloads).
+    /// Serializes the block into a fresh buffer.
     ///
     /// # Errors
     ///
@@ -282,73 +278,36 @@ impl CompressedBlock {
     /// multiref group count, `u16` group size, `u32` payload bytes) —
     /// every count that older revisions silently truncated.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        self.to_bytes_versioned(VERSION)
-    }
-
-    /// Serializes the block as `version` (1 or 2).
-    ///
-    /// # Errors
-    ///
-    /// As [`to_bytes`](Self::to_bytes), plus [`Error::InvalidData`] for an
-    /// unknown version.
-    pub fn to_bytes_versioned(&self, version: u16) -> Result<Vec<u8>> {
         let mut buf = Vec::with_capacity(self.total_bytes() + 64);
-        match version {
-            VERSION_V1 => self.write_v1(&mut buf)?,
-            VERSION => {
-                self.write_v2(&mut buf)?;
-            }
-            v => return Err(Error::invalid(format!("unknown format version {v}"))),
-        }
+        self.write_to(&mut buf)?;
         Ok(buf)
     }
 
-    fn write_header(&self, version: u16, buf: &mut Vec<u8>) -> Result<()> {
-        if self.names().len() > u16::MAX as usize {
-            return Err(Error::invalid(format!(
+    /// Appends the serialized block to `buf`, returning the
+    /// [`PayloadSpan`] of every column (offsets relative to the first
+    /// appended byte). The table writer records these spans in the footer.
+    pub(crate) fn write_to(&self, buf: &mut Vec<u8>) -> Result<Vec<PayloadSpan>> {
+        let base = buf.len();
+        let n_cols = u16::try_from(self.names().len()).map_err(|_| {
+            Error::invalid(format!(
                 "{} columns exceed the u16 column-count field",
                 self.names().len()
-            )));
-        }
-        buf.put_slice(&MAGIC);
-        buf.put_u16_le(version);
-        buf.put_u32_le(self.rows() as u32);
-        buf.put_u16_le(self.names().len() as u16);
-        Ok(())
-    }
-
-    fn write_column_name(name: &str, buf: &mut Vec<u8>) -> Result<()> {
-        let name_len = u16::try_from(name.len()).map_err(|_| {
-            Error::invalid(format!(
-                "column name of {} bytes exceeds the u16 name-length field",
-                name.len()
             ))
         })?;
-        buf.put_u16_le(name_len);
-        buf.put_slice(name.as_bytes());
-        Ok(())
-    }
-
-    fn write_v1(&self, buf: &mut Vec<u8>) -> Result<()> {
-        self.write_header(VERSION_V1, buf)?;
-        for (i, name) in self.names().iter().enumerate() {
-            Self::write_column_name(name, buf)?;
-            let codec = self.codec_at(i);
-            CodecHeader::of(codec).write_to(buf)?;
-            write_codec_payload(codec, buf);
-        }
-        Ok(())
-    }
-
-    /// Serializes as v2, returning the [`PayloadSpan`] of every column
-    /// (offsets relative to the first appended byte). The table writer
-    /// records these spans in the footer.
-    pub(crate) fn write_v2(&self, buf: &mut Vec<u8>) -> Result<Vec<PayloadSpan>> {
-        let base = buf.len();
-        self.write_header(VERSION, buf)?;
+        buf.put_slice(&MAGIC);
+        buf.put_u16_le(VERSION);
+        buf.put_u32_le(self.rows() as u32);
+        buf.put_u16_le(n_cols);
         let mut spans = Vec::with_capacity(self.names().len());
         for (i, name) in self.names().iter().enumerate() {
-            Self::write_column_name(name, buf)?;
+            let name_len = u16::try_from(name.len()).map_err(|_| {
+                Error::invalid(format!(
+                    "column name of {} bytes exceeds the u16 name-length field",
+                    name.len()
+                ))
+            })?;
+            buf.put_u16_le(name_len);
+            buf.put_slice(name.as_bytes());
             let codec = self.codec_at(i);
             CodecHeader::of(codec).write_to(buf)?;
             let frame_at = buf.len();
@@ -361,8 +320,7 @@ impl CompressedBlock {
         Ok(spans)
     }
 
-    /// Deserializes a block previously produced by [`to_bytes`](Self::to_bytes)
-    /// (either version).
+    /// Deserializes a block previously produced by [`to_bytes`](Self::to_bytes).
     ///
     /// # Errors
     ///
@@ -378,7 +336,7 @@ impl CompressedBlock {
             return Err(Error::corrupt("bad magic"));
         }
         let version = buf.get_u16_le();
-        if version != VERSION_V1 && version != VERSION {
+        if version != VERSION {
             return Err(Error::corrupt(format!("unsupported version {version}")));
         }
         let rows = buf.get_u32_le();
@@ -398,15 +356,10 @@ impl CompressedBlock {
             let name = String::from_utf8(name_bytes)
                 .map_err(|_| Error::corrupt("column name not UTF-8"))?;
             let header = CodecHeader::read_from(&mut buf, n_cols)?;
-            let codec = if version == VERSION {
-                read_codec_payload_framed(&header, &mut buf)?
-            } else {
-                read_codec_payload(&header, &mut buf)?
-            };
             names.push(name);
-            codecs.push(codec);
+            codecs.push(read_codec_payload_framed(&header, &mut buf)?);
         }
-        if version == VERSION && !buf.is_empty() {
+        if !buf.is_empty() {
             return Err(Error::corrupt(format!(
                 "{} trailing bytes after last column",
                 buf.len()
@@ -531,48 +484,36 @@ mod tests {
     fn full_block_roundtrip_every_codec_both_versions() {
         let (block, cfg) = mixed_block(3_000);
         let compressed = CompressedBlock::compress(&block, &cfg).unwrap();
-        for version in [VERSION_V1, VERSION] {
-            let bytes = compressed.to_bytes_versioned(version).unwrap();
-            let back = CompressedBlock::from_bytes(&bytes).unwrap();
-            assert_eq!(back, compressed, "version {version}");
-            // Decompression from the deserialized block is identical too.
-            for name in [
-                "city",
-                "zip",
-                "l_shipdate",
-                "l_receiptdate",
-                "fee",
-                "extra",
-                "total",
-            ] {
-                assert_eq!(
-                    &back.decompress(name).unwrap(),
-                    block.column(name).unwrap(),
-                    "{name} (version {version})"
-                );
-            }
+        let bytes = compressed.to_bytes().unwrap();
+        let back = CompressedBlock::from_bytes(&bytes).unwrap();
+        assert_eq!(back, compressed);
+        // Decompression from the deserialized block is identical too.
+        for name in [
+            "city",
+            "zip",
+            "l_shipdate",
+            "l_receiptdate",
+            "fee",
+            "extra",
+            "total",
+        ] {
+            assert_eq!(
+                &back.decompress(name).unwrap(),
+                block.column(name).unwrap(),
+                "{name}"
+            );
         }
     }
 
     #[test]
-    fn v1_and_v2_agree_on_payload_bytes() {
-        // The v2 frame wraps the exact v1 payload layout: stripping the
-        // per-column frames must reproduce the v1 byte stream.
+    fn payload_spans_address_each_framed_payload() {
         let (block, cfg) = mixed_block(500);
         let compressed = CompressedBlock::compress(&block, &cfg).unwrap();
-        let v1 = compressed.to_bytes_versioned(VERSION_V1).unwrap();
-        let v2 = compressed.to_bytes().unwrap();
-        assert_eq!(
-            v2.len(),
-            v1.len() + 4 * compressed.names().len(),
-            "v2 adds exactly one u32 frame per column"
-        );
-        // And the spans address the payloads exactly.
-        let mut buf = Vec::new();
-        let spans = compressed.write_v2(&mut buf).unwrap();
-        assert_eq!(buf, v2);
+        let mut bytes = Vec::new();
+        let spans = compressed.write_to(&mut bytes).unwrap();
+        assert_eq!(bytes, compressed.to_bytes().unwrap());
         for (i, span) in spans.iter().enumerate() {
-            let payload = &v2[span.offset as usize..span.offset as usize + span.len as usize];
+            let payload = &bytes[span.offset as usize..span.offset as usize + span.len as usize];
             let header = CodecHeader::of(compressed.codec_at(i));
             let mut cursor = payload;
             let codec = read_codec_payload(&header, &mut cursor).unwrap();
@@ -591,22 +532,19 @@ mod tests {
         let mut bytes = compressed.to_bytes().unwrap();
         bytes[4] = 0xFF;
         assert!(CompressedBlock::from_bytes(&bytes).is_err());
-        assert!(compressed.to_bytes_versioned(3).is_err());
     }
 
     #[test]
     fn rejects_truncation_anywhere_both_versions() {
         let (block, cfg) = mixed_block(200);
         let compressed = CompressedBlock::compress(&block, &cfg).unwrap();
-        for version in [VERSION_V1, VERSION] {
-            let bytes = compressed.to_bytes_versioned(version).unwrap();
-            // Cut at a sweep of offsets; must error, never panic.
-            for cut in (0..bytes.len()).step_by(bytes.len() / 37 + 1) {
-                assert!(
-                    CompressedBlock::from_bytes(&bytes[..cut]).is_err(),
-                    "cut {cut} (version {version})"
-                );
-            }
+        let bytes = compressed.to_bytes().unwrap();
+        // Cut at a sweep of offsets; must error, never panic.
+        for cut in (0..bytes.len()).step_by(bytes.len() / 37 + 1) {
+            assert!(
+                CompressedBlock::from_bytes(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
     }
 
@@ -647,11 +585,8 @@ mod tests {
         )
         .unwrap();
         let compressed = CompressedBlock::compress(&block, &CompressionConfig::baseline()).unwrap();
-        for version in [VERSION_V1, VERSION] {
-            let bytes = compressed.to_bytes_versioned(version).unwrap();
-            let back = CompressedBlock::from_bytes(&bytes).unwrap();
-            assert_eq!(back.rows(), 0);
-        }
+        let back = CompressedBlock::from_bytes(&compressed.to_bytes().unwrap()).unwrap();
+        assert_eq!(back.rows(), 0);
     }
 
     // --- Satellite: the casts that used to truncate silently now error. ---
@@ -665,13 +600,11 @@ mod tests {
         )
         .unwrap();
         let compressed = CompressedBlock::compress(&block, &CompressionConfig::baseline()).unwrap();
-        for version in [VERSION_V1, VERSION] {
-            let err = compressed.to_bytes_versioned(version).unwrap_err();
-            assert!(
-                err.to_string().contains("name-length"),
-                "unexpected error: {err}"
-            );
-        }
+        let err = compressed.to_bytes().unwrap_err();
+        assert!(
+            err.to_string().contains("name-length"),
+            "unexpected error: {err}"
+        );
         // The largest representable name still works.
         let ok_name = "c".repeat(u16::MAX as usize);
         let block = DataBlock::new(

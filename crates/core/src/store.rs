@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic      "CORRATBL"          8 bytes
-//! block segments                 each a self-contained v2 block
+//! block segments                 each a self-contained block
 //!                                (see crate::format)
 //! footer                         schema + per-block metadata (below)
 //! footer_len u64
@@ -31,11 +31,12 @@
 //!   [`crate::compressor::compress_blocks`]) and buffers only footer
 //!   metadata, never the file.
 //!
-//! Footer v3 adds end-to-end integrity: an FNV-1a checksum per column
+//! The footer carries end-to-end integrity: an FNV-1a checksum per column
 //! payload span (verified on every lazy load), per block segment (verified
 //! by [`TableReader::read_block`]), and a footer self-checksum — so any
 //! flipped bit anywhere in the file surfaces as [`Error::Corrupt`] rather
-//! than silently wrong data. v2 files (no checksums) remain readable.
+//! than silently wrong data. There is one footer version
+//! ([`FOOTER_VERSION`]); any other version word is [`Error::Corrupt`].
 //!
 //! All reads go through the pluggable [`IoBackend`] seam (see
 //! [`crate::io`]), which is also where the torture harness injects faults.
@@ -74,10 +75,8 @@ use corra_columnar::topk::TopKHeap;
 
 /// File magic framing a Corra table (leading and trailing).
 pub const TABLE_MAGIC: [u8; 8] = *b"CORRATBL";
-/// Current footer format version (checksummed).
+/// The footer format version (checksummed).
 pub const FOOTER_VERSION: u16 = 3;
-/// Legacy footer format version (no checksums), still readable.
-pub const FOOTER_VERSION_V2: u16 = 2;
 
 const TRAILER_LEN: u64 = 8 + 8; // footer_len + magic
 
@@ -99,9 +98,9 @@ pub struct ColumnMeta {
     /// fully-covered `MIN`/`MAX` blocks without reading payload bytes;
     /// covering zones are only sound for pruning.
     pub zone_exact: bool,
-    /// FNV-1a checksum of the payload span's bytes (footer v3; `None` when
-    /// read from a v2 file). Verified on every lazy payload load.
-    pub checksum: Option<u64>,
+    /// FNV-1a checksum of the payload span's bytes, verified on every
+    /// lazy payload load.
+    pub checksum: u64,
 }
 
 /// Footer metadata of one block.
@@ -115,9 +114,9 @@ pub struct BlockMeta {
     pub rows: u32,
     /// Per-column metadata, in schema order.
     pub columns: Vec<ColumnMeta>,
-    /// FNV-1a checksum of the whole block segment (footer v3; `None` when
-    /// read from a v2 file). Verified by [`TableReader::read_block`].
-    pub checksum: Option<u64>,
+    /// FNV-1a checksum of the whole block segment, verified by
+    /// [`TableReader::read_block`].
+    pub checksum: u64,
 }
 
 /// The parsed table footer: schema plus per-block metadata.
@@ -169,13 +168,9 @@ impl TableFooter {
         Ok(out)
     }
 
-    fn write_to(&self, buf: &mut Vec<u8>, version: u16) -> Result<()> {
-        if version != FOOTER_VERSION && version != FOOTER_VERSION_V2 {
-            return Err(Error::invalid(format!("unknown footer version {version}")));
-        }
-        let with_checksums = version == FOOTER_VERSION;
+    fn write_to(&self, buf: &mut Vec<u8>) -> Result<()> {
         let start = buf.len();
-        buf.put_u16_le(version);
+        buf.put_u16_le(FOOTER_VERSION);
         self.schema.validate_serializable()?;
         self.schema.write_to(buf);
         let n_blocks = u32::try_from(self.blocks.len())
@@ -185,22 +180,12 @@ impl TableFooter {
             buf.put_u64_le(block.offset);
             buf.put_u64_le(block.len);
             buf.put_u32_le(block.rows);
-            if with_checksums {
-                let sum = block
-                    .checksum
-                    .ok_or_else(|| Error::invalid("footer v3 requires segment checksums"))?;
-                buf.put_u64_le(sum);
-            }
+            buf.put_u64_le(block.checksum);
             for col in &block.columns {
                 col.header.write_to(buf)?;
                 buf.put_u64_le(col.span.offset);
                 buf.put_u32_le(col.span.len);
-                if with_checksums {
-                    let sum = col
-                        .checksum
-                        .ok_or_else(|| Error::invalid("footer v3 requires payload checksums"))?;
-                    buf.put_u64_le(sum);
-                }
+                buf.put_u64_le(col.checksum);
                 match &col.zone {
                     // 1 = covering bounds, 2 = exact column extremes.
                     Some(zone) => {
@@ -211,13 +196,10 @@ impl TableFooter {
                 }
             }
         }
-        if with_checksums {
-            // Self-checksum over everything above, version word included,
-            // so a flipped footer bit is caught before any field is
-            // trusted.
-            let sum = checksum64(&buf[start..]);
-            buf.put_u64_le(sum);
-        }
+        // Self-checksum over everything above, version word included, so a
+        // flipped footer bit is caught before any field is trusted.
+        let sum = checksum64(&buf[start..]);
+        buf.put_u64_le(sum);
         Ok(())
     }
 
@@ -226,29 +208,19 @@ impl TableFooter {
             return Err(Error::corrupt("footer version truncated"));
         }
         let version = u16::from_le_bytes(full[..2].try_into().expect("two bytes"));
-        let with_checksums = match version {
-            FOOTER_VERSION_V2 => false,
-            FOOTER_VERSION => {
-                if full.len() < 2 + 8 {
-                    return Err(Error::corrupt("footer self-checksum truncated"));
-                }
-                let body = &full[..full.len() - 8];
-                let want = u64::from_le_bytes(full[full.len() - 8..].try_into().expect("eight"));
-                if checksum64(body) != want {
-                    return Err(Error::corrupt("footer self-checksum mismatch"));
-                }
-                true
-            }
-            v => {
-                return Err(Error::corrupt(format!("unsupported footer version {v}")));
-            }
-        };
-        let body_end = if with_checksums {
-            full.len() - 8
-        } else {
-            full.len()
-        };
-        let mut buf = &full[2..body_end];
+        if version != FOOTER_VERSION {
+            return Err(Error::corrupt(format!(
+                "unsupported footer version {version}"
+            )));
+        }
+        if full.len() < 2 + 8 {
+            return Err(Error::corrupt("footer self-checksum truncated"));
+        }
+        let (body, sum) = full.split_at(full.len() - 8);
+        if checksum64(body) != u64::from_le_bytes(sum.try_into().expect("eight")) {
+            return Err(Error::corrupt("footer self-checksum mismatch"));
+        }
+        let mut buf = &body[2..];
         let schema = Schema::read_from(&mut buf)?;
         let n_cols = schema.len();
         if buf.remaining() < 4 {
@@ -257,38 +229,24 @@ impl TableFooter {
         let n_blocks = buf.get_u32_le() as usize;
         let mut blocks = Vec::with_capacity(n_blocks.min(1 << 20));
         for _ in 0..n_blocks {
-            if buf.remaining() < 8 + 8 + 4 {
+            if buf.remaining() < 8 + 8 + 4 + 8 {
                 return Err(Error::corrupt("footer block header truncated"));
             }
             let offset = buf.get_u64_le();
             let len = buf.get_u64_le();
             let rows = buf.get_u32_le();
-            let block_checksum = if with_checksums {
-                if buf.remaining() < 8 {
-                    return Err(Error::corrupt("footer segment checksum truncated"));
-                }
-                Some(buf.get_u64_le())
-            } else {
-                None
-            };
+            let block_checksum = buf.get_u64_le();
             let mut columns = Vec::with_capacity(n_cols);
             for _ in 0..n_cols {
                 let header = CodecHeader::read_from(&mut buf, n_cols)?;
-                if buf.remaining() < 8 + 4 + 1 {
+                if buf.remaining() < 8 + 4 + 8 + 1 {
                     return Err(Error::corrupt("footer column span truncated"));
                 }
                 let span = PayloadSpan {
                     offset: buf.get_u64_le(),
                     len: buf.get_u32_le(),
                 };
-                let checksum = if with_checksums {
-                    if buf.remaining() < 8 + 1 {
-                        return Err(Error::corrupt("footer payload checksum truncated"));
-                    }
-                    Some(buf.get_u64_le())
-                } else {
-                    None
-                };
+                let checksum = buf.get_u64_le();
                 let (zone, zone_exact) = match buf.get_u8() {
                     0 => (None, false),
                     1 => (Some(ZoneMap::read_from(&mut buf)?), false),
@@ -415,7 +373,7 @@ impl<W: Write> TableWriter<W> {
             Some(schema) => check_schema(schema, block)?,
         }
         let mut buf = Vec::with_capacity(block.total_bytes() + 64);
-        let spans = block.write_v2(&mut buf)?;
+        let spans = block.write_to(&mut buf)?;
         let columns = (0..block.names().len())
             .map(|i| {
                 // Prefer exact extremes (one write-time streaming pass at
@@ -433,7 +391,7 @@ impl<W: Write> TableWriter<W> {
                     span,
                     zone,
                     zone_exact,
-                    checksum: Some(checksum64(payload)),
+                    checksum: checksum64(payload),
                 }
             })
             .collect();
@@ -445,7 +403,7 @@ impl<W: Write> TableWriter<W> {
             len: buf.len() as u64,
             rows: block.rows() as u32,
             columns,
-            checksum: Some(checksum64(&buf)),
+            checksum: checksum64(&buf),
         });
         self.offset += buf.len() as u64;
         Ok(())
@@ -464,24 +422,13 @@ impl<W: Write> TableWriter<W> {
     /// # Errors
     ///
     /// Sink I/O errors, or footer width violations.
-    pub fn finish(self) -> Result<W> {
-        self.finish_versioned(FOOTER_VERSION)
-    }
-
-    /// Like [`finish`](Self::finish) with an explicit footer version —
-    /// [`FOOTER_VERSION_V2`] emits a legacy checksum-free footer (used to
-    /// keep the v2 compatibility tests honest).
-    ///
-    /// # Errors
-    ///
-    /// As [`finish`](Self::finish), or an unknown version.
-    pub fn finish_versioned(mut self, version: u16) -> Result<W> {
+    pub fn finish(mut self) -> Result<W> {
         let footer = TableFooter {
             schema: self.schema.take().unwrap_or_default(),
             blocks: std::mem::take(&mut self.blocks),
         };
         let mut buf = Vec::new();
-        footer.write_to(&mut buf, version)?;
+        footer.write_to(&mut buf)?;
         let footer_len = buf.len() as u64;
         buf.put_u64_le(footer_len);
         buf.put_slice(&TABLE_MAGIC);
@@ -768,12 +715,10 @@ impl TableReader {
         let len = usize::try_from(meta.len)
             .map_err(|_| Error::corrupt("block segment exceeds addressable memory"))?;
         let bytes = self.metered_read(meta.offset, len)?;
-        if let Some(want) = meta.checksum {
-            if checksum64(&bytes) != want {
-                return Err(Error::corrupt(format!(
-                    "block {block} segment checksum mismatch"
-                )));
-            }
+        if checksum64(&bytes) != meta.checksum {
+            return Err(Error::corrupt(format!(
+                "block {block} segment checksum mismatch"
+            )));
         }
         let parsed = CompressedBlock::from_bytes(&bytes)?;
         // Admit only after the checksum *and* a full parse succeeded: a
@@ -835,12 +780,10 @@ impl TableReader {
             }
         }
         let bytes = self.metered_read(meta.offset + cm.span.offset, cm.span.len as usize)?;
-        if let Some(want) = cm.checksum {
-            if checksum64(&bytes) != want {
-                return Err(Error::corrupt(format!(
-                    "column {col} payload checksum mismatch in block {block}"
-                )));
-            }
+        if checksum64(&bytes) != cm.checksum {
+            return Err(Error::corrupt(format!(
+                "column {col} payload checksum mismatch in block {block}"
+            )));
         }
         let mut cursor = bytes.as_slice();
         let codec = read_codec_payload(&cm.header, &mut cursor)?;

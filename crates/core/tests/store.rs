@@ -1,15 +1,18 @@
 //! Integration coverage for the indexed table format: hostile-input
-//! sweeps over the whole file (footer included), footer v2 / block v1
-//! compatibility, the `IoBackend` fault seam, and the projection / pruning
-//! byte-accounting guarantees.
+//! sweeps over the whole file (footer included), rejection of the retired
+//! format versions, the `IoBackend` fault seam, and the projection /
+//! pruning byte-accounting guarantees.
 
 mod common;
 
 use common::{corruption_sweep, mixed_block, small_table, SweepOptions};
 use corra_columnar::selection::SelectionVector;
+use corra_columnar::{Column, DataType, Error, Field, Schema, Table};
 use corra_core::io::{FaultPlan, FaultyBackend, MemBackend};
-use corra_core::store::{TableReader, TableWriter, FOOTER_VERSION_V2};
-use corra_core::{scan_blocks, AggExpr, CompressedBlock, Predicate};
+use corra_core::store::{TableReader, TableWriter};
+use corra_core::{
+    compress_blocks, scan_blocks, AggExpr, CompressedBlock, CompressionConfig, Predicate, TopKExpr,
+};
 
 #[test]
 fn corruption_sweep_catches_every_mutation() {
@@ -26,48 +29,18 @@ fn corruption_sweep_catches_every_mutation() {
 }
 
 #[test]
-fn v2_footer_remains_readable_and_tolerates_flips_without_panicking() {
-    // Legacy checksum-free footers still open and serve identical data...
-    let (raws, blocks, v3_bytes) = small_table();
-    let mut writer = TableWriter::new(Vec::new()).unwrap();
-    for b in &blocks {
-        writer.write_block(b).unwrap();
-    }
-    let v2_bytes = writer.finish_versioned(FOOTER_VERSION_V2).unwrap();
-    assert!(
-        v2_bytes.len() < v3_bytes.len(),
-        "v2 must be smaller (no checksums)"
-    );
-    let reader = TableReader::from_bytes(v2_bytes.clone()).unwrap();
-    for (i, raw) in raws.iter().enumerate() {
-        assert!(reader.footer().blocks[i].checksum.is_none());
-        for name in ["city", "zip", "l_receiptdate", "total"] {
-            assert_eq!(
-                &reader.read_column(i, name).unwrap(),
-                raw.column(name).unwrap(),
-                "block {i} column {name}"
-            );
-        }
-    }
-    // ...and under bit flips the weaker legacy invariant holds: never a
-    // panic (flips in value bytes may legitimately alter data — that is
-    // exactly the gap footer v3 closes).
-    for i in 0..v2_bytes.len() {
-        let mut hostile = v2_bytes.clone();
-        hostile[i] ^= 0x80;
-        if let Ok(reader) = TableReader::from_bytes(hostile) {
-            if i % 3 != 0 {
-                continue;
-            }
-            for b in 0..reader.n_blocks() {
-                let _ = reader.read_block(b);
-                let _ = reader.read_column(b, "total");
-                let _ = reader.scan(b, &Predicate::ge("l_shipdate", 8_100));
-            }
-            let _ = reader.aggregate(&AggExpr::sum("total"));
-            let _ = reader.aggregate(&AggExpr::sum("zip").with_group_by("city"));
-        }
-    }
+fn footer_version_word_2_is_rejected_as_corrupt() {
+    // There is one footer version: a file whose footer claims the retired
+    // checksum-free layout is corrupt, not a second format to parse.
+    let (_, _, bytes) = small_table();
+    let footer_len = u64::from_le_bytes(bytes[bytes.len() - 16..][..8].try_into().unwrap());
+    let footer_at = bytes.len() - 16 - footer_len as usize;
+    let mut hostile = bytes.clone();
+    hostile[footer_at..footer_at + 2].copy_from_slice(&2u16.to_le_bytes());
+    assert!(matches!(
+        TableReader::from_bytes(hostile),
+        Err(Error::Corrupt(_))
+    ));
 }
 
 #[test]
@@ -150,26 +123,19 @@ fn hostile_fault_backends_error_and_never_serve_wrong_data() {
 }
 
 #[test]
-fn v1_blocks_remain_readable_and_upgrade_to_v2() {
+fn block_version_word_1_is_rejected_as_corrupt() {
+    // There is one block version: the retired unframed layout's version
+    // word is corrupt input, not a second format to parse.
     let (raw, cfg) = mixed_block(500, 0);
-    let compressed = CompressedBlock::compress(&raw, &cfg).unwrap();
-    // A legacy v1 serialization decodes behind the version switch...
-    let v1 = compressed.to_bytes_versioned(1).unwrap();
-    let from_v1 = CompressedBlock::from_bytes(&v1).unwrap();
-    assert_eq!(from_v1, compressed);
-    // ...and re-serializes as v2, landing byte-identical to a direct v2
-    // write (the frame wraps the same payload bytes).
-    let upgraded = from_v1.to_bytes().unwrap();
-    assert_eq!(upgraded, compressed.to_bytes().unwrap());
-    let from_v2 = CompressedBlock::from_bytes(&upgraded).unwrap();
-    assert_eq!(from_v2, compressed);
-    for name in ["city", "note", "zip", "l_receiptdate", "total", "sparse"] {
-        assert_eq!(
-            &from_v2.decompress(name).unwrap(),
-            raw.column(name).unwrap(),
-            "{name}"
-        );
-    }
+    let mut bytes = CompressedBlock::compress(&raw, &cfg)
+        .unwrap()
+        .to_bytes()
+        .unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    assert!(matches!(
+        CompressedBlock::from_bytes(&bytes),
+        Err(Error::Corrupt(_))
+    ));
 }
 
 #[test]
@@ -243,4 +209,42 @@ fn pruned_store_scan_reads_zero_bytes_and_matches_serial_in_memory() {
     assert!(sels.iter().all(SelectionVector::is_empty));
     let (want_sels, _) = scan_blocks(&blocks, &Predicate::lt("l_shipdate", 0)).unwrap();
     assert_eq!(sels, want_sels);
+}
+
+#[test]
+fn store_top_k_prunes_every_block_past_the_first_from_footer_zones() {
+    // Ascending `ts` in 8 blocks: footer zones are disjoint, so an ascending
+    // TOP-K fills its heap inside block 0 and every later block's zone
+    // minimum is strictly worse than the running bound — decided from the
+    // footer, payload never fetched.
+    let (n_blocks, block_rows, k) = (8usize, 512usize, 100usize);
+    let rows = n_blocks * block_rows;
+    let schema = Schema::new(vec![Field::new("ts", DataType::Timestamp)]).unwrap();
+    let table = Table::new(schema, vec![Column::Int64((0..rows as i64).collect())]).unwrap();
+    let blocks = compress_blocks(
+        &table.into_blocks(block_rows),
+        &CompressionConfig::baseline(),
+        1,
+    )
+    .unwrap();
+    let mut writer = TableWriter::new(Vec::new()).unwrap();
+    for b in &blocks {
+        writer.write_block(b).unwrap();
+    }
+    let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
+    assert_eq!(reader.n_blocks(), n_blocks);
+
+    let expr = TopKExpr::asc("ts", k);
+    let (top, stats) = reader.top_k(&expr).unwrap();
+    let values: Vec<i64> = top.iter().map(|r| r.value).collect();
+    assert_eq!(values, (0..k as i64).collect::<Vec<_>>());
+    assert_eq!(stats.blocks_skipped_io, n_blocks - 1);
+    let segments: u64 = reader.footer().blocks.iter().map(|b| b.len).sum();
+    assert!(
+        stats.bytes_read < segments,
+        "top-k read {} B of {segments} B of segments",
+        stats.bytes_read
+    );
+    let (parallel, _) = reader.top_k_parallel(&expr, 4).unwrap();
+    assert_eq!(parallel, top);
 }
