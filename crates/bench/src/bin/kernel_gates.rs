@@ -27,7 +27,7 @@ use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::simd::{self, KernelTier};
 use corra_encodings::aggregate::aggregate_naive;
-use corra_encodings::{AggInt, DictInt, IntAccess, RleInt};
+use corra_encodings::{DictInt, IntAccess, RleInt};
 
 /// Batched unpack vs one getter call per value.
 const MIN_BATCHED: f64 = 2.0;
@@ -165,7 +165,7 @@ fn unpack_gates(bits: u8, simd_on: bool, gates: &mut Vec<Gate>) {
     }
 }
 
-fn agg_gate(name: &str, enc: &(impl AggInt + IntAccess)) -> Gate {
+fn agg_gate(name: &str, enc: &impl IntAccess) -> Gate {
     let mut decoded = Vec::new();
     enc.decode_into(&mut decoded);
     let mut got = IntAggState::default();

@@ -1,9 +1,7 @@
 //! C3's per-pair scheme selection: "we let C3 choose the (correlation-aware)
 //! encoding scheme for a given pair of columns" (Table 3 protocol).
 
-use corra_columnar::aggregate::IntAggState;
-use corra_columnar::error::{Error, Result};
-use corra_columnar::predicate::IntRange;
+use corra_columnar::error::Result;
 
 use crate::dfor::Dfor;
 use crate::hier_for::HierFor;
@@ -57,82 +55,6 @@ impl C3Encoding {
             C3Encoding::Numerical(e) => e.decode_into(reference, out),
             C3Encoding::OneToOne(e) => e.decode_into(reference, out),
             C3Encoding::HierFor(e) => e.decode_into(reference, out),
-        }
-    }
-
-    /// Predicate pushdown through the reference column: each scheme's
-    /// compressed-domain filter kernel (streaming reconstruction for
-    /// DFOR/Numerical, per-distinct-entry evaluation for 1-to-1 and the
-    /// hierarchical family).
-    pub fn filter_into(
-        &self,
-        reference: &[i64],
-        range: &IntRange,
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
-        match self {
-            C3Encoding::Dfor(e) => e.filter_into(reference, range, out),
-            C3Encoding::Numerical(e) => e.filter_into(reference, range, out),
-            C3Encoding::OneToOne(e) => e.filter_into(reference, range, out),
-            C3Encoding::HierFor(e) => e.filter_into(reference, range, out),
-        }
-    }
-
-    /// Aggregate pushdown through the reference column: each scheme's
-    /// compressed-domain fold kernel (streaming reconstruction for
-    /// DFOR/Numerical, per-distinct-entry weighted folds for 1-to-1 and the
-    /// hierarchical family).
-    ///
-    /// # Errors
-    ///
-    /// As the underlying scheme kernels (misaligned reference, unseen
-    /// reference values, corrupt codes).
-    pub fn aggregate_into(&self, reference: &[i64], state: &mut IntAggState) -> Result<()> {
-        match self {
-            C3Encoding::Dfor(e) => e.aggregate_into(reference, state),
-            C3Encoding::Numerical(e) => e.aggregate_into(reference, state),
-            C3Encoding::OneToOne(e) => e.aggregate_into(reference, state),
-            C3Encoding::HierFor(e) => e.aggregate_into(reference, state),
-        }
-    }
-
-    /// Writes `tag (u8) | scheme payload` little-endian.
-    pub fn write_to(&self, buf: &mut impl bytes::BufMut) {
-        match self {
-            C3Encoding::Dfor(e) => {
-                buf.put_u8(0);
-                e.write_to(buf);
-            }
-            C3Encoding::Numerical(e) => {
-                buf.put_u8(1);
-                e.write_to(buf);
-            }
-            C3Encoding::OneToOne(e) => {
-                buf.put_u8(2);
-                e.write_to(buf);
-            }
-            C3Encoding::HierFor(e) => {
-                buf.put_u8(3);
-                e.write_to(buf);
-            }
-        }
-    }
-
-    /// Reads back a [`write_to`](Self::write_to) payload.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Corrupt`] on an unknown tag or a corrupt scheme payload.
-    pub fn read_from(buf: &mut impl bytes::Buf) -> Result<Self> {
-        if buf.remaining() < 1 {
-            return Err(Error::corrupt("c3 encoding tag truncated"));
-        }
-        match buf.get_u8() {
-            0 => Ok(C3Encoding::Dfor(Dfor::read_from(buf)?)),
-            1 => Ok(C3Encoding::Numerical(Numerical::read_from(buf)?)),
-            2 => Ok(C3Encoding::OneToOne(OneToOne::read_from(buf)?)),
-            3 => Ok(C3Encoding::HierFor(HierFor::read_from(buf)?)),
-            t => Err(Error::corrupt(format!("unknown c3 encoding tag {t}"))),
         }
     }
 }

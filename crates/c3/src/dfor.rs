@@ -3,10 +3,8 @@
 //! described in the Corra paper's Independent Work section, compresses the
 //! whole diff column via FOR).
 
-use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
-use corra_columnar::predicate::IntRange;
 
 /// A column DFOR-encoded w.r.t. a reference column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,84 +81,9 @@ impl Dfor {
         Ok(())
     }
 
-    /// Predicate pushdown: emits the positions (ascending) of all rows whose
-    /// reconstructed value (`reference + base + diff`) matches `range`, in
-    /// one streaming pass over the packed diffs.
-    pub fn filter_into(
-        &self,
-        reference: &[i64],
-        range: &IntRange,
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
-        if reference.len() != self.len() {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len(),
-            });
-        }
-        out.clear();
-        let base = self.base;
-        self.diffs.unpack_chunks(|start, chunk| {
-            for (j, &d) in chunk.iter().enumerate() {
-                let v = reference[start + j]
-                    .wrapping_add(base)
-                    .wrapping_add(d as i64);
-                if range.matches(v) {
-                    out.push((start + j) as u32);
-                }
-            }
-        });
-        Ok(())
-    }
-
-    /// Aggregate pushdown: folds every reconstructed value
-    /// (`reference + base + diff`) into `state` in one streaming pass over
-    /// the packed diffs — no materialized vector.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::LengthMismatch`] if `reference` is not aligned.
-    pub fn aggregate_into(&self, reference: &[i64], state: &mut IntAggState) -> Result<()> {
-        if reference.len() != self.len() {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len(),
-            });
-        }
-        let base = self.base;
-        self.diffs.unpack_chunks(|start, chunk| {
-            for (&r, &d) in reference[start..start + chunk.len()].iter().zip(chunk) {
-                state.update(r.wrapping_add(base).wrapping_add(d as i64));
-            }
-        });
-        Ok(())
-    }
-
     /// Compressed size in bytes.
     pub fn compressed_bytes(&self) -> usize {
         8 + 1 + self.diffs.tight_bytes()
-    }
-
-    /// Writes `base (i64) | diffs` little-endian.
-    pub fn write_to(&self, buf: &mut impl bytes::BufMut) {
-        buf.put_i64_le(self.base);
-        self.diffs.write_to(buf);
-    }
-
-    /// Reads back a [`write_to`](Self::write_to) payload.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Corrupt`] on truncated or inconsistent input.
-    pub fn read_from(buf: &mut impl bytes::Buf) -> Result<Self> {
-        if buf.remaining() < 8 {
-            return Err(Error::corrupt("dfor header truncated"));
-        }
-        let base = buf.get_i64_le();
-        Ok(Self {
-            base,
-            diffs: BitPackedVec::read_from(buf)?,
-        })
     }
 }
 

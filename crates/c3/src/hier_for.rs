@@ -10,10 +10,8 @@
 //! reference value has exactly one child the index column packs to zero
 //! bits — the 1-to-1 case.
 
-use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
-use corra_columnar::predicate::IntRange;
 use rustc_hash::FxHashMap;
 
 /// Hierarchical FOR encoding keyed by raw reference values.
@@ -129,9 +127,9 @@ impl HierFor {
                         }
                     },
                 };
-                // A code must index within its row's group — a hostile
-                // payload cannot be bounded at read time (the row -> group
-                // mapping depends on the reference), so it is checked here.
+                // A code must index within its row's group: the row ->
+                // group mapping depends on the reference, so a reference
+                // other than the encode-time one is caught here.
                 let idx = self.offsets[k] as usize + c as usize;
                 if idx >= self.offsets[k + 1] as usize {
                     bad_code = true;
@@ -149,243 +147,12 @@ impl HierFor {
         Ok(())
     }
 
-    /// Predicate pushdown: evaluates `range` once per distinct
-    /// (reference, child) metadata entry, then tests each row by indexing
-    /// the verdicts with `offsets[key] + code` — no child value is
-    /// reconstructed per row.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidData`] if a reference value was unseen at encode
-    /// time, as in [`decode_into`](Self::decode_into).
-    pub fn filter_into(
-        &self,
-        reference: &[i64],
-        range: &IntRange,
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
-        if reference.len() != self.len() {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len(),
-            });
-        }
-        out.clear();
-        let verdicts: Vec<bool> = self.children.iter().map(|&v| range.matches(v)).collect();
-        let mut unseen = false;
-        let mut bad_code = false;
-        let mut memo: Option<(i64, usize)> = None;
-        self.codes.unpack_chunks(|start, chunk| {
-            if unseen || bad_code {
-                return;
-            }
-            for (j, &c) in chunk.iter().enumerate() {
-                let r = reference[start + j];
-                let k = match memo {
-                    Some((mr, mk)) if mr == r => mk,
-                    _ => match self.ref_keys.binary_search(&r) {
-                        Ok(k) => {
-                            memo = Some((r, k));
-                            k
-                        }
-                        Err(_) => {
-                            unseen = true;
-                            return;
-                        }
-                    },
-                };
-                let idx = self.offsets[k] as usize + c as usize;
-                if idx >= self.offsets[k + 1] as usize {
-                    bad_code = true;
-                    return;
-                }
-                if verdicts[idx] {
-                    out.push((start + j) as u32);
-                }
-            }
-        });
-        if unseen {
-            return Err(Error::invalid("reference value unseen at encode time"));
-        }
-        if bad_code {
-            return Err(Error::corrupt("hier-for code outside its group"));
-        }
-        Ok(())
-    }
-
-    /// Counts rows per metadata address (`offsets[key] + code`) in one
-    /// streaming pass — the same address Alg.-1-style access reads, with no
-    /// child value reconstructed. Shared by the aggregate kernels.
-    fn address_counts(&self, reference: &[i64]) -> Result<Vec<u64>> {
-        let mut counts = vec![0u64; self.children.len()];
-        let mut unseen = false;
-        let mut bad_code = false;
-        let mut memo: Option<(i64, usize)> = None;
-        self.codes.unpack_chunks(|start, chunk| {
-            if unseen || bad_code {
-                return;
-            }
-            for (&r, &c) in reference[start..start + chunk.len()].iter().zip(chunk) {
-                let k = match memo {
-                    Some((mr, mk)) if mr == r => mk,
-                    _ => match self.ref_keys.binary_search(&r) {
-                        Ok(k) => {
-                            memo = Some((r, k));
-                            k
-                        }
-                        Err(_) => {
-                            unseen = true;
-                            return;
-                        }
-                    },
-                };
-                let idx = self.offsets[k] as usize + c as usize;
-                if idx >= self.offsets[k + 1] as usize {
-                    bad_code = true;
-                    return;
-                }
-                counts[idx] += 1;
-            }
-        });
-        if unseen {
-            return Err(Error::invalid("reference value unseen at encode time"));
-        }
-        if bad_code {
-            return Err(Error::corrupt("hier-for code outside its group"));
-        }
-        Ok(counts)
-    }
-
-    /// Aggregate pushdown: folds once per distinct (reference, child)
-    /// metadata entry weighted by its address count (`child · count`) — the
-    /// per-row work is one memoized key lookup and a counter increment.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::LengthMismatch`] on misaligned columns,
-    /// [`Error::InvalidData`] for unseen reference values, or
-    /// [`Error::Corrupt`] for codes outside their group.
-    pub fn aggregate_into(&self, reference: &[i64], state: &mut IntAggState) -> Result<()> {
-        if reference.len() != self.len() {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len(),
-            });
-        }
-        let counts = self.address_counts(reference)?;
-        for (&v, &n) in self.children.iter().zip(&counts) {
-            state.update_n(v, n);
-        }
-        Ok(())
-    }
-
-    /// Grouped aggregation over the C3 reference: one partial state per
-    /// distinct reference key (sorted key order). The per-key fold walks
-    /// only that key's slice of the metadata arrays — `group_sums` come
-    /// straight from the per-address counts, with zero per-row
-    /// reconstruction. Keys with zero rows are omitted.
-    ///
-    /// # Errors
-    ///
-    /// As [`aggregate_into`](Self::aggregate_into).
-    pub fn aggregate_by_key(&self, reference: &[i64]) -> Result<Vec<(i64, IntAggState)>> {
-        if reference.len() != self.len() {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len(),
-            });
-        }
-        let counts = self.address_counts(reference)?;
-        let mut out = Vec::new();
-        for (k, &key) in self.ref_keys.iter().enumerate() {
-            let (lo, hi) = (self.offsets[k] as usize, self.offsets[k + 1] as usize);
-            let mut state = IntAggState::default();
-            for (&v, &n) in self.children[lo..hi].iter().zip(&counts[lo..hi]) {
-                state.update_n(v, n);
-            }
-            if state.count > 0 {
-                out.push((key, state));
-            }
-        }
-        Ok(out)
-    }
-
     /// Compressed size: packed index column + child values + offsets.
     ///
     /// As with [`crate::one_to_one::OneToOne`], the reference-key side rides
     /// along with the reference column's own dictionary and is not charged.
     pub fn compressed_bytes(&self) -> usize {
         1 + self.codes.tight_bytes() + self.children.len() * 8 + self.offsets.len() * 4
-    }
-
-    /// Writes `n_keys (u64) | ref_keys | n_children (u64) | children |
-    /// offsets (n_keys + 1 u32s) | codes` little-endian.
-    pub fn write_to(&self, buf: &mut impl bytes::BufMut) {
-        buf.put_u64_le(self.ref_keys.len() as u64);
-        for &k in &self.ref_keys {
-            buf.put_i64_le(k);
-        }
-        buf.put_u64_le(self.children.len() as u64);
-        for &c in &self.children {
-            buf.put_i64_le(c);
-        }
-        for &o in &self.offsets {
-            buf.put_u32_le(o);
-        }
-        self.codes.write_to(buf);
-    }
-
-    /// Reads back a [`write_to`](Self::write_to) payload, validating the
-    /// sorted-key and monotone-offset invariants the lookup paths rely on.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Corrupt`] on truncation or violated invariants.
-    pub fn read_from(buf: &mut impl bytes::Buf) -> Result<Self> {
-        if buf.remaining() < 8 {
-            return Err(Error::corrupt("hier-for header truncated"));
-        }
-        let n_keys = buf.get_u64_le() as usize;
-        if buf.remaining() < n_keys.saturating_mul(8).saturating_add(8) {
-            return Err(Error::corrupt("hier-for keys truncated"));
-        }
-        let mut ref_keys = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            ref_keys.push(buf.get_i64_le());
-        }
-        let n_children = buf.get_u64_le() as usize;
-        let offsets_len = n_keys.saturating_add(1);
-        if buf.remaining()
-            < n_children
-                .saturating_mul(8)
-                .saturating_add(offsets_len.saturating_mul(4))
-        {
-            return Err(Error::corrupt("hier-for children truncated"));
-        }
-        let mut children = Vec::with_capacity(n_children);
-        for _ in 0..n_children {
-            children.push(buf.get_i64_le());
-        }
-        let mut offsets = Vec::with_capacity(offsets_len);
-        for _ in 0..offsets_len {
-            offsets.push(buf.get_u32_le());
-        }
-        let codes = BitPackedVec::read_from(buf)?;
-        if ref_keys.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(Error::corrupt("hier-for keys not strictly sorted"));
-        }
-        if offsets[0] != 0
-            || *offsets.last().expect("offsets non-empty") as usize != children.len()
-            || offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(Error::corrupt("hier-for offsets inconsistent"));
-        }
-        Ok(Self {
-            ref_keys,
-            children,
-            offsets,
-            codes,
-        })
     }
 }
 

@@ -18,9 +18,10 @@
 //! Notably absent (as the paper points out): multi-reference support — C3
 //! cannot express Taxi's `total_amount` formula mixture.
 //!
-//! Every scheme implements a `filter_into` pushdown kernel mirroring
-//! `corra-core::scan`'s reconstruction rules, so scan parity can be
-//! measured across both frameworks.
+//! The paper compares the two frameworks on saving rates only, so this
+//! crate is a *size* comparator: each scheme encodes, reports its
+//! compressed size and decodes (the losslessness check) — it has no query
+//! kernels and no serialized form.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -30,17 +31,6 @@ pub mod dfor;
 pub mod hier_for;
 pub mod numerical;
 pub mod one_to_one;
-
-// Format-v2 framing: every C3 scheme serializes with the same length-prefix
-// frame as the Corra codecs, so C3-encoded payloads are independently
-// addressable in indexed storage too.
-corra_columnar::impl_framed!(
-    chooser::C3Encoding,
-    dfor::Dfor,
-    hier_for::HierFor,
-    numerical::Numerical,
-    one_to_one::OneToOne,
-);
 
 pub use chooser::{choose, C3Encoding};
 pub use dfor::Dfor;

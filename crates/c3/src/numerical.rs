@@ -8,10 +8,8 @@
 //! All prediction arithmetic is in fixed-point integers, so reconstruction
 //! is exactly deterministic and lossless.
 
-use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
-use corra_columnar::predicate::IntRange;
 
 /// Fixed-point fractional bits of the fitted slope.
 pub const SLOPE_SHIFT: u32 = 16;
@@ -123,89 +121,9 @@ impl Numerical {
         Ok(())
     }
 
-    /// Predicate pushdown: reconstructs each row through the fixed-point
-    /// affine prediction and tests `range` in one streaming pass.
-    pub fn filter_into(
-        &self,
-        reference: &[i64],
-        range: &IntRange,
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
-        if reference.len() != self.len() {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len(),
-            });
-        }
-        out.clear();
-        let (slope_num, base) = (self.slope_num, self.base);
-        self.residuals.unpack_chunks(|start, chunk| {
-            for (j, &d) in chunk.iter().enumerate() {
-                let v = predict(slope_num, reference[start + j])
-                    .wrapping_add(base)
-                    .wrapping_add(d as i64);
-                if range.matches(v) {
-                    out.push((start + j) as u32);
-                }
-            }
-        });
-        Ok(())
-    }
-
-    /// Aggregate pushdown: folds every reconstructed value through the
-    /// fixed-point affine prediction in one streaming pass.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::LengthMismatch`] if `reference` is not aligned.
-    pub fn aggregate_into(&self, reference: &[i64], state: &mut IntAggState) -> Result<()> {
-        if reference.len() != self.len() {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len(),
-            });
-        }
-        let (slope_num, base) = (self.slope_num, self.base);
-        self.residuals.unpack_chunks(|start, chunk| {
-            for (&r, &d) in reference[start..start + chunk.len()].iter().zip(chunk) {
-                state.update(
-                    predict(slope_num, r)
-                        .wrapping_add(base)
-                        .wrapping_add(d as i64),
-                );
-            }
-        });
-        Ok(())
-    }
-
     /// Compressed size in bytes (slope + base + residual payload).
     pub fn compressed_bytes(&self) -> usize {
         8 + 8 + 1 + self.residuals.tight_bytes()
-    }
-
-    /// Writes `slope_num (i64) | base (i64) | residuals` little-endian.
-    pub fn write_to(&self, buf: &mut impl bytes::BufMut) {
-        buf.put_i64_le(self.slope_num);
-        buf.put_i64_le(self.base);
-        self.residuals.write_to(buf);
-    }
-
-    /// Reads back a [`write_to`](Self::write_to) payload.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Corrupt`] on truncated or inconsistent input.
-    pub fn read_from(buf: &mut impl bytes::Buf) -> Result<Self> {
-        if buf.remaining() < 16 {
-            return Err(Error::corrupt("numerical header truncated"));
-        }
-        let slope_num = buf.get_i64_le();
-        let base = buf.get_i64_le();
-        Ok(Self {
-            slope_num,
-            base,
-            residuals: BitPackedVec::read_from(buf)?,
-        })
     }
 }
 

@@ -6,9 +6,7 @@
 //! bits per row — just a mapping table keyed by the reference's dictionary
 //! code, plus an exception list for rows violating the dependency.
 
-use corra_columnar::aggregate::IntAggState;
 use corra_columnar::error::{Error, Result};
-use corra_columnar::predicate::IntRange;
 use rustc_hash::FxHashMap;
 
 /// 1-to-1 mapping encoding of a target column w.r.t. a reference column.
@@ -129,146 +127,6 @@ impl OneToOne {
         Ok(())
     }
 
-    /// Predicate pushdown: evaluates `range` once per mapping entry (the
-    /// distinct side of the functional dependency), then classifies each
-    /// row by its reference key against the precomputed verdicts; exception
-    /// rows are merged in by a sorted walk over the exception index.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidData`] if a reference value was unseen at encode
-    /// time, as in [`decode_into`](Self::decode_into).
-    pub fn filter_into(
-        &self,
-        reference: &[i64],
-        range: &IntRange,
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
-        if reference.len() != self.len {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len,
-            });
-        }
-        out.clear();
-        let verdicts: Vec<bool> = self.mapped.iter().map(|&v| range.matches(v)).collect();
-        let mut e = 0usize;
-        for (i, &r) in reference.iter().enumerate() {
-            let matched = if e < self.exc_pos.len() && self.exc_pos[e] == i as u32 {
-                let m = range.matches(self.exc_val[e]);
-                e += 1;
-                m
-            } else {
-                let k = self
-                    .ref_keys
-                    .binary_search(&r)
-                    .map_err(|_| Error::invalid("reference value unseen at encode time"))?;
-                verdicts[k]
-            };
-            if matched {
-                out.push(i as u32);
-            }
-        }
-        Ok(())
-    }
-
-    /// Counts non-exception rows per mapping key (one memoized key lookup
-    /// per row, no value reconstruction); exception rows are handed to
-    /// `on_exception` as they appear in the sorted walk. Shared by the
-    /// scalar and grouped aggregate kernels.
-    fn key_counts(
-        &self,
-        reference: &[i64],
-        mut on_exception: impl FnMut(usize, i64) -> Result<()>,
-    ) -> Result<Vec<u64>> {
-        let mut counts = vec![0u64; self.ref_keys.len()];
-        let mut memo: Option<(i64, usize)> = None;
-        let mut e = 0usize;
-        for (i, &r) in reference.iter().enumerate() {
-            if e < self.exc_pos.len() && self.exc_pos[e] == i as u32 {
-                on_exception(i, self.exc_val[e])?;
-                e += 1;
-                continue;
-            }
-            let k = match memo {
-                Some((mr, mk)) if mr == r => mk,
-                _ => {
-                    let k = self
-                        .ref_keys
-                        .binary_search(&r)
-                        .map_err(|_| Error::invalid("reference value unseen at encode time"))?;
-                    memo = Some((r, k));
-                    k
-                }
-            };
-            counts[k] += 1;
-        }
-        Ok(counts)
-    }
-
-    /// Aggregate pushdown: folds once per *mapping entry* weighted by its
-    /// row count (`mapped · count`) — the per-row work is one memoized key
-    /// lookup and a counter increment; exception rows fold verbatim.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::LengthMismatch`] on misaligned columns,
-    /// [`Error::InvalidData`] if a reference value was unseen at encode
-    /// time.
-    pub fn aggregate_into(&self, reference: &[i64], state: &mut IntAggState) -> Result<()> {
-        if reference.len() != self.len {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len,
-            });
-        }
-        let counts = self.key_counts(reference, |_, v| {
-            state.update(v);
-            Ok(())
-        })?;
-        for (&v, &n) in self.mapped.iter().zip(&counts) {
-            state.update_n(v, n);
-        }
-        Ok(())
-    }
-
-    /// Grouped aggregation over the C3 reference: one partial state per
-    /// distinct reference key (sorted key order), built from the same
-    /// per-key counts — the "grouped SUM" reuses the mapping metadata
-    /// instead of reconstructing any row. Exception rows fold into their
-    /// row's key group. Keys with zero rows are omitted.
-    ///
-    /// # Errors
-    ///
-    /// As [`aggregate_into`](Self::aggregate_into).
-    pub fn aggregate_by_key(&self, reference: &[i64]) -> Result<Vec<(i64, IntAggState)>> {
-        if reference.len() != self.len {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len,
-            });
-        }
-        let mut states = vec![IntAggState::default(); self.ref_keys.len()];
-        let counts = self.key_counts(reference, |i, v| {
-            let k = self
-                .ref_keys
-                .binary_search(&reference[i])
-                .map_err(|_| Error::invalid("reference value unseen at encode time"))?;
-            states[k].update(v);
-            Ok(())
-        })?;
-        for (k, &n) in counts.iter().enumerate() {
-            states[k].update_n(self.mapped[k], n);
-        }
-        Ok(self
-            .ref_keys
-            .iter()
-            .zip(states)
-            .filter(|(_, s)| s.count > 0)
-            .map(|(&k, s)| (k, s))
-            .collect())
-    }
-
     /// Compressed size: mapping table + exceptions. Zero bits per row.
     ///
     /// The mapped-values side is charged; the key side rides along with the
@@ -276,80 +134,6 @@ impl OneToOne {
     /// dict code), so it is *not* charged here.
     pub fn compressed_bytes(&self) -> usize {
         self.mapped.len() * 8 + self.exc_pos.len() * 12
-    }
-
-    /// Writes `len (u64) | n_keys (u64) | ref_keys | mapped | n_exc (u64) |
-    /// exc_pos | exc_val` little-endian.
-    pub fn write_to(&self, buf: &mut impl bytes::BufMut) {
-        buf.put_u64_le(self.len as u64);
-        buf.put_u64_le(self.ref_keys.len() as u64);
-        for &k in &self.ref_keys {
-            buf.put_i64_le(k);
-        }
-        for &m in &self.mapped {
-            buf.put_i64_le(m);
-        }
-        buf.put_u64_le(self.exc_pos.len() as u64);
-        for &p in &self.exc_pos {
-            buf.put_u32_le(p);
-        }
-        for &v in &self.exc_val {
-            buf.put_i64_le(v);
-        }
-    }
-
-    /// Reads back a [`write_to`](Self::write_to) payload, validating the
-    /// sortedness invariants the lookup paths binary-search on.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Corrupt`] on truncation, unsorted keys or exception
-    /// positions, or exception positions outside `0..len`.
-    pub fn read_from(buf: &mut impl bytes::Buf) -> Result<Self> {
-        if buf.remaining() < 16 {
-            return Err(Error::corrupt("one-to-one header truncated"));
-        }
-        let len = buf.get_u64_le() as usize;
-        let n_keys = buf.get_u64_le() as usize;
-        if buf.remaining() < n_keys.saturating_mul(16).saturating_add(8) {
-            return Err(Error::corrupt("one-to-one mapping truncated"));
-        }
-        let mut ref_keys = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            ref_keys.push(buf.get_i64_le());
-        }
-        let mut mapped = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            mapped.push(buf.get_i64_le());
-        }
-        let n_exc = buf.get_u64_le() as usize;
-        if buf.remaining() < n_exc.saturating_mul(12) {
-            return Err(Error::corrupt("one-to-one exceptions truncated"));
-        }
-        let mut exc_pos = Vec::with_capacity(n_exc);
-        for _ in 0..n_exc {
-            exc_pos.push(buf.get_u32_le());
-        }
-        let mut exc_val = Vec::with_capacity(n_exc);
-        for _ in 0..n_exc {
-            exc_val.push(buf.get_i64_le());
-        }
-        if ref_keys.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(Error::corrupt("one-to-one keys not strictly sorted"));
-        }
-        if exc_pos.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(Error::corrupt("one-to-one exceptions not sorted"));
-        }
-        if exc_pos.last().is_some_and(|&p| p as usize >= len) {
-            return Err(Error::corrupt("one-to-one exception position out of range"));
-        }
-        Ok(Self {
-            len,
-            ref_keys,
-            mapped,
-            exc_pos,
-            exc_val,
-        })
     }
 }
 

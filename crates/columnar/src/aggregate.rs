@@ -2,10 +2,9 @@
 //! aggregation.
 //!
 //! Every aggregate kernel (vertical codecs in `corra-encodings`, Corra
-//! horizontal codecs in `corra-core`, the C3 comparator schemes in
-//! `corra-c3`) folds into the same [`IntAggState`] / [`StrAggState`], so
-//! per-block partials merge deterministically regardless of which codec —
-//! or which worker thread — produced them.
+//! horizontal codecs in `corra-core`) folds into the same [`IntAggState`] /
+//! [`StrAggState`], so per-block partials merge deterministically
+//! regardless of which codec — or which worker thread — produced them.
 //!
 //! `SUM` accumulates in `i128`: a block holds at most `u32::MAX` rows of
 //! `i64` values, so the true sum is bounded by `2^32 · 2^63 = 2^95`, far

@@ -396,8 +396,6 @@ impl BitPackedVec {
     }
 }
 
-crate::impl_framed!(BitPackedVec);
-
 #[inline]
 pub(crate) fn mask_for(bits: u8) -> u64 {
     debug_assert!((1..=64).contains(&bits));

@@ -1,20 +1,14 @@
-//! Format-v2 length-prefix framing.
+//! Length-prefix framing.
 //!
-//! Format v1 serialized every codec payload back to back: reading one
-//! column of one block meant parsing every payload before it. Format v2
-//! wraps each payload in a *frame* — `payload_len (u32 LE) | payload` — so
-//! a reader holding the frame offset can fetch exactly the bytes of one
-//! payload (and a sequential reader can *skip* a payload without parsing
-//! it).
-//!
-//! [`Framed`] is implemented by every serializable codec in the workspace
-//! (vertical encodings, Corra horizontal encodings, the C3 comparators and
-//! the shared substrate types); the blanket-provided
-//! [`write_framed`](Framed::write_framed) / [`read_framed`](Framed::read_framed)
-//! add the v2 frame around the type's existing payload layout, which is
-//! byte-identical to its v1 serialization. The length prefix is written
-//! once the payload size is known (single pass, back-patched), so framing
-//! never buffers a payload twice.
+//! The block format wraps each codec payload in a *frame* —
+//! `payload_len (u32 LE) | payload` — so a reader holding the frame offset
+//! can fetch exactly the bytes of one payload (and a sequential reader can
+//! *skip* a payload without parsing it). [`write_frame`] runs a payload
+//! writer and back-patches the length prefix once the size is known (single
+//! pass, so framing never buffers a payload twice); [`take_frame`] splits
+//! one frame off the front of a buffer. Whether a payload must consume its
+//! frame exactly is the caller's check (`corra-core`'s `format.rs` rejects
+//! trailing bytes inside a frame).
 
 use crate::error::{Error, Result};
 
@@ -41,8 +35,8 @@ pub fn take_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
     Ok(payload)
 }
 
-/// Runs `write` to append a payload to `buf`, then back-patches the v2
-/// `u32` length prefix in front of it.
+/// Runs `write` to append a payload to `buf`, then back-patches the `u32`
+/// length prefix in front of it.
 ///
 /// # Errors
 ///
@@ -58,127 +52,50 @@ pub fn write_frame(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> Resul
     Ok(())
 }
 
-/// A type whose serialization participates in format-v2 framing.
-///
-/// Implementors provide the raw payload writer/reader (the v1 layout); the
-/// provided methods wrap it in the v2 length-prefix frame. Reading a frame
-/// is *strict*: the payload must consume the framed bytes exactly, so any
-/// trailing garbage inside a frame is reported as corruption instead of
-/// being silently skipped.
-pub trait Framed: Sized {
-    /// Appends the raw (unframed) payload to `buf`.
-    fn write_payload(&self, buf: &mut Vec<u8>);
-
-    /// Parses the raw payload from the front of `buf`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Corrupt`] on truncated or inconsistent input.
-    fn read_payload(buf: &mut &[u8]) -> Result<Self>;
-
-    /// Appends `payload_len (u32 LE) | payload` to `buf`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidData`] when the payload exceeds [`MAX_FRAME_LEN`].
-    fn write_framed(&self, buf: &mut Vec<u8>) -> Result<()> {
-        write_frame(buf, |b| self.write_payload(b))
-    }
-
-    /// Reads back a [`write_framed`](Self::write_framed) frame, requiring
-    /// the payload to consume the frame exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Corrupt`] on truncation, payload errors, or trailing bytes
-    /// within the frame.
-    fn read_framed(buf: &mut &[u8]) -> Result<Self> {
-        let mut frame = take_frame(buf)?;
-        let value = Self::read_payload(&mut frame)?;
-        if !frame.is_empty() {
-            return Err(Error::corrupt(format!(
-                "{} trailing bytes inside frame",
-                frame.len()
-            )));
-        }
-        Ok(value)
-    }
-}
-
-/// Implements [`Framed`] by delegating to a type's existing
-/// `write_to(&mut impl BufMut)` / `read_from(&mut impl Buf)` pair.
-#[macro_export]
-macro_rules! impl_framed {
-    ($($ty:ty),+ $(,)?) => {$(
-        impl $crate::frame::Framed for $ty {
-            fn write_payload(&self, buf: &mut Vec<u8>) {
-                self.write_to(buf);
-            }
-
-            fn read_payload(buf: &mut &[u8]) -> $crate::error::Result<Self> {
-                Self::read_from(buf)
-            }
-        }
-    )+};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq)]
-    struct Pair(u8, u8);
-
-    impl Framed for Pair {
-        fn write_payload(&self, buf: &mut Vec<u8>) {
-            buf.extend_from_slice(&[self.0, self.1]);
-        }
-
-        fn read_payload(buf: &mut &[u8]) -> Result<Self> {
-            if buf.len() < 2 {
-                return Err(Error::corrupt("pair truncated"));
-            }
-            let p = Pair(buf[0], buf[1]);
-            *buf = &buf[2..];
-            Ok(p)
-        }
+    fn frame(payload: &[u8], buf: &mut Vec<u8>) {
+        write_frame(buf, |b| b.extend_from_slice(payload)).unwrap();
     }
 
     #[test]
     fn frame_roundtrip() {
         let mut buf = Vec::new();
-        Pair(3, 7).write_framed(&mut buf).unwrap();
-        Pair(1, 2).write_framed(&mut buf).unwrap();
+        frame(&[3, 7], &mut buf);
+        frame(&[1, 2], &mut buf);
         assert_eq!(buf.len(), 2 * (4 + 2));
         assert_eq!(&buf[..4], &2u32.to_le_bytes());
         let mut cursor = buf.as_slice();
-        assert_eq!(Pair::read_framed(&mut cursor).unwrap(), Pair(3, 7));
-        assert_eq!(Pair::read_framed(&mut cursor).unwrap(), Pair(1, 2));
+        assert_eq!(take_frame(&mut cursor).unwrap(), &[3, 7]);
+        assert_eq!(take_frame(&mut cursor).unwrap(), &[1, 2]);
         assert!(cursor.is_empty());
     }
 
     #[test]
     fn frames_are_skippable_without_parsing() {
         let mut buf = Vec::new();
-        Pair(9, 9).write_framed(&mut buf).unwrap();
-        Pair(5, 6).write_framed(&mut buf).unwrap();
+        frame(&[9, 9, 9], &mut buf);
+        frame(&[5, 6], &mut buf);
         let mut cursor = buf.as_slice();
         // Skip the first payload purely via its length prefix.
         take_frame(&mut cursor).unwrap();
-        assert_eq!(Pair::read_framed(&mut cursor).unwrap(), Pair(5, 6));
+        assert_eq!(take_frame(&mut cursor).unwrap(), &[5, 6]);
     }
 
     #[test]
     fn truncation_and_trailing_bytes_rejected() {
         let mut buf = Vec::new();
-        Pair(3, 7).write_framed(&mut buf).unwrap();
+        frame(&[3, 7], &mut buf);
         for cut in 0..buf.len() {
-            assert!(Pair::read_framed(&mut &buf[..cut]).is_err(), "cut {cut}");
+            assert!(take_frame(&mut &buf[..cut]).is_err(), "cut {cut}");
         }
-        // A frame longer than its payload type is corruption, not slack.
-        let mut fat = Vec::new();
-        write_frame(&mut fat, |b| b.extend_from_slice(&[1, 2, 3])).unwrap();
-        assert!(Pair::read_framed(&mut fat.as_slice()).is_err());
+        // Bytes after a frame stay in the cursor for the caller to reject.
+        buf.push(0xEE);
+        let mut cursor = buf.as_slice();
+        assert_eq!(take_frame(&mut cursor).unwrap(), &[3, 7]);
+        assert_eq!(cursor, &[0xEE]);
         // Declared length past the end of input.
         let lying = 100u32.to_le_bytes().to_vec();
         assert!(take_frame(&mut lying.as_slice()).is_err());

@@ -27,8 +27,8 @@
 //! * [`topk::TopKHeap`] — the bounded `(value, position)` selection heap
 //!   behind the compressed-domain TOP-K / ORDER BY kernels, with the
 //!   deterministic tie-break that makes parallel drivers bit-identical;
-//! * [`frame::Framed`] — the format-v2 length-prefix framing that makes
-//!   every serialized codec payload independently addressable;
+//! * [`frame`] — the length-prefix framing that makes every serialized
+//!   codec payload independently addressable;
 //! * [`temporal`] — from-scratch civil-date ↔ epoch-day conversion.
 
 #![warn(missing_docs)]
@@ -54,7 +54,6 @@ pub use bitpack::BitPackedVec;
 pub use block::{DataBlock, Table, DEFAULT_BLOCK_ROWS};
 pub use column::{Column, DataType};
 pub use error::{Error, Result};
-pub use frame::Framed;
 pub use predicate::{IntRange, RangeVerdict};
 pub use schema::{Field, Schema};
 pub use selection::SelectionVector;

@@ -80,11 +80,9 @@ impl Schema {
     }
 
     /// Writes `n_fields (u16) | per field: name_len (u16) | name | dtype (u8)`
-    /// — the schema form stored in the table footer.
-    ///
-    /// Use [`Framed::write_framed`](crate::frame::Framed::write_framed) for
-    /// the length-prefixed form; call sites that must reject oversized
-    /// schemas validate before writing (see `validate_serializable`).
+    /// — the schema form stored in the table footer. Call sites that must
+    /// reject oversized schemas validate before writing (see
+    /// `validate_serializable`).
     pub fn write_to(&self, buf: &mut impl bytes::BufMut) {
         buf.put_u16_le(self.fields.len() as u16);
         for f in &self.fields {
@@ -149,8 +147,6 @@ impl Schema {
         Self::new(fields).map_err(|_| Error::corrupt("duplicate field names in schema"))
     }
 }
-
-crate::impl_framed!(Schema);
 
 fn dtype_tag(dt: DataType) -> u8 {
     match dt {

@@ -66,7 +66,8 @@ pub enum KernelTier {
 }
 
 impl KernelTier {
-    /// Stable lowercase name, as printed in bench JSON (`"kernel": "avx2"`).
+    /// Stable lowercase name, as printed in `e2e_bench`'s host header
+    /// (`"kernel_tier": "avx2"`) and `kernel_gates`' first line.
     pub fn as_str(&self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",

@@ -161,8 +161,6 @@ impl ZoneMap {
     }
 }
 
-crate::impl_framed!(ZoneMap);
-
 /// Statistics over a string column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StringStats {
@@ -301,7 +299,6 @@ mod tests {
 
     #[test]
     fn zone_map_serialization_roundtrip() {
-        use crate::frame::Framed;
         let z = ZoneMap { min: -40, max: 977 };
         let mut buf = Vec::new();
         z.write_to(&mut buf);
@@ -313,11 +310,6 @@ mod tests {
         bad[..8].copy_from_slice(&1_000i64.to_le_bytes());
         assert!(ZoneMap::read_from(&mut bad.as_slice()).is_err());
         assert!(ZoneMap::read_from(&mut &buf[..7]).is_err());
-        // Framed form carries the v2 length prefix.
-        let mut framed = Vec::new();
-        z.write_framed(&mut framed).unwrap();
-        assert_eq!(framed.len(), 4 + 16);
-        assert_eq!(ZoneMap::read_framed(&mut framed.as_slice()).unwrap(), z);
     }
 
     #[test]

@@ -144,8 +144,6 @@ impl StringPool {
     }
 }
 
-crate::impl_framed!(StringPool);
-
 impl<'a> FromIterator<&'a str> for StringPool {
     fn from_iter<I: IntoIterator<Item = &'a str>>(iter: I) -> Self {
         let mut pool = Self::new();

@@ -8,9 +8,9 @@
 //! 1. **Filter** — the optional predicate runs through the existing scan
 //!    kernels (zone-map pruning included), producing a selection.
 //! 2. **Per-codec folds** — vertical codecs use
-//!    [`corra_encodings::AggInt`] / [`corra_encodings::AggStr`] (FOR folds
-//!    in the packed offset domain, RLE per run, Dict/Frequency once per
-//!    distinct value weighted by counts, Delta streaming); the Corra
+//!    [`corra_encodings::IntAccess`]'s folds / [`corra_encodings::DictStr`]'s
+//!    (FOR folds in the packed offset domain, RLE per run, Dict/Frequency
+//!    once per distinct value weighted by counts, Delta streaming); the Corra
 //!    horizontal codecs fold through their reference accessors per the
 //!    paper's reconstruction rules.
 //! 3. **Merge** — per-block partial states ([`IntAggState`] /
@@ -32,7 +32,7 @@ use corra_columnar::aggregate::{IntAggState, StrAggState};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
-use corra_encodings::{AggInt, AggStr, IntEncoding};
+use corra_encodings::{IntAccess, IntEncoding};
 
 use crate::compressor::{BlockView, ColumnCodec, CompressedBlock};
 use crate::query::{eval_formula_mask, int_column, IntColumn};

@@ -13,7 +13,7 @@ use corra_columnar::column::Column;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::strings::StringPool;
 use corra_encodings::{
-    choose_int_baseline, choose_int_full, DictInt, DictStr, IntAccess, IntEncoding, StrAccess,
+    choose_int_baseline, choose_int_full, DictInt, DictStr, IntAccess, IntEncoding,
 };
 use rustc_hash::FxHashMap;
 
@@ -187,8 +187,8 @@ impl ColumnCodec {
     /// backed by no payload bytes at all).
     pub fn len(&self) -> usize {
         match self {
-            ColumnCodec::Int(e) => IntAccess::len(e),
-            ColumnCodec::Str(e) => StrAccess::len(e),
+            ColumnCodec::Int(e) => e.len(),
+            ColumnCodec::Str(e) => e.len(),
             ColumnCodec::PlainStr(p) => p.len(),
             ColumnCodec::NonHier { enc, .. } => enc.len(),
             ColumnCodec::HierInt { enc, .. } => enc.len(),

@@ -86,16 +86,6 @@ pub mod store;
 pub mod torture;
 pub mod vfs;
 
-// Format-v2 framing for the Corra horizontal codecs and the shared outlier
-// region: the length-prefix frame wraps each existing payload layout.
-corra_columnar::impl_framed!(
-    hier::HierInt,
-    hier::HierStr,
-    multiref::MultiRefInt,
-    nonhier::NonHierInt,
-    outlier::OutlierRegion,
-);
-
 pub use aggregate::{
     aggregate, aggregate_blocks, aggregate_blocks_parallel, exact_column_bounds, AggExpr, AggFunc,
     AggResult, AggValue, GroupKey,

@@ -22,8 +22,8 @@
 //! **Hash joins** build and probe on dictionary *codes*: each block's
 //! distinct keys are hashed exactly once into a global key table (int
 //! dictionaries directly; string dictionaries through a per-block
-//! code→global-id remap, since their codes are first-occurrence-ordered —
-//! see [`corra_encodings::CodeOrder`]), after which per-row work is one
+//! code→global-id remap, since their codes are first-occurrence-ordered),
+//! after which per-row work is one
 //! packed-code read and one array index. Surviving rows late-materialize
 //! payload columns through the projection-pushdown [`BlockView`] reads,
 //! so only touched blocks and only named columns decode.
@@ -35,7 +35,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::topk::{rank, TopKHeap};
-use corra_encodings::{IntEncoding, TopKInt};
+use corra_encodings::{IntAccess, IntEncoding};
 use rustc_hash::FxHashMap;
 
 use crate::compressor::{BlockView, ColumnCodec};
@@ -586,10 +586,9 @@ impl BuildTable {
                         found: "int join key",
                     });
                 }
-                // String codes are first-occurrence-ordered
-                // (codes_are_ordered() == false), so nothing here compares
-                // codes across blocks — each distinct string is hashed
-                // once and rows ride on the remap.
+                // String codes are first-occurrence-ordered, so nothing
+                // here compares codes across blocks — each distinct string
+                // is hashed once and rows ride on the remap.
                 let remap: Vec<u32> = (0..d.distinct())
                     .map(|c| self.intern_str(d.pool().get(c)))
                     .collect();

@@ -11,7 +11,7 @@
 
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
-use corra_encodings::{IntAccess, IntEncoding, StrAccess};
+use corra_encodings::{IntAccess, IntEncoding};
 
 use crate::compressor::{BlockView, ColumnCodec};
 

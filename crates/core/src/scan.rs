@@ -11,8 +11,9 @@
 //!    frame, dictionary extremes, hierarchical metadata, diff window +
 //!    outliers). Blocks whose zone proves `None`/`All` decode zero values.
 //! 2. **Per-codec kernels** — vertical codecs use
-//!    [`corra_encodings::FilterInt`]; the Corra horizontal codecs consult
-//!    their reference column(s) per the paper's reconstruction rules
+//!    [`corra_encodings::IntAccess::filter_into`]; the Corra horizontal
+//!    codecs consult their reference column(s) per the paper's
+//!    reconstruction rules
 //!    (§2.1 addition for non-hierarchical, Alg. 1 metadata indexing for
 //!    hierarchical, formula evaluation for multi-reference).
 //! 3. **Materialization** — [`scan_query`] / [`scan_query_both`] feed the
@@ -29,7 +30,7 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::{IntRange, RangeVerdict};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
-use corra_encodings::FilterInt;
+use corra_encodings::IntAccess;
 
 use crate::compressor::{BlockView, ColumnCodec, CompressedBlock};
 use crate::query::{code_access, eval_formula_mask, int_column, IntColumn, QueryOutput};
@@ -616,9 +617,7 @@ fn eval_str_leaf<B: BlockView + ?Sized>(
     }
     let mut out = Vec::new();
     match block.view_codec(idx)? {
-        ColumnCodec::Str(enc) => {
-            corra_encodings::FilterStr::filter_eq_into(enc, value, negate, &mut out)
-        }
+        ColumnCodec::Str(enc) => enc.filter_eq_into(value, negate, &mut out),
         ColumnCodec::PlainStr(pool) => {
             for i in 0..pool.len() {
                 if (pool.get(i) == value) != negate {

@@ -34,7 +34,7 @@ use corra_encodings::aggregate::{
     aggregate_naive, aggregate_naive_grouped, aggregate_naive_selected,
 };
 use corra_encodings::{
-    AggInt, DeltaInt, DictInt, ForInt, FrequencyInt, IntEncoding, PlainInt, RleInt,
+    DeltaInt, DictInt, ForInt, FrequencyInt, IntAccess, IntEncoding, PlainInt, RleInt,
 };
 use proptest::prelude::*;
 

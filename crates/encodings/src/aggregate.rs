@@ -1,85 +1,11 @@
-//! Compressed-domain aggregate kernels: the fold side of pushdown.
-//!
-//! Where [`crate::filter::FilterInt`] turns a predicate into positions,
-//! [`AggInt`] folds a column straight into a mergeable
-//! [`IntAggState`] (`COUNT`/`SUM`/`MIN`/`MAX` in one pass) without
-//! materializing a single `i64` vector:
-//!
-//! * **FOR** folds in the packed offset domain: offsets accumulate into one
-//!   `u128` and the frame base is added back *once* (`n · base`), not per
-//!   row — the aggregate analogue of the fused `unpack_add_into` decode;
-//! * **Dict** builds a code histogram and folds once per distinct value
-//!   weighted by its count (`value · count`);
-//! * **Frequency** histograms the hot codes, removes the padding codes at
-//!   exception rows, and folds exceptions verbatim;
-//! * **RLE** folds once per *run* (`value · run_len`) — O(runs), not
-//!   O(rows);
-//! * **Delta** streams with miniblock restarts, folding each reconstructed
-//!   value without a second pass;
-//! * **Plain** is the trivial fold.
-//!
-//! [`AggStr`] is the string analogue for `COUNT` and lexicographic
-//! `MIN`/`MAX`: dictionary columns compare each distinct string against the
-//! bounds once, weighted by its occurrence count.
-//!
-//! All kernels fold into states that merge associatively, so per-block
-//! partials combine deterministically in the morsel-parallel driver.
+//! Decompress-then-fold oracles the aggregate kernels of
+//! [`IntAccess`](crate::traits::IntAccess) are tested and gated against.
+//! Every kernel folds into an [`IntAggState`], which merges associatively,
+//! so per-block partials combine deterministically in the morsel-parallel
+//! driver.
 
-use corra_columnar::aggregate::{IntAggState, StrAggState};
+use corra_columnar::aggregate::IntAggState;
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::stats::ZoneMap;
-
-/// Whole-column and selected-row aggregation over a compressed integer
-/// column.
-///
-/// `aggregate_selected` follows the same contract as
-/// [`crate::traits::IntAccess::gather_into`]: positions are sorted and the
-/// kernel panics (like the scalar getter would) if the last position is out
-/// of range. `aggregate_grouped` requires `group_of.len()` to equal the
-/// column length and every code to index `states`.
-pub trait AggInt {
-    /// Folds every row into `state`.
-    fn aggregate_into(&self, state: &mut IntAggState);
-
-    /// Folds the rows at the selected positions into `state`.
-    fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState);
-
-    /// Folds row `i` into `states[group_of[i]]` for every row — the grouped
-    /// aggregation kernel. Callers route filtered-out rows to a trailing
-    /// discard group rather than passing a selection.
-    fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]);
-
-    /// *Exact* min/max bounds of the stored values (`None` when empty), in
-    /// contrast to [`crate::filter::FilterInt::value_bounds`], which may be
-    /// covering-but-loose (FOR's `base + 2^bits - 1`). Costs at most one
-    /// streaming pass; codecs with cheap exact statistics (Dict, RLE,
-    /// Frequency) override it with O(distinct)/O(runs) paths.
-    ///
-    /// Exactness assumes the canonical encoder invariants (e.g. every
-    /// dictionary entry occurs in some row), which hold for every
-    /// `encode`-produced column.
-    fn exact_bounds(&self) -> Option<ZoneMap> {
-        let mut state = IntAggState::default();
-        self.aggregate_into(&mut state);
-        Some(ZoneMap {
-            min: state.min?,
-            max: state.max?,
-        })
-    }
-}
-
-/// Whole-column and selected-row aggregation (`COUNT`, lexicographic
-/// `MIN`/`MAX`) over a compressed string column. Contracts as [`AggInt`].
-pub trait AggStr {
-    /// Folds every row into `state`.
-    fn aggregate_into(&self, state: &mut StrAggState);
-
-    /// Folds the rows at the selected positions into `state`.
-    fn aggregate_selected(&self, sel: &SelectionVector, state: &mut StrAggState);
-
-    /// Folds row `i` into `states[group_of[i]]` for every row.
-    fn aggregate_grouped(&self, group_of: &[u32], states: &mut [StrAggState]);
-}
 
 /// Reference comparator used by the differential oracle tests:
 /// decompress-then-fold over raw values.

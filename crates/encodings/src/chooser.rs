@@ -16,12 +16,11 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::{IntStats, ZoneMap};
+use corra_columnar::topk::TopKHeap;
 
-use crate::aggregate::AggInt;
 use crate::delta::DeltaInt;
 use crate::dict::{DictInt, DictStr};
 use crate::ffor::ForInt;
-use crate::filter::FilterInt;
 use crate::frequency::FrequencyInt;
 use crate::plain::PlainInt;
 use crate::rle::RleInt;
@@ -45,15 +44,16 @@ pub enum IntEncoding {
 }
 
 impl IntEncoding {
-    /// The code-domain order guarantee of this encoding: `Some(true)` when
-    /// comparing per-row codes is equivalent to comparing decoded values,
-    /// `Some(false)` when codes carry no order, and `None` for encodings
-    /// without a code domain (see [`crate::traits::CodeOrder`]).
-    pub fn codes_are_ordered(&self) -> Option<bool> {
-        use crate::traits::CodeOrder;
+    /// The chosen codec behind the one interface — where every kernel but
+    /// `get` dispatches, once per block.
+    fn codec(&self) -> &dyn IntAccess {
         match self {
-            IntEncoding::Dict(d) => Some(d.codes_are_ordered()),
-            _ => None,
+            IntEncoding::Plain(e) => e,
+            IntEncoding::For(e) => e,
+            IntEncoding::Dict(e) => e,
+            IntEncoding::Rle(e) => e,
+            IntEncoding::Delta(e) => e,
+            IntEncoding::Frequency(e) => e,
         }
     }
 
@@ -123,16 +123,12 @@ impl IntEncoding {
     }
 }
 
+/// Forwards every kernel to the chosen codec, so its compressed-domain
+/// overrides run; only `get` is matched statically, because horizontal
+/// codecs call it per row on their reference column.
 impl IntAccess for IntEncoding {
     fn len(&self) -> usize {
-        match self {
-            IntEncoding::Plain(e) => e.len(),
-            IntEncoding::For(e) => e.len(),
-            IntEncoding::Dict(e) => e.len(),
-            IntEncoding::Rle(e) => e.len(),
-            IntEncoding::Delta(e) => e.len(),
-            IntEncoding::Frequency(e) => e.len(),
-        }
+        self.codec().len()
     }
 
     #[inline]
@@ -147,107 +143,52 @@ impl IntAccess for IntEncoding {
         }
     }
 
+    fn compressed_bytes(&self) -> usize {
+        self.codec().compressed_bytes()
+    }
+
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+        self.codec().for_each_chunk(f)
+    }
+
     fn decode_into(&self, out: &mut Vec<i64>) {
-        match self {
-            IntEncoding::Plain(e) => e.decode_into(out),
-            IntEncoding::For(e) => e.decode_into(out),
-            IntEncoding::Dict(e) => e.decode_into(out),
-            IntEncoding::Rle(e) => e.decode_into(out),
-            IntEncoding::Delta(e) => e.decode_into(out),
-            IntEncoding::Frequency(e) => e.decode_into(out),
-        }
+        self.codec().decode_into(out)
     }
 
     fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
-        match self {
-            IntEncoding::Plain(e) => e.gather_into(sel, out),
-            IntEncoding::For(e) => e.gather_into(sel, out),
-            IntEncoding::Dict(e) => e.gather_into(sel, out),
-            IntEncoding::Rle(e) => e.gather_into(sel, out),
-            IntEncoding::Delta(e) => e.gather_into(sel, out),
-            IntEncoding::Frequency(e) => e.gather_into(sel, out),
-        }
+        self.codec().gather_into(sel, out)
     }
 
-    fn compressed_bytes(&self) -> usize {
-        match self {
-            IntEncoding::Plain(e) => e.compressed_bytes(),
-            IntEncoding::For(e) => e.compressed_bytes(),
-            IntEncoding::Dict(e) => e.compressed_bytes(),
-            IntEncoding::Rle(e) => e.compressed_bytes(),
-            IntEncoding::Delta(e) => e.compressed_bytes(),
-            IntEncoding::Frequency(e) => e.compressed_bytes(),
-        }
-    }
-}
-
-impl FilterInt for IntEncoding {
     fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
-        match self {
-            IntEncoding::Plain(e) => e.filter_into(range, out),
-            IntEncoding::For(e) => e.filter_into(range, out),
-            IntEncoding::Dict(e) => e.filter_into(range, out),
-            IntEncoding::Rle(e) => e.filter_into(range, out),
-            IntEncoding::Delta(e) => e.filter_into(range, out),
-            IntEncoding::Frequency(e) => e.filter_into(range, out),
-        }
+        self.codec().filter_into(range, out)
     }
 
     fn value_bounds(&self) -> Option<ZoneMap> {
-        match self {
-            IntEncoding::Plain(e) => e.value_bounds(),
-            IntEncoding::For(e) => e.value_bounds(),
-            IntEncoding::Dict(e) => e.value_bounds(),
-            IntEncoding::Rle(e) => e.value_bounds(),
-            IntEncoding::Delta(e) => e.value_bounds(),
-            IntEncoding::Frequency(e) => e.value_bounds(),
-        }
+        self.codec().value_bounds()
     }
-}
 
-impl AggInt for IntEncoding {
     fn aggregate_into(&self, state: &mut IntAggState) {
-        match self {
-            IntEncoding::Plain(e) => e.aggregate_into(state),
-            IntEncoding::For(e) => e.aggregate_into(state),
-            IntEncoding::Dict(e) => e.aggregate_into(state),
-            IntEncoding::Rle(e) => e.aggregate_into(state),
-            IntEncoding::Delta(e) => e.aggregate_into(state),
-            IntEncoding::Frequency(e) => e.aggregate_into(state),
-        }
+        self.codec().aggregate_into(state)
     }
 
     fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
-        match self {
-            IntEncoding::Plain(e) => e.aggregate_selected(sel, state),
-            IntEncoding::For(e) => e.aggregate_selected(sel, state),
-            IntEncoding::Dict(e) => e.aggregate_selected(sel, state),
-            IntEncoding::Rle(e) => e.aggregate_selected(sel, state),
-            IntEncoding::Delta(e) => e.aggregate_selected(sel, state),
-            IntEncoding::Frequency(e) => e.aggregate_selected(sel, state),
-        }
+        self.codec().aggregate_selected(sel, state)
     }
 
     fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]) {
-        match self {
-            IntEncoding::Plain(e) => e.aggregate_grouped(group_of, states),
-            IntEncoding::For(e) => e.aggregate_grouped(group_of, states),
-            IntEncoding::Dict(e) => e.aggregate_grouped(group_of, states),
-            IntEncoding::Rle(e) => e.aggregate_grouped(group_of, states),
-            IntEncoding::Delta(e) => e.aggregate_grouped(group_of, states),
-            IntEncoding::Frequency(e) => e.aggregate_grouped(group_of, states),
-        }
+        self.codec().aggregate_grouped(group_of, states)
     }
 
     fn exact_bounds(&self) -> Option<ZoneMap> {
-        match self {
-            IntEncoding::Plain(e) => e.exact_bounds(),
-            IntEncoding::For(e) => e.exact_bounds(),
-            IntEncoding::Dict(e) => e.exact_bounds(),
-            IntEncoding::Rle(e) => e.exact_bounds(),
-            IntEncoding::Delta(e) => e.exact_bounds(),
-            IntEncoding::Frequency(e) => e.exact_bounds(),
-        }
+        self.codec().exact_bounds()
+    }
+
+    fn top_k_into(&self, base: u64, heap: &mut TopKHeap) {
+        self.codec().top_k_into(base, heap)
+    }
+
+    fn top_k_selected(&self, base: u64, sel: &SelectionVector, heap: &mut TopKHeap) {
+        self.codec().top_k_selected(base, sel, heap)
     }
 }
 

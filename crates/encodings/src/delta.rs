@@ -6,17 +6,10 @@
 //! checkpoint cost the paper cites when excluding Delta from its baseline.
 
 use bytes::{Buf, BufMut};
-use corra_columnar::bitpack::{zigzag_decode, zigzag_encode, BitPackedVec, UNPACK_CHUNK};
+use corra_columnar::bitpack::{zigzag_decode, zigzag_encode, BitPackedVec};
 use corra_columnar::error::{Error, Result};
-use corra_columnar::predicate::IntRange;
-use corra_columnar::stats::ZoneMap;
 
-use corra_columnar::aggregate::IntAggState;
-use corra_columnar::selection::SelectionVector;
-
-use crate::aggregate::AggInt;
-use crate::filter::FilterInt;
-use crate::traits::{IntAccess, Validate};
+use crate::traits::{stream_packed, IntAccess};
 
 /// Rows per miniblock (restart interval).
 pub const MINIBLOCK: usize = 128;
@@ -100,6 +93,11 @@ impl DeltaInt {
     }
 }
 
+/// Delta has no compressed-domain shortcut — values only exist as prefix
+/// sums — so every kernel is the trait's provided body: the whole-column
+/// ones run over the chunk stream, one sequential reconstruction that never
+/// pays the O(MINIBLOCK) random-access cost of `get`; the selected-row ones
+/// pay it per selected row.
 impl IntAccess for DeltaInt {
     fn len(&self) -> usize {
         self.len
@@ -115,147 +113,30 @@ impl IntAccess for DeltaInt {
         v
     }
 
-    fn decode_into(&self, out: &mut Vec<i64>) {
-        out.clear();
-        out.reserve(self.len);
-        // Batched delta unpack; the prefix sum with miniblock restarts runs
-        // over cache-hot decoded chunks (MINIBLOCK divides the chunk size).
-        let mut v = 0i64;
-        self.deltas.unpack_chunks(|start, chunk| {
-            for (j, &d) in chunk.iter().enumerate() {
-                let i = start + j;
-                if i % MINIBLOCK == 0 {
-                    v = self.restarts[i / MINIBLOCK];
-                } else {
-                    v = v.wrapping_add(zigzag_decode(d));
-                }
-                out.push(v);
-            }
-        });
-    }
-
     fn compressed_bytes(&self) -> usize {
         self.restarts.len() * 8 + 1 + self.deltas.tight_bytes()
     }
-}
 
-impl FilterInt for DeltaInt {
-    /// Delta has no per-row compressed-domain shortcut: values only exist as
-    /// prefix sums. The kernel therefore falls back to a *streaming*
-    /// reconstruction — a single sequential pass with miniblock restarts —
-    /// which never pays the O(MINIBLOCK) random-access cost of `get`. Each
-    /// reconstructed chunk is compared through the SIMD range kernel.
-    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
-        out.clear();
+    /// Batched delta unpack; the prefix sum with miniblock restarts runs
+    /// over cache-hot decoded chunks (MINIBLOCK divides the chunk size).
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
         let mut v = 0i64;
-        let mut vals = [0i64; UNPACK_CHUNK];
-        self.deltas.unpack_chunks(|start, chunk| {
-            for (j, &d) in chunk.iter().enumerate() {
-                let i = start + j;
-                if i % MINIBLOCK == 0 {
-                    v = self.restarts[i / MINIBLOCK];
-                } else {
-                    v = v.wrapping_add(zigzag_decode(d));
-                }
-                vals[j] = v;
-            }
-            crate::filter::filter_i64_slice(&vals[..chunk.len()], range, start as u32, out);
-        });
-    }
-
-    /// Tight bounds would require the same streaming pass as the kernel
-    /// itself, so no cheap zone map exists for Delta.
-    fn value_bounds(&self) -> Option<ZoneMap> {
-        None
-    }
-}
-
-impl AggInt for DeltaInt {
-    /// One streaming pass with miniblock restarts, folding each
-    /// reconstructed value as it appears — no materialized vector, and
-    /// never the O(MINIBLOCK) random-access cost of `get`.
-    fn aggregate_into(&self, state: &mut IntAggState) {
-        let mut v = 0i64;
-        self.deltas.unpack_chunks(|start, chunk| {
-            for (j, &d) in chunk.iter().enumerate() {
-                let i = start + j;
-                if i % MINIBLOCK == 0 {
-                    v = self.restarts[i / MINIBLOCK];
-                } else {
-                    v = v.wrapping_add(zigzag_decode(d));
-                }
-                state.update(v);
-            }
-        });
-    }
-
-    /// Streams the whole column (values only exist as prefix sums) and
-    /// folds rows matched by a sorted walk over the selection.
-    fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
-        // Positions are sorted, so one check on the last bounds them all.
-        if let Some(&last) = sel.positions().last() {
-            assert!(
-                (last as usize) < self.len,
-                "position {last} out of bounds (len {})",
-                self.len
-            );
-        } else {
-            return;
-        }
-        let pos = sel.positions();
-        let mut p = 0usize;
-        let mut v = 0i64;
-        self.deltas.unpack_chunks(|start, chunk| {
-            if p >= pos.len() {
-                return;
-            }
-            for (j, &d) in chunk.iter().enumerate() {
-                let i = start + j;
-                if i % MINIBLOCK == 0 {
-                    v = self.restarts[i / MINIBLOCK];
-                } else {
-                    v = v.wrapping_add(zigzag_decode(d));
-                }
-                if p < pos.len() && pos[p] == i as u32 {
-                    state.update(v);
-                    p += 1;
-                }
-            }
-        });
-    }
-
-    fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]) {
-        assert_eq!(group_of.len(), self.len, "group codes misaligned");
-        let mut v = 0i64;
-        self.deltas.unpack_chunks(|start, chunk| {
-            for (j, &d) in chunk.iter().enumerate() {
-                let i = start + j;
-                if i % MINIBLOCK == 0 {
-                    v = self.restarts[i / MINIBLOCK];
-                } else {
-                    v = v.wrapping_add(zigzag_decode(d));
-                }
-                states[group_of[i] as usize].update(v);
-            }
-        });
-    }
-}
-
-impl Validate for DeltaInt {
-    fn validate(&self) -> Result<()> {
-        if self.restarts.len() != self.len.div_ceil(MINIBLOCK) {
-            return Err(Error::corrupt("delta restart count mismatch"));
-        }
-        if self.deltas.len() != self.len {
-            return Err(Error::corrupt("delta length mismatch"));
-        }
-        Ok(())
+        let value = |i: usize, d: u64| {
+            v = if i % MINIBLOCK == 0 {
+                self.restarts[i / MINIBLOCK]
+            } else {
+                v.wrapping_add(zigzag_decode(d))
+            };
+            v
+        };
+        stream_packed(&self.deltas, value, f);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corra_columnar::predicate::IntRange;
     use corra_columnar::selection::SelectionVector;
 
     #[test]

@@ -7,19 +7,17 @@
 //! row stores a bit-packed code.
 
 use bytes::{Buf, BufMut};
+use corra_columnar::aggregate::{IntAggState, StrAggState};
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 use corra_columnar::strings::{StringDictBuilder, StringPool};
+use corra_columnar::topk::TopKHeap;
 use rustc_hash::FxHashMap;
 
-use corra_columnar::aggregate::{IntAggState, StrAggState};
-
-use crate::aggregate::{AggInt, AggStr};
-use crate::filter::{FilterInt, FilterStr};
-use crate::traits::{CodeOrder, IntAccess, StrAccess, Validate};
+use crate::traits::{check_selection, stream_packed, IntAccess};
 
 /// Dictionary-encoded integer column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,6 +123,22 @@ impl DictInt {
         out.validate()?;
         Ok(out)
     }
+
+    /// The invariants `read_from` enforces on outside bytes. Strict
+    /// sortedness is what makes code order value order — the property
+    /// `filter_into`'s code intervals, `value_bounds` and the TOP-K
+    /// code-domain path rely on.
+    fn validate(&self) -> Result<()> {
+        if self.dict.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(Error::corrupt("dict-int dictionary not strictly sorted"));
+        }
+        for i in 0..self.codes.len() {
+            if self.codes.get(i) as usize >= self.dict.len() {
+                return Err(Error::corrupt("dict-int code out of range"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl IntAccess for DictInt {
@@ -137,6 +151,15 @@ impl IntAccess for DictInt {
         self.dict[self.codes.get(i) as usize]
     }
 
+    fn compressed_bytes(&self) -> usize {
+        // dictionary values + width byte + tightly packed codes.
+        self.dict.len() * 8 + 1 + self.codes.tight_bytes()
+    }
+
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+        stream_packed(&self.codes, |_, c| self.dict[c as usize], f);
+    }
+
     fn decode_into(&self, out: &mut Vec<i64>) {
         out.clear();
         out.reserve(self.len());
@@ -146,14 +169,7 @@ impl IntAccess for DictInt {
     }
 
     fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
-        // Positions are sorted, so one check on the last bounds them all.
-        if let Some(&last) = sel.positions().last() {
-            assert!(
-                (last as usize) < self.len(),
-                "position {last} out of bounds (len {})",
-                self.len()
-            );
-        }
+        check_selection(sel, self.len());
         out.clear();
         out.reserve(sel.len());
         let r = self.codes.reader();
@@ -162,13 +178,6 @@ impl IntAccess for DictInt {
         }
     }
 
-    fn compressed_bytes(&self) -> usize {
-        // dictionary values + width byte + tightly packed codes.
-        self.dict.len() * 8 + 1 + self.codes.tight_bytes()
-    }
-}
-
-impl FilterInt for DictInt {
     /// The sorted dictionary turns a value range into a contiguous *code*
     /// interval (two binary searches — one evaluation per distinct value
     /// boundary), after which only bit-packed codes are compared.
@@ -207,9 +216,7 @@ impl FilterInt for DictInt {
             max: *self.dict.last()?,
         })
     }
-}
 
-impl AggInt for DictInt {
     /// Histograms the bit-packed codes, then folds once per *distinct*
     /// value weighted by its count (`value · count`) — the per-row work is
     /// one counter increment, never an `i64` reconstruction.
@@ -229,16 +236,7 @@ impl AggInt for DictInt {
     }
 
     fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
-        // Positions are sorted, so one check on the last bounds them all.
-        if let Some(&last) = sel.positions().last() {
-            assert!(
-                (last as usize) < self.len(),
-                "position {last} out of bounds (len {})",
-                self.len()
-            );
-        } else {
-            return;
-        }
+        check_selection(sel, self.len());
         let mut counts = vec![0u64; self.dict.len()];
         let r = self.codes.reader();
         for &p in sel.positions() {
@@ -249,43 +247,55 @@ impl AggInt for DictInt {
         }
     }
 
-    fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]) {
-        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                states[group_of[start + j] as usize].update(self.dict[c as usize]);
-            }
-        });
-    }
-
     /// Exact bounds straight from the sorted dictionary (every entry of a
     /// canonically encoded dictionary occurs in some row).
     fn exact_bounds(&self) -> Option<ZoneMap> {
         self.value_bounds()
     }
-}
 
-impl CodeOrder for DictInt {
-    /// The dictionary is strictly sorted (enforced by [`Validate`]), so
-    /// code order *is* value order — the property `filter_into`'s code
-    /// intervals, `value_bounds`, and the TOP-K code-domain fast path rely
-    /// on.
-    fn codes_are_ordered(&self) -> bool {
-        true
-    }
-}
-
-impl Validate for DictInt {
-    fn validate(&self) -> Result<()> {
-        if self.dict.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(Error::corrupt("dict-int dictionary not strictly sorted"));
+    /// Code-domain selection, valid because the dictionary is sorted:
+    /// histogram the packed codes, walk codes best-value-first until `k`
+    /// rows are covered, then collect the first occurrences of the winning
+    /// codes in one row-order pass — `O(rows + distinct)` with at most `k`
+    /// heap offers, no per-row comparisons.
+    fn top_k_into(&self, base: u64, heap: &mut TopKHeap) {
+        let k = heap.k();
+        if k == 0 || self.is_empty() {
+            return;
         }
-        for i in 0..self.codes.len() {
-            if self.codes.get(i) as usize >= self.dict.len() {
-                return Err(Error::corrupt("dict-int code out of range"));
+        let dict = self.dict();
+        let mut codes = Vec::new();
+        self.codes_into(&mut codes);
+        let mut counts = vec![0u32; dict.len()];
+        for &c in &codes {
+            counts[c as usize] += 1;
+        }
+        // Walk codes from the best value onward; `take[c]` is how many of
+        // code `c`'s rows can still make the top-k.
+        let mut take = vec![0u32; dict.len()];
+        let order: &mut dyn Iterator<Item = usize> = if heap.descending() {
+            &mut (0..dict.len()).rev()
+        } else {
+            &mut (0..dict.len())
+        };
+        let mut remaining = k;
+        for c in order {
+            if remaining == 0 || !heap.would_accept(dict[c]) {
+                break;
+            }
+            let t = (counts[c] as usize).min(remaining);
+            take[c] = t as u32;
+            remaining -= t;
+        }
+        // Offer the first `take[c]` occurrences of each winning code, in
+        // row order — exactly the positions the tie-break would keep.
+        for (i, &c) in codes.iter().enumerate() {
+            let c = c as usize;
+            if take[c] > 0 {
+                take[c] -= 1;
+                heap.offer(dict[c], base + i as u64);
             }
         }
-        Ok(())
     }
 }
 
@@ -391,27 +401,37 @@ impl DictStr {
         out.validate()?;
         Ok(out)
     }
-}
 
-impl StrAccess for DictStr {
-    fn len(&self) -> usize {
+    /// The invariant `read_from` enforces on outside bytes.
+    fn validate(&self) -> Result<()> {
+        for i in 0..self.codes.len() {
+            if self.codes.get(i) as usize >= self.pool.len() {
+                return Err(Error::corrupt("dict-str code out of range"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Number of encoded rows.
+    pub fn len(&self) -> usize {
         self.codes.len()
     }
 
+    /// Whether the column is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Decodes the string at row `i`.
     #[inline]
-    fn get(&self, i: usize) -> &str {
+    pub fn get(&self, i: usize) -> &str {
         self.pool.get(self.codes.get(i) as usize)
     }
 
-    fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<String>) {
-        // Positions are sorted, so one check on the last bounds them all.
-        if let Some(&last) = sel.positions().last() {
-            assert!(
-                (last as usize) < self.len(),
-                "position {last} out of bounds (len {})",
-                self.len()
-            );
-        }
+    /// Materializes selected strings (as owned copies, matching the paper's
+    /// "materialize the query output") into `out` (cleared first).
+    pub fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<String>) {
+        check_selection(sel, self.len());
         out.clear();
         out.reserve(sel.len());
         let r = self.codes.reader();
@@ -420,16 +440,17 @@ impl StrAccess for DictStr {
         }
     }
 
-    fn compressed_bytes(&self) -> usize {
+    /// Compressed size in bytes including metadata.
+    pub fn compressed_bytes(&self) -> usize {
         // flattened distinct strings + offsets + width byte + packed codes.
         self.pool.heap_bytes() + 1 + self.codes.tight_bytes()
     }
-}
 
-impl FilterStr for DictStr {
-    /// Evaluates the equality once per distinct string (one pool walk to
+    /// Appends the positions (ascending) of all rows whose string equals
+    /// `value` (or differs, when `negate`) into `out` (cleared first):
+    /// evaluates the equality once per distinct string (one pool walk to
     /// find the matching code), then compares bit-packed codes.
-    fn filter_eq_into(&self, value: &str, negate: bool, out: &mut Vec<u32>) {
+    pub fn filter_eq_into(&self, value: &str, negate: bool, out: &mut Vec<u32>) {
         out.clear();
         let n = self.len();
         // Pool entries are distinct, so at most one code matches.
@@ -449,12 +470,11 @@ impl FilterStr for DictStr {
             }
         });
     }
-}
 
-impl AggStr for DictStr {
-    /// Histograms the codes, then compares each *distinct* string against
+    /// Folds every row into `state` (`COUNT`, lexicographic `MIN`/`MAX`):
+    /// histograms the codes, then compares each *distinct* string against
     /// the running bounds exactly once, weighted by its count.
-    fn aggregate_into(&self, state: &mut StrAggState) {
+    pub fn aggregate_into(&self, state: &mut StrAggState) {
         if self.is_empty() {
             return;
         }
@@ -471,17 +491,9 @@ impl AggStr for DictStr {
         }
     }
 
-    fn aggregate_selected(&self, sel: &SelectionVector, state: &mut StrAggState) {
-        // Positions are sorted, so one check on the last bounds them all.
-        if let Some(&last) = sel.positions().last() {
-            assert!(
-                (last as usize) < self.len(),
-                "position {last} out of bounds (len {})",
-                self.len()
-            );
-        } else {
-            return;
-        }
+    /// Folds the rows at the selected positions into `state`.
+    pub fn aggregate_selected(&self, sel: &SelectionVector, state: &mut StrAggState) {
+        check_selection(sel, self.len());
         let mut counts = vec![0u64; self.pool.len().max(1)];
         let r = self.codes.reader();
         for &p in sel.positions() {
@@ -494,7 +506,9 @@ impl AggStr for DictStr {
         }
     }
 
-    fn aggregate_grouped(&self, group_of: &[u32], states: &mut [StrAggState]) {
+    /// Folds row `i` into `states[group_of[i]]` for every row;
+    /// `group_of.len()` must equal the column length.
+    pub fn aggregate_grouped(&self, group_of: &[u32], states: &mut [StrAggState]) {
         assert_eq!(group_of.len(), self.len(), "group codes misaligned");
         self.codes.unpack_chunks(|start, chunk| {
             for (j, &c) in chunk.iter().enumerate() {
@@ -504,31 +518,9 @@ impl AggStr for DictStr {
     }
 }
 
-impl CodeOrder for DictStr {
-    /// The pool is in *first-occurrence* order, so code comparison says
-    /// nothing about string order. Range-style reasoning (zones, ORDER BY,
-    /// code-interval filters) must not run in this code domain; only
-    /// equality (code identity) is meaningful.
-    fn codes_are_ordered(&self) -> bool {
-        false
-    }
-}
-
-impl Validate for DictStr {
-    fn validate(&self) -> Result<()> {
-        for i in 0..self.codes.len() {
-            if self.codes.get(i) as usize >= self.pool.len() {
-                return Err(Error::corrupt("dict-str code out of range"));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corra_columnar::selection::SelectionVector;
 
     #[test]
     fn dict_int_roundtrip() {
@@ -658,12 +650,13 @@ mod tests {
     #[test]
     fn code_order_capability() {
         // Int dictionaries are sorted: code order is value order.
-        assert!(DictInt::encode(&[30, 10, 20]).codes_are_ordered());
+        let enc = DictInt::encode(&[30, 10, 20]);
+        assert!(enc.code_at(1) < enc.code_at(0));
+        assert!(enc.get(1) < enc.get(0));
         // String pools are first-occurrence-ordered: code order disagrees
-        // with value order, and every consumer must gate on the capability
-        // instead of assuming sortedness.
+        // with value order, so only equality (code identity) is meaningful
+        // in a string code domain.
         let enc = DictStr::encode(["zebra", "apple"]);
-        assert!(!enc.codes_are_ordered());
         assert!(enc.code_at(0) < enc.code_at(1));
         assert!(enc.get(0) > enc.get(1));
     }

@@ -7,18 +7,14 @@
 //! in non-hierarchical encoding.
 
 use bytes::{Buf, BufMut};
-use corra_columnar::bitpack::{bits_needed, BitPackedVec};
+use corra_columnar::aggregate::IntAggState;
+use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
-use corra_columnar::selection::SelectionVector;
-
 use corra_columnar::predicate::IntRange;
+use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 
-use corra_columnar::aggregate::IntAggState;
-
-use crate::aggregate::AggInt;
-use crate::filter::FilterInt;
-use crate::traits::{IntAccess, Validate};
+use crate::traits::{check_selection, stream_packed, IntAccess};
 
 /// FOR + bit-packed integer column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,6 +111,16 @@ impl IntAccess for ForInt {
         (self.base as i128 + self.packed.get(i) as i128) as i64
     }
 
+    fn compressed_bytes(&self) -> usize {
+        // base + width byte + tightly packed payload.
+        8 + 1 + self.packed.tight_bytes()
+    }
+
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+        let base = self.base;
+        stream_packed(&self.packed, |_, off| base.wrapping_add(off as i64), f);
+    }
+
     fn decode_into(&self, out: &mut Vec<i64>) {
         // Fused batched kernel: offsets decode and the frame add happen in
         // one width-specialized pass.
@@ -122,15 +128,7 @@ impl IntAccess for ForInt {
     }
 
     fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
-        // Positions are sorted, so one check on the last bounds them all —
-        // out-of-range selections panic like the scalar getter would.
-        if let Some(&last) = sel.positions().last() {
-            assert!(
-                (last as usize) < self.len(),
-                "position {last} out of bounds (len {})",
-                self.len()
-            );
-        }
+        check_selection(sel, self.len());
         out.clear();
         out.reserve(sel.len());
         let base = self.base;
@@ -140,13 +138,6 @@ impl IntAccess for ForInt {
         }
     }
 
-    fn compressed_bytes(&self) -> usize {
-        // base + width byte + tightly packed payload.
-        8 + 1 + self.packed.tight_bytes()
-    }
-}
-
-impl FilterInt for ForInt {
     /// Rewrites `[lo, hi]` into the packed offset domain (`v - base`) once
     /// and compares raw offsets per row — no per-row reconstruction to
     /// `i64`.
@@ -189,9 +180,7 @@ impl FilterInt for ForInt {
             max,
         })
     }
-}
 
-impl AggInt for ForInt {
     /// Folds in the packed offset domain: offsets accumulate into one
     /// `u128`, the frame base is added back once (`n · base`), and min/max
     /// reduce over raw offsets — no per-row `i64` reconstruction. Falls back
@@ -231,53 +220,6 @@ impl AggInt for ForInt {
                 }
             });
         }
-    }
-
-    fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
-        // Positions are sorted, so one check on the last bounds them all.
-        if let Some(&last) = sel.positions().last() {
-            assert!(
-                (last as usize) < self.len(),
-                "position {last} out of bounds (len {})",
-                self.len()
-            );
-        }
-        let base = self.base;
-        let r = self.packed.reader();
-        for &p in sel.positions() {
-            state.update(base.wrapping_add(r.get(p as usize) as i64));
-        }
-    }
-
-    fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]) {
-        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
-        let base = self.base;
-        self.packed.unpack_chunks(|start, chunk| {
-            for (j, &off) in chunk.iter().enumerate() {
-                states[group_of[start + j] as usize].update(base.wrapping_add(off as i64));
-            }
-        });
-    }
-}
-
-impl Validate for ForInt {
-    fn validate(&self) -> Result<()> {
-        // The minimal-width invariant: some offset uses the top bit range,
-        // unless the column is empty or constant.
-        if self.packed.bits() > 0 {
-            let max = (0..self.len())
-                .map(|i| self.packed.get(i))
-                .max()
-                .unwrap_or(0);
-            if bits_needed(max) < self.packed.bits() {
-                // Wider-than-minimal is legal (encode_with_bits); only flag
-                // impossible states.
-            }
-            if self.len() == 0 {
-                return Err(Error::corrupt("nonzero width with zero length"));
-            }
-        }
-        Ok(())
     }
 }
 

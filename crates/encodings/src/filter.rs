@@ -1,52 +1,17 @@
-//! Compressed-domain filter kernels: the pushdown side of scanning.
-//!
-//! Where [`crate::traits::IntAccess`] materializes values at given
-//! positions, [`FilterInt`] goes the other way: given a normalized range
-//! predicate it *produces* the matching positions, working on each codec's
-//! compressed representation instead of decompressing to `i64` per row:
-//!
-//! * **FOR** rewrites the range into the packed offset domain and compares
-//!   raw packed words — no base addition per row;
-//! * **Dict** turns the range into a contiguous code interval via binary
-//!   search on the sorted dictionary, then compares codes;
-//! * **Frequency** evaluates the predicate once per hot value and once per
-//!   exception, then walks codes against the precomputed verdicts;
-//! * **RLE** evaluates once per run and emits (or skips) whole runs;
-//! * **Delta** falls back to a streaming reconstruction: one sequential
-//!   pass with miniblock restarts, never paying random-access cost;
-//! * **Plain** is the trivial comparator.
-//!
-//! Every kernel emits positions in strictly increasing row order, matching
+//! The value-domain range compare behind
+//! [`IntAccess::filter_into`](crate::traits::IntAccess::filter_into)'s
+//! provided body, and the decompress-then-filter oracle the kernels are
+//! tested against. Positions come out in strictly increasing row order,
+//! matching
 //! [`SelectionVector::from_sorted`](corra_columnar::selection::SelectionVector::from_sorted).
 
 use corra_columnar::predicate::IntRange;
 use corra_columnar::simd;
-use corra_columnar::stats::ZoneMap;
-
-/// Predicate evaluation over a compressed integer column.
-pub trait FilterInt {
-    /// Appends the positions (ascending) of all rows matching `range` into
-    /// `out` (cleared first).
-    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>);
-
-    /// A covering (not necessarily tight) min/max zone map of the encoded
-    /// values, or `None` when the column is empty or bounds are not cheaply
-    /// derivable. Used for block pruning before the per-row kernel runs.
-    fn value_bounds(&self) -> Option<ZoneMap>;
-}
-
-/// Equality predicate evaluation over a compressed string column.
-pub trait FilterStr {
-    /// Appends the positions (ascending) of all rows whose string equals
-    /// `value` (or differs, when `negate`) into `out` (cleared first).
-    fn filter_eq_into(&self, value: &str, negate: bool, out: &mut Vec<u32>);
-}
 
 /// Fused range compare over a materialized `i64` span: appends
 /// `first_row + j` for every value matching `range`, running the active
-/// SIMD tier's compare kernel. The shared back end of the Plain filter and
-/// Delta's streaming-reconstruction filter. `out` is *not* cleared, so
-/// chunked callers can stack spans.
+/// SIMD tier's compare kernel. `out` is *not* cleared, so chunked callers
+/// can stack spans.
 pub fn filter_i64_slice(values: &[i64], range: &IntRange, first_row: u32, out: &mut Vec<u32>) {
     if range.interval_is_empty() {
         if range.negate {

@@ -7,18 +7,14 @@
 //! why it lives here as a baseline relative.
 
 use bytes::{Buf, BufMut};
-use corra_columnar::bitpack::BitPackedVec;
+use corra_columnar::aggregate::IntAggState;
+use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::stats::ZoneMap;
 use rustc_hash::FxHashMap;
 
-use corra_columnar::aggregate::IntAggState;
-use corra_columnar::selection::SelectionVector;
-
-use crate::aggregate::AggInt;
-use crate::filter::FilterInt;
-use crate::traits::{IntAccess, Validate};
+use crate::traits::IntAccess;
 
 /// Frequency-encoded integer column.
 ///
@@ -147,6 +143,27 @@ impl FrequencyInt {
         out.validate()?;
         Ok(out)
     }
+
+    /// The invariants `read_from` enforces on outside bytes.
+    fn validate(&self) -> Result<()> {
+        if self.exc_pos.len() != self.exc_val.len() {
+            return Err(Error::corrupt("frequency exception arrays misaligned"));
+        }
+        if self.exc_pos.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(Error::corrupt("frequency exception positions not sorted"));
+        }
+        if let Some(&last) = self.exc_pos.last() {
+            if last as usize >= self.codes.len() {
+                return Err(Error::corrupt("frequency exception position out of range"));
+            }
+        }
+        for i in 0..self.codes.len() {
+            if self.codes.get(i) as usize >= self.hot.len().max(1) {
+                return Err(Error::corrupt("frequency code out of range"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl IntAccess for FrequencyInt {
@@ -161,27 +178,32 @@ impl IntAccess for FrequencyInt {
         }
     }
 
-    fn decode_into(&self, out: &mut Vec<i64>) {
-        out.clear();
-        out.reserve(self.len());
-        self.codes.unpack_chunks(|_, chunk| {
-            out.extend(chunk.iter().map(|&c| self.hot[c as usize]));
-        });
-        for (k, &p) in self.exc_pos.iter().enumerate() {
-            out[p as usize] = self.exc_val[k];
-        }
-    }
-
     fn compressed_bytes(&self) -> usize {
         self.hot.len() * 8 + 1 + self.codes.tight_bytes() + self.exc_pos.len() * 12
     }
-}
 
-impl FilterInt for FrequencyInt {
+    /// Hot codes map through the table a chunk at a time; exception rows
+    /// (whose code slot is meaningless) are then patched in by a sorted
+    /// walk over the exception index, so the per-row loop stays branch-free.
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+        let mut vals = [0i64; UNPACK_CHUNK];
+        let mut e = 0usize;
+        self.codes.unpack_chunks(|start, chunk| {
+            for (v, &c) in vals.iter_mut().zip(chunk) {
+                *v = self.hot[c as usize];
+            }
+            let end = start + chunk.len();
+            while e < self.exc_pos.len() && (self.exc_pos[e] as usize) < end {
+                vals[self.exc_pos[e] as usize - start] = self.exc_val[e];
+                e += 1;
+            }
+            f(start, &vals[..chunk.len()]);
+        });
+    }
+
     /// Evaluates the predicate once per distinct *hot* value, then walks the
-    /// codes against the precomputed verdicts; exception rows (whose code
-    /// slot is meaningless) are merged in by a sorted walk over the
-    /// exception index and tested on their verbatim values.
+    /// codes against the precomputed verdicts; exception rows are tested on
+    /// their verbatim values.
     fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
         out.clear();
         let hot_match: Vec<bool> = self.hot.iter().map(|&v| range.matches(v)).collect();
@@ -217,9 +239,7 @@ impl FilterInt for FrequencyInt {
             (z, None) | (None, z) => z,
         }
     }
-}
 
-impl AggInt for FrequencyInt {
     /// Histograms the hot codes, subtracts the meaningless padding codes at
     /// exception rows, folds each hot value once weighted by its count, and
     /// folds exceptions verbatim — O(rows) counter increments plus
@@ -243,74 +263,10 @@ impl AggInt for FrequencyInt {
         }
     }
 
-    fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
-        // Positions are sorted, so one check on the last bounds them all.
-        if let Some(&last) = sel.positions().last() {
-            assert!(
-                (last as usize) < self.len(),
-                "position {last} out of bounds (len {})",
-                self.len()
-            );
-        } else {
-            return;
-        }
-        let r = self.codes.reader();
-        let mut e = 0usize;
-        for &p in sel.positions() {
-            while e < self.exc_pos.len() && self.exc_pos[e] < p {
-                e += 1;
-            }
-            if e < self.exc_pos.len() && self.exc_pos[e] == p {
-                state.update(self.exc_val[e]);
-            } else {
-                state.update(self.hot[r.get(p as usize) as usize]);
-            }
-        }
-    }
-
-    fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]) {
-        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
-        let mut e = 0usize;
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                let v = if e < self.exc_pos.len() && self.exc_pos[e] == i as u32 {
-                    e += 1;
-                    self.exc_val[e - 1]
-                } else {
-                    self.hot[c as usize]
-                };
-                states[group_of[i] as usize].update(v);
-            }
-        });
-    }
-
     /// Exact bounds over hot values ∪ exceptions — every hot value of a
     /// canonical encode occurs in some non-exception row.
     fn exact_bounds(&self) -> Option<ZoneMap> {
         self.value_bounds()
-    }
-}
-
-impl Validate for FrequencyInt {
-    fn validate(&self) -> Result<()> {
-        if self.exc_pos.len() != self.exc_val.len() {
-            return Err(Error::corrupt("frequency exception arrays misaligned"));
-        }
-        if self.exc_pos.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(Error::corrupt("frequency exception positions not sorted"));
-        }
-        if let Some(&last) = self.exc_pos.last() {
-            if last as usize >= self.codes.len() {
-                return Err(Error::corrupt("frequency exception position out of range"));
-            }
-        }
-        for i in 0..self.codes.len() {
-            if self.codes.get(i) as usize >= self.hot.len().max(1) {
-                return Err(Error::corrupt("frequency code out of range"));
-            }
-        }
-        Ok(())
     }
 }
 

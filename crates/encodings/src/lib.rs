@@ -5,7 +5,7 @@
 //!
 //! Implemented schemes:
 //!
-//! * [`plain::PlainInt`] / [`plain::PlainStr`] — uncompressed comparators;
+//! * [`plain::PlainInt`] — the uncompressed comparator;
 //! * [`ffor::ForInt`] — Frame-of-Reference + bit-packing;
 //! * [`dict::DictInt`] / [`dict::DictStr`] — dictionary + bit-packing with a
 //!   flattened distinct-string array;
@@ -18,15 +18,16 @@
 //! compressed column"; [`chooser::choose_int_full`] covers all schemes for
 //! ablation studies.
 //!
-//! Every integer scheme additionally implements [`filter::FilterInt`], the
-//! compressed-domain predicate kernel behind `corra-core::scan`'s pushdown,
-//! [`aggregate::AggInt`], the compressed-domain fold kernel behind
-//! `corra-core::aggregate` (COUNT/SUM/MIN/MAX/AVG without materializing
-//! values), and [`topk::TopKInt`], the bounded-selection kernel behind
-//! `corra-core::operator`'s TOP-K / ORDER BY (run-folding for RLE,
-//! code-domain selection for sorted dictionaries). Dictionary codecs
-//! declare their code-order guarantee via [`traits::CodeOrder`] — int
-//! dictionaries are sorted, string pools are first-occurrence-ordered.
+//! Every integer scheme implements the one codec trait,
+//! [`traits::IntAccess`]: a codec supplies length, random access, size and
+//! a decoded chunk stream, and decode / gather / filter / the aggregate
+//! folds / bounds / TOP-K are provided methods over them, overridden only
+//! where a codec works in its compressed domain (FOR offsets, Dict codes,
+//! RLE runs, Frequency verdict tables). [`dict::DictStr`] carries the
+//! string analogues (equality filter, `COUNT` and lexicographic `MIN` /
+//! `MAX`) as inherent methods; its pool is first-occurrence-ordered, so
+//! only code *identity* is meaningful there, while int dictionaries are
+//! sorted and code order is value order.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -40,30 +41,15 @@ pub mod filter;
 pub mod frequency;
 pub mod plain;
 pub mod rle;
-pub mod topk;
+#[cfg(test)]
+mod topk;
 pub mod traits;
 
-// Format-v2 framing: every serializable encoding gains the length-prefix
-// frame (write_framed/read_framed) around its existing payload layout.
-corra_columnar::impl_framed!(
-    chooser::IntEncoding,
-    delta::DeltaInt,
-    dict::DictInt,
-    dict::DictStr,
-    ffor::ForInt,
-    frequency::FrequencyInt,
-    plain::PlainInt,
-    rle::RleInt,
-);
-
-pub use aggregate::{AggInt, AggStr};
 pub use chooser::{choose_int_baseline, choose_int_full, choose_str_baseline, IntEncoding};
 pub use delta::DeltaInt;
 pub use dict::{DictInt, DictStr};
 pub use ffor::ForInt;
-pub use filter::{FilterInt, FilterStr};
 pub use frequency::FrequencyInt;
-pub use plain::{PlainInt, PlainStr};
+pub use plain::PlainInt;
 pub use rle::RleInt;
-pub use topk::TopKInt;
-pub use traits::{CodeOrder, IntAccess, StrAccess, Validate};
+pub use traits::IntAccess;

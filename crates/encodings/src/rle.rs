@@ -7,16 +7,15 @@
 //! ablation benches.
 
 use bytes::{Buf, BufMut};
+use corra_columnar::aggregate::IntAggState;
+use corra_columnar::bitpack::UNPACK_CHUNK;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
-use corra_columnar::stats::ZoneMap;
-
-use corra_columnar::aggregate::IntAggState;
 use corra_columnar::selection::SelectionVector;
+use corra_columnar::stats::ZoneMap;
+use corra_columnar::topk::TopKHeap;
 
-use crate::aggregate::AggInt;
-use crate::filter::FilterInt;
-use crate::traits::{IntAccess, Validate};
+use crate::traits::{check_selection, IntAccess};
 
 /// RLE-encoded integer column: `(value, run)` pairs plus cumulative run ends.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,6 +107,25 @@ impl RleInt {
         Ok(out)
     }
 
+    /// The invariants `read_from` enforces on outside bytes.
+    fn validate(&self) -> Result<()> {
+        if self.run_values.len() != self.run_ends.len() {
+            return Err(Error::corrupt("rle arrays misaligned"));
+        }
+        let mut prev = 0u32;
+        for &e in &self.run_ends {
+            if e <= prev && !(prev == 0 && e == 0) {
+                return Err(Error::corrupt("rle run ends not strictly increasing"));
+            }
+            prev = e;
+        }
+        // Adjacent runs must differ (canonical form).
+        if self.run_values.windows(2).any(|w| w[0] == w[1]) {
+            return Err(Error::corrupt("rle adjacent runs equal"));
+        }
+        Ok(())
+    }
+
     /// Index of the run containing row `i` (binary search over checkpoints).
     #[inline]
     fn run_of(&self, i: usize) -> usize {
@@ -126,6 +144,25 @@ impl IntAccess for RleInt {
         self.run_values[self.run_of(i)]
     }
 
+    fn compressed_bytes(&self) -> usize {
+        self.run_values.len() * 8 + self.run_ends.len() * 4
+    }
+
+    /// One fill per run, handed out in pieces of at most a chunk.
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+        let mut buf = [0i64; UNPACK_CHUNK];
+        let mut start = 0usize;
+        for (&v, &end) in self.run_values.iter().zip(&self.run_ends) {
+            let end = end as usize;
+            buf[..(end - start).min(UNPACK_CHUNK)].fill(v);
+            while start < end {
+                let n = (end - start).min(UNPACK_CHUNK);
+                f(start, &buf[..n]);
+                start += n;
+            }
+        }
+    }
+
     fn decode_into(&self, out: &mut Vec<i64>) {
         out.clear();
         out.reserve(self.len());
@@ -135,12 +172,6 @@ impl IntAccess for RleInt {
         }
     }
 
-    fn compressed_bytes(&self) -> usize {
-        self.run_values.len() * 8 + self.run_ends.len() * 4
-    }
-}
-
-impl FilterInt for RleInt {
     /// Evaluates the predicate once per *run*: a non-matching run is skipped
     /// wholesale, a matching run contributes all of its positions.
     fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
@@ -158,9 +189,7 @@ impl FilterInt for RleInt {
     fn value_bounds(&self) -> Option<ZoneMap> {
         ZoneMap::from_values(&self.run_values)
     }
-}
 
-impl AggInt for RleInt {
     /// Folds once per *run* (`value · run_len`) — O(runs), not O(rows).
     fn aggregate_into(&self, state: &mut IntAggState) {
         let mut start = 0u32;
@@ -174,16 +203,7 @@ impl AggInt for RleInt {
     /// the number of selected positions it contains in one `update_n` —
     /// O(runs + selected), never a per-row value reconstruction.
     fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
-        // Positions are sorted, so one check on the last bounds them all.
-        if let Some(&last) = sel.positions().last() {
-            assert!(
-                (last as usize) < self.len(),
-                "position {last} out of bounds (len {})",
-                self.len()
-            );
-        } else {
-            return;
-        }
+        check_selection(sel, self.len());
         let pos = sel.positions();
         let mut p = 0usize;
         for (&v, &end) in self.run_values.iter().zip(&self.run_ends) {
@@ -198,47 +218,35 @@ impl AggInt for RleInt {
         }
     }
 
-    fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]) {
-        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
-        let mut start = 0usize;
-        for (&v, &end) in self.run_values.iter().zip(&self.run_ends) {
-            for &g in &group_of[start..end as usize] {
-                states[g as usize].update(v);
-            }
-            start = end as usize;
-        }
-    }
-
     /// Exact bounds over the run values — O(runs), every run is non-empty.
-    fn exact_bounds(&self) -> Option<corra_columnar::stats::ZoneMap> {
+    fn exact_bounds(&self) -> Option<ZoneMap> {
         self.value_bounds()
     }
-}
 
-impl Validate for RleInt {
-    fn validate(&self) -> Result<()> {
-        if self.run_values.len() != self.run_ends.len() {
-            return Err(Error::corrupt("rle arrays misaligned"));
+    /// One bound check per *run*; an accepted run offers only its first
+    /// `min(run_len, k)` positions (equal values at ascending positions —
+    /// later ones can never beat them on the tie-break).
+    fn top_k_into(&self, base: u64, heap: &mut TopKHeap) {
+        let k = heap.k();
+        if k == 0 {
+            return;
         }
-        let mut prev = 0u32;
-        for &e in &self.run_ends {
-            if e <= prev && !(prev == 0 && e == 0) {
-                return Err(Error::corrupt("rle run ends not strictly increasing"));
+        let mut start = 0u32;
+        for (&v, &end) in self.run_values.iter().zip(&self.run_ends) {
+            if heap.would_accept(v) {
+                let take = ((end - start) as usize).min(k) as u32;
+                for p in start..start + take {
+                    heap.offer(v, base + p as u64);
+                }
             }
-            prev = e;
+            start = end;
         }
-        // Adjacent runs must differ (canonical form).
-        if self.run_values.windows(2).any(|w| w[0] == w[1]) {
-            return Err(Error::corrupt("rle adjacent runs equal"));
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corra_columnar::selection::SelectionVector;
 
     #[test]
     fn roundtrip_basic() {

@@ -1,175 +1,16 @@
-//! Compressed-domain TOP-K kernels, one per encoding family.
-//!
-//! Every implementation feeds `(value, base + row)` candidates into a
-//! [`TopKHeap`]; an implementation may skip rows that provably cannot make
-//! the top-k *given the other candidates it offers from the same column*
-//! (the heap itself arbitrates against candidates from other blocks).
-//! Fast paths:
-//!
-//! * **Dict** — the sorted dictionary means code order is value order
-//!   ([`CodeOrder`]), so one histogram pass picks the winning codes and a
-//!   second pass collects their first occurrences: `O(rows + distinct)`
-//!   with at most `k` heap offers, no per-row comparisons.
-//! * **RLE** — a run is `run_len` equal values at consecutive positions;
-//!   only its first `min(run_len, k)` rows can win, and a whole run is
-//!   skipped with one bound check.
-//! * **FOR / Plain / Delta / Frequency** — offsets preserve value order,
-//!   so the batched (SIMD-tiered) decode followed by the bounded heap is
-//!   already the fast path; the heap rejects losers with one compare.
-
-use corra_columnar::selection::SelectionVector;
-use corra_columnar::topk::TopKHeap;
-
-use crate::chooser::IntEncoding;
-use crate::delta::DeltaInt;
-use crate::dict::DictInt;
-use crate::ffor::ForInt;
-use crate::frequency::FrequencyInt;
-use crate::plain::PlainInt;
-use crate::rle::RleInt;
-use crate::traits::{CodeOrder, IntAccess};
-
-/// Streams the whole column through a batched decode and offers every row.
-fn stream_top_k<E: IntAccess + ?Sized>(enc: &E, base: u64, heap: &mut TopKHeap) {
-    if heap.k() == 0 {
-        return;
-    }
-    let mut buf = Vec::new();
-    enc.decode_into(&mut buf);
-    for (i, &v) in buf.iter().enumerate() {
-        heap.offer(v, base + i as u64);
-    }
-}
-
-/// Per-encoding TOP-K: offer this column's candidate rows into `heap`.
-///
-/// `base` is the caller's position offset (drivers pass `block << 32` so
-/// positions stay globally unique and the heap's tie-break resolves to
-/// "earlier block, then earlier row").
-pub trait TopKInt: IntAccess {
-    /// Offers every row of the column (implementations may skip rows that
-    /// provably lose to rows they do offer).
-    fn top_k_into(&self, base: u64, heap: &mut TopKHeap) {
-        stream_top_k(self, base, heap);
-    }
-
-    /// Offers only the selected rows (the post-filter path).
-    fn top_k_selected(&self, base: u64, sel: &SelectionVector, heap: &mut TopKHeap) {
-        if heap.k() == 0 {
-            return;
-        }
-        for &p in sel.positions() {
-            heap.offer(self.get(p as usize), base + p as u64);
-        }
-    }
-}
-
-impl TopKInt for PlainInt {}
-impl TopKInt for ForInt {}
-impl TopKInt for DeltaInt {}
-impl TopKInt for FrequencyInt {}
-
-impl TopKInt for RleInt {
-    /// One bound check per *run*; an accepted run offers only its first
-    /// `min(run_len, k)` positions (equal values at ascending positions —
-    /// later ones can never beat them on the tie-break).
-    fn top_k_into(&self, base: u64, heap: &mut TopKHeap) {
-        let k = heap.k();
-        if k == 0 {
-            return;
-        }
-        let mut start = 0u32;
-        for (&v, &end) in self.run_values().iter().zip(self.run_ends()) {
-            if heap.would_accept(v) {
-                let take = ((end - start) as usize).min(k) as u32;
-                for p in start..start + take {
-                    heap.offer(v, base + p as u64);
-                }
-            }
-            start = end;
-        }
-    }
-}
-
-impl TopKInt for DictInt {
-    /// Code-domain selection, valid only because the dictionary is sorted
-    /// (gated on [`CodeOrder::codes_are_ordered`], falling back to the
-    /// streaming path otherwise): histogram the packed codes, walk codes
-    /// best-value-first until `k` rows are covered, then collect the
-    /// first occurrences of the winning codes in one row-order pass.
-    fn top_k_into(&self, base: u64, heap: &mut TopKHeap) {
-        let k = heap.k();
-        if k == 0 || self.is_empty() {
-            return;
-        }
-        if !self.codes_are_ordered() {
-            stream_top_k(self, base, heap);
-            return;
-        }
-        let dict = self.dict();
-        let mut codes = Vec::new();
-        self.codes_into(&mut codes);
-        let mut counts = vec![0u32; dict.len()];
-        for &c in &codes {
-            counts[c as usize] += 1;
-        }
-        // Walk codes from the best value onward; `take[c]` is how many of
-        // code `c`'s rows can still make the top-k.
-        let mut take = vec![0u32; dict.len()];
-        let order: &mut dyn Iterator<Item = usize> = if heap.descending() {
-            &mut (0..dict.len()).rev()
-        } else {
-            &mut (0..dict.len())
-        };
-        let mut remaining = k;
-        for c in order {
-            if remaining == 0 || !heap.would_accept(dict[c]) {
-                break;
-            }
-            let t = (counts[c] as usize).min(remaining);
-            take[c] = t as u32;
-            remaining -= t;
-        }
-        // Offer the first `take[c]` occurrences of each winning code, in
-        // row order — exactly the positions the tie-break would keep.
-        for (i, &c) in codes.iter().enumerate() {
-            let c = c as usize;
-            if take[c] > 0 {
-                take[c] -= 1;
-                heap.offer(dict[c], base + i as u64);
-            }
-        }
-    }
-}
-
-impl TopKInt for IntEncoding {
-    fn top_k_into(&self, base: u64, heap: &mut TopKHeap) {
-        match self {
-            IntEncoding::Plain(e) => e.top_k_into(base, heap),
-            IntEncoding::For(e) => e.top_k_into(base, heap),
-            IntEncoding::Dict(e) => e.top_k_into(base, heap),
-            IntEncoding::Rle(e) => e.top_k_into(base, heap),
-            IntEncoding::Delta(e) => e.top_k_into(base, heap),
-            IntEncoding::Frequency(e) => e.top_k_into(base, heap),
-        }
-    }
-
-    fn top_k_selected(&self, base: u64, sel: &SelectionVector, heap: &mut TopKHeap) {
-        match self {
-            IntEncoding::Plain(e) => e.top_k_selected(base, sel, heap),
-            IntEncoding::For(e) => e.top_k_selected(base, sel, heap),
-            IntEncoding::Dict(e) => e.top_k_selected(base, sel, heap),
-            IntEncoding::Rle(e) => e.top_k_selected(base, sel, heap),
-            IntEncoding::Delta(e) => e.top_k_selected(base, sel, heap),
-            IntEncoding::Frequency(e) => e.top_k_selected(base, sel, heap),
-        }
-    }
-}
+//! Oracle tests for the TOP-K kernels of every codec: the provided
+//! chunk-stream body (FOR / Plain / Delta / Frequency — offsets preserve
+//! value order, so decode plus the bounded heap is already the fast path)
+//! and the Dict code-domain and RLE per-run overrides.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use corra_columnar::topk::rank;
+    use corra_columnar::selection::SelectionVector;
+    use corra_columnar::topk::{rank, TopKHeap};
+
+    use crate::{
+        DeltaInt, DictInt, ForInt, FrequencyInt, IntAccess, IntEncoding, PlainInt, RleInt,
+    };
 
     fn oracle(values: &[i64], k: usize, descending: bool) -> Vec<(i64, u64)> {
         let mut rows: Vec<(i64, u64)> = values
@@ -182,7 +23,7 @@ mod tests {
         rows
     }
 
-    fn check<E: TopKInt>(enc: &E, values: &[i64]) {
+    fn check<E: IntAccess>(enc: &E, values: &[i64]) {
         for k in [0usize, 1, 3, values.len(), values.len() + 7] {
             for descending in [false, true] {
                 let mut heap = TopKHeap::new(k, descending);

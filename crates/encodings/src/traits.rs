@@ -1,14 +1,50 @@
-//! Common interface implemented by every single-column encoding.
+//! The one interface every vertical integer codec implements.
+//!
+//! A codec supplies four things — [`len`](IntAccess::len),
+//! [`get`](IntAccess::get), [`compressed_bytes`](IntAccess::compressed_bytes)
+//! and the decoded chunk stream [`for_each_chunk`](IntAccess::for_each_chunk)
+//! — and every query kernel (decode, gather, filter, the three folds, both
+//! bounds, both TOP-K entry points) is a provided method written once over
+//! them. A codec overrides a kernel only where it can do the work in its
+//! compressed domain:
+//!
+//! * **FOR** rewrites a range into the packed offset domain and compares
+//!   raw packed words, and folds offsets into one `u128` with the frame
+//!   base added back once (`n · base`);
+//! * **Dict** turns a range into a contiguous code interval (two binary
+//!   searches on the sorted dictionary), folds a code histogram once per
+//!   distinct value (`value · count`), and picks TOP-K winners in the code
+//!   domain — code order *is* value order;
+//! * **RLE** filters, folds (`value · run_len`) and offers TOP-K candidates
+//!   once per *run* — O(runs), not O(rows);
+//! * **Frequency** evaluates a predicate once per hot value and once per
+//!   exception, and histograms the hot codes for folds;
+//! * **Delta** and **Plain** have no compressed-domain shortcut: Delta's
+//!   chunk stream is one sequential reconstruction with miniblock restarts,
+//!   Plain's is the stored slice itself.
+//!
+//! The provided bodies are also the reference the overrides are tested
+//! against (`tests/proptest_encodings.rs`).
 
-use corra_columnar::error::Result;
+use corra_columnar::aggregate::IntAggState;
+use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
+use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
+use corra_columnar::stats::ZoneMap;
+use corra_columnar::topk::TopKHeap;
 
-/// Random-access decompression interface for integer encodings.
+use crate::filter::filter_i64_slice;
+
+/// Decompression and compressed-domain query interface of an integer
+/// encoding.
 ///
 /// The paper's baseline deliberately restricts itself to schemes that "allow
 /// for fast random access into the compressed column" (§3, Baseline); RLE and
 /// Delta are included here for completeness and ablations but carry the
 /// checkpoint structures that make their random access possible.
+///
+/// Selections are sorted: a kernel taking one panics (like the scalar getter
+/// would) if its last position is out of range.
 pub trait IntAccess {
     /// Number of encoded rows.
     fn len(&self) -> usize;
@@ -21,13 +57,22 @@ pub trait IntAccess {
     /// Decodes the value at row `i`.
     fn get(&self, i: usize) -> i64;
 
+    /// Compressed size in bytes as reported in the size experiments:
+    /// tightly-packed payload plus all metadata required for self-contained
+    /// decompression.
+    fn compressed_bytes(&self) -> usize;
+
+    /// Streams the decoded column: `f(start, chunk)` receives the values of
+    /// rows `start..start + chunk.len()`, in row order, each row exactly
+    /// once. Chunks are non-empty and stay cache-hot for the callee; their
+    /// size is the codec's choice.
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64]));
+
     /// Decodes the whole column into `out` (cleared first).
     fn decode_into(&self, out: &mut Vec<i64>) {
         out.clear();
         out.reserve(self.len());
-        for i in 0..self.len() {
-            out.push(self.get(i));
-        }
+        self.for_each_chunk(&mut |_, chunk| out.extend_from_slice(chunk));
     }
 
     /// Materializes the values at the selected positions into `out`
@@ -40,56 +85,122 @@ pub trait IntAccess {
         }
     }
 
-    /// Compressed size in bytes as reported in the size experiments:
-    /// tightly-packed payload plus all metadata required for self-contained
-    /// decompression.
-    fn compressed_bytes(&self) -> usize;
-}
-
-/// Random-access decompression interface for string encodings.
-pub trait StrAccess {
-    /// Number of encoded rows.
-    fn len(&self) -> usize;
-
-    /// Whether the column is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Appends the positions (ascending) of all rows matching `range` into
+    /// `out` (cleared first), each decoded chunk going through the SIMD
+    /// range kernel.
+    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
+        out.clear();
+        self.for_each_chunk(&mut |start, chunk| {
+            filter_i64_slice(chunk, range, start as u32, out);
+        });
     }
 
-    /// Decodes the string at row `i`.
-    fn get(&self, i: usize) -> &str;
+    /// A covering (not necessarily tight) min/max zone map of the encoded
+    /// values, or `None` when the column is empty or bounds are not cheaply
+    /// derivable — without stored statistics they would cost the same full
+    /// pass as the filter itself. Used for block pruning before the per-row
+    /// kernel runs.
+    fn value_bounds(&self) -> Option<ZoneMap> {
+        None
+    }
 
-    /// Materializes selected strings (as owned copies, matching the paper's
-    /// "materialize the query output").
-    fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<String>) {
-        out.clear();
-        out.reserve(sel.len());
+    /// Folds every row into `state` (`COUNT`/`SUM`/`MIN`/`MAX` in one pass,
+    /// no materialized vector).
+    fn aggregate_into(&self, state: &mut IntAggState) {
+        self.for_each_chunk(&mut |_, chunk| {
+            for &v in chunk {
+                state.update(v);
+            }
+        });
+    }
+
+    /// Folds the rows at the selected positions into `state`.
+    fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
         for &p in sel.positions() {
-            out.push(self.get(p as usize).to_owned());
+            state.update(self.get(p as usize));
         }
     }
 
-    /// Compressed size in bytes including metadata.
-    fn compressed_bytes(&self) -> usize;
+    /// Folds row `i` into `states[group_of[i]]` for every row — the grouped
+    /// aggregation kernel. `group_of.len()` must equal the column length and
+    /// every code must index `states`; callers route filtered-out rows to a
+    /// trailing discard group rather than passing a selection.
+    fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]) {
+        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
+        self.for_each_chunk(&mut |start, chunk| {
+            for (&v, &g) in chunk.iter().zip(&group_of[start..]) {
+                states[g as usize].update(v);
+            }
+        });
+    }
+
+    /// *Exact* min/max bounds of the stored values (`None` when empty), in
+    /// contrast to [`value_bounds`](Self::value_bounds), which may be
+    /// covering-but-loose (FOR's `base + 2^bits - 1`). Costs at most one
+    /// streaming pass; codecs with cheap exact statistics (Dict, RLE,
+    /// Frequency) override it with O(distinct)/O(runs) paths.
+    ///
+    /// Exactness assumes the canonical encoder invariants (e.g. every
+    /// dictionary entry occurs in some row), which hold for every
+    /// `encode`-produced column.
+    fn exact_bounds(&self) -> Option<ZoneMap> {
+        let mut state = IntAggState::default();
+        self.aggregate_into(&mut state);
+        Some(ZoneMap {
+            min: state.min?,
+            max: state.max?,
+        })
+    }
+
+    /// Offers every row of the column as a `(value, base + row)` candidate
+    /// into `heap`; an override may skip rows that provably lose to rows it
+    /// does offer from the same column (the heap itself arbitrates against
+    /// candidates from other blocks).
+    ///
+    /// `base` is the caller's position offset (drivers pass `block << 32` so
+    /// positions stay globally unique and the heap's tie-break resolves to
+    /// "earlier block, then earlier row").
+    fn top_k_into(&self, base: u64, heap: &mut TopKHeap) {
+        if heap.k() == 0 {
+            return;
+        }
+        self.for_each_chunk(&mut |start, chunk| {
+            for (j, &v) in chunk.iter().enumerate() {
+                heap.offer(v, base + (start + j) as u64);
+            }
+        });
+    }
+
+    /// Offers only the selected rows (the post-filter path).
+    fn top_k_selected(&self, base: u64, sel: &SelectionVector, heap: &mut TopKHeap) {
+        if heap.k() == 0 {
+            return;
+        }
+        for &p in sel.positions() {
+            heap.offer(self.get(p as usize), base + p as u64);
+        }
+    }
 }
 
-/// Encodings that can verify an encode→decode roundtrip cheaply in tests.
-pub trait Validate {
-    /// Checks internal invariants, returning a corruption error if violated.
-    fn validate(&self) -> Result<()>;
+/// Positions are sorted, so one check on the last bounds them all — for
+/// kernels that read packed words without the scalar getter's own check.
+pub(crate) fn check_selection(sel: &SelectionVector, len: usize) {
+    assert!(sel.validate(len), "selection out of bounds (len {len})");
 }
 
-/// Order guarantee of a dictionary-style codec's code domain.
-///
-/// Integer dictionaries keep a *sorted* dictionary, so comparing two rows'
-/// codes orders them exactly like comparing their decoded values — range
-/// predicates, min/max zones, and TOP-K may run entirely in the code
-/// domain. String dictionaries store their pool in *first-occurrence*
-/// order, so code comparison is meaningless: every consumer of code order
-/// must gate on this capability (and either fall back to a value-domain
-/// path or reject the operation) instead of silently assuming sortedness.
-pub trait CodeOrder {
-    /// `true` iff comparing per-row codes is equivalent to comparing the
-    /// values they decode to (i.e. the dictionary is sorted).
-    fn codes_are_ordered(&self) -> bool;
+/// The chunk stream of a bit-packed codec: unpacks `packed` through the
+/// batched kernels and hands `f` each chunk mapped to values by
+/// `value(row, packed_word)`, called in row order.
+pub(crate) fn stream_packed(
+    packed: &BitPackedVec,
+    mut value: impl FnMut(usize, u64) -> i64,
+    f: &mut dyn FnMut(usize, &[i64]),
+) {
+    let mut vals = [0i64; UNPACK_CHUNK];
+    packed.unpack_chunks(|start, chunk| {
+        for (j, (&w, v)) in chunk.iter().zip(&mut vals).enumerate() {
+            *v = value(start + j, w);
+        }
+        f(start, &vals[..chunk.len()]);
+    });
 }

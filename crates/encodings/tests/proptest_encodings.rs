@@ -1,12 +1,14 @@
 //! Property-based tests: every encoding is a lossless, random-access
 //! bijection and survives serialization.
 
+use corra_columnar::aggregate::IntAggState;
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
+use corra_columnar::topk::TopKHeap;
 use corra_encodings::filter::filter_naive;
 use corra_encodings::{
-    choose_int_baseline, choose_int_full, DeltaInt, DictInt, DictStr, FilterInt, ForInt,
-    FrequencyInt, IntAccess, IntEncoding, PlainInt, RleInt, StrAccess,
+    choose_int_baseline, choose_int_full, DeltaInt, DictInt, DictStr, ForInt, FrequencyInt,
+    IntAccess, IntEncoding, PlainInt, RleInt,
 };
 use proptest::prelude::*;
 
@@ -30,6 +32,120 @@ fn check_roundtrip(enc: &impl IntAccess, values: &[i64]) -> Result<(), TestCaseE
     for i in [0, values.len() / 2, values.len().saturating_sub(1)] {
         if i < values.len() {
             prop_assert_eq!(enc.get(i), values[i]);
+        }
+    }
+    Ok(())
+}
+
+/// A codec seen through its four required methods only, so every other
+/// method is the trait's provided body — the reference each override is
+/// measured against.
+struct Provided<'a, E>(&'a E);
+
+impl<E: IntAccess> IntAccess for Provided<'_, E> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn get(&self, i: usize) -> i64 {
+        self.0.get(i)
+    }
+
+    fn compressed_bytes(&self) -> usize {
+        self.0.compressed_bytes()
+    }
+
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+        self.0.for_each_chunk(f)
+    }
+}
+
+/// Every kernel of `enc`, overridden or not, answers exactly what the
+/// provided body answers on the same input. The one licensed difference:
+/// `value_bounds` may be loose, so it must *cover* the provided exact
+/// bounds rather than equal them.
+fn check_overrides(
+    enc: &impl IntAccess,
+    ranges: &[IntRange],
+    sels: &[SelectionVector],
+    group_of: &[u32],
+    seed: i64,
+) -> Result<(), TestCaseError> {
+    let reference = Provided(enc);
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    enc.decode_into(&mut got);
+    reference.decode_into(&mut want);
+    prop_assert_eq!(&got, &want);
+    for range in ranges {
+        let (mut got, mut want) = (vec![7], vec![9]);
+        enc.filter_into(range, &mut got);
+        reference.filter_into(range, &mut want);
+        prop_assert!(got == want, "filter {:?}: {:?} != {:?}", range, got, want);
+    }
+
+    let (mut got, mut want) = (IntAggState::default(), IntAggState::default());
+    enc.aggregate_into(&mut got);
+    reference.aggregate_into(&mut want);
+    prop_assert_eq!(got, want);
+    let n_groups = group_of.iter().max().map_or(0, |&g| g as usize + 1);
+    let mut got = vec![IntAggState::default(); n_groups];
+    let mut want = got.clone();
+    enc.aggregate_grouped(group_of, &mut got);
+    reference.aggregate_grouped(group_of, &mut want);
+    prop_assert_eq!(got, want);
+
+    let exact = reference.exact_bounds();
+    prop_assert_eq!(enc.exact_bounds(), exact);
+    prop_assert_eq!(exact.is_none(), enc.is_empty());
+    match (enc.value_bounds(), exact) {
+        (Some(zone), Some(exact)) => {
+            prop_assert!(
+                zone.covers(exact.min) && zone.covers(exact.max),
+                "{:?} misses {:?}",
+                zone,
+                exact
+            );
+        }
+        (zone, None) => prop_assert_eq!(zone, None),
+        (None, Some(_)) => {}
+    }
+
+    for sel in sels {
+        let (mut got, mut want) = (vec![7], vec![9]);
+        enc.gather_into(sel, &mut got);
+        reference.gather_into(sel, &mut want);
+        prop_assert_eq!(got, want);
+        let (mut got, mut want) = (IntAggState::default(), IntAggState::default());
+        enc.aggregate_selected(sel, &mut got);
+        reference.aggregate_selected(sel, &mut want);
+        prop_assert_eq!(got, want);
+    }
+    // TOP-K into an empty heap and into one already holding a candidate
+    // from "another block", whose bound lets overrides skip rows.
+    let base = 1u64 << 32;
+    for (k, descending, preload) in [
+        (0, false, false),
+        (1, true, false),
+        (3, false, true),
+        (3, true, true),
+        (enc.len() + 2, true, false),
+    ] {
+        let heap = || {
+            let mut heap = TopKHeap::new(k, descending);
+            if preload {
+                heap.offer(seed, 0);
+            }
+            heap
+        };
+        let (mut got, mut want) = (heap(), heap());
+        enc.top_k_into(base, &mut got);
+        reference.top_k_into(base, &mut want);
+        prop_assert_eq!(got.into_sorted(), want.into_sorted());
+        for sel in sels {
+            let (mut got, mut want) = (heap(), heap());
+            enc.top_k_selected(base, sel, &mut got);
+            reference.top_k_selected(base, sel, &mut want);
+            prop_assert_eq!(got.into_sorted(), want.into_sorted());
         }
     }
     Ok(())
@@ -196,5 +312,46 @@ proptest! {
         let plain_b = PlainInt::encode(&values).compressed_bytes();
         let min = for_b.min(dict_b).min(rle_b).min(delta_b).min(plain_b);
         prop_assert!(chosen.compressed_bytes() <= min);
+    }
+
+    /// The trait's provided bodies are the reference: each of the six
+    /// codecs, and `IntEncoding` dispatching to the chooser's pick, answers
+    /// every kernel exactly as they do — on empty columns, empty and
+    /// all-rows selections, and plain, negated, empty and all-covering
+    /// ranges.
+    #[test]
+    fn overrides_match_provided_bodies(
+        values in int_column(),
+        a in any::<i64>(),
+        b in any::<i64>(),
+        raw_sel in prop::collection::vec(any::<u32>(), 0..50),
+        raw_groups in prop::collection::vec(0u32..4, 400),
+    ) {
+        let n = values.len();
+        let (lo, hi) = (a.min(b), a.max(b));
+        // Constants drawn from the data exercise exact-hit paths.
+        let (first, last) = (values.first().copied().unwrap_or(0), values.last().copied().unwrap_or(0));
+        let ranges = [
+            IntRange::new(lo, hi),
+            IntRange::negated(lo, hi),
+            IntRange::new(first.min(last), first.max(last)),
+            IntRange::negated(first, first),
+            IntRange::empty(),
+            IntRange::all(),
+        ];
+        let sels = [
+            SelectionVector::empty(),
+            SelectionVector::all(n),
+            SelectionVector::new(raw_sel.iter().filter_map(|p| p.checked_rem(n as u32)).collect()),
+        ];
+        let group_of = &raw_groups[..n];
+        let seed = values.get(n / 2).copied().unwrap_or(a);
+        check_overrides(&PlainInt::encode(&values), &ranges, &sels, group_of, seed)?;
+        check_overrides(&ForInt::encode(&values), &ranges, &sels, group_of, seed)?;
+        check_overrides(&DictInt::encode(&values), &ranges, &sels, group_of, seed)?;
+        check_overrides(&RleInt::encode(&values), &ranges, &sels, group_of, seed)?;
+        check_overrides(&DeltaInt::encode(&values), &ranges, &sels, group_of, seed)?;
+        check_overrides(&FrequencyInt::encode(&values, 4), &ranges, &sels, group_of, seed)?;
+        check_overrides(&choose_int_full(&values), &ranges, &sels, group_of, seed)?;
     }
 }

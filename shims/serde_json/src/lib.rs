@@ -1,10 +1,10 @@
 //! Offline shim for the `serde_json` crate (see `shims/README.md`).
 //!
 //! Renders the `serde` shim's [`Value`] tree to JSON text ([`to_string`]),
-//! parses JSON text back into a [`Value`] tree ([`from_str`] — used by the
-//! `bench_diff` regression tripwire to read committed `BENCH_*.json`
-//! baselines), and provides a [`json!`] macro covering the
-//! object/array/expression forms the bench binaries use.
+//! parses JSON text back into a [`Value`] tree ([`from_str`] — used by
+//! `e2e_bench` to read `BENCHMARK.json` and its own per-run JSON lines),
+//! and provides a [`json!`] macro covering the object/array/expression
+//! forms the bench binaries use.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -37,10 +37,10 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`columnar`] | storage substrate: bit-packing, columns, blocks, selection vectors |
-//! | [`encodings`] | vertical schemes: Plain, FOR, Dict, RLE, Delta, Frequency + baseline chooser |
+//! | [`encodings`] | vertical schemes: Plain, FOR, Dict, RLE, Delta, Frequency behind the one `IntAccess` codec trait + baseline chooser |
 //! | [`core`] | Corra's horizontal schemes, optimizer, detection, block compressor, query kernels, indexed table store |
 //! | [`datagen`] | synthetic TPC-H / LDBC / DMV / Taxi generators |
-//! | [`c3`] | the C3 comparator (DFOR, Numerical, 1-to-1) |
+//! | [`c3`] | the C3 size comparator (DFOR, Numerical, 1-to-1, hierarchical FOR): encode, size, decode |
 
 #![warn(missing_docs)]
 
@@ -64,6 +64,6 @@ pub mod prelude {
     };
     pub use corra_encodings::{
         choose_int_baseline, choose_int_full, DictInt, DictStr, ForInt, IntAccess, IntEncoding,
-        PlainInt, StrAccess,
+        PlainInt,
     };
 }
