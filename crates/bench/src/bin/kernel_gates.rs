@@ -1,4 +1,4 @@
-//! **Kernel gates** — the four timing-*ratio* properties that need a clock.
+//! **Kernel gates** — the five timing-*ratio* properties that need a clock.
 //! Everything else the retired bench bins asserted is a tier-1 test (see
 //! the gate → test table in `docs/TESTING.md`); throughput *series* live in
 //! `e2e_bench`'s per-layer metrics. On the acceptance widths 8 / 12 / 16:
@@ -7,8 +7,11 @@
 //! * the active SIMD tier ≥ [`MIN_SIMD`]× the batched-scalar engine;
 //! * fused decode+filter ≥ [`MIN_FUSED`]× unpack-then-compare;
 //!
-//! and the RLE / Dict aggregate fast paths ≥ [`MIN_AGG`]× decompress-then-
-//! fold. Each gate asserts parity of its two legs, then times them
+//! the RLE / Dict aggregate fast paths ≥ [`MIN_AGG`]× decompress-then-fold;
+//! and the store's `checksum64` ≥ [`MIN_CHECKSUM`]× a `copy_from_slice` of
+//! the same [`CHECKSUM_BYTES`] buffer — integrity at memory speed, so a
+//! slide back to a byte-at-a-time hash (≈ 0.06×) fails on every tier. Each
+//! kernel gate first asserts parity of its two legs; every gate times them
 //! alternately [`PAIRS`] times and compares the *median of the per-pair
 //! ratios* with its threshold, so drift that hits both legs of a pair
 //! cancels. The two SIMD gates bind only when a SIMD tier resolved; under
@@ -26,6 +29,7 @@ use std::time::Instant;
 use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::simd::{self, KernelTier};
+use corra_core::checksum64;
 use corra_encodings::aggregate::aggregate_naive;
 use corra_encodings::{DictInt, IntAccess, RleInt};
 
@@ -41,6 +45,9 @@ const MIN_FUSED: f64 = 0.95;
 /// RLE / Dict compressed-domain fold vs decompress-then-fold.
 const MIN_AGG: f64 = 2.0;
 
+/// `checksum64` vs a plain copy of the same bytes (measured 1.1–1.2×).
+const MIN_CHECKSUM: f64 = 0.5;
+
 const GATED_WIDTHS: [u8; 3] = [8, 12, 16];
 /// Values per packed vector: L1-resident, so the unpack gates measure the
 /// kernels rather than the host's store bandwidth.
@@ -50,6 +57,9 @@ const VALUES: usize = 4_096;
 const PASSES: usize = 512;
 /// Rows behind each aggregate gate.
 const AGG_ROWS: usize = 400_000;
+/// Bytes behind the checksum gate: far above the last-level cache, so both
+/// legs stream from memory.
+const CHECKSUM_BYTES: usize = 64 << 20;
 /// Timed (slow, fast) pairs per gate.
 const PAIRS: usize = 15;
 
@@ -191,6 +201,24 @@ fn agg_gate(name: &str, enc: &impl IntAccess) -> Gate {
     }
 }
 
+fn checksum_gate() -> Gate {
+    let src = vec![0xa5u8; CHECKSUM_BYTES];
+    let mut dst = vec![0u8; CHECKSUM_BYTES];
+    let ratio = median_ratio(
+        1,
+        || black_box(&mut dst).copy_from_slice(black_box(&src)),
+        || {
+            black_box(checksum64(black_box(&src)));
+        },
+    );
+    Gate {
+        name: "checksum64 / copy_from_slice, 64 MiB".to_owned(),
+        ratio,
+        min: MIN_CHECKSUM,
+        binding: true,
+    }
+}
+
 fn main() {
     let tier = simd::active().tier;
     let simd_on = tier != KernelTier::Scalar;
@@ -210,6 +238,7 @@ fn main() {
         .map(|i| (i % 16) as i64 * 1_000_000_007)
         .collect();
     gates.push(agg_gate("dict/16distinct", &DictInt::encode(&few)));
+    gates.push(checksum_gate());
 
     let mut failed = false;
     for g in &gates {

@@ -21,7 +21,7 @@
 //! lives on the reader itself — it needs no cache entry.)
 //!
 //! **Integrity: a cached frame is never trusted unverified.** Fills run
-//! the same FNV-1a checksum checks as uncached reads *before* insertion,
+//! the same `checksum64` checks as uncached reads *before* insertion,
 //! so a bit-flipped fill surfaces as `Err` and nothing poisoned ever
 //! enters the cache; hits hand back bytes that already passed
 //! verification.

@@ -20,8 +20,8 @@
 //!   never silently wrong data (the store's checksums catch flipped
 //!   payload bytes).
 //!
-//! The module also provides [`checksum64`], the FNV-1a function behind the
-//! store's footer/segment/payload integrity checks.
+//! The module also provides [`checksum64`], the four-lane word hash behind
+//! the store's footer/segment/payload and the manifest's integrity checks.
 
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -295,23 +295,66 @@ impl IoBackend for FileBackend {
     }
 }
 
-/// FNV-1a 64-bit checksum.
+/// The store's 64-bit integrity checksum: a four-lane, word-at-a-time
+/// multiply–rotate hash.
 ///
-/// Bijective per input byte (xor, then multiply by an odd prime), so any
-/// single-bit or single-byte corruption is guaranteed to change the value —
-/// exactly the fault class the torture harness injects. Not
-/// collision-resistant against adversarial *pairs* of inputs; the store
-/// uses it for bit-rot and torn-write detection, not authentication.
+/// The input is read as little-endian `u64` words in 32-byte stripes; word
+/// `i` of every stripe goes to lane `i`, and the four lanes are seeded
+/// differently (so position inside a stripe counts) and independent (so the
+/// multiplies overlap and the loop runs at memory speed, not one multiply
+/// per byte). Every absorption is the same step,
+/// `state = rotl((state ^ word) · ODD, 31)`. The finish starts from the byte
+/// length, then folds through that step the four lanes, the whole words left
+/// after the last stripe, and the last partial word zero-padded, and ends
+/// with an xor-shift.
+///
+/// The step is a bijection of the state for a fixed word and of the word
+/// for a fixed state (xor, multiply by an odd constant and rotate each
+/// are), and so is the xor-shift. A corruption confined to one aligned
+/// 8-byte word therefore changes the state that absorbs it, and every later
+/// step carries the difference to the result: **any** such corruption — so
+/// every single-bit and single-byte flip, exactly the fault class the
+/// torture harness injects — is guaranteed to change the value. Folding the
+/// length in first makes truncation and zero-extension visible even though
+/// the last word is zero-padded. Not collision-resistant against adversarial
+/// *pairs* of inputs; the store uses it for bit-rot and torn-write
+/// detection, not authentication.
+///
+/// The values are stored (table footers, manifests), so editing this
+/// function is a format bump; a known-answer test pins it.
 #[must_use]
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
+    const ODD: u64 = 0x9e37_79b9_7f4a_7c15;
+    const SEEDS: [u64; 4] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    fn step(state: u64, word: u64) -> u64 {
+        (state ^ word).wrapping_mul(ODD).rotate_left(31)
     }
-    hash
+    // Little-endian word of up to eight bytes, zero-padded.
+    fn word(bytes: &[u8]) -> u64 {
+        let mut w = [0u8; 8];
+        w[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(w)
+    }
+    let mut lanes = SEEDS;
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in stripes.by_ref() {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = step(*lane, word(w));
+        }
+    }
+    let mut hash = step(ODD, bytes.len() as u64);
+    for lane in lanes {
+        hash = step(hash, lane);
+    }
+    for w in stripes.remainder().chunks(8) {
+        hash = step(hash, word(w));
+    }
+    hash ^ (hash >> 32)
 }
 
 /// Which faults a [`FaultyBackend`] injects, with what probability, on a
@@ -948,14 +991,42 @@ mod tests {
 
     #[test]
     fn checksum_catches_every_single_bit_flip() {
-        let bytes: Vec<u8> = (0..64).map(|i| (i * 37 % 256) as u8).collect();
-        let clean = checksum64(&bytes);
-        for i in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut flipped = bytes.clone();
-                flipped[i] ^= 1 << bit;
-                assert_ne!(checksum64(&flipped), clean, "byte {i} bit {bit}");
+        // Lengths 0..=80: empty input, byte tail, word tail, one stripe and
+        // two stripes + tail.
+        for len in 0..=80usize {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
+            let clean = checksum64(&bytes);
+            for i in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[i] ^= 1 << bit;
+                    assert_ne!(checksum64(&flipped), clean, "len {len} byte {i} bit {bit}");
+                }
             }
+        }
+    }
+
+    /// The values are stored in every footer and manifest: editing
+    /// `checksum64` so that one of these moves is a format bump
+    /// (`FOOTER_VERSION`, `MANIFEST_VERSION`), not a refactor.
+    #[test]
+    fn checksum_known_answers() {
+        // The 0..=255 byte ramp, repeated.
+        let ramp: Vec<u8> = (0..1000).map(|i| i as u8).collect();
+        for (len, want) in [
+            (0usize, 0xb6ae_5510_2779_d665u64),
+            (1, 0xdaea_152b_497c_121b),
+            (7, 0x0ccd_41dc_7e7c_74c6),
+            (8, 0x725d_8768_c08f_f2d7),
+            (9, 0x8b5b_93b9_9f03_c0b2),
+            (31, 0x14b8_2cf2_4881_6fa5),
+            (32, 0x2c81_5f12_e1b3_d4ac),
+            (33, 0x0dc3_6264_cee6_e93b),
+            (64, 0x6fbc_95d8_c36d_bda7),
+            (65, 0x68f3_13f5_3e78_a88f),
+            (1000, 0x7f8a_2b8f_9227_dafd),
+        ] {
+            assert_eq!(checksum64(&ramp[..len]), want, "len {len}");
         }
     }
 }

@@ -21,9 +21,17 @@
 //!    directory entry, a durable manifest name implies durable segments.
 //!
 //! The byte layout is documented in `docs/FORMAT.md`; the checksum is the
-//! store-wide FNV-1a [`checksum64`], verified over the entire record
-//! *before* any field is parsed — hostile bytes must fail closed.
+//! store-wide [`checksum64`] over the entire record. [`Manifest::decode`]
+//! checks magic, then version, then the checksum, then the fields: the
+//! checksum function belongs to the version, so a record another build wrote
+//! must be told apart from a torn one *before* its checksum is judged —
+//! recovery skips torn records and falls back, but refuses a directory that
+//! holds a published record of another version ([`scan_dir`]) rather than
+//! treating it as empty. Any flipped bit still fails closed, whichever check
+//! it lands in. There is one manifest version ([`MANIFEST_VERSION`], 2 since
+//! the checksum changed with footer v4); any other is [`Error::Corrupt`].
 
+use bytes::Buf;
 use corra_columnar::error::{Error, Result};
 
 use crate::io::checksum64;
@@ -33,7 +41,7 @@ use crate::vfs::{read_file, write_file_atomic, Vfs};
 pub const MANIFEST_MAGIC: [u8; 8] = *b"CORRAMAN";
 
 /// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// One live segment as recorded in a [`Manifest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,9 +113,9 @@ impl Manifest {
         out
     }
 
-    /// Parses and validates a manifest record. The self-checksum is
-    /// verified over the whole record **before** any field is trusted, so
-    /// bit flips and truncations fail closed.
+    /// Parses and validates a manifest record: magic, then version, then
+    /// the self-checksum over the whole record, and only then the fields,
+    /// so bit flips and truncations fail closed.
     ///
     /// # Errors
     ///
@@ -120,42 +128,34 @@ impl Manifest {
                 bytes.len()
             )));
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if checksum64(body) != stored {
+        match record_version(bytes) {
+            None => return Err(Error::corrupt("manifest magic mismatch")),
+            Some(MANIFEST_VERSION) => {}
+            Some(version) => return Err(unsupported_version(version)),
+        }
+        let (body, mut tail) = bytes.split_at(bytes.len() - 8);
+        if checksum64(body) != tail.get_u64_le() {
             return Err(Error::corrupt("manifest checksum mismatch"));
         }
-        if body[..8] != MANIFEST_MAGIC {
-            return Err(Error::corrupt("manifest magic mismatch"));
-        }
-        let version = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-        if version != MANIFEST_VERSION {
-            return Err(Error::corrupt(format!(
-                "unsupported manifest version {version}"
-            )));
-        }
-        let seq = u64::from_le_bytes(body[12..20].try_into().expect("8 bytes"));
-        let n = u32::from_le_bytes(body[20..24].try_into().expect("4 bytes")) as usize;
-        let mut cursor = HEADER;
+        let mut buf = &body[8 + 4..];
+        let seq = buf.get_u64_le();
+        let n = buf.get_u32_le() as usize;
         let mut segments = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            if body.len() < cursor + 26 {
+            if buf.remaining() < 26 {
                 return Err(Error::corrupt("manifest entry truncated"));
             }
-            let seg_seq = u64::from_le_bytes(body[cursor..cursor + 8].try_into().expect("8"));
-            let rows = u64::from_le_bytes(body[cursor + 8..cursor + 16].try_into().expect("8"));
-            let file_len =
-                u64::from_le_bytes(body[cursor + 16..cursor + 24].try_into().expect("8"));
-            let name_len =
-                u16::from_le_bytes(body[cursor + 24..cursor + 26].try_into().expect("2")) as usize;
-            cursor += 26;
-            if body.len() < cursor + name_len {
+            let seg_seq = buf.get_u64_le();
+            let rows = buf.get_u64_le();
+            let file_len = buf.get_u64_le();
+            let name_len = buf.get_u16_le() as usize;
+            if buf.remaining() < name_len {
                 return Err(Error::corrupt("manifest entry name truncated"));
             }
-            let name = std::str::from_utf8(&body[cursor..cursor + name_len])
+            let name = std::str::from_utf8(&buf[..name_len])
                 .map_err(|_| Error::corrupt("manifest entry name not utf-8"))?
                 .to_owned();
-            cursor += name_len;
+            buf.advance(name_len);
             segments.push(SegmentEntry {
                 seq: seg_seq,
                 name,
@@ -163,7 +163,7 @@ impl Manifest {
                 file_len,
             });
         }
-        if cursor != body.len() {
+        if !buf.is_empty() {
             return Err(Error::corrupt("manifest has trailing bytes"));
         }
         Ok(Self { seq, segments })
@@ -186,6 +186,16 @@ impl Manifest {
             &self.encode(),
         )
     }
+}
+
+/// The version word of a record that starts with the manifest magic.
+fn record_version(bytes: &[u8]) -> Option<u32> {
+    let mut rest = bytes.strip_prefix(&MANIFEST_MAGIC)?;
+    (rest.remaining() >= 4).then(|| rest.get_u32_le())
+}
+
+fn unsupported_version(version: u32) -> Error {
+    Error::corrupt(format!("unsupported manifest version {version}"))
 }
 
 /// The published file name for manifest number `seq`.
@@ -272,11 +282,15 @@ pub struct DirScan {
 ///
 /// Invalid manifests (torn temp files, flipped bytes, missing segments)
 /// are *skipped*, not fatal — the caller falls back to the next-newest
-/// candidate. Only I/O failures on the directory itself error.
+/// candidate. A published record with the manifest magic and another
+/// version is fatal: another build's table lives here, and reading the
+/// directory as empty would let `create` publish over it and the next GC
+/// delete its segments.
 ///
 /// # Errors
 ///
-/// Underlying I/O failures listing the directory or reading files.
+/// Underlying I/O failures listing the directory or reading files; a
+/// published manifest of an unsupported version.
 pub fn scan_dir(vfs: &dyn Vfs) -> Result<DirScan> {
     let names = vfs.list()?;
     let mut next_manifest_seq = 1;
@@ -303,6 +317,9 @@ pub fn scan_dir(vfs: &dyn Vfs) -> Result<DirScan> {
         let Ok(bytes) = read_file(vfs, &name) else {
             continue;
         };
+        if let Some(version) = record_version(&bytes).filter(|&v| v != MANIFEST_VERSION) {
+            return Err(unsupported_version(version));
+        }
         let Ok(manifest) = Manifest::decode(&bytes) else {
             continue;
         };
@@ -474,7 +491,7 @@ mod tests {
         // Corrupt the newest manifest on disk: recovery falls back to m1.
         let bytes = read_file(&vfs, &m2.file_name()).unwrap();
         let mut broken = bytes.clone();
-        broken[10] ^= 0x40;
+        broken[13] ^= 0x40;
         let f = vfs.create(&m2.file_name()).unwrap();
         crate::io::write_full_at(&f, 0, &broken).unwrap();
         let scan = scan_dir(&vfs).unwrap();
@@ -482,6 +499,17 @@ mod tests {
         assert_eq!(scan.candidates[0], m1);
         // Numbers are still never reused.
         assert_eq!(scan.next_manifest_seq, 3);
+
+        // A published record of another version is not a torn write: the
+        // scan refuses the directory instead of falling back past it.
+        let mut foreign = bytes;
+        foreign[8..12].copy_from_slice(&1u32.to_le_bytes());
+        crate::io::write_full_at(&f, 0, &foreign).unwrap();
+        let err = scan_dir(&vfs).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m == "unsupported manifest version 1"),
+            "{err}"
+        );
     }
 
     #[test]

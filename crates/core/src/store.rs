@@ -31,7 +31,7 @@
 //!   [`crate::compressor::compress_blocks`]) and buffers only footer
 //!   metadata, never the file.
 //!
-//! The footer carries end-to-end integrity: an FNV-1a checksum per column
+//! The footer carries end-to-end integrity: a [`checksum64`] per column
 //! payload span (verified on every lazy load), per block segment (verified
 //! by [`TableReader::read_block`]), and a footer self-checksum — so any
 //! flipped bit anywhere in the file surfaces as [`Error::Corrupt`] rather
@@ -76,7 +76,7 @@ use corra_columnar::topk::TopKHeap;
 /// File magic framing a Corra table (leading and trailing).
 pub const TABLE_MAGIC: [u8; 8] = *b"CORRATBL";
 /// The footer format version (checksummed).
-pub const FOOTER_VERSION: u16 = 3;
+pub const FOOTER_VERSION: u16 = 4;
 
 const TRAILER_LEN: u64 = 8 + 8; // footer_len + magic
 
@@ -98,7 +98,7 @@ pub struct ColumnMeta {
     /// fully-covered `MIN`/`MAX` blocks without reading payload bytes;
     /// covering zones are only sound for pruning.
     pub zone_exact: bool,
-    /// FNV-1a checksum of the payload span's bytes, verified on every
+    /// [`checksum64`] of the payload span's bytes, verified on every
     /// lazy payload load.
     pub checksum: u64,
 }
@@ -114,7 +114,7 @@ pub struct BlockMeta {
     pub rows: u32,
     /// Per-column metadata, in schema order.
     pub columns: Vec<ColumnMeta>,
-    /// FNV-1a checksum of the whole block segment, verified by
+    /// [`checksum64`] of the whole block segment, verified by
     /// [`TableReader::read_block`].
     pub checksum: u64,
 }
@@ -204,23 +204,23 @@ impl TableFooter {
     }
 
     fn read_from(full: &[u8]) -> Result<Self> {
-        if full.len() < 2 {
+        let mut buf = full;
+        if buf.remaining() < 2 {
             return Err(Error::corrupt("footer version truncated"));
         }
-        let version = u16::from_le_bytes(full[..2].try_into().expect("two bytes"));
+        let version = buf.get_u16_le();
         if version != FOOTER_VERSION {
             return Err(Error::corrupt(format!(
                 "unsupported footer version {version}"
             )));
         }
-        if full.len() < 2 + 8 {
+        if buf.remaining() < 8 {
             return Err(Error::corrupt("footer self-checksum truncated"));
         }
-        let (body, sum) = full.split_at(full.len() - 8);
-        if checksum64(body) != u64::from_le_bytes(sum.try_into().expect("eight")) {
+        let (mut buf, mut sum) = buf.split_at(buf.len() - 8);
+        if checksum64(&full[..full.len() - 8]) != sum.get_u64_le() {
             return Err(Error::corrupt("footer self-checksum mismatch"));
         }
-        let mut buf = &body[2..];
         let schema = Schema::read_from(&mut buf)?;
         let n_cols = schema.len();
         if buf.remaining() < 4 {
@@ -585,7 +585,7 @@ impl TableReader {
         if trailer[8..] != TABLE_MAGIC {
             return Err(Error::corrupt("bad trailing table magic"));
         }
-        let footer_len = u64::from_le_bytes(trailer[..8].try_into().expect("eight bytes"));
+        let footer_len = trailer.as_slice().get_u64_le();
         let data_end = (file_len - TRAILER_LEN)
             .checked_sub(footer_len)
             .ok_or_else(|| Error::corrupt("footer length exceeds file"))?;

@@ -10,7 +10,7 @@
 //!   leave every read/scan/aggregate either returning `Err` or returning
 //!   a result *identical* to the clean file's (a flip the operation never
 //!   touches). Silently different data is the one forbidden outcome —
-//!   made checkable end-to-end by the footer v3 checksums.
+//!   made checkable end-to-end by the footer v4 checksums.
 //!
 //! [`corruption_sweep`] panics (with the offending byte offset) on any
 //! violation, so it drops straight into `#[test]` functions, and returns a
@@ -128,8 +128,8 @@ impl OpPlan {
     }
 }
 
-/// `Some(fingerprint)` for `Ok`, `None` for `Err`. Fingerprints are FNV
-/// checksums of the debug rendering — equality is all the sweep needs.
+/// `Some(fingerprint)` for `Ok`, `None` for `Err`. Fingerprints are
+/// [`checksum64`]s of the debug rendering — equality is all the sweep needs.
 fn fp<T: std::fmt::Debug>(result: corra_columnar::error::Result<T>) -> Option<u64> {
     result.ok().map(|v| checksum64(format!("{v:?}").as_bytes()))
 }

@@ -240,6 +240,63 @@ fn corrupting_the_newest_manifest_falls_back_to_the_previous_state() {
     assert_eq!(read_all(&recovered), (0..100).collect::<Vec<i64>>());
 }
 
+/// A directory another build wrote (a published record with the manifest
+/// magic and another version word) is refused by every entry point and left
+/// byte-for-byte as found — not read as empty, which would let `create`
+/// publish over it and the next append's GC delete its segments.
+#[test]
+fn a_directory_of_another_manifest_version_is_refused_and_left_untouched() {
+    let sim = SimVfs::new(31);
+    let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
+    let segment = b"stands in for a segment the other build wrote".to_vec();
+    let seg_name = "seg-000001.corra";
+    // The version-1 record by hand: the layout is unchanged, only the
+    // version word and the checksum function differ — and the version is
+    // judged first, so any trailing eight bytes do.
+    let mut record = b"CORRAMAN".to_vec();
+    record.extend_from_slice(&1u32.to_le_bytes()); // version
+    record.extend_from_slice(&1u64.to_le_bytes()); // manifest seq
+    record.extend_from_slice(&1u32.to_le_bytes()); // one segment
+    record.extend_from_slice(&1u64.to_le_bytes()); // segment seq
+    record.extend_from_slice(&100u64.to_le_bytes()); // rows
+    record.extend_from_slice(&(segment.len() as u64).to_le_bytes());
+    record.extend_from_slice(&(seg_name.len() as u16).to_le_bytes());
+    record.extend_from_slice(seg_name.as_bytes());
+    record.extend_from_slice(&[0xAB; 8]); // self-checksum of another function
+    let files = [(seg_name, segment), ("manifest-000001.man", record)];
+    for (name, bytes) in &files {
+        let f = vfs.create(name).unwrap();
+        corra_core::io::write_full_at(f.as_ref(), 0, bytes).unwrap();
+        f.fsync().unwrap();
+    }
+    vfs.sync_dir().unwrap();
+    let listing = vfs.list().unwrap();
+
+    type Entry = fn(Arc<dyn Vfs>, IngestConfig) -> corra_columnar::error::Result<IngestTable>;
+    let entries: [(&str, Entry); 3] = [
+        ("open", IngestTable::open),
+        ("create", IngestTable::create),
+        ("open_or_create", IngestTable::open_or_create),
+    ];
+    for (what, entry) in entries {
+        match entry(Arc::clone(&vfs), ingest_config()) {
+            Err(corra_columnar::error::Error::Corrupt(msg)) => {
+                assert_eq!(msg, "unsupported manifest version 1", "{what}");
+            }
+            Err(other) => panic!("{what}: wrong error {other}"),
+            Ok(_) => panic!("{what} adopted or overwrote another build's table"),
+        }
+        assert_eq!(vfs.list().unwrap(), listing, "{what} changed the directory");
+        for (name, bytes) in &files {
+            assert_eq!(
+                &corra_core::vfs::read_file(vfs.as_ref(), name).unwrap(),
+                bytes,
+                "{what} rewrote {name}"
+            );
+        }
+    }
+}
+
 /// A segment whose tail is damaged (the torn-tail shape: checksum no
 /// longer matches) invalidates the manifest naming it; recovery falls
 /// back to the previous durable state instead of serving bad bytes.

@@ -1,7 +1,7 @@
 //! Property tests for the indexed table store: projected reads through the
 //! footer must equal full-block decompression for every codec family, over
 //! arbitrary data — and store-driven scans must match the in-memory scan
-//! kernels row for row.
+//! kernels row for row. Also the store checksum's detection contract.
 
 mod common;
 
@@ -9,7 +9,9 @@ use corra_columnar::block::DataBlock;
 use corra_columnar::column::{Column, DataType};
 use corra_columnar::schema::{Field, Schema};
 use corra_core::store::{TableReader, TableWriter};
-use corra_core::{scan_blocks, ColumnPlan, CompressedBlock, CompressionConfig, Predicate};
+use corra_core::{
+    checksum64, scan_blocks, ColumnPlan, CompressedBlock, CompressionConfig, Predicate,
+};
 use proptest::prelude::*;
 
 /// Builds a block whose columns cover every serializable codec family:
@@ -194,5 +196,54 @@ proptest! {
         };
         let report = common::corruption_sweep(&bytes, &opts);
         prop_assert!(report.flips_tested > 0);
+    }
+
+    /// `checksum64` on arbitrary inputs: replacing any one aligned word (the
+    /// partial last one included), truncating, or appending zero bytes
+    /// changes the value, and so does swapping two unequal words of one
+    /// stripe — the four lanes are seeded differently, so position inside a
+    /// stripe counts.
+    #[test]
+    fn checksum64_detects_word_replacement_length_change_and_stripe_swap(
+        mut words in prop::collection::vec(any::<u64>(), 4..48),
+        tail in prop::collection::vec(any::<u8>(), 0..8),
+        at in any::<usize>(),
+        mask in 1u64..=u64::MAX,
+        cut in 1usize..=40,
+        lanes in (0usize..4, 1usize..4),
+    ) {
+        // Two different lanes of one whole stripe, holding unequal words.
+        let stripe = at % (words.len() / 4) * 4;
+        let (a, b) = (stripe + lanes.0, stripe + (lanes.0 + lanes.1) % 4);
+        if words[a] == words[b] {
+            words[b] ^= 1;
+        }
+        let to_bytes = |words: &[u64]| -> Vec<u8> {
+            let mut out: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            out.extend_from_slice(&tail);
+            out
+        };
+        let bytes = to_bytes(&words);
+        let clean = checksum64(&bytes);
+
+        let mut swapped = words.clone();
+        swapped.swap(a, b);
+        prop_assert!(checksum64(&to_bytes(&swapped)) != clean, "swap {} <-> {}", a, b);
+
+        let start = at % bytes.len() / 8 * 8;
+        let mut replaced = bytes.clone();
+        for (byte, m) in replaced[start..].iter_mut().zip(mask.to_le_bytes()) {
+            *byte ^= m;
+        }
+        if replaced == bytes {
+            replaced[start] ^= 1; // the mask's set bits all fell past a partial word
+        }
+        prop_assert!(checksum64(&replaced) != clean, "word at {}", start);
+
+        let kept = bytes.len().saturating_sub(cut);
+        prop_assert!(checksum64(&bytes[..kept]) != clean, "truncated to {}", kept);
+        let mut extended = bytes.clone();
+        extended.resize(bytes.len() + cut, 0);
+        prop_assert!(checksum64(&extended) != clean, "{} zero bytes appended", cut);
     }
 }

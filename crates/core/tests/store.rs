@@ -31,16 +31,23 @@ fn corruption_sweep_catches_every_mutation() {
 #[test]
 fn footer_version_word_2_is_rejected_as_corrupt() {
     // There is one footer version: a file whose footer claims the retired
-    // checksum-free layout is corrupt, not a second format to parse.
+    // checksum-free layout (2) or the retired FNV-1a-checksummed one (3) is
+    // corrupt, not a second format to parse.
     let (_, _, bytes) = small_table();
     let footer_len = u64::from_le_bytes(bytes[bytes.len() - 16..][..8].try_into().unwrap());
     let footer_at = bytes.len() - 16 - footer_len as usize;
-    let mut hostile = bytes.clone();
-    hostile[footer_at..footer_at + 2].copy_from_slice(&2u16.to_le_bytes());
-    assert!(matches!(
-        TableReader::from_bytes(hostile),
-        Err(Error::Corrupt(_))
-    ));
+    for retired in [2u16, 3] {
+        let mut hostile = bytes.clone();
+        hostile[footer_at..footer_at + 2].copy_from_slice(&retired.to_le_bytes());
+        match TableReader::from_bytes(hostile) {
+            Err(Error::Corrupt(msg)) => assert_eq!(
+                msg,
+                format!("unsupported footer version {retired}"),
+                "the version word is judged before the checksum"
+            ),
+            other => panic!("version {retired} opened: {:?}", other.map(|_| ())),
+        }
+    }
 }
 
 #[test]

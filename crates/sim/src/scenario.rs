@@ -33,11 +33,10 @@ use corra_core::ingest::{IngestConfig, IngestTable};
 use corra_core::store::{SegmentedTable, TableReader, TableWriter};
 use corra_core::vfs::{SimVfs, Vfs};
 use corra_core::{
-    aggregate_blocks, aggregate_blocks_parallel, checksum64, compact, corruption_sweep,
-    hash_join_blocks, hash_join_blocks_parallel, scan_blocks, top_k_blocks, top_k_blocks_parallel,
-    AggExpr, AggFunc, AggResult, ColumnPlan, CompactionConfig, CompressedBlock, CompressionConfig,
-    FaultPlan, FaultyBackend, JoinExpr, JoinPair, MemBackend, Predicate, SweepOptions, TopKExpr,
-    TopKRow,
+    aggregate_blocks, aggregate_blocks_parallel, compact, corruption_sweep, hash_join_blocks,
+    hash_join_blocks_parallel, scan_blocks, top_k_blocks, top_k_blocks_parallel, AggExpr, AggFunc,
+    AggResult, ColumnPlan, CompactionConfig, CompressedBlock, CompressionConfig, FaultPlan,
+    FaultyBackend, JoinExpr, JoinPair, MemBackend, Predicate, SweepOptions, TopKExpr, TopKRow,
 };
 use corra_datagen::{
     taxi, DmvParams, DmvTable, LineitemDates, MessageParams, MessageTable, TaxiParams, TaxiTable,
@@ -134,6 +133,15 @@ enum Expected {
     Join(usize, u64),
 }
 
+/// FNV-1a 64: the result *fingerprint* chain's hash. Not the store's
+/// checksum — a format bump there must leave every seed's `fp` comparable
+/// with the lines older builds printed.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Order-sensitive FNV-style fold over every pair's four coordinates, so a
 /// join result collapses to a compact digest without losing pair order.
 fn digest_pairs(pairs: &[JoinPair]) -> u64 {
@@ -158,7 +166,7 @@ pub struct Scenario {
     pub block_rows: usize,
     /// Compressed blocks (the in-memory engine's input).
     pub blocks: Vec<CompressedBlock>,
-    /// Serialized store image (footer v3, checksummed).
+    /// Serialized store image (footer v4, checksummed).
     pub bytes: Vec<u8>,
     /// The row-oriented oracle.
     pub model: ModelTable,
@@ -252,7 +260,7 @@ impl Scenario {
     pub fn verify_clean(&self) -> Result<u64, SimFailure> {
         let reader = TableReader::from_bytes(self.bytes.clone())
             .map_err(|e| self.fail(format!("clean open failed: {e}")))?;
-        let mut fp = checksum64(b"corra-sim");
+        let mut fp = fnv1a64(b"corra-sim");
         for (i, (op, want)) in self.ops.iter().zip(&self.expected).enumerate() {
             let got = run_op(&reader, op).map_err(|e| self.fail(format!("op {i} {op:?}: {e}")))?;
             if &got != want {
@@ -301,7 +309,7 @@ impl Scenario {
                 }
                 Op::ReadBlock(_) | Op::ReadColumn(..) => {}
             }
-            fp = checksum64(format!("{fp:016x}|{got:?}").as_bytes());
+            fp = fnv1a64(format!("{fp:016x}|{got:?}").as_bytes());
         }
         Ok(fp)
     }
