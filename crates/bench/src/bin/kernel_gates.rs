@@ -1,4 +1,4 @@
-//! **Kernel gates** — the five timing-*ratio* properties that need a clock.
+//! **Kernel gates** — the six timing-*ratio* properties that need a clock.
 //! Everything else the retired bench bins asserted is a tier-1 test (see
 //! the gate → test table in `docs/TESTING.md`); throughput *series* live in
 //! `e2e_bench`'s per-layer metrics. On the acceptance widths 8 / 12 / 16:
@@ -8,9 +8,13 @@
 //! * fused decode+filter ≥ [`MIN_FUSED`]× unpack-then-compare;
 //!
 //! the RLE / Dict aggregate fast paths ≥ [`MIN_AGG`]× decompress-then-fold;
-//! and the store's `checksum64` ≥ [`MIN_CHECKSUM`]× a `copy_from_slice` of
+//! the store's `checksum64` ≥ [`MIN_CHECKSUM`]× a `copy_from_slice` of
 //! the same [`CHECKSUM_BYTES`] buffer — integrity at memory speed, so a
-//! slide back to a byte-at-a-time hash (≈ 0.06×) fails on every tier. Each
+//! slide back to a byte-at-a-time hash (≈ 0.06×) fails on every tier; and
+//! the provided `top_k_into` (compare a strip against the hoisted k-th
+//! rank, enter the heap on a hit) ≥ [`MIN_TOPK`]× one `offer` per row over
+//! the same decoded chunks, on a column every row of which the heap
+//! rejects — what a TOP-K pays on every block its zone could not skip. Each
 //! kernel gate first asserts parity of its two legs; every gate times them
 //! alternately [`PAIRS`] times and compares the *median of the per-pair
 //! ratios* with its threshold, so drift that hits both legs of a pair
@@ -29,9 +33,10 @@ use std::time::Instant;
 use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::simd::{self, KernelTier};
+use corra_columnar::topk::TopKHeap;
 use corra_core::checksum64;
 use corra_encodings::aggregate::aggregate_naive;
-use corra_encodings::{DictInt, IntAccess, RleInt};
+use corra_encodings::{DictInt, ForInt, IntAccess, RleInt};
 
 /// Batched unpack vs one getter call per value.
 const MIN_BATCHED: f64 = 2.0;
@@ -47,6 +52,10 @@ const MIN_AGG: f64 = 2.0;
 
 /// `checksum64` vs a plain copy of the same bytes (measured 1.1–1.2×).
 const MIN_CHECKSUM: f64 = 0.5;
+
+/// Threshold-first `top_k_into` vs decode + one `offer` per row (measured
+/// 1.8–2.1×: the decode both legs share is two thirds of the fast one).
+const MIN_TOPK: f64 = 1.5;
 
 const GATED_WIDTHS: [u8; 3] = [8, 12, 16];
 /// Values per packed vector: L1-resident, so the unpack gates measure the
@@ -219,6 +228,52 @@ fn checksum_gate() -> Gate {
     }
 }
 
+fn topk_gate() -> Gate {
+    const K: usize = 100;
+    let values: Vec<i64> = (0..AGG_ROWS as u64)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as i64)
+        .collect();
+    let enc = ForInt::encode(&values);
+    assert_eq!(enc.bits(), 12);
+    let base = 1u64 << 32;
+    let per_row = |heap: &mut TopKHeap| {
+        enc.for_each_chunk(&mut |start, chunk| {
+            for (j, &v) in chunk.iter().enumerate() {
+                heap.offer(v, base + (start + j) as u64);
+            }
+        });
+    };
+    // Holding `held` rows of an earlier block that beat every value of
+    // this one: at `K` of them the column loses every row.
+    let heap = |held: usize| {
+        let mut heap = TopKHeap::new(K, false);
+        (0..held).for_each(|i| heap.offer(-1, i as u64));
+        heap
+    };
+    for held in [0, K] {
+        let (mut slow, mut fast) = (heap(held), heap(held));
+        per_row(&mut slow);
+        enc.top_k_into(base, &mut fast);
+        assert_eq!(
+            fast.into_sorted(),
+            slow.into_sorted(),
+            "top_k_into diverged"
+        );
+    }
+    let (mut slow, mut fast) = (heap(K), heap(K));
+    let ratio = median_ratio(
+        1,
+        || per_row(black_box(&mut slow)),
+        || enc.top_k_into(base, black_box(&mut fast)),
+    );
+    Gate {
+        name: "for/12-bit top_k_into / per-row offer".to_owned(),
+        ratio,
+        min: MIN_TOPK,
+        binding: true,
+    }
+}
+
 fn main() {
     let tier = simd::active().tier;
     let simd_on = tier != KernelTier::Scalar;
@@ -239,6 +294,7 @@ fn main() {
         .collect();
     gates.push(agg_gate("dict/16distinct", &DictInt::encode(&few)));
     gates.push(checksum_gate());
+    gates.push(topk_gate());
 
     let mut failed = false;
     for g in &gates {

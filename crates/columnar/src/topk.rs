@@ -43,6 +43,9 @@ fn unrank(r: u64, descending: bool) -> i64 {
     }
 }
 
+/// Rows [`TopKHeap::offer_chunk`] tests between two looks at the heap.
+const STRIP: usize = 64;
+
 /// A bounded heap keeping the best `k` `(value, position)` entries.
 ///
 /// "Best" means smallest `(rank(value), position)` lexicographically, so
@@ -95,15 +98,24 @@ impl TopKHeap {
         self.heap.len() >= self.k
     }
 
-    /// The value rank of the current k-th (worst kept) entry, present only
-    /// when the heap is full. A candidate with a strictly larger value rank
-    /// provably cannot enter, regardless of position tie-breaks.
-    pub fn worst_rank(&self) -> Option<u64> {
+    /// The current k-th (worst kept) entry as `(value rank, position)`,
+    /// present only when the heap is full. A candidate enters exactly when
+    /// its own `(rank, position)` is lexicographically smaller, and the
+    /// entry only ever moves towards smaller pairs — so a candidate that
+    /// loses to any past k-th entry can never be in the final result.
+    pub fn worst(&self) -> Option<(u64, u64)> {
         if self.k > 0 && self.heap.len() >= self.k {
-            self.heap.peek().map(|&(r, _)| r)
+            self.heap.peek().copied()
         } else {
             None
         }
+    }
+
+    /// The value rank of [`worst`](Self::worst). A candidate with a
+    /// strictly larger value rank provably cannot enter, regardless of
+    /// position tie-breaks.
+    pub fn worst_rank(&self) -> Option<u64> {
+        self.worst().map(|(r, _)| r)
     }
 
     /// The current k-th (worst kept) value, when the heap is full.
@@ -137,6 +149,44 @@ impl TopKHeap {
             if (r, pos) < *top {
                 *top = (r, pos);
             }
+        }
+    }
+
+    /// Offers `values[j]` at position `base + j` for every `j` — the same
+    /// heap as one [`offer`](Self::offer) per row, threshold first: once
+    /// the heap is full the k-th rank is hoisted out of the loop, a strip
+    /// of rows is counted against it without a branch, and only a strip
+    /// that holds a hit is walked row by row, each entry refreshing the
+    /// threshold. The test is conservative (a row equal to the k-th value
+    /// may still lose on position), so `offer` stays the one place that
+    /// decides.
+    pub fn offer_chunk(&mut self, base: u64, values: &[i64]) {
+        if self.k == 0 {
+            return;
+        }
+        // `rank` with its direction branch hoisted: one xor per row.
+        let flip = rank(0, self.descending);
+        // Every row enters for free until the heap holds k.
+        let free = (self.k - self.heap.len()).min(values.len());
+        for (j, &v) in values[..free].iter().enumerate() {
+            self.heap.push(((v as u64) ^ flip, base + j as u64));
+        }
+        let Some(mut worst) = self.worst_rank() else {
+            return;
+        };
+        let hit = |v: i64, worst: u64| ((v as u64) ^ flip) <= worst;
+        let mut start = free;
+        for strip in values[free..].chunks(STRIP) {
+            let hits: u32 = strip.iter().map(|&v| u32::from(hit(v, worst))).sum();
+            if hits != 0 {
+                for (j, &v) in strip.iter().enumerate() {
+                    if hit(v, worst) {
+                        self.offer(v, base + (start + j) as u64);
+                        worst = self.worst_rank().unwrap_or(worst);
+                    }
+                }
+            }
+            start += strip.len();
         }
     }
 
@@ -209,6 +259,50 @@ mod tests {
     }
 
     #[test]
+    fn offer_chunk_equals_per_row_offer_from_any_prefilled_heap() {
+        // Duplicate-heavy with both extremes, so ties against the k-th
+        // value and the position tie-break are exercised in every strip.
+        let column = |len: usize| -> Vec<i64> {
+            (0..len as i64)
+                .map(|i| match i % 11 {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    r => (i * 7919) % 23 - r,
+                })
+                .collect()
+        };
+        let prefill = [3i64, -4, 3, 9, i64::MAX, 0, 3];
+        for len in [0usize, 1, 63, 64, 65, 129] {
+            let values = column(len);
+            for k in [0usize, 1, 3, len, len + 7] {
+                for descending in [false, true] {
+                    for filled in [0, 2, prefill.len()] {
+                        for base in [0u64, 5 << 32] {
+                            let mut want = TopKHeap::new(k, descending);
+                            let mut got = TopKHeap::new(k, descending);
+                            // Pre-filled from a later block, so equal values
+                            // in the chunk win some ties and lose others.
+                            for (i, &v) in prefill[..filled].iter().enumerate() {
+                                want.offer(v, (2 << 32) + i as u64);
+                                got.offer(v, (2 << 32) + i as u64);
+                            }
+                            for (j, &v) in values.iter().enumerate() {
+                                want.offer(v, base + j as u64);
+                            }
+                            got.offer_chunk(base, &values);
+                            assert_eq!(
+                                got.into_sorted(),
+                                want.into_sorted(),
+                                "len={len} k={k} descending={descending} filled={filled} base={base}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn threshold_and_acceptance() {
         let mut heap = TopKHeap::new(2, false);
         assert!(heap.would_accept(i64::MAX));
@@ -216,6 +310,7 @@ mod tests {
         heap.offer(10, 0);
         heap.offer(20, 1);
         assert_eq!(heap.threshold(), Some(20));
+        assert_eq!(heap.worst(), Some((rank(20, false), 1)));
         assert!(heap.would_accept(20), "ties may still enter by position");
         assert!(!heap.would_accept(21));
         heap.offer(5, 2);

@@ -519,45 +519,105 @@ impl CompressedBlock {
 /// the payloads they need.
 pub fn decompress_column<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<Column> {
     match block.view_codec(i)? {
-        ColumnCodec::Int(enc) => {
-            let mut out = Vec::new();
-            enc.decode_into(&mut out);
-            Ok(Column::Int64(out))
-        }
         ColumnCodec::Str(enc) => Ok(Column::Utf8(enc.decode_into_pool())),
         ColumnCodec::PlainStr(p) => Ok(Column::Utf8(p.clone())),
-        ColumnCodec::NonHier { enc, reference } => {
-            let refv = decompress_int(block, *reference as usize)?;
-            let mut out = Vec::new();
-            enc.decode_into(&refv, &mut out)?;
-            Ok(Column::Int64(out))
-        }
-        ColumnCodec::HierInt { enc, reference } => {
-            let codes = parent_codes(block, *reference as usize)?;
-            let mut out = Vec::new();
-            enc.decode_into(&codes, &mut out)?;
-            Ok(Column::Int64(out))
-        }
         ColumnCodec::HierStr { enc, reference } => {
-            let codes = parent_codes(block, *reference as usize)?;
+            let mut codes = Vec::new();
+            parent_codes_into(block, *reference as usize, &mut codes)?;
             Ok(Column::Utf8(enc.decode_into_pool(&codes)?))
         }
+        ColumnCodec::Int(_)
+        | ColumnCodec::NonHier { .. }
+        | ColumnCodec::HierInt { .. }
+        | ColumnCodec::MultiRef { .. } => {
+            let mut scratch = DecodeScratch::default();
+            decode_int_column(block, i, &mut scratch)?;
+            Ok(Column::Int64(scratch.values))
+        }
+    }
+}
+
+/// The buffers one integer column reconstructs through: its values, and
+/// what its reconstruction rule reads them from. A caller that decodes
+/// block after block (TOP-K over a horizontal target) keeps one and pays
+/// for the allocations once.
+#[derive(Debug, Default)]
+pub(crate) struct DecodeScratch {
+    /// The reconstructed column, after [`decode_int_column`].
+    pub(crate) values: Vec<i64>,
+    /// A decoded reference column (NonHier), or one group member (MultiRef).
+    refs: Vec<i64>,
+    /// Per-row parent dictionary codes (Hier).
+    codes: Vec<u32>,
+    /// Per-group reference sums (MultiRef).
+    sums: Vec<Vec<i64>>,
+}
+
+/// Reconstructs integer column `i` into `scratch.values` a block at a time:
+/// the batched decode of each referenced column, then the codec's bulk
+/// reconstruction kernel over it.
+///
+/// # Errors
+///
+/// [`Error::TypeMismatch`] for a string column; otherwise whatever loading
+/// or decoding the column and its references reports.
+pub(crate) fn decode_int_column<B: BlockView + ?Sized>(
+    block: &B,
+    i: usize,
+    scratch: &mut DecodeScratch,
+) -> Result<()> {
+    let DecodeScratch {
+        values,
+        refs,
+        codes,
+        sums,
+    } = scratch;
+    match block.view_codec(i)? {
+        ColumnCodec::Int(enc) => {
+            enc.decode_into(values);
+            Ok(())
+        }
+        ColumnCodec::NonHier { enc, reference } => {
+            decode_vertical_into(block, *reference as usize, refs)?;
+            enc.decode_into(refs, values)
+        }
+        ColumnCodec::HierInt { enc, reference } => {
+            parent_codes_into(block, *reference as usize, codes)?;
+            enc.decode_into(codes, values)
+        }
         ColumnCodec::MultiRef { enc, groups } => {
-            let sums = group_sums(block, groups)?;
-            let mut out = Vec::new();
-            enc.decode_into(&sums, &mut out)?;
-            Ok(Column::Int64(out))
+            sums.resize_with(groups.len(), Vec::new);
+            for (sum, group) in sums.iter_mut().zip(groups) {
+                sum.clear();
+                sum.resize(block.rows(), 0);
+                for &member in group {
+                    decode_vertical_into(block, member as usize, refs)?;
+                    for (acc, &x) in sum.iter_mut().zip(refs.iter()) {
+                        *acc = acc.wrapping_add(x);
+                    }
+                }
+            }
+            enc.decode_into(sums, values)
+        }
+        ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. } => {
+            Err(Error::TypeMismatch {
+                expected: "integer column",
+                found: "string column",
+            })
         }
     }
 }
 
 /// Decodes an integer column (must be vertical) to raw values.
-pub(crate) fn decompress_int<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<Vec<i64>> {
+fn decode_vertical_into<B: BlockView + ?Sized>(
+    block: &B,
+    i: usize,
+    out: &mut Vec<i64>,
+) -> Result<()> {
     match block.view_codec(i)? {
         ColumnCodec::Int(enc) => {
-            let mut out = Vec::new();
-            enc.decode_into(&mut out);
-            Ok(out)
+            enc.decode_into(out);
+            Ok(())
         }
         other => Err(Error::TypeMismatch {
             expected: "vertical int reference",
@@ -568,11 +628,14 @@ pub(crate) fn decompress_int<B: BlockView + ?Sized>(block: &B, i: usize) -> Resu
 
 /// Extracts per-row parent dictionary codes from a reference column
 /// through the batched code kernels.
-pub(crate) fn parent_codes<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<Vec<u32>> {
-    let mut codes = Vec::new();
+fn parent_codes_into<B: BlockView + ?Sized>(
+    block: &B,
+    i: usize,
+    codes: &mut Vec<u32>,
+) -> Result<()> {
     match block.view_codec(i)? {
-        ColumnCodec::Int(IntEncoding::Dict(d)) => d.codes_into(&mut codes),
-        ColumnCodec::Str(d) => d.codes_into(&mut codes),
+        ColumnCodec::Int(IntEncoding::Dict(d)) => d.codes_into(codes),
+        ColumnCodec::Str(d) => d.codes_into(codes),
         other => {
             return Err(Error::TypeMismatch {
                 expected: "dict-encoded reference",
@@ -580,26 +643,7 @@ pub(crate) fn parent_codes<B: BlockView + ?Sized>(block: &B, i: usize) -> Result
             })
         }
     }
-    Ok(codes)
-}
-
-/// Computes per-group reference sums by decoding every group member.
-pub(crate) fn group_sums<B: BlockView + ?Sized>(
-    block: &B,
-    groups: &[Vec<u32>],
-) -> Result<Vec<Vec<i64>>> {
-    let mut out = Vec::with_capacity(groups.len());
-    for group in groups {
-        let mut sums = vec![0i64; block.rows()];
-        for &gi in group {
-            let v = decompress_int(block, gi as usize)?;
-            for (acc, x) in sums.iter_mut().zip(v) {
-                *acc = acc.wrapping_add(x);
-            }
-        }
-        out.push(sums);
-    }
-    Ok(out)
+    Ok(())
 }
 
 fn parent_codes_of(codec: &Option<ColumnCodec>, rows: usize) -> Result<(Vec<u32>, usize)> {

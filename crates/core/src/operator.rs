@@ -8,16 +8,21 @@
 //! bit-identical for any thread count (the serial entry points are that
 //! driver at `threads = 1`).
 //!
-//! **TOP-K** exploits codec order: sorted int dictionaries select winners
-//! in the code domain, RLE folds whole runs, FOR/plain stream through the
-//! batched decode, and zone maps prune blocks whose best possible value
-//! cannot beat the current k-th bound. The bound is shared across workers
-//! as a [`TopKBound`] — pruning uses a *strict* comparison against the
-//! k-th value's rank, so a pruned block provably contributes nothing even
-//! under tie-breaks, and the result set is deterministic for any morsel
-//! interleaving (which blocks get *pruned* vs. merely lose every
-//! candidate is timing-dependent, so pruning counters may vary between
-//! parallel runs; the rows never do).
+//! **TOP-K** is threshold-first at every layer. The drivers visit blocks
+//! best-zone-first (`topk_visit_order`), so the k-th bound is as tight
+//! as one block can make it before the second block is looked at, and
+//! skip every block whose zone cannot beat the bound's `(rank, position)`
+//! pair (`zone_skips_topk`); the kernels compare a strip of rows against
+//! the hoisted k-th rank and enter the heap only on a hit
+//! (`TopKHeap::offer_chunk`) — sorted int dictionaries select winners in
+//! the code domain, RLE folds whole runs, FOR / Delta / plain stream
+//! through the batched decode, and horizontal targets are reconstructed a
+//! block at a time. The bound is shared across workers as a [`TopKBound`];
+//! a skipped block provably holds no row of the result, and the heap is a
+//! pure function of the candidate multiset, so the rows are identical for
+//! any visit order and morsel interleaving (with several workers, *which*
+//! blocks get skipped depends on how fast the bound tightens, so pruning
+//! counters may vary between parallel runs; at one thread they repeat).
 //!
 //! **Hash joins** build and probe on dictionary *codes*: each block's
 //! distinct keys are hashed exactly once into a global key table (int
@@ -28,17 +33,16 @@
 //! payload columns through the projection-pushdown [`BlockView`] reads,
 //! so only touched blocks and only named columns decode.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
+use corra_columnar::stats::ZoneMap;
 use corra_columnar::topk::{rank, TopKHeap};
 use corra_encodings::{IntAccess, IntEncoding};
 use rustc_hash::FxHashMap;
 
-use crate::compressor::{BlockView, ColumnCodec};
+use crate::compressor::{decode_int_column, BlockView, ColumnCodec, DecodeScratch};
 use crate::query::{eval_formula_mask, int_column, query_column, IntColumn, QueryOutput};
 use crate::scan::{column_bounds, scan_pruned, validate_pred, Predicate, ScanStats};
 
@@ -152,13 +156,13 @@ fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
 }
 
 /// The shared k-th bound threaded through the multi-block TOP-K drivers:
-/// a mutex-protected global heap plus a lock-free snapshot of the current
-/// k-th value's rank for block-level pruning.
+/// a mutex-protected global heap, whose k-th entry is the block-level
+/// pruning bound, plus the decode buffers block fills take turns with.
 pub struct TopKBound {
     heap: Mutex<TopKHeap>,
-    /// Rank of the k-th (worst kept) value once the heap is full;
-    /// `u64::MAX` (accept everything) until then.
-    worst: AtomicU64,
+    /// Buffers not in use by a fill right now: one per concurrent worker
+    /// at most, each reused by whichever block that worker fills next.
+    scratch: Mutex<Vec<DecodeScratch>>,
     k: usize,
     descending: bool,
 }
@@ -169,16 +173,18 @@ impl TopKBound {
     pub fn new(k: usize, descending: bool) -> Self {
         Self {
             heap: Mutex::new(TopKHeap::new(k, descending)),
-            worst: AtomicU64::new(u64::MAX),
+            scratch: Mutex::new(Vec::new()),
             k,
             descending,
         }
     }
 
-    /// Snapshot of the k-th value's rank, present once the heap is full.
-    pub fn worst_rank(&self) -> Option<u64> {
-        let w = self.worst.load(Ordering::Relaxed);
-        (w != u64::MAX).then_some(w)
+    /// The k-th (worst kept) entry as `(value rank, position)`, present
+    /// once the heap is full. Read under the heap's lock, so the pair is
+    /// one entry the heap really held: a rank from one entry beside a
+    /// position from another could be tighter than either.
+    pub fn worst(&self) -> Option<(u64, u64)> {
+        self.lock().worst()
     }
 
     /// The global heap. A poisoned lock means a sibling worker panicked
@@ -189,21 +195,18 @@ impl TopKBound {
         self.heap.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Refreshes the pruning snapshot from the (locked) global heap.
-    fn publish(&self, heap: &TopKHeap) {
-        if let Some(r) = heap.worst_rank() {
-            self.worst.store(r, Ordering::Relaxed);
-        }
+    /// The idle decode buffers; poisoning is harmless for the same reason
+    /// (a buffer is only ever pushed or popped whole).
+    fn spare(&self) -> MutexGuard<'_, Vec<DecodeScratch>> {
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Folds one block's local heap into the global one and refreshes the
-    /// pruning snapshot.
+    /// Folds one block's local heap into the global one.
     pub fn merge(&self, local: TopKHeap) {
         let mut heap = self.lock();
         for (v, p) in local.into_sorted() {
             heap.offer(v, p);
         }
-        self.publish(&heap);
     }
 
     /// Runs one block's kernel `fill` and folds its candidates into the
@@ -216,17 +219,18 @@ impl TopKBound {
     pub(crate) fn fill<R>(
         &self,
         exclusive: bool,
-        fill: impl FnOnce(&mut TopKHeap) -> Result<R>,
+        fill: impl FnOnce(&mut TopKHeap, &mut DecodeScratch) -> Result<R>,
     ) -> Result<R> {
-        if exclusive {
-            let mut heap = self.lock();
-            let out = fill(&mut heap)?;
-            self.publish(&heap);
-            return Ok(out);
-        }
-        let mut local = TopKHeap::new(self.k, self.descending);
-        let out = fill(&mut local)?;
-        self.merge(local);
+        let mut scratch = self.spare().pop().unwrap_or_default();
+        let out = if exclusive {
+            fill(&mut self.lock(), &mut scratch)?
+        } else {
+            let mut local = TopKHeap::new(self.k, self.descending);
+            let out = fill(&mut local, &mut scratch)?;
+            self.merge(local);
+            out
+        };
+        self.spare().push(scratch);
         Ok(out)
     }
 
@@ -237,21 +241,39 @@ impl TopKBound {
     }
 }
 
-/// Whether the block's value zone proves no row can enter a heap whose
-/// k-th value has rank `worst`. Strictness matters: a zone *equal* to the
-/// bound may still win on the position tie-break (the heap can hold
-/// entries from later-numbered blocks under morsel interleaving), so only
-/// a strictly worse zone is skippable.
-pub(crate) fn zone_skips_topk(
-    zone: Option<corra_columnar::stats::ZoneMap>,
+/// The order the TOP-K drivers visit `n` blocks in, as `(block, best)`
+/// pairs: `best` is the rank of the best value the block's zone admits
+/// (`zone.max` descending, `zone.min` ascending), and blocks come best
+/// first — un-zoned blocks last, block index breaking ties — so the first
+/// block visited sets the tightest k-th bound any single block can and
+/// [`zone_skips_topk`] drops the most of what follows. Without this, a
+/// descending TOP-K over data laid out ascending ("the latest 100 events")
+/// meets every block while its zone still beats the bound.
+pub(crate) fn topk_visit_order(
+    n: usize,
     descending: bool,
-    worst: Option<u64>,
-) -> bool {
-    match (zone, worst) {
-        (Some(zone), Some(worst)) => {
-            let best = if descending { zone.max } else { zone.min };
-            rank(best, descending) > worst
-        }
+    zone_of: impl Fn(usize) -> Option<ZoneMap>,
+) -> Vec<(usize, Option<u64>)> {
+    let mut order: Vec<(usize, Option<u64>)> = (0..n)
+        .map(|b| {
+            let best = zone_of(b).map(|z| if descending { z.max } else { z.min });
+            (b, best.map(|v| rank(v, descending)))
+        })
+        .collect();
+    order.sort_unstable_by_key(|&(b, best)| (best.is_none(), best, b));
+    order
+}
+
+/// Whether a zone proves no row of block `block_no` can enter a heap whose
+/// k-th entry is `worst`: every row's rank is at least `best` and every
+/// row's position at least `block_no << 32`, so the block is skippable
+/// when `best` is strictly worse than the k-th rank, or equal to it while
+/// the block's first position is already past the k-th entry's (no row can
+/// win the `(rank, position)` tie-break). The k-th entry only ever moves
+/// towards smaller pairs, so what loses to it now loses to the final one.
+pub(crate) fn zone_skips_topk(best: Option<u64>, block_no: u32, worst: Option<(u64, u64)>) -> bool {
+    match (best, worst) {
+        (Some(best), Some(worst)) => (best, (block_no as u64) << 32) > worst,
         _ => false,
     }
 }
@@ -306,30 +328,23 @@ fn offer_selected<B: BlockView + ?Sized>(
     Ok(())
 }
 
+/// Offers every row of the block's column `idx`: a vertical codec through
+/// its own (possibly compressed-domain) kernel, a horizontal target
+/// reconstructed whole into `scratch` and offered as one chunk.
 fn offer_full<B: BlockView + ?Sized>(
     block: &B,
     idx: usize,
     base: u64,
     heap: &mut TopKHeap,
+    scratch: &mut DecodeScratch,
 ) -> Result<()> {
-    match int_column(block, idx)? {
-        IntColumn::Vertical(enc) => {
-            enc.top_k_into(base, heap);
-            Ok(())
-        }
-        IntColumn::Hier { enc, codes } => {
-            for i in 0..block.rows() {
-                heap.offer(enc.get_unchecked_len(i, codes.code(i)), base + i as u64);
-            }
-            Ok(())
-        }
-        // NonHier / MultiRef reconstruction runs through the same gather
-        // kernels the query path uses, over a full selection.
-        _ => {
-            let sel = SelectionVector::new((0..block.rows() as u32).collect());
-            offer_selected(block, idx, base, &sel, heap)
-        }
+    if let ColumnCodec::Int(enc) = block.view_codec(idx)? {
+        enc.top_k_into(base, heap);
+        return Ok(());
     }
+    decode_int_column(block, idx, scratch)?;
+    heap.offer_chunk(base, &scratch.values);
+    Ok(())
 }
 
 /// Runs the TOP-K kernel over one block, offering candidates into `heap`
@@ -342,6 +357,7 @@ pub(crate) fn top_k_block<B: BlockView + ?Sized>(
     block_no: u32,
     expr: &TopKExpr,
     heap: &mut TopKHeap,
+    scratch: &mut DecodeScratch,
 ) -> Result<(bool, usize)> {
     let rows = block.rows();
     let idx = block.index_of(&expr.column)?;
@@ -356,14 +372,14 @@ pub(crate) fn top_k_block<B: BlockView + ?Sized>(
                 int_column(block, idx)?;
             } else if matched == rows {
                 // Full-block match: normalize to the unfiltered fast paths.
-                offer_full(block, idx, base, heap)?;
+                offer_full(block, idx, base, heap, scratch)?;
             } else {
                 offer_selected(block, idx, base, &sel, heap)?;
             }
             Ok((pruned, matched))
         }
         None => {
-            offer_full(block, idx, base, heap)?;
+            offer_full(block, idx, base, heap, scratch)?;
             Ok((false, rows))
         }
     }
@@ -387,10 +403,10 @@ pub fn top_k_blocks<B: BlockView + Sync>(
     top_k_blocks_parallel(blocks, expr, 1)
 }
 
-/// Morsel-parallel TOP-K over in-memory blocks: workers pull block
-/// indices off the shared `crate::morsel::run` counter, prune against the
-/// shared [`TopKBound`], and fill it block by block. Result rows are
-/// bit-identical for any `threads`.
+/// Morsel-parallel TOP-K over in-memory blocks: workers pull blocks off
+/// the shared `crate::morsel::run` counter in `topk_visit_order`, skip
+/// the ones the shared [`TopKBound`] already beats, and fill it block by
+/// block. Result rows are bit-identical for any `threads`.
 ///
 /// # Errors
 ///
@@ -403,25 +419,31 @@ pub fn top_k_blocks_parallel<B: BlockView + Sync>(
 ) -> Result<(Vec<TopKRow>, ScanStats)> {
     let bound = TopKBound::new(expr.k, expr.descending);
     let alone = crate::morsel::is_serial(blocks.len(), threads);
+    // A block whose column does not resolve sorts last, un-zoned, and
+    // reports its error when it is visited.
+    let order = topk_visit_order(blocks.len(), expr.descending, |b| {
+        column_bounds(&blocks[b], blocks[b].index_of(&expr.column).ok()?)
+    });
     let mut stats = ScanStats::default();
     crate::morsel::run(
-        blocks.len(),
+        order.len(),
         threads,
-        |b| {
+        |i| {
+            let (b, best) = order[i];
             let block = &blocks[b];
             if expr.k == 0 {
                 validate_topk(block, expr)?;
                 return Ok((false, 0));
             }
-            let idx = block.index_of(&expr.column)?;
-            let zone = column_bounds(block, idx);
-            if zone_skips_topk(zone, expr.descending, bound.worst_rank()) {
+            if zone_skips_topk(best, b as u32, bound.worst()) {
                 return Ok((true, 0));
             }
-            bound.fill(alone, |heap| top_k_block(block, b as u32, expr, heap))
+            bound.fill(alone, |heap, scratch| {
+                top_k_block(block, b as u32, expr, heap, scratch)
+            })
         },
-        |b, (pruned, matched)| {
-            stats.record_block(blocks[b].rows(), matched, pruned, None);
+        |i, (pruned, matched)| {
+            stats.record_block(blocks[order[i].0].rows(), matched, pruned, None);
             Ok(())
         },
     )?;
@@ -755,7 +777,9 @@ pub fn hash_join_blocks_parallel<B1: BlockView, B2: BlockView + Sync>(
 ///
 /// # Errors
 ///
-/// Whatever `fetch` reports (unknown columns, I/O, corruption).
+/// Whatever `fetch` reports (unknown columns, I/O, corruption), and
+/// [`Error::InvalidData`] when it answers with fewer or more columns or
+/// rows than the selection it was handed.
 pub fn gather_rows_with<F>(
     ids: &[RowId],
     columns: &[&str],
@@ -764,46 +788,51 @@ pub fn gather_rows_with<F>(
 where
     F: FnMut(u32, &SelectionVector, &[&str]) -> Result<Vec<QueryOutput>>,
 {
-    let mut by_block: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for id in ids {
-        by_block.entry(id.block).or_default().push(id.row);
-    }
-    for rows in by_block.values_mut() {
-        rows.sort_unstable();
-        rows.dedup();
-    }
-    let mut fetched: BTreeMap<u32, Vec<QueryOutput>> = BTreeMap::new();
-    for (&block, rows) in &by_block {
-        let sel = SelectionVector::new(rows.clone());
+    // Walk the ids in (block, row) order: each run of one block becomes a
+    // sorted, deduplicated selection, and `slot_of[n]` records where
+    // `ids[n]` landed — (fetched block, row within its selection).
+    let mut by_id: Vec<usize> = (0..ids.len()).collect();
+    by_id.sort_unstable_by_key(|&n| ids[n]);
+    let mut slot_of = vec![(0usize, 0usize); ids.len()];
+    let mut fetched: Vec<Vec<QueryOutput>> = Vec::new();
+    let mut run = by_id.as_slice();
+    while let Some(&first) = run.first() {
+        let block = ids[first].block;
+        let len = run.partition_point(|&n| ids[n].block == block);
+        let mut rows: Vec<u32> = Vec::with_capacity(len);
+        for &n in &run[..len] {
+            if rows.last() != Some(&ids[n].row) {
+                rows.push(ids[n].row);
+            }
+            slot_of[n] = (fetched.len(), rows.len() - 1);
+        }
+        let sel = SelectionVector::from_sorted(rows)?;
         let outs = fetch(block, &sel, columns)?;
-        debug_assert_eq!(outs.len(), columns.len());
-        fetched.insert(block, outs);
+        if outs.len() != columns.len() || outs.iter().any(|out| out.len() != sel.len()) {
+            return Err(Error::invalid(format!(
+                "gather of block {block} returned a different shape than the {} columns x {} rows asked for",
+                columns.len(),
+                sel.len()
+            )));
+        }
+        fetched.push(outs);
+        run = &run[len..];
     }
     let mut result = Vec::with_capacity(columns.len());
     for ci in 0..columns.len() {
-        let is_str = fetched
-            .values()
-            .next()
-            .map(|outs| matches!(outs[ci], QueryOutput::Str(_)))
-            .unwrap_or(false);
-        if is_str {
-            let mut out = Vec::with_capacity(ids.len());
-            for id in ids {
-                let j = by_block[&id.block]
-                    .binary_search(&id.row)
-                    .expect("id grouped above");
-                out.push(fetched[&id.block][ci].as_str_rows()?[j].clone());
-            }
-            result.push(QueryOutput::Str(out));
+        if matches!(
+            fetched.first().map(|outs| &outs[ci]),
+            Some(QueryOutput::Str(_))
+        ) {
+            let per_block = fetched.iter().map(|outs| outs[ci].as_str_rows());
+            let per_block = per_block.collect::<Result<Vec<_>>>()?;
+            let out = slot_of.iter().map(|&(b, j)| per_block[b][j].clone());
+            result.push(QueryOutput::Str(out.collect()));
         } else {
-            let mut out = Vec::with_capacity(ids.len());
-            for id in ids {
-                let j = by_block[&id.block]
-                    .binary_search(&id.row)
-                    .expect("id grouped above");
-                out.push(fetched[&id.block][ci].as_int()?[j]);
-            }
-            result.push(QueryOutput::Int(out));
+            let per_block = fetched.iter().map(|outs| outs[ci].as_int());
+            let per_block = per_block.collect::<Result<Vec<_>>>()?;
+            let out = slot_of.iter().map(|&(b, j)| per_block[b][j]);
+            result.push(QueryOutput::Int(out.collect()));
         }
     }
     Ok(result)

@@ -59,12 +59,14 @@ use crate::aggregate::{
     AggFunc, AggMerger, AggResult, PartialAgg,
 };
 use crate::cache::{next_table_id, CacheKey, CacheValue, ShardedCache};
-use crate::compressor::{decompress_column, BlockView, ColumnCodec, CompressedBlock};
+use crate::compressor::{
+    decompress_column, BlockView, ColumnCodec, CompressedBlock, DecodeScratch,
+};
 use crate::format::{read_codec_payload, CodecHeader, PayloadSpan};
 use crate::io::{checksum64, read_full_at, FileBackend, IoBackend, MemBackend};
 use crate::operator::{
-    top_k_block, zone_skips_topk, BuildTable, JoinExpr, JoinPair, JoinStats, RowId, TopKBound,
-    TopKExpr, TopKRow,
+    top_k_block, topk_visit_order, zone_skips_topk, BuildTable, JoinExpr, JoinPair, JoinStats,
+    RowId, TopKBound, TopKExpr, TopKRow,
 };
 use crate::query::QueryOutput;
 use crate::scan::{
@@ -1069,27 +1071,25 @@ impl TableReader {
         Ok(())
     }
 
-    /// Evaluates TOP-K against one block, consulting footer zone maps
-    /// before touching any bytes: a block whose value zone cannot beat
-    /// `worst` (the current k-th bound) or whose filter verdict is
-    /// provably empty contributes nothing and reads **zero payload
-    /// bytes**. Candidates are offered into `heap` with positions based at
-    /// `global_no << 32`. Returns `(pruned, skipped_io, cost, matched)`.
+    /// Evaluates TOP-K against one block, consulting the footer before
+    /// touching any bytes: a block whose `skip` verdict (its value zone
+    /// against the current k-th bound, [`zone_skips_topk`]) is set or whose
+    /// filter verdict is provably empty contributes nothing and reads
+    /// **zero payload bytes**. Candidates are offered into `heap` with
+    /// positions based at `global_no << 32`. Returns `(pruned, skipped_io,
+    /// cost, matched)`.
     pub(crate) fn top_k_block_inner(
         &self,
         block: usize,
         global_no: u32,
         expr: &TopKExpr,
-        worst: Option<u64>,
+        skip: bool,
         heap: &mut TopKHeap,
+        scratch: &mut DecodeScratch,
     ) -> Result<(bool, bool, LoadCost, usize)> {
         let meta = self.block_meta(block)?;
         self.validate_topk_footer(meta, expr)?;
-        if meta.rows == 0 || expr.k() == 0 {
-            return Ok((true, true, LoadCost::default(), 0));
-        }
-        let idx = self.col_index(expr.column())?;
-        if zone_skips_topk(meta.columns[idx].zone, expr.descending(), worst) {
+        if meta.rows == 0 || expr.k() == 0 || skip {
             return Ok((true, true, LoadCost::default(), 0));
         }
         if let Some(pred) = expr.filter() {
@@ -1099,7 +1099,7 @@ impl TableReader {
             }
         }
         let handle = self.block_handle(block)?;
-        let (pruned, matched) = top_k_block(&handle, global_no, expr, heap)?;
+        let (pruned, matched) = top_k_block(&handle, global_no, expr, heap, scratch)?;
         Ok((pruned, false, handle.load_cost(), matched))
     }
 
@@ -1282,8 +1282,10 @@ pub(crate) fn aggregate_table(
     Ok((merger.finish(expr), stats))
 }
 
-/// Whole-table TOP-K (the body behind every store `top_k`): each block
-/// is pruned against, then fills, one shared [`TopKBound`].
+/// Whole-table TOP-K (the body behind every store `top_k`): blocks are
+/// visited best-footer-zone-first ([`topk_visit_order`]) — so file reads
+/// follow zone order, not file order — and each is pruned against, then
+/// fills, one shared [`TopKBound`].
 pub(crate) fn top_k_table(
     readers: &[&TableReader],
     expr: &TopKExpr,
@@ -1292,19 +1294,28 @@ pub(crate) fn top_k_table(
     let blocks = block_list(readers);
     let bound = TopKBound::new(expr.k(), expr.descending());
     let alone = crate::morsel::is_serial(blocks.len(), threads);
+    // An unknown column sorts un-zoned; the first visit reports it.
+    let order = topk_visit_order(blocks.len(), expr.descending(), |g| {
+        let b = blocks[g];
+        let meta = b.reader.block_meta(b.local).ok()?;
+        meta.columns[b.reader.col_index(expr.column()).ok()?].zone
+    });
     let mut stats = stats_over(readers.len());
     crate::morsel::run(
-        blocks.len(),
+        order.len(),
         threads,
         |i| {
-            let (b, worst) = (blocks[i], bound.worst_rank());
-            bound.fill(alone, |heap| {
+            let (g, best) = order[i];
+            let skip = zone_skips_topk(best, g as u32, bound.worst());
+            bound.fill(alone, |heap, scratch| {
+                let b = blocks[g];
                 b.reader
-                    .top_k_block_inner(b.local, i as u32, expr, worst, heap)
+                    .top_k_block_inner(b.local, g as u32, expr, skip, heap, scratch)
             })
         },
         |i, (pruned, skipped, cost, matched)| {
-            stats.record_block(blocks[i].rows(), matched, pruned, Some((skipped, cost)));
+            let rows = blocks[order[i].0].rows();
+            stats.record_block(rows, matched, pruned, Some((skipped, cost)));
             Ok(())
         },
     )?;

@@ -16,9 +16,9 @@ use corra_core::ingest::{IngestConfig, IngestTable};
 use corra_core::store::{TableReader, TableWriter};
 use corra_core::vfs::SimVfs;
 use corra_core::{
-    gather_rows, hash_join_blocks, hash_join_blocks_parallel, top_k_blocks, top_k_blocks_parallel,
-    ColumnPlan, CompressedBlock, CompressionConfig, JoinExpr, JoinPair, Predicate, QueryOutput,
-    RowId, TopKExpr, TopKRow,
+    gather_rows, gather_rows_with, hash_join_blocks, hash_join_blocks_parallel, top_k_blocks,
+    top_k_blocks_parallel, ColumnPlan, CompressedBlock, CompressionConfig, JoinExpr, JoinPair,
+    Predicate, QueryOutput, RowId, TopKExpr, TopKRow,
 };
 use proptest::prelude::*;
 
@@ -135,12 +135,58 @@ fn join_oracle<T: PartialEq>(
     pairs
 }
 
+/// One layout of [`top_k_matches_sort_oracle`]: in-memory and store
+/// TOP-K at 1 and 4 threads, and the late materialization of the winners,
+/// against the sort oracle.
+fn check_top_k(
+    values: &[i64],
+    block_rows: usize,
+    k: usize,
+    descending: bool,
+    force_dict: bool,
+) -> Result<(), TestCaseError> {
+    let blocks = int_blocks("v", values, block_rows, force_dict);
+    let expr = if descending {
+        TopKExpr::desc("v", k)
+    } else {
+        TopKExpr::asc("v", k)
+    };
+    let want = topk_oracle(values, block_rows, k, descending, None);
+    let (got, _) = top_k_blocks(&blocks, &expr).unwrap();
+    prop_assert_eq!(&got, &want);
+    let (par, _) = top_k_blocks_parallel(&blocks, &expr, 4).unwrap();
+    prop_assert_eq!(&par, &want);
+
+    // Late materialization lands the oracle's values in result order.
+    let ids: Vec<RowId> = got.iter().map(TopKRow::id).collect();
+    let fetched = gather_rows(&blocks, &ids, &["v"]).unwrap();
+    let QueryOutput::Int(vals) = &fetched[0] else {
+        panic!("int column")
+    };
+    prop_assert_eq!(vals, &want.iter().map(|r| r.value).collect::<Vec<_>>());
+
+    if !blocks.is_empty() {
+        let reader = store_reader(&blocks);
+        let (st, _) = reader.top_k(&expr).unwrap();
+        prop_assert_eq!(&st, &want);
+        let (stp, _) = reader.top_k_parallel(&expr, 4).unwrap();
+        prop_assert_eq!(&stp, &want);
+        let store_fetched = reader.gather_rows(&ids, &["v"]).unwrap();
+        prop_assert_eq!(&store_fetched, &fetched);
+    }
+    Ok(())
+}
+
 proptest! {
     /// TOP-K over arbitrary tie-heavy data equals the sort oracle — rows,
     /// positions and order — serially, morsel-parallel, and through the
     /// store driver (whose footer zones may prune blocks). `k` ranges past
     /// the row count and down to 0; tiny domains force duplicate-heavy
-    /// dict/RLE codecs onto their fast paths.
+    /// dict/RLE codecs onto their fast paths. Blocks are visited by zone,
+    /// not by index, so the same rows are also laid out sorted (disjoint
+    /// zones, ascending against a descending query), sorted with the blocks
+    /// rotated (zone order ≠ block order), and folded onto three values
+    /// (every zone ties with the bound: the position half of the skip rule).
     #[test]
     fn top_k_matches_sort_oracle(
         values in prop::collection::vec(-40i64..40, 0..250),
@@ -149,32 +195,14 @@ proptest! {
         descending in any::<bool>(),
         force_dict in any::<bool>(),
     ) {
-        let blocks = int_blocks("v", &values, block_rows, force_dict);
-        let expr = if descending {
-            TopKExpr::desc("v", k)
-        } else {
-            TopKExpr::asc("v", k)
-        };
-        let want = topk_oracle(&values, block_rows, k, descending, None);
-        let (got, _) = top_k_blocks(&blocks, &expr).unwrap();
-        prop_assert_eq!(&got, &want);
-        let (par, _) = top_k_blocks_parallel(&blocks, &expr, 4).unwrap();
-        prop_assert_eq!(&par, &want);
-
-        // Late materialization lands the oracle's values in result order.
-        let ids: Vec<RowId> = got.iter().map(TopKRow::id).collect();
-        let fetched = gather_rows(&blocks, &ids, &["v"]).unwrap();
-        let QueryOutput::Int(vals) = &fetched[0] else { panic!("int column") };
-        prop_assert_eq!(vals, &want.iter().map(|r| r.value).collect::<Vec<_>>());
-
-        if !blocks.is_empty() {
-            let reader = store_reader(&blocks);
-            let (st, _) = reader.top_k(&expr).unwrap();
-            prop_assert_eq!(&st, &want);
-            let (stp, _) = reader.top_k_parallel(&expr, 4).unwrap();
-            prop_assert_eq!(&stp, &want);
-            let store_fetched = reader.gather_rows(&ids, &["v"]).unwrap();
-            prop_assert_eq!(&store_fetched, &fetched);
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        let mut rotated: Vec<&[i64]> = sorted.chunks(block_rows).collect();
+        let half = rotated.len() / 2;
+        rotated.rotate_left(half);
+        let folded = values.iter().map(|v| v.rem_euclid(3)).collect();
+        for values in [values, sorted.clone(), rotated.concat(), folded] {
+            check_top_k(&values, block_rows, k, descending, force_dict)?;
         }
     }
 
@@ -299,6 +327,44 @@ fn top_k_on_string_column_is_rejected_everywhere() {
         ),
         "parallel store top-k must reject string columns before any I/O"
     );
+}
+
+/// `gather_rows_with` is public and takes the caller's `fetch`: ids come
+/// back in input order whatever their block order and however often one
+/// repeats, each block is fetched once with a sorted deduplicated
+/// selection, and a `fetch` that answers with fewer columns or rows than
+/// asked is an error — it used to index out of bounds in release builds.
+#[test]
+fn gather_rows_with_scatters_back_and_rejects_a_short_fetch() {
+    let id = |block, row| RowId { block, row };
+    let ids = [id(2, 5), id(0, 9), id(2, 1), id(2, 5), id(0, 0)];
+    let mut fetches = Vec::new();
+    let got = gather_rows_with(&ids, &["a", "b"], |block, sel, cols| {
+        fetches.push((block, sel.positions().to_vec()));
+        let value = |c: usize| move |&p: &u32| (block * 100 + p) as i64 * 10 + c as i64;
+        Ok((0..cols.len())
+            .map(|c| QueryOutput::Int(sel.positions().iter().map(value(c)).collect()))
+            .collect())
+    })
+    .unwrap();
+    assert_eq!(fetches, vec![(0, vec![0, 9]), (2, vec![1, 5])]);
+    assert_eq!(got[0], QueryOutput::Int(vec![2050, 90, 2010, 2050, 0]));
+    assert_eq!(got[1], QueryOutput::Int(vec![2051, 91, 2011, 2051, 1]));
+
+    let one_column = |_: u32, sel: &corra_columnar::selection::SelectionVector, _: &[&str]| {
+        Ok(vec![QueryOutput::Int(vec![0; sel.len()])])
+    };
+    assert!(matches!(
+        gather_rows_with(&ids, &["a", "b"], one_column),
+        Err(Error::InvalidData(_))
+    ));
+    let one_row_short = |_: u32, sel: &corra_columnar::selection::SelectionVector, _: &[&str]| {
+        Ok(vec![QueryOutput::Int(vec![0; sel.len() - 1])])
+    };
+    assert!(matches!(
+        gather_rows_with(&ids, &["a"], one_row_short),
+        Err(Error::InvalidData(_))
+    ));
 }
 
 /// Satellite regression: joining on a key column that is not

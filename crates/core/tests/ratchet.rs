@@ -15,7 +15,7 @@ const EXECUTOR_FILES: [(&str, &str); 7] = [
 
 /// Non-test `.unwrap()` / `.expect(` across [`EXECUTOR_FILES`]: 51 before
 /// the morsel loop landed. Lower it when one goes; never raise it.
-const UNWRAP_CEILING: usize = 8;
+const UNWRAP_CEILING: usize = 6;
 
 /// The source above its unit-test module.
 fn library_part(source: &str) -> &str {

@@ -6,12 +6,17 @@
 mod common;
 
 use common::{corruption_sweep, mixed_block, small_table, SweepOptions};
+use std::sync::Arc;
+
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::{Column, DataType, Error, Field, Schema, Table};
+use corra_core::ingest::{IngestConfig, IngestTable};
 use corra_core::io::{FaultPlan, FaultyBackend, MemBackend};
-use corra_core::store::{TableReader, TableWriter};
+use corra_core::store::{SegmentedTable, TableReader, TableWriter};
+use corra_core::vfs::SimVfs;
 use corra_core::{
-    compress_blocks, scan_blocks, AggExpr, CompressedBlock, CompressionConfig, Predicate, TopKExpr,
+    compress_blocks, scan_blocks, top_k_blocks, top_k_blocks_parallel, AggExpr, CompressedBlock,
+    CompressionConfig, Predicate, TopKExpr,
 };
 
 #[test]
@@ -218,18 +223,17 @@ fn pruned_store_scan_reads_zero_bytes_and_matches_serial_in_memory() {
     assert_eq!(sels, want_sels);
 }
 
-#[test]
-fn store_top_k_prunes_every_block_past_the_first_from_footer_zones() {
-    // Ascending `ts` in 8 blocks: footer zones are disjoint, so an ascending
-    // TOP-K fills its heap inside block 0 and every later block's zone
-    // minimum is strictly worse than the running bound — decided from the
-    // footer, payload never fetched.
-    let (n_blocks, block_rows, k) = (8usize, 512usize, 100usize);
-    let rows = n_blocks * block_rows;
+/// A one-column `ts` table of 512-row blocks, three ways: compressed in
+/// memory, as one file, and as `segments` appended segments.
+fn ts_tables(
+    values: Vec<i64>,
+    segments: usize,
+) -> (Vec<CompressedBlock>, TableReader, SegmentedTable) {
+    let block_rows = 512;
     let schema = Schema::new(vec![Field::new("ts", DataType::Timestamp)]).unwrap();
-    let table = Table::new(schema, vec![Column::Int64((0..rows as i64).collect())]).unwrap();
+    let table = |rows: &[i64]| Table::new(schema.clone(), vec![Column::Int64(rows.to_vec())]);
     let blocks = compress_blocks(
-        &table.into_blocks(block_rows),
+        &table(&values).unwrap().into_blocks(block_rows),
         &CompressionConfig::baseline(),
         1,
     )
@@ -239,19 +243,91 @@ fn store_top_k_prunes_every_block_past_the_first_from_footer_zones() {
         writer.write_block(b).unwrap();
     }
     let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
-    assert_eq!(reader.n_blocks(), n_blocks);
+    let config = IngestConfig {
+        block_rows,
+        ..IngestConfig::default()
+    };
+    let mut ingest = IngestTable::create(Arc::new(SimVfs::new(11)), config).unwrap();
+    for chunk in values.chunks(values.len() / segments) {
+        ingest.append(table(chunk).unwrap()).unwrap();
+    }
+    (blocks, reader, ingest.reader().unwrap())
+}
 
-    let expr = TopKExpr::asc("ts", k);
-    let (top, stats) = reader.top_k(&expr).unwrap();
-    let values: Vec<i64> = top.iter().map(|r| r.value).collect();
-    assert_eq!(values, (0..k as i64).collect::<Vec<_>>());
-    assert_eq!(stats.blocks_skipped_io, n_blocks - 1);
-    let segments: u64 = reader.footer().blocks.iter().map(|b| b.len).sum();
-    assert!(
-        stats.bytes_read < segments,
-        "top-k read {} B of {segments} B of segments",
-        stats.bytes_read
-    );
-    let (parallel, _) = reader.top_k_parallel(&expr, 4).unwrap();
-    assert_eq!(parallel, top);
+#[test]
+fn store_top_k_prunes_every_block_past_the_first_from_footer_zones() {
+    // Ascending `ts` in 8 blocks: footer zones are disjoint, and blocks are
+    // visited best zone first, so in *either* direction the heap fills
+    // inside the first block visited and every other block's best value is
+    // strictly worse than the bound — decided from the footer, payload
+    // never fetched. Descending is "the latest k events": visited in file
+    // order it met every block with a zone still beating the bound.
+    let (n_blocks, k) = (8usize, 100usize);
+    let rows = n_blocks * 512;
+    let (blocks, reader, segmented) = ts_tables((0..rows as i64).collect(), 4);
+    assert_eq!(reader.n_blocks(), n_blocks);
+    assert_eq!(segmented.n_segments(), 4);
+    for expr in [TopKExpr::asc("ts", k), TopKExpr::desc("ts", k)] {
+        let want: Vec<i64> = if expr.descending() {
+            (0..rows as i64).rev().take(k).collect()
+        } else {
+            (0..k as i64).collect()
+        };
+        let (mem, mem_stats) = top_k_blocks(&blocks, &expr).unwrap();
+        assert_eq!(mem.iter().map(|r| r.value).collect::<Vec<_>>(), want);
+        assert_eq!(mem_stats.blocks_pruned, n_blocks - 1, "{expr:?}");
+
+        let full_pass = reader.aggregate(&AggExpr::sum("ts")).unwrap().1;
+        let (top, stats) = reader.top_k(&expr).unwrap();
+        assert_eq!(top, mem, "{expr:?}");
+        assert_eq!(stats.blocks_skipped_io, n_blocks - 1, "{expr:?}");
+        assert!(
+            0 < stats.bytes_read && stats.bytes_read < full_pass.bytes_read,
+            "{expr:?}: top-k read {} B, one full pass {} B",
+            stats.bytes_read,
+            full_pass.bytes_read
+        );
+        assert_eq!(reader.top_k_parallel(&expr, 4).unwrap().0, top, "{expr:?}");
+
+        let full_pass = segmented.aggregate(&AggExpr::sum("ts")).unwrap().1;
+        let (seg_top, seg_stats) = segmented.top_k(&expr).unwrap();
+        assert_eq!(seg_top, mem, "{expr:?}");
+        assert_eq!(seg_stats.blocks_skipped_io, n_blocks - 1, "{expr:?}");
+        assert!(
+            0 < seg_stats.bytes_read && seg_stats.bytes_read < full_pass.bytes_read,
+            "{expr:?}: top-k read {} B, one full pass {} B",
+            seg_stats.bytes_read,
+            full_pass.bytes_read
+        );
+        assert_eq!(segmented.top_k_parallel(&expr, 4).unwrap().0, seg_top);
+    }
+}
+
+#[test]
+fn top_k_over_a_constant_column_visits_one_block() {
+    // Every zone equals the bound, so only the tie-aware half of the skip
+    // rule can prune: once block 0 has filled the heap, each later block
+    // starts at a position past the k-th entry's and no row of it can win
+    // the (value, block, row) tie-break.
+    let (n_blocks, k) = (6usize, 100usize);
+    let (blocks, reader, segmented) = ts_tables(vec![7; n_blocks * 512], 3);
+    for expr in [TopKExpr::asc("ts", k), TopKExpr::desc("ts", k)] {
+        let (mem, mem_stats) = top_k_blocks(&blocks, &expr).unwrap();
+        let first_rows: Vec<(i64, u32, u32)> = (0..k as u32).map(|row| (7, 0, row)).collect();
+        let got: Vec<(i64, u32, u32)> = mem.iter().map(|r| (r.value, r.block, r.row)).collect();
+        assert_eq!(got, first_rows, "{expr:?}");
+        assert_eq!(mem_stats.blocks_pruned, n_blocks - 1, "{expr:?}");
+        let (top, stats) = reader.top_k(&expr).unwrap();
+        assert_eq!((top, stats.blocks_skipped_io), (mem.clone(), n_blocks - 1));
+        let (top, stats) = segmented.top_k(&expr).unwrap();
+        assert_eq!((top, stats.blocks_skipped_io), (mem.clone(), n_blocks - 1));
+        for threads in [2, 4] {
+            assert_eq!(
+                top_k_blocks_parallel(&blocks, &expr, threads).unwrap().0,
+                mem
+            );
+            assert_eq!(reader.top_k_parallel(&expr, threads).unwrap().0, mem);
+            assert_eq!(segmented.top_k_parallel(&expr, threads).unwrap().0, mem);
+        }
+    }
 }

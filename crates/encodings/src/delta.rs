@@ -6,10 +6,14 @@
 //! checkpoint cost the paper cites when excluding Delta from its baseline.
 
 use bytes::{Buf, BufMut};
+use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{zigzag_decode, zigzag_encode, BitPackedVec};
 use corra_columnar::error::{Error, Result};
+use corra_columnar::selection::SelectionVector;
+use corra_columnar::stats::ZoneMap;
+use corra_columnar::topk::TopKHeap;
 
-use crate::traits::{stream_packed, IntAccess};
+use crate::traits::{check_selection, stream_packed, IntAccess};
 
 /// Rows per miniblock (restart interval).
 pub const MINIBLOCK: usize = 128;
@@ -91,13 +95,35 @@ impl DeltaInt {
             deltas,
         })
     }
+
+    /// Calls `f(row, value)` for every selected row, in selection order.
+    /// A selection is sorted, so the prefix sum resumes from the previous
+    /// selected row while the next one lies in the same miniblock and pays
+    /// the restart only when it does not.
+    fn for_each_selected(&self, sel: &SelectionVector, mut f: impl FnMut(u32, i64)) {
+        check_selection(sel, self.len);
+        // `v` is the value of row `at`; row 0 is the first restart.
+        let (mut at, mut v) = (0, self.restarts.first().copied().unwrap_or(0));
+        for &p in sel.positions() {
+            let i = p as usize;
+            let restart = i - i % MINIBLOCK;
+            if at < restart {
+                (at, v) = (restart, self.restarts[i / MINIBLOCK]);
+            }
+            while at < i {
+                at += 1;
+                v = v.wrapping_add(zigzag_decode(self.deltas.get_unchecked_len(at)));
+            }
+            f(p, v);
+        }
+    }
 }
 
 /// Delta has no compressed-domain shortcut — values only exist as prefix
-/// sums — so every kernel is the trait's provided body: the whole-column
-/// ones run over the chunk stream, one sequential reconstruction that never
-/// pays the O(MINIBLOCK) random-access cost of `get`; the selected-row ones
-/// pay it per selected row.
+/// sums — so the whole-column kernels are the trait's provided bodies over
+/// the chunk stream, one sequential reconstruction that never pays the
+/// O(MINIBLOCK) random-access cost of `get`, and the selected-row kernels
+/// walk the sorted selection with one forward cursor.
 impl IntAccess for DeltaInt {
     fn len(&self) -> usize {
         self.len
@@ -130,6 +156,41 @@ impl IntAccess for DeltaInt {
             v
         };
         stream_packed(&self.deltas, value, f);
+    }
+
+    fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
+        out.clear();
+        out.reserve(sel.len());
+        self.for_each_selected(sel, |_, v| out.push(v));
+    }
+
+    fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
+        self.for_each_selected(sel, |_, v| state.update(v));
+    }
+
+    fn top_k_selected(&self, base: u64, sel: &SelectionVector, heap: &mut TopKHeap) {
+        if heap.k() == 0 {
+            return;
+        }
+        self.for_each_selected(sel, |p, v| heap.offer(v, base + p as u64));
+    }
+
+    /// Every value is a restart plus at most `MINIBLOCK - 1` deltas of at
+    /// most `2^(bits-1)` each in magnitude (the widest a `bits`-wide
+    /// zig-zag code decodes to). Deltas wrap, so the bounds only hold
+    /// when the widened interval stays inside the `i64` domain, where no
+    /// prefix sum can have wrapped; otherwise `None`.
+    fn value_bounds(&self) -> Option<ZoneMap> {
+        let restarts = ZoneMap::from_values(&self.restarts)?;
+        let widest = match self.bits() {
+            0 => 0,
+            bits => 1i128 << (bits - 1),
+        };
+        let slack = (MINIBLOCK as i128 - 1) * widest;
+        Some(ZoneMap {
+            min: i64::try_from(restarts.min as i128 - slack).ok()?,
+            max: i64::try_from(restarts.max as i128 + slack).ok()?,
+        })
     }
 }
 
@@ -226,7 +287,29 @@ mod tests {
                 "{range:?}"
             );
         }
-        assert!(enc.value_bounds().is_none());
+        let zone = enc.value_bounds().unwrap();
+        assert!(values.iter().all(|&v| zone.covers(v)), "{zone:?}");
+    }
+
+    #[test]
+    fn value_bounds_cover_or_give_up() {
+        assert!(DeltaInt::encode(&[]).value_bounds().is_none());
+        // Width 0: every value is a restart, so the bounds are exact.
+        let flat = DeltaInt::encode(&[7; 300]);
+        let zone = flat.value_bounds().unwrap();
+        assert_eq!((zone.min, zone.max), (7, 7));
+        // Steps of 2 are 3-bit zig-zag codes: restarts 0..=1792 widened by
+        // 127 * 2^2 each way.
+        let steps: Vec<i64> = (0..1000).map(|i| i * 2).collect();
+        let zone = DeltaInt::encode(&steps).value_bounds().unwrap();
+        assert_eq!((zone.min, zone.max), (-508, 1792 + 508));
+        // A widened interval that leaves the i64 domain may hide a wrap.
+        assert!(DeltaInt::encode(&[i64::MAX - 1, i64::MAX])
+            .value_bounds()
+            .is_none());
+        assert!(DeltaInt::encode(&[i64::MIN, i64::MAX, 0])
+            .value_bounds()
+            .is_none());
     }
 
     #[test]

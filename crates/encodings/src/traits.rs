@@ -164,11 +164,7 @@ pub trait IntAccess {
         if heap.k() == 0 {
             return;
         }
-        self.for_each_chunk(&mut |start, chunk| {
-            for (j, &v) in chunk.iter().enumerate() {
-                heap.offer(v, base + (start + j) as u64);
-            }
-        });
+        self.for_each_chunk(&mut |start, chunk| heap.offer_chunk(base + start as u64, chunk));
     }
 
     /// Offers only the selected rows (the post-filter path).

@@ -301,6 +301,34 @@ proptest! {
         }
     }
 
+    /// Delta's covering bounds hold every decoded value wherever they
+    /// exist — also hard against either end of the `i64` domain, where the
+    /// widened interval may leave it and the codec must give up (`None`)
+    /// rather than report bounds a wrapped prefix sum could escape.
+    #[test]
+    fn delta_bounds_cover_every_decoded_value(
+        anchor in prop::sample::select(vec![i64::MIN, i64::MIN + 70_000, -3, i64::MAX - 70_000, i64::MAX - 499]),
+        steps in prop::collection::vec(0i64..500, 0..600),
+        wild in prop::collection::vec(any::<i64>(), 0..3),
+    ) {
+        let mut values: Vec<i64> = steps.iter().map(|s| anchor + s).collect();
+        values.extend(&wild);
+        let enc = DeltaInt::encode(&values);
+        let zone = enc.value_bounds();
+        let mut decoded = Vec::new();
+        enc.decode_into(&mut decoded);
+        prop_assert_eq!(&decoded, &values);
+        if let Some(zone) = zone {
+            for &v in &decoded {
+                prop_assert!(zone.covers(v), "{:?} misses {} ({} bits)", zone, v, enc.bits());
+            }
+        }
+        // Not vacuous: away from the ends there is always a zone.
+        if wild.is_empty() && anchor == -3 {
+            prop_assert_eq!(zone.is_some(), !values.is_empty());
+        }
+    }
+
     /// The full chooser's pick is minimal among all candidates it considers.
     #[test]
     fn full_chooser_is_minimal(values in int_column()) {
@@ -343,6 +371,9 @@ proptest! {
             SelectionVector::empty(),
             SelectionVector::all(n),
             SelectionVector::new(raw_sel.iter().filter_map(|p| p.checked_rem(n as u32)).collect()),
+            // Bursts that start mid-miniblock and run across a restart,
+            // then skip one: every move of Delta's forward cursor.
+            SelectionVector::new((0..n as u32).filter(|p| p % 200 >= 90 && p % 3 != 0).collect()),
         ];
         let group_of = &raw_groups[..n];
         let seed = values.get(n / 2).copied().unwrap_or(a);
