@@ -49,6 +49,27 @@ impl IntAggState {
         self.max = Some(self.max.map_or(v, |m| m.max(v)));
     }
 
+    /// Folds a materialized span — the same state as calling
+    /// [`update`](Self::update) on each value in turn, with the bounds
+    /// kept in plain locals for the whole span instead of an `Option`
+    /// round trip per value.
+    pub fn update_slice(&mut self, values: &[i64]) {
+        let Some(&first) = values.first() else {
+            return;
+        };
+        let (mut min, mut max) = (self.min.unwrap_or(first), self.max.unwrap_or(first));
+        let mut sum = 0i128;
+        for &v in values {
+            sum += v as i128;
+            min = min.min(v);
+            max = max.max(v);
+        }
+        self.count += values.len() as u64;
+        self.sum += sum;
+        self.min = Some(min);
+        self.max = Some(max);
+    }
+
     /// Merges another partial state in (associative and commutative, so the
     /// morsel-parallel driver can merge per-block partials in block order
     /// with a result identical to the serial fold).

@@ -271,6 +271,21 @@ impl BitPackedVec {
         }
     }
 
+    /// Whether every element is below `bound` — the range check of a
+    /// code-indexed column at deserialization. Free when `bound >= 2^bits`
+    /// (no packed value can reach it); otherwise one batched sweep comparing
+    /// each chunk's maximum.
+    pub fn all_below(&self, bound: u64) -> bool {
+        if self.len == 0 || (self.bits < 64 && bound >> self.bits != 0) {
+            return true;
+        }
+        let mut below = true;
+        self.unpack_chunks(|_, chunk| {
+            below &= chunk.iter().fold(0, |m, &c| m.max(c)) < bound;
+        });
+        below
+    }
+
     /// Fused decode+filter: pushes the index of every packed value inside
     /// (or, with `negate`, outside) the inclusive unsigned interval
     /// `[lo, hi]` onto `out` — decode and compare run as one chunked sweep
@@ -609,6 +624,30 @@ mod tests {
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(packed.get(i), v);
         }
+    }
+
+    #[test]
+    fn all_below_rejects_a_code_at_the_bound_anywhere() {
+        let n = 3_000;
+        for bits in [1u8, 2, 7, 13] {
+            let bound = (1u64 << bits) - 1;
+            let valid: Vec<u64> = (0..n as u64).map(|i| i % bound).collect();
+            let packed = BitPackedVec::pack(&valid, bits).unwrap();
+            assert!(packed.all_below(bound), "bits {bits}");
+            // A bound past the width's domain is decided without a sweep.
+            assert!(packed.all_below(bound + 1), "bits {bits}");
+            for row in [0, 1_023, 1_024, n - 1] {
+                let mut codes = valid.clone();
+                codes[row] = bound;
+                let packed = BitPackedVec::pack(&codes, bits).unwrap();
+                assert!(!packed.all_below(bound), "bits {bits} row {row}");
+                assert!(packed.all_below(bound + 1), "bits {bits} row {row}");
+            }
+        }
+        assert!(BitPackedVec::pack(&[], 5).unwrap().all_below(0));
+        let zeros = BitPackedVec::pack(&[0; 10], 0).unwrap();
+        assert!(zeros.all_below(1));
+        assert!(!zeros.all_below(0));
     }
 
     #[test]

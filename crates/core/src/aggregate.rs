@@ -10,9 +10,12 @@
 //! 2. **Per-codec folds** — vertical codecs use
 //!    [`corra_encodings::IntAccess`]'s folds / [`corra_encodings::DictStr`]'s
 //!    (FOR folds in the packed offset domain, RLE per run, Dict/Frequency
-//!    once per distinct value weighted by counts, Delta streaming); the Corra
-//!    horizontal codecs fold through their reference accessors per the
-//!    paper's reconstruction rules.
+//!    once per distinct value weighted by counts, Delta streaming); Hier
+//!    folds once per metadata entry; NonHier and MultiRef reconstruct the
+//!    block once through the batch decode and fold the slice
+//!    ([`IntAggState::update_slice`]). A *filtered* fold reads only the
+//!    selected rows, through the reference accessors per the paper's
+//!    reconstruction rules.
 //! 3. **Merge** — per-block partial states ([`IntAggState`] /
 //!    [`StrAggState`], `SUM` in `i128` so it never silently wraps) merge
 //!    deterministically in block order, which is what makes
@@ -35,7 +38,7 @@ use corra_columnar::stats::ZoneMap;
 use corra_encodings::{IntAccess, IntEncoding};
 
 use crate::compressor::{BlockView, ColumnCodec, CompressedBlock};
-use crate::query::{eval_formula_mask, int_column, IntColumn};
+use crate::query::{eval_formula_mask, int_column, whole_column, IntColumn, WholeColumn};
 use crate::scan::{scan_pruned, validate_pred_with, Predicate, ScanStats};
 
 /// The aggregate function of an [`AggExpr`].
@@ -447,10 +450,9 @@ pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
         }
     };
     let matched = sel.as_ref().map_or(rows, SelectionVector::len);
-    let partial = if expr.group_by.is_some() {
-        eval_grouped(block, expr, sel.as_ref())?
-    } else {
-        eval_scalar(block, expr, sel.as_ref())?
+    let partial = match expr.group_by.as_deref() {
+        Some(group_col) => eval_grouped(block, expr, group_col, sel.as_ref())?,
+        None => eval_scalar(block, expr, sel.as_ref())?,
     };
     Ok((partial, pruned, matched))
 }
@@ -507,26 +509,29 @@ fn eval_scalar<B: BlockView + ?Sized>(
         _ => {}
     }
     let mut state = IntAggState::default();
-    match int_column(block, idx)? {
-        IntColumn::Vertical(enc) => match sel {
-            None => enc.aggregate_into(&mut state),
-            Some(s) => enc.aggregate_selected(s, &mut state),
-        },
-        IntColumn::NonHier { enc, refs } => match sel {
-            None => enc.aggregate_map(|i| refs.get(i), &mut state),
-            Some(s) => enc.aggregate_selected_map(s, |i| refs.get(i), &mut state),
-        },
-        IntColumn::Hier { enc, codes } => match sel {
-            None => enc.aggregate_with_parents(|i| codes.code(i), &mut state),
-            Some(s) => enc.aggregate_selected_with_parents(s, |i| codes.code(i), &mut state),
-        },
-        IntColumn::MultiRef { enc, members } => {
-            let eval = |mask: u8, i: usize| eval_formula_mask(&members, mask, i);
-            match sel {
-                None => enc.aggregate_masked(eval, &mut state),
-                Some(s) => enc.aggregate_selected_masked(s, eval, &mut state),
+    let Some(s) = sel else {
+        match whole_column(block, idx)? {
+            WholeColumn::Vertical(enc) => enc.aggregate_into(&mut state),
+            WholeColumn::Hier { enc, codes } => {
+                enc.aggregate_with_parents(|i| codes.code(i), &mut state)
             }
+            WholeColumn::Decoded(values) => state.update_slice(&values),
         }
+        return Ok(PartialAgg::Int(state));
+    };
+    match int_column(block, idx)? {
+        IntColumn::Vertical(enc) => enc.aggregate_selected(s, &mut state),
+        IntColumn::NonHier { enc, refs } => {
+            enc.aggregate_selected_map(s, |i| refs.get(i), &mut state)
+        }
+        IntColumn::Hier { enc, codes } => {
+            enc.aggregate_selected_with_parents(s, |i| codes.code(i), &mut state)
+        }
+        IntColumn::MultiRef { enc, members } => enc.aggregate_selected_masked(
+            s,
+            |mask, i| eval_formula_mask(&members, mask, i),
+            &mut state,
+        ),
     }
     Ok(PartialAgg::Int(state))
 }
@@ -537,9 +542,9 @@ fn eval_scalar<B: BlockView + ?Sized>(
 fn eval_grouped<B: BlockView + ?Sized>(
     block: &B,
     expr: &AggExpr,
+    group_col: &str,
     sel: Option<&SelectionVector>,
 ) -> Result<PartialAgg> {
-    let group_col = expr.group_by.as_deref().expect("caller checked group_by");
     let gidx = block.index_of(group_col)?;
     let (keys, mut codes): (Vec<GroupKey>, Vec<u32>) = match block.view_codec(gidx)? {
         ColumnCodec::Int(IntEncoding::Dict(d)) => {
@@ -621,19 +626,22 @@ fn eval_grouped<B: BlockView + ?Sized>(
         _ => {}
     }
     let mut states = vec![IntAggState::default(); n_states];
-    match int_column(block, idx)? {
-        IntColumn::Vertical(enc) => enc.aggregate_grouped(&codes, &mut states),
-        IntColumn::NonHier { enc, refs } => {
-            enc.aggregate_grouped_map(&codes, |i| refs.get(i), &mut states)
-        }
-        IntColumn::Hier { enc, codes: pcodes } => {
+    match whole_column(block, idx)? {
+        WholeColumn::Vertical(enc) => enc.aggregate_grouped(&codes, &mut states),
+        WholeColumn::Hier { enc, codes: pcodes } => {
             enc.aggregate_grouped_with_parents(&codes, |i| pcodes.code(i), &mut states)
         }
-        IntColumn::MultiRef { enc, members } => enc.aggregate_grouped_masked(
-            &codes,
-            |mask, i| eval_formula_mask(&members, mask, i),
-            &mut states,
-        ),
+        WholeColumn::Decoded(values) => {
+            if values.len() != codes.len() {
+                return Err(Error::LengthMismatch {
+                    left: codes.len(),
+                    right: values.len(),
+                });
+            }
+            for (&v, &g) in values.iter().zip(&codes) {
+                states[g as usize].update(v);
+            }
+        }
     }
     Ok(PartialAgg::GroupedInt(
         keys.into_iter()
@@ -972,6 +980,32 @@ mod tests {
         let compressed = CompressedBlock::compress(&raw, &cfg).unwrap();
         let blocks = vec![compressed.clone(), compressed];
         assert!(aggregate_blocks_parallel(&blocks, &AggExpr::sum("nope"), 4).is_err());
+    }
+
+    #[test]
+    fn grouped_fold_over_misaligned_group_codes_errors() {
+        use crate::multiref::MultiRefInt;
+        use corra_encodings::{DictInt, PlainInt};
+        // The group column stores 3 rows, the reconstructed target 10.
+        let reference: Vec<i64> = (0..10).collect();
+        let block = CompressedBlock::new_unchecked(
+            10,
+            ["g", "r", "t"].map(String::from).to_vec(),
+            vec![
+                ColumnCodec::Int(IntEncoding::Dict(DictInt::encode(&[1, 2, 1]))),
+                ColumnCodec::Int(IntEncoding::Plain(PlainInt::encode(&reference))),
+                ColumnCodec::MultiRef {
+                    enc: MultiRefInt::encode(&reference, std::slice::from_ref(&reference), 1)
+                        .unwrap(),
+                    groups: vec![vec![1]],
+                },
+            ],
+        );
+        let got = aggregate(&block, &AggExpr::sum("t").with_group_by("g"));
+        assert!(matches!(
+            got,
+            Err(Error::LengthMismatch { left: 3, right: 10 })
+        ));
     }
 
     #[test]

@@ -588,10 +588,21 @@ pub(crate) fn decode_int_column<B: BlockView + ?Sized>(
         ColumnCodec::MultiRef { enc, groups } => {
             sums.resize_with(groups.len(), Vec::new);
             for (sum, group) in sums.iter_mut().zip(groups) {
-                sum.clear();
-                sum.resize(block.rows(), 0);
-                for &member in group {
+                // The first member decodes straight into the group sum.
+                let Some((&first, rest)) = group.split_first() else {
+                    sum.clear();
+                    sum.resize(block.rows(), 0);
+                    continue;
+                };
+                decode_vertical_into(block, first as usize, sum)?;
+                for &member in rest {
                     decode_vertical_into(block, member as usize, refs)?;
+                    if refs.len() != sum.len() {
+                        return Err(Error::LengthMismatch {
+                            left: sum.len(),
+                            right: refs.len(),
+                        });
+                    }
                     for (acc, &x) in sum.iter_mut().zip(refs.iter()) {
                         *acc = acc.wrapping_add(x);
                     }

@@ -10,7 +10,7 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::stats::{IntStats, StringStats};
 use corra_encodings::chooser::{estimate_dict_bytes, estimate_for_bytes};
 
-use crate::multiref::{Formula, MAX_GROUPS};
+use crate::multiref::{Formula, FormulaMatches, MAX_GROUPS};
 use crate::nonhier::plan_window;
 
 /// A detected non-hierarchical (single-reference) correlation.
@@ -218,54 +218,16 @@ pub fn detect_multiref(
         }
     }
     let take = sample_rows.min(rows);
-    let n_masks = (1usize << g) - 1;
-    let mut row_matches = vec![0u64; take];
-    let mut sums_at = vec![0i64; g];
-    for i in 0..take {
-        for (k, (_, r)) in references.iter().enumerate() {
-            sums_at[k] = r[i];
-        }
-        let mut bits = 0u64;
-        for m in 1..=n_masks {
-            if Formula(m as u8).eval(&sums_at) == target[i] {
-                bits |= 1 << (m - 1);
-            }
-        }
-        row_matches[i] = bits;
-    }
-    let mut covered = vec![false; take];
-    let mut formulas = Vec::new();
-    for _ in 0..max_formulas {
-        let mut counts = vec![0usize; n_masks];
-        for i in 0..take {
-            if covered[i] {
-                continue;
-            }
-            let mut bits = row_matches[i];
-            while bits != 0 {
-                let m = bits.trailing_zeros() as usize;
-                counts[m] += 1;
-                bits &= bits - 1;
-            }
-        }
-        let Some((best, &count)) = counts.iter().enumerate().max_by_key(|&(_, &c)| c) else {
-            break;
-        };
-        if count == 0 {
-            break;
-        }
-        formulas.push((Formula((best + 1) as u8), count as f64 / take.max(1) as f64));
-        for i in 0..take {
-            if row_matches[i] & (1 << best) != 0 {
-                covered[i] = true;
-            }
-        }
-    }
-    let uncovered = covered.iter().filter(|&&c| !c).count();
+    let sums: Vec<&[i64]> = references.iter().map(|&(_, r)| r).collect();
+    let picked = FormulaMatches::new(&target[..take], &sums).greedy_cover(max_formulas);
+    let covered: usize = picked.iter().map(|&(_, count)| count).sum();
     Ok(MultiRefCandidate {
         references: (0..g).collect(),
-        formulas,
-        outlier_rate: uncovered as f64 / take.max(1) as f64,
+        formulas: picked
+            .into_iter()
+            .map(|(f, count)| (f, count as f64 / take.max(1) as f64))
+            .collect(),
+        outlier_rate: (take - covered) as f64 / take.max(1) as f64,
     })
 }
 

@@ -88,6 +88,88 @@ impl FormulaStats {
     }
 }
 
+/// Which candidate formulas — every non-empty subset of up to
+/// [`MAX_GROUPS`] reference groups — reproduce each target row: a bitset of
+/// `2^groups - 1` bits per row, bit `m - 1` standing for mask `m`. Shared by
+/// the encoder and the sample-based detector.
+pub(crate) struct FormulaMatches {
+    rows: usize,
+    n_masks: usize,
+    /// Words per row: 255 masks over 8 groups need four.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl FormulaMatches {
+    /// Tests every candidate mask on every row; `group_sums` holds one
+    /// slice per group (`1..=MAX_GROUPS` of them), each at least as long as
+    /// `target`.
+    pub(crate) fn new(target: &[i64], group_sums: &[&[i64]]) -> Self {
+        let n_masks = (1usize << group_sums.len()) - 1;
+        let words = n_masks.div_ceil(64);
+        let mut bits = vec![0u64; target.len() * words];
+        let mut sums_at = vec![0i64; group_sums.len()];
+        for (i, (&t, row)) in target.iter().zip(bits.chunks_exact_mut(words)).enumerate() {
+            for (slot, s) in sums_at.iter_mut().zip(group_sums) {
+                *slot = s[i];
+            }
+            for m in 0..n_masks {
+                if Formula(m as u8 + 1).eval(&sums_at) == t {
+                    row[m / 64] |= 1 << (m % 64);
+                }
+            }
+        }
+        Self {
+            rows: target.len(),
+            n_masks,
+            words,
+            bits,
+        }
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    /// Whether formula `f` reproduces row `i`.
+    pub(crate) fn matches(&self, i: usize, f: Formula) -> bool {
+        let m = f.0 as usize - 1;
+        (self.row(i)[m / 64] >> (m % 64)) & 1 == 1
+    }
+
+    /// Greedy set cover: up to `max` formulas, each the one reproducing the
+    /// most rows no earlier pick covers (the last such on a tie), with that
+    /// count; stops early once no formula covers a new row.
+    pub(crate) fn greedy_cover(&self, max: usize) -> Vec<(Formula, usize)> {
+        let mut covered = vec![false; self.rows];
+        let mut picked = Vec::new();
+        for _ in 0..max {
+            let mut counts = vec![0usize; self.n_masks];
+            for i in (0..self.rows).filter(|&i| !covered[i]) {
+                for (w, &word) in self.row(i).iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        counts[w * 64 + bits.trailing_zeros() as usize] += 1;
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            let Some((best, &count)) = counts.iter().enumerate().max_by_key(|&(_, &c)| c) else {
+                break;
+            };
+            if count == 0 {
+                break;
+            }
+            let f = Formula((best + 1) as u8);
+            for (i, c) in covered.iter_mut().enumerate() {
+                *c |= self.matches(i, f);
+            }
+            picked.push((f, count));
+        }
+        picked
+    }
+}
+
 /// Multi-reference diff-encoded column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiRefInt {
@@ -124,57 +206,13 @@ impl MultiRefInt {
                 });
             }
         }
-        let n_masks = (1usize << g) - 1;
-        // Per-row bitset of matching candidate masks (mask m matches row i if
-        // the subset-sum equals target[i]).
-        let mut row_matches = vec![0u64; n];
-        let mut sums_at = vec![0i64; g];
-        for i in 0..n {
-            for (k, s) in group_sums.iter().enumerate() {
-                sums_at[k] = s[i];
-            }
-            let mut bits = 0u64;
-            for m in 1..=n_masks {
-                if Formula(m as u8).eval(&sums_at) == target[i] {
-                    bits |= 1 << (m - 1);
-                }
-            }
-            row_matches[i] = bits;
-        }
-        // Greedy set cover: repeatedly pick the mask covering the most
-        // still-uncovered rows.
-        let max_formulas = 1usize << code_bits;
-        let mut selected: Vec<Formula> = Vec::new();
-        let mut covered = vec![false; n];
-        for _ in 0..max_formulas {
-            let mut counts = vec![0usize; n_masks];
-            for i in 0..n {
-                if covered[i] {
-                    continue;
-                }
-                let mut bits = row_matches[i];
-                while bits != 0 {
-                    let m = bits.trailing_zeros() as usize;
-                    counts[m] += 1;
-                    bits &= bits - 1;
-                }
-            }
-            let (best_mask, best_count) = counts
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &c)| c)
-                .map(|(m, &c)| (m, c))
-                .unwrap_or((0, 0));
-            if best_count == 0 {
-                break;
-            }
-            selected.push(Formula((best_mask + 1) as u8));
-            for i in 0..n {
-                if row_matches[i] & (1 << best_mask) != 0 {
-                    covered[i] = true;
-                }
-            }
-        }
+        let sums: Vec<&[i64]> = group_sums.iter().map(Vec::as_slice).collect();
+        let matches = FormulaMatches::new(target, &sums);
+        let mut selected: Vec<Formula> = matches
+            .greedy_cover(1 << code_bits)
+            .into_iter()
+            .map(|(f, _)| f)
+            .collect();
         if selected.is_empty() {
             // Degenerate: nothing matches; keep one formula so codes exist.
             selected.push(Formula(1));
@@ -182,15 +220,12 @@ impl MultiRefInt {
         // Assign codes: first selected formula that matches; else outlier.
         let mut codes = Vec::with_capacity(n);
         let mut outliers = OutlierRegion::new();
-        for i in 0..n {
-            let code = selected
-                .iter()
-                .position(|f| row_matches[i] & (1u64 << (f.0 as u64 - 1)) != 0);
-            match code {
+        for (i, &t) in target.iter().enumerate() {
+            match selected.iter().position(|&f| matches.matches(i, f)) {
                 Some(c) => codes.push(c as u64),
                 None => {
                     codes.push(0);
-                    outliers.push(i as u32, target[i]);
+                    outliers.push(i as u32, t);
                 }
             }
         }
@@ -254,7 +289,19 @@ impl MultiRefInt {
         self.formulas[self.codes.get(i) as usize].eval(group_sums_at_row)
     }
 
-    /// Bulk decode given full per-group sum columns.
+    /// Bulk decode given full per-group sum columns — the whole-block
+    /// reconstruction every scan, fold, TOP-K and decompress of the column
+    /// runs through. Branch-free: each group gets a table
+    /// `keep[code]` of 0 or −1 (whether that code's formula names the
+    /// group), and each chunk of codes adds `sum & keep[code]` one group at
+    /// a time; outliers are patched in afterwards.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::LengthMismatch`] when a group sum is not one value per row,
+    /// and [`Error::Corrupt`] when a formula names a group past
+    /// `group_sums` (see [`validate_groups`](Self::validate_groups)) —
+    /// the table would otherwise read that group as zero.
     pub fn decode_into(&self, group_sums: &[Vec<i64>], out: &mut Vec<i64>) -> Result<()> {
         for s in group_sums {
             if s.len() != self.len() {
@@ -264,78 +311,32 @@ impl MultiRefInt {
                 });
             }
         }
+        self.validate_groups(group_sums.len())?;
+        // Codes are below `formulas.len()` (checked on construction and
+        // read), which is at most 255, so `code as u8` indexes losslessly.
+        let mut keep: Vec<(&[i64], [i64; 256])> = Vec::with_capacity(group_sums.len());
+        for (g, sum) in group_sums.iter().enumerate().take(MAX_GROUPS) {
+            let mut table = [0i64; 256];
+            for (slot, f) in table.iter_mut().zip(&self.formulas) {
+                *slot = -i64::from((f.0 >> g) & 1);
+            }
+            if table.iter().any(|&k| k != 0) {
+                keep.push((sum, table));
+            }
+        }
         out.clear();
-        out.reserve(self.len());
-        let g = group_sums.len();
-        let mut sums_at = vec![0i64; g];
+        out.resize(self.len(), 0);
         self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                for (k, s) in group_sums.iter().enumerate() {
-                    sums_at[k] = s[i];
+            let out = &mut out[start..start + chunk.len()];
+            for (sum, table) in &keep {
+                let sum = &sum[start..start + chunk.len()];
+                for ((o, &s), &c) in out.iter_mut().zip(sum).zip(chunk) {
+                    *o = o.wrapping_add(s & table[c as u8 as usize]);
                 }
-                out.push(self.formulas[c as usize].eval(&sums_at));
             }
         });
         self.outliers.patch(out);
         Ok(())
-    }
-
-    /// Predicate pushdown: emits the positions (ascending) of all rows whose
-    /// reconstructed value matches `range`. Each row evaluates only the
-    /// reference groups its coded formula names (`eval_mask(mask, row)`,
-    /// like [`gather_masked`](Self::gather_masked)); outlier rows are merged
-    /// in by a sorted walk and tested on their verbatim values.
-    pub fn filter_masked(
-        &self,
-        range: &corra_columnar::predicate::IntRange,
-        eval_mask: impl Fn(u8, usize) -> i64,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        let mut exc = self.outliers.iter().peekable();
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                let v = match exc.peek() {
-                    Some(&(oi, ov)) if oi == i as u32 => {
-                        exc.next();
-                        ov
-                    }
-                    _ => eval_mask(self.formulas[c as usize].0, i),
-                };
-                if range.matches(v) {
-                    out.push(i as u32);
-                }
-            }
-        });
-    }
-
-    /// Materializes selected rows; `group_sum_at(g, row)` fetches (and
-    /// decodes) the sum of reference group `g` at `row` — "reconstructing the
-    /// target column requires fetching and computing based on all reference
-    /// columns" (§3, Fig. 8 discussion).
-    pub fn gather_into(
-        &self,
-        sel: &SelectionVector,
-        n_groups: usize,
-        group_sum_at: impl Fn(usize, usize) -> i64,
-        out: &mut Vec<i64>,
-    ) {
-        out.clear();
-        out.reserve(sel.len());
-        let mut sums_at = vec![0i64; n_groups];
-        for &p in sel.positions() {
-            let i = p as usize;
-            if let Some(v) = self.outliers.lookup(p) {
-                out.push(v);
-                continue;
-            }
-            for (g, slot) in sums_at.iter_mut().enumerate() {
-                *slot = group_sum_at(g, i);
-            }
-            out.push(self.formulas[self.codes.get(i) as usize].eval(&sums_at));
-        }
     }
 
     /// Materializes selected rows, evaluating only the reference groups the
@@ -370,30 +371,10 @@ impl MultiRefInt {
         }
     }
 
-    /// Aggregate pushdown: folds every reconstructed value into `state` in
-    /// one streaming pass. Each row evaluates only the reference groups its
-    /// coded formula names (`eval_mask(mask, row)`), per the §2.3
-    /// decompression order; outlier rows are merged in by a sorted walk and
-    /// fold their verbatim values.
-    pub fn aggregate_masked(&self, eval_mask: impl Fn(u8, usize) -> i64, state: &mut IntAggState) {
-        let mut exc = self.outliers.iter().peekable();
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                let v = match exc.peek() {
-                    Some(&(oi, ov)) if oi == i as u32 => {
-                        exc.next();
-                        ov
-                    }
-                    _ => eval_mask(self.formulas[c as usize].0, i),
-                };
-                state.update(v);
-            }
-        });
-    }
-
-    /// [`aggregate_masked`](Self::aggregate_masked) over the selected
-    /// positions only (the caller validates `sel`).
+    /// Folds the selected rows into `state`, evaluating only the reference
+    /// groups each row's formula names, per the §2.3 decompression order
+    /// (the caller validates `sel`). A whole-block fold reconstructs through
+    /// [`decode_into`](Self::decode_into) instead.
     pub fn aggregate_selected_masked(
         &self,
         sel: &SelectionVector,
@@ -409,31 +390,6 @@ impl MultiRefInt {
             };
             state.update(v);
         }
-    }
-
-    /// Grouped aggregate pushdown: folds row `i` into
-    /// `states[group_of[i]]`, evaluating only the formula-named groups.
-    pub fn aggregate_grouped_masked(
-        &self,
-        group_of: &[u32],
-        eval_mask: impl Fn(u8, usize) -> i64,
-        states: &mut [IntAggState],
-    ) {
-        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
-        let mut exc = self.outliers.iter().peekable();
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                let v = match exc.peek() {
-                    Some(&(oi, ov)) if oi == i as u32 => {
-                        exc.next();
-                        ov
-                    }
-                    _ => eval_mask(self.formulas[c as usize].0, i),
-                };
-                states[group_of[i] as usize].update(v);
-            }
-        });
     }
 
     /// Checks every formula mask only names groups `< n_groups` — the
@@ -499,10 +455,8 @@ impl MultiRefInt {
             formulas.push(Formula(mask));
         }
         let codes = BitPackedVec::read_from(buf)?;
-        for i in 0..codes.len() {
-            if codes.get(i) as usize >= formulas.len() {
-                return Err(Error::corrupt("multiref code out of range"));
-            }
+        if !codes.all_below(formulas.len() as u64) {
+            return Err(Error::corrupt("multiref code out of range"));
         }
         let outliers = OutlierRegion::read_from(buf)?;
         if let Some((last, _)) = outliers.iter().last() {
@@ -601,14 +555,35 @@ mod tests {
         let (target, groups) = taxi_like(3_000);
         let enc = MultiRefInt::encode(&target, &groups, 2).unwrap();
         let sel = SelectionVector::new(vec![0, 997, 999, 1_001, 2_999]);
+        let sums_at = |i: usize| [groups[0][i], groups[1][i], groups[2][i]];
         let mut out = Vec::new();
-        enc.gather_into(&sel, 3, |g, i| groups[g][i], &mut out);
-        let want: Vec<i64> = sel
-            .positions()
-            .iter()
-            .map(|&p| target[p as usize])
-            .collect();
+        enc.gather_masked(&sel, |mask, i| Formula(mask).eval(&sums_at(i)), &mut out);
+        let mut bulk = Vec::new();
+        enc.decode_into(&groups, &mut bulk).unwrap();
+        assert_eq!(bulk, target);
+        let want: Vec<i64> = sel.positions().iter().map(|&p| bulk[p as usize]).collect();
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn decode_rejects_a_formula_naming_a_missing_group() {
+        let (target, groups) = taxi_like(1_000);
+        let enc = MultiRefInt::encode(&target, &groups, 2).unwrap();
+        // The discovered formulas name group C; without it the keep table
+        // would read C as zero and decode silently wrong values.
+        let mut out = Vec::new();
+        assert!(matches!(
+            enc.decode_into(&groups[..2], &mut out),
+            Err(Error::Corrupt(_))
+        ));
+        assert!(matches!(
+            enc.decode_into(&[], &mut out),
+            Err(Error::Corrupt(_))
+        ));
+        assert!(matches!(
+            enc.decode_into(&[groups[0].clone(), groups[1][1..].to_vec()], &mut out),
+            Err(Error::LengthMismatch { .. })
+        ));
     }
 
     #[test]

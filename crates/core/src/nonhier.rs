@@ -16,10 +16,8 @@ use bytes::{Buf, BufMut};
 use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{bits_needed, BitPackedVec};
 use corra_columnar::error::{Error, Result};
-use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
-use corra_encodings::IntAccess;
 
 use crate::outlier::{OutlierRegion, OUTLIER_COST_BYTES};
 
@@ -237,28 +235,22 @@ impl NonHierInt {
         // patch stays a sparse post-pass.
         let base = self.base;
         self.diffs.unpack_chunks(|start, chunk| {
-            for (&r, &d) in reference[start..start + chunk.len()].iter().zip(chunk) {
-                out.push(r.wrapping_add(base).wrapping_add(d as i64));
-            }
+            let refs = &reference[start..start + chunk.len()];
+            out.extend(
+                refs.iter()
+                    .zip(chunk)
+                    .map(|(&r, &d)| r.wrapping_add(base).wrapping_add(d as i64)),
+            );
         });
         self.outliers.patch(out);
         Ok(())
     }
 
-    /// Materializes selected rows, fetching the reference through its own
-    /// (compressed) accessor — the non-hierarchical query path of Fig. 5.
-    pub fn gather_into(
-        &self,
-        sel: &SelectionVector,
-        reference: &impl IntAccess,
-        out: &mut Vec<i64>,
-    ) {
-        self.gather_map(sel, |i| reference.get(i), out);
-    }
-
-    /// Gather through an arbitrary reference accessor, with a fast path for
-    /// the (common, per the paper) outlier-free case. The caller must have
-    /// validated `sel` against the column length.
+    /// Materializes selected rows, fetching the reference through `ref_at`
+    /// (the query path of Fig. 5 passes the reference's own compressed
+    /// accessor), with a fast path for the (common, per the paper)
+    /// outlier-free case. The caller must have validated `sel` against the
+    /// column length.
     pub fn gather_map(
         &self,
         sel: &SelectionVector,
@@ -338,78 +330,11 @@ impl NonHierInt {
         }
     }
 
-    /// Predicate pushdown: emits the positions (ascending) of all rows whose
-    /// *reconstructed* value matches `range`, consulting the reference
-    /// column through `ref_at` per the paper's non-hierarchical rule
-    /// (`target = reference + base + diff`). Outlier rows are merged in by a
-    /// sorted walk and tested on their verbatim values; the per-row work on
-    /// the common outlier-free path is one add and two compares.
-    pub fn filter_map(&self, range: &IntRange, ref_at: impl Fn(usize) -> i64, out: &mut Vec<u32>) {
-        out.clear();
-        let base = self.base;
-        if self.outliers.is_empty() {
-            self.diffs.unpack_chunks(|start, chunk| {
-                for (j, &d) in chunk.iter().enumerate() {
-                    let i = start + j;
-                    let v = ref_at(i).wrapping_add(base).wrapping_add(d as i64);
-                    if range.matches(v) {
-                        out.push(i as u32);
-                    }
-                }
-            });
-        } else {
-            let mut exc = self.outliers.iter().peekable();
-            self.diffs.unpack_chunks(|start, chunk| {
-                for (j, &d) in chunk.iter().enumerate() {
-                    let i = start + j;
-                    let v = match exc.peek() {
-                        Some(&(oi, ov)) if oi == i as u32 => {
-                            exc.next();
-                            ov
-                        }
-                        _ => ref_at(i).wrapping_add(base).wrapping_add(d as i64),
-                    };
-                    if range.matches(v) {
-                        out.push(i as u32);
-                    }
-                }
-            });
-        }
-    }
-
-    /// Aggregate pushdown: folds every reconstructed value
-    /// (`reference + base + diff`) into `state` in one streaming pass over
-    /// the packed diffs, consulting the reference through `ref_at`; outlier
-    /// rows are merged in by a sorted walk and fold their verbatim values.
-    pub fn aggregate_map(&self, ref_at: impl Fn(usize) -> i64, state: &mut IntAggState) {
-        let base = self.base;
-        if self.outliers.is_empty() {
-            self.diffs.unpack_chunks(|start, chunk| {
-                for (j, &d) in chunk.iter().enumerate() {
-                    let i = start + j;
-                    state.update(ref_at(i).wrapping_add(base).wrapping_add(d as i64));
-                }
-            });
-        } else {
-            let mut exc = self.outliers.iter().peekable();
-            self.diffs.unpack_chunks(|start, chunk| {
-                for (j, &d) in chunk.iter().enumerate() {
-                    let i = start + j;
-                    let v = match exc.peek() {
-                        Some(&(oi, ov)) if oi == i as u32 => {
-                            exc.next();
-                            ov
-                        }
-                        _ => ref_at(i).wrapping_add(base).wrapping_add(d as i64),
-                    };
-                    state.update(v);
-                }
-            });
-        }
-    }
-
-    /// [`aggregate_map`](Self::aggregate_map) over the selected positions
-    /// only. The caller must have validated `sel` against the column length.
+    /// Folds the reconstructed values (`reference + base + diff`) at the
+    /// selected positions into `state`, fetching the reference through
+    /// `ref_at`. The caller must have validated `sel` against the column
+    /// length. A whole-block fold reconstructs through
+    /// [`decode_into`](Self::decode_into) instead.
     pub fn aggregate_selected_map(
         &self,
         sel: &SelectionVector,
@@ -428,33 +353,6 @@ impl NonHierInt {
             };
             state.update(v);
         }
-    }
-
-    /// Grouped aggregate pushdown: folds row `i` into
-    /// `states[group_of[i]]`, reconstructing through `ref_at` as in
-    /// [`aggregate_map`](Self::aggregate_map).
-    pub fn aggregate_grouped_map(
-        &self,
-        group_of: &[u32],
-        ref_at: impl Fn(usize) -> i64,
-        states: &mut [IntAggState],
-    ) {
-        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
-        let base = self.base;
-        let mut exc = self.outliers.iter().peekable();
-        self.diffs.unpack_chunks(|start, chunk| {
-            for (j, &d) in chunk.iter().enumerate() {
-                let i = start + j;
-                let v = match exc.peek() {
-                    Some(&(oi, ov)) if oi == i as u32 => {
-                        exc.next();
-                        ov
-                    }
-                    _ => ref_at(i).wrapping_add(base).wrapping_add(d as i64),
-                };
-                states[group_of[i] as usize].update(v);
-            }
-        });
     }
 
     /// Covering value bounds derived from the reference column's zone map:
@@ -532,7 +430,7 @@ impl NonHierInt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corra_encodings::{ForInt, PlainInt};
+    use corra_encodings::{ForInt, IntAccess, PlainInt};
 
     fn tpch_like(n: usize) -> (Vec<i64>, Vec<i64>) {
         // shipdate over ~7 years; receiptdate = shipdate + U[1,30]-ish.
@@ -638,7 +536,7 @@ mod tests {
         let ref_enc = PlainInt::encode(&ship);
         let sel = SelectionVector::new(vec![0, 99, 1_500]);
         let mut out = Vec::new();
-        enc.gather_into(&sel, &ref_enc, &mut out);
+        enc.gather_map(&sel, |i| ref_enc.get(i), &mut out);
         assert_eq!(out, vec![receipt[0], receipt[99], receipt[1_500]]);
     }
 

@@ -13,7 +13,7 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
 use corra_encodings::{IntAccess, IntEncoding};
 
-use crate::compressor::{BlockView, ColumnCodec};
+use crate::compressor::{decode_int_column, BlockView, ColumnCodec, DecodeScratch};
 
 /// Materialized query output (the paper materializes values, not positions).
 #[derive(Debug, Clone, PartialEq)]
@@ -79,8 +79,8 @@ pub(crate) enum RefAccess<'a> {
 }
 
 impl RefAccess<'_> {
-    // `always`: this is the per-value step of every MultiRef / NonHier
-    // kernel. Under the plain hint, whether it was inlined into
+    // `always`: this is the per-value step of every selected MultiRef /
+    // NonHier kernel. Under the plain hint, whether it was inlined into
     // `eval_formula_mask` depended on which other callers shared its
     // codegen unit — a ~10 % swing on MultiRef scans from unrelated edits.
     #[inline(always)]
@@ -132,7 +132,7 @@ pub(crate) fn ref_access<'a, B: BlockView + ?Sized>(
 }
 
 /// Resolves every multi-reference group member to a fast accessor, shared
-/// by the gather (query) and filter (scan) paths.
+/// by the selected paths (gather, filtered fold, filtered TOP-K).
 pub(crate) fn multiref_members<'a, B: BlockView + ?Sized>(
     block: &'a B,
     groups: &[Vec<u32>],
@@ -182,11 +182,11 @@ pub(crate) fn code_access<'a, B: BlockView + ?Sized>(
 /// reference accessor its reconstruction rule needs, ready for a per-family
 /// kernel dispatch.
 ///
-/// This is the one place the per-codec `ColumnCodec` ladder is walked for
-/// kernel families — filter ([`crate::scan`]), gather ([`query_column`])
-/// and aggregate ([`crate::aggregate`]) all match on these four shapes, so
-/// a new kernel family adds one 4-arm match instead of re-deriving the
-/// accessor-resolution boilerplate.
+/// This is the shape of the *selected* kernels — gather ([`query_column`]),
+/// the filtered folds of [`crate::aggregate`] and the filtered TOP-K offer
+/// — which keep the §2.3 per-row order: only the selected rows, and only
+/// the references each row's reconstruction names, are read. Whole-block
+/// kernels go through [`WholeColumn`] instead.
 pub(crate) enum IntColumn<'a> {
     /// Vertically encoded column: the kernel runs on the codec alone.
     Vertical(&'a IntEncoding),
@@ -244,6 +244,52 @@ pub(crate) fn int_column<'a, B: BlockView + ?Sized>(
                 expected: "integer column",
                 found: "string column",
             })
+        }
+    }
+}
+
+/// One integer column resolved for a whole-block kernel — a filter or fold
+/// over every row. Vertical codecs and Hier keep their compressed-domain
+/// kernels; NonHier and MultiRef are reconstructed once through
+/// [`decode_int_column`]'s batch kernels, so the vertical slice kernels
+/// (`filter_i64_slice`, [`IntAggState::update_slice`]) run on the result
+/// instead of a reference probe per row.
+///
+/// [`IntAggState::update_slice`]: corra_columnar::aggregate::IntAggState::update_slice
+pub(crate) enum WholeColumn<'a> {
+    /// Vertically encoded column: the kernel runs on the codec alone.
+    Vertical(&'a IntEncoding),
+    /// §2.2 hierarchical column and its parent's codes.
+    Hier {
+        /// The hierarchical encoding.
+        enc: &'a crate::hier::HierInt,
+        /// Fast accessor over the parent's codes.
+        codes: CodeAccess<'a>,
+    },
+    /// A reconstructed NonHier or MultiRef column, one value per row.
+    Decoded(Vec<i64>),
+}
+
+/// Resolves the column at `idx` into a [`WholeColumn`].
+///
+/// # Errors
+///
+/// [`Error::TypeMismatch`] for string codecs, plus anything loading or
+/// reconstructing the column and its references reports.
+pub(crate) fn whole_column<'a, B: BlockView + ?Sized>(
+    block: &'a B,
+    idx: usize,
+) -> Result<WholeColumn<'a>> {
+    match block.view_codec(idx)? {
+        ColumnCodec::Int(enc) => Ok(WholeColumn::Vertical(enc)),
+        ColumnCodec::HierInt { enc, reference } => Ok(WholeColumn::Hier {
+            enc,
+            codes: code_access(block, *reference as usize)?,
+        }),
+        _ => {
+            let mut scratch = DecodeScratch::default();
+            decode_int_column(block, idx, &mut scratch)?;
+            Ok(WholeColumn::Decoded(scratch.values))
         }
     }
 }

@@ -11,11 +11,13 @@
 //!    frame, dictionary extremes, hierarchical metadata, diff window +
 //!    outliers). Blocks whose zone proves `None`/`All` decode zero values.
 //! 2. **Per-codec kernels** — vertical codecs use
-//!    [`corra_encodings::IntAccess::filter_into`]; the Corra horizontal
-//!    codecs consult their reference column(s) per the paper's
-//!    reconstruction rules
-//!    (§2.1 addition for non-hierarchical, Alg. 1 metadata indexing for
-//!    hierarchical, formula evaluation for multi-reference).
+//!    [`corra_encodings::IntAccess::filter_into`]; hierarchical columns
+//!    test a verdict per Alg. 1 metadata entry; non-hierarchical and
+//!    multi-reference columns are reconstructed a block at a time through
+//!    the batch kernels decompression uses (decode the reference or the
+//!    group sums, then §2.1 addition / the branch-free formula pass) and
+//!    the result runs through the same SIMD range kernel as a vertical
+//!    chunk. Materializing *selected* rows keeps the per-row §2.3 order.
 //! 3. **Materialization** — [`scan_query`] / [`scan_query_both`] feed the
 //!    produced selection into the existing [`crate::query`] kernels, so
 //!    filter → materialize runs end to end on compressed data.
@@ -30,10 +32,11 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::{IntRange, RangeVerdict};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
+use corra_encodings::filter::filter_i64_slice;
 use corra_encodings::IntAccess;
 
 use crate::compressor::{BlockView, ColumnCodec, CompressedBlock};
-use crate::query::{code_access, eval_formula_mask, int_column, IntColumn, QueryOutput};
+use crate::query::{code_access, whole_column, QueryOutput, WholeColumn};
 use crate::store::LoadCost;
 
 /// A comparison operator of a scan predicate.
@@ -583,26 +586,14 @@ fn eval_int_leaf<B: BlockView + ?Sized>(
         }
     }
     let mut out = Vec::new();
-    match int_column(block, idx)? {
-        IntColumn::Vertical(enc) => enc.filter_into(range, &mut out),
-        IntColumn::NonHier { enc, refs } => enc.filter_map(range, |i| refs.get(i), &mut out),
-        IntColumn::Hier { enc, codes } => {
+    match whole_column(block, idx)? {
+        WholeColumn::Vertical(enc) => enc.filter_into(range, &mut out),
+        WholeColumn::Hier { enc, codes } => {
             enc.filter_with_parents(range, |i| codes.code(i), &mut out)
         }
-        IntColumn::MultiRef { enc, members } => {
-            // Streaming-reconstruction fallback: each row evaluates only the
-            // reference groups its formula names (§2.3 decompression order).
-            enc.filter_masked(
-                range,
-                |mask, i| eval_formula_mask(&members, mask, i),
-                &mut out,
-            );
-        }
+        WholeColumn::Decoded(values) => filter_i64_slice(&values, range, 0, &mut out),
     }
-    Ok((
-        SelectionVector::from_sorted(out).expect("kernels emit ascending positions"),
-        true,
-    ))
+    Ok((SelectionVector::from_sorted(out)?, true))
 }
 
 fn eval_str_leaf<B: BlockView + ?Sized>(
@@ -636,10 +627,7 @@ fn eval_str_leaf<B: BlockView + ?Sized>(
             });
         }
     }
-    Ok((
-        SelectionVector::from_sorted(out).expect("kernels emit ascending positions"),
-        true,
-    ))
+    Ok((SelectionVector::from_sorted(out)?, true))
 }
 
 #[cfg(test)]

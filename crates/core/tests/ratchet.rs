@@ -15,7 +15,7 @@ const EXECUTOR_FILES: [(&str, &str); 7] = [
 
 /// Non-test `.unwrap()` / `.expect(` across [`EXECUTOR_FILES`]: 51 before
 /// the morsel loop landed. Lower it when one goes; never raise it.
-const UNWRAP_CEILING: usize = 6;
+const UNWRAP_CEILING: usize = 3;
 
 /// The source above its unit-test module.
 fn library_part(source: &str) -> &str {
@@ -43,6 +43,34 @@ fn scoped_threads_live_only_in_the_morsel_loop_and_the_ingest_pipeline() {
         spawners, allowed,
         "multi-block drivers go through morsel::run"
     );
+}
+
+#[test]
+fn whole_block_horizontal_kernels_go_through_the_batch_decode() {
+    // The per-row reference-probe filter and fold kernels of NonHier and
+    // MultiRef; a whole-block kernel reconstructs through
+    // `decode_int_column` and runs the vertical slice kernels instead.
+    let retired = [
+        "filter_masked",
+        "aggregate_masked",
+        "aggregate_grouped_masked",
+        "fn filter_map",
+        "fn aggregate_map",
+        "aggregate_grouped_map",
+    ];
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    for entry in std::fs::read_dir(&src).unwrap() {
+        let path = entry.unwrap().path();
+        let source = std::fs::read_to_string(&path).unwrap();
+        for name in retired {
+            assert!(
+                !source.contains(name),
+                "{} brings back `{name}`; filter and fold whole blocks through \
+                 decode_int_column",
+                path.display()
+            );
+        }
+    }
 }
 
 #[test]

@@ -132,10 +132,8 @@ impl DictInt {
         if self.dict.windows(2).any(|w| w[0] >= w[1]) {
             return Err(Error::corrupt("dict-int dictionary not strictly sorted"));
         }
-        for i in 0..self.codes.len() {
-            if self.codes.get(i) as usize >= self.dict.len() {
-                return Err(Error::corrupt("dict-int code out of range"));
-            }
+        if !self.codes.all_below(self.dict.len() as u64) {
+            return Err(Error::corrupt("dict-int code out of range"));
         }
         Ok(())
     }
@@ -219,19 +217,30 @@ impl IntAccess for DictInt {
 
     /// Histograms the bit-packed codes, then folds once per *distinct*
     /// value weighted by its count (`value · count`) — the per-row work is
-    /// one counter increment, never an `i64` reconstruction.
+    /// one counter increment, never an `i64` reconstruction. Four rows per
+    /// iteration into four histograms: a one-increment loop body is a few
+    /// bytes whose speed depended on where the linker placed it (0.24 or
+    /// 0.40 ms per 400 k rows), and neighbouring equal codes no longer wait
+    /// on each other's store.
     fn aggregate_into(&self, state: &mut IntAggState) {
         if self.is_empty() {
             return;
         }
-        let mut counts = vec![0u64; self.dict.len()];
+        let mut counts = vec![[0u64; 4]; self.dict.len()];
         self.codes.unpack_chunks(|_, chunk| {
-            for &c in chunk {
-                counts[c as usize] += 1;
+            let mut quads = chunk.chunks_exact(4);
+            for q in &mut quads {
+                counts[q[0] as usize][0] += 1;
+                counts[q[1] as usize][1] += 1;
+                counts[q[2] as usize][2] += 1;
+                counts[q[3] as usize][3] += 1;
+            }
+            for &c in quads.remainder() {
+                counts[c as usize][0] += 1;
             }
         });
-        for (&v, &n) in self.dict.iter().zip(&counts) {
-            state.update_n(v, n);
+        for (&v, n) in self.dict.iter().zip(&counts) {
+            state.update_n(v, n.iter().sum());
         }
     }
 
@@ -404,10 +413,8 @@ impl DictStr {
 
     /// The invariant `read_from` enforces on outside bytes.
     fn validate(&self) -> Result<()> {
-        for i in 0..self.codes.len() {
-            if self.codes.get(i) as usize >= self.pool.len() {
-                return Err(Error::corrupt("dict-str code out of range"));
-            }
+        if !self.codes.all_below(self.pool.len() as u64) {
+            return Err(Error::corrupt("dict-str code out of range"));
         }
         Ok(())
     }
@@ -571,6 +578,25 @@ mod tests {
         buf[8] = b;
         buf[16] = a;
         assert!(DictInt::read_from(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn dict_codes_past_the_dictionary_are_corrupt() {
+        // Three entries at two bits: code 3 is packable but names nothing.
+        let mut codes = vec![0u64; 2_000];
+        codes[1_500] = 3;
+        let codes = BitPackedVec::pack(&codes, 2).unwrap();
+        let int = DictInt {
+            dict: vec![1, 2, 3],
+            codes: codes.clone(),
+        };
+        let str = DictStr {
+            pool: StringPool::from_iter(["a", "b", "c"]),
+            codes,
+        };
+        for err in [int.validate(), str.validate()] {
+            assert!(matches!(err, Err(Error::Corrupt(m)) if m.contains("code out of range")));
+        }
     }
 
     #[test]

@@ -157,10 +157,8 @@ impl FrequencyInt {
                 return Err(Error::corrupt("frequency exception position out of range"));
             }
         }
-        for i in 0..self.codes.len() {
-            if self.codes.get(i) as usize >= self.hot.len().max(1) {
-                return Err(Error::corrupt("frequency code out of range"));
-            }
+        if !self.codes.all_below(self.hot.len().max(1) as u64) {
+            return Err(Error::corrupt("frequency code out of range"));
         }
         Ok(())
     }
@@ -273,6 +271,22 @@ impl IntAccess for FrequencyInt {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn codes_past_the_hot_values_are_corrupt() {
+        let mut codes = vec![1u64; 2_000];
+        codes[1_999] = 2;
+        let enc = FrequencyInt {
+            hot: vec![7, 9],
+            codes: BitPackedVec::pack(&codes, 2).unwrap(),
+            exc_pos: Vec::new(),
+            exc_val: Vec::new(),
+        };
+        assert!(matches!(
+            enc.validate(),
+            Err(Error::Corrupt(m)) if m == "frequency code out of range"
+        ));
+    }
 
     #[test]
     fn skewed_distribution() {

@@ -107,11 +107,7 @@ pub trait IntAccess {
     /// Folds every row into `state` (`COUNT`/`SUM`/`MIN`/`MAX` in one pass,
     /// no materialized vector).
     fn aggregate_into(&self, state: &mut IntAggState) {
-        self.for_each_chunk(&mut |_, chunk| {
-            for &v in chunk {
-                state.update(v);
-            }
-        });
+        self.for_each_chunk(&mut |_, chunk| state.update_slice(chunk));
     }
 
     /// Folds the rows at the selected positions into `state`.
