@@ -75,19 +75,19 @@ impl IntStats {
     }
 }
 
-/// A min/max zone map over an integer column, the block-pruning side of
-/// predicate pushdown: a scan consults the zone map first and skips the
+/// The min/max zone of an integer column, the block-pruning side of
+/// predicate pushdown: a scan consults the zone first and skips the
 /// per-row kernel when the predicate's range provably misses (or provably
 /// covers) every value in the block.
 ///
-/// A zone map is *covering*, not necessarily tight: implementations may
-/// return conservative bounds (e.g. FOR's `[base, base + 2^bits - 1]`)
-/// as long as every stored value lies inside them.
+/// A zone is *exact*: `min` and `max` are values the column holds,
+/// recorded once when the block is encoded. That is what lets an
+/// unfiltered `MIN` / `MAX` be answered from the zone alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZoneMap {
-    /// Lower bound (inclusive) on every value in the zone.
+    /// The smallest value in the zone.
     pub min: i64,
-    /// Upper bound (inclusive) on every value in the zone.
+    /// The largest value in the zone.
     pub max: i64,
 }
 
@@ -121,20 +121,6 @@ impl ZoneMap {
         self.max = self.max.max(v);
     }
 
-    /// The union of two zones.
-    pub fn union(self, other: Self) -> Self {
-        Self {
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-        }
-    }
-
-    /// Whether `v` can be a value of this zone.
-    #[inline]
-    pub fn covers(&self, v: i64) -> bool {
-        self.min <= v && v <= self.max
-    }
-
     /// Writes `min (i64 LE) | max (i64 LE)` — the footer form consumed by
     /// store-level block pruning.
     pub fn write_to(&self, buf: &mut impl bytes::BufMut) {
@@ -147,7 +133,7 @@ impl ZoneMap {
     /// # Errors
     ///
     /// [`crate::error::Error::Corrupt`] on truncation or an inverted zone
-    /// (`min > max`), which no covering zone map can produce.
+    /// (`min > max`), which no zone of a non-empty column can be.
     pub fn read_from(buf: &mut impl bytes::Buf) -> crate::error::Result<Self> {
         if buf.remaining() < 16 {
             return Err(crate::error::Error::corrupt("zone map truncated"));
@@ -285,13 +271,9 @@ mod tests {
         assert_eq!(ZoneMap::from_values(&[]), None);
         let z = ZoneMap::from_values(&[5, -3, 9]).unwrap();
         assert_eq!(z, ZoneMap { min: -3, max: 9 });
-        assert!(z.covers(0));
-        assert!(!z.covers(10));
         let mut w = z;
         w.include(100);
-        assert_eq!(w.max, 100);
-        let u = z.union(ZoneMap { min: -50, max: -40 });
-        assert_eq!(u, ZoneMap { min: -50, max: 9 });
+        assert_eq!(w, ZoneMap { min: -3, max: 100 });
         let s = IntStats::compute(&[5, -3, 9]);
         assert_eq!(ZoneMap::from_stats(&s), Some(z));
         assert_eq!(ZoneMap::from_stats(&IntStats::compute(&[])), None);

@@ -24,10 +24,11 @@
 //!
 //! Everything is generic over [`BlockView`], so the same engine runs on
 //! in-memory [`CompressedBlock`]s and lazy store
-//! [`BlockHandle`](crate::store::BlockHandle)s; the store entry point
-//! ([`crate::store::TableReader::aggregate`]) additionally answers
-//! fully-covered `COUNT`/`MIN`/`MAX` blocks straight from footer zone maps
-//! with zero payload bytes read.
+//! [`BlockHandle`](crate::store::BlockHandle)s. `MIN` / `MAX` over every
+//! row of a block is its exact zone ([`BlockView::zone`]) on both; the
+//! store entry point ([`crate::store::TableReader::aggregate`]) answers
+//! those and fully-covered `COUNT` blocks from the footer with zero payload
+//! bytes read.
 
 use std::collections::BTreeMap;
 
@@ -429,8 +430,9 @@ pub(crate) fn validate_expr_with(
 }
 
 /// Evaluates `expr` against one block, returning
-/// `(partial, filter_pruned, rows_matched)`. `filter_pruned` is true when
-/// the filter (if any) was answered entirely from zone maps.
+/// `(partial, pruned, rows_matched)`. `pruned` is true when the filter was
+/// answered entirely from zone maps, and when the column's zone answered
+/// the whole block (`MIN` / `MAX` with no filter kernel run).
 pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
     block: &B,
     expr: &AggExpr,
@@ -450,11 +452,43 @@ pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
         }
     };
     let matched = sel.as_ref().map_or(rows, SelectionVector::len);
+    if sel.is_none() && expr.group_by.is_none() {
+        let zone = expr
+            .column
+            .as_deref()
+            .and_then(|c| block.zone(block.index_of(c).ok()?));
+        if let Some(state) = zone_answer(expr.func, rows, zone) {
+            // No per-row kernel ran, for the fold or (without one) a filter.
+            return Ok((
+                PartialAgg::Int(state),
+                pruned || expr.filter.is_none(),
+                rows,
+            ));
+        }
+    }
     let partial = match expr.group_by.as_deref() {
         Some(group_col) => eval_grouped(block, expr, group_col, sel.as_ref())?,
         None => eval_scalar(block, expr, sel.as_ref())?,
     };
     Ok((partial, pruned, matched))
+}
+
+/// The one MIN / MAX rule, shared by the in-memory engine and the store's
+/// footer: over every row of a block, the column's exact zone is the
+/// answer. The state's `sum` stays 0 — sound, because only `MIN` / `MAX`
+/// take this path and they finalize from `min` / `max` alone.
+pub(crate) fn zone_answer(
+    func: AggFunc,
+    rows: usize,
+    zone: Option<ZoneMap>,
+) -> Option<IntAggState> {
+    let zone = zone.filter(|_| matches!(func, AggFunc::Min | AggFunc::Max))?;
+    Some(IntAggState {
+        count: rows as u64,
+        sum: 0,
+        min: Some(zone.min),
+        max: Some(zone.max),
+    })
 }
 
 /// Ungrouped evaluation: one fold over the full column or the selection.
@@ -676,9 +710,9 @@ pub fn aggregate<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) -> Result<Agg
 
 /// Evaluates `expr` across many blocks, merging per-block partial states
 /// in block order. Returns the result plus [`ScanStats`] (`rows_matched` =
-/// rows aggregated; `blocks_pruned` = blocks whose *filter* was answered
-/// from zone maps without a kernel). This is [`aggregate_blocks_parallel`]
-/// on the calling thread.
+/// rows aggregated; `blocks_pruned` = blocks whose filter was answered
+/// from zone maps, or whose `MIN` / `MAX` was the column's zone). This is
+/// [`aggregate_blocks_parallel`] on the calling thread.
 ///
 /// # Errors
 ///
@@ -716,23 +750,6 @@ pub fn aggregate_blocks_parallel(
         },
     )?;
     Ok((merger.finish(expr), stats))
-}
-
-/// *Exact* min/max bounds for the column at `idx`, or `None` when only
-/// covering (or no) bounds exist. Unlike [`crate::scan::column_bounds`] —
-/// which may overshoot (FOR's `base + 2^bits - 1`) and is therefore only
-/// sound for pruning — these bounds are the true column extremes, so the
-/// table writer records them in the footer and the store answers
-/// fully-covered `MIN`/`MAX` aggregates from them with zero payload reads.
-/// Costs at most one streaming pass (write-time only).
-pub fn exact_column_bounds<B: BlockView + ?Sized>(block: &B, idx: usize) -> Option<ZoneMap> {
-    match block.view_codec(idx).ok()? {
-        ColumnCodec::Int(enc) => enc.exact_bounds(),
-        // Every hierarchical metadata value occurs in some row, so the
-        // metadata extremes are exact.
-        ColumnCodec::HierInt { enc, .. } => enc.value_bounds(),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -1000,6 +1017,7 @@ mod tests {
                     groups: vec![vec![1]],
                 },
             ],
+            vec![None; 3],
         );
         let got = aggregate(&block, &AggExpr::sum("t").with_group_by("g"));
         assert!(matches!(
@@ -1026,25 +1044,33 @@ mod tests {
 
     #[test]
     fn exact_bounds_are_exact_where_covering_bounds_overshoot() {
-        // FOR's covering zone overshoots to base + 2^bits - 1; the exact
-        // bounds must be the true extremes.
+        // Every integer column's zone — vertical (FOR, whose frame would
+        // overshoot to base + 2^bits - 1), Hier, NonHier and MultiRef — is
+        // the true min / max, and answers MIN / MAX with no kernel.
         let (raw, cfg) = mixed_block(1_000, 0);
         let compressed = CompressedBlock::compress(&raw, &cfg).unwrap();
-        let ship = raw.column("l_shipdate").unwrap().as_i64().unwrap();
-        let idx = compressed.index_of("l_shipdate").unwrap();
-        let zone = exact_column_bounds(&compressed, idx).unwrap();
-        assert_eq!(zone.min, *ship.iter().min().unwrap());
-        assert_eq!(zone.max, *ship.iter().max().unwrap());
-        // Hier metadata bounds are exact too.
-        let idx = compressed.index_of("zip").unwrap();
-        let zone = exact_column_bounds(&compressed, idx).unwrap();
-        let zips = raw.column("zip").unwrap().as_i64().unwrap();
-        assert_eq!(zone.min, *zips.iter().min().unwrap());
-        assert_eq!(zone.max, *zips.iter().max().unwrap());
-        // Strings and diff-encoded columns expose no exact bounds.
-        let idx = compressed.index_of("city").unwrap();
-        assert!(exact_column_bounds(&compressed, idx).is_none());
-        let idx = compressed.index_of("l_receiptdate").unwrap();
-        assert!(exact_column_bounds(&compressed, idx).is_none());
+        for col in [
+            "zip",
+            "l_shipdate",
+            "l_receiptdate",
+            "fee",
+            "extra",
+            "total",
+        ] {
+            let values = raw.column(col).unwrap().as_i64().unwrap();
+            let zone = compressed.zone(compressed.index_of(col).unwrap());
+            assert_eq!(zone, ZoneMap::from_values(values), "{col}");
+            let blocks = std::slice::from_ref(&compressed);
+            let (got, stats) = aggregate_blocks(blocks, &AggExpr::max(col)).unwrap();
+            assert_eq!(
+                got,
+                AggResult::Scalar(AggValue::Int(values.iter().max().copied()))
+            );
+            assert_eq!(stats.blocks_pruned, 1, "{col}");
+        }
+        // Strings carry no zone.
+        assert!(compressed
+            .zone(compressed.index_of("city").unwrap())
+            .is_none());
     }
 }

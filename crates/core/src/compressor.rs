@@ -11,9 +11,10 @@
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::Column;
 use corra_columnar::error::{Error, Result};
+use corra_columnar::stats::{IntStats, ZoneMap};
 use corra_columnar::strings::StringPool;
 use corra_encodings::{
-    choose_int_baseline, choose_int_full, DictInt, DictStr, IntAccess, IntEncoding,
+    choose_int_baseline_with, choose_int_full, DictInt, DictStr, IntAccess, IntEncoding,
 };
 use rustc_hash::FxHashMap;
 
@@ -259,14 +260,35 @@ pub trait BlockView {
     /// Out-of-range indices, or any I/O / corruption error a lazy
     /// implementation hits while loading the payload.
     fn view_codec(&self, i: usize) -> Result<&ColumnCodec>;
+
+    /// The exact min / max of integer column `i`, recorded when the block
+    /// was encoded; `None` for string columns, empty blocks and indices out
+    /// of range. Never loads a payload — pruning, TOP-K visit order and
+    /// zone-answered `MIN` / `MAX` read it before any codec.
+    fn zone(&self, i: usize) -> Option<ZoneMap>;
 }
 
 /// A self-contained compressed data block.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct CompressedBlock {
     rows: u32,
     names: Vec<String>,
     codecs: Vec<ColumnCodec>,
+    /// Per column, the exact zone ([`BlockView::zone`]).
+    zones: Vec<Option<ZoneMap>>,
+}
+
+/// Prints the block's data — rows, names, codecs. The zones summarize the
+/// codecs and are left out, so the `Debug` form, which `corra-sim` hashes
+/// into its result fingerprints, depends on the data alone.
+impl std::fmt::Debug for CompressedBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompressedBlock")
+            .field("rows", &self.rows)
+            .field("names", &self.names)
+            .field("codecs", &self.codecs)
+            .finish()
+    }
 }
 
 impl BlockView for CompressedBlock {
@@ -283,6 +305,10 @@ impl BlockView for CompressedBlock {
             index: i,
             len: self.codecs.len(),
         })
+    }
+
+    fn zone(&self, i: usize) -> Option<ZoneMap> {
+        self.zones.get(i).copied().flatten()
     }
 }
 
@@ -345,12 +371,17 @@ impl CompressedBlock {
 
         // Pass 2: encode vertical columns (references included).
         let mut codecs: Vec<Option<ColumnCodec>> = vec![None; names.len()];
+        let mut zones: Vec<Option<ZoneMap>> = vec![None; names.len()];
         for (i, field) in schema.fields().iter().enumerate() {
             let plan = config.plan_for(field.name());
             let col = block.column_at(i);
             let codec = match (plan, col) {
                 (ColumnPlan::Auto, Column::Int64(v)) => {
-                    Some(ColumnCodec::Int(choose_int_baseline(v)))
+                    // The baseline chooser's stats pass already holds the
+                    // column's exact zone.
+                    let stats = IntStats::compute(v);
+                    zones[i] = ZoneMap::from_stats(&stats);
+                    Some(ColumnCodec::Int(choose_int_baseline_with(v, &stats)))
                 }
                 (ColumnPlan::AutoFull, Column::Int64(v)) => {
                     Some(ColumnCodec::Int(choose_int_full(v)))
@@ -446,21 +477,52 @@ impl CompressedBlock {
             codecs[i] = Some(codec);
         }
 
+        // Every other integer column (Dict / Plain / full-menu plans and the
+        // horizontal targets) takes its zone from one fold over the raw
+        // values; string columns and empty blocks have none.
+        for (zone, col) in zones.iter_mut().zip(block.columns()) {
+            if let (None, Column::Int64(v)) = (&zone, col) {
+                *zone = ZoneMap::from_values(v);
+            }
+        }
+
         Ok(Self {
             rows,
             names,
             codecs: codecs.into_iter().map(Option::unwrap).collect(),
+            zones,
         })
     }
 
     /// Assembles a block from parts that have already been validated
-    /// (deserialization path).
-    pub(crate) fn new_unchecked(rows: u32, names: Vec<String>, codecs: Vec<ColumnCodec>) -> Self {
+    /// (deserialization path), with the zones the caller vouches for.
+    pub(crate) fn new_unchecked(
+        rows: u32,
+        names: Vec<String>,
+        codecs: Vec<ColumnCodec>,
+        zones: Vec<Option<ZoneMap>>,
+    ) -> Self {
         Self {
             rows,
             names,
             codecs,
+            zones,
         }
+    }
+
+    /// Recomputes every integer column's exact zone with one
+    /// reconstruction per column — what a bare serialized block, which
+    /// carries no zones, pays on [`from_bytes`](Self::from_bytes). The only
+    /// place a zone is derived from a payload.
+    pub(crate) fn with_decoded_zones(mut self) -> Result<Self> {
+        let mut scratch = DecodeScratch::default();
+        for i in 0..self.codecs.len() {
+            if !self.codecs[i].is_string() {
+                decode_int_column(&self, i, &mut scratch)?;
+                self.zones[i] = ZoneMap::from_values(&scratch.values);
+            }
+        }
+        Ok(self)
     }
 
     /// Number of rows in the block.

@@ -30,6 +30,7 @@
 use bytes::{Buf, BufMut};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::frame::{take_frame, write_frame};
+use corra_columnar::stats::ZoneMap;
 use corra_columnar::strings::StringPool;
 use corra_encodings::{DictStr, IntEncoding};
 
@@ -322,11 +323,28 @@ impl CompressedBlock {
 
     /// Deserializes a block previously produced by [`to_bytes`](Self::to_bytes).
     ///
+    /// The serialized block carries no zones, so each integer column's
+    /// exact zone is recomputed here with one reconstruction — a bare block
+    /// stays self-contained and `from_bytes(to_bytes(b)) == b`. A table
+    /// reader attaches its footer's zones instead and decodes nothing.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::Corrupt`] on bad magic, unsupported version,
-    /// truncation, or any inconsistent codec payload.
-    pub fn from_bytes(mut buf: &[u8]) -> Result<Self> {
+    /// truncation, or any inconsistent codec payload; whatever the
+    /// reconstruction reports.
+    pub fn from_bytes(buf: &[u8]) -> Result<Self> {
+        Self::from_bytes_zoned(buf, None)?.with_decoded_zones()
+    }
+
+    /// Deserializes a block and attaches `zones`, one per column, without
+    /// decoding anything — what a table reader does with its footer's
+    /// zones. `None` leaves the block zoneless (for
+    /// [`with_decoded_zones`](Self::with_decoded_zones) to fill).
+    pub(crate) fn from_bytes_zoned(
+        mut buf: &[u8],
+        zones: Option<Vec<Option<ZoneMap>>>,
+    ) -> Result<Self> {
         if buf.remaining() < 4 + 2 + 4 + 2 {
             return Err(Error::corrupt("block header truncated"));
         }
@@ -365,15 +383,6 @@ impl CompressedBlock {
                 buf.len()
             )));
         }
-        CompressedBlock::from_parts(rows, names, codecs)
-    }
-
-    /// Internal constructor used by deserialization, with wiring validation.
-    pub(crate) fn from_parts(
-        rows: u32,
-        names: Vec<String>,
-        codecs: Vec<ColumnCodec>,
-    ) -> Result<Self> {
         // Every codec must store exactly the block's row count — hostile
         // length fields (e.g. a zero-bit packing claiming 2^42 rows with no
         // payload behind it) are rejected here, before anything decodes.
@@ -400,7 +409,14 @@ impl CompressedBlock {
                 enc.validate_groups(groups.len())?;
             }
         }
-        Ok(Self::new_unchecked(rows, names, codecs))
+        let zones = zones.unwrap_or_else(|| vec![None; n_cols]);
+        if zones.len() != n_cols {
+            return Err(Error::corrupt(format!(
+                "{} zones for a block of {n_cols} columns",
+                zones.len()
+            )));
+        }
+        Ok(Self::new_unchecked(rows, names, codecs, zones))
     }
 }
 
@@ -624,7 +640,7 @@ mod tests {
         let codecs: Vec<ColumnCodec> = (0..n)
             .map(|_| ColumnCodec::Int(IntEncoding::Plain(PlainInt::encode(&[]))))
             .collect();
-        let block = CompressedBlock::new_unchecked(0, names, codecs);
+        let block = CompressedBlock::new_unchecked(0, names, codecs, vec![None; n]);
         let err = block.to_bytes().unwrap_err();
         assert!(
             err.to_string().contains("column-count"),

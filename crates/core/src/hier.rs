@@ -20,7 +20,6 @@ use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::stats::ZoneMap;
 use corra_columnar::strings::{StringDictBuilder, StringPool};
 use rustc_hash::FxHashMap;
 
@@ -192,12 +191,6 @@ impl HierInt {
                 }
             }
         });
-    }
-
-    /// Exact value bounds from the metadata array: every stored child value
-    /// occurs in at least one row (entries are created on first occurrence).
-    pub fn value_bounds(&self) -> Option<ZoneMap> {
-        ZoneMap::from_values(&self.values)
     }
 
     /// Aggregate pushdown: histograms the per-row metadata addresses

@@ -87,8 +87,8 @@ pub mod torture;
 pub mod vfs;
 
 pub use aggregate::{
-    aggregate, aggregate_blocks, aggregate_blocks_parallel, exact_column_bounds, AggExpr, AggFunc,
-    AggResult, AggValue, GroupKey,
+    aggregate, aggregate_blocks, aggregate_blocks_parallel, AggExpr, AggFunc, AggResult, AggValue,
+    GroupKey,
 };
 pub use cache::{CacheConfig, CacheKey, CacheStats, CacheValue, EntryKind, ShardedCache};
 pub use compact::{compact, CompactionConfig, CompactionResult};

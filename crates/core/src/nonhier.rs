@@ -17,7 +17,6 @@ use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{bits_needed, BitPackedVec};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::stats::ZoneMap;
 
 use crate::outlier::{OutlierRegion, OUTLIER_COST_BYTES};
 
@@ -353,40 +352,6 @@ impl NonHierInt {
             };
             state.update(v);
         }
-    }
-
-    /// Covering value bounds derived from the reference column's zone map:
-    /// in-window rows lie in `[ref.min + base, ref.max + base + 2^bits - 1]`
-    /// and outlier rows are widened in from their verbatim values.
-    pub fn value_bounds(&self, reference: &ZoneMap) -> Option<ZoneMap> {
-        if self.is_empty() {
-            return None;
-        }
-        let span = if self.bits() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.bits()) - 1
-        };
-        let min = reference.min as i128 + self.base as i128;
-        let max = reference.max as i128 + self.base as i128 + span as i128;
-        // Diffs are stored with wrapping arithmetic; if the window bounds
-        // leave the i64 domain, reconstruction may wrap and no interval
-        // tighter than the universal one is provable.
-        let mut zone = if min < i64::MIN as i128 || max > i64::MAX as i128 {
-            ZoneMap {
-                min: i64::MIN,
-                max: i64::MAX,
-            }
-        } else {
-            ZoneMap {
-                min: min as i64,
-                max: max as i64,
-            }
-        };
-        for (_, v) in self.outliers.iter() {
-            zone.include(v);
-        }
-        Some(zone)
     }
 
     /// Compressed size: diff payload + frame metadata + outlier region.

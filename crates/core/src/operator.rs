@@ -44,7 +44,7 @@ use rustc_hash::FxHashMap;
 
 use crate::compressor::{decode_int_column, BlockView, ColumnCodec, DecodeScratch};
 use crate::query::{eval_formula_mask, int_column, query_column, IntColumn, QueryOutput};
-use crate::scan::{column_bounds, scan_pruned, validate_pred, Predicate, ScanStats};
+use crate::scan::{scan_pruned, validate_pred, Predicate, ScanStats};
 
 /// A TOP-K (`ORDER BY <column> LIMIT k`) over one integer column, with an
 /// optional pushed-down filter.
@@ -422,7 +422,7 @@ pub fn top_k_blocks_parallel<B: BlockView + Sync>(
     // A block whose column does not resolve sorts last, un-zoned, and
     // reports its error when it is visited.
     let order = topk_visit_order(blocks.len(), expr.descending, |b| {
-        column_bounds(&blocks[b], blocks[b].index_of(&expr.column).ok()?)
+        blocks[b].zone(blocks[b].index_of(&expr.column).ok()?)
     });
     let mut stats = ScanStats::default();
     crate::morsel::run(

@@ -7,9 +7,9 @@
 //! decompressing whole columns:
 //!
 //! 1. **Block pruning** — the predicate's normalized [`IntRange`] is tested
-//!    against a per-column [`ZoneMap`] derived from the codec itself (FOR
-//!    frame, dictionary extremes, hierarchical metadata, diff window +
-//!    outliers). Blocks whose zone proves `None`/`All` decode zero values.
+//!    against the column's exact [`ZoneMap`] ([`BlockView::zone`], recorded
+//!    at encode for every integer column). Blocks whose zone proves
+//!    `None`/`All` decode zero values.
 //! 2. **Per-codec kernels** — vertical codecs use
 //!    [`corra_encodings::IntAccess::filter_into`]; hierarchical columns
 //!    test a verdict per Alg. 1 metadata entry; non-hierarchical and
@@ -281,29 +281,10 @@ impl ScanStats {
     }
 }
 
-/// A covering min/max zone map for the column at `idx`, derived from its
-/// codec (and, for diff-encoded columns, its reference's codec). `None`
-/// when no cheap bounds exist (Delta payloads, multi-reference targets,
-/// string columns).
-pub fn column_bounds<B: BlockView + ?Sized>(block: &B, idx: usize) -> Option<ZoneMap> {
-    match block.view_codec(idx).ok()? {
-        ColumnCodec::Int(enc) => enc.value_bounds(),
-        ColumnCodec::NonHier { enc, reference } => {
-            let ref_zone = match block.view_codec(*reference as usize).ok()? {
-                ColumnCodec::Int(r) => r.value_bounds(),
-                _ => None,
-            }?;
-            enc.value_bounds(&ref_zone)
-        }
-        ColumnCodec::HierInt { enc, .. } => enc.value_bounds(),
-        _ => None,
-    }
-}
-
 /// Evaluates a whole predicate tree against per-column zone maps, without
 /// touching any payload bytes. `zone_of` resolves a column name to its
-/// covering zone (`None` when no zone exists — e.g. string columns), so
-/// this works off the table footer as well as off in-memory codecs.
+/// zone (`None` when no zone exists — e.g. string columns), so this works
+/// off the table footer as well as off in-memory blocks.
 ///
 /// Returns [`RangeVerdict::None`] / [`RangeVerdict::All`] only when
 /// provable for every row; anything uncertain is `Partial`.
@@ -578,7 +559,7 @@ fn eval_int_leaf<B: BlockView + ?Sized>(
     }
     // Zone-map pruning: skip the per-row kernel when the range provably
     // misses (or covers) every value in the block.
-    if let Some(zone) = column_bounds(block, idx) {
+    if let Some(zone) = block.zone(idx) {
         match range.verdict(&zone) {
             RangeVerdict::None => return Ok((SelectionVector::empty(), false)),
             RangeVerdict::All => return Ok((SelectionVector::all(rows), false)),
@@ -856,7 +837,7 @@ mod tests {
             scan_pruned(&compressed, &Predicate::ge("l_shipdate", -1_000_000)).unwrap();
         assert_eq!(sel.len(), block.rows());
         assert!(pruned);
-        // The diff-encoded column derives its zone through the reference.
+        // The diff-encoded column carries its own exact zone.
         let (sel, pruned) =
             scan_pruned(&compressed, &Predicate::gt("l_receiptdate", 1 << 40)).unwrap();
         assert!(sel.is_empty());

@@ -14,9 +14,9 @@
 //!
 //! The footer records, per block, the segment's byte range and row count,
 //! and per `(block, column)` the codec header (tag + reference wiring), the
-//! byte range of the column's framed payload, and a covering
-//! [`ZoneMap`] serialized from the same codec-derived bounds the scan
-//! kernels use. That metadata enables three behaviors no sequential format
+//! byte range of the column's framed payload, and the column's exact
+//! [`ZoneMap`] — the one [`CompressedBlock`] recorded at encode, written
+//! unchanged. That metadata enables three behaviors no sequential format
 //! can offer:
 //!
 //! * **Projection pushdown** — [`TableReader::read_column`] /
@@ -55,8 +55,8 @@ use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 
 use crate::aggregate::{
-    aggregate_partial, exact_column_bounds, group_not_dictionary, validate_expr_with, AggExpr,
-    AggFunc, AggMerger, AggResult, PartialAgg,
+    aggregate_partial, group_not_dictionary, validate_expr_with, zone_answer, AggExpr, AggFunc,
+    AggMerger, AggResult, PartialAgg,
 };
 use crate::cache::{next_table_id, CacheKey, CacheValue, ShardedCache};
 use crate::compressor::{
@@ -69,9 +69,7 @@ use crate::operator::{
     RowId, TopKBound, TopKExpr, TopKRow,
 };
 use crate::query::QueryOutput;
-use crate::scan::{
-    column_bounds, scan_pruned, tree_verdict, validate_pred_with, Predicate, ScanStats,
-};
+use crate::scan::{scan_pruned, tree_verdict, validate_pred_with, Predicate, ScanStats};
 use corra_columnar::aggregate::{IntAggState, StrAggState};
 use corra_columnar::topk::TopKHeap;
 
@@ -93,13 +91,9 @@ pub struct ColumnMeta {
     pub header: CodecHeader,
     /// Byte range of the column's payload, relative to the block segment.
     pub span: PayloadSpan,
-    /// Covering min/max bounds, when the codec derives them.
+    /// The column's exact min / max ([`BlockView::zone`]); `None` for
+    /// strings and empty blocks.
     pub zone: Option<ZoneMap>,
-    /// Whether `zone` holds the *exact* column extremes (not merely
-    /// covering). Exact zones let [`TableReader::aggregate`] answer
-    /// fully-covered `MIN`/`MAX` blocks without reading payload bytes;
-    /// covering zones are only sound for pruning.
-    pub zone_exact: bool,
     /// [`checksum64`] of the payload span's bytes, verified on every
     /// lazy payload load.
     pub checksum: u64,
@@ -189,9 +183,9 @@ impl TableFooter {
                 buf.put_u32_le(col.span.len);
                 buf.put_u64_le(col.checksum);
                 match &col.zone {
-                    // 1 = covering bounds, 2 = exact column extremes.
+                    // 2 = exact zone (1, covering bounds, is never written).
                     Some(zone) => {
-                        buf.put_u8(if col.zone_exact { 2 } else { 1 });
+                        buf.put_u8(2);
                         zone.write_to(buf);
                     }
                     None => buf.put_u8(0),
@@ -249,10 +243,14 @@ impl TableFooter {
                     len: buf.get_u32_le(),
                 };
                 let checksum = buf.get_u64_le();
-                let (zone, zone_exact) = match buf.get_u8() {
-                    0 => (None, false),
-                    1 => (Some(ZoneMap::read_from(&mut buf)?), false),
-                    2 => (Some(ZoneMap::read_from(&mut buf)?), true),
+                let zone = match buf.get_u8() {
+                    0 => None,
+                    // Older writers stored covering bounds (FOR's
+                    // `base + 2^bits - 1`) under flag 1. Every reader takes
+                    // a zone as exact, so such a column reads as zoneless
+                    // and its blocks decode.
+                    1 => ZoneMap::read_from(&mut buf).map(|_| None)?,
+                    2 => Some(ZoneMap::read_from(&mut buf)?),
                     f => return Err(Error::corrupt(format!("bad zone-map flag {f}"))),
                 };
                 if span
@@ -266,12 +264,11 @@ impl TableFooter {
                     header,
                     span,
                     zone,
-                    zone_exact,
                     checksum,
                 });
             }
             // Horizontal wiring must target vertical columns, the same
-            // invariant CompressedBlock::from_parts enforces on payloads.
+            // invariant CompressedBlock::from_bytes enforces on payloads.
             for col in &columns {
                 for r in col.header.wiring.references() {
                     if columns[r as usize].header.is_horizontal() {
@@ -378,21 +375,12 @@ impl<W: Write> TableWriter<W> {
         let spans = block.write_to(&mut buf)?;
         let columns = (0..block.names().len())
             .map(|i| {
-                // Prefer exact extremes (one write-time streaming pass at
-                // most): they prune at least as well as covering bounds and
-                // additionally answer fully-covered MIN/MAX aggregates with
-                // zero payload reads.
-                let (zone, zone_exact) = match exact_column_bounds(block, i) {
-                    Some(z) => (Some(z), true),
-                    None => (column_bounds(block, i), false),
-                };
                 let span = spans[i];
                 let payload = &buf[span.offset as usize..span.offset as usize + span.len as usize];
                 ColumnMeta {
                     header: CodecHeader::of(block.codec_at(i)),
                     span,
-                    zone,
-                    zone_exact,
+                    zone: block.zone(i),
                     checksum: checksum64(payload),
                 }
             })
@@ -696,7 +684,8 @@ impl TableReader {
             })
     }
 
-    /// Reads and fully deserializes block `block` (every column payload).
+    /// Reads and fully deserializes block `block` (every column payload),
+    /// attaching the footer's zones — nothing is decoded to find them.
     ///
     /// With an attached cache, the segment's compressed frame is served
     /// from memory after the first read; the frame is checksum-verified
@@ -708,10 +697,11 @@ impl TableReader {
     /// Out-of-range index, I/O errors, or segment corruption.
     pub fn read_block(&self, block: usize) -> Result<CompressedBlock> {
         let meta = self.block_meta(block)?;
+        let zones = || Some(meta.columns.iter().map(|c| c.zone).collect());
         if let Some((cache, table)) = &self.cache {
             let key = CacheKey::segment(*table, block as u32);
             if let Some(CacheValue::Segment(bytes)) = cache.get(&key) {
-                return CompressedBlock::from_bytes(&bytes);
+                return CompressedBlock::from_bytes_zoned(&bytes, zones());
             }
         }
         let len = usize::try_from(meta.len)
@@ -722,7 +712,7 @@ impl TableReader {
                 "block {block} segment checksum mismatch"
             )));
         }
-        let parsed = CompressedBlock::from_bytes(&bytes)?;
+        let parsed = CompressedBlock::from_bytes_zoned(&bytes, zones())?;
         // Admit only after the checksum *and* a full parse succeeded: a
         // frame that cannot deserialize is useless to every future hit.
         if let Some((cache, table)) = &self.cache {
@@ -795,7 +785,7 @@ impl TableReader {
                 cursor.len()
             )));
         }
-        // The same validations CompressedBlock::from_parts runs: a hostile
+        // The same validations CompressedBlock::from_bytes runs: a hostile
         // length field or formula mask must not survive into the decode
         // kernels.
         if codec.len() != meta.rows as usize {
@@ -830,9 +820,9 @@ impl TableReader {
             .ok_or_else(|| Error::ColumnNotFound(name.to_owned()))
     }
 
-    /// The footer zone of column `name` in the block `meta` describes.
-    fn zone_of(&self, meta: &BlockMeta, name: &str) -> Option<ZoneMap> {
-        meta.columns[self.col_index(name).ok()?].zone
+    /// The footer zone of column `name` in block `block`.
+    fn zone_of(&self, block: usize, name: &str) -> Option<ZoneMap> {
+        self.footer.zone(block, self.col_index(name).ok()?)
     }
 
     /// Validates `pred` against footer metadata alone (names + codec
@@ -857,7 +847,7 @@ impl TableReader {
         if rows == 0 {
             return Ok((SelectionVector::empty(), true, true, LoadCost::default()));
         }
-        match tree_verdict(pred, &|name| self.zone_of(meta, name)) {
+        match tree_verdict(pred, &|name| self.zone_of(block, name)) {
             RangeVerdict::None => Ok((SelectionVector::empty(), true, true, LoadCost::default())),
             RangeVerdict::All => Ok((SelectionVector::all(rows), true, true, LoadCost::default())),
             RangeVerdict::Partial => {
@@ -943,7 +933,7 @@ impl TableReader {
         // Footer verdict of the filter; no filter covers every row.
         let verdict = match expr.filter() {
             None => RangeVerdict::All,
-            Some(pred) => tree_verdict(pred, &|name| self.zone_of(meta, name)),
+            Some(pred) => tree_verdict(pred, &|name| self.zone_of(block, name)),
         };
         if matches!(verdict, RangeVerdict::None) {
             if !grouped {
@@ -967,42 +957,27 @@ impl TableReader {
             ));
         }
         if !grouped && matches!(verdict, RangeVerdict::All) {
-            match expr.func() {
-                // COUNT over a fully-covered block is the footer row count
-                // — typed to the target column's kind so partials merge
-                // with kernel-path partials from other blocks.
-                AggFunc::Count => {
-                    let partial = if string_target {
-                        PartialAgg::Str(StrAggState {
-                            count: rows as u64,
-                            ..StrAggState::default()
-                        })
-                    } else {
-                        PartialAgg::Int(IntAggState {
-                            count: rows as u64,
-                            ..IntAggState::default()
-                        })
-                    };
-                    return footer_only(partial, rows);
-                }
-                // MIN/MAX over a fully-covered block with *exact* footer
-                // bounds: answered from the zone map alone. The partial's
-                // sum stays 0 — sound, because SUM/AVG never take this
-                // path and finalize reads only count/min/max here.
-                AggFunc::Min | AggFunc::Max if !string_target => {
-                    let idx = self.col_index(expr.column().expect("validated"))?;
-                    let cm = &meta.columns[idx];
-                    if let (Some(zone), true) = (cm.zone, cm.zone_exact) {
-                        let state = IntAggState {
-                            count: rows as u64,
-                            sum: 0,
-                            min: Some(zone.min),
-                            max: Some(zone.max),
-                        };
-                        return footer_only(PartialAgg::Int(state), rows);
-                    }
-                }
-                _ => {}
+            // COUNT over a fully-covered block is the footer row count —
+            // typed to the target column's kind so partials merge with
+            // kernel-path partials from other blocks.
+            if expr.func() == AggFunc::Count {
+                let partial = if string_target {
+                    PartialAgg::Str(StrAggState {
+                        count: rows as u64,
+                        ..StrAggState::default()
+                    })
+                } else {
+                    PartialAgg::Int(IntAggState {
+                        count: rows as u64,
+                        ..IntAggState::default()
+                    })
+                };
+                return footer_only(partial, rows);
+            }
+            // MIN / MAX: the in-memory engine's zone rule, on the footer.
+            let zone = expr.column().and_then(|c| self.zone_of(block, c));
+            if let Some(state) = zone_answer(expr.func(), rows, zone) {
+                return footer_only(PartialAgg::Int(state), rows);
             }
         }
         // Kernel path: lazy handle, loading only the payloads the filter
@@ -1093,7 +1068,7 @@ impl TableReader {
             return Ok((true, true, LoadCost::default(), 0));
         }
         if let Some(pred) = expr.filter() {
-            let verdict = tree_verdict(pred, &|name| self.zone_of(meta, name));
+            let verdict = tree_verdict(pred, &|name| self.zone_of(block, name));
             if matches!(verdict, RangeVerdict::None) {
                 return Ok((true, true, LoadCost::default(), 0));
             }
@@ -1296,9 +1271,7 @@ pub(crate) fn top_k_table(
     let alone = crate::morsel::is_serial(blocks.len(), threads);
     // An unknown column sorts un-zoned; the first visit reports it.
     let order = topk_visit_order(blocks.len(), expr.descending(), |g| {
-        let b = blocks[g];
-        let meta = b.reader.block_meta(b.local).ok()?;
-        meta.columns[b.reader.col_index(expr.column()).ok()?].zone
+        blocks[g].reader.zone_of(blocks[g].local, expr.column())
     });
     let mut stats = stats_over(readers.len());
     crate::morsel::run(
@@ -1472,6 +1445,10 @@ impl BlockView for BlockHandle<'_> {
             let _ = cell.set(codec);
         }
         Ok(cell.get().expect("cell populated above").as_ref())
+    }
+
+    fn zone(&self, i: usize) -> Option<ZoneMap> {
+        self.reader.footer.zone(self.block, i)
     }
 }
 

@@ -5,7 +5,7 @@
 //!
 //! * at the **encoding level**, for all six vertical codecs (Plain, FOR,
 //!   Dict, RLE, Delta, Frequency) over full columns, empty/full/sparse
-//!   selections, grouped folds, and exact bounds;
+//!   selections and grouped folds, plus the zone a block stores;
 //! * at the **block level**, for every codec family a block plan can
 //!   produce (dict/plain strings, FOR/dict ints, hier, nonhier, multiref)
 //!   × every aggregate function × no/partial/empty filters × grouped by
@@ -28,7 +28,7 @@ use corra_columnar::selection::SelectionVector;
 use corra_core::store::{TableReader, TableWriter};
 use corra_core::{
     aggregate, aggregate_blocks, aggregate_blocks_parallel, AggExpr, AggFunc, AggResult, AggValue,
-    ColumnPlan, CompressedBlock, CompressionConfig, GroupKey, Predicate,
+    BlockView, ColumnPlan, CompressedBlock, CompressionConfig, GroupKey, Predicate,
 };
 use corra_encodings::aggregate::{
     aggregate_naive, aggregate_naive_grouped, aggregate_naive_selected,
@@ -89,8 +89,8 @@ fn sparse_selection(n: usize, seed: u64) -> SelectionVector {
 }
 
 proptest! {
-    /// Full-column, selected, grouped folds and exact bounds all equal the
-    /// decompress-then-fold oracle, for every vertical codec.
+    /// Full-column, selected, grouped folds and the stored zone all equal
+    /// the decompress-then-fold oracle, for every vertical codec.
     #[test]
     fn vertical_aggregates_match_oracle(
         raw in prop::collection::vec(any::<i64>(), 0..400),
@@ -112,13 +112,6 @@ proptest! {
             let mut got = IntAggState::default();
             enc.aggregate_into(&mut got);
             prop_assert!(got == want_full, "{}: full {:?} != {:?}", label, got, want_full);
-            // Exact bounds must be the true extremes (None when empty).
-            let bounds = enc.exact_bounds().map(|z| (z.min, z.max));
-            let want_bounds = want_full.min.zip(want_full.max);
-            prop_assert!(
-                bounds == want_bounds,
-                "{}: exact_bounds {:?} != {:?}", label, bounds, want_bounds
-            );
             for sel in &selections {
                 let want = aggregate_naive_selected(&values, sel);
                 let mut got = IntAggState::default();
@@ -134,6 +127,24 @@ proptest! {
                 got == want_grouped,
                 "{}: grouped {:?} != {:?}", label, got, want_grouped
             );
+        }
+        // The zone a block stores for the column is the true min / max
+        // (None when empty), whichever vertical plan encodes it, and
+        // survives serialization.
+        let want_zone = want_full.min.zip(want_full.max);
+        for plan in [ColumnPlan::Auto, ColumnPlan::AutoFull, ColumnPlan::Dict, ColumnPlan::Plain] {
+            let raw = DataBlock::new(
+                Schema::new(vec![Field::new("v", DataType::Int64)]).unwrap(),
+                vec![Column::Int64(values.clone())],
+            )
+            .unwrap();
+            let cfg = CompressionConfig::baseline().with("v", plan.clone());
+            let block = CompressedBlock::compress(&raw, &cfg).unwrap();
+            let back = CompressedBlock::from_bytes(&block.to_bytes().unwrap()).unwrap();
+            for zone in [block.zone(0), back.zone(0)] {
+                let zone = zone.map(|z| (z.min, z.max));
+                prop_assert!(zone == want_zone, "{:?}: zone {:?} != {:?}", plan, zone, want_zone);
+            }
         }
     }
 }
@@ -622,12 +633,13 @@ fn store_min_max_count_over_covered_blocks_reads_zero_bytes() {
     assert_eq!(got, want);
     assert_eq!(stats.blocks_skipped_io, 2);
     assert!(stats.bytes_read > 0);
-    // The MIN/MAX short-circuit does not fire for columns without exact
-    // footer zones (the nonhier diff column) — but results still match.
+    // The nonhier diff column carries an exact zone too: its MIN / MAX
+    // reads nothing either.
     let (want, _) = aggregate_blocks(&blocks, &AggExpr::min("l_receiptdate")).unwrap();
     let (got, stats) = reader.aggregate(&AggExpr::min("l_receiptdate")).unwrap();
     assert_eq!(got, want);
-    assert!(stats.bytes_read > 0);
+    assert_eq!(stats.bytes_read, 0);
+    assert_eq!(stats.blocks_skipped_io, 3);
 }
 
 /// Store-level validation mirrors the in-memory engine: unknown columns

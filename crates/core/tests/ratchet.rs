@@ -15,7 +15,7 @@ const EXECUTOR_FILES: [(&str, &str); 7] = [
 
 /// Non-test `.unwrap()` / `.expect(` across [`EXECUTOR_FILES`]: 51 before
 /// the morsel loop landed. Lower it when one goes; never raise it.
-const UNWRAP_CEILING: usize = 3;
+const UNWRAP_CEILING: usize = 2;
 
 /// The source above its unit-test module.
 fn library_part(source: &str) -> &str {
@@ -69,6 +69,48 @@ fn whole_block_horizontal_kernels_go_through_the_batch_decode() {
                  decode_int_column",
                 path.display()
             );
+        }
+    }
+}
+
+#[test]
+fn zones_are_recorded_at_encode_not_derived_per_codec() {
+    // A zone is data: `CompressedBlock::compress` records each integer
+    // column's exact min / max, the footer carries it, and every reader
+    // takes it from `BlockView::zone`. The per-codec bound derivations and
+    // the covering / exact split they needed stay deleted.
+    let retired = [
+        "fn value_bounds",
+        "fn exact_bounds",
+        "fn column_bounds",
+        "fn exact_column_bounds",
+        "zone_exact",
+    ];
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut dirs = vec![crates];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let in_src = path.components().any(|c| c.as_os_str() == "src");
+            if path.is_dir() && path.file_name().is_some_and(|n| n != "target") {
+                dirs.push(path);
+            } else if in_src && path.extension().is_some_and(|e| e == "rs") {
+                let source = std::fs::read_to_string(&path).unwrap();
+                for name in retired {
+                    // Whole identifiers only: a test may keep an old name
+                    // as a prefix (`value_bounds_cover_or_give_up`).
+                    let whole = source.match_indices(name).any(|(at, _)| {
+                        let next = source[at + name.len()..].chars().next();
+                        !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                    });
+                    assert!(
+                        !whole,
+                        "{} brings back `{name}`; read the zone the block recorded \
+                         at encode (BlockView::zone)",
+                        path.display()
+                    );
+                }
+            }
         }
     }
 }

@@ -15,7 +15,7 @@ use corra_columnar::aggregate::IntAggState;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::stats::{IntStats, ZoneMap};
+use corra_columnar::stats::IntStats;
 use corra_columnar::topk::TopKHeap;
 
 use crate::delta::DeltaInt;
@@ -163,10 +163,6 @@ impl IntAccess for IntEncoding {
         self.codec().filter_into(range, out)
     }
 
-    fn value_bounds(&self) -> Option<ZoneMap> {
-        self.codec().value_bounds()
-    }
-
     fn aggregate_into(&self, state: &mut IntAggState) {
         self.codec().aggregate_into(state)
     }
@@ -177,10 +173,6 @@ impl IntAccess for IntEncoding {
 
     fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]) {
         self.codec().aggregate_grouped(group_of, states)
-    }
-
-    fn exact_bounds(&self) -> Option<ZoneMap> {
-        self.codec().exact_bounds()
     }
 
     fn top_k_into(&self, base: u64, heap: &mut TopKHeap) {
@@ -204,8 +196,13 @@ pub fn estimate_dict_bytes(stats: &IntStats) -> usize {
 
 /// The paper's baseline chooser: best of FOR and Dict by compressed size.
 pub fn choose_int_baseline(values: &[i64]) -> IntEncoding {
-    let stats = IntStats::compute(values);
-    if estimate_dict_bytes(&stats) < estimate_for_bytes(&stats) {
+    choose_int_baseline_with(values, &IntStats::compute(values))
+}
+
+/// [`choose_int_baseline`] over `stats` the caller already computed for
+/// `values` — the block compressor keeps them for the column's zone.
+pub fn choose_int_baseline_with(values: &[i64], stats: &IntStats) -> IntEncoding {
+    if estimate_dict_bytes(stats) < estimate_for_bytes(stats) {
         IntEncoding::Dict(DictInt::encode(values))
     } else {
         IntEncoding::For(ForInt::encode(values))

@@ -10,7 +10,6 @@ use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{zigzag_decode, zigzag_encode, BitPackedVec};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::stats::ZoneMap;
 use corra_columnar::topk::TopKHeap;
 
 use crate::traits::{check_selection, stream_packed, IntAccess};
@@ -174,24 +173,6 @@ impl IntAccess for DeltaInt {
         }
         self.for_each_selected(sel, |p, v| heap.offer(v, base + p as u64));
     }
-
-    /// Every value is a restart plus at most `MINIBLOCK - 1` deltas of at
-    /// most `2^(bits-1)` each in magnitude (the widest a `bits`-wide
-    /// zig-zag code decodes to). Deltas wrap, so the bounds only hold
-    /// when the widened interval stays inside the `i64` domain, where no
-    /// prefix sum can have wrapped; otherwise `None`.
-    fn value_bounds(&self) -> Option<ZoneMap> {
-        let restarts = ZoneMap::from_values(&self.restarts)?;
-        let widest = match self.bits() {
-            0 => 0,
-            bits => 1i128 << (bits - 1),
-        };
-        let slack = (MINIBLOCK as i128 - 1) * widest;
-        Some(ZoneMap {
-            min: i64::try_from(restarts.min as i128 - slack).ok()?,
-            max: i64::try_from(restarts.max as i128 + slack).ok()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -199,6 +180,7 @@ mod tests {
     use super::*;
     use corra_columnar::predicate::IntRange;
     use corra_columnar::selection::SelectionVector;
+    use corra_columnar::stats::ZoneMap;
 
     #[test]
     fn roundtrip_sorted() {
@@ -287,29 +269,26 @@ mod tests {
                 "{range:?}"
             );
         }
-        let zone = enc.value_bounds().unwrap();
-        assert!(values.iter().all(|&v| zone.covers(v)), "{zone:?}");
     }
 
+    /// A Delta column's zone is the encoder's exact min / max; a bare
+    /// deserialized block recomputes it from the decoded values. The
+    /// decode must hand back those exact extremes — empty, flat, and where
+    /// the wrapping prefix sum crosses either end of the `i64` domain.
     #[test]
     fn value_bounds_cover_or_give_up() {
-        assert!(DeltaInt::encode(&[]).value_bounds().is_none());
-        // Width 0: every value is a restart, so the bounds are exact.
-        let flat = DeltaInt::encode(&[7; 300]);
-        let zone = flat.value_bounds().unwrap();
-        assert_eq!((zone.min, zone.max), (7, 7));
-        // Steps of 2 are 3-bit zig-zag codes: restarts 0..=1792 widened by
-        // 127 * 2^2 each way.
         let steps: Vec<i64> = (0..1000).map(|i| i * 2).collect();
-        let zone = DeltaInt::encode(&steps).value_bounds().unwrap();
-        assert_eq!((zone.min, zone.max), (-508, 1792 + 508));
-        // A widened interval that leaves the i64 domain may hide a wrap.
-        assert!(DeltaInt::encode(&[i64::MAX - 1, i64::MAX])
-            .value_bounds()
-            .is_none());
-        assert!(DeltaInt::encode(&[i64::MIN, i64::MAX, 0])
-            .value_bounds()
-            .is_none());
+        for values in [
+            Vec::new(),
+            vec![7; 300],
+            steps,
+            vec![i64::MAX - 1, i64::MAX],
+            vec![i64::MIN, i64::MAX, 0],
+        ] {
+            let mut out = Vec::new();
+            DeltaInt::encode(&values).decode_into(&mut out);
+            assert_eq!(ZoneMap::from_values(&out), ZoneMap::from_values(&values));
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::stats::ZoneMap;
 use corra_columnar::strings::{StringDictBuilder, StringPool};
 use corra_columnar::topk::TopKHeap;
 use rustc_hash::FxHashMap;
@@ -126,8 +125,8 @@ impl DictInt {
 
     /// The invariants `read_from` enforces on outside bytes. Strict
     /// sortedness is what makes code order value order — the property
-    /// `filter_into`'s code intervals, `value_bounds` and the TOP-K
-    /// code-domain path rely on.
+    /// `filter_into`'s code intervals and the TOP-K code-domain path rely
+    /// on.
     fn validate(&self) -> Result<()> {
         if self.dict.windows(2).any(|w| w[0] >= w[1]) {
             return Err(Error::corrupt("dict-int dictionary not strictly sorted"));
@@ -204,17 +203,6 @@ impl IntAccess for DictInt {
             .filter_range_into(lo_code, hi_code - 1, range.negate, out);
     }
 
-    /// Exact bounds: the sorted dictionary's first and last entry.
-    fn value_bounds(&self) -> Option<ZoneMap> {
-        if self.is_empty() {
-            return None;
-        }
-        Some(ZoneMap {
-            min: *self.dict.first()?,
-            max: *self.dict.last()?,
-        })
-    }
-
     /// Histograms the bit-packed codes, then folds once per *distinct*
     /// value weighted by its count (`value · count`) — the per-row work is
     /// one counter increment, never an `i64` reconstruction. Four rows per
@@ -254,12 +242,6 @@ impl IntAccess for DictInt {
         for (&v, &n) in self.dict.iter().zip(&counts) {
             state.update_n(v, n);
         }
-    }
-
-    /// Exact bounds straight from the sorted dictionary (every entry of a
-    /// canonically encoded dictionary occurs in some row).
-    fn exact_bounds(&self) -> Option<ZoneMap> {
-        self.value_bounds()
     }
 
     /// Code-domain selection, valid because the dictionary is sorted:
@@ -668,9 +650,6 @@ mod tests {
                 "{range:?}"
             );
         }
-        let zone = enc.value_bounds().unwrap();
-        assert_eq!((zone.min, zone.max), (100, 900));
-        assert!(DictInt::encode(&[]).value_bounds().is_none());
     }
 
     #[test]

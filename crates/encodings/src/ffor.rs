@@ -12,7 +12,6 @@ use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::stats::ZoneMap;
 
 use crate::traits::{check_selection, stream_packed, IntAccess};
 
@@ -162,25 +161,6 @@ impl IntAccess for ForInt {
             .filter_range_into(lo_off, hi_off, range.negate, out);
     }
 
-    /// O(1) covering bounds from the frame: `[base, base + 2^bits - 1]`
-    /// (clamped). The min is exact; the max may overshoot the true maximum
-    /// by up to one power of two, which is sound for pruning.
-    fn value_bounds(&self) -> Option<ZoneMap> {
-        if self.is_empty() {
-            return None;
-        }
-        let span = if self.bits() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.bits()) - 1
-        };
-        let max = (self.base as i128 + span as i128).min(i64::MAX as i128) as i64;
-        Some(ZoneMap {
-            min: self.base,
-            max,
-        })
-    }
-
     /// Folds in the packed offset domain: offsets accumulate into one
     /// `u128`, the frame base is added back once (`n · base`), and min/max
     /// reduce over raw offsets — no per-row `i64` reconstruction. Falls back
@@ -325,10 +305,6 @@ mod tests {
         assert!(out.is_empty());
         enc.filter_into(&IntRange::negated(0, 999), &mut out);
         assert_eq!(out.len(), 100);
-        // Bounds cover the data.
-        let zone = enc.value_bounds().unwrap();
-        assert!(values.iter().all(|&v| zone.covers(v)));
-        assert_eq!(zone.min, 1_000);
     }
 
     #[test]
@@ -348,8 +324,6 @@ mod tests {
                 "{range:?}"
             );
         }
-        assert!(enc.value_bounds().unwrap().covers(i64::MAX));
-        assert!(ForInt::encode(&[]).value_bounds().is_none());
     }
 
     #[test]

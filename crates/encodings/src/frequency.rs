@@ -11,7 +11,6 @@ use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
-use corra_columnar::stats::ZoneMap;
 use rustc_hash::FxHashMap;
 
 use crate::traits::IntAccess;
@@ -221,23 +220,6 @@ impl IntAccess for FrequencyInt {
         });
     }
 
-    /// Exact bounds over the hot values and the exception region — every
-    /// stored value appears in one of the two.
-    fn value_bounds(&self) -> Option<ZoneMap> {
-        if self.is_empty() {
-            return None;
-        }
-        // With exceptions present, some hot codes may be padding (code 0 at
-        // exception rows), but every hot value was drawn from the data, so
-        // the union stays covering and tight.
-        let hot = ZoneMap::from_values(&self.hot);
-        let exc = ZoneMap::from_values(&self.exc_val);
-        match (hot, exc) {
-            (Some(a), Some(b)) => Some(a.union(b)),
-            (z, None) | (None, z) => z,
-        }
-    }
-
     /// Histograms the hot codes, subtracts the meaningless padding codes at
     /// exception rows, folds each hot value once weighted by its count, and
     /// folds exceptions verbatim — O(rows) counter increments plus
@@ -259,12 +241,6 @@ impl IntAccess for FrequencyInt {
         for (&v, &n) in self.hot.iter().zip(&counts) {
             state.update_n(v, n);
         }
-    }
-
-    /// Exact bounds over hot values ∪ exceptions — every hot value of a
-    /// canonical encode occurs in some non-exception row.
-    fn exact_bounds(&self) -> Option<ZoneMap> {
-        self.value_bounds()
     }
 }
 
@@ -350,7 +326,6 @@ mod tests {
         let enc = FrequencyInt::encode(&[], 4);
         assert!(enc.is_empty());
         assert_eq!(enc.exceptions(), 0);
-        assert!(enc.value_bounds().is_none());
     }
 
     #[test]
@@ -372,9 +347,6 @@ mod tests {
                 "{range:?}"
             );
         }
-        let zone = enc.value_bounds().unwrap();
-        assert!(values.iter().all(|&v| zone.covers(v)));
-        assert_eq!((zone.min, zone.max), (3, 9));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! Every integer scheme implements the one codec trait,
 //! [`traits::IntAccess`]: a codec supplies length, random access, size and
 //! a decoded chunk stream, and decode / gather / filter / the aggregate
-//! folds / bounds / TOP-K are provided methods over them, overridden only
+//! folds / TOP-K are provided methods over them, overridden only
 //! where a codec works in its compressed domain (FOR offsets, Dict codes,
 //! RLE runs, Frequency verdict tables). [`dict::DictStr`] carries the
 //! string analogues (equality filter, `COUNT` and lexicographic `MIN` /
@@ -45,7 +45,10 @@ pub mod rle;
 mod topk;
 pub mod traits;
 
-pub use chooser::{choose_int_baseline, choose_int_full, choose_str_baseline, IntEncoding};
+pub use chooser::{
+    choose_int_baseline, choose_int_baseline_with, choose_int_full, choose_str_baseline,
+    IntEncoding,
+};
 pub use delta::DeltaInt;
 pub use dict::{DictInt, DictStr};
 pub use ffor::ForInt;

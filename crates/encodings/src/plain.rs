@@ -127,7 +127,6 @@ mod tests {
     fn empty_columns() {
         let enc = PlainInt::encode(&[]);
         assert!(enc.is_empty());
-        assert!(enc.value_bounds().is_none());
     }
 
     #[test]
@@ -139,6 +138,5 @@ mod tests {
         assert_eq!(out, vec![0, 3]);
         enc.filter_into(&IntRange::negated(0, 15), &mut out);
         assert_eq!(out, vec![1, 2]);
-        assert!(enc.value_bounds().is_none());
     }
 }

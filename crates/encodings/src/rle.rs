@@ -12,7 +12,6 @@ use corra_columnar::bitpack::UNPACK_CHUNK;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::stats::ZoneMap;
 use corra_columnar::topk::TopKHeap;
 
 use crate::traits::{check_selection, IntAccess};
@@ -185,11 +184,6 @@ impl IntAccess for RleInt {
         }
     }
 
-    /// Exact bounds from one pass over the run values (O(runs), not O(rows)).
-    fn value_bounds(&self) -> Option<ZoneMap> {
-        ZoneMap::from_values(&self.run_values)
-    }
-
     /// Folds once per *run* (`value · run_len`) — O(runs), not O(rows).
     fn aggregate_into(&self, state: &mut IntAggState) {
         let mut start = 0u32;
@@ -216,11 +210,6 @@ impl IntAccess for RleInt {
                 break;
             }
         }
-    }
-
-    /// Exact bounds over the run values — O(runs), every run is non-empty.
-    fn exact_bounds(&self) -> Option<ZoneMap> {
-        self.value_bounds()
     }
 
     /// One bound check per *run*; an accepted run offers only its first
@@ -327,9 +316,6 @@ mod tests {
                 "{range:?}"
             );
         }
-        let zone = enc.value_bounds().unwrap();
-        assert_eq!((zone.min, zone.max), (1, 3));
-        assert!(RleInt::encode(&[]).value_bounds().is_none());
     }
 
     #[test]

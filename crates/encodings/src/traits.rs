@@ -4,7 +4,7 @@
 //! [`get`](IntAccess::get), [`compressed_bytes`](IntAccess::compressed_bytes)
 //! and the decoded chunk stream [`for_each_chunk`](IntAccess::for_each_chunk)
 //! — and every query kernel (decode, gather, filter, the three folds, both
-//! bounds, both TOP-K entry points) is a provided method written once over
+//! TOP-K entry points) is a provided method written once over
 //! them. A codec overrides a kernel only where it can do the work in its
 //! compressed domain:
 //!
@@ -30,7 +30,6 @@ use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::stats::ZoneMap;
 use corra_columnar::topk::TopKHeap;
 
 use crate::filter::filter_i64_slice;
@@ -95,15 +94,6 @@ pub trait IntAccess {
         });
     }
 
-    /// A covering (not necessarily tight) min/max zone map of the encoded
-    /// values, or `None` when the column is empty or bounds are not cheaply
-    /// derivable — without stored statistics they would cost the same full
-    /// pass as the filter itself. Used for block pruning before the per-row
-    /// kernel runs.
-    fn value_bounds(&self) -> Option<ZoneMap> {
-        None
-    }
-
     /// Folds every row into `state` (`COUNT`/`SUM`/`MIN`/`MAX` in one pass,
     /// no materialized vector).
     fn aggregate_into(&self, state: &mut IntAggState) {
@@ -128,24 +118,6 @@ pub trait IntAccess {
                 states[g as usize].update(v);
             }
         });
-    }
-
-    /// *Exact* min/max bounds of the stored values (`None` when empty), in
-    /// contrast to [`value_bounds`](Self::value_bounds), which may be
-    /// covering-but-loose (FOR's `base + 2^bits - 1`). Costs at most one
-    /// streaming pass; codecs with cheap exact statistics (Dict, RLE,
-    /// Frequency) override it with O(distinct)/O(runs) paths.
-    ///
-    /// Exactness assumes the canonical encoder invariants (e.g. every
-    /// dictionary entry occurs in some row), which hold for every
-    /// `encode`-produced column.
-    fn exact_bounds(&self) -> Option<ZoneMap> {
-        let mut state = IntAggState::default();
-        self.aggregate_into(&mut state);
-        Some(ZoneMap {
-            min: state.min?,
-            max: state.max?,
-        })
     }
 
     /// Offers every row of the column as a `(value, base + row)` candidate

@@ -4,6 +4,7 @@
 use corra_columnar::aggregate::IntAggState;
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
+use corra_columnar::stats::{IntStats, ZoneMap};
 use corra_columnar::topk::TopKHeap;
 use corra_encodings::filter::filter_naive;
 use corra_encodings::{
@@ -61,9 +62,8 @@ impl<E: IntAccess> IntAccess for Provided<'_, E> {
 }
 
 /// Every kernel of `enc`, overridden or not, answers exactly what the
-/// provided body answers on the same input. The one licensed difference:
-/// `value_bounds` may be loose, so it must *cover* the provided exact
-/// bounds rather than equal them.
+/// provided body answers on the same input; and the zone a block records
+/// for the column is the fold's exact min / max.
 fn check_overrides(
     enc: &impl IntAccess,
     ranges: &[IntRange],
@@ -83,32 +83,22 @@ fn check_overrides(
         prop_assert!(got == want, "filter {:?}: {:?} != {:?}", range, got, want);
     }
 
-    let (mut got, mut want) = (IntAggState::default(), IntAggState::default());
-    enc.aggregate_into(&mut got);
+    let (mut folded, mut want) = (IntAggState::default(), IntAggState::default());
+    enc.aggregate_into(&mut folded);
     reference.aggregate_into(&mut want);
-    prop_assert_eq!(got, want);
+    prop_assert_eq!(folded, want);
+    // The stored zone — what the encoder records, and what a bare block
+    // recomputes from the decoded column — is the oracle min / max, and
+    // absent exactly when the column is empty.
+    let zone = ZoneMap::from_values(&got).map(|z| (z.min, z.max));
+    prop_assert_eq!(zone, want.min.zip(want.max));
+    prop_assert_eq!(zone.is_none(), enc.is_empty());
     let n_groups = group_of.iter().max().map_or(0, |&g| g as usize + 1);
     let mut got = vec![IntAggState::default(); n_groups];
     let mut want = got.clone();
     enc.aggregate_grouped(group_of, &mut got);
     reference.aggregate_grouped(group_of, &mut want);
     prop_assert_eq!(got, want);
-
-    let exact = reference.exact_bounds();
-    prop_assert_eq!(enc.exact_bounds(), exact);
-    prop_assert_eq!(exact.is_none(), enc.is_empty());
-    match (enc.value_bounds(), exact) {
-        (Some(zone), Some(exact)) => {
-            prop_assert!(
-                zone.covers(exact.min) && zone.covers(exact.max),
-                "{:?} misses {:?}",
-                zone,
-                exact
-            );
-        }
-        (zone, None) => prop_assert_eq!(zone, None),
-        (None, Some(_)) => {}
-    }
 
     for sel in sels {
         let (mut got, mut want) = (vec![7], vec![9]);
@@ -281,9 +271,15 @@ proptest! {
         }
     }
 
-    /// Every codec's zone map covers every encoded value.
+    /// Every codec's stored zone is the oracle min / max. A block records it
+    /// at encode — from the baseline chooser's stats pass or one fold over
+    /// the raw values — and a bare deserialized block recomputes it from
+    /// the decoded column; all three agree with the data's extremes.
     #[test]
     fn value_bounds_cover_data(values in int_column()) {
+        let oracle = values.iter().min().zip(values.iter().max()).map(|(&min, &max)| ZoneMap { min, max });
+        prop_assert_eq!(ZoneMap::from_stats(&IntStats::compute(&values)), oracle);
+        prop_assert_eq!(ZoneMap::from_values(&values), oracle);
         let encodings = [
             IntEncoding::Plain(PlainInt::encode(&values)),
             IntEncoding::For(ForInt::encode(&values)),
@@ -293,18 +289,15 @@ proptest! {
             IntEncoding::Frequency(FrequencyInt::encode(&values, 4)),
         ];
         for enc in &encodings {
-            if let Some(zone) = enc.value_bounds() {
-                for &v in &values {
-                    prop_assert!(zone.covers(v), "{} {:?} misses {}", enc.scheme(), zone, v);
-                }
-            }
+            let mut decoded = Vec::new();
+            enc.decode_into(&mut decoded);
+            prop_assert!(ZoneMap::from_values(&decoded) == oracle, "{}", enc.scheme());
         }
     }
 
-    /// Delta's covering bounds hold every decoded value wherever they
-    /// exist — also hard against either end of the `i64` domain, where the
-    /// widened interval may leave it and the codec must give up (`None`)
-    /// rather than report bounds a wrapped prefix sum could escape.
+    /// A Delta column's zone, recomputed from the decode, is exactly the
+    /// encoder's — also hard against either end of the `i64` domain, where
+    /// the prefix sum wraps.
     #[test]
     fn delta_bounds_cover_every_decoded_value(
         anchor in prop::sample::select(vec![i64::MIN, i64::MIN + 70_000, -3, i64::MAX - 70_000, i64::MAX - 499]),
@@ -314,19 +307,12 @@ proptest! {
         let mut values: Vec<i64> = steps.iter().map(|s| anchor + s).collect();
         values.extend(&wild);
         let enc = DeltaInt::encode(&values);
-        let zone = enc.value_bounds();
         let mut decoded = Vec::new();
         enc.decode_into(&mut decoded);
         prop_assert_eq!(&decoded, &values);
-        if let Some(zone) = zone {
-            for &v in &decoded {
-                prop_assert!(zone.covers(v), "{:?} misses {} ({} bits)", zone, v, enc.bits());
-            }
-        }
-        // Not vacuous: away from the ends there is always a zone.
-        if wild.is_empty() && anchor == -3 {
-            prop_assert_eq!(zone.is_some(), !values.is_empty());
-        }
+        let zone = ZoneMap::from_values(&decoded);
+        prop_assert_eq!(zone, ZoneMap::from_values(&values));
+        prop_assert_eq!(zone.is_some(), !values.is_empty());
     }
 
     /// The full chooser's pick is minimal among all candidates it considers.

@@ -8,8 +8,10 @@
 //!
 //! Differences from real proptest: cases are generated from a fixed
 //! per-test seed (deterministic across runs; override the count with
-//! `PROPTEST_CASES`), and failing cases are **not shrunk** — the panic
-//! message reports the case number and the failed assertion instead.
+//! `PROPTEST_CASES`, and XOR a run-wide offset into every seed with
+//! `PROPTEST_SEED=<u64>` to explore new cases), and failing cases are
+//! **not shrunk** — the panic message reports the case number, the seed
+//! and `PROPTEST_SEED` (which reproduces the failure) instead.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -442,24 +444,40 @@ pub mod test_runner {
             .unwrap_or(256)
     }
 
-    /// Runs `body` over `PROPTEST_CASES` deterministic cases (default 256).
+    /// The run-wide `PROPTEST_SEED` (a decimal `u64`); unset or unparsable
+    /// is 0, which keeps every test on its fixed name seed.
+    fn seed_offset() -> u64 {
+        std::env::var("PROPTEST_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0)
+    }
+
+    /// A test's seed: FNV-1a over its name, XORed with the run-wide offset.
+    pub(crate) fn test_seed(test_name: &str, offset: u64) -> u64 {
+        let mut seed = 0xcbf2_9ce4_8422_2325u64;
+        for b in test_name.bytes() {
+            seed = (seed ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        seed ^ offset
+    }
+
+    /// Runs `body` over `PROPTEST_CASES` deterministic cases (default 256),
+    /// drawn from the test's name seed and the optional `PROPTEST_SEED`.
     pub fn run<F>(test_name: &str, mut body: F)
     where
         F: FnMut(&mut TestRng) -> TestCaseResult,
     {
         use rand::SeedableRng;
-        // Stable per-test seed: FNV-1a over the test name.
-        let mut seed = 0xcbf2_9ce4_8422_2325u64;
-        for b in test_name.bytes() {
-            seed = (seed ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let offset = seed_offset();
+        let seed = test_seed(test_name, offset);
         let cases = num_cases();
         for case in 0..cases {
             let mut rng = TestRng::seed_from_u64(seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             if let Err(e) = body(&mut rng) {
                 panic!(
                     "proptest {test_name} failed at case {case}/{cases} \
-                     (seed {seed:#x}, no shrinking in shim): {e}"
+                     (seed {seed:#x}, PROPTEST_SEED={offset}, no shrinking in shim): {e}"
                 );
             }
         }
@@ -641,5 +659,12 @@ mod tests {
     #[should_panic(expected = "proptest failing_case failed at case")]
     fn failures_report_case_number() {
         crate::test_runner::run("failing_case", |_| Err(TestCaseError::fail("boom")));
+    }
+
+    #[test]
+    fn seed_offset_moves_every_test_off_its_name_seed() {
+        use crate::test_runner::test_seed;
+        assert_ne!(test_seed("a", 0), test_seed("b", 0));
+        assert_eq!(test_seed("a", 0) ^ test_seed("a", 41), 41);
     }
 }
