@@ -1,4 +1,4 @@
-//! **Kernel gates** — the six timing-*ratio* properties that need a clock.
+//! **Kernel gates** — the seven timing-*ratio* properties that need a clock.
 //! Everything else the retired bench bins asserted is a tier-1 test (see
 //! the gate → test table in `docs/TESTING.md`); throughput *series* live in
 //! `e2e_bench`'s per-layer metrics. On the acceptance widths 8 / 12 / 16:
@@ -7,7 +7,11 @@
 //! * the active SIMD tier ≥ [`MIN_SIMD`]× the batched-scalar engine;
 //! * fused decode+filter ≥ [`MIN_FUSED`]× unpack-then-compare;
 //!
-//! the RLE / Dict aggregate fast paths ≥ [`MIN_AGG`]× decompress-then-fold;
+//! every width in [`SWEPT_WIDTHS`] decodes within [`MAX_WIDTH_SPREAD`]× of
+//! the fastest width on the active tier — a width whose tile loop stops
+//! unrolling reads 5–8× and fails, on either tier;
+//! the RLE / Dict `sum_wrapping` overrides ≥ [`MIN_AGG`]× the trait's
+//! provided chunk-stream body;
 //! the store's `checksum64` ≥ [`MIN_CHECKSUM`]× a `copy_from_slice` of
 //! the same [`CHECKSUM_BYTES`] buffer — integrity at memory speed, so a
 //! slide back to a byte-at-a-time hash (≈ 0.06×) fails on every tier; and
@@ -30,13 +34,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::simd::{self, KernelTier};
 use corra_columnar::topk::TopKHeap;
 use corra_core::checksum64;
-use corra_encodings::aggregate::aggregate_naive;
-use corra_encodings::{DictInt, ForInt, IntAccess, RleInt};
+use corra_encodings::{wrapping_sum, DictInt, ForInt, IntAccess, RleInt};
 
 /// Batched unpack vs one getter call per value.
 const MIN_BATCHED: f64 = 2.0;
@@ -47,8 +49,10 @@ const MIN_SIMD: f64 = 1.2;
 /// sits near its floor of 1 and the gate only catches the fused path
 /// *losing*.
 const MIN_FUSED: f64 = 0.95;
-/// RLE / Dict compressed-domain fold vs decompress-then-fold.
-const MIN_AGG: f64 = 2.0;
+/// RLE / Dict `sum_wrapping` override vs the provided chunk-stream body
+/// (measured ≈ 470× RLE, 1.13–1.15× Dict: the Dict body's lookup loop runs
+/// 0.25 ms per 400 k rows against the histogram's 0.22).
+const MIN_AGG: f64 = 1.05;
 
 /// `checksum64` vs a plain copy of the same bytes (measured 1.1–1.2×).
 const MIN_CHECKSUM: f64 = 0.5;
@@ -58,6 +62,17 @@ const MIN_CHECKSUM: f64 = 0.5;
 const MIN_TOPK: f64 = 1.5;
 
 const GATED_WIDTHS: [u8; 3] = [8, 12, 16];
+/// Widths the sweep gate times, one packed vector each.
+const SWEPT_WIDTHS: std::ops::RangeInclusive<u8> = 1..=32;
+/// Slowest swept width vs the fastest, ns per value (measured 1.5× AVX2,
+/// 1.3× scalar; 8.5× / 6.4× while the tile loop stayed rolled).
+const MAX_WIDTH_SPREAD: f64 = 2.5;
+/// Values per swept vector: 128 KB decoded, L2-resident. At [`VALUES`]
+/// the AVX2 tier's byte-aligned kernels (widths 6–16 even, 32) store at
+/// L1 speed, 0.08–0.09 ns / value against the scalar tiles' 0.22–0.24, so
+/// the spread there is L1 store bandwidth rather than a tile loop that
+/// stopped unrolling.
+const SWEEP_VALUES: usize = 16_384;
 /// Values per packed vector: L1-resident, so the unpack gates measure the
 /// kernels rather than the host's store bandwidth.
 const VALUES: usize = 4_096;
@@ -129,12 +144,19 @@ fn two_pass_filter(
     }
 }
 
-fn unpack_gates(bits: u8, simd_on: bool, gates: &mut Vec<Gate>) {
+/// `n` scrambled values filling `bits`, and their packed vector.
+fn packed_width(bits: u8, n: usize) -> (Vec<u64>, BitPackedVec) {
     let mask = u64::MAX >> (64 - u32::from(bits));
-    let values: Vec<u64> = (0..VALUES as u64)
+    let values: Vec<u64> = (0..n as u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
         .collect();
     let packed = BitPackedVec::pack(&values, bits).expect("pack");
+    (values, packed)
+}
+
+fn unpack_gates(bits: u8, simd_on: bool, gates: &mut Vec<Gate>) {
+    let (values, packed) = packed_width(bits, VALUES);
+    let mask = u64::MAX >> (64 - u32::from(bits));
     // Mid-selectivity interval inside the packed domain.
     let (lo, hi) = (mask / 4, mask / 2);
 
@@ -184,26 +206,92 @@ fn unpack_gates(bits: u8, simd_on: bool, gates: &mut Vec<Gate>) {
     }
 }
 
+/// Every width in [`SWEPT_WIDTHS`] decoded through the active tier, timed
+/// round-robin [`PAIRS`] times so host drift hits all widths alike; each
+/// width's gate is the fastest width's median ns / value over its own.
+fn width_sweep_gates(gates: &mut Vec<Gate>) {
+    let vectors: Vec<(u8, BitPackedVec)> = SWEPT_WIDTHS
+        .map(|bits| {
+            let (values, packed) = packed_width(bits, SWEEP_VALUES);
+            let mut out = Vec::new();
+            packed.unpack_into(&mut out);
+            assert_eq!(out, values, "{bits}-bit active-tier decode diverged");
+            (bits, packed)
+        })
+        .collect();
+    // As many values per timing as an unpack gate leg.
+    let passes = PASSES * VALUES / SWEEP_VALUES;
+    let mut out = Vec::new();
+    let mut runs = vec![Vec::with_capacity(PAIRS); vectors.len()];
+    for _ in 0..PAIRS {
+        for ((_, packed), times) in vectors.iter().zip(&mut runs) {
+            let t = Instant::now();
+            (0..passes).for_each(|_| packed.unpack_into(black_box(&mut out)));
+            times.push(t.elapsed().as_secs_f64() * 1e9 / (passes * SWEEP_VALUES) as f64);
+        }
+    }
+    let ns: Vec<f64> = runs
+        .iter_mut()
+        .map(|times| {
+            times.sort_by(f64::total_cmp);
+            times[PAIRS / 2]
+        })
+        .collect();
+    let fastest = ns.iter().copied().fold(f64::INFINITY, f64::min);
+    for ((bits, _), t) in vectors.iter().zip(ns) {
+        gates.push(Gate {
+            name: format!("{bits:>2}-bit unpack {t:.3} ns/value: fastest / this"),
+            ratio: fastest / t,
+            min: 1.0 / MAX_WIDTH_SPREAD,
+            binding: true,
+        });
+    }
+}
+
+/// A codec seen through its four required methods only, so
+/// `sum_wrapping` runs the trait's provided chunk-stream body.
+struct Provided<'a, E>(&'a E);
+
+impl<E: IntAccess> IntAccess for Provided<'_, E> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn get(&self, i: usize) -> i64 {
+        self.0.get(i)
+    }
+
+    fn compressed_bytes(&self) -> usize {
+        self.0.compressed_bytes()
+    }
+
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+        self.0.for_each_chunk(f)
+    }
+}
+
 fn agg_gate(name: &str, enc: &impl IntAccess) -> Gate {
     let mut decoded = Vec::new();
     enc.decode_into(&mut decoded);
-    let mut got = IntAggState::default();
-    enc.aggregate_into(&mut got);
-    assert_eq!(got, aggregate_naive(&decoded), "{name}: fold diverged");
+    let want = wrapping_sum(0, &decoded);
+    let provided = Provided(enc);
+    assert_eq!(enc.sum_wrapping(), want, "{name}: sum diverged");
+    assert_eq!(
+        provided.sum_wrapping(),
+        want,
+        "{name}: provided sum diverged"
+    );
     let ratio = median_ratio(
         1,
         || {
-            enc.decode_into(&mut decoded);
-            black_box(aggregate_naive(&decoded));
+            black_box(provided.sum_wrapping());
         },
         || {
-            let mut state = IntAggState::default();
-            enc.aggregate_into(&mut state);
-            black_box(state);
+            black_box(enc.sum_wrapping());
         },
     );
     Gate {
-        name: format!("{name} fold / decompress-then-fold"),
+        name: format!("{name} sum_wrapping / provided body"),
         ratio,
         min: MIN_AGG,
         binding: true,
@@ -285,8 +373,9 @@ fn main() {
     for bits in GATED_WIDTHS {
         unpack_gates(bits, simd_on, &mut gates);
     }
-    // RLE territory: long runs, one fold per run. Dict territory: few
-    // distinct values, one count-weighted fold per distinct value.
+    width_sweep_gates(&mut gates);
+    // RLE territory: long runs, one product per run. Dict territory: few
+    // distinct values, one count-weighted product per distinct value.
     let runs: Vec<i64> = (0..AGG_ROWS).map(|i| (i / 1_000) as i64).collect();
     gates.push(agg_gate("rle/runs1k", &RleInt::encode(&runs)));
     let few: Vec<i64> = (0..AGG_ROWS)

@@ -17,10 +17,13 @@
 //! width in `1..=64` (the `width_specialized!` dispatch) and decodes
 //! fixed [`UNPACK_CHUNK`]-value chunks: `1024 · bits` is a multiple of 64
 //! for every width, so chunks always begin on a word boundary and the
-//! kernel sees only whole words. Widths dividing 64 decode with constant
-//! shifts and no branches at all; straddling widths run a two-shift
-//! accumulator whose refill branch is data-independent. The kernels take a
-//! value transform, which gives FOR-family codecs a fused
+//! kernel sees only whole words. Widths dividing 64 decode each word with
+//! constant shifts; straddling widths decode FastLanes-style tiles of up to
+//! 64 values. Both loops are written out in full, so every shift, word
+//! index and straddle test is a constant at every width — there are no
+//! branches and no width that decodes slower than its neighbours (0.17–0.27
+//! ns / value for widths 1–32 on either tier, see [`crate::simd`]). The
+//! kernels take a value transform, which gives FOR-family codecs a fused
 //! [`unpack_add_into`](BitPackedVec::unpack_add_into) (offset → `i64` in
 //! one pass, no second add pass) and every table-driven codec a streaming
 //! [`unpack_chunks`](BitPackedVec::unpack_chunks) visitor.
@@ -257,6 +260,13 @@ impl BitPackedVec {
     /// codes, hierarchical group indexes): the chunk stays cache-hot while
     /// the caller maps it through its lookup structure. Chunk fills run on
     /// the active SIMD tier.
+    ///
+    /// `#[inline]` gives every codegen unit that calls it its own copy, so
+    /// the caller's per-chunk loop is compiled into the caller wherever the
+    /// partitioner puts it (otherwise whether the Hier kernels inline it
+    /// depends on unrelated code elsewhere in the crate: ±25 % on
+    /// `dmv_serve`'s Hier scan, TOP-K and decompress slots).
+    #[inline]
     pub fn unpack_chunks(&self, mut f: impl FnMut(usize, &[u64])) {
         let k = simd::active();
         let mut buf = ChunkBuf::zeroed();
@@ -462,16 +472,38 @@ impl PackedReader<'_> {
     }
 }
 
+/// Runs `$body` once for every literal `$k` in `0..=63` below `$n`: a loop
+/// written out in full, so inside each copy the index is a constant. LLVM
+/// only unrolls a loop of up to about 16 iterations on its own; a 32- or
+/// 64-iteration tile loop stays a loop, and every shift amount, word index
+/// and straddle test in it is computed per value at run time.
+macro_rules! unrolled_64 {
+    ($n:expr, |$k:ident| $body:expr) => {
+        unrolled_64!(@ $n, $k, $body;
+            0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15
+            16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+            32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47
+            48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63)
+    };
+    (@ $n:expr, $k:ident, $body:expr; $($i:literal)+) => {
+        $( if $i < $n {
+            let $k: usize = $i;
+            $body;
+        } )+
+    };
+}
+
 /// Decodes one word-aligned [`UNPACK_CHUNK`]-value chunk with every shift
 /// amount derived from the compile-time width.
 ///
-/// Widths dividing 64 never straddle a word: the inner loop is a fixed
-/// shift-and-mask ladder with no branches, which LLVM unrolls and
-/// vectorizes. The remaining widths compute each value's two-word window
-/// positionally — `value j` lives at bit `j·BITS` — so there is no
-/// loop-carried accumulator dependency and no per-element branch; the
-/// `<< 1 <<` double shift makes the high-word contribution vanish when a
-/// value starts exactly on a word boundary.
+/// Widths dividing 64 never straddle a word: each word is a fixed
+/// shift-and-mask ladder with no branches. The remaining widths compute
+/// each value's two-word window positionally — `value j` lives at bit
+/// `j·BITS` — so there is no loop-carried accumulator dependency and no
+/// per-element branch; the `<< 1 <<` double shift makes the high-word
+/// contribution vanish when a value starts exactly on a word boundary.
+/// Both per-word and per-tile loops are written out with [`unrolled_64!`],
+/// so every decision folds to a constant at every width.
 #[inline(always)]
 fn unpack_chunk<const BITS: u32, T: Copy>(
     words: &[u64],
@@ -490,26 +522,21 @@ fn unpack_chunk<const BITS: u32, T: Copy>(
     if 64 % BITS == 0 {
         let vpw = (64 / BITS) as usize;
         for (os, &w) in out.chunks_exact_mut(vpw).zip(words) {
-            for (k, o) in os.iter_mut().enumerate() {
-                *o = f((w >> (k as u32 * BITS)) & mask);
-            }
+            unrolled_64!(vpw, |k| os[k] = f((w >> (k as u32 * BITS)) & mask));
         }
     } else {
         // FastLanes-style tiles: the packing pattern repeats every
         // lcm(64, BITS) bits — `tw` words carrying `vpt` values — and a
-        // tile boundary is always a value boundary. With the width a
-        // compile-time constant, every `lo`/`off`/straddle decision below
-        // folds to a constant once the `vpt`-iteration loop unrolls
-        // (12-bit: 3 words → 16 values per tile).
+        // tile boundary is always a value boundary (12-bit: 3 words → 16
+        // values per tile; odd widths: `BITS` words → 64 values).
         let g = 1usize << (BITS.trailing_zeros().min(6));
         let tw = BITS as usize / g;
         let vpt = 64 / g;
-        // Two phases per tile: the raw decode loop (shared, identity-typed,
-        // so each width monomorphizes it once) fills a register-friendly
+        // Two phases per tile: the raw decode fills a register-friendly
         // stack buffer, then `f` maps it in a trivially vectorizable pass.
         let mut buf = [0u64; 64];
         for (win, os) in words.chunks_exact(tw).zip(out.chunks_exact_mut(vpt)) {
-            for (k, b) in buf[..vpt].iter_mut().enumerate() {
+            unrolled_64!(vpt, |k| {
                 let bit = k * BITS as usize;
                 let lo = bit >> 6;
                 let off = (bit & 63) as u32;
@@ -517,8 +544,8 @@ fn unpack_chunk<const BITS: u32, T: Copy>(
                 // tile; otherwise the contribution is zero (and the
                 // double shift keeps the off == 0 case in range).
                 let hi = if lo + 1 < tw { win[lo + 1] } else { 0 };
-                *b = ((win[lo] >> off) | (hi << 1 << (63 - off))) & mask;
-            }
+                buf[k] = ((win[lo] >> off) | (hi << 1 << (63 - off))) & mask;
+            });
             for (o, &v) in os.iter_mut().zip(&buf[..vpt]) {
                 *o = f(v);
             }

@@ -7,16 +7,22 @@
 //!
 //! 1. **Filter** — the optional predicate runs through the existing scan
 //!    kernels (zone-map pruning included), producing a selection.
-//! 2. **Per-codec folds** — vertical codecs use
-//!    [`corra_encodings::IntAccess`]'s folds / [`corra_encodings::DictStr`]'s
-//!    (FOR folds in the packed offset domain, RLE per run, Dict/Frequency
-//!    once per distinct value weighted by counts, Delta streaming); Hier
-//!    folds once per metadata entry; NonHier and MultiRef reconstruct the
-//!    block once through the batch decode and fold the slice
-//!    ([`IntAggState::update_slice`]). A *filtered* fold reads only the
+//! 2. **The whole-block rule** — an unfiltered, ungrouped aggregate over a
+//!    block whose column has a zone ([`BlockView::zone`]) has
+//!    `count = rows` and `min` / `max` from the zone: `COUNT` / `MIN` /
+//!    `MAX` read no payload, and `SUM` / `AVG` read one Σ, a wrapping `i64`
+//!    sum that is exact whenever `rows · min ≥ −2^63` and
+//!    `rows · max < 2^63`. Vertical codecs sum through
+//!    [`IntAccess::sum_wrapping`] (FOR in the offset domain, RLE per run,
+//!    Dict per distinct value); NonHier sums `Σ ref + n · base + Σ diff`
+//!    without reconstructing a row; Hier folds once per metadata entry;
+//!    MultiRef sums its reconstruction.
+//! 3. **Exact folds** — everything else: a block with no zone or a sum
+//!    that may leave the `i64` domain folds every row into an `i128`
+//!    ([`IntAggState::update_slice`]); a *filtered* fold reads only the
 //!    selected rows, through the reference accessors per the paper's
-//!    reconstruction rules.
-//! 3. **Merge** — per-block partial states ([`IntAggState`] /
+//!    reconstruction rules; grouped folds run per codec.
+//! 4. **Merge** — per-block partial states ([`IntAggState`] /
 //!    [`StrAggState`], `SUM` in `i128` so it never silently wraps) merge
 //!    deterministically in block order, which is what makes
 //!    [`aggregate_blocks_parallel`] byte-identical to the serial fold for
@@ -24,11 +30,9 @@
 //!
 //! Everything is generic over [`BlockView`], so the same engine runs on
 //! in-memory [`CompressedBlock`]s and lazy store
-//! [`BlockHandle`](crate::store::BlockHandle)s. `MIN` / `MAX` over every
-//! row of a block is its exact zone ([`BlockView::zone`]) on both; the
-//! store entry point ([`crate::store::TableReader::aggregate`]) answers
-//! those and fully-covered `COUNT` blocks from the footer with zero payload
-//! bytes read.
+//! [`BlockHandle`](crate::store::BlockHandle)s; the store entry point
+//! ([`crate::store::TableReader::aggregate`]) answers the payload-free half
+//! of the rule from the footer with zero payload bytes read.
 
 use std::collections::BTreeMap;
 
@@ -36,9 +40,9 @@ use corra_columnar::aggregate::{IntAggState, StrAggState};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
-use corra_encodings::{IntAccess, IntEncoding};
+use corra_encodings::{wrapping_sum, IntAccess, IntEncoding};
 
-use crate::compressor::{BlockView, ColumnCodec, CompressedBlock};
+use crate::compressor::{vertical_codec, BlockView, ColumnCodec, CompressedBlock};
 use crate::query::{eval_formula_mask, int_column, whole_column, IntColumn, WholeColumn};
 use crate::scan::{scan_pruned, validate_pred_with, Predicate, ScanStats};
 
@@ -432,7 +436,7 @@ pub(crate) fn validate_expr_with(
 /// Evaluates `expr` against one block, returning
 /// `(partial, pruned, rows_matched)`. `pruned` is true when the filter was
 /// answered entirely from zone maps, and when the column's zone answered
-/// the whole block (`MIN` / `MAX` with no filter kernel run).
+/// the whole block (`COUNT` / `MIN` / `MAX` with no filter kernel run).
 pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
     block: &B,
     expr: &AggExpr,
@@ -452,18 +456,26 @@ pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
         }
     };
     let matched = sel.as_ref().map_or(rows, SelectionVector::len);
-    if sel.is_none() && expr.group_by.is_none() {
-        let zone = expr
-            .column
-            .as_deref()
-            .and_then(|c| block.zone(block.index_of(c).ok()?));
-        if let Some(state) = zone_answer(expr.func, rows, zone) {
-            // No per-row kernel ran, for the fold or (without one) a filter.
-            return Ok((
-                PartialAgg::Int(state),
-                pruned || expr.filter.is_none(),
-                rows,
-            ));
+    if let (None, None, Some(col)) = (&sel, &expr.group_by, &expr.column) {
+        let idx = block.index_of(col)?;
+        if let Some(zone) = block.zone(idx) {
+            if let Some(state) = zone_answer(expr.func, rows, Some(zone)) {
+                // No per-row kernel ran, for the fold or (without one) a
+                // filter.
+                return Ok((
+                    PartialAgg::Int(state),
+                    pruned || expr.filter.is_none(),
+                    rows,
+                ));
+            }
+            if sum_is_exact(rows, zone) {
+                let sum = sum_wrapping(block, idx)?;
+                return Ok((
+                    PartialAgg::Int(zone_state(rows, zone, sum.into())),
+                    pruned,
+                    rows,
+                ));
+            }
         }
     }
     let partial = match expr.group_by.as_deref() {
@@ -473,21 +485,55 @@ pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
     Ok((partial, pruned, matched))
 }
 
-/// The one MIN / MAX rule, shared by the in-memory engine and the store's
-/// footer: over every row of a block, the column's exact zone is the
-/// answer. The state's `sum` stays 0 — sound, because only `MIN` / `MAX`
-/// take this path and they finalize from `min` / `max` alone.
+/// The payload-free half of the whole-block rule, shared by the in-memory
+/// engine and the store's footer: over every row of a block whose column
+/// has a zone, `count` is the row count and `min` / `max` are the zone, so
+/// `COUNT` / `MIN` / `MAX` read no payload. The state's `sum` stays 0 —
+/// sound, because `SUM` / `AVG` never take this path.
 pub(crate) fn zone_answer(
     func: AggFunc,
     rows: usize,
     zone: Option<ZoneMap>,
 ) -> Option<IntAggState> {
-    let zone = zone.filter(|_| matches!(func, AggFunc::Min | AggFunc::Max))?;
-    Some(IntAggState {
+    let zone = zone.filter(|_| !matches!(func, AggFunc::Sum | AggFunc::Avg))?;
+    Some(zone_state(rows, zone, 0))
+}
+
+fn zone_state(rows: usize, zone: ZoneMap, sum: i128) -> IntAggState {
+    IntAggState {
         count: rows as u64,
-        sum: 0,
+        sum,
         min: Some(zone.min),
         max: Some(zone.max),
+    }
+}
+
+/// Whether a wrapping `i64` sum of `rows` values inside `zone` is their
+/// exact sum: `rows · min ≥ −2^63` and `rows · max < 2^63` put the true
+/// sum inside the `i64` domain, where the sum mod 2^64 is the sum itself.
+fn sum_is_exact(rows: usize, zone: ZoneMap) -> bool {
+    let rows = rows as i128;
+    rows * i128::from(zone.min) >= i128::from(i64::MIN)
+        && rows * i128::from(zone.max) <= i128::from(i64::MAX)
+}
+
+/// The payload half of the whole-block rule: Σ over every row of integer
+/// column `idx`, mod 2^64, read once. Vertical codecs take their
+/// `sum_wrapping` (FOR / Dict / RLE in the compressed domain), NonHier sums
+/// its reference and its diffs without reconstructing a row, Hier folds
+/// once per metadata entry, and MultiRef sums its reconstruction.
+fn sum_wrapping<B: BlockView + ?Sized>(block: &B, idx: usize) -> Result<i64> {
+    if let ColumnCodec::NonHier { enc, reference } = block.view_codec(idx)? {
+        return enc.sum_wrapping(vertical_codec(block, *reference as usize)?);
+    }
+    Ok(match whole_column(block, idx)? {
+        WholeColumn::Vertical(enc) => enc.sum_wrapping(),
+        WholeColumn::Hier { enc, codes } => {
+            let mut state = IntAggState::default();
+            enc.aggregate_with_parents(|i| codes.code(i), &mut state);
+            state.sum as i64
+        }
+        WholeColumn::Decoded(values) => wrapping_sum(0, &values),
     })
 }
 
@@ -544,8 +590,12 @@ fn eval_scalar<B: BlockView + ?Sized>(
     }
     let mut state = IntAggState::default();
     let Some(s) = sel else {
+        // The exact `i128` fold, for a block the whole-block rule could not
+        // answer: no zone, or a sum that may leave the `i64` domain.
         match whole_column(block, idx)? {
-            WholeColumn::Vertical(enc) => enc.aggregate_into(&mut state),
+            WholeColumn::Vertical(enc) => {
+                enc.for_each_chunk(&mut |_, chunk| state.update_slice(chunk))
+            }
             WholeColumn::Hier { enc, codes } => {
                 enc.aggregate_with_parents(|i| codes.code(i), &mut state)
             }
@@ -711,8 +761,9 @@ pub fn aggregate<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) -> Result<Agg
 /// Evaluates `expr` across many blocks, merging per-block partial states
 /// in block order. Returns the result plus [`ScanStats`] (`rows_matched` =
 /// rows aggregated; `blocks_pruned` = blocks whose filter was answered
-/// from zone maps, or whose `MIN` / `MAX` was the column's zone). This is
-/// [`aggregate_blocks_parallel`] on the calling thread.
+/// from zone maps, or whose `COUNT` / `MIN` / `MAX` was the column's row
+/// count and zone). This is [`aggregate_blocks_parallel`] on the calling
+/// thread.
 ///
 /// # Errors
 ///
@@ -1023,6 +1074,47 @@ mod tests {
         assert!(matches!(
             got,
             Err(Error::LengthMismatch { left: 3, right: 10 })
+        ));
+    }
+
+    #[test]
+    fn sum_over_a_miswired_nonhier_errors() {
+        use crate::nonhier::NonHierInt;
+        use corra_encodings::PlainInt;
+        // A zone inside the exactness bound sends SUM to the reference +
+        // diff sum, which must refuse a reference it cannot pair row by row
+        // exactly as the decode does.
+        let target: Vec<i64> = (0..10).collect();
+        let block = |reference: ColumnCodec| {
+            CompressedBlock::new_unchecked(
+                10,
+                ["r", "t"].map(String::from).to_vec(),
+                vec![
+                    reference,
+                    ColumnCodec::NonHier {
+                        enc: NonHierInt::encode(&target, &target).unwrap(),
+                        reference: 0,
+                    },
+                ],
+                vec![None, ZoneMap::from_values(&target)],
+            )
+        };
+        let short = block(ColumnCodec::Int(IntEncoding::Plain(PlainInt::encode(&[
+            1, 2, 3,
+        ]))));
+        for expr in [AggExpr::sum("t"), AggExpr::avg("t")] {
+            assert!(matches!(
+                aggregate(&short, &expr),
+                Err(Error::LengthMismatch { left: 3, right: 10 })
+            ));
+        }
+        let strings = block(ColumnCodec::PlainStr(StringPool::from_iter(["a"; 10])));
+        assert!(matches!(
+            aggregate(&strings, &AggExpr::sum("t")),
+            Err(Error::TypeMismatch {
+                expected: "vertical int reference",
+                found: "plain str"
+            })
         ));
     }
 

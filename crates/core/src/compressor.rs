@@ -687,11 +687,19 @@ fn decode_vertical_into<B: BlockView + ?Sized>(
     i: usize,
     out: &mut Vec<i64>,
 ) -> Result<()> {
+    vertical_codec(block, i)?.decode_into(out);
+    Ok(())
+}
+
+/// The codec of reference column `i`, which must be vertical.
+///
+/// # Errors
+///
+/// [`Error::TypeMismatch`] for any other codec, plus whatever loading it
+/// reports.
+pub(crate) fn vertical_codec<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<&IntEncoding> {
     match block.view_codec(i)? {
-        ColumnCodec::Int(enc) => {
-            enc.decode_into(out);
-            Ok(())
-        }
+        ColumnCodec::Int(enc) => Ok(enc),
         other => Err(Error::TypeMismatch {
             expected: "vertical int reference",
             found: codec_kind(other),

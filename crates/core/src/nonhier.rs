@@ -17,6 +17,7 @@ use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{bits_needed, BitPackedVec};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
+use corra_encodings::{IntAccess, IntEncoding};
 
 use crate::outlier::{OutlierRegion, OUTLIER_COST_BYTES};
 
@@ -243,6 +244,43 @@ impl NonHierInt {
         });
         self.outliers.patch(out);
         Ok(())
+    }
+
+    /// The sum of every reconstructed row mod 2^64, with no row
+    /// reconstructed (§2.1 as an execution strategy): the decode is
+    /// `ref_i + base + diff_i` except at an outlier, so the sum is
+    /// `Σ ref + n · base + Σ diff`, corrected at each outlier from what that
+    /// row contributed to its stored value. One reference sum, one pass
+    /// over the packed diffs, O(outliers) probes.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::LengthMismatch`] if `reference` is not as long as the
+    /// column.
+    pub fn sum_wrapping(&self, reference: &IntEncoding) -> Result<i64> {
+        if reference.len() != self.len() {
+            return Err(Error::LengthMismatch {
+                left: reference.len(),
+                right: self.len(),
+            });
+        }
+        let mut diffs = 0u64;
+        self.diffs.unpack_chunks(|_, chunk| {
+            diffs = chunk.iter().fold(diffs, |s, &d| s.wrapping_add(d));
+        });
+        let mut sum = reference
+            .sum_wrapping()
+            .wrapping_add((self.len() as i64).wrapping_mul(self.base))
+            .wrapping_add(diffs as i64);
+        for (i, v) in self.outliers.iter() {
+            let i = i as usize;
+            let decoded = reference
+                .get(i)
+                .wrapping_add(self.base)
+                .wrapping_add(self.diffs.get(i) as i64);
+            sum = sum.wrapping_add(v.wrapping_sub(decoded));
+        }
+        Ok(sum)
     }
 
     /// Materializes selected rows, fetching the reference through `ref_at`

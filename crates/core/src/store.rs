@@ -974,7 +974,8 @@ impl TableReader {
                 };
                 return footer_only(partial, rows);
             }
-            // MIN / MAX: the in-memory engine's zone rule, on the footer.
+            // MIN / MAX: the in-memory engine's whole-block rule, on the
+            // footer.
             let zone = expr.column().and_then(|c| self.zone_of(block, c));
             if let Some(state) = zone_answer(expr.func(), rows, zone) {
                 return footer_only(PartialAgg::Int(state), rows);

@@ -12,17 +12,24 @@
 //! * the stored zone equals the oracle min / max after `compress`, after
 //!   `to_bytes` → `from_bytes`, after `TableReader::read_block` and through
 //!   a `BlockHandle` — on 0-, 1- and 1 025-row blocks, NonHier outliers at
-//!   both `i64` ends and MultiRef group sums that wrap.
+//!   both `i64` ends and MultiRef group sums that wrap;
+//! * over every row of a block, `COUNT` is the row count and `SUM` / `AVG`
+//!   one wrapping sum inside the zone's exactness bound — the exact `i128`
+//!   fold outside it or without a zone — and all three equal a naive
+//!   `i128` oracle, in memory and from a table.
 
+use corra_columnar::aggregate::IntAggState;
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::{Column, DataType};
+use corra_columnar::error::Error;
 use corra_columnar::schema::{Field, Schema};
 use corra_columnar::stats::ZoneMap;
 use corra_core::store::{TableReader, TableWriter};
 use corra_core::{
-    aggregate_blocks, checksum64, scan_blocks, top_k_blocks, AggExpr, AggResult, AggValue,
-    BlockView, ColumnPlan, CompressedBlock, CompressionConfig, Predicate, TopKExpr,
+    aggregate_blocks, checksum64, scan_blocks, top_k_blocks, AggExpr, AggFunc, AggResult, AggValue,
+    BlockView, ColumnPlan, CompressedBlock, CompressionConfig, NonHierInt, Predicate, TopKExpr,
 };
+use corra_encodings::{DeltaInt, DictInt, ForInt, IntEncoding, PlainInt};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -421,5 +428,226 @@ proptest! {
             }
         }
         prop_assert_eq!(handle.loaded_columns(), 0);
+    }
+}
+
+/// `COUNT` / `SUM` / `AVG` of `column` over every raw block, from a naive
+/// `i128` fold finalized as the engine finalizes.
+fn exact(raws: &[DataBlock], column: &str, func: AggFunc) -> AggResult {
+    let mut state = IntAggState::default();
+    for raw in raws {
+        raw.column(column)
+            .unwrap()
+            .as_i64()
+            .unwrap()
+            .iter()
+            .for_each(|&v| state.update(v));
+    }
+    AggResult::Scalar(match func {
+        AggFunc::Count => AggValue::Count(state.count),
+        AggFunc::Sum => AggValue::Sum((state.count > 0).then_some(state.sum)),
+        AggFunc::Avg => AggValue::Avg(state.avg()),
+        AggFunc::Min | AggFunc::Max => unreachable!("zones answer MIN / MAX"),
+    })
+}
+
+/// Every integer column's unfiltered `COUNT` / `SUM` / `AVG` equals the
+/// exact oracle in memory and through `reader`.
+fn check_sums(
+    raws: &[DataBlock],
+    blocks: &[CompressedBlock],
+    reader: &TableReader,
+) -> Result<(), TestCaseError> {
+    for (field, column) in raws[0].schema().fields().iter().zip(raws[0].columns()) {
+        if !matches!(column, Column::Int64(_)) {
+            continue;
+        }
+        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg] {
+            let expr = AggExpr::of(func, field.name());
+            let want = exact(raws, field.name(), func);
+            let (got, _) = aggregate_blocks(blocks, &expr).unwrap();
+            prop_assert!(got == want, "{:?} in memory: {:?} != {:?}", expr, got, want);
+            let (got, _) = reader.aggregate(&expr).unwrap();
+            prop_assert!(
+                got == want,
+                "{:?} from the store: {:?} != {:?}",
+                expr,
+                got,
+                want
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The wrapping sum of every value of `values`.
+fn wrapped(values: &[i64]) -> i64 {
+    values.iter().fold(0, |s, &v| s.wrapping_add(v))
+}
+
+proptest! {
+    /// The whole-block rule answers `COUNT` from the row count and `SUM` /
+    /// `AVG` from one wrapping sum where the zone bounds it — the exact
+    /// `i128` fold elsewhere — and every answer equals the naive oracle:
+    /// for every plan kind (FOR, Delta, Dict, RLE, Frequency, Plain,
+    /// NonHier, Hier, MultiRef) in memory and through `TableReader`; with
+    /// NonHier outliers at both `i64` ends and MultiRef group sums that
+    /// wrap; with footer zones rewritten under flag 1, which read as
+    /// absent; and, on the NonHier codec itself, `Σ ref + n · base + Σ diff`
+    /// equals the decoded sum at diff widths 0, 64 and between, and a
+    /// reference of the wrong length is an error.
+    #[test]
+    fn whole_block_sums_equal_the_exact_oracle(
+        n in prop::sample::select(vec![0usize, 1, 2, 1_025]),
+        seed in any::<u64>(),
+        extremes in any::<bool>(),
+        salt in -1_000_000i64..1_000_000,
+        width in prop::sample::select(vec![0u8, 5, 64]),
+    ) {
+        let (raws, blocks): (Vec<DataBlock>, Vec<CompressedBlock>) = (0..2)
+            .map(|b| {
+                let (raw, cfg) = random_block(n, seed.wrapping_add(b), extremes);
+                let block = CompressedBlock::compress(&raw, &cfg).unwrap();
+                (raw, block)
+            })
+            .unzip();
+        let reader = TableReader::from_bytes(table_bytes(&blocks)).unwrap();
+        check_sums(&raws, &blocks, &reader)?;
+
+        // Every plan kind on data inside the bound, then with the `for`
+        // and `nonhier` footer zones written under flag 1.
+        let (raws, blocks): (Vec<DataBlock>, Vec<CompressedBlock>) = (0..2)
+            .map(|b| {
+                let (raw, cfg) = plan_block(1_500, salt + b * 1_000_000);
+                let block = CompressedBlock::compress(&raw, &cfg).unwrap();
+                (raw, block)
+            })
+            .unzip();
+        let mut bytes = table_bytes(&blocks);
+        let reader = TableReader::from_bytes(bytes.clone()).unwrap();
+        check_sums(&raws, &blocks, &reader)?;
+        for column in ["for", "nonhier"] {
+            let idx = reader.schema().index_of(column).unwrap();
+            let clean = TableReader::from_bytes(bytes.clone()).unwrap();
+            widen_as_covering(&mut bytes, &clean, idx, 0);
+        }
+        let reader = TableReader::from_bytes(bytes).unwrap();
+        prop_assert_eq!(reader.footer().zone(0, reader.schema().index_of("nonhier").unwrap()), None);
+        check_sums(&raws, &blocks, &reader)?;
+
+        // The NonHier identity on the codec, at a chosen diff width: the
+        // window-planned encode for widths 0 and 5 (with outliers at both
+        // `i64` ends when `extremes`), the outlier-free one for 64.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reference: Vec<i64> = (0..n).map(|_| rng.gen_range(-1 << 40..1 << 40)).collect();
+        let mut target: Vec<i64> = reference
+            .iter()
+            .map(|&r| match width {
+                0 => r + 3,
+                5 => r + rng.gen_range(0i64..32),
+                _ => r.wrapping_add(rng.gen()),
+            })
+            .collect();
+        if extremes && n > 2 {
+            target[0] = i64::MIN;
+            target[n - 1] = i64::MAX;
+        }
+        let enc = if width == 64 {
+            NonHierInt::encode_no_outliers(&target, &reference).unwrap()
+        } else {
+            NonHierInt::encode(&target, &reference).unwrap()
+        };
+        prop_assert!(n < 3 || enc.bits() == width, "bits {} != {}", enc.bits(), width);
+        for r in [
+            IntEncoding::For(ForInt::encode(&reference)),
+            IntEncoding::Dict(DictInt::encode(&reference)),
+            IntEncoding::Delta(DeltaInt::encode(&reference)),
+            IntEncoding::Plain(PlainInt::encode(&reference)),
+        ] {
+            prop_assert_eq!(enc.sum_wrapping(&r).unwrap(), wrapped(&target));
+        }
+        let short = IntEncoding::Plain(PlainInt::encode(&reference[..n.saturating_sub(1)]));
+        let long = IntEncoding::Plain(PlainInt::encode(&[reference.clone(), vec![7]].concat()));
+        for r in [long, short].iter().take(if n == 0 { 1 } else { 2 }) {
+            let got = enc.sum_wrapping(r);
+            prop_assert!(matches!(got, Err(Error::LengthMismatch { .. })), "{:?}", got);
+        }
+    }
+}
+
+/// A block whose zone bound fails takes the exact fallback: four rows of
+/// `±2^62` sum to `±2^64`, which a wrapping `i64` sum would report as 0.
+#[test]
+fn sums_past_the_i64_domain_take_the_exact_fold() {
+    const BIG: i64 = 1 << 62;
+    for sign in [1, -1] {
+        let v = vec![sign * BIG; 4];
+        let raw = DataBlock::new(
+            Schema::new(
+                [
+                    "for", "dict", "plain", "full", "ref", "nonhier", "m0", "total",
+                ]
+                .map(int)
+                .to_vec(),
+            )
+            .unwrap(),
+            vec![Column::Int64(v.clone()); 8],
+        )
+        .unwrap();
+        let cfg = CompressionConfig::baseline()
+            .with("dict", ColumnPlan::Dict)
+            .with("plain", ColumnPlan::Plain)
+            .with("full", ColumnPlan::AutoFull)
+            .with(
+                "nonhier",
+                ColumnPlan::NonHier {
+                    reference: "ref".into(),
+                },
+            )
+            .with(
+                "total",
+                ColumnPlan::MultiRef {
+                    groups: vec![vec!["m0".into()]],
+                    code_bits: 2,
+                },
+            );
+        let block = CompressedBlock::compress(&raw, &cfg).unwrap();
+        let reader = TableReader::from_bytes(table_bytes(std::slice::from_ref(&block))).unwrap();
+        for column in ["for", "dict", "plain", "full", "nonhier", "total"] {
+            let want = AggResult::Scalar(AggValue::Sum(Some(i128::from(sign) << 64)));
+            let got = aggregate_blocks(std::slice::from_ref(&block), &AggExpr::sum(column));
+            assert_eq!(got.unwrap().0, want, "{column} in memory");
+            assert_eq!(
+                reader.aggregate(&AggExpr::sum(column)).unwrap().0,
+                want,
+                "{column}"
+            );
+            let avg = AggResult::Scalar(AggValue::Avg(Some((sign * BIG) as f64)));
+            assert_eq!(
+                reader.aggregate(&AggExpr::avg(column)).unwrap().0,
+                avg,
+                "{column}"
+            );
+        }
+    }
+}
+
+/// `COUNT(column)` over every row of a block is its row count — no kernel
+/// in memory, as the store has always answered it from the footer — for
+/// every plan kind, NonHier included.
+#[test]
+fn count_of_a_column_reads_no_payload() {
+    let n_blocks = 3;
+    let (raws, blocks) = plan_table(n_blocks);
+    let reader = TableReader::from_bytes(table_bytes(&blocks)).unwrap();
+    for (column, _) in PLANNED {
+        let expr = AggExpr::of(AggFunc::Count, column);
+        let want = exact(&raws, column, AggFunc::Count);
+        let (got, stats) = aggregate_blocks(&blocks, &expr).unwrap();
+        assert_eq!(got, want, "{column}");
+        assert_eq!(stats.blocks_pruned, n_blocks, "{column} ran a kernel");
+        let (got, stats) = reader.aggregate(&expr).unwrap();
+        assert_eq!(got, want, "{column}");
+        assert_eq!(stats.bytes_read, 0, "{column} read payload bytes");
     }
 }

@@ -73,6 +73,26 @@ fn whole_block_horizontal_kernels_go_through_the_batch_decode() {
     }
 }
 
+/// Every `.rs` file under a `src` directory of the workspace's crates.
+fn crate_sources() -> Vec<(std::path::PathBuf, String)> {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut dirs = vec![crates];
+    let mut sources = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let in_src = path.components().any(|c| c.as_os_str() == "src");
+            if path.is_dir() && path.file_name().is_some_and(|n| n != "target") {
+                dirs.push(path);
+            } else if in_src && path.extension().is_some_and(|e| e == "rs") {
+                let source = std::fs::read_to_string(&path).unwrap();
+                sources.push((path, source));
+            }
+        }
+    }
+    sources
+}
+
 #[test]
 fn zones_are_recorded_at_encode_not_derived_per_codec() {
     // A zone is data: `CompressedBlock::compress` records each integer
@@ -86,31 +106,40 @@ fn zones_are_recorded_at_encode_not_derived_per_codec() {
         "fn exact_column_bounds",
         "zone_exact",
     ];
-    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-    let mut dirs = vec![crates];
-    while let Some(dir) = dirs.pop() {
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            let in_src = path.components().any(|c| c.as_os_str() == "src");
-            if path.is_dir() && path.file_name().is_some_and(|n| n != "target") {
-                dirs.push(path);
-            } else if in_src && path.extension().is_some_and(|e| e == "rs") {
-                let source = std::fs::read_to_string(&path).unwrap();
-                for name in retired {
-                    // Whole identifiers only: a test may keep an old name
-                    // as a prefix (`value_bounds_cover_or_give_up`).
-                    let whole = source.match_indices(name).any(|(at, _)| {
-                        let next = source[at + name.len()..].chars().next();
-                        !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
-                    });
-                    assert!(
-                        !whole,
-                        "{} brings back `{name}`; read the zone the block recorded \
-                         at encode (BlockView::zone)",
-                        path.display()
-                    );
-                }
-            }
+    for (path, source) in crate_sources() {
+        for name in retired {
+            // Whole identifiers only: a test may keep an old name as a
+            // prefix (`value_bounds_cover_or_give_up`).
+            let whole = source.match_indices(name).any(|(at, _)| {
+                let next = source[at + name.len()..].chars().next();
+                !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            });
+            assert!(
+                !whole,
+                "{} brings back `{name}`; read the zone the block recorded \
+                 at encode (BlockView::zone)",
+                path.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn whole_block_integer_folds_are_one_sum() {
+    // An unfiltered, ungrouped integer aggregate takes `count` and
+    // `min` / `max` from the zone and reads one wrapping sum
+    // (`IntAccess::sum_wrapping`); the per-codec whole-column fold into an
+    // `IntAggState` stays deleted. `DictStr::aggregate_into`, the string
+    // fold, keeps its name.
+    for (path, source) in crate_sources() {
+        for (at, _) in source.match_indices("fn aggregate_into(") {
+            let signature = source[at..].split(')').next().unwrap_or_default();
+            assert!(
+                !signature.contains("IntAggState"),
+                "{} brings back an integer `aggregate_into`; sum whole blocks \
+                 through IntAccess::sum_wrapping",
+                path.display()
+            );
         }
     }
 }

@@ -163,8 +163,8 @@ impl IntAccess for IntEncoding {
         self.codec().filter_into(range, out)
     }
 
-    fn aggregate_into(&self, state: &mut IntAggState) {
-        self.codec().aggregate_into(state)
+    fn sum_wrapping(&self) -> i64 {
+        self.codec().sum_wrapping()
     }
 
     fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {

@@ -16,7 +16,7 @@ use corra_columnar::strings::{StringDictBuilder, StringPool};
 use corra_columnar::topk::TopKHeap;
 use rustc_hash::FxHashMap;
 
-use crate::traits::{check_selection, stream_packed, IntAccess};
+use crate::traits::{check_selection, code_counts, stream_packed, IntAccess};
 
 /// Dictionary-encoded integer column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,33 +203,16 @@ impl IntAccess for DictInt {
             .filter_range_into(lo_code, hi_code - 1, range.negate, out);
     }
 
-    /// Histograms the bit-packed codes, then folds once per *distinct*
-    /// value weighted by its count (`value · count`) — the per-row work is
-    /// one counter increment, never an `i64` reconstruction. Four rows per
-    /// iteration into four histograms: a one-increment loop body is a few
-    /// bytes whose speed depended on where the linker placed it (0.24 or
-    /// 0.40 ms per 400 k rows), and neighbouring equal codes no longer wait
-    /// on each other's store.
-    fn aggregate_into(&self, state: &mut IntAggState) {
-        if self.is_empty() {
-            return;
-        }
-        let mut counts = vec![[0u64; 4]; self.dict.len()];
-        self.codes.unpack_chunks(|_, chunk| {
-            let mut quads = chunk.chunks_exact(4);
-            for q in &mut quads {
-                counts[q[0] as usize][0] += 1;
-                counts[q[1] as usize][1] += 1;
-                counts[q[2] as usize][2] += 1;
-                counts[q[3] as usize][3] += 1;
-            }
-            for &c in quads.remainder() {
-                counts[c as usize][0] += 1;
-            }
-        });
-        for (&v, n) in self.dict.iter().zip(&counts) {
-            state.update_n(v, n.iter().sum());
-        }
+    /// Histograms the bit-packed codes (`code_counts`), then sums once
+    /// per *distinct* value weighted by its count (`value · count`) — the
+    /// per-row work is one counter increment, never an `i64`
+    /// reconstruction.
+    fn sum_wrapping(&self) -> i64 {
+        let counts = code_counts(&self.codes, self.dict.len());
+        self.dict
+            .iter()
+            .zip(counts)
+            .fold(0i64, |s, (&v, n)| s.wrapping_add(v.wrapping_mul(n as i64)))
     }
 
     fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {

@@ -7,7 +7,6 @@
 //! in non-hierarchical encoding.
 
 use bytes::{Buf, BufMut};
-use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
@@ -161,45 +160,16 @@ impl IntAccess for ForInt {
             .filter_range_into(lo_off, hi_off, range.negate, out);
     }
 
-    /// Folds in the packed offset domain: offsets accumulate into one
-    /// `u128`, the frame base is added back once (`n · base`), and min/max
-    /// reduce over raw offsets — no per-row `i64` reconstruction. Falls back
-    /// to a per-row wrapping fold only when `base + 2^bits - 1` could leave
-    /// the `i64` domain (where reconstruction itself wraps).
-    fn aggregate_into(&self, state: &mut IntAggState) {
-        let n = self.len();
-        if n == 0 {
-            return;
-        }
-        let base = self.base;
-        let no_wrap = self.bits() < 64
-            && base
-                .checked_add(((1u64 << self.bits()) - 1) as i64)
-                .is_some();
-        if no_wrap {
-            let mut sum_off = 0u128;
-            let mut min_off = u64::MAX;
-            let mut max_off = 0u64;
-            self.packed.unpack_chunks(|_, chunk| {
-                for &off in chunk {
-                    sum_off += off as u128;
-                    min_off = min_off.min(off);
-                    max_off = max_off.max(off);
-                }
-            });
-            state.merge(&IntAggState {
-                count: n as u64,
-                sum: n as i128 * base as i128 + sum_off as i128,
-                min: Some(base + min_off as i64),
-                max: Some(base + max_off as i64),
-            });
-        } else {
-            self.packed.unpack_chunks(|_, chunk| {
-                for &off in chunk {
-                    state.update(base.wrapping_add(off as i64));
-                }
-            });
-        }
+    /// Sums in the packed offset domain: `n · base + Σ offsets`, mod 2^64
+    /// like every reconstruction `base + offset` — no per-row `i64` value.
+    fn sum_wrapping(&self) -> i64 {
+        let mut offsets = 0u64;
+        self.packed.unpack_chunks(|_, chunk| {
+            offsets = chunk.iter().fold(offsets, |s, &o| s.wrapping_add(o));
+        });
+        (self.len() as i64)
+            .wrapping_mul(self.base)
+            .wrapping_add(offsets as i64)
     }
 }
 

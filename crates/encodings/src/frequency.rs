@@ -7,13 +7,12 @@
 //! why it lives here as a baseline relative.
 
 use bytes::{Buf, BufMut};
-use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use rustc_hash::FxHashMap;
 
-use crate::traits::IntAccess;
+use crate::traits::{code_counts, IntAccess};
 
 /// Frequency-encoded integer column.
 ///
@@ -198,6 +197,23 @@ impl IntAccess for FrequencyInt {
         });
     }
 
+    /// Histograms the hot codes (`code_counts`), takes back the
+    /// meaningless padding code at each exception row, sums each hot value
+    /// once weighted by its count and each exception verbatim — O(rows)
+    /// counter increments plus O(hot + exceptions) products.
+    fn sum_wrapping(&self) -> i64 {
+        let mut counts = code_counts(&self.codes, self.hot.len().max(1));
+        let mut sum = 0i64;
+        for (&p, &v) in self.exc_pos.iter().zip(&self.exc_val) {
+            counts[self.codes.get(p as usize) as usize] -= 1;
+            sum = sum.wrapping_add(v);
+        }
+        self.hot
+            .iter()
+            .zip(counts)
+            .fold(sum, |s, (&v, n)| s.wrapping_add(v.wrapping_mul(n as i64)))
+    }
+
     /// Evaluates the predicate once per distinct *hot* value, then walks the
     /// codes against the precomputed verdicts; exception rows are tested on
     /// their verbatim values.
@@ -218,29 +234,6 @@ impl IntAccess for FrequencyInt {
                 }
             }
         });
-    }
-
-    /// Histograms the hot codes, subtracts the meaningless padding codes at
-    /// exception rows, folds each hot value once weighted by its count, and
-    /// folds exceptions verbatim — O(rows) counter increments plus
-    /// O(hot + exceptions) value folds.
-    fn aggregate_into(&self, state: &mut IntAggState) {
-        if self.is_empty() {
-            return;
-        }
-        let mut counts = vec![0u64; self.hot.len().max(1)];
-        self.codes.unpack_chunks(|_, chunk| {
-            for &c in chunk {
-                counts[c as usize] += 1;
-            }
-        });
-        for (k, &p) in self.exc_pos.iter().enumerate() {
-            counts[self.codes.get(p as usize) as usize] -= 1;
-            state.update(self.exc_val[k]);
-        }
-        for (&v, &n) in self.hot.iter().zip(&counts) {
-            state.update_n(v, n);
-        }
     }
 }
 

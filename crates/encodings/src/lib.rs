@@ -20,10 +20,10 @@
 //!
 //! Every integer scheme implements the one codec trait,
 //! [`traits::IntAccess`]: a codec supplies length, random access, size and
-//! a decoded chunk stream, and decode / gather / filter / the aggregate
-//! folds / TOP-K are provided methods over them, overridden only
-//! where a codec works in its compressed domain (FOR offsets, Dict codes,
-//! RLE runs, Frequency verdict tables). [`dict::DictStr`] carries the
+//! a decoded chunk stream, and decode / gather / filter / the whole-column
+//! sum / the aggregate folds / TOP-K are provided methods over them,
+//! overridden only where a codec works in its compressed domain (FOR
+//! offsets, Dict codes, RLE runs, Frequency verdict tables). [`dict::DictStr`] carries the
 //! string analogues (equality filter, `COUNT` and lexicographic `MIN` /
 //! `MAX`) as inherent methods; its pool is first-occurrence-ordered, so
 //! only code *identity* is meaningful there, while int dictionaries are
@@ -55,4 +55,4 @@ pub use ffor::ForInt;
 pub use frequency::FrequencyInt;
 pub use plain::PlainInt;
 pub use rle::RleInt;
-pub use traits::IntAccess;
+pub use traits::{wrapping_sum, IntAccess};

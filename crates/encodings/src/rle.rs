@@ -184,13 +184,15 @@ impl IntAccess for RleInt {
         }
     }
 
-    /// Folds once per *run* (`value · run_len`) — O(runs), not O(rows).
-    fn aggregate_into(&self, state: &mut IntAggState) {
+    /// Sums once per *run* (`value · run_len`) — O(runs), not O(rows).
+    fn sum_wrapping(&self) -> i64 {
         let mut start = 0u32;
+        let mut sum = 0i64;
         for (&v, &end) in self.run_values.iter().zip(&self.run_ends) {
-            state.update_n(v, (end - start) as u64);
+            sum = sum.wrapping_add(v.wrapping_mul((end - start) as i64));
             start = end;
         }
+        sum
     }
 
     /// Sorted-merge of the selection against the run index: each run folds

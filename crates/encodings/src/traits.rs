@@ -3,22 +3,22 @@
 //! A codec supplies four things — [`len`](IntAccess::len),
 //! [`get`](IntAccess::get), [`compressed_bytes`](IntAccess::compressed_bytes)
 //! and the decoded chunk stream [`for_each_chunk`](IntAccess::for_each_chunk)
-//! — and every query kernel (decode, gather, filter, the three folds, both
-//! TOP-K entry points) is a provided method written once over
-//! them. A codec overrides a kernel only where it can do the work in its
-//! compressed domain:
+//! — and every query kernel (decode, gather, filter, the whole-column sum,
+//! the selected and grouped folds, both TOP-K entry points) is a provided
+//! method written once over them. A codec overrides a kernel only where it
+//! can do the work in its compressed domain:
 //!
 //! * **FOR** rewrites a range into the packed offset domain and compares
-//!   raw packed words, and folds offsets into one `u128` with the frame
-//!   base added back once (`n · base`);
+//!   raw packed words, and sums raw offsets with the frame base added back
+//!   once (`n · base`);
 //! * **Dict** turns a range into a contiguous code interval (two binary
-//!   searches on the sorted dictionary), folds a code histogram once per
+//!   searches on the sorted dictionary), sums a code histogram once per
 //!   distinct value (`value · count`), and picks TOP-K winners in the code
 //!   domain — code order *is* value order;
-//! * **RLE** filters, folds (`value · run_len`) and offers TOP-K candidates
+//! * **RLE** filters, sums (`value · run_len`) and offers TOP-K candidates
 //!   once per *run* — O(runs), not O(rows);
 //! * **Frequency** evaluates a predicate once per hot value and once per
-//!   exception, and histograms the hot codes for folds;
+//!   exception, and sums a hot-code histogram plus the exceptions;
 //! * **Delta** and **Plain** have no compressed-domain shortcut: Delta's
 //!   chunk stream is one sequential reconstruction with miniblock restarts,
 //!   Plain's is the stored slice itself.
@@ -94,10 +94,14 @@ pub trait IntAccess {
         });
     }
 
-    /// Folds every row into `state` (`COUNT`/`SUM`/`MIN`/`MAX` in one pass,
-    /// no materialized vector).
-    fn aggregate_into(&self, state: &mut IntAggState) {
-        self.for_each_chunk(&mut |_, chunk| state.update_slice(chunk));
+    /// The sum of every row mod 2^64, by wrapping `i64` adds. It is the
+    /// exact sum whenever that fits an `i64`, which a caller holding the
+    /// column's zone decides up front: `rows · min ≥ −2^63` and
+    /// `rows · max < 2^63` bound the true sum inside the `i64` domain.
+    fn sum_wrapping(&self) -> i64 {
+        let mut sum = 0i64;
+        self.for_each_chunk(&mut |_, chunk| sum = wrapping_sum(sum, chunk));
+        sum
     }
 
     /// Folds the rows at the selected positions into `state`.
@@ -144,6 +148,33 @@ pub trait IntAccess {
             heap.offer(self.get(p as usize), base + p as u64);
         }
     }
+}
+
+/// `acc` plus every value of `values`, mod 2^64.
+pub fn wrapping_sum(acc: i64, values: &[i64]) -> i64 {
+    values.iter().fold(acc, |s, &v| s.wrapping_add(v))
+}
+
+/// How often each code in `0..n_codes` occurs in `codes`; every code must
+/// be below `n_codes`. Four rows per iteration into four histograms: a
+/// one-increment loop body is a few bytes whose speed depended on where
+/// the linker placed it (0.24 or 0.40 ms per 400 k rows), and neighbouring
+/// equal codes no longer wait on each other's store.
+pub(crate) fn code_counts(codes: &BitPackedVec, n_codes: usize) -> Vec<u64> {
+    let mut counts = vec![[0u64; 4]; n_codes];
+    codes.unpack_chunks(|_, chunk| {
+        let mut quads = chunk.chunks_exact(4);
+        for q in &mut quads {
+            counts[q[0] as usize][0] += 1;
+            counts[q[1] as usize][1] += 1;
+            counts[q[2] as usize][2] += 1;
+            counts[q[3] as usize][3] += 1;
+        }
+        for &c in quads.remainder() {
+            counts[c as usize][0] += 1;
+        }
+    });
+    counts.iter().map(|c| c.iter().sum()).collect()
 }
 
 /// Positions are sorted, so one check on the last bounds them all — for

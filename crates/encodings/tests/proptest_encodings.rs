@@ -83,15 +83,19 @@ fn check_overrides(
         prop_assert!(got == want, "filter {:?}: {:?} != {:?}", range, got, want);
     }
 
-    let (mut folded, mut want) = (IntAggState::default(), IntAggState::default());
-    enc.aggregate_into(&mut folded);
-    reference.aggregate_into(&mut want);
-    prop_assert_eq!(folded, want);
+    // The whole-column sum, overridden or not, is the decoded column's sum
+    // mod 2^64 — adversarial columns wrap it many times over.
+    let want_sum = got.iter().fold(0i64, |s, &v| s.wrapping_add(v));
+    prop_assert_eq!(enc.sum_wrapping(), want_sum);
+    prop_assert_eq!(reference.sum_wrapping(), want_sum);
     // The stored zone — what the encoder records, and what a bare block
     // recomputes from the decoded column — is the oracle min / max, and
     // absent exactly when the column is empty.
     let zone = ZoneMap::from_values(&got).map(|z| (z.min, z.max));
-    prop_assert_eq!(zone, want.min.zip(want.max));
+    prop_assert_eq!(
+        zone,
+        got.iter().min().copied().zip(got.iter().max().copied())
+    );
     prop_assert_eq!(zone.is_none(), enc.is_empty());
     let n_groups = group_of.iter().max().map_or(0, |&g| g as usize + 1);
     let mut got = vec![IntAggState::default(); n_groups];
