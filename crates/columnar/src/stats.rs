@@ -1,58 +1,120 @@
 //! Column statistics used by the encoding choosers and the optimizer.
 
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 
+use crate::bitpack::zigzag_encode;
 use crate::column::Column;
 use crate::strings::StringPool;
 
-/// Statistics over an integer column.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Rows per miniblock of the delta codec: the first row of each is stored
+/// verbatim, so only the deltas inside a miniblock set its bit width.
+pub const MINIBLOCK: usize = 128;
+
+/// How many hot values the full chooser's frequency candidate keeps.
+pub const HOT_VALUES: usize = 16;
+
+/// Statistics over an integer column — every input the codec choosers'
+/// closed-form sizes need.
+///
+/// [`scan`](Self::scan) fills the fields one ordered loop can (`min`,
+/// `max`, `count`, `runs`, `delta_bits`);
+/// [`count_values`](Self::count_values) fills `distinct` and `hot_mass`
+/// from a per-value count the chooser may cut short once the dictionary
+/// candidates provably lose. [`compute`](Self::compute) runs both to the
+/// end, so its `distinct` is exact.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IntStats {
     /// Minimum value (0 if the column is empty).
     pub min: i64,
     /// Maximum value (0 if the column is empty).
     pub max: i64,
-    /// Exact number of distinct values.
+    /// Number of distinct values: exact once a count completes; a lower
+    /// bound when [`count_values`](Self::count_values) stopped early.
     pub distinct: usize,
     /// Number of rows.
     pub count: usize,
     /// Number of maximal runs of equal adjacent values.
     pub runs: usize,
+    /// Bit width of the largest zig-zag delta between neighbours inside a
+    /// [`MINIBLOCK`] (the delta codec's payload width).
+    pub delta_bits: u8,
+    /// Rows holding one of the [`HOT_VALUES`] most frequent values (0
+    /// when the count stopped early).
+    pub hot_mass: usize,
 }
 
 impl IntStats {
-    /// Computes exact statistics in one pass (plus a hash set for distinct).
+    /// Computes exact statistics: [`scan`](Self::scan) plus a complete
+    /// [`count_values`](Self::count_values).
     pub fn compute(values: &[i64]) -> Self {
-        if values.is_empty() {
-            return Self {
-                min: 0,
-                max: 0,
-                distinct: 0,
-                count: 0,
-                runs: 0,
-            };
-        }
-        let mut min = i64::MAX;
-        let mut max = i64::MIN;
-        let mut runs = 1usize;
-        let mut distinct = FxHashSet::default();
-        let mut prev = values[0];
-        for (i, &v) in values.iter().enumerate() {
-            min = min.min(v);
-            max = max.max(v);
-            distinct.insert(v);
-            if i > 0 && v != prev {
-                runs += 1;
+        let mut stats = Self::scan(values);
+        stats.count_values(values, |_| false);
+        stats
+    }
+
+    /// The fields an ordered scan yields (a min / max fold, then one pass
+    /// over the miniblocks); `distinct` and `hot_mass` stay 0 until
+    /// [`count_values`](Self::count_values).
+    pub fn scan(values: &[i64]) -> Self {
+        let (Some(&min), Some(&max)) = (values.iter().min(), values.iter().max()) else {
+            return Self::default();
+        };
+        let mut deltas = 0u64;
+        let mut changes = 0usize;
+        for (k, mini) in values.chunks(MINIBLOCK).enumerate() {
+            // A miniblock's first row restarts the deltas but may still
+            // start a new run.
+            if k > 0 {
+                changes += usize::from(mini[0] != values[k * MINIBLOCK - 1]);
             }
-            prev = v;
+            for w in mini.windows(2) {
+                let d = w[1].wrapping_sub(w[0]);
+                deltas |= zigzag_encode(d);
+                changes += usize::from(d != 0);
+            }
         }
         Self {
             min,
             max,
-            distinct: distinct.len(),
             count: values.len(),
-            runs,
+            runs: changes + 1,
+            delta_bits: crate::bitpack::bits_needed(deltas),
+            ..Self::default()
         }
+    }
+
+    /// Counts the rows of each distinct value of `values` (the column
+    /// [`scan`](Self::scan) saw), filling `distinct` and `hot_mass`, and
+    /// returns the counts. `give_up` sees the number of distinct values
+    /// found so far each time it grows; once it answers `true` the count
+    /// stops, `distinct` keeps that lower bound and the result is `None`.
+    pub fn count_values(
+        &mut self,
+        values: &[i64],
+        mut give_up: impl FnMut(usize) -> bool,
+    ) -> Option<FxHashMap<i64, u32>> {
+        let mut counts: FxHashMap<i64, u32> = FxHashMap::default();
+        // One probe per run, not per row.
+        let mut rest = values;
+        while let Some(&v) = rest.first() {
+            let run = rest.iter().take_while(|&&x| x == v).count();
+            rest = &rest[run..];
+            let seen = counts.len();
+            *counts.entry(v).or_insert(0) += run as u32;
+            if counts.len() > seen && give_up(counts.len()) {
+                self.distinct = counts.len();
+                self.hot_mass = 0;
+                return None;
+            }
+        }
+        let mut by_count: Vec<u32> = counts.values().copied().collect();
+        if by_count.len() > HOT_VALUES {
+            by_count.select_nth_unstable_by(HOT_VALUES - 1, |a, b| b.cmp(a));
+            by_count.truncate(HOT_VALUES);
+        }
+        self.distinct = counts.len();
+        self.hot_mass = by_count.iter().map(|&c| c as usize).sum();
+        Some(counts)
     }
 
     /// The value range `max - min` as u64 (saturating at domain edges).
@@ -63,15 +125,6 @@ impl IntStats {
     /// Bits needed for FOR encoding over this range.
     pub fn for_bits(&self) -> u8 {
         crate::bitpack::bits_needed(self.range())
-    }
-
-    /// Bits needed for dictionary codes.
-    pub fn dict_bits(&self) -> u8 {
-        if self.distinct <= 1 {
-            0
-        } else {
-            crate::bitpack::bits_needed(self.distinct as u64 - 1)
-        }
     }
 }
 
@@ -237,7 +290,9 @@ mod tests {
         assert_eq!(s.runs, 4); // 5 | 3 3 | 8 | 5
         assert_eq!(s.range(), 5);
         assert_eq!(s.for_bits(), 3);
-        assert_eq!(s.dict_bits(), 2);
+        // Deltas -2, 0, 5, -3 zig-zag to 3, 0, 10, 5: four bits.
+        assert_eq!(s.delta_bits, 4);
+        assert_eq!(s.hot_mass, 5);
     }
 
     #[test]
@@ -248,7 +303,7 @@ mod tests {
         let c = IntStats::compute(&[7, 7, 7]);
         assert_eq!(c.range(), 0);
         assert_eq!(c.for_bits(), 0);
-        assert_eq!(c.dict_bits(), 0);
+        assert_eq!((c.distinct, c.delta_bits, c.hot_mass), (1, 0, 3));
         assert_eq!(c.runs, 1);
     }
 

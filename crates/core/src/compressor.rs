@@ -11,10 +11,10 @@
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::Column;
 use corra_columnar::error::{Error, Result};
-use corra_columnar::stats::{IntStats, ZoneMap};
+use corra_columnar::stats::ZoneMap;
 use corra_columnar::strings::StringPool;
 use corra_encodings::{
-    choose_int_baseline_with, choose_int_full, DictInt, DictStr, IntAccess, IntEncoding,
+    choose_int_baseline_stats, choose_int_full_stats, DictInt, DictStr, IntAccess, IntEncoding,
 };
 use rustc_hash::FxHashMap;
 
@@ -376,15 +376,16 @@ impl CompressedBlock {
             let plan = config.plan_for(field.name());
             let col = block.column_at(i);
             let codec = match (plan, col) {
-                (ColumnPlan::Auto, Column::Int64(v)) => {
-                    // The baseline chooser's stats pass already holds the
-                    // column's exact zone.
-                    let stats = IntStats::compute(v);
+                (ColumnPlan::Auto | ColumnPlan::AutoFull, Column::Int64(v)) => {
+                    // The chooser's stats pass already holds the column's
+                    // exact zone.
+                    let (enc, stats) = if matches!(plan, ColumnPlan::Auto) {
+                        choose_int_baseline_stats(v)
+                    } else {
+                        choose_int_full_stats(v)
+                    };
                     zones[i] = ZoneMap::from_stats(&stats);
-                    Some(ColumnCodec::Int(choose_int_baseline_with(v, &stats)))
-                }
-                (ColumnPlan::AutoFull, Column::Int64(v)) => {
-                    Some(ColumnCodec::Int(choose_int_full(v)))
+                    Some(ColumnCodec::Int(enc))
                 }
                 (ColumnPlan::Auto | ColumnPlan::AutoFull, Column::Utf8(p)) => {
                     Some(ColumnCodec::Str(DictStr::encode_pool(p)))
@@ -477,9 +478,9 @@ impl CompressedBlock {
             codecs[i] = Some(codec);
         }
 
-        // Every other integer column (Dict / Plain / full-menu plans and the
-        // horizontal targets) takes its zone from one fold over the raw
-        // values; string columns and empty blocks have none.
+        // Every other integer column (Dict / Plain plans and the horizontal
+        // targets) takes its zone from one fold over the raw values; string
+        // columns and empty blocks have none.
         for (zone, col) in zones.iter_mut().zip(block.columns()) {
             if let (None, Column::Int64(v)) = (&zone, col) {
                 *zone = ZoneMap::from_values(v);

@@ -168,3 +168,26 @@ fn library_unwraps_stay_under_the_ceiling() {
         "{total} non-test unwrap/expect in the executor files, ceiling {UNWRAP_CEILING}"
     );
 }
+
+#[test]
+fn the_full_chooser_sizes_from_stats_not_by_encoding() {
+    // Every candidate's size is a closed form over one stats pass and only
+    // the winner is encoded; no chooser encodes a candidate to measure it.
+    let source = library_part(include_str!("../../encodings/src/chooser.rs"));
+    let choosers: Vec<&str> = source
+        .match_indices("pub fn choose_int_")
+        .map(|(at, _)| source[at..].split("\n}\n").next().unwrap_or_default())
+        .collect();
+    assert!(
+        choosers
+            .iter()
+            .any(|f| f.starts_with("pub fn choose_int_full(")),
+        "choose_int_full moved out of chooser.rs"
+    );
+    for body in choosers {
+        assert!(
+            !body.contains("compressed_bytes"),
+            "a chooser measures an encoded candidate again:\n{body}"
+        );
+    }
+}

@@ -7,18 +7,27 @@
 //! and Delta require checkpoints."*
 //!
 //! [`choose_int_baseline`] implements exactly that (FOR vs. Dict by
-//! compressed size). [`choose_int_full`] additionally considers RLE, Delta
-//! and Frequency for the ablation benches.
+//! compressed size); [`choose_int_full`] picks the smallest of all six
+//! schemes (FOR, Dict, RLE, Delta, Frequency, Plain) and is what
+//! `ColumnPlan::AutoFull` columns and compaction run.
+//!
+//! Neither encodes a candidate to measure it: every codec's
+//! `compressed_bytes` is a closed form over [`IntStats`] from one ordered
+//! pass and a per-value count that stops once the dictionary candidates
+//! provably lose. Only the winner is encoded, a Dict or Frequency winner
+//! from that count. The pick is the encode-everything minimum, ties
+//! resolved in menu order.
 
 use bytes::{Buf, BufMut};
 use corra_columnar::aggregate::IntAggState;
+use corra_columnar::bitpack::bits_needed;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::stats::IntStats;
+use corra_columnar::stats::{IntStats, HOT_VALUES};
 use corra_columnar::topk::TopKHeap;
 
-use crate::delta::DeltaInt;
+use crate::delta::{DeltaInt, MINIBLOCK};
 use crate::dict::{DictInt, DictStr};
 use crate::ffor::ForInt;
 use crate::frequency::FrequencyInt;
@@ -184,52 +193,148 @@ impl IntAccess for IntEncoding {
     }
 }
 
-/// Estimates the FOR compressed size from statistics without encoding.
-pub fn estimate_for_bytes(stats: &IntStats) -> usize {
-    8 + 1 + ((stats.count as u64 * stats.for_bits() as u64).div_ceil(8)) as usize
+/// Bytes of `n` values bit-packed at the width of `max` — the codecs'
+/// `tight_bytes`.
+fn packed_bytes(n: usize, max: u64) -> usize {
+    (n as u64 * bits_needed(max) as u64).div_ceil(8) as usize
 }
 
-/// Estimates the Dict compressed size from statistics without encoding.
+/// The full menu, in its tie-break order: of equal sizes the first wins.
+#[derive(Debug, Clone, Copy)]
+enum Candidate {
+    For,
+    Dict,
+    Rle,
+    Delta,
+    Frequency,
+    Plain,
+}
+
+const MENU: [Candidate; 6] = [
+    Candidate::For,
+    Candidate::Dict,
+    Candidate::Rle,
+    Candidate::Delta,
+    Candidate::Frequency,
+    Candidate::Plain,
+];
+
+impl Candidate {
+    /// The codec's exact `compressed_bytes` over a column with `stats`;
+    /// Dict and Frequency read `distinct` / `hot_mass`, so they need a
+    /// count that ran to the end.
+    fn bytes(self, stats: &IntStats) -> usize {
+        let n = stats.count;
+        let hot = stats.distinct.min(HOT_VALUES);
+        match self {
+            // Base, width byte, offsets at the range's width.
+            Candidate::For => 9 + packed_bytes(n, stats.range()),
+            // Sorted values, width byte, codes.
+            Candidate::Dict => {
+                8 * stats.distinct + 1 + packed_bytes(n, stats.distinct.saturating_sub(1) as u64)
+            }
+            // A value and an end per run.
+            Candidate::Rle => 12 * stats.runs,
+            // A restart per miniblock, width byte, deltas.
+            Candidate::Delta => {
+                8 * n.div_ceil(MINIBLOCK) + 1 + (n * stats.delta_bits as usize).div_ceil(8)
+            }
+            // Hot values, width byte, codes, a 12-byte exception per other
+            // row.
+            Candidate::Frequency => {
+                8 * hot
+                    + 1
+                    + packed_bytes(n, hot.saturating_sub(1) as u64)
+                    + 12 * (n - stats.hot_mass)
+            }
+            Candidate::Plain => 8 * n,
+        }
+    }
+}
+
+/// FOR's exact compressed size over a column with `stats`.
+pub fn estimate_for_bytes(stats: &IntStats) -> usize {
+    Candidate::For.bytes(stats)
+}
+
+/// Dict's exact compressed size over a column with `stats`.
 pub fn estimate_dict_bytes(stats: &IntStats) -> usize {
-    stats.distinct * 8 + 1 + ((stats.count as u64 * stats.dict_bits() as u64).div_ceil(8)) as usize
+    Candidate::Dict.bytes(stats)
 }
 
 /// The paper's baseline chooser: best of FOR and Dict by compressed size.
 pub fn choose_int_baseline(values: &[i64]) -> IntEncoding {
-    choose_int_baseline_with(values, &IntStats::compute(values))
+    choose_int_baseline_stats(values).0
 }
 
-/// [`choose_int_baseline`] over `stats` the caller already computed for
-/// `values` — the block compressor keeps them for the column's zone.
-pub fn choose_int_baseline_with(values: &[i64], stats: &IntStats) -> IntEncoding {
-    if estimate_dict_bytes(stats) < estimate_for_bytes(stats) {
-        IntEncoding::Dict(DictInt::encode(values))
-    } else {
-        IntEncoding::For(ForInt::encode(values))
-    }
+/// [`choose_int_baseline`], also returning the stats its pass computed —
+/// the block compressor keeps them for the column's zone. Dict wins only
+/// when strictly smaller, so the distinct count stops once Dict's size at
+/// the count so far reaches FOR's.
+pub fn choose_int_baseline_stats(values: &[i64]) -> (IntEncoding, IntStats) {
+    let mut stats = IntStats::scan(values);
+    let (mut at, for_bytes) = (stats, Candidate::For.bytes(&stats));
+    let enc = match stats.count_values(values, |d| {
+        at.distinct = d;
+        Candidate::Dict.bytes(&at) >= for_bytes
+    }) {
+        Some(counts) if Candidate::Dict.bytes(&stats) < for_bytes => {
+            IntEncoding::Dict(DictInt::encode_counted(values, counts))
+        }
+        _ => IntEncoding::For(ForInt::encode(values)),
+    };
+    (enc, stats)
 }
 
-/// Extended chooser over all implemented schemes (used in ablations; the
-/// paper's experiments use [`choose_int_baseline`]).
+/// The smallest of all six schemes by compressed size; of equal sizes the
+/// first in menu order wins. The block compressor runs it for
+/// `ColumnPlan::AutoFull` columns, and compaction for every column.
 pub fn choose_int_full(values: &[i64]) -> IntEncoding {
-    let candidates = [
-        IntEncoding::For(ForInt::encode(values)),
-        IntEncoding::Dict(DictInt::encode(values)),
-        IntEncoding::Rle(RleInt::encode(values)),
-        IntEncoding::Delta(DeltaInt::encode(values)),
-        IntEncoding::Frequency(FrequencyInt::encode(values, 16)),
-        IntEncoding::Plain(PlainInt::encode(values)),
-    ];
-    candidates
+    choose_int_full_stats(values).0
+}
+
+/// [`choose_int_full`], also returning the stats its pass computed. Every
+/// size is a closed form over the stats, so only the winner is encoded.
+/// Dict and Frequency only grow with the distinct count, which stops once
+/// both exceed the best of the other four — exceed, not reach, since Dict
+/// wins a tie against every later candidate.
+pub fn choose_int_full_stats(values: &[i64]) -> (IntEncoding, IntStats) {
+    let mut stats = IntStats::scan(values);
+    let uncounted = |c: &Candidate| !matches!(c, Candidate::Dict | Candidate::Frequency);
+    let cheap = MENU.into_iter().filter(uncounted).map(|c| c.bytes(&stats));
+    let cheap = cheap.min().unwrap_or(usize::MAX);
+    let mut at = stats;
+    let counts = stats.count_values(values, |d| {
+        // At `d` values Frequency is smallest when each value outside the
+        // hot list holds a single row.
+        let exceptions = d.saturating_sub(HOT_VALUES);
+        (at.distinct, at.hot_mass) = (d, at.count - exceptions);
+        Candidate::Dict.bytes(&at) > cheap && Candidate::Frequency.bytes(&at) > cheap
+    });
+    let pick = MENU
         .into_iter()
-        .min_by_key(IntAccess::compressed_bytes)
-        .expect("non-empty candidate list")
+        .filter(|c| counts.is_some() || uncounted(c))
+        .min_by_key(|c| c.bytes(&stats))
+        .unwrap_or(Candidate::Plain);
+    let enc = match (pick, counts) {
+        (Candidate::For, _) => IntEncoding::For(ForInt::encode(values)),
+        (Candidate::Dict, Some(counts)) => {
+            IntEncoding::Dict(DictInt::encode_counted(values, counts))
+        }
+        (Candidate::Rle, _) => IntEncoding::Rle(RleInt::encode(values)),
+        (Candidate::Delta, _) => IntEncoding::Delta(DeltaInt::encode(values)),
+        (Candidate::Frequency, Some(counts)) => {
+            IntEncoding::Frequency(FrequencyInt::encode_counted(values, &counts, HOT_VALUES))
+        }
+        // An uncounted Dict / Frequency was filtered out above.
+        _ => IntEncoding::Plain(PlainInt::encode(values)),
+    };
+    (enc, stats)
 }
 
 /// String columns always use Dict in the baseline.
 pub fn choose_str_baseline(values: impl IntoIterator<Item = impl AsRef<str>>) -> DictStr {
-    let owned: Vec<String> = values.into_iter().map(|s| s.as_ref().to_owned()).collect();
-    DictStr::encode(owned.iter().map(String::as_str))
+    DictStr::encode(values)
 }
 
 #[cfg(test)]
@@ -257,16 +362,46 @@ mod tests {
 
     #[test]
     fn estimates_match_actual() {
-        let values: Vec<i64> = (0..10_000).map(|i| (i % 97) as i64 * 13).collect();
-        let stats = IntStats::compute(&values);
-        assert_eq!(
-            estimate_for_bytes(&stats),
-            ForInt::encode(&values).compressed_bytes()
-        );
-        assert_eq!(
-            estimate_dict_bytes(&stats),
-            DictInt::encode(&values).compressed_bytes()
-        );
+        // Every closed form equals the encoded size: small ranges, sparse
+        // values, runs (one starting on a miniblock's first row), sorted,
+        // hot values with exceptions, the domain ends, and the lengths
+        // around a miniblock edge.
+        let columns: Vec<Vec<i64>> = vec![
+            (0..10_000).map(|i| (i % 97) * 13).collect(),
+            (0..5_000).map(|i| (i % 4) * 1_000_000_007).collect(),
+            (0..3_000).map(|i| i / 640 * 1_000_000).collect(),
+            (0..129).map(|i| 1_700_000_000_000 + 7 * i).collect(),
+            (0..2_000)
+                .map(|i| if i % 37 == 0 { i * 1_000_003 } else { i % 20 })
+                .collect(),
+            // Many values, each with its own count: the hot 16 are a
+            // proper selection.
+            (0..200)
+                .flat_map(|k| std::iter::repeat_n(k * 7_919 % 200, k as usize + 1))
+                .collect(),
+            vec![i64::MIN, i64::MAX, 0, i64::MAX, i64::MIN],
+            vec![42],
+            Vec::new(),
+        ];
+        for values in &columns {
+            let stats = IntStats::compute(values);
+            let encoded = [
+                ForInt::encode(values).compressed_bytes(),
+                DictInt::encode(values).compressed_bytes(),
+                RleInt::encode(values).compressed_bytes(),
+                DeltaInt::encode(values).compressed_bytes(),
+                FrequencyInt::encode(values, HOT_VALUES).compressed_bytes(),
+                PlainInt::encode(values).compressed_bytes(),
+            ];
+            for (candidate, actual) in MENU.into_iter().zip(encoded) {
+                let rows = values.len();
+                assert_eq!(
+                    candidate.bytes(&stats),
+                    actual,
+                    "{candidate:?}, {rows} rows"
+                );
+            }
+        }
     }
 
     #[test]
@@ -324,5 +459,15 @@ mod tests {
     fn str_baseline_is_dict() {
         let enc = choose_str_baseline(["a", "b", "a"]);
         assert_eq!(enc.distinct(), 2);
+        // Owned rows are interned as they arrive, byte-identical to
+        // encoding the borrowed rows.
+        let rows = ["NYC", "", "Naples", "NYC", "Zürich", "", "NYC"];
+        let owned = choose_str_baseline(rows.iter().map(|s| s.to_string()));
+        let borrowed = DictStr::encode(rows);
+        assert_eq!(owned, borrowed);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        owned.write_to(&mut a);
+        borrowed.write_to(&mut b);
+        assert_eq!(a, b);
     }
 }

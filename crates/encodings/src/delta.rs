@@ -14,8 +14,9 @@ use corra_columnar::topk::TopKHeap;
 
 use crate::traits::{check_selection, stream_packed, IntAccess};
 
-/// Rows per miniblock (restart interval).
-pub const MINIBLOCK: usize = 128;
+/// Rows per miniblock (restart interval); defined beside the stats pass
+/// that sizes this codec.
+pub use corra_columnar::stats::MINIBLOCK;
 
 /// Delta-encoded integer column with per-miniblock restart values.
 #[derive(Debug, Clone, PartialEq, Eq)]

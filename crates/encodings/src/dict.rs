@@ -30,15 +30,23 @@ pub struct DictInt {
 impl DictInt {
     /// Encodes `values`.
     pub fn encode(values: &[i64]) -> Self {
-        let mut dict: Vec<i64> = values.to_vec();
+        let mut counts: FxHashMap<i64, u32> = FxHashMap::default();
+        for &v in values {
+            *counts.entry(v).or_default() += 1;
+        }
+        Self::encode_counted(values, counts)
+    }
+
+    /// [`encode`](Self::encode) over the per-value row counts of `values`
+    /// the caller already holds (a chooser's stats pass): the dictionary is
+    /// the sorted keys, and the map, renumbered, becomes the code index.
+    pub fn encode_counted(values: &[i64], mut counts: FxHashMap<i64, u32>) -> Self {
+        let mut dict: Vec<i64> = counts.keys().copied().collect();
         dict.sort_unstable();
-        dict.dedup();
-        let index: FxHashMap<i64, u32> = dict
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
-            .collect();
-        let codes: Vec<u64> = values.iter().map(|v| index[v] as u64).collect();
+        for (code, v) in dict.iter().enumerate() {
+            counts.insert(*v, code as u32);
+        }
+        let codes: Vec<u64> = values.iter().map(|v| counts[v] as u64).collect();
         Self {
             dict,
             codes: BitPackedVec::pack_minimal(&codes),
@@ -283,12 +291,12 @@ pub struct DictStr {
 }
 
 impl DictStr {
-    /// Encodes an iterator of rows.
-    pub fn encode<'a>(values: impl IntoIterator<Item = &'a str>) -> Self {
+    /// Encodes an iterator of rows, interning each as it arrives.
+    pub fn encode(values: impl IntoIterator<Item = impl AsRef<str>>) -> Self {
         let mut builder = StringDictBuilder::new();
         let codes: Vec<u64> = values
             .into_iter()
-            .map(|s| builder.intern(s) as u64)
+            .map(|s| builder.intern(s.as_ref()) as u64)
             .collect();
         Self {
             pool: builder.finish(),
@@ -609,7 +617,7 @@ mod tests {
     fn empty_columns() {
         let enc = DictInt::encode(&[]);
         assert!(enc.is_empty());
-        let enc = DictStr::encode([]);
+        let enc = DictStr::encode([""; 0]);
         assert!(enc.is_empty());
     }
 

@@ -38,14 +38,23 @@ impl FrequencyInt {
         for &v in values {
             *counts.entry(v).or_default() += 1;
         }
-        let mut by_freq: Vec<(i64, u32)> = counts.into_iter().collect();
-        // Sort by descending frequency, ties by value for determinism.
-        by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let hot: Vec<i64> = by_freq
-            .iter()
-            .take(max_hot.max(1))
-            .map(|&(v, _)| v)
-            .collect();
+        Self::encode_counted(values, &counts, max_hot)
+    }
+
+    /// [`encode`](Self::encode) over the per-value row counts of `values`
+    /// the caller already holds (the full chooser's stats pass).
+    pub fn encode_counted(values: &[i64], counts: &FxHashMap<i64, u32>, max_hot: usize) -> Self {
+        let mut by_freq: Vec<(i64, u32)> = counts.iter().map(|(&v, &c)| (v, c)).collect();
+        // Descending frequency, ties by value for determinism: a total
+        // order, so selecting the hottest before sorting them is exact.
+        let order = |a: &(i64, u32), b: &(i64, u32)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+        let keep = max_hot.max(1);
+        if by_freq.len() > keep {
+            by_freq.select_nth_unstable_by(keep - 1, order);
+            by_freq.truncate(keep);
+        }
+        by_freq.sort_unstable_by(order);
+        let hot: Vec<i64> = by_freq.iter().map(|&(v, _)| v).collect();
         let index: FxHashMap<i64, u64> = hot
             .iter()
             .enumerate()

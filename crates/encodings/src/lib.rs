@@ -15,8 +15,9 @@
 //!
 //! The paper's baseline chooser ([`chooser::choose_int_baseline`]) considers
 //! only FOR and Dict, "because they allow for fast random access into the
-//! compressed column"; [`chooser::choose_int_full`] covers all schemes for
-//! ablation studies.
+//! compressed column"; [`chooser::choose_int_full`] picks from all six
+//! (the `AutoFull` plan and compaction). Both size every candidate from
+//! one stats pass and encode only the winner.
 //!
 //! Every integer scheme implements the one codec trait,
 //! [`traits::IntAccess`]: a codec supplies length, random access, size and
@@ -46,8 +47,8 @@ mod topk;
 pub mod traits;
 
 pub use chooser::{
-    choose_int_baseline, choose_int_baseline_with, choose_int_full, choose_str_baseline,
-    IntEncoding,
+    choose_int_baseline, choose_int_baseline_stats, choose_int_full, choose_int_full_stats,
+    choose_str_baseline, IntEncoding,
 };
 pub use delta::DeltaInt;
 pub use dict::{DictInt, DictStr};

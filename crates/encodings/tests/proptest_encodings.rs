@@ -8,8 +8,8 @@ use corra_columnar::stats::{IntStats, ZoneMap};
 use corra_columnar::topk::TopKHeap;
 use corra_encodings::filter::filter_naive;
 use corra_encodings::{
-    choose_int_baseline, choose_int_full, DeltaInt, DictInt, DictStr, ForInt, FrequencyInt,
-    IntAccess, IntEncoding, PlainInt, RleInt,
+    choose_int_baseline, choose_int_baseline_stats, choose_int_full, choose_int_full_stats,
+    DeltaInt, DictInt, DictStr, ForInt, FrequencyInt, IntAccess, IntEncoding, PlainInt, RleInt,
 };
 use proptest::prelude::*;
 
@@ -22,6 +22,101 @@ fn int_column() -> impl Strategy<Value = Vec<i64>> {
         prop::collection::vec(prop::sample::select(vec![1i64, 5, 1_000_000, -7]), 0..400),
         prop::collection::vec(any::<i64>(), 0..200), // adversarial
     ]
+}
+
+/// The encode-everything full chooser: all six codecs encoded, the first
+/// minimum in menu order kept — the oracle for `choose_int_full`.
+fn exhaustive_full(values: &[i64]) -> IntEncoding {
+    [
+        IntEncoding::For(ForInt::encode(values)),
+        IntEncoding::Dict(DictInt::encode(values)),
+        IntEncoding::Rle(RleInt::encode(values)),
+        IntEncoding::Delta(DeltaInt::encode(values)),
+        IntEncoding::Frequency(FrequencyInt::encode(values, 16)),
+        IntEncoding::Plain(PlainInt::encode(values)),
+    ]
+    .into_iter()
+    .min_by_key(IntAccess::compressed_bytes)
+    .expect("six candidates")
+}
+
+/// The paper's baseline by encoding both: Dict only when strictly smaller
+/// than FOR — the oracle for `choose_int_baseline`.
+fn exhaustive_baseline(values: &[i64]) -> IntEncoding {
+    let (ffor, dict) = (ForInt::encode(values), DictInt::encode(values));
+    if dict.compressed_bytes() < ffor.compressed_bytes() {
+        IntEncoding::Dict(dict)
+    } else {
+        IntEncoding::For(ffor)
+    }
+}
+
+/// A column of `len` rows in one of seven shapes, drawn from `seed` (the
+/// shim has no `prop_map`): 0 sorted / monotone (Delta), 1 long runs
+/// (RLE), 2 at most 16 hot values with rare exceptions (Frequency),
+/// 3 all distinct (the bounded count's cut), 4 `i64::MIN` / `MAX` mixes,
+/// 5 a small random range (FOR), 6 a sparse two-value alphabet (Dict).
+fn shaped_column(shape: u8, len: usize, seed: u64) -> Vec<i64> {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    match shape {
+        0 => {
+            let anchors = [i64::MIN, -5, 1_700_000_000_000, i64::MAX - 1_000];
+            let mut v = anchors[next() as usize % anchors.len()];
+            let span = 1 + next() % 300;
+            (0..len)
+                .map(|_| {
+                    v = v.wrapping_add((next() % span) as i64);
+                    v
+                })
+                .collect()
+        }
+        1 => {
+            let mut out = Vec::with_capacity(len);
+            while out.len() < len {
+                let v = (next() % 1_000) as i64 - 500;
+                let run = (1 + next() as usize % 600).min(len - out.len());
+                out.extend(std::iter::repeat_n(v, run));
+            }
+            out
+        }
+        2 => {
+            let hot: Vec<i64> = (0..1 + next() % 16).map(|_| next() as i64).collect();
+            let rate = 8 + next() % 200;
+            (0..len)
+                .map(|_| match next() % rate {
+                    0 => next() as i64,
+                    _ => hot[next() as usize % hot.len()],
+                })
+                .collect()
+        }
+        3 => {
+            // An odd multiplier permutes the domain: every row distinct.
+            let (m, b) = (next() | 1, next());
+            (0..len as u64)
+                .map(|i| i.wrapping_mul(m).wrapping_add(b) as i64)
+                .collect()
+        }
+        4 => {
+            let pool = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+            let k = 1 + next() as usize % pool.len();
+            (0..len).map(|_| pool[next() as usize % k]).collect()
+        }
+        5 => {
+            let (base, span) = (next() as i64, 1 + next() % 5_000);
+            (0..len)
+                .map(|_| base.wrapping_add((next() % span) as i64))
+                .collect()
+        }
+        _ => (0..len)
+            .map(|_| if next() % 3 == 0 { 1 << 40 } else { 0 })
+            .collect(),
+    }
 }
 
 fn check_roundtrip(enc: &impl IntAccess, values: &[i64]) -> Result<(), TestCaseError> {
@@ -319,17 +414,45 @@ proptest! {
         prop_assert_eq!(zone.is_some(), !values.is_empty());
     }
 
-    /// The full chooser's pick is minimal among all candidates it considers.
+    /// The full chooser's pick is no larger than any of the six codecs'
+    /// encodings, Frequency with its 16 hot values included.
     #[test]
     fn full_chooser_is_minimal(values in int_column()) {
         let chosen = choose_int_full(&values);
-        let for_b = ForInt::encode(&values).compressed_bytes();
-        let dict_b = DictInt::encode(&values).compressed_bytes();
-        let rle_b = RleInt::encode(&values).compressed_bytes();
-        let delta_b = DeltaInt::encode(&values).compressed_bytes();
-        let plain_b = PlainInt::encode(&values).compressed_bytes();
-        let min = for_b.min(dict_b).min(rle_b).min(delta_b).min(plain_b);
-        prop_assert!(chosen.compressed_bytes() <= min);
+        let sizes = [
+            ForInt::encode(&values).compressed_bytes(),
+            DictInt::encode(&values).compressed_bytes(),
+            RleInt::encode(&values).compressed_bytes(),
+            DeltaInt::encode(&values).compressed_bytes(),
+            FrequencyInt::encode(&values, 16).compressed_bytes(),
+            PlainInt::encode(&values).compressed_bytes(),
+        ];
+        prop_assert!(sizes.iter().all(|&size| chosen.compressed_bytes() <= size));
+    }
+
+    /// Both choosers size their candidates from one stats pass and encode
+    /// only the winner; the pick is exactly the encode-everything oracle's,
+    /// ties included, on the shapes each codec wins and at the lengths
+    /// where the arithmetic turns (miniblock edges, a 16 K-row block).
+    #[test]
+    fn choosers_pick_the_exhaustive_minimum(
+        shape in 0u8..7,
+        len in prop_oneof![
+            prop::sample::select(vec![0usize, 1, 127, 128, 129, 16_384]),
+            0usize..3_000,
+        ],
+        seed in any::<u64>(),
+    ) {
+        let values = shaped_column(shape, len, seed);
+        prop_assert_eq!(choose_int_full(&values), exhaustive_full(&values));
+        prop_assert_eq!(choose_int_baseline(&values), exhaustive_baseline(&values));
+    }
+
+    /// The same on the suite's general column mix.
+    #[test]
+    fn choosers_pick_the_exhaustive_minimum_on_any_column(values in int_column()) {
+        prop_assert_eq!(choose_int_full(&values), exhaustive_full(&values));
+        prop_assert_eq!(choose_int_baseline(&values), exhaustive_baseline(&values));
     }
 
     /// The trait's provided bodies are the reference: each of the six
@@ -375,4 +498,93 @@ proptest! {
         check_overrides(&FrequencyInt::encode(&values, 4), &ranges, &sels, group_of, seed)?;
         check_overrides(&choose_int_full(&values), &ranges, &sels, group_of, seed)?;
     }
+}
+
+/// Hand-built columns on which two or more codecs' sizes tie exactly at
+/// the minimum: the pick is the first in menu order (FOR, Dict, RLE,
+/// Delta, Frequency, Plain), as the encode-everything chooser's
+/// `min_by_key` resolves it.
+#[test]
+fn ties_resolve_in_menu_order() {
+    let runs = |parts: &[(i64, usize)]| -> Vec<i64> {
+        parts
+            .iter()
+            .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
+            .collect()
+    };
+    let spread: Vec<(i64, usize)> = (0..32)
+        .map(|k| (k << 40, if k == 0 { 17 } else { 6 }))
+        .collect();
+    // (column, the tied schemes in menu order)
+    let cases = [
+        (
+            runs(&[(1_000, 5)]),
+            &["for", "dict", "delta", "frequency"][..],
+        ),
+        (
+            runs(&[(0, 25), (1 << 40, 25)]),
+            &["dict", "rle", "frequency"][..],
+        ),
+        // 32 spread values in runs: Dict ties RLE past the hot list, where
+        // the distinct count may stop — but only once Dict exceeds RLE.
+        (runs(&spread), &["dict", "rle"][..]),
+        (runs(&[(2, 50), (1, 50), (0, 50)]), &["rle", "delta"][..]),
+        (runs(&[(5, 34), (6, 61), (7, 8)]), &["for", "delta"][..]),
+        (runs(&[(1, 44), (0, 71)]), &["for", "rle", "delta"][..]),
+        (Vec::new(), &["rle", "plain"][..]),
+    ];
+    for (values, tied) in cases {
+        let sizes = [
+            ("for", ForInt::encode(&values).compressed_bytes()),
+            ("dict", DictInt::encode(&values).compressed_bytes()),
+            ("rle", RleInt::encode(&values).compressed_bytes()),
+            ("delta", DeltaInt::encode(&values).compressed_bytes()),
+            (
+                "frequency",
+                FrequencyInt::encode(&values, 16).compressed_bytes(),
+            ),
+            ("plain", PlainInt::encode(&values).compressed_bytes()),
+        ];
+        let min = sizes.iter().map(|&(_, size)| size).min().unwrap();
+        let at_min: Vec<&str> = sizes
+            .iter()
+            .filter(|&&(_, size)| size == min)
+            .map(|&(name, _)| name)
+            .collect();
+        assert_eq!(at_min, tied, "{sizes:?}");
+        let chosen = choose_int_full(&values);
+        assert_eq!(chosen.scheme(), tied[0], "{sizes:?}");
+        assert_eq!(chosen, exhaustive_full(&values));
+    }
+    // The baseline's tie (a constant column: FOR 9 = Dict 9) goes to FOR.
+    assert_eq!(choose_int_baseline(&[1_000; 5]).scheme(), "for");
+}
+
+/// On an all-distinct 16 K-row block neither dictionary candidate can
+/// win, and the distinct count stops before the last row — the sooner
+/// the smaller the best other size: the stats the choosers return hold a
+/// lower bound, not the exact count.
+#[test]
+fn the_distinct_count_stops_once_dict_and_frequency_lose() {
+    let scattered: Vec<i64> = (0..16_384u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) as i64)
+        .collect();
+    let timestamps: Vec<i64> = (0..16_384).map(|i| 1_700_000_000_000 + 3 * i).collect();
+    // Plain (8 bytes a row) is the best of the rest on the scattered
+    // column; on the timestamps Delta (3 bits a row) beats Dict at 17
+    // values, FOR (16 bits a row) only past a thousand.
+    for (values, full_cut, baseline_cut) in [(&scattered, 16_384, 16_384), (&timestamps, 32, 2_048)]
+    {
+        let (full, stats) = choose_int_full_stats(values);
+        assert_eq!(full, exhaustive_full(values));
+        assert!(stats.distinct < full_cut, "{stats:?}");
+        let (baseline, stats) = choose_int_baseline_stats(values);
+        assert_eq!(baseline, exhaustive_baseline(values));
+        assert!(stats.distinct < baseline_cut, "{stats:?}");
+    }
+    // A low-cardinality column is counted to the end.
+    let few: Vec<i64> = (0..16_384).map(|i| (i % 40) * 1_000_003).collect();
+    let (enc, stats) = choose_int_full_stats(&few);
+    assert_eq!(enc, exhaustive_full(&few));
+    assert_eq!(stats.distinct, 40);
 }
