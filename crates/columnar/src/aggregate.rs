@@ -70,9 +70,9 @@ impl IntAggState {
         self.max = Some(max);
     }
 
-    /// Merges another partial state in (associative and commutative, so the
-    /// morsel-parallel driver can merge per-block partials in block order
-    /// with a result identical to the serial fold).
+    /// Merges another partial state in (associative and commutative, so
+    /// per-block partials merged in block order equal one fold over every
+    /// row).
     pub fn merge(&mut self, other: &IntAggState) {
         self.count += other.count;
         self.sum += other.sum;

@@ -26,7 +26,7 @@
 //!   folds into (`SUM` in `i128`, so it never silently wraps);
 //! * [`topk::TopKHeap`] — the bounded `(value, position)` selection heap
 //!   behind the compressed-domain TOP-K / ORDER BY kernels, with the
-//!   deterministic tie-break that makes parallel drivers bit-identical;
+//!   deterministic tie-break that makes results independent of visit order;
 //! * [`frame`] — the length-prefix framing that makes every serialized
 //!   codec payload independently addressable;
 //! * [`temporal`] — from-scratch civil-date ↔ epoch-day conversion.

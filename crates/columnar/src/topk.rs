@@ -3,8 +3,8 @@
 //!
 //! Every compressed-domain TOP-K fast path feeds candidates into a
 //! [`TopKHeap`]; the heap's comparison is a pure function of the candidate
-//! multiset, so serial and morsel-parallel drivers produce bit-identical
-//! results for any offer order. Ties on value resolve to the smaller
+//! multiset, so drivers produce bit-identical results for any offer
+//! order. Ties on value resolve to the smaller
 //! position — drivers encode `(block << 32) | row` so the tie-break is
 //! "earlier block, then earlier row", exactly what a stable
 //! decompress-then-sort oracle produces.
@@ -51,8 +51,7 @@ const STRIP: usize = 64;
 /// "Best" means smallest `(rank(value), position)` lexicographically, so
 /// equal values prefer the smaller position. Internally a max-heap of the
 /// kept entries: the root is the current k-th (worst kept) candidate, and
-/// [`TopKHeap::worst_rank`] exposes its value rank as the pruning bound
-/// shared across morsel-parallel workers.
+/// [`TopKHeap::worst_rank`] exposes its value rank as the pruning bound.
 #[derive(Debug)]
 pub struct TopKHeap {
     k: usize,

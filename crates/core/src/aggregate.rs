@@ -24,9 +24,7 @@
 //!    reconstruction rules; grouped folds run per codec.
 //! 4. **Merge** — per-block partial states ([`IntAggState`] /
 //!    [`StrAggState`], `SUM` in `i128` so it never silently wraps) merge
-//!    deterministically in block order, which is what makes
-//!    [`aggregate_blocks_parallel`] byte-identical to the serial fold for
-//!    any thread count.
+//!    in block order ([`aggregate_blocks`]).
 //!
 //! Everything is generic over [`BlockView`], so the same engine runs on
 //! in-memory [`CompressedBlock`]s and lazy store
@@ -58,7 +56,7 @@ pub enum AggFunc {
     /// Maximum of an integer or string column.
     Max,
     /// Mean of an integer column (`SUM / COUNT`, computed once from the
-    /// merged exact state, so serial and parallel runs agree bit-for-bit).
+    /// merged exact state, so it does not depend on the block layout).
     Avg,
 }
 
@@ -762,8 +760,7 @@ pub fn aggregate<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) -> Result<Agg
 /// in block order. Returns the result plus [`ScanStats`] (`rows_matched` =
 /// rows aggregated; `blocks_pruned` = blocks whose filter was answered
 /// from zone maps, or whose `COUNT` / `MIN` / `MAX` was the column's row
-/// count and zone). This is [`aggregate_blocks_parallel`] on the calling
-/// thread.
+/// count and zone).
 ///
 /// # Errors
 ///
@@ -772,34 +769,13 @@ pub fn aggregate_blocks(
     blocks: &[CompressedBlock],
     expr: &AggExpr,
 ) -> Result<(AggResult, ScanStats)> {
-    aggregate_blocks_parallel(blocks, expr, 1)
-}
-
-/// Morsel-driven parallel [`aggregate_blocks`]: `threads` workers pull
-/// block morsels off the shared `crate::morsel::run` counter (mirroring
-/// [`crate::scan::scan_blocks_parallel`]); per-block partials merge in
-/// block order, so the result — including the exact `i128` sums — is
-/// byte-identical to the serial fold for any thread count.
-///
-/// # Errors
-///
-/// As [`aggregate_blocks`]; worker panics surface as errors.
-pub fn aggregate_blocks_parallel(
-    blocks: &[CompressedBlock],
-    expr: &AggExpr,
-    threads: usize,
-) -> Result<(AggResult, ScanStats)> {
     let mut merger = AggMerger::new();
     let mut stats = ScanStats::default();
-    crate::morsel::run(
-        blocks.len(),
-        threads,
-        |i| aggregate_partial(&blocks[i], expr),
-        |i, (partial, pruned, matched)| {
-            stats.record_block(blocks[i].rows(), matched, pruned, None);
-            merger.merge(partial)
-        },
-    )?;
+    for block in blocks {
+        let (partial, pruned, matched) = aggregate_partial(block, expr)?;
+        stats.record_block(block.rows(), matched, pruned, None);
+        merger.merge(partial)?;
+    }
     Ok((merger.finish(expr), stats))
 }
 
@@ -1011,15 +987,38 @@ mod tests {
         assert!(got.as_scalar().is_err());
     }
 
+    /// Appends `more`'s rows to `into`, column by column.
+    fn concat(into: &mut [Column], more: &DataBlock) {
+        for (dst, src) in into.iter_mut().zip(more.columns()) {
+            match (dst, src) {
+                (Column::Int64(d), Column::Int64(s)) => d.extend_from_slice(s),
+                (Column::Utf8(d), Column::Utf8(s)) => {
+                    for v in s.iter() {
+                        d.push(v);
+                    }
+                }
+                _ => panic!("column kinds differ"),
+            }
+        }
+    }
+
     #[test]
-    fn multi_block_serial_equals_parallel() {
-        let blocks: Vec<CompressedBlock> = [0, 50_000, 100_000]
+    fn multi_block_merge_equals_one_block_fold() {
+        let raws: Vec<(DataBlock, CompressionConfig)> = [0, 50_000, 100_000]
             .iter()
-            .map(|&salt| {
-                let (raw, cfg) = mixed_block(1_500, salt);
-                CompressedBlock::compress(&raw, &cfg).unwrap()
-            })
+            .map(|&salt| mixed_block(1_500, salt))
             .collect();
+        let blocks: Vec<CompressedBlock> = raws
+            .iter()
+            .map(|(raw, cfg)| CompressedBlock::compress(raw, cfg).unwrap())
+            .collect();
+        let (first, cfg) = &raws[0];
+        let mut columns = first.columns().to_vec();
+        for (raw, _) in &raws[1..] {
+            concat(&mut columns, raw);
+        }
+        let one = DataBlock::new(first.schema().clone(), columns).unwrap();
+        let one = CompressedBlock::compress(&one, cfg).unwrap();
         for expr in [
             AggExpr::sum("l_receiptdate"),
             AggExpr::min("l_shipdate"),
@@ -1027,12 +1026,12 @@ mod tests {
             AggExpr::avg("total").with_group_by("city"),
             AggExpr::max("city").with_group_by("city"),
         ] {
-            let (want, want_stats) = aggregate_blocks(&blocks, &expr).unwrap();
-            for threads in 1..=8 {
-                let (got, stats) = aggregate_blocks_parallel(&blocks, &expr, threads).unwrap();
-                assert_eq!(got, want, "{expr:?} threads {threads}");
-                assert_eq!(stats, want_stats, "{expr:?} threads {threads}");
-            }
+            let (got, stats) = aggregate_blocks(&blocks, &expr).unwrap();
+            let (want, one_stats) = aggregate_blocks(std::slice::from_ref(&one), &expr).unwrap();
+            assert_eq!(got, want, "{expr:?}");
+            assert_eq!(stats.blocks, 3, "{expr:?}");
+            assert_eq!(stats.rows_total, 4_500, "{expr:?}");
+            assert_eq!(stats.rows_matched, one_stats.rows_matched, "{expr:?}");
         }
         // Zero blocks: the typed empty result.
         let (got, stats) = aggregate_blocks(&[], &AggExpr::count()).unwrap();
@@ -1043,11 +1042,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_propagates_errors() {
+    fn multi_block_errors_propagate() {
         let (raw, cfg) = mixed_block(100, 0);
         let compressed = CompressedBlock::compress(&raw, &cfg).unwrap();
         let blocks = vec![compressed.clone(), compressed];
-        assert!(aggregate_blocks_parallel(&blocks, &AggExpr::sum("nope"), 4).is_err());
+        assert!(aggregate_blocks(&blocks, &AggExpr::sum("nope")).is_err());
+        let expr = AggExpr::count().with_group_by("l_shipdate");
+        assert!(aggregate_blocks(&blocks, &expr).is_err());
     }
 
     #[test]

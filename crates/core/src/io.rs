@@ -36,7 +36,8 @@ use rand::{Rng, SeedableRng};
 ///
 /// `read_at` may return fewer bytes than `buf.len()` (short read); callers
 /// that need the whole range use [`read_full_at`]. Implementations must be
-/// thread-safe: the parallel scan drivers issue reads from many workers.
+/// thread-safe: the serve front door issues reads from many workers
+/// against one shared reader.
 ///
 /// The write half mirrors the read half with **pwrite semantics**:
 /// [`write_at`](Self::write_at) may write fewer bytes than offered (as
@@ -384,19 +385,6 @@ pub struct FaultPlan {
     /// treat the batch as unacknowledged — the test suite proves the
     /// ingest layer does.
     pub p_fsync_error: f64,
-    /// Draw **read**-fault decisions from a positional hash of
-    /// `(seed, offset, len)` instead of the shared call-order RNG.
-    ///
-    /// A call-order schedule is only replayable when every run issues the
-    /// same reads in the same order — true for serial drivers, false for
-    /// morsel-parallel scans, where thread interleaving permutes the
-    /// draw order. Positionally, the verdict for a given `(offset, len)`
-    /// read is a pure function of the plan seed, so the same read faults
-    /// identically no matter which thread issues it or when. (Identical
-    /// repeated reads fault identically too — that is the point.)
-    /// Write-path faults keep the call-order schedule: the torture
-    /// harness's write paths are serial.
-    pub positional: bool,
 }
 
 impl FaultPlan {
@@ -412,7 +400,6 @@ impl FaultPlan {
             p_short_write: 0.0,
             p_write_error: 0.0,
             p_fsync_error: 0.0,
-            positional: false,
         }
     }
 
@@ -462,16 +449,6 @@ impl FaultPlan {
     #[must_use]
     pub fn with_fsync_errors(mut self, p: f64) -> Self {
         self.p_fsync_error = p;
-        self
-    }
-
-    /// Switches read faults to the positional `(seed, offset, len)`
-    /// schedule — see [`FaultPlan::positional`]. Required when the driver
-    /// under fire reads from multiple threads (e.g. morsel-parallel
-    /// scans), where a call-order schedule would not replay.
-    #[must_use]
-    pub fn with_positional_schedule(mut self) -> Self {
-        self.positional = true;
         self
     }
 
@@ -581,25 +558,6 @@ impl FaultInjector {
     }
 }
 
-/// SplitMix64-style positional mixer: one well-scrambled word from
-/// `(seed, offset, len, salt)`. Each salt yields an independent stream, so
-/// one read can draw several decisions (fault? where? which bit?) without
-/// correlation.
-fn positional_mix(seed: u64, offset: u64, len: u64, salt: u64) -> u64 {
-    let mut z = seed
-        ^ offset.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ len.rotate_left(32)
-        ^ salt.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Maps a mixed word onto `[0, 1)` with 53 uniform bits.
-fn positional_unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Decorator injecting storage faults into an inner [`IoBackend`] on a
 /// deterministic, seeded schedule.
 ///
@@ -649,22 +607,9 @@ impl<B: IoBackend> IoBackend for FaultyBackend<B> {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
         let inj = &*self.injector;
         let plan = &inj.plan;
-        // Draw the whole schedule for this call up front. Positional plans
-        // hash (seed, offset, len) per decision — order- and
-        // thread-independent; otherwise one lock makes the sequence of
-        // decisions a pure function of (seed, call order).
-        let (transient, short_to, flip) = if plan.positional {
-            let len = buf.len() as u64;
-            let draw = |salt: u64| positional_mix(plan.seed, offset, len, salt);
-            let transient = plan.p_transient > 0.0 && positional_unit(draw(1)) < plan.p_transient;
-            let short_to = (plan.p_short_read > 0.0
-                && buf.len() > 1
-                && positional_unit(draw(2)) < plan.p_short_read)
-                .then(|| 1 + (draw(3) as usize % (buf.len() - 1)));
-            let flip = (plan.p_bit_flip > 0.0 && positional_unit(draw(4)) < plan.p_bit_flip)
-                .then(|| draw(5));
-            (transient, short_to, flip)
-        } else {
+        // Draw the whole schedule for this call up front; one lock makes
+        // the sequence of decisions a pure function of (seed, call order).
+        let (transient, short_to, flip) = {
             let mut rng = inj.rng.lock().expect("fault rng poisoned");
             let transient = plan.p_transient > 0.0 && rng.gen_bool(plan.p_transient);
             let short_to =
@@ -824,52 +769,6 @@ mod tests {
         assert_eq!(stats_a, stats_b);
         assert_ne!(log_a, log_c, "different seeds produced identical faults");
         assert!(stats_a.total() > 0);
-    }
-
-    #[test]
-    fn positional_schedule_is_call_order_independent() {
-        let plan = || {
-            FaultPlan::none(41)
-                .with_short_reads(0.4)
-                .with_bit_flips(0.4)
-                .with_transient_errors(0.3)
-                .with_positional_schedule()
-        };
-        let outcome = |b: &FaultyBackend<MemBackend>, off: u64| {
-            let mut buf = [0u8; 32];
-            match b.read_at(off, &mut buf) {
-                Ok(n) => (n as u64, checksum64(&buf)),
-                Err(_) => (u64::MAX, 0),
-            }
-        };
-        let offsets: Vec<u64> = (0..40).map(|i| i * 32).collect();
-        let fwd = FaultyBackend::new(MemBackend::new(vec![0x5C; 2048]), plan());
-        let forward: Vec<_> = offsets.iter().map(|&o| outcome(&fwd, o)).collect();
-        // Same offsets drawn in reverse order on a fresh backend: the
-        // per-offset verdicts must not move — that is what lets parallel
-        // drivers replay a hostile schedule.
-        let rev = FaultyBackend::new(MemBackend::new(vec![0x5C; 2048]), plan());
-        let mut reverse: Vec<_> = offsets.iter().rev().map(|&o| outcome(&rev, o)).collect();
-        reverse.reverse();
-        assert_eq!(forward, reverse);
-        // Identical repeated reads fault identically.
-        assert_eq!(outcome(&fwd, 64), outcome(&fwd, 64));
-        // The schedule genuinely injects (deterministic, not flaky).
-        assert!(fwd.stats().total() > 0, "positional plan injected nothing");
-        // A different seed moves the verdicts.
-        let other = FaultyBackend::new(
-            MemBackend::new(vec![0x5C; 2048]),
-            FaultPlan::none(42)
-                .with_short_reads(0.4)
-                .with_bit_flips(0.4)
-                .with_transient_errors(0.3)
-                .with_positional_schedule(),
-        );
-        let moved: Vec<_> = offsets.iter().map(|&o| outcome(&other, o)).collect();
-        assert_ne!(
-            forward, moved,
-            "seed does not steer the positional schedule"
-        );
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //!   zone-map block pruning, and the filter→materialize pipeline;
 //! * [`aggregate`](mod@aggregate) — compressed-domain aggregation:
 //!   `COUNT`/`SUM`/`MIN`/`MAX`/`AVG` with optional filter and `GROUP BY`,
-//!   folded per codec without materializing values, merged
-//!   deterministically across blocks (serial or morsel-parallel);
+//!   folded per codec without materializing values, merged in block
+//!   order across blocks;
 //! * [`operator`](mod@operator) — compressed-domain operators: TOP-K /
-//!   ORDER BY with zone-map pruning against a shared k-th bound, and
+//!   ORDER BY with zone-map pruning against the running k-th bound, and
 //!   dictionary-code hash joins with late materialization;
 //! * [`store`](mod@store) — the indexed table storage layer: multi-block
 //!   files whose footer addresses every codec payload, enabling projection
@@ -86,10 +86,7 @@ pub mod store;
 pub mod torture;
 pub mod vfs;
 
-pub use aggregate::{
-    aggregate, aggregate_blocks, aggregate_blocks_parallel, AggExpr, AggFunc, AggResult, AggValue,
-    GroupKey,
-};
+pub use aggregate::{aggregate, aggregate_blocks, AggExpr, AggFunc, AggResult, AggValue, GroupKey};
 pub use cache::{CacheConfig, CacheKey, CacheStats, CacheValue, EntryKind, ShardedCache};
 pub use compact::{compact, CompactionConfig, CompactionResult};
 pub use compressor::{
@@ -106,16 +103,14 @@ pub use manifest::{Manifest, SegmentEntry};
 pub use multiref::{Formula, FormulaStats, MultiRefInt};
 pub use nonhier::{plan_window, NonHierInt, WindowPlan};
 pub use operator::{
-    gather_rows, gather_rows_with, hash_join_blocks, hash_join_blocks_parallel, join_materialize,
-    top_k_blocks, top_k_blocks_parallel, top_k_materialize, JoinExpr, JoinPair, JoinStats, RowId,
-    TopKBound, TopKExpr, TopKRow,
+    gather_rows, gather_rows_with, hash_join_blocks, join_materialize, top_k_blocks,
+    top_k_materialize, JoinExpr, JoinPair, JoinStats, RowId, TopKExpr, TopKRow,
 };
 pub use optimizer::{apply_assignment, Assignment, ColumnGraph, EncodedColumn};
 pub use outlier::OutlierRegion;
 pub use query::{query_both, query_column, query_two_columns, QueryOutput};
 pub use scan::{
-    query_parallel, scan, scan_blocks, scan_blocks_parallel, scan_pruned, scan_query,
-    scan_query_both, CmpOp, Predicate, ScanStats,
+    scan, scan_blocks, scan_pruned, scan_query, scan_query_both, CmpOp, Predicate, ScanStats,
 };
 pub use serve::{ServeOutcome, ServeRequest, ServeResult, ServeSession, ServeSource};
 pub use store::{

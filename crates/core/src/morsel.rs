@@ -2,10 +2,11 @@
 //!
 //! Corra blocks are self-contained by construction (every horizontal codec
 //! references columns of the *same* block), so block-granular morsels are
-//! the only parallelism the engine needs. Every multi-block driver —
-//! compression, scans, aggregates, TOP-K, join probes, the serve front
-//! door — is a `map` over morsel indices plus an in-order `merge`, and
-//! [`run`] is the only place that shape meets a thread.
+//! the unit of parallel work. Two drivers fan out: block compression
+//! (`compress_blocks`, behind ingest and compaction) and the serve front
+//! door, whose morsels are whole requests. Each is a `map` over morsel
+//! indices plus an in-order `merge`, and [`run`] is the only place that
+//! shape meets a thread. Query operators run one plain loop per query.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -36,7 +37,7 @@ where
     M: Fn(usize) -> Result<T> + Sync,
     F: FnMut(usize, T) -> Result<()>,
 {
-    if is_serial(n, threads) {
+    if threads.min(n) <= 1 {
         for i in 0..n {
             merge(i, map(i)?)?;
         }
@@ -70,12 +71,6 @@ where
         merge(i, out?)?;
     }
     Ok(())
-}
-
-/// Whether [`run`] stays on the calling thread for `n` morsels: a `map`
-/// that shares state between morsels may skip its locking discipline.
-pub(crate) fn is_serial(n: usize, threads: usize) -> bool {
-    threads.min(n) <= 1
 }
 
 /// [`run`] whose merge is "push": the `map` outputs, in index order.

@@ -4,25 +4,21 @@
 //! Both operators follow the same shape as [`mod@crate::aggregate`]: a
 //! per-block kernel dispatched through the `IntColumn` visitor (so each
 //! codec family contributes one fast path, not seven ladders) and one
-//! multi-block driver over `crate::morsel::run` whose output is
-//! bit-identical for any thread count (the serial entry points are that
-//! driver at `threads = 1`).
+//! multi-block driver, a plain loop over the blocks.
 //!
 //! **TOP-K** is threshold-first at every layer. The drivers visit blocks
 //! best-zone-first (`topk_visit_order`), so the k-th bound is as tight
 //! as one block can make it before the second block is looked at, and
-//! skip every block whose zone cannot beat the bound's `(rank, position)`
-//! pair (`zone_skips_topk`); the kernels compare a strip of rows against
-//! the hoisted k-th rank and enter the heap only on a hit
+//! skip every block whose zone cannot beat the heap's k-th `(rank,
+//! position)` pair (`zone_skips_topk`); the kernels compare a strip of
+//! rows against the hoisted k-th rank and enter the heap only on a hit
 //! (`TopKHeap::offer_chunk`) — sorted int dictionaries select winners in
 //! the code domain, RLE folds whole runs, FOR / Delta / plain stream
 //! through the batched decode, and horizontal targets are reconstructed a
-//! block at a time. The bound is shared across workers as a [`TopKBound`];
-//! a skipped block provably holds no row of the result, and the heap is a
-//! pure function of the candidate multiset, so the rows are identical for
-//! any visit order and morsel interleaving (with several workers, *which*
-//! blocks get skipped depends on how fast the bound tightens, so pruning
-//! counters may vary between parallel runs; at one thread they repeat).
+//! block at a time into one reused `DecodeScratch`. A skipped block
+//! provably holds no row of the result, and the heap is a pure function
+//! of the candidate multiset, so the rows do not depend on the visit
+//! order, and the pruning counters repeat run to run.
 //!
 //! **Hash joins** build and probe on dictionary *codes*: each block's
 //! distinct keys are hashed exactly once into a global key table (int
@@ -32,8 +28,6 @@
 //! packed-code read and one array index. Surviving rows late-materialize
 //! payload columns through the projection-pushdown [`BlockView`] reads,
 //! so only touched blocks and only named columns decode.
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
@@ -144,7 +138,8 @@ impl TopKRow {
     }
 }
 
-fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
+/// The heap's rows, best-first.
+pub(crate) fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
     heap.into_sorted()
         .into_iter()
         .map(|(value, pos)| TopKRow {
@@ -153,92 +148,6 @@ fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
             row: pos as u32,
         })
         .collect()
-}
-
-/// The shared k-th bound threaded through the multi-block TOP-K drivers:
-/// a mutex-protected global heap, whose k-th entry is the block-level
-/// pruning bound, plus the decode buffers block fills take turns with.
-pub struct TopKBound {
-    heap: Mutex<TopKHeap>,
-    /// Buffers not in use by a fill right now: one per concurrent worker
-    /// at most, each reused by whichever block that worker fills next.
-    scratch: Mutex<Vec<DecodeScratch>>,
-    k: usize,
-    descending: bool,
-}
-
-impl TopKBound {
-    /// An empty bound for a `k`-row heap. Drivers handle `k == 0`
-    /// themselves (nothing can enter, so every block is skippable).
-    pub fn new(k: usize, descending: bool) -> Self {
-        Self {
-            heap: Mutex::new(TopKHeap::new(k, descending)),
-            scratch: Mutex::new(Vec::new()),
-            k,
-            descending,
-        }
-    }
-
-    /// The k-th (worst kept) entry as `(value rank, position)`, present
-    /// once the heap is full. Read under the heap's lock, so the pair is
-    /// one entry the heap really held: a rank from one entry beside a
-    /// position from another could be tighter than either.
-    pub fn worst(&self) -> Option<(u64, u64)> {
-        self.lock().worst()
-    }
-
-    /// The global heap. A poisoned lock means a sibling worker panicked
-    /// while holding it; that panic is what `crate::morsel::run` reports,
-    /// and the heap is a valid (if incomplete) heap after every `offer`,
-    /// so take the inner value rather than panicking in turn.
-    fn lock(&self) -> MutexGuard<'_, TopKHeap> {
-        self.heap.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The idle decode buffers; poisoning is harmless for the same reason
-    /// (a buffer is only ever pushed or popped whole).
-    fn spare(&self) -> MutexGuard<'_, Vec<DecodeScratch>> {
-        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Folds one block's local heap into the global one.
-    pub fn merge(&self, local: TopKHeap) {
-        let mut heap = self.lock();
-        for (v, p) in local.into_sorted() {
-            heap.offer(v, p);
-        }
-    }
-
-    /// Runs one block's kernel `fill` and folds its candidates into the
-    /// bound. A lone caller (`exclusive`: the drivers at one thread) offers
-    /// straight into the global heap, so the kernel rejects against the
-    /// running k-th value exactly as a plain loop over one heap would and
-    /// nothing is copied; concurrent callers fill a local heap and
-    /// [`merge`](Self::merge) it, keeping the lock out of the kernel. The
-    /// kept rows are the same either way.
-    pub(crate) fn fill<R>(
-        &self,
-        exclusive: bool,
-        fill: impl FnOnce(&mut TopKHeap, &mut DecodeScratch) -> Result<R>,
-    ) -> Result<R> {
-        let mut scratch = self.spare().pop().unwrap_or_default();
-        let out = if exclusive {
-            fill(&mut self.lock(), &mut scratch)?
-        } else {
-            let mut local = TopKHeap::new(self.k, self.descending);
-            let out = fill(&mut local, &mut scratch)?;
-            self.merge(local);
-            out
-        };
-        self.spare().push(scratch);
-        Ok(out)
-    }
-
-    /// Consumes the bound, returning the global result best-first.
-    pub fn into_rows(self) -> Vec<TopKRow> {
-        let heap = self.heap.into_inner();
-        rows_from(heap.unwrap_or_else(PoisonError::into_inner))
-    }
 }
 
 /// The order the TOP-K drivers visit `n` blocks in, as `(block, best)`
@@ -385,9 +294,9 @@ pub(crate) fn top_k_block<B: BlockView + ?Sized>(
     }
 }
 
-/// Serial TOP-K over in-memory blocks: [`top_k_blocks_parallel`] on the
-/// calling thread (hence `B: Sync`; lazy store handles are not — the
-/// store's own `top_k` covers them).
+/// TOP-K over in-memory blocks: blocks are visited in
+/// `topk_visit_order`, the ones whose zone cannot beat the heap's k-th
+/// entry are skipped, and the rest fill one heap.
 ///
 /// Result rows come back best-first with the deterministic tie-break
 /// `(value, block, row)`; [`ScanStats::rows_matched`] counts rows that
@@ -396,58 +305,31 @@ pub(crate) fn top_k_block<B: BlockView + ?Sized>(
 /// # Errors
 ///
 /// Unknown or non-integer target column, or an invalid filter.
-pub fn top_k_blocks<B: BlockView + Sync>(
+pub fn top_k_blocks<B: BlockView>(
     blocks: &[B],
     expr: &TopKExpr,
 ) -> Result<(Vec<TopKRow>, ScanStats)> {
-    top_k_blocks_parallel(blocks, expr, 1)
-}
-
-/// Morsel-parallel TOP-K over in-memory blocks: workers pull blocks off
-/// the shared `crate::morsel::run` counter in `topk_visit_order`, skip
-/// the ones the shared [`TopKBound`] already beats, and fill it block by
-/// block. Result rows are bit-identical for any `threads`.
-///
-/// # Errors
-///
-/// Everything [`top_k_blocks`] reports, plus a worker panic surfacing as
-/// [`Error::InvalidData`].
-pub fn top_k_blocks_parallel<B: BlockView + Sync>(
-    blocks: &[B],
-    expr: &TopKExpr,
-    threads: usize,
-) -> Result<(Vec<TopKRow>, ScanStats)> {
-    let bound = TopKBound::new(expr.k, expr.descending);
-    let alone = crate::morsel::is_serial(blocks.len(), threads);
+    let mut heap = TopKHeap::new(expr.k, expr.descending);
+    let mut scratch = DecodeScratch::default();
     // A block whose column does not resolve sorts last, un-zoned, and
     // reports its error when it is visited.
     let order = topk_visit_order(blocks.len(), expr.descending, |b| {
         blocks[b].zone(blocks[b].index_of(&expr.column).ok()?)
     });
     let mut stats = ScanStats::default();
-    crate::morsel::run(
-        order.len(),
-        threads,
-        |i| {
-            let (b, best) = order[i];
-            let block = &blocks[b];
-            if expr.k == 0 {
-                validate_topk(block, expr)?;
-                return Ok((false, 0));
-            }
-            if zone_skips_topk(best, b as u32, bound.worst()) {
-                return Ok((true, 0));
-            }
-            bound.fill(alone, |heap, scratch| {
-                top_k_block(block, b as u32, expr, heap, scratch)
-            })
-        },
-        |i, (pruned, matched)| {
-            stats.record_block(blocks[order[i].0].rows(), matched, pruned, None);
-            Ok(())
-        },
-    )?;
-    Ok((bound.into_rows(), stats))
+    for (b, best) in order {
+        let block = &blocks[b];
+        let (pruned, matched) = if expr.k == 0 {
+            validate_topk(block, expr)?;
+            (false, 0)
+        } else if zone_skips_topk(best, b as u32, heap.worst()) {
+            (true, 0)
+        } else {
+            top_k_block(block, b as u32, expr, &mut heap, &mut scratch)?
+        };
+        stats.record_block(block.rows(), matched, pruned, None);
+    }
+    Ok((rows_from(heap), stats))
 }
 
 /// An inner equi-join between a build side and a probe side, keyed on
@@ -705,9 +587,8 @@ impl BuildTable {
     }
 }
 
-/// Serial dict-code hash join: builds over `build`, probes over `probe`
-/// ([`hash_join_blocks_parallel`] on the calling thread, hence
-/// `B2: Sync`).
+/// Dict-code hash join: builds over `build`, probes over `probe` (the
+/// build assigns key-table ids in first-occurrence order).
 ///
 /// Pairs come back in probe order — probe blocks ascending, probe rows
 /// ascending within a block, build rows in `(block, row)` order within a
@@ -718,28 +599,10 @@ impl BuildTable {
 ///
 /// Unknown key columns, a non-dictionary key codec, or mismatched key
 /// types between the two sides.
-pub fn hash_join_blocks<B1: BlockView, B2: BlockView + Sync>(
+pub fn hash_join_blocks<B1: BlockView, B2: BlockView>(
     build: &[B1],
     probe: &[B2],
     expr: &JoinExpr,
-) -> Result<(Vec<JoinPair>, JoinStats)> {
-    hash_join_blocks_parallel(build, probe, expr, 1)
-}
-
-/// Morsel-parallel probe: the build phase stays serial (key-table ids are
-/// assigned in first-occurrence order), probe blocks fan out to workers,
-/// and per-block pair lists concatenate in block order — bit-identical
-/// for any `threads`.
-///
-/// # Errors
-///
-/// Everything [`hash_join_blocks`] reports, plus a worker panic surfacing
-/// as [`Error::InvalidData`].
-pub fn hash_join_blocks_parallel<B1: BlockView, B2: BlockView + Sync>(
-    build: &[B1],
-    probe: &[B2],
-    expr: &JoinExpr,
-    threads: usize,
 ) -> Result<(Vec<JoinPair>, JoinStats)> {
     let mut table = BuildTable::new();
     for (b, block) in build.iter().enumerate() {
@@ -751,16 +614,11 @@ pub fn hash_join_blocks_parallel<B1: BlockView, B2: BlockView + Sync>(
         ..JoinStats::default()
     };
     let mut pairs = Vec::new();
-    crate::morsel::run(
-        probe.len(),
-        threads,
-        |b| table.probe_block(&probe[b], b as u32, &expr.probe_key),
-        |_, (mut block_pairs, rows)| {
-            stats.probe_rows += rows;
-            pairs.append(&mut block_pairs);
-            Ok(())
-        },
-    )?;
+    for (b, block) in probe.iter().enumerate() {
+        let (mut block_pairs, rows) = table.probe_block(block, b as u32, &expr.probe_key)?;
+        stats.probe_rows += rows;
+        pairs.append(&mut block_pairs);
+    }
     stats.pairs = pairs.len();
     Ok((pairs, stats))
 }

@@ -22,11 +22,9 @@
 //!    produced selection into the existing [`crate::query`] kernels, so
 //!    filter → materialize runs end to end on compressed data.
 //!
-//! Multi-block scans ([`scan_blocks_parallel`] / [`query_parallel`]) are
-//! one `crate::morsel::run` over the block indices: results merge in block
-//! order, so output order (and every [`SelectionVector`]) is byte-identical
-//! for any thread count, and the serial entry points are the same body at
-//! `threads = 1`.
+//! A multi-block scan ([`scan_blocks`]) is one loop over the blocks:
+//! selections come back in block order and [`ScanStats`] folds each block
+//! as it is scanned.
 
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::{IntRange, RangeVerdict};
@@ -402,67 +400,19 @@ pub(crate) fn validate_pred_with(
     }
 }
 
-/// Scans every block, returning per-block selections plus aggregate stats
-/// ([`scan_blocks_parallel`] on the calling thread).
+/// Scans every block, returning per-block selections plus aggregate stats.
 pub fn scan_blocks(
     blocks: &[CompressedBlock],
     pred: &Predicate,
 ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-    scan_blocks_parallel(blocks, pred, 1)
-}
-
-/// Morsel-driven parallel [`scan_blocks`]: `threads` workers pull
-/// block-granularity morsels off the shared `crate::morsel::run` counter
-/// (blocks are self-contained, mirroring
-/// [`crate::compressor::compress_blocks`]).
-///
-/// Output is deterministic: per-block selections and [`ScanStats`] merge in
-/// block order, so the returned vector is byte-identical to the serial
-/// scan's regardless of worker interleaving.
-pub fn scan_blocks_parallel(
-    blocks: &[CompressedBlock],
-    pred: &Predicate,
-    threads: usize,
-) -> Result<(Vec<SelectionVector>, ScanStats)> {
     let mut stats = ScanStats::default();
     let mut selections = Vec::with_capacity(blocks.len());
-    crate::morsel::run(
-        blocks.len(),
-        threads,
-        |i| scan_pruned(&blocks[i], pred),
-        |i, (sel, pruned)| {
-            stats.record_block(blocks[i].rows(), sel.len(), pruned, None);
-            selections.push(sel);
-            Ok(())
-        },
-    )?;
-    Ok((selections, stats))
-}
-
-/// Morsel-driven parallel materialization: runs
-/// [`crate::query::query_column`] for `column` against every
-/// `(block, selection)` pair with `threads` workers. Outputs merge in block
-/// order, so the result order matches the serial loop exactly.
-///
-/// # Errors
-///
-/// [`Error::LengthMismatch`] if `selections` is not aligned with `blocks`,
-/// plus anything the per-block query reports.
-pub fn query_parallel(
-    blocks: &[CompressedBlock],
-    column: &str,
-    selections: &[SelectionVector],
-    threads: usize,
-) -> Result<Vec<QueryOutput>> {
-    if blocks.len() != selections.len() {
-        return Err(Error::LengthMismatch {
-            left: blocks.len(),
-            right: selections.len(),
-        });
+    for block in blocks {
+        let (sel, pruned) = scan_pruned(block, pred)?;
+        stats.record_block(block.rows(), sel.len(), pruned, None);
+        selections.push(sel);
     }
-    crate::morsel::collect(blocks.len(), threads, |i| {
-        crate::query::query_column(&blocks[i], column, &selections[i])
-    })
+    Ok((selections, stats))
 }
 
 /// Filter → materialize in one call: scans for `pred` and materializes
@@ -859,54 +809,11 @@ mod tests {
         assert_eq!(stats.blocks_pruned, 2);
         assert_eq!(stats.rows_total, 4_000);
         assert_eq!(stats.rows_matched, 0);
-    }
-
-    #[test]
-    fn parallel_scan_matches_serial() {
-        let (block, cfg) = date_block(2_000);
-        let compressed = CompressedBlock::compress(&block, &cfg).unwrap();
-        // Mix matching and pruned blocks so both paths run in workers.
-        let blocks = vec![compressed.clone(), compressed.clone(), compressed];
-        for pred in [
-            Predicate::between("l_receiptdate", 8_100, 8_300),
-            Predicate::lt("l_shipdate", 0), // pruned everywhere
-        ] {
-            let (serial_sel, serial_stats) = scan_blocks(&blocks, &pred).unwrap();
-            for threads in 1..=8 {
-                let (sel, stats) = scan_blocks_parallel(&blocks, &pred, threads).unwrap();
-                assert_eq!(sel, serial_sel, "{pred:?} threads {threads}");
-                assert_eq!(stats, serial_stats, "{pred:?} threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_scan_propagates_errors() {
-        let (block, cfg) = date_block(100);
-        let compressed = CompressedBlock::compress(&block, &cfg).unwrap();
-        let blocks = vec![compressed.clone(), compressed];
-        let pred = Predicate::eq("no_such_column", 1);
-        assert!(scan_blocks_parallel(&blocks, &pred, 4).is_err());
-    }
-
-    #[test]
-    fn parallel_query_matches_serial() {
-        let (block, cfg) = date_block(3_000);
-        let compressed = CompressedBlock::compress(&block, &cfg).unwrap();
-        let blocks = vec![compressed.clone(), compressed];
-        let pred = Predicate::between("l_receiptdate", 8_100, 8_400);
-        let (sels, _) = scan_blocks(&blocks, &pred).unwrap();
-        let serial: Vec<_> = blocks
-            .iter()
-            .zip(&sels)
-            .map(|(b, sel)| crate::query::query_column(b, "l_receiptdate", sel).unwrap())
-            .collect();
-        for threads in 1..=4 {
-            let parallel = query_parallel(&blocks, "l_receiptdate", &sels, threads).unwrap();
-            assert_eq!(parallel, serial, "threads {threads}");
-        }
-        // Misaligned selections are rejected.
-        assert!(query_parallel(&blocks, "l_receiptdate", &sels[..1], 2).is_err());
+        // No blocks: no selections and untouched counters.
+        let (sels, stats) = scan_blocks(&[], &Predicate::lt("l_shipdate", 0)).unwrap();
+        assert!(sels.is_empty());
+        assert_eq!(stats, ScanStats::default());
+        assert!(scan_blocks(&blocks, &Predicate::eq("no_such_column", 1)).is_err());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! a [`ShardedCache`](crate::cache::ShardedCache) via
 //! [`TableReader::with_cache`] — and executes a batch of
 //! [`ServeRequest`]s. With `threads > 1`, workers pull request indices off
-//! the shared `crate::morsel::run` counter (the same loop as the parallel
-//! scan drivers) and results merge in request order, so the returned
+//! the shared `crate::morsel::run` counter (the same loop block compression
+//! fans out on) and results merge in request order, so the returned
 //! results are **byte-identical to a serial run for any thread count**;
 //! only the latency distribution changes. Per-request wall latencies are
 //! recorded for p50/p99 reporting, and the scan/aggregate byte + cache
@@ -198,7 +198,7 @@ impl<S: ServeSource> ServeSession<S> {
                 Ok((ServeResult::Column(values), stats))
             }
             ServeRequest::Scan(pred) => {
-                let (sels, stats) = store::scan_table(&readers, pred, 1)?;
+                let (sels, stats) = store::scan_table(&readers, pred)?;
                 Ok((ServeResult::Scan(sels), stats))
             }
             ServeRequest::Aggregate(expr) => {
@@ -206,7 +206,7 @@ impl<S: ServeSource> ServeSession<S> {
                 Ok((ServeResult::Aggregate(agg), stats))
             }
             ServeRequest::TopK(expr) => {
-                let (rows, stats) = store::top_k_table(&readers, expr, 1)?;
+                let (rows, stats) = store::top_k_table(&readers, expr)?;
                 Ok((ServeResult::TopK(rows), stats))
             }
         }

@@ -65,8 +65,8 @@ use crate::compressor::{
 use crate::format::{read_codec_payload, CodecHeader, PayloadSpan};
 use crate::io::{checksum64, read_full_at, FileBackend, IoBackend, MemBackend};
 use crate::operator::{
-    top_k_block, topk_visit_order, zone_skips_topk, BuildTable, JoinExpr, JoinPair, JoinStats,
-    RowId, TopKBound, TopKExpr, TopKRow,
+    rows_from, top_k_block, topk_visit_order, zone_skips_topk, BuildTable, JoinExpr, JoinPair,
+    JoinStats, RowId, TopKExpr, TopKRow,
 };
 use crate::query::QueryOutput;
 use crate::scan::{scan_pruned, tree_verdict, validate_pred_with, Predicate, ScanStats};
@@ -875,23 +875,7 @@ impl TableReader {
     ///
     /// As [`scan`](Self::scan).
     pub fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        scan_table(&[self], pred, 1)
-    }
-
-    /// Morsel-parallel [`scan_blocks`](Self::scan_blocks): `threads`
-    /// workers pull block indices off the shared `crate::morsel::run`
-    /// counter and results merge in block order, so selections and stats
-    /// are identical to the serial store scan for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// As [`scan`](Self::scan); worker panics surface as errors.
-    pub fn scan_blocks_parallel(
-        &self,
-        pred: &Predicate,
-        threads: usize,
-    ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        scan_table(&[self], pred, threads)
+        scan_table(&[self], pred)
     }
 
     /// The in-memory up-front expression validation, answered from footer
@@ -1090,24 +1074,7 @@ impl TableReader {
     /// Unknown or non-integer target column, invalid filter, I/O errors,
     /// or corruption.
     pub fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        top_k_table(&[self], expr, 1)
-    }
-
-    /// Morsel-parallel [`top_k`](Self::top_k): workers pull block indices
-    /// off the shared `crate::morsel::run` counter and prune against a
-    /// shared [`TopKBound`]. Result rows are bit-identical to the serial
-    /// path for any thread count; pruning counters may differ (which blocks
-    /// get pruned depends on how fast the bound tightens).
-    ///
-    /// # Errors
-    ///
-    /// As [`top_k`](Self::top_k); worker panics surface as errors.
-    pub fn top_k_parallel(
-        &self,
-        expr: &TopKExpr,
-        threads: usize,
-    ) -> Result<(Vec<TopKRow>, ScanStats)> {
-        top_k_table(&[self], expr, threads)
+        top_k_table(&[self], expr)
     }
 
     /// Materializes `columns` for an arbitrary row-id list (TOP-K winners,
@@ -1138,24 +1105,7 @@ impl TableReader {
         probe: &TableReader,
         expr: &JoinExpr,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        hash_join_tables(&[self], &[probe], expr, 1)
-    }
-
-    /// Morsel-parallel [`hash_join`](Self::hash_join): the build phase
-    /// stays serial, probe blocks fan out to workers (each opening its own
-    /// lazy handle), and per-block pair lists concatenate in block order —
-    /// bit-identical to the serial join for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// As [`hash_join`](Self::hash_join); worker panics surface as errors.
-    pub fn hash_join_parallel(
-        &self,
-        probe: &TableReader,
-        expr: &JoinExpr,
-        threads: usize,
-    ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        hash_join_tables(&[self], &[probe], expr, threads)
+        hash_join_tables(&[self], &[probe], expr)
     }
 }
 
@@ -1182,8 +1132,7 @@ impl<'a> BlockRef<'a> {
 /// its global index — the number that enters every `(value, block, row)`
 /// tie-break and [`RowId`]. A single file is the one-segment case —
 /// [`TableReader`]'s operators pass `&[self]`, [`SegmentedTable`]'s pass
-/// its segment readers, and both run the same bodies below, serial being
-/// `threads = 1`.
+/// its segment readers, and both run the same bodies below.
 fn block_list<'a>(readers: &[&'a TableReader]) -> Vec<BlockRef<'a>> {
     let blocks_of = |reader: &'a TableReader| {
         (0..reader.n_blocks()).map(move |local| BlockRef { reader, local })
@@ -1222,21 +1171,15 @@ fn stats_over(segments: usize) -> ScanStats {
 pub(crate) fn scan_table(
     readers: &[&TableReader],
     pred: &Predicate,
-    threads: usize,
 ) -> Result<(Vec<SelectionVector>, ScanStats)> {
     let blocks = block_list(readers);
     let mut stats = stats_over(readers.len());
     let mut selections = Vec::with_capacity(blocks.len());
-    crate::morsel::run(
-        blocks.len(),
-        threads,
-        |i| blocks[i].reader.scan_block_inner(blocks[i].local, pred),
-        |i, (sel, pruned, skipped, cost)| {
-            stats.record_block(blocks[i].rows(), sel.len(), pruned, Some((skipped, cost)));
-            selections.push(sel);
-            Ok(())
-        },
-    )?;
+    for b in blocks {
+        let (sel, pruned, skipped, cost) = b.reader.scan_block_inner(b.local, pred)?;
+        stats.record_block(b.rows(), sel.len(), pruned, Some((skipped, cost)));
+        selections.push(sel);
+    }
     Ok((selections, stats))
 }
 
@@ -1261,39 +1204,28 @@ pub(crate) fn aggregate_table(
 /// Whole-table TOP-K (the body behind every store `top_k`): blocks are
 /// visited best-footer-zone-first ([`topk_visit_order`]) — so file reads
 /// follow zone order, not file order — and each is pruned against, then
-/// fills, one shared [`TopKBound`].
+/// fills, one heap.
 pub(crate) fn top_k_table(
     readers: &[&TableReader],
     expr: &TopKExpr,
-    threads: usize,
 ) -> Result<(Vec<TopKRow>, ScanStats)> {
     let blocks = block_list(readers);
-    let bound = TopKBound::new(expr.k(), expr.descending());
-    let alone = crate::morsel::is_serial(blocks.len(), threads);
+    let mut heap = TopKHeap::new(expr.k(), expr.descending());
+    let mut scratch = DecodeScratch::default();
     // An unknown column sorts un-zoned; the first visit reports it.
     let order = topk_visit_order(blocks.len(), expr.descending(), |g| {
         blocks[g].reader.zone_of(blocks[g].local, expr.column())
     });
     let mut stats = stats_over(readers.len());
-    crate::morsel::run(
-        order.len(),
-        threads,
-        |i| {
-            let (g, best) = order[i];
-            let skip = zone_skips_topk(best, g as u32, bound.worst());
-            bound.fill(alone, |heap, scratch| {
-                let b = blocks[g];
-                b.reader
-                    .top_k_block_inner(b.local, g as u32, expr, skip, heap, scratch)
-            })
-        },
-        |i, (pruned, skipped, cost, matched)| {
-            let rows = blocks[order[i].0].rows();
-            stats.record_block(rows, matched, pruned, Some((skipped, cost)));
-            Ok(())
-        },
-    )?;
-    Ok((bound.into_rows(), stats))
+    for (g, best) in order {
+        let b = blocks[g];
+        let skip = zone_skips_topk(best, g as u32, heap.worst());
+        let (pruned, skipped, cost, matched) =
+            b.reader
+                .top_k_block_inner(b.local, g as u32, expr, skip, &mut heap, &mut scratch)?;
+        stats.record_block(b.rows(), matched, pruned, Some((skipped, cost)));
+    }
+    Ok((rows_from(heap), stats))
 }
 
 /// Whole-table late materialization (the body behind every store
@@ -1313,15 +1245,14 @@ fn gather_table(
 }
 
 /// Whole-table dict-code hash join (the body behind every store
-/// `hash_join`): a serial build over `build`'s blocks (key ids are assigned
-/// in first-occurrence order), then probe blocks fan out and their pair
-/// lists concatenate in global block order. `stats.io` accounts both
+/// `hash_join`): a build over `build`'s blocks (key ids are assigned in
+/// first-occurrence order), then a probe of each block of `probe`, pair
+/// lists concatenating in global block order. `stats.io` accounts both
 /// sides' traffic and segments.
 fn hash_join_tables(
     build: &[&TableReader],
     probe: &[&TableReader],
     expr: &JoinExpr,
-    threads: usize,
 ) -> Result<(Vec<JoinPair>, JoinStats)> {
     let mut io = stats_over(build.len() + probe.len());
     let mut table = BuildTable::new();
@@ -1330,24 +1261,15 @@ fn hash_join_tables(
         table.add_block(&handle, i as u32, expr.build_key())?;
         io.record_block(b.rows(), 0, false, Some((false, handle.load_cost())));
     }
-    let blocks = block_list(probe);
     let mut pairs = Vec::new();
     let mut probe_rows = 0;
-    crate::morsel::run(
-        blocks.len(),
-        threads,
-        |i| {
-            let handle = blocks[i].handle()?;
-            let probed = table.probe_block(&handle, i as u32, expr.probe_key())?;
-            Ok((probed, handle.load_cost()))
-        },
-        |i, ((mut block_pairs, rows), cost)| {
-            probe_rows += rows;
-            io.record_block(blocks[i].rows(), 0, false, Some((false, cost)));
-            pairs.append(&mut block_pairs);
-            Ok(())
-        },
-    )?;
+    for (i, b) in block_list(probe).into_iter().enumerate() {
+        let handle = b.handle()?;
+        let (mut block_pairs, rows) = table.probe_block(&handle, i as u32, expr.probe_key())?;
+        probe_rows += rows;
+        io.record_block(b.rows(), 0, false, Some((false, handle.load_cost())));
+        pairs.append(&mut block_pairs);
+    }
     let stats = JoinStats {
         build_rows: table.build_rows(),
         probe_rows,
@@ -1598,23 +1520,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::scan_blocks`].
     pub fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        scan_table(&self.refs(), pred, 1)
-    }
-
-    /// Morsel-parallel [`scan_blocks`](Self::scan_blocks) across all
-    /// segments' blocks — a table of single-block segments (every
-    /// un-compacted append) fans out like any other; identical output for
-    /// any thread count.
-    ///
-    /// # Errors
-    ///
-    /// As [`TableReader::scan_blocks_parallel`].
-    pub fn scan_blocks_parallel(
-        &self,
-        pred: &Predicate,
-        threads: usize,
-    ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        scan_table(&self.refs(), pred, threads)
+        scan_table(&self.refs(), pred)
     }
 
     /// Evaluates an aggregate across every segment, merging per-block
@@ -1637,22 +1543,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::top_k`].
     pub fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        top_k_table(&self.refs(), expr, 1)
-    }
-
-    /// Morsel-parallel [`top_k`](Self::top_k) across all segments' blocks
-    /// (one shared [`TopKBound`]); result rows bit-identical to the serial
-    /// path for any thread count, pruning counters timing-dependent.
-    ///
-    /// # Errors
-    ///
-    /// As [`top_k`](Self::top_k); worker panics surface as errors.
-    pub fn top_k_parallel(
-        &self,
-        expr: &TopKExpr,
-        threads: usize,
-    ) -> Result<(Vec<TopKRow>, ScanStats)> {
-        top_k_table(&self.refs(), expr, threads)
+        top_k_table(&self.refs(), expr)
     }
 
     /// Materializes `columns` for row ids addressed by *global* block
@@ -1677,23 +1568,7 @@ impl SegmentedTable {
         probe: &SegmentedTable,
         expr: &JoinExpr,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        hash_join_tables(&self.refs(), &probe.refs(), expr, 1)
-    }
-
-    /// Morsel-parallel [`hash_join`](Self::hash_join): serial build,
-    /// probe blocks fan out across segments, pairs concatenate in global
-    /// block order — bit-identical to the serial join.
-    ///
-    /// # Errors
-    ///
-    /// As [`hash_join`](Self::hash_join); worker panics surface as errors.
-    pub fn hash_join_parallel(
-        &self,
-        probe: &SegmentedTable,
-        expr: &JoinExpr,
-        threads: usize,
-    ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        hash_join_tables(&self.refs(), &probe.refs(), expr, threads)
+        hash_join_tables(&self.refs(), &probe.refs(), expr)
     }
 }
 
@@ -1886,24 +1761,6 @@ mod tests {
             assert_eq!(stats.blocks, want_stats.blocks);
             assert_eq!(stats.rows_total, want_stats.rows_total);
             assert_eq!(stats.rows_matched, want_stats.rows_matched);
-            // Parallel store scan is identical for any thread count.
-            for threads in [2, 4, 8] {
-                let (psels, pstats) = reader.scan_blocks_parallel(&pred, threads).unwrap();
-                assert_eq!(psels, sels, "{pred:?} threads {threads}");
-                assert_eq!(
-                    (
-                        pstats.blocks_pruned,
-                        pstats.blocks_skipped_io,
-                        pstats.rows_matched
-                    ),
-                    (
-                        stats.blocks_pruned,
-                        stats.blocks_skipped_io,
-                        stats.rows_matched
-                    ),
-                    "{pred:?} threads {threads}"
-                );
-            }
         }
         // A range straddling only the middle block's domain skips the two
         // off-domain blocks' bytes entirely: only the middle block is
@@ -2046,14 +1903,12 @@ mod tests {
                 raw.column("total").unwrap()
             );
         }
-        let (sels, _) = reader
-            .scan_blocks_parallel(&Predicate::between("l_shipdate", 108_000, 111_000), 4)
-            .unwrap();
+        let pred = Predicate::between("l_shipdate", 108_000, 111_000);
+        let (sels, stats) = reader.scan_blocks(&pred).unwrap();
         let mem_reader = TableReader::from_bytes(bytes).unwrap();
-        let (mem_sels, _) = mem_reader
-            .scan_blocks(&Predicate::between("l_shipdate", 108_000, 111_000))
-            .unwrap();
+        let (mem_sels, mem_stats) = mem_reader.scan_blocks(&pred).unwrap();
         assert_eq!(sels, mem_sels);
+        assert_eq!(stats, mem_stats);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

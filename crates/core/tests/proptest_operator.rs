@@ -16,9 +16,8 @@ use corra_core::ingest::{IngestConfig, IngestTable};
 use corra_core::store::{TableReader, TableWriter};
 use corra_core::vfs::SimVfs;
 use corra_core::{
-    gather_rows, gather_rows_with, hash_join_blocks, hash_join_blocks_parallel, top_k_blocks,
-    top_k_blocks_parallel, ColumnPlan, CompressedBlock, CompressionConfig, JoinExpr, JoinPair,
-    Predicate, QueryOutput, RowId, TopKExpr, TopKRow,
+    gather_rows, gather_rows_with, hash_join_blocks, top_k_blocks, ColumnPlan, CompressedBlock,
+    CompressionConfig, JoinExpr, JoinPair, Predicate, QueryOutput, RowId, TopKExpr, TopKRow,
 };
 use proptest::prelude::*;
 
@@ -154,8 +153,6 @@ fn check_top_k(
     let want = topk_oracle(values, block_rows, k, descending, None);
     let (got, _) = top_k_blocks(&blocks, &expr).unwrap();
     prop_assert_eq!(&got, &want);
-    let (par, _) = top_k_blocks_parallel(&blocks, &expr, 4).unwrap();
-    prop_assert_eq!(&par, &want);
 
     // Late materialization lands the oracle's values in result order.
     let ids: Vec<RowId> = got.iter().map(TopKRow::id).collect();
@@ -169,8 +166,6 @@ fn check_top_k(
         let reader = store_reader(&blocks);
         let (st, _) = reader.top_k(&expr).unwrap();
         prop_assert_eq!(&st, &want);
-        let (stp, _) = reader.top_k_parallel(&expr, 4).unwrap();
-        prop_assert_eq!(&stp, &want);
         let store_fetched = reader.gather_rows(&ids, &["v"]).unwrap();
         prop_assert_eq!(&store_fetched, &fetched);
     }
@@ -227,13 +222,9 @@ proptest! {
         let want = topk_oracle(&values, block_rows, k, descending, Some((lo, lo + width)));
         let (got, _) = top_k_blocks(&blocks, &expr).unwrap();
         prop_assert_eq!(&got, &want);
-        let (par, _) = top_k_blocks_parallel(&blocks, &expr, 3).unwrap();
-        prop_assert_eq!(&par, &want);
         let reader = store_reader(&blocks);
         let (st, _) = reader.top_k(&expr).unwrap();
         prop_assert_eq!(&st, &want);
-        let (stp, _) = reader.top_k_parallel(&expr, 3).unwrap();
-        prop_assert_eq!(&stp, &want);
     }
 
     /// Integer-key hash joins on dictionary codes equal the nested-loop
@@ -253,17 +244,12 @@ proptest! {
         let (got, stats) = hash_join_blocks(&build_blocks, &probe_blocks, &expr).unwrap();
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(stats.pairs, want.len());
-        let (par, _) =
-            hash_join_blocks_parallel(&build_blocks, &probe_blocks, &expr, 4).unwrap();
-        prop_assert_eq!(&par, &want);
 
         if !build_blocks.is_empty() && !probe_blocks.is_empty() {
             let b = store_reader(&build_blocks);
             let p = store_reader(&probe_blocks);
             let (st, _) = b.hash_join(&p, &expr).unwrap();
             prop_assert_eq!(&st, &want);
-            let (stp, _) = b.hash_join_parallel(&p, &expr, 4).unwrap();
-            prop_assert_eq!(&stp, &want);
         }
     }
 
@@ -286,9 +272,6 @@ proptest! {
         let want = join_oracle(&build_strs, &probe_strs, build_block_rows, probe_block_rows);
         let (got, _) = hash_join_blocks(&build_blocks, &probe_blocks, &expr).unwrap();
         prop_assert_eq!(&got, &want);
-        let (par, _) =
-            hash_join_blocks_parallel(&build_blocks, &probe_blocks, &expr, 3).unwrap();
-        prop_assert_eq!(&par, &want);
 
         if !build_blocks.is_empty() {
             let b = store_reader(&build_blocks);
@@ -306,26 +289,17 @@ proptest! {
 fn top_k_on_string_column_is_rejected_everywhere() {
     let blocks = str_blocks("city", &["NYC", "Albany", "NYC", "Troy"], 2);
     let expr = TopKExpr::asc("city", 2);
-    for result in [
-        top_k_blocks(&blocks, &expr).map(|r| r.0),
-        top_k_blocks_parallel(&blocks, &expr, 2).map(|r| r.0),
-    ] {
-        assert!(
-            matches!(result, Err(Error::TypeMismatch { .. })),
-            "in-memory top-k on a string column must be a type error"
-        );
-    }
+    assert!(
+        matches!(
+            top_k_blocks(&blocks, &expr),
+            Err(Error::TypeMismatch { .. })
+        ),
+        "in-memory top-k on a string column must be a type error"
+    );
     let reader = store_reader(&blocks);
     assert!(
         matches!(reader.top_k(&expr), Err(Error::TypeMismatch { .. })),
         "store top-k on a string column must be a type error (footer check)"
-    );
-    assert!(
-        matches!(
-            reader.top_k_parallel(&expr, 2),
-            Err(Error::TypeMismatch { .. })
-        ),
-        "parallel store top-k must reject string columns before any I/O"
     );
 }
 
@@ -426,8 +400,6 @@ fn segmented_top_k_and_join_match_oracles() {
     want.truncate(17);
     let got_vals: Vec<i64> = got.iter().map(|r| r.value).collect();
     assert_eq!(got_vals, want, "segmented top-k values diverge from sort");
-    let (par, _) = seg.top_k_parallel(&expr, 4).unwrap();
-    assert_eq!(par, got, "parallel segmented top-k diverged");
     let ids: Vec<RowId> = got.iter().map(TopKRow::id).collect();
     let QueryOutput::Int(vals) = &seg.gather_rows(&ids, &["v"]).unwrap()[0] else {
         panic!("int column")
@@ -453,6 +425,4 @@ fn segmented_top_k_and_join_match_oracles() {
         .sum();
     assert_eq!(pairs.len(), expected, "segmented join pair count");
     assert_eq!(stats.pairs, expected);
-    let (ppairs, _) = seg.hash_join_parallel(&probe_seg, &expr, 4).unwrap();
-    assert_eq!(ppairs, pairs, "parallel segmented join diverged");
 }

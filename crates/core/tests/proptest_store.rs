@@ -167,8 +167,6 @@ proptest! {
             let (want, _) = scan_blocks(&blocks, &pred).unwrap();
             let (got, _) = reader.scan_blocks(&pred).unwrap();
             prop_assert_eq!(&got, &want);
-            let (got_par, _) = reader.scan_blocks_parallel(&pred, 4).unwrap();
-            prop_assert_eq!(&got_par, &want);
         }
     }
 

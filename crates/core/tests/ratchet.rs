@@ -94,6 +94,42 @@ fn crate_sources() -> Vec<(std::path::PathBuf, String)> {
 }
 
 #[test]
+fn query_operators_have_one_serial_body() {
+    // Intra-query parallelism is deleted: every scan / aggregate / TOP-K /
+    // join is one loop over the blocks. The morsel loop fans out only
+    // block compression and the serve front door's requests.
+    let fan_out = ["compressor.rs", "serve.rs"];
+    for (path, source) in crate_sources() {
+        let name = path.file_name().unwrap().to_string_lossy();
+        for (at, _) in source.match_indices("_parallel(") {
+            let line_start = source[..at].rfind('\n').map_or(0, |i| i + 1);
+            assert!(
+                !source[line_start..at].contains("fn "),
+                "{} brings back a `fn …_parallel(` twin; operators have one \
+                 serial body",
+                path.display()
+            );
+        }
+        for retired in ["TopKBound", "with_positional_schedule"] {
+            assert!(
+                !source.contains(retired),
+                "{} brings back `{retired}`",
+                path.display()
+            );
+        }
+        if !fan_out.contains(&name.as_ref()) {
+            for call in ["morsel::run", "morsel::collect"] {
+                assert!(
+                    !source.contains(call),
+                    "{} uses `{call}`; only {fan_out:?} fan out",
+                    path.display()
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn zones_are_recorded_at_encode_not_derived_per_codec() {
     // A zone is data: `CompressedBlock::compress` records each integer
     // column's exact min / max, the footer carries it, and every reader

@@ -1,7 +1,7 @@
 //! Decompress-then-fold oracles the aggregate kernels of
 //! [`IntAccess`](crate::traits::IntAccess) are tested and gated against.
 //! Every kernel folds into an [`IntAggState`], which merges associatively,
-//! so per-block partials combine deterministically in the morsel-parallel
+//! so per-block partials combine deterministically in the multi-block
 //! driver.
 
 use corra_columnar::aggregate::IntAggState;

@@ -5,8 +5,8 @@
 //! A scenario runs in three passes:
 //!
 //! 1. **Clean differential pass** — every operation runs through the store
-//!    reader, the in-memory engine (serial *and* parallel), and the plain
-//!    [`ModelTable`] oracle; all four must agree exactly.
+//!    reader, the in-memory engine, and the plain [`ModelTable`] oracle;
+//!    all three must agree exactly.
 //! 2. **Cache pass** — the schedule runs twice more through a reader
 //!    wrapped in a [`ShardedCache`] (cold fills, then warm hits): both
 //!    passes must be byte-identical to the uncached oracle, and the warm
@@ -33,10 +33,10 @@ use corra_core::ingest::{IngestConfig, IngestTable};
 use corra_core::store::{SegmentedTable, TableReader, TableWriter};
 use corra_core::vfs::{SimVfs, Vfs};
 use corra_core::{
-    aggregate_blocks, aggregate_blocks_parallel, compact, corruption_sweep, hash_join_blocks,
-    hash_join_blocks_parallel, scan_blocks, top_k_blocks, top_k_blocks_parallel, AggExpr, AggFunc,
-    AggResult, ColumnPlan, CompactionConfig, CompressedBlock, CompressionConfig, FaultPlan,
-    FaultyBackend, JoinExpr, JoinPair, MemBackend, Predicate, SweepOptions, TopKExpr, TopKRow,
+    aggregate_blocks, compact, corruption_sweep, hash_join_blocks, scan_blocks, top_k_blocks,
+    AggExpr, AggFunc, AggResult, ColumnPlan, CompactionConfig, CompressedBlock, CompressionConfig,
+    FaultPlan, FaultyBackend, JoinExpr, JoinPair, MemBackend, Predicate, SweepOptions, TopKExpr,
+    TopKRow,
 };
 use corra_datagen::{
     taxi, DmvParams, DmvTable, LineitemDates, MessageParams, MessageTable, TaxiParams, TaxiTable,
@@ -111,10 +111,10 @@ pub struct ScenarioOutcome {
 enum Op {
     ReadBlock(usize),
     ReadColumn(usize, String),
-    Scan(Predicate, usize),
-    Aggregate(AggExpr, usize),
-    TopK(TopKExpr, usize),
-    Join(JoinExpr, usize),
+    Scan(Predicate),
+    Aggregate(AggExpr),
+    TopK(TopKExpr),
+    Join(JoinExpr),
 }
 
 /// The oracle's expected result for one operation.
@@ -235,16 +235,8 @@ impl Scenario {
     /// corpus can assert the operator pipeline stays exercised rather than
     /// silently scheduled away.
     pub fn operator_ops(&self) -> (usize, usize) {
-        let topk = self
-            .ops
-            .iter()
-            .filter(|o| matches!(o, Op::TopK(..)))
-            .count();
-        let join = self
-            .ops
-            .iter()
-            .filter(|o| matches!(o, Op::Join(..)))
-            .count();
+        let topk = self.ops.iter().filter(|o| matches!(o, Op::TopK(_))).count();
+        let join = self.ops.iter().filter(|o| matches!(o, Op::Join(_))).count();
         (topk, join)
     }
 
@@ -255,8 +247,8 @@ impl Scenario {
         }
     }
 
-    /// Clean differential pass: store reader + in-memory serial + parallel
-    /// vs the model, for every operation. Returns the result fingerprint.
+    /// Clean differential pass: store reader + in-memory engine vs the
+    /// model, for every operation. Returns the result fingerprint.
     pub fn verify_clean(&self) -> Result<u64, SimFailure> {
         let reader = TableReader::from_bytes(self.bytes.clone())
             .map_err(|e| self.fail(format!("clean open failed: {e}")))?;
@@ -270,40 +262,31 @@ impl Scenario {
             }
             // The in-memory engine must agree with the store path too.
             match op {
-                Op::Scan(pred, _) => {
+                Op::Scan(pred) => {
                     let (sels, _) = scan_blocks(&self.blocks, pred)
                         .map_err(|e| self.fail(format!("op {i} in-memory scan: {e}")))?;
                     if Expected::Scan(sels) != *want {
                         return Err(self.fail(format!("op {i} {op:?}: in-memory scan diverged")));
                     }
                 }
-                Op::Aggregate(expr, threads) => {
+                Op::Aggregate(expr) => {
                     let (agg, _) = aggregate_blocks(&self.blocks, expr)
                         .map_err(|e| self.fail(format!("op {i} in-memory aggregate: {e}")))?;
-                    let (par, _) = aggregate_blocks_parallel(&self.blocks, expr, *threads)
-                        .map_err(|e| self.fail(format!("op {i} parallel aggregate: {e}")))?;
-                    if Expected::Agg(agg) != *want || Expected::Agg(par) != *want {
+                    if Expected::Agg(agg) != *want {
                         return Err(self.fail(format!("op {i} {op:?}: in-memory agg diverged")));
                     }
                 }
-                Op::TopK(expr, threads) => {
+                Op::TopK(expr) => {
                     let (rows, _) = top_k_blocks(&self.blocks, expr)
                         .map_err(|e| self.fail(format!("op {i} in-memory top-k: {e}")))?;
-                    let (par, _) = top_k_blocks_parallel(&self.blocks, expr, *threads)
-                        .map_err(|e| self.fail(format!("op {i} parallel top-k: {e}")))?;
-                    if Expected::TopK(rows) != *want || Expected::TopK(par) != *want {
+                    if Expected::TopK(rows) != *want {
                         return Err(self.fail(format!("op {i} {op:?}: in-memory top-k diverged")));
                     }
                 }
-                Op::Join(expr, threads) => {
+                Op::Join(expr) => {
                     let (pairs, _) = hash_join_blocks(&self.blocks, &self.blocks, expr)
                         .map_err(|e| self.fail(format!("op {i} in-memory join: {e}")))?;
-                    let (par, _) =
-                        hash_join_blocks_parallel(&self.blocks, &self.blocks, expr, *threads)
-                            .map_err(|e| self.fail(format!("op {i} parallel join: {e}")))?;
-                    let serial = Expected::Join(pairs.len(), digest_pairs(&pairs));
-                    let parallel = Expected::Join(par.len(), digest_pairs(&par));
-                    if serial != *want || parallel != *want {
+                    if Expected::Join(pairs.len(), digest_pairs(&pairs)) != *want {
                         return Err(self.fail(format!("op {i} {op:?}: in-memory join diverged")));
                     }
                 }
@@ -409,11 +392,7 @@ impl Scenario {
                     Err(e) => log.push(format!("open err: {e}")),
                     Ok(reader) => {
                         for (i, (op, want)) in self.ops.iter().zip(&self.expected).enumerate() {
-                            // Serial drivers only: parallel scans interleave
-                            // backend reads nondeterministically, which
-                            // would scramble the seeded fault schedule and
-                            // break outcome-for-outcome replay.
-                            match run_op_serial(&reader, op) {
+                            match run_op(&reader, op) {
                                 Err(e) => log.push(format!("op {i} err: {e}")),
                                 Ok(got) => {
                                     if &got != want {
@@ -461,7 +440,7 @@ impl Scenario {
             let reader = reader.with_cache(Arc::clone(&cache));
             for round in 0..2 {
                 for (i, (op, want)) in self.ops.iter().zip(&self.expected).enumerate() {
-                    match run_op_serial(&reader, op) {
+                    match run_op(&reader, op) {
                         Err(_) => {}
                         Ok(got) => {
                             if &got != want {
@@ -485,69 +464,6 @@ impl Scenario {
             if TableReader::from_backend(Box::new(backend)).is_ok() {
                 return Err(self.fail(format!("torn tail (cut {cut}) opened successfully")));
             }
-        }
-        Ok(injected)
-    }
-
-    /// Hostile fault pass under **parallel** drivers: positional fault
-    /// schedules (`FaultPlan::with_positional_schedule`) make every read's
-    /// verdict a pure function of `(seed, offset, len)`, so morsel-parallel
-    /// scans and parallel aggregation can run under fire and still replay.
-    /// Every operation must error or return the exact model answer, and two
-    /// runs of an episode must produce the same per-op ok/err status log.
-    /// (Status only: which thread trips a faulting read first — and thus
-    /// the error *text* — legitimately varies with interleaving; whether
-    /// the op faults at all does not, because a fault is the only thing
-    /// that aborts a driver early.) Returns total faults injected.
-    pub fn verify_hostile_parallel_faults(&self) -> Result<u64, SimFailure> {
-        let episodes = if self.quick { 2 } else { 4 };
-        let mut injected = 0u64;
-        for episode in 0..episodes {
-            let fault_seed = self
-                .seed
-                .wrapping_mul(0xA24B_AED4_963E_E407)
-                .wrapping_add(episode);
-            let run = || -> Result<(Vec<String>, u64), SimFailure> {
-                let plan = FaultPlan::none(fault_seed)
-                    .with_bit_flips(0.03 + 0.03 * episode as f64)
-                    .with_transient_errors(0.015 * episode as f64)
-                    .with_positional_schedule();
-                let backend = std::sync::Arc::new(FaultyBackend::new(
-                    MemBackend::new(self.bytes.clone()),
-                    plan,
-                ));
-                let stats_handle = std::sync::Arc::clone(&backend);
-                let mut log = Vec::with_capacity(self.ops.len() + 1);
-                match TableReader::from_backend(Box::new(backend)) {
-                    Err(_) => log.push("open err".to_owned()),
-                    Ok(reader) => {
-                        for (i, (op, want)) in self.ops.iter().zip(&self.expected).enumerate() {
-                            match run_op_parallel(&reader, op) {
-                                Err(_) => log.push(format!("op {i} err")),
-                                Ok(got) => {
-                                    if &got != want {
-                                        return Err(self.fail(format!(
-                                            "hostile parallel episode {episode} op {i} {op:?}: \
-                                             silently wrong data served"
-                                        )));
-                                    }
-                                    log.push(format!("op {i} ok"));
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok((log, stats_handle.stats().total()))
-            };
-            let (first, faults) = run()?;
-            let (second, _) = run()?;
-            if first != second {
-                return Err(self.fail(format!(
-                    "hostile parallel episode {episode}: positional fault schedule \
-                     not deterministic across runs"
-                )));
-            }
-            injected += faults;
         }
         Ok(injected)
     }
@@ -791,8 +707,7 @@ pub fn run_seed(seed: u64, opts: &SimOptions) -> Result<ScenarioOutcome, SimFail
     let fingerprint = scenario.verify_clean()?;
     let cache_hits = scenario.verify_cached()?;
     scenario.verify_benign_faults()?;
-    let mut faults_injected = scenario.verify_hostile_faults()?;
-    faults_injected += scenario.verify_hostile_parallel_faults()?;
+    let faults_injected = scenario.verify_hostile_faults()?;
     let sweep_flips = scenario.verify_sweep();
     let (ingest_crash_points, segments_opened) = scenario.verify_ingest()?;
     Ok(ScenarioOutcome {
@@ -810,115 +725,41 @@ pub fn run_seed(seed: u64, opts: &SimOptions) -> Result<ScenarioOutcome, SimFail
     })
 }
 
+/// Runs one op against the store reader. Backend reads happen in one
+/// deterministic order, which the hostile-episode replay check relies on.
 fn run_op(reader: &TableReader, op: &Op) -> corra_columnar::error::Result<Expected> {
     Ok(match op {
         Op::ReadBlock(b) => Expected::Block(reader.read_block(*b)?),
         Op::ReadColumn(b, name) => Expected::Column(reader.read_column(*b, name)?),
-        Op::Scan(pred, threads) => {
-            let (serial, _) = reader.scan_blocks(pred)?;
-            let (parallel, _) = reader.scan_blocks_parallel(pred, *threads)?;
-            if serial != parallel {
-                return Err(corra_columnar::error::Error::invalid(
-                    "serial and parallel store scans diverged",
-                ));
-            }
-            Expected::Scan(serial)
-        }
-        Op::Aggregate(expr, _) => Expected::Agg(reader.aggregate(expr)?.0),
-        Op::TopK(expr, threads) => {
-            let (serial, _) = reader.top_k(expr)?;
-            let (parallel, _) = reader.top_k_parallel(expr, *threads)?;
-            if serial != parallel {
-                return Err(corra_columnar::error::Error::invalid(
-                    "serial and parallel store top-k diverged",
-                ));
-            }
-            Expected::TopK(serial)
-        }
-        Op::Join(expr, threads) => {
-            let (serial, _) = reader.hash_join(reader, expr)?;
-            let (parallel, _) = reader.hash_join_parallel(reader, expr, *threads)?;
-            if serial != parallel {
-                return Err(corra_columnar::error::Error::invalid(
-                    "serial and parallel store joins diverged",
-                ));
-            }
-            Expected::Join(serial.len(), digest_pairs(&serial))
-        }
-    })
-}
-
-/// Serial-only variant of [`run_op`]: identical results, but backend reads
-/// happen in one deterministic order (required by the hostile-episode
-/// replay check).
-fn run_op_serial(reader: &TableReader, op: &Op) -> corra_columnar::error::Result<Expected> {
-    Ok(match op {
-        Op::ReadBlock(b) => Expected::Block(reader.read_block(*b)?),
-        Op::ReadColumn(b, name) => Expected::Column(reader.read_column(*b, name)?),
-        Op::Scan(pred, _) => Expected::Scan(reader.scan_blocks(pred)?.0),
-        Op::Aggregate(expr, _) => Expected::Agg(reader.aggregate(expr)?.0),
-        Op::TopK(expr, _) => Expected::TopK(reader.top_k(expr)?.0),
-        Op::Join(expr, _) => {
+        Op::Scan(pred) => Expected::Scan(reader.scan_blocks(pred)?.0),
+        Op::Aggregate(expr) => Expected::Agg(reader.aggregate(expr)?.0),
+        Op::TopK(expr) => Expected::TopK(reader.top_k(expr)?.0),
+        Op::Join(expr) => {
             let (pairs, _) = reader.hash_join(reader, expr)?;
             Expected::Join(pairs.len(), digest_pairs(&pairs))
         }
     })
 }
 
-/// Parallel-only variant of [`run_op`]: scans and aggregates run through
-/// the morsel-parallel drivers at the op's scheduled thread count. Only
-/// safe under fault plans whose read verdicts are positional
-/// (order-independent) — see `verify_hostile_parallel_faults`.
-fn run_op_parallel(reader: &TableReader, op: &Op) -> corra_columnar::error::Result<Expected> {
-    Ok(match op {
-        Op::ReadBlock(b) => Expected::Block(reader.read_block(*b)?),
-        Op::ReadColumn(b, name) => Expected::Column(reader.read_column(*b, name)?),
-        Op::Scan(pred, threads) => Expected::Scan(reader.scan_blocks_parallel(pred, *threads)?.0),
-        Op::Aggregate(expr, threads) => {
-            let blocks: Vec<_> = (0..reader.n_blocks())
-                .map(|b| reader.read_block(b))
-                .collect::<corra_columnar::error::Result<_>>()?;
-            Expected::Agg(aggregate_blocks_parallel(&blocks, expr, *threads)?.0)
-        }
-        // TOP-K and join pre-read their blocks serially, like aggregates:
-        // the store-parallel drivers prune via a shared bound whose state
-        // depends on thread timing, so *which* backend reads happen would
-        // vary run to run and scramble the positional fault replay.
-        Op::TopK(expr, threads) => {
-            let blocks: Vec<_> = (0..reader.n_blocks())
-                .map(|b| reader.read_block(b))
-                .collect::<corra_columnar::error::Result<_>>()?;
-            Expected::TopK(top_k_blocks_parallel(&blocks, expr, *threads)?.0)
-        }
-        Op::Join(expr, threads) => {
-            let blocks: Vec<_> = (0..reader.n_blocks())
-                .map(|b| reader.read_block(b))
-                .collect::<corra_columnar::error::Result<_>>()?;
-            let (pairs, _) = hash_join_blocks_parallel(&blocks, &blocks, expr, *threads)?;
-            Expected::Join(pairs.len(), digest_pairs(&pairs))
-        }
-    })
-}
-
-/// [`run_op_serial`] plus the op's cache-hit count (scans and aggregates
+/// [`run_op`] plus the op's cache-hit count (scans and aggregates
 /// report hits through `ScanStats`; point ops return 0).
 fn run_op_counted(reader: &TableReader, op: &Op) -> corra_columnar::error::Result<(Expected, u64)> {
     Ok(match op {
         Op::ReadBlock(b) => (Expected::Block(reader.read_block(*b)?), 0),
         Op::ReadColumn(b, name) => (Expected::Column(reader.read_column(*b, name)?), 0),
-        Op::Scan(pred, _) => {
+        Op::Scan(pred) => {
             let (sels, stats) = reader.scan_blocks(pred)?;
             (Expected::Scan(sels), stats.cache_hits)
         }
-        Op::Aggregate(expr, _) => {
+        Op::Aggregate(expr) => {
             let (agg, stats) = reader.aggregate(expr)?;
             (Expected::Agg(agg), stats.cache_hits)
         }
-        Op::TopK(expr, _) => {
+        Op::TopK(expr) => {
             let (rows, stats) = reader.top_k(expr)?;
             (Expected::TopK(rows), stats.cache_hits)
         }
-        Op::Join(expr, _) => {
+        Op::Join(expr) => {
             let (pairs, stats) = reader.hash_join(reader, expr)?;
             (
                 Expected::Join(pairs.len(), digest_pairs(&pairs)),
@@ -938,19 +779,19 @@ fn run_op_segmented(
     Ok(match op {
         Op::ReadBlock(b) => (Expected::Block(reader.read_block(*b)?), 0),
         Op::ReadColumn(b, name) => (Expected::Column(reader.read_column(*b, name)?), 0),
-        Op::Scan(pred, _) => {
+        Op::Scan(pred) => {
             let (sels, stats) = reader.scan_blocks(pred)?;
             (Expected::Scan(sels), stats.segments_opened as u64)
         }
-        Op::Aggregate(expr, _) => {
+        Op::Aggregate(expr) => {
             let (agg, stats) = reader.aggregate(expr)?;
             (Expected::Agg(agg), stats.segments_opened as u64)
         }
-        Op::TopK(expr, _) => {
+        Op::TopK(expr) => {
             let (rows, stats) = reader.top_k(expr)?;
             (Expected::TopK(rows), stats.segments_opened as u64)
         }
-        Op::Join(expr, _) => {
+        Op::Join(expr) => {
             let (pairs, stats) = reader.hash_join(reader, expr)?;
             (
                 Expected::Join(pairs.len(), digest_pairs(&pairs)),
@@ -964,10 +805,10 @@ fn expect(model: &ModelTable, blocks: &[CompressedBlock], op: &Op) -> Expected {
     match op {
         Op::ReadBlock(b) => Expected::Block(blocks[*b].clone()),
         Op::ReadColumn(b, name) => Expected::Column(model.column(*b, name)),
-        Op::Scan(pred, _) => Expected::Scan(model.scan(pred)),
-        Op::Aggregate(expr, _) => Expected::Agg(model.aggregate(expr)),
-        Op::TopK(expr, _) => Expected::TopK(model.top_k(expr)),
-        Op::Join(expr, _) => {
+        Op::Scan(pred) => Expected::Scan(model.scan(pred)),
+        Op::Aggregate(expr) => Expected::Agg(model.aggregate(expr)),
+        Op::TopK(expr) => Expected::TopK(model.top_k(expr)),
+        Op::Join(expr) => {
             let pairs = model.join(expr, model);
             Expected::Join(pairs.len(), digest_pairs(&pairs))
         }
@@ -1007,14 +848,8 @@ fn schedule_ops(
                     names[rng.gen_range(0..names.len())].clone(),
                 )
             }
-            3..=4 => Op::Scan(
-                random_predicate(rng, model, &int_cols, &str_cols, 2),
-                rng.gen_range(1..=4),
-            ),
-            5..=6 => Op::TopK(
-                random_topk(rng, model, &int_cols, &str_cols),
-                rng.gen_range(1..=4),
-            ),
+            3..=4 => Op::Scan(random_predicate(rng, model, &int_cols, &str_cols, 2)),
+            5..=6 => Op::TopK(random_topk(rng, model, &int_cols, &str_cols)),
             7 => {
                 // Self-join on one of the workload's dict-encoded key
                 // columns (the groupable set is dict-planned by every
@@ -1026,17 +861,15 @@ fn schedule_ops(
                     JoinExpr::on(key, key)
                 });
                 match expr.filter(|e| model.join_count(e, model) <= 200_000) {
-                    Some(expr) => Op::Join(expr, rng.gen_range(1..=4)),
-                    None => Op::Aggregate(
-                        random_aggregate(rng, model, groupable, &int_cols, &str_cols),
-                        rng.gen_range(1..=4),
-                    ),
+                    Some(expr) => Op::Join(expr),
+                    None => Op::Aggregate(random_aggregate(
+                        rng, model, groupable, &int_cols, &str_cols,
+                    )),
                 }
             }
-            _ => Op::Aggregate(
-                random_aggregate(rng, model, groupable, &int_cols, &str_cols),
-                rng.gen_range(1..=4),
-            ),
+            _ => Op::Aggregate(random_aggregate(
+                rng, model, groupable, &int_cols, &str_cols,
+            )),
         });
     }
     ops
