@@ -28,21 +28,23 @@
 //!
 //! Everything is generic over [`BlockView`], so the same engine runs on
 //! in-memory [`CompressedBlock`]s and lazy store
-//! [`BlockHandle`](crate::store::BlockHandle)s; the store entry point
-//! ([`crate::store::TableReader::aggregate`]) answers the payload-free half
-//! of the rule from the footer with zero payload bytes read.
+//! [`BlockHandle`](crate::store::BlockHandle)s. The payload-free half of
+//! the rule runs first, from metadata, so a store block it answers reads
+//! zero payload bytes.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use corra_columnar::aggregate::{IntAggState, StrAggState};
 use corra_columnar::error::{Error, Result};
+use corra_columnar::predicate::RangeVerdict;
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 use corra_encodings::{wrapping_sum, IntAccess, IntEncoding};
 
-use crate::compressor::{vertical_codec, BlockView, ColumnCodec, CompressedBlock};
+use crate::compressor::{vertical_codec, BlockSource, BlockView, ColumnCodec, CompressedBlock};
 use crate::query::{eval_formula_mask, int_column, whole_column, IntColumn, WholeColumn};
-use crate::scan::{scan_pruned, validate_pred_with, Predicate, ScanStats};
+use crate::scan::{scan_pruned, validate_pred, zone_verdict, Predicate, ScanStats};
 
 /// The aggregate function of an [`AggExpr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,10 +260,6 @@ enum MergedAcc {
 }
 
 impl AggMerger {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Merges one block's partial in.
     ///
     /// # Errors
@@ -374,53 +372,29 @@ fn finalize_str(func: AggFunc, s: &StrAggState) -> AggValue {
 }
 
 /// The error for a `GROUP BY` column that cannot expose dictionary codes.
-pub(crate) fn group_not_dictionary(group: &str) -> Error {
+fn group_not_dictionary(group: &str) -> Error {
     Error::invalid(format!(
         "GROUP BY column {group} must be dictionary-encoded \
          (a Dict plan or a hierarchical parent)"
     ))
 }
 
-/// Checks a `GROUP BY` column's codec exposes dictionary codes. Shared
-/// with the store, whose footer cannot distinguish dictionary from other
-/// vertical integer layouts — it loads this one codec to check, so
-/// zone-short-circuited blocks error exactly like the in-memory engine.
-pub(crate) fn validate_group_codec(codec: &ColumnCodec, group: &str) -> Result<()> {
-    match codec {
-        ColumnCodec::Int(IntEncoding::Dict(_)) | ColumnCodec::Str(_) => Ok(()),
-        _ => Err(group_not_dictionary(group)),
-    }
-}
-
-/// Validates the whole expression against one block up front — unknown
-/// columns, `SUM`/`AVG` on strings, a non-dictionary `GROUP BY` column and
-/// malformed filters error deterministically, before any kernel runs and
-/// regardless of what the filter selects.
+/// Validates the whole expression against one block up front, from column
+/// metadata alone (no payload is loaded) — unknown columns, `SUM`/`AVG` on
+/// strings, a horizontal `GROUP BY` column and malformed filters error
+/// deterministically, before any kernel runs and regardless of what the
+/// filter selects. Whether a vertical group column is a dictionary is
+/// payload-level and checked when its codec loads.
 pub(crate) fn validate_expr<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) -> Result<()> {
-    let codec = |column: &str| block.view_codec(block.index_of(column)?);
-    validate_expr_with(expr, &|column| Ok(codec(column)?.is_string()), &|group| {
-        validate_group_codec(codec(group)?, group)
-    })
-}
-
-/// The one expression type-check: `is_string` answers whether a column
-/// holds strings (or does not exist), `check_group` whether it can be
-/// grouped by. In-memory blocks answer from the codec; the store answers
-/// from footer tags alone (names, string-ness, horizontal-ness) and leaves
-/// the payload-level dictionary check to the kernel.
-pub(crate) fn validate_expr_with(
-    expr: &AggExpr,
-    is_string: &dyn Fn(&str) -> Result<bool>,
-    check_group: &dyn Fn(&str) -> Result<()>,
-) -> Result<()> {
     if let Some(pred) = &expr.filter {
-        validate_pred_with(pred, is_string)?;
+        validate_pred(block, pred)?;
     }
     match (&expr.column, expr.func) {
         (None, AggFunc::Count) => {}
         (None, _) => return Err(Error::invalid("aggregate function requires a column")),
         (Some(col), func) => {
-            if is_string(col)? && matches!(func, AggFunc::Sum | AggFunc::Avg) {
+            if block.is_string(block.index_of(col)?) && matches!(func, AggFunc::Sum | AggFunc::Avg)
+            {
                 return Err(Error::TypeMismatch {
                     expected: "integer column for SUM/AVG",
                     found: "string column",
@@ -428,22 +402,60 @@ pub(crate) fn validate_expr_with(
             }
         }
     }
-    expr.group_by.as_deref().map_or(Ok(()), check_group)
+    if let Some(group) = &expr.group_by {
+        if block.is_horizontal(block.index_of(group)?) {
+            return Err(group_not_dictionary(group));
+        }
+    }
+    Ok(())
 }
 
 /// Evaluates `expr` against one block, returning
-/// `(partial, pruned, rows_matched)`. `pruned` is true when the filter was
-/// answered entirely from zone maps, and when the column's zone answered
-/// the whole block (`COUNT` / `MIN` / `MAX` with no filter kernel run).
+/// `(partial, pruned, rows_matched)`. `pruned` is true when no per-row
+/// kernel ran: the filter was answered from zone maps, or the row count
+/// and the column's zone answered the block.
+///
+/// Footer-first: everything metadata decides — an empty block, a filter
+/// the zones prove empty, a covered `COUNT` and zone `MIN` / `MAX` — is
+/// answered before any payload loads.
 pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
     block: &B,
     expr: &AggExpr,
 ) -> Result<(PartialAgg, bool, usize)> {
     validate_expr(block, expr)?;
     let rows = block.rows();
-    // `None` means "all rows": full-column fast paths apply.
+    let target = match &expr.column {
+        Some(col) => Some(block.index_of(col)?),
+        None => None,
+    };
+    let string_target = target.is_some_and(|idx| block.is_string(idx));
+    let grouped = expr.group_by.is_some();
+    if rows == 0 && !grouped {
+        return Ok((PartialAgg::empty(string_target, false), true, 0));
+    }
+    let verdict = match &expr.filter {
+        None => RangeVerdict::All,
+        Some(pred) => zone_verdict(block, pred),
+    };
+    if matches!(verdict, RangeVerdict::None) {
+        if let Some(group) = &expr.group_by {
+            // Load the group codec all the same: whether a vertical column
+            // is a dictionary is payload-level, and a non-dictionary
+            // GROUP BY errors whatever the filter selects.
+            let codec = block.view_codec(block.index_of(group)?)?;
+            if !matches!(
+                codec,
+                ColumnCodec::Int(IntEncoding::Dict(_)) | ColumnCodec::Str(_)
+            ) {
+                return Err(group_not_dictionary(group));
+            }
+        }
+        return Ok((PartialAgg::empty(string_target, grouped), true, 0));
+    }
+    // `None` means "all rows": the whole-block rule applies.
     let (sel, pruned) = match &expr.filter {
         None => (None, false),
+        Some(_) if matches!(verdict, RangeVerdict::All) => (None, true),
         Some(pred) => {
             let (s, pruned) = scan_pruned(block, pred)?;
             if s.len() == rows {
@@ -454,18 +466,30 @@ pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
         }
     };
     let matched = sel.as_ref().map_or(rows, SelectionVector::len);
-    if let (None, None, Some(col)) = (&sel, &expr.group_by, &expr.column) {
-        let idx = block.index_of(col)?;
-        if let Some(zone) = block.zone(idx) {
-            if let Some(state) = zone_answer(expr.func, rows, Some(zone)) {
-                // No per-row kernel ran, for the fold or (without one) a
-                // filter.
-                return Ok((
-                    PartialAgg::Int(state),
-                    pruned || expr.filter.is_none(),
-                    rows,
-                ));
-            }
+    if let (None, false) = (&sel, grouped) {
+        let zone = target.and_then(|i| block.zone(i));
+        // COUNT over every row is the row count, typed to the target's
+        // kind so it merges with kernel partials of other blocks; MIN /
+        // MAX are the zone. Neither runs a per-row kernel.
+        let answer = if expr.func == AggFunc::Count {
+            Some(if string_target {
+                PartialAgg::Str(StrAggState {
+                    count: rows as u64,
+                    ..StrAggState::default()
+                })
+            } else {
+                PartialAgg::Int(IntAggState {
+                    count: rows as u64,
+                    ..IntAggState::default()
+                })
+            })
+        } else {
+            zone_answer(expr.func, rows, zone).map(PartialAgg::Int)
+        };
+        if let Some(partial) = answer {
+            return Ok((partial, pruned || expr.filter.is_none(), rows));
+        }
+        if let (Some(idx), Some(zone)) = (target, zone) {
             if sum_is_exact(rows, zone) {
                 let sum = sum_wrapping(block, idx)?;
                 return Ok((
@@ -483,16 +507,12 @@ pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
     Ok((partial, pruned, matched))
 }
 
-/// The payload-free half of the whole-block rule, shared by the in-memory
-/// engine and the store's footer: over every row of a block whose column
-/// has a zone, `count` is the row count and `min` / `max` are the zone, so
-/// `COUNT` / `MIN` / `MAX` read no payload. The state's `sum` stays 0 —
-/// sound, because `SUM` / `AVG` never take this path.
-pub(crate) fn zone_answer(
-    func: AggFunc,
-    rows: usize,
-    zone: Option<ZoneMap>,
-) -> Option<IntAggState> {
+/// The payload-free half of the whole-block rule: over every row of a
+/// block whose column has a zone, `count` is the row count and `min` /
+/// `max` are the zone, so `COUNT` / `MIN` / `MAX` read no payload. The
+/// state's `sum` stays 0 — sound, because `SUM` / `AVG` never take this
+/// path.
+fn zone_answer(func: AggFunc, rows: usize, zone: Option<ZoneMap>) -> Option<IntAggState> {
     let zone = zone.filter(|_| !matches!(func, AggFunc::Sum | AggFunc::Avg))?;
     Some(zone_state(rows, zone, 0))
 }
@@ -644,10 +664,7 @@ fn eval_grouped<B: BlockView + ?Sized>(
                 c,
             )
         }
-        other => {
-            validate_group_codec(other, group_col)?;
-            unreachable!("dictionary codecs are matched above")
-        }
+        _ => return Err(group_not_dictionary(group_col)),
     };
     let n_groups = keys.len();
     // Route filtered-out rows to a trailing discard group, dropped below.
@@ -751,16 +768,14 @@ fn collect_grouped_str(keys: Vec<GroupKey>, states: Vec<StrAggState>) -> Partial
 /// front — plus anything a lazy view reports while loading payloads.
 pub fn aggregate<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) -> Result<AggResult> {
     let (partial, _, _) = aggregate_partial(block, expr)?;
-    let mut merger = AggMerger::new();
+    let mut merger = AggMerger::default();
     merger.merge(partial)?;
     Ok(merger.finish(expr))
 }
 
 /// Evaluates `expr` across many blocks, merging per-block partial states
-/// in block order. Returns the result plus [`ScanStats`] (`rows_matched` =
-/// rows aggregated; `blocks_pruned` = blocks whose filter was answered
-/// from zone maps, or whose `COUNT` / `MIN` / `MAX` was the column's row
-/// count and zone).
+/// in block order. Returns the result plus [`ScanStats`]
+/// (`rows_matched` = rows aggregated).
 ///
 /// # Errors
 ///
@@ -769,11 +784,23 @@ pub fn aggregate_blocks(
     blocks: &[CompressedBlock],
     expr: &AggExpr,
 ) -> Result<(AggResult, ScanStats)> {
-    let mut merger = AggMerger::new();
-    let mut stats = ScanStats::default();
-    for block in blocks {
+    aggregate_source(blocks, expr)
+}
+
+/// The one multi-block aggregate: per-block partials of any source merge
+/// through one [`AggMerger`] in block order, so `AVG` and friends stay
+/// exact across block and segment boundaries.
+pub(crate) fn aggregate_source<S: BlockSource + ?Sized>(
+    source: &S,
+    expr: &AggExpr,
+) -> Result<(AggResult, ScanStats)> {
+    let mut merger = AggMerger::default();
+    let mut stats = ScanStats::over(source);
+    for b in 0..source.n_blocks() {
+        let view = source.open(b)?;
+        let block: &S::Block = view.borrow();
         let (partial, pruned, matched) = aggregate_partial(block, expr)?;
-        stats.record_block(block.rows(), matched, pruned, None);
+        stats.record_block(block.rows(), matched, pruned, S::io(block));
         merger.merge(partial)?;
     }
     Ok((merger.finish(expr), stats))

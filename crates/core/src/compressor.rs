@@ -8,6 +8,8 @@
 //! not chain diff encodings), encodes reference columns first, and then the
 //! diff-encoded columns against them.
 
+use std::borrow::Borrow;
+
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::Column;
 use corra_columnar::error::{Error, Result};
@@ -21,6 +23,7 @@ use rustc_hash::FxHashMap;
 use crate::hier::{HierInt, HierStr};
 use crate::multiref::MultiRefInt;
 use crate::nonhier::NonHierInt;
+use crate::store::LoadCost;
 
 /// Per-column compression plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,6 +236,11 @@ impl ColumnCodec {
 /// this trait, which is what lets projection pushdown and footer-driven
 /// scans run the *same* code paths as in-memory blocks — only the codec
 /// source differs.
+///
+/// Only [`view_codec`](Self::view_codec) may load a payload. `rows`,
+/// `names`, `index_of`, `zone`, `is_string` and `is_horizontal` answer
+/// from metadata (a lazy handle's footer), so validation, zone pruning
+/// and zone-answered folds run before any payload is fetched.
 pub trait BlockView {
     /// Number of rows in the block.
     fn rows(&self) -> usize;
@@ -266,6 +274,76 @@ pub trait BlockView {
     /// of range. Never loads a payload — pruning, TOP-K visit order and
     /// zone-answered `MIN` / `MAX` read it before any codec.
     fn zone(&self, i: usize) -> Option<ZoneMap>;
+
+    /// Whether column `i` stores strings (false out of range). Never
+    /// loads a payload.
+    fn is_string(&self, i: usize) -> bool;
+
+    /// Whether column `i` reconstructs from reference columns (false out
+    /// of range). Never loads a payload.
+    fn is_horizontal(&self, i: usize) -> bool;
+}
+
+/// Where a whole-table operator's blocks come from: an in-memory slice
+/// (`[B]`) or the segment files of a table (`store::Segments`, a single
+/// file being the one-segment case). Every multi-block driver — scan,
+/// aggregate, TOP-K, join, gather — is one loop over a source, so memory,
+/// files, segmented tables and the serve front door run one body.
+pub(crate) trait BlockSource {
+    /// The block type the kernels run on.
+    type Block: BlockView + ?Sized;
+
+    /// What [`open`](Self::open) hands out: a borrow of a resident block,
+    /// or a lazy handle owned by the caller.
+    type View<'s>: Borrow<Self::Block>
+    where
+        Self: 's;
+
+    /// Number of blocks; a block's index is its global number, the one
+    /// that enters every `(value, block, row)` tie-break and `RowId`.
+    fn n_blocks(&self) -> usize;
+
+    /// Segment files behind the source (0 in memory).
+    fn segments(&self) -> usize {
+        0
+    }
+
+    /// The zone of `column` in block `block`, read without opening it.
+    fn zone(&self, block: usize, column: &str) -> Option<ZoneMap>;
+
+    /// Opens block `block`.
+    fn open(&self, block: usize) -> Result<Self::View<'_>>;
+
+    /// What an opened block cost: `None` in memory; for a lazy handle,
+    /// whether it loaded nothing and what its loads fetched.
+    fn io(_block: &Self::Block) -> Option<(bool, LoadCost)> {
+        None
+    }
+}
+
+impl<B: BlockView> BlockSource for [B] {
+    type Block = B;
+
+    type View<'s>
+        = &'s B
+    where
+        B: 's;
+
+    fn n_blocks(&self) -> usize {
+        self.len()
+    }
+
+    fn zone(&self, block: usize, column: &str) -> Option<ZoneMap> {
+        let view = self.get(block)?;
+        view.zone(view.index_of(column).ok()?)
+    }
+
+    fn open(&self, block: usize) -> Result<&B> {
+        self.get(block).ok_or(Error::IndexOutOfBounds {
+            index: block,
+            len: self.len(),
+        })
+    }
 }
 
 /// A self-contained compressed data block.
@@ -309,6 +387,14 @@ impl BlockView for CompressedBlock {
 
     fn zone(&self, i: usize) -> Option<ZoneMap> {
         self.zones.get(i).copied().flatten()
+    }
+
+    fn is_string(&self, i: usize) -> bool {
+        self.codecs.get(i).is_some_and(ColumnCodec::is_string)
+    }
+
+    fn is_horizontal(&self, i: usize) -> bool {
+        self.codecs.get(i).is_some_and(ColumnCodec::is_horizontal)
     }
 }
 

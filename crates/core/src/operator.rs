@@ -4,7 +4,8 @@
 //! Both operators follow the same shape as [`mod@crate::aggregate`]: a
 //! per-block kernel dispatched through the `IntColumn` visitor (so each
 //! codec family contributes one fast path, not seven ladders) and one
-//! multi-block driver, a plain loop over the blocks.
+//! multi-block driver, a plain loop over the blocks of any source — in
+//! memory, one file or a segmented table.
 //!
 //! **TOP-K** is threshold-first at every layer. The drivers visit blocks
 //! best-zone-first (`topk_visit_order`), so the k-th bound is as tight
@@ -29,6 +30,8 @@
 //! payload columns through the projection-pushdown [`BlockView`] reads,
 //! so only touched blocks and only named columns decode.
 
+use std::borrow::Borrow;
+
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
@@ -36,7 +39,7 @@ use corra_columnar::topk::{rank, TopKHeap};
 use corra_encodings::{IntAccess, IntEncoding};
 use rustc_hash::FxHashMap;
 
-use crate::compressor::{decode_int_column, BlockView, ColumnCodec, DecodeScratch};
+use crate::compressor::{decode_int_column, BlockSource, BlockView, ColumnCodec, DecodeScratch};
 use crate::query::{eval_formula_mask, int_column, query_column, IntColumn, QueryOutput};
 use crate::scan::{scan_pruned, validate_pred, Predicate, ScanStats};
 
@@ -139,7 +142,7 @@ impl TopKRow {
 }
 
 /// The heap's rows, best-first.
-pub(crate) fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
+fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
     heap.into_sorted()
         .into_iter()
         .map(|(value, pos)| TopKRow {
@@ -158,7 +161,7 @@ pub(crate) fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
 /// [`zone_skips_topk`] drops the most of what follows. Without this, a
 /// descending TOP-K over data laid out ascending ("the latest 100 events")
 /// meets every block while its zone still beats the bound.
-pub(crate) fn topk_visit_order(
+fn topk_visit_order(
     n: usize,
     descending: bool,
     zone_of: impl Fn(usize) -> Option<ZoneMap>,
@@ -180,7 +183,7 @@ pub(crate) fn topk_visit_order(
 /// the block's first position is already past the k-th entry's (no row can
 /// win the `(rank, position)` tie-break). The k-th entry only ever moves
 /// towards smaller pairs, so what loses to it now loses to the final one.
-pub(crate) fn zone_skips_topk(best: Option<u64>, block_no: u32, worst: Option<(u64, u64)>) -> bool {
+fn zone_skips_topk(best: Option<u64>, block_no: u32, worst: Option<(u64, u64)>) -> bool {
     match (best, worst) {
         (Some(best), Some(worst)) => (best, (block_no as u64) << 32) > worst,
         _ => false,
@@ -188,12 +191,16 @@ pub(crate) fn zone_skips_topk(best: Option<u64>, block_no: u32, worst: Option<(u
 }
 
 /// Validates that `expr` names an integer column (and a well-formed
-/// filter) on `block` without running any kernel — the `k == 0` path and
-/// prune paths still type-check this way, so a malformed query never
-/// silently succeeds.
-pub(crate) fn validate_topk<B: BlockView + ?Sized>(block: &B, expr: &TopKExpr) -> Result<()> {
-    let idx = block.index_of(&expr.column)?;
-    int_column(block, idx)?;
+/// filter) on `block` from column metadata alone, before any exit — so a
+/// malformed query fails the same way on every block and every source,
+/// whether or not the block is skipped.
+fn validate_topk<B: BlockView + ?Sized>(block: &B, expr: &TopKExpr) -> Result<()> {
+    if block.is_string(block.index_of(&expr.column)?) {
+        return Err(Error::TypeMismatch {
+            expected: "integer column for TOP-K",
+            found: "string column",
+        });
+    }
     if let Some(pred) = &expr.filter {
         validate_pred(block, pred)?;
     }
@@ -257,32 +264,39 @@ fn offer_full<B: BlockView + ?Sized>(
 }
 
 /// Runs the TOP-K kernel over one block, offering candidates into `heap`
-/// with positions based at `block_no << 32`.
+/// with positions based at `block_no << 32`. `best` is the rank of the
+/// best value the block's zone admits ([`topk_visit_order`]).
 ///
-/// Returns `(filter_pruned, rows_matched)`: whether the filter was
-/// answered entirely from zone maps, and how many rows passed it.
+/// Footer-first: an empty block, `k == 0`, a zone that cannot beat the
+/// heap's k-th entry ([`zone_skips_topk`]) and a filter the zones prove
+/// empty all return before any payload loads.
+///
+/// Returns `(pruned, rows_matched)`: whether the block was decided by an
+/// exit above or its filter answered from zone maps, and how many rows
+/// passed the filter.
 pub(crate) fn top_k_block<B: BlockView + ?Sized>(
     block: &B,
     block_no: u32,
+    best: Option<u64>,
     expr: &TopKExpr,
     heap: &mut TopKHeap,
     scratch: &mut DecodeScratch,
 ) -> Result<(bool, usize)> {
+    validate_topk(block, expr)?;
     let rows = block.rows();
+    if rows == 0 || expr.k == 0 || zone_skips_topk(best, block_no, heap.worst()) {
+        return Ok((true, 0));
+    }
     let idx = block.index_of(&expr.column)?;
     let base = (block_no as u64) << 32;
     match &expr.filter {
         Some(pred) => {
             let (sel, pruned) = scan_pruned(block, pred)?;
             let matched = sel.len();
-            if matched == 0 {
-                // Still type-check the target column: a string target must
-                // fail identically whether or not the filter matched.
-                int_column(block, idx)?;
-            } else if matched == rows {
+            if matched == rows {
                 // Full-block match: normalize to the unfiltered fast paths.
                 offer_full(block, idx, base, heap, scratch)?;
-            } else {
+            } else if matched > 0 {
                 offer_selected(block, idx, base, &sel, heap)?;
             }
             Ok((pruned, matched))
@@ -309,25 +323,30 @@ pub fn top_k_blocks<B: BlockView>(
     blocks: &[B],
     expr: &TopKExpr,
 ) -> Result<(Vec<TopKRow>, ScanStats)> {
+    top_k_source(blocks, expr)
+}
+
+/// The one multi-block TOP-K: blocks of any source are visited
+/// best-zone-first ([`topk_visit_order`]) — so file reads follow zone
+/// order, not file order — and each is pruned against, then fills, one
+/// heap.
+pub(crate) fn top_k_source<S: BlockSource + ?Sized>(
+    source: &S,
+    expr: &TopKExpr,
+) -> Result<(Vec<TopKRow>, ScanStats)> {
     let mut heap = TopKHeap::new(expr.k, expr.descending);
     let mut scratch = DecodeScratch::default();
     // A block whose column does not resolve sorts last, un-zoned, and
     // reports its error when it is visited.
-    let order = topk_visit_order(blocks.len(), expr.descending, |b| {
-        blocks[b].zone(blocks[b].index_of(&expr.column).ok()?)
+    let order = topk_visit_order(source.n_blocks(), expr.descending, |b| {
+        source.zone(b, &expr.column)
     });
-    let mut stats = ScanStats::default();
+    let mut stats = ScanStats::over(source);
     for (b, best) in order {
-        let block = &blocks[b];
-        let (pruned, matched) = if expr.k == 0 {
-            validate_topk(block, expr)?;
-            (false, 0)
-        } else if zone_skips_topk(best, b as u32, heap.worst()) {
-            (true, 0)
-        } else {
-            top_k_block(block, b as u32, expr, &mut heap, &mut scratch)?
-        };
-        stats.record_block(block.rows(), matched, pruned, None);
+        let view = source.open(b)?;
+        let block: &S::Block = view.borrow();
+        let (pruned, matched) = top_k_block(block, b as u32, best, expr, &mut heap, &mut scratch)?;
+        stats.record_block(block.rows(), matched, pruned, S::io(block));
     }
     Ok((rows_from(heap), stats))
 }
@@ -380,8 +399,8 @@ pub struct JoinStats {
     pub distinct_keys: usize,
     /// Matched pairs emitted.
     pub pairs: usize,
-    /// Store-side accounting (bytes, cache, segments) for store-backed
-    /// drivers; all-zero for in-memory joins.
+    /// Both sides' blocks, rows and store traffic (bytes, cache,
+    /// segments), as [`ScanStats`] defines them for every source.
     pub io: ScanStats,
 }
 
@@ -394,29 +413,14 @@ enum KeySpace {
 
 /// The build side of a dict-code hash join: a global key table plus, per
 /// key id, the build rows holding it (in `(block, row)` insertion order).
-pub(crate) struct BuildTable {
+#[derive(Default)]
+struct BuildTable {
     space: Option<KeySpace>,
     rows_of: Vec<Vec<RowId>>,
     build_rows: usize,
 }
 
 impl BuildTable {
-    pub(crate) fn new() -> Self {
-        Self {
-            space: None,
-            rows_of: Vec::new(),
-            build_rows: 0,
-        }
-    }
-
-    pub(crate) fn build_rows(&self) -> usize {
-        self.build_rows
-    }
-
-    pub(crate) fn distinct(&self) -> usize {
-        self.rows_of.len()
-    }
-
     fn intern_int(&mut self, v: i64) -> u32 {
         let space = self
             .space
@@ -456,7 +460,7 @@ impl BuildTable {
     /// Adds one build block: hashes each *distinct* key once into the
     /// global table (the per-block code→global-id remap), then streams the
     /// packed codes so per-row work is an array index.
-    pub(crate) fn add_block<B: BlockView + ?Sized>(
+    fn add_block<B: BlockView + ?Sized>(
         &mut self,
         block: &B,
         block_no: u32,
@@ -518,7 +522,7 @@ impl BuildTable {
     /// build table once (code→global-id remap), then streams the packed
     /// codes emitting pairs in probe-row order. Returns the block's pairs
     /// and its probe row count.
-    pub(crate) fn probe_block<B: BlockView + ?Sized>(
+    fn probe_block<B: BlockView + ?Sized>(
         &self,
         block: &B,
         block_no: u32,
@@ -604,22 +608,43 @@ pub fn hash_join_blocks<B1: BlockView, B2: BlockView>(
     probe: &[B2],
     expr: &JoinExpr,
 ) -> Result<(Vec<JoinPair>, JoinStats)> {
-    let mut table = BuildTable::new();
-    for (b, block) in build.iter().enumerate() {
+    hash_join_sources(build, probe, expr)
+}
+
+/// The one dict-code hash join: a build over every block of `build`, then
+/// a probe of each block of `probe`, pair lists concatenating in block
+/// order. `stats.io` folds both sides' blocks and traffic.
+pub(crate) fn hash_join_sources<S1: BlockSource + ?Sized, S2: BlockSource + ?Sized>(
+    build: &S1,
+    probe: &S2,
+    expr: &JoinExpr,
+) -> Result<(Vec<JoinPair>, JoinStats)> {
+    let mut io = ScanStats::over(build);
+    io.segments_opened += probe.segments();
+    let mut table = BuildTable::default();
+    for b in 0..build.n_blocks() {
+        let view = build.open(b)?;
+        let block: &S1::Block = view.borrow();
         table.add_block(block, b as u32, &expr.build_key)?;
+        io.record_block(block.rows(), 0, false, S1::io(block));
     }
-    let mut stats = JoinStats {
-        build_rows: table.build_rows(),
-        distinct_keys: table.distinct(),
-        ..JoinStats::default()
-    };
     let mut pairs = Vec::new();
-    for (b, block) in probe.iter().enumerate() {
+    let mut probe_rows = 0;
+    for b in 0..probe.n_blocks() {
+        let view = probe.open(b)?;
+        let block: &S2::Block = view.borrow();
         let (mut block_pairs, rows) = table.probe_block(block, b as u32, &expr.probe_key)?;
-        stats.probe_rows += rows;
+        probe_rows += rows;
+        io.record_block(block.rows(), 0, false, S2::io(block));
         pairs.append(&mut block_pairs);
     }
-    stats.pairs = pairs.len();
+    let stats = JoinStats {
+        build_rows: table.build_rows,
+        probe_rows,
+        distinct_keys: table.rows_of.len(),
+        pairs: pairs.len(),
+        io,
+    };
     Ok((pairs, stats))
 }
 
@@ -706,10 +731,19 @@ pub fn gather_rows<B: BlockView>(
     ids: &[RowId],
     columns: &[&str],
 ) -> Result<Vec<QueryOutput>> {
+    gather_source(blocks, ids, columns)
+}
+
+/// The one late materialization: one opened view per touched block, so a
+/// lazy handle loads only the named columns (plus reference chains).
+pub(crate) fn gather_source<S: BlockSource + ?Sized>(
+    source: &S,
+    ids: &[RowId],
+    columns: &[&str],
+) -> Result<Vec<QueryOutput>> {
     gather_rows_with(ids, columns, |b, sel, cols| {
-        let block = blocks
-            .get(b as usize)
-            .ok_or_else(|| Error::invalid(format!("row id references unknown block {b}")))?;
+        let view = source.open(b as usize)?;
+        let block: &S::Block = view.borrow();
         cols.iter().map(|c| query_column(block, c, sel)).collect()
     })
 }

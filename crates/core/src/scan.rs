@@ -22,9 +22,12 @@
 //!    produced selection into the existing [`crate::query`] kernels, so
 //!    filter → materialize runs end to end on compressed data.
 //!
-//! A multi-block scan ([`scan_blocks`]) is one loop over the blocks:
-//! selections come back in block order and [`ScanStats`] folds each block
-//! as it is scanned.
+//! A multi-block scan is one loop over the blocks of any source — in
+//! memory ([`scan_blocks`]) or in table files
+//! ([`crate::store::TableReader::scan_blocks`]): selections come back in
+//! block order and [`ScanStats`] folds each block as it is scanned.
+
+use std::borrow::Borrow;
 
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::{IntRange, RangeVerdict};
@@ -33,7 +36,7 @@ use corra_columnar::stats::ZoneMap;
 use corra_encodings::filter::filter_i64_slice;
 use corra_encodings::IntAccess;
 
-use crate::compressor::{BlockView, ColumnCodec, CompressedBlock};
+use crate::compressor::{BlockSource, BlockView, ColumnCodec, CompressedBlock};
 use crate::query::{code_access, whole_column, QueryOutput, WholeColumn};
 use crate::store::LoadCost;
 
@@ -205,46 +208,54 @@ impl Predicate {
     }
 }
 
-/// Aggregate statistics of a multi-block scan.
+/// Aggregate statistics of a multi-block operation. Every source — an
+/// in-memory slice, a file, a segmented table — fills them through the
+/// same driver, so the block counters mean one thing everywhere; the I/O
+/// counters stay 0 in memory, which has no I/O.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Blocks visited.
     pub blocks: usize,
-    /// Blocks answered entirely from zone maps — no per-row kernel ran, so
-    /// these blocks decoded zero values.
+    /// Blocks for which no per-row kernel ran: zone maps (or the row
+    /// count, or a TOP-K bound) decided them, so they decoded zero values.
     pub blocks_pruned: usize,
     /// Total rows across visited blocks.
     pub rows_total: usize,
     /// Rows matching the predicate.
     pub rows_matched: usize,
-    /// Blocks decided purely from *footer* zone maps in a store-driven scan
-    /// — not a single byte of these blocks' payloads was read. Always 0 for
-    /// in-memory scans (which have no I/O to skip).
+    /// Blocks of a table file whose lazy handle loaded no column payload
+    /// at all — not a byte of them was read. 0 in memory.
     pub blocks_skipped_io: usize,
-    /// Payload/segment bytes fetched from the underlying table file during
-    /// a store-driven scan. Always 0 for in-memory scans.
+    /// Payload/segment bytes fetched from the underlying table files. 0 in
+    /// memory.
     pub bytes_read: u64,
     /// Payload loads answered by an attached [`crate::cache::ShardedCache`]
-    /// (no backend I/O, no deserialization). Always 0 for in-memory scans
-    /// and for readers without a cache.
+    /// (no backend I/O, no deserialization). 0 in memory and for readers
+    /// without a cache.
     pub cache_hits: u64,
     /// Payload loads that missed the attached cache and fell through to the
-    /// backend. Always 0 for in-memory scans and cacheless readers.
+    /// backend. 0 in memory and for cacheless readers.
     pub cache_misses: u64,
-    /// Segments this operation touched. Single-file readers report 1 per
-    /// store-driven scan; a [`crate::store::SegmentedTable`] reports one
-    /// per live segment visited, making multi-segment reads observable.
-    /// Always 0 for in-memory scans.
+    /// Segment files behind the operation: 1 for a single-file reader, one
+    /// per live segment for a [`crate::store::SegmentedTable`], 0 in
+    /// memory.
     pub segments_opened: usize,
 }
 
 impl ScanStats {
+    /// Zeroed counters for an operation about to visit `source`.
+    pub(crate) fn over<S: BlockSource + ?Sized>(source: &S) -> Self {
+        Self {
+            segments_opened: source.segments(),
+            ..Self::default()
+        }
+    }
+
     /// Folds one visited block into the counters — the one per-block fold
-    /// every multi-block driver (in-memory and store, scan through join)
-    /// shares. `matched` is the rows the operator kept, `pruned` whether no
-    /// per-row kernel ran; `io` is the store's `(skipped_io, load cost)` for
-    /// the block — whether the footer alone decided it, and what its lazy
-    /// handle fetched — and `None` for in-memory blocks.
+    /// every multi-block driver shares. `matched` is the rows the operator
+    /// kept, `pruned` whether no per-row kernel ran; `io` is the source's
+    /// report on the block's view ([`BlockSource::io`]): `None` in memory,
+    /// else whether it loaded nothing and what its loads cost.
     pub(crate) fn record_block(
         &mut self,
         rows: usize,
@@ -345,6 +356,10 @@ pub fn scan<B: BlockView + ?Sized>(block: &B, pred: &Predicate) -> Result<Select
 
 /// Like [`scan`], additionally reporting whether the block was answered
 /// entirely from zone maps (pruned: no per-row kernel ran).
+///
+/// Footer-first: the predicate is validated from metadata, and the whole
+/// tree's zone verdict (`zone_verdict`) decides an empty or covered
+/// block before any leaf loads a payload.
 pub fn scan_pruned<B: BlockView + ?Sized>(
     block: &B,
     pred: &Predicate,
@@ -353,30 +368,35 @@ pub fn scan_pruned<B: BlockView + ?Sized>(
     // mismatches error deterministically — not dependent on block row
     // counts or on which conjunct happens to empty the selection first.
     validate_pred(block, pred)?;
-    let (sel, ran_kernel) = scan_inner(block, pred)?;
-    Ok((sel, !ran_kernel))
+    let rows = block.rows();
+    if rows == 0 {
+        return Ok((SelectionVector::empty(), true));
+    }
+    match zone_verdict(block, pred) {
+        RangeVerdict::None => Ok((SelectionVector::empty(), true)),
+        RangeVerdict::All => Ok((SelectionVector::all(rows), true)),
+        RangeVerdict::Partial => {
+            let (sel, ran_kernel) = scan_inner(block, pred)?;
+            Ok((sel, !ran_kernel))
+        }
+    }
+}
+
+/// [`tree_verdict`] over `block`'s zones: what the zones alone prove about
+/// `pred` on this block, read without loading a payload.
+pub(crate) fn zone_verdict<B: BlockView + ?Sized>(block: &B, pred: &Predicate) -> RangeVerdict {
+    tree_verdict(pred, &|column| block.zone(block.index_of(column).ok()?))
 }
 
 /// Checks every referenced column exists and its codec matches the
-/// predicate's operand type. Shared with the aggregate engine, which
-/// validates its optional filter the same way before any kernel runs.
+/// predicate's operand type, from metadata alone ([`BlockView::is_string`]
+/// never loads a payload). Shared with the aggregate and TOP-K kernels,
+/// which validate their optional filter the same way before any kernel
+/// runs.
 pub(crate) fn validate_pred<B: BlockView + ?Sized>(block: &B, pred: &Predicate) -> Result<()> {
-    validate_pred_with(pred, &|column| {
-        Ok(block.view_codec(block.index_of(column)?)?.is_string())
-    })
-}
-
-/// The one predicate type-check: walks `pred` asking `is_string` whether
-/// each referenced column holds strings (or does not exist). In-memory
-/// blocks answer from the codec, the store from footer tags alone — no
-/// payload is loaded to validate.
-pub(crate) fn validate_pred_with(
-    pred: &Predicate,
-    is_string: &dyn Fn(&str) -> Result<bool>,
-) -> Result<()> {
     match pred {
         Predicate::Compare { column, .. } | Predicate::Between { column, .. } => {
-            if is_string(column)? {
+            if block.is_string(block.index_of(column)?) {
                 return Err(Error::TypeMismatch {
                     expected: "integer column for integer predicate",
                     found: "string column",
@@ -385,7 +405,7 @@ pub(crate) fn validate_pred_with(
             Ok(())
         }
         Predicate::StrEq { column, .. } => {
-            if !is_string(column)? {
+            if !block.is_string(block.index_of(column)?) {
                 return Err(Error::TypeMismatch {
                     expected: "string column for string predicate",
                     found: "integer column",
@@ -393,10 +413,10 @@ pub(crate) fn validate_pred_with(
             }
             Ok(())
         }
-        Predicate::And(children) | Predicate::Or(children) => children
-            .iter()
-            .try_for_each(|c| validate_pred_with(c, is_string)),
-        Predicate::Not(child) => validate_pred_with(child, is_string),
+        Predicate::And(children) | Predicate::Or(children) => {
+            children.iter().try_for_each(|c| validate_pred(block, c))
+        }
+        Predicate::Not(child) => validate_pred(block, child),
     }
 }
 
@@ -405,11 +425,22 @@ pub fn scan_blocks(
     blocks: &[CompressedBlock],
     pred: &Predicate,
 ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-    let mut stats = ScanStats::default();
-    let mut selections = Vec::with_capacity(blocks.len());
-    for block in blocks {
+    scan_source(blocks, pred)
+}
+
+/// The one multi-block scan: every source — memory, a file, a segmented
+/// table — runs this loop, selections in block order.
+pub(crate) fn scan_source<S: BlockSource + ?Sized>(
+    source: &S,
+    pred: &Predicate,
+) -> Result<(Vec<SelectionVector>, ScanStats)> {
+    let mut stats = ScanStats::over(source);
+    let mut selections = Vec::with_capacity(source.n_blocks());
+    for b in 0..source.n_blocks() {
+        let view = source.open(b)?;
+        let block: &S::Block = view.borrow();
         let (sel, pruned) = scan_pruned(block, pred)?;
-        stats.record_block(block.rows(), sel.len(), pruned, None);
+        stats.record_block(block.rows(), sel.len(), pruned, S::io(block));
         selections.push(sel);
     }
     Ok((selections, stats))
@@ -436,7 +467,8 @@ pub fn scan_query_both<B: BlockView + ?Sized>(
 }
 
 /// Returns `(selection, ran_kernel)`; `ran_kernel` is false when the result
-/// was decided without touching any row payload.
+/// was decided without touching any row payload. Called on blocks with at
+/// least one row.
 fn scan_inner<B: BlockView + ?Sized>(
     block: &B,
     pred: &Predicate,
@@ -504,9 +536,6 @@ fn eval_int_leaf<B: BlockView + ?Sized>(
 ) -> Result<(SelectionVector, bool)> {
     let idx = block.index_of(column)?;
     let rows = block.rows();
-    if rows == 0 {
-        return Ok((SelectionVector::empty(), false));
-    }
     // Zone-map pruning: skip the per-row kernel when the range provably
     // misses (or covers) every value in the block.
     if let Some(zone) = block.zone(idx) {
@@ -534,9 +563,6 @@ fn eval_str_leaf<B: BlockView + ?Sized>(
     negate: bool,
 ) -> Result<(SelectionVector, bool)> {
     let idx = block.index_of(column)?;
-    if block.rows() == 0 {
-        return Ok((SelectionVector::empty(), false));
-    }
     let mut out = Vec::new();
     match block.view_codec(idx)? {
         ColumnCodec::Str(enc) => enc.filter_eq_into(value, negate, &mut out),

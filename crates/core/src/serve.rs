@@ -38,10 +38,11 @@ use corra_columnar::column::Column;
 use corra_columnar::error::Result;
 use corra_columnar::selection::SelectionVector;
 
-use crate::aggregate::{AggExpr, AggResult};
-use crate::operator::{TopKExpr, TopKRow};
-use crate::scan::{Predicate, ScanStats};
-use crate::store::{self, SegmentedTable, TableReader};
+use crate::aggregate::{aggregate_source, AggExpr, AggResult};
+use crate::compressor::BlockSource;
+use crate::operator::{top_k_source, TopKExpr, TopKRow};
+use crate::scan::{scan_source, Predicate, ScanStats};
+use crate::store::{SegmentedTable, Segments, TableReader};
 
 /// What a [`ServeSession`] serves from: any table-shaped source made of
 /// segment readers. Implemented by the single-file [`TableReader`] (the
@@ -62,7 +63,7 @@ impl ServeSource for TableReader {
 
 impl ServeSource for SegmentedTable {
     fn readers(&self) -> Vec<&TableReader> {
-        self.refs()
+        self.segments().iter().map(Arc::as_ref).collect()
     }
 }
 
@@ -182,11 +183,10 @@ impl<S: ServeSource> ServeSession<S> {
 
     /// Executes one request, returning its result and cost counters.
     fn execute(&self, request: &ServeRequest) -> Result<(ServeResult, ScanStats)> {
-        let readers = self.reader.readers();
+        let source = Segments::new(self.reader.readers());
         match request {
             ServeRequest::Point { block, column } => {
-                let (reader, local) = store::locate(&readers, *block)?;
-                let handle = reader.block_handle(local)?;
+                let handle = source.open(*block)?;
                 let values = handle.decompress(column)?;
                 let stats = ScanStats {
                     bytes_read: handle.loaded_bytes(),
@@ -198,15 +198,15 @@ impl<S: ServeSource> ServeSession<S> {
                 Ok((ServeResult::Column(values), stats))
             }
             ServeRequest::Scan(pred) => {
-                let (sels, stats) = store::scan_table(&readers, pred)?;
+                let (sels, stats) = scan_source(&source, pred)?;
                 Ok((ServeResult::Scan(sels), stats))
             }
             ServeRequest::Aggregate(expr) => {
-                let (agg, stats) = store::aggregate_table(&readers, expr)?;
+                let (agg, stats) = aggregate_source(&source, expr)?;
                 Ok((ServeResult::Aggregate(agg), stats))
             }
             ServeRequest::TopK(expr) => {
-                let (rows, stats) = store::top_k_table(&readers, expr)?;
+                let (rows, stats) = top_k_source(&source, expr)?;
                 Ok((ServeResult::TopK(rows), stats))
             }
         }

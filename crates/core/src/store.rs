@@ -49,29 +49,21 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut};
 use corra_columnar::column::{Column, DataType};
 use corra_columnar::error::{Error, Result};
-use corra_columnar::predicate::RangeVerdict;
 use corra_columnar::schema::{Field, Schema};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 
-use crate::aggregate::{
-    aggregate_partial, group_not_dictionary, validate_expr_with, zone_answer, AggExpr, AggFunc,
-    AggMerger, AggResult, PartialAgg,
-};
+use crate::aggregate::{aggregate_source, AggExpr, AggResult};
 use crate::cache::{next_table_id, CacheKey, CacheValue, ShardedCache};
-use crate::compressor::{
-    decompress_column, BlockView, ColumnCodec, CompressedBlock, DecodeScratch,
-};
+use crate::compressor::{decompress_column, BlockSource, BlockView, ColumnCodec, CompressedBlock};
 use crate::format::{read_codec_payload, CodecHeader, PayloadSpan};
 use crate::io::{checksum64, read_full_at, FileBackend, IoBackend, MemBackend};
 use crate::operator::{
-    rows_from, top_k_block, topk_visit_order, zone_skips_topk, BuildTable, JoinExpr, JoinPair,
-    JoinStats, RowId, TopKExpr, TopKRow,
+    gather_source, hash_join_sources, top_k_source, JoinExpr, JoinPair, JoinStats, RowId, TopKExpr,
+    TopKRow,
 };
 use crate::query::QueryOutput;
-use crate::scan::{scan_pruned, tree_verdict, validate_pred_with, Predicate, ScanStats};
-use corra_columnar::aggregate::{IntAggState, StrAggState};
-use corra_columnar::topk::TopKHeap;
+use crate::scan::{scan_source, Predicate, ScanStats};
 
 /// File magic framing a Corra table (leading and trailing).
 pub const TABLE_MAGIC: [u8; 8] = *b"CORRATBL";
@@ -812,59 +804,13 @@ impl TableReader {
         Ok((codec, false))
     }
 
-    /// Index of `name` in the footer schema.
-    fn col_index(&self, name: &str) -> Result<usize> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .ok_or_else(|| Error::ColumnNotFound(name.to_owned()))
-    }
-
-    /// The footer zone of column `name` in block `block`.
-    fn zone_of(&self, block: usize, name: &str) -> Option<ZoneMap> {
-        self.footer.zone(block, self.col_index(name).ok()?)
-    }
-
-    /// Validates `pred` against footer metadata alone (names + codec
-    /// tags) through the walker the in-memory scan uses, so pruned scans
-    /// report the same errors as kernel scans.
-    fn validate_pred_footer(&self, meta: &BlockMeta, pred: &Predicate) -> Result<()> {
-        validate_pred_with(pred, &|column| {
-            Ok(meta.columns[self.col_index(column)?].header.is_string())
-        })
-    }
-
-    /// Scans one block, consulting footer zone maps before touching any
-    /// bytes. Returns `(selection, pruned, skipped_io, load_cost)`.
-    fn scan_block_inner(
-        &self,
-        block: usize,
-        pred: &Predicate,
-    ) -> Result<(SelectionVector, bool, bool, LoadCost)> {
-        let meta = self.block_meta(block)?;
-        self.validate_pred_footer(meta, pred)?;
-        let rows = meta.rows as usize;
-        if rows == 0 {
-            return Ok((SelectionVector::empty(), true, true, LoadCost::default()));
-        }
-        match tree_verdict(pred, &|name| self.zone_of(block, name)) {
-            RangeVerdict::None => Ok((SelectionVector::empty(), true, true, LoadCost::default())),
-            RangeVerdict::All => Ok((SelectionVector::all(rows), true, true, LoadCost::default())),
-            RangeVerdict::Partial => {
-                let handle = self.block_handle(block)?;
-                let (sel, pruned) = scan_pruned(&handle, pred)?;
-                Ok((sel, pruned, false, handle.load_cost()))
-            }
-        }
-    }
-
     /// Evaluates `pred` against one block (footer pruning included).
     ///
     /// # Errors
     ///
     /// Unknown columns, predicate/codec type mismatches, I/O errors.
     pub fn scan(&self, block: usize, pred: &Predicate) -> Result<SelectionVector> {
-        Ok(self.scan_block_inner(block, pred)?.0)
+        crate::scan::scan(&self.block_handle(block)?, pred)
     }
 
     /// Scans every block, never touching the bytes of blocks the footer
@@ -875,118 +821,20 @@ impl TableReader {
     ///
     /// As [`scan`](Self::scan).
     pub fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        scan_table(&[self], pred)
+        scan_source(&Segments::new([self]), pred)
     }
 
-    /// The in-memory up-front expression validation, answered from footer
-    /// metadata alone (names, string-ness, horizontal-ness); dictionary
-    /// layout of an integer `GROUP BY` column is payload-level and is
-    /// checked by the kernel when a block actually evaluates.
-    fn validate_expr_footer(&self, meta: &BlockMeta, expr: &AggExpr) -> Result<()> {
-        let header = |column: &str| Ok(&meta.columns[self.col_index(column)?].header);
-        validate_expr_with(expr, &|column| Ok(header(column)?.is_string()), &|group| {
-            if header(group)?.is_horizontal() {
-                return Err(group_not_dictionary(group));
-            }
-            Ok(())
-        })
-    }
-
-    /// Evaluates `expr` against one block, consulting footer zone maps
-    /// before touching any bytes. Returns
-    /// `(partial, pruned, skipped_io, load_cost, rows_matched)`.
-    fn aggregate_block_inner(
-        &self,
-        block: usize,
-        expr: &AggExpr,
-    ) -> Result<(PartialAgg, bool, bool, LoadCost, usize)> {
-        let meta = self.block_meta(block)?;
-        self.validate_expr_footer(meta, expr)?;
-        let rows = meta.rows as usize;
-        let string_target = expr.column().is_some_and(|c| match self.col_index(c) {
-            Ok(idx) => meta.columns[idx].header.is_string(),
-            Err(_) => false,
-        });
-        let grouped = expr.group_by().is_some();
-        // A block the footer alone answers: pruned, zero payload bytes.
-        let footer_only =
-            |partial, matched| Ok((partial, true, true, LoadCost::default(), matched));
-        if rows == 0 && !grouped {
-            return footer_only(PartialAgg::empty(string_target, false), 0);
-        }
-        // Footer verdict of the filter; no filter covers every row.
-        let verdict = match expr.filter() {
-            None => RangeVerdict::All,
-            Some(pred) => tree_verdict(pred, &|name| self.zone_of(block, name)),
-        };
-        if matches!(verdict, RangeVerdict::None) {
-            if !grouped {
-                // Provably empty selection: nothing to fold, zero bytes.
-                return footer_only(PartialAgg::empty(string_target, false), 0);
-            }
-            // The group column's dictionary layout is payload-level (the
-            // footer tag cannot distinguish Dict from other vertical int
-            // codecs), so load that one codec: a non-dictionary GROUP BY
-            // errors here exactly as the in-memory engine does.
-            let handle = self.block_handle(block)?;
-            let group = expr.group_by().expect("grouped");
-            let gidx = handle.index_of(group)?;
-            crate::aggregate::validate_group_codec(handle.view_codec(gidx)?, group)?;
-            return Ok((
-                PartialAgg::empty(string_target, true),
-                true,
-                false,
-                handle.load_cost(),
-                0,
-            ));
-        }
-        if !grouped && matches!(verdict, RangeVerdict::All) {
-            // COUNT over a fully-covered block is the footer row count —
-            // typed to the target column's kind so partials merge with
-            // kernel-path partials from other blocks.
-            if expr.func() == AggFunc::Count {
-                let partial = if string_target {
-                    PartialAgg::Str(StrAggState {
-                        count: rows as u64,
-                        ..StrAggState::default()
-                    })
-                } else {
-                    PartialAgg::Int(IntAggState {
-                        count: rows as u64,
-                        ..IntAggState::default()
-                    })
-                };
-                return footer_only(partial, rows);
-            }
-            // MIN / MAX: the in-memory engine's whole-block rule, on the
-            // footer.
-            let zone = expr.column().and_then(|c| self.zone_of(block, c));
-            if let Some(state) = zone_answer(expr.func(), rows, zone) {
-                return footer_only(PartialAgg::Int(state), rows);
-            }
-        }
-        // Kernel path: lazy handle, loading only the payloads the filter
-        // and fold actually touch.
-        let handle = self.block_handle(block)?;
-        let (partial, pruned, matched) = aggregate_partial(&handle, expr)?;
-        Ok((partial, pruned, false, handle.load_cost(), matched))
-    }
-
-    /// Evaluates an aggregate expression across every block, answering
-    /// whatever it can from the footer alone: blocks whose filter verdict
-    /// is provably empty contribute nothing, and fully-covered
-    /// `COUNT`/`MIN`/`MAX` blocks (exact footer zones) are answered with
-    /// **zero payload bytes read** — reported via
-    /// [`ScanStats::blocks_skipped_io`] / [`ScanStats::bytes_read`].
-    /// Results are identical to [`crate::aggregate::aggregate_blocks`] over
-    /// the same blocks in memory.
+    /// Evaluates an aggregate across every block. A block the footer
+    /// decides — an empty filter verdict, a covered `COUNT` / `MIN` /
+    /// `MAX` — reads zero payload bytes. Results are identical to
+    /// [`crate::aggregate::aggregate_blocks`] over the same blocks.
     ///
     /// # Errors
     ///
     /// As [`crate::aggregate::aggregate`], plus I/O and corruption errors
     /// from lazy payload loads.
     pub fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        aggregate_table(&[self], expr)
+        aggregate_source(&Segments::new([self]), expr)
     }
 
     /// Filter → materialize against one block, loading only the predicate
@@ -1014,67 +862,16 @@ impl TableReader {
         crate::scan::scan_query_both(&self.block_handle(block)?, pred, target)
     }
 
-    /// Mirrors the in-memory TOP-K validation with footer metadata alone
-    /// (names + string-ness), so pruned blocks report the same errors as
-    /// evaluated ones.
-    fn validate_topk_footer(&self, meta: &BlockMeta, expr: &TopKExpr) -> Result<()> {
-        let idx = self.col_index(expr.column())?;
-        if meta.columns[idx].header.is_string() {
-            return Err(Error::TypeMismatch {
-                expected: "integer column for TOP-K",
-                found: "string column",
-            });
-        }
-        if let Some(pred) = expr.filter() {
-            self.validate_pred_footer(meta, pred)?;
-        }
-        Ok(())
-    }
-
-    /// Evaluates TOP-K against one block, consulting the footer before
-    /// touching any bytes: a block whose `skip` verdict (its value zone
-    /// against the current k-th bound, [`zone_skips_topk`]) is set or whose
-    /// filter verdict is provably empty contributes nothing and reads
-    /// **zero payload bytes**. Candidates are offered into `heap` with
-    /// positions based at `global_no << 32`. Returns `(pruned, skipped_io,
-    /// cost, matched)`.
-    pub(crate) fn top_k_block_inner(
-        &self,
-        block: usize,
-        global_no: u32,
-        expr: &TopKExpr,
-        skip: bool,
-        heap: &mut TopKHeap,
-        scratch: &mut DecodeScratch,
-    ) -> Result<(bool, bool, LoadCost, usize)> {
-        let meta = self.block_meta(block)?;
-        self.validate_topk_footer(meta, expr)?;
-        if meta.rows == 0 || expr.k() == 0 || skip {
-            return Ok((true, true, LoadCost::default(), 0));
-        }
-        if let Some(pred) = expr.filter() {
-            let verdict = tree_verdict(pred, &|name| self.zone_of(block, name));
-            if matches!(verdict, RangeVerdict::None) {
-                return Ok((true, true, LoadCost::default(), 0));
-            }
-        }
-        let handle = self.block_handle(block)?;
-        let (pruned, matched) = top_k_block(&handle, global_no, expr, heap, scratch)?;
-        Ok((pruned, false, handle.load_cost(), matched))
-    }
-
-    /// TOP-K across every block, never touching the bytes of blocks the
-    /// footer zone maps prove cannot beat the running k-th bound
-    /// ([`ScanStats::blocks_skipped_io`] / [`ScanStats::bytes_read`]).
-    /// Result rows are identical to [`crate::operator::top_k_blocks`] over
-    /// the same blocks in memory.
+    /// TOP-K across every block. A block whose footer zone cannot beat
+    /// the running k-th bound reads zero payload bytes. Result rows are
+    /// identical to [`crate::operator::top_k_blocks`] over the same blocks.
     ///
     /// # Errors
     ///
     /// Unknown or non-integer target column, invalid filter, I/O errors,
     /// or corruption.
     pub fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        top_k_table(&[self], expr)
+        top_k_source(&Segments::new([self]), expr)
     }
 
     /// Materializes `columns` for an arbitrary row-id list (TOP-K winners,
@@ -1086,7 +883,7 @@ impl TableReader {
     ///
     /// Unknown columns, out-of-range row ids, I/O errors, or corruption.
     pub fn gather_rows(&self, ids: &[RowId], columns: &[&str]) -> Result<Vec<QueryOutput>> {
-        gather_table(&[self], ids, columns)
+        gather_source(&Segments::new([self]), ids, columns)
     }
 
     /// Dict-code hash join: builds over this table's `build_key` column,
@@ -1105,179 +902,74 @@ impl TableReader {
         probe: &TableReader,
         expr: &JoinExpr,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        hash_join_tables(&[self], &[probe], expr)
+        hash_join_sources(&Segments::new([self]), &Segments::new([probe]), expr)
     }
 }
 
-/// One block of a (possibly multi-segment) table: its segment reader and
-/// its index within that segment.
-#[derive(Clone, Copy)]
-struct BlockRef<'a> {
-    reader: &'a TableReader,
-    local: usize,
+/// A table's segment readers as one block source: the blocks of every
+/// segment in table order, so a block's position is its global index. A
+/// single file is the one-segment case — [`TableReader`]'s operators pass
+/// `[self]`, [`SegmentedTable`]'s its segment readers — and both run the
+/// drivers in-memory blocks run, over lazy [`BlockHandle`]s.
+pub(crate) struct Segments<'a> {
+    /// `(segment reader, local block index)` per global block.
+    blocks: Vec<(&'a TableReader, usize)>,
+    segments: usize,
 }
 
-impl<'a> BlockRef<'a> {
-    fn rows(&self) -> usize {
-        self.reader.footer.blocks[self.local].rows as usize
-    }
-
-    fn handle(&self) -> Result<BlockHandle<'a>> {
-        self.reader.block_handle(self.local)
-    }
-}
-
-/// The one block list every whole-table store operator runs over: the
-/// blocks of `readers` in table order, so a block's position in the list is
-/// its global index — the number that enters every `(value, block, row)`
-/// tie-break and [`RowId`]. A single file is the one-segment case —
-/// [`TableReader`]'s operators pass `&[self]`, [`SegmentedTable`]'s pass
-/// its segment readers, and both run the same bodies below.
-fn block_list<'a>(readers: &[&'a TableReader]) -> Vec<BlockRef<'a>> {
-    let blocks_of = |reader: &'a TableReader| {
-        (0..reader.n_blocks()).map(move |local| BlockRef { reader, local })
-    };
-    readers.iter().copied().flat_map(blocks_of).collect()
-}
-
-/// Maps a global block index to `(segment reader, local block index)`.
-pub(crate) fn locate<'a>(
-    readers: &[&'a TableReader],
-    block: usize,
-) -> Result<(&'a TableReader, usize)> {
-    let mut remaining = block;
-    for &reader in readers {
-        if remaining < reader.n_blocks() {
-            return Ok((reader, remaining));
+impl<'a> Segments<'a> {
+    pub(crate) fn new(readers: impl IntoIterator<Item = &'a TableReader>) -> Self {
+        let (mut blocks, mut segments) = (Vec::new(), 0);
+        for reader in readers {
+            segments += 1;
+            blocks.extend((0..reader.n_blocks()).map(|local| (reader, local)));
         }
-        remaining -= reader.n_blocks();
+        Self { blocks, segments }
     }
-    Err(Error::IndexOutOfBounds {
-        index: block,
-        len: readers.iter().map(|r| r.n_blocks()).sum(),
-    })
+
+    /// Maps a global block index to `(segment reader, local block index)`.
+    fn locate(&self, block: usize) -> Result<(&'a TableReader, usize)> {
+        self.blocks
+            .get(block)
+            .copied()
+            .ok_or(Error::IndexOutOfBounds {
+                index: block,
+                len: self.blocks.len(),
+            })
+    }
 }
 
-/// Counters for an operator about to visit every block of `segments`
-/// segment files.
-fn stats_over(segments: usize) -> ScanStats {
-    ScanStats {
-        segments_opened: segments,
-        ..ScanStats::default()
-    }
-}
+impl<'a> BlockSource for Segments<'a> {
+    type Block = BlockHandle<'a>;
 
-/// Whole-table predicate scan (the body behind every store `scan_blocks`).
-pub(crate) fn scan_table(
-    readers: &[&TableReader],
-    pred: &Predicate,
-) -> Result<(Vec<SelectionVector>, ScanStats)> {
-    let blocks = block_list(readers);
-    let mut stats = stats_over(readers.len());
-    let mut selections = Vec::with_capacity(blocks.len());
-    for b in blocks {
-        let (sel, pruned, skipped, cost) = b.reader.scan_block_inner(b.local, pred)?;
-        stats.record_block(b.rows(), sel.len(), pruned, Some((skipped, cost)));
-        selections.push(sel);
-    }
-    Ok((selections, stats))
-}
+    type View<'s>
+        = BlockHandle<'a>
+    where
+        Self: 's;
 
-/// Whole-table aggregate (the body behind every store `aggregate`):
-/// per-block partials merge through one [`AggMerger`] in table order, so
-/// `AVG` and friends stay exact across block and segment boundaries.
-pub(crate) fn aggregate_table(
-    readers: &[&TableReader],
-    expr: &AggExpr,
-) -> Result<(AggResult, ScanStats)> {
-    let mut merger = AggMerger::new();
-    let mut stats = stats_over(readers.len());
-    for b in block_list(readers) {
-        let (partial, pruned, skipped, cost, matched) =
-            b.reader.aggregate_block_inner(b.local, expr)?;
-        stats.record_block(b.rows(), matched, pruned, Some((skipped, cost)));
-        merger.merge(partial)?;
+    fn n_blocks(&self) -> usize {
+        self.blocks.len()
     }
-    Ok((merger.finish(expr), stats))
-}
 
-/// Whole-table TOP-K (the body behind every store `top_k`): blocks are
-/// visited best-footer-zone-first ([`topk_visit_order`]) — so file reads
-/// follow zone order, not file order — and each is pruned against, then
-/// fills, one heap.
-pub(crate) fn top_k_table(
-    readers: &[&TableReader],
-    expr: &TopKExpr,
-) -> Result<(Vec<TopKRow>, ScanStats)> {
-    let blocks = block_list(readers);
-    let mut heap = TopKHeap::new(expr.k(), expr.descending());
-    let mut scratch = DecodeScratch::default();
-    // An unknown column sorts un-zoned; the first visit reports it.
-    let order = topk_visit_order(blocks.len(), expr.descending(), |g| {
-        blocks[g].reader.zone_of(blocks[g].local, expr.column())
-    });
-    let mut stats = stats_over(readers.len());
-    for (g, best) in order {
-        let b = blocks[g];
-        let skip = zone_skips_topk(best, g as u32, heap.worst());
-        let (pruned, skipped, cost, matched) =
-            b.reader
-                .top_k_block_inner(b.local, g as u32, expr, skip, &mut heap, &mut scratch)?;
-        stats.record_block(b.rows(), matched, pruned, Some((skipped, cost)));
+    fn segments(&self) -> usize {
+        self.segments
     }
-    Ok((rows_from(heap), stats))
-}
 
-/// Whole-table late materialization (the body behind every store
-/// `gather_rows`): one lazy handle per touched global block.
-fn gather_table(
-    readers: &[&TableReader],
-    ids: &[RowId],
-    columns: &[&str],
-) -> Result<Vec<QueryOutput>> {
-    crate::operator::gather_rows_with(ids, columns, |block, sel, cols| {
-        let (reader, local) = locate(readers, block as usize)?;
-        let handle = reader.block_handle(local)?;
-        cols.iter()
-            .map(|c| crate::query::query_column(&handle, c, sel))
-            .collect()
-    })
-}
+    fn zone(&self, block: usize, column: &str) -> Option<ZoneMap> {
+        let (reader, local) = self.locate(block).ok()?;
+        reader
+            .footer
+            .zone(local, reader.schema().index_of(column).ok()?)
+    }
 
-/// Whole-table dict-code hash join (the body behind every store
-/// `hash_join`): a build over `build`'s blocks (key ids are assigned in
-/// first-occurrence order), then a probe of each block of `probe`, pair
-/// lists concatenating in global block order. `stats.io` accounts both
-/// sides' traffic and segments.
-fn hash_join_tables(
-    build: &[&TableReader],
-    probe: &[&TableReader],
-    expr: &JoinExpr,
-) -> Result<(Vec<JoinPair>, JoinStats)> {
-    let mut io = stats_over(build.len() + probe.len());
-    let mut table = BuildTable::new();
-    for (i, b) in block_list(build).into_iter().enumerate() {
-        let handle = b.handle()?;
-        table.add_block(&handle, i as u32, expr.build_key())?;
-        io.record_block(b.rows(), 0, false, Some((false, handle.load_cost())));
+    fn open(&self, block: usize) -> Result<BlockHandle<'a>> {
+        let (reader, local) = self.locate(block)?;
+        reader.block_handle(local)
     }
-    let mut pairs = Vec::new();
-    let mut probe_rows = 0;
-    for (i, b) in block_list(probe).into_iter().enumerate() {
-        let handle = b.handle()?;
-        let (mut block_pairs, rows) = table.probe_block(&handle, i as u32, expr.probe_key())?;
-        probe_rows += rows;
-        io.record_block(b.rows(), 0, false, Some((false, handle.load_cost())));
-        pairs.append(&mut block_pairs);
+
+    fn io(handle: &BlockHandle<'a>) -> Option<(bool, LoadCost)> {
+        Some((handle.loaded_columns() == 0, handle.cost.get()))
     }
-    let stats = JoinStats {
-        build_rows: table.build_rows(),
-        probe_rows,
-        distinct_keys: table.distinct(),
-        pairs: pairs.len(),
-        io,
-    };
-    Ok((pairs, stats))
 }
 
 /// A lazy view over one block of a [`TableReader`]: every column's codec is
@@ -1321,9 +1013,10 @@ impl BlockHandle<'_> {
         self.cost.get().cache_misses
     }
 
-    /// This handle's cost counters, snapshot.
-    fn load_cost(&self) -> LoadCost {
-        self.cost.get()
+    /// The footer codec header of column `i`.
+    fn header(&self, i: usize) -> Option<&CodecHeader> {
+        let meta = &self.reader.footer.blocks[self.block];
+        meta.columns.get(i).map(|c| &c.header)
     }
 
     /// Fully decompresses column `name`, loading only its payload and its
@@ -1352,26 +1045,32 @@ impl BlockView for BlockHandle<'_> {
             index: i,
             len: self.cells.len(),
         })?;
-        if cell.get().is_none() {
-            let (codec, from_cache) = self.reader.load_codec(self.block, i)?;
-            let mut cost = self.cost.get();
-            if from_cache {
-                cost.cache_hits += 1;
-            } else {
-                let span = self.reader.footer.blocks[self.block].columns[i].span;
-                cost.bytes += u64::from(span.len);
-                cost.cache_misses += u64::from(self.reader.cache.is_some());
-            }
-            self.cost.set(cost);
-            // A concurrent set is impossible (&self is single-threaded via
-            // !Sync OnceCell), so the only race is with ourselves above.
-            let _ = cell.set(codec);
+        if let Some(codec) = cell.get() {
+            return Ok(codec);
         }
-        Ok(cell.get().expect("cell populated above").as_ref())
+        let (codec, from_cache) = self.reader.load_codec(self.block, i)?;
+        let mut cost = self.cost.get();
+        if from_cache {
+            cost.cache_hits += 1;
+        } else {
+            let span = self.reader.footer.blocks[self.block].columns[i].span;
+            cost.bytes += u64::from(span.len);
+            cost.cache_misses += u64::from(self.reader.cache.is_some());
+        }
+        self.cost.set(cost);
+        Ok(cell.get_or_init(|| codec))
     }
 
     fn zone(&self, i: usize) -> Option<ZoneMap> {
         self.reader.footer.zone(self.block, i)
+    }
+
+    fn is_string(&self, i: usize) -> bool {
+        self.header(i).is_some_and(CodecHeader::is_string)
+    }
+
+    fn is_horizontal(&self, i: usize) -> bool {
+        self.header(i).is_some_and(CodecHeader::is_horizontal)
     }
 }
 
@@ -1478,10 +1177,9 @@ impl SegmentedTable {
         self.readers.iter().map(|r| r.rows_total()).sum()
     }
 
-    /// The segment readers as the plain reference list the shared
-    /// whole-table bodies ([`scan_table`] and friends) run over.
-    pub(crate) fn refs(&self) -> Vec<&TableReader> {
-        self.readers.iter().map(Arc::as_ref).collect()
+    /// The block source every whole-table operator runs over.
+    fn source(&self) -> Segments<'_> {
+        Segments::new(self.readers.iter().map(Arc::as_ref))
     }
 
     /// A lazy handle on the global `block` index.
@@ -1490,8 +1188,7 @@ impl SegmentedTable {
     ///
     /// Unknown block; I/O errors reading the segment.
     pub fn block_handle(&self, block: usize) -> Result<BlockHandle<'_>> {
-        let (reader, local) = locate(&self.refs(), block)?;
-        reader.block_handle(local)
+        self.source().open(block)
     }
 
     /// Decompresses one column of the global `block` index.
@@ -1509,7 +1206,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::read_block`].
     pub fn read_block(&self, block: usize) -> Result<CompressedBlock> {
-        let (reader, local) = locate(&self.refs(), block)?;
+        let (reader, local) = self.source().locate(block)?;
         reader.read_block(local)
     }
 
@@ -1520,7 +1217,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::scan_blocks`].
     pub fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        scan_table(&self.refs(), pred)
+        scan_source(&self.source(), pred)
     }
 
     /// Evaluates an aggregate across every segment, merging per-block
@@ -1531,7 +1228,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::aggregate`].
     pub fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        aggregate_table(&self.refs(), expr)
+        aggregate_source(&self.source(), expr)
     }
 
     /// TOP-K across every segment's blocks, sharing one running k-th
@@ -1543,7 +1240,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::top_k`].
     pub fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        top_k_table(&self.refs(), expr)
+        top_k_source(&self.source(), expr)
     }
 
     /// Materializes `columns` for row ids addressed by *global* block
@@ -1553,7 +1250,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::gather_rows`].
     pub fn gather_rows(&self, ids: &[RowId], columns: &[&str]) -> Result<Vec<QueryOutput>> {
-        gather_table(&self.refs(), ids, columns)
+        gather_source(&self.source(), ids, columns)
     }
 
     /// Dict-code hash join building over this table, probing `probe` —
@@ -1568,7 +1265,7 @@ impl SegmentedTable {
         probe: &SegmentedTable,
         expr: &JoinExpr,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        hash_join_tables(&self.refs(), &probe.refs(), expr)
+        hash_join_sources(&self.source(), &probe.source(), expr)
     }
 }
 

@@ -14,8 +14,10 @@ const EXECUTOR_FILES: [(&str, &str); 7] = [
 ];
 
 /// Non-test `.unwrap()` / `.expect(` across [`EXECUTOR_FILES`]: 51 before
-/// the morsel loop landed. Lower it when one goes; never raise it.
-const UNWRAP_CEILING: usize = 2;
+/// the morsel loop landed, 0 since the store's lazy handle loads through
+/// `OnceCell::get_or_init`. It has reached the floor, so the check below is
+/// an equality; never raise it.
+const UNWRAP_CEILING: usize = 0;
 
 /// The source above its unit-test module.
 fn library_part(source: &str) -> &str {
@@ -99,6 +101,21 @@ fn query_operators_have_one_serial_body() {
     // join is one loop over the blocks. The morsel loop fans out only
     // block compression and the serve front door's requests.
     let fan_out = ["compressor.rs", "serve.rs"];
+    // One body per operator over a `BlockSource`, too: memory, a file and
+    // a segmented table run the same footer-first kernels and drivers, so
+    // the store's own zone-first twins, footer validators and whole-table
+    // bodies stay deleted.
+    let store_twins = [
+        "_block_inner",
+        "_footer(",
+        "validate_pred_with",
+        "validate_expr_with",
+        "fn scan_table",
+        "fn aggregate_table",
+        "fn top_k_table",
+        "fn gather_table",
+        "fn hash_join_tables",
+    ];
     for (path, source) in crate_sources() {
         let name = path.file_name().unwrap().to_string_lossy();
         for (at, _) in source.match_indices("_parallel(") {
@@ -114,6 +131,14 @@ fn query_operators_have_one_serial_body() {
             assert!(
                 !source.contains(retired),
                 "{} brings back `{retired}`",
+                path.display()
+            );
+        }
+        for twin in store_twins {
+            assert!(
+                !source.contains(twin),
+                "{} brings back `{twin}`; run every source through the \
+                 BlockSource drivers",
                 path.display()
             );
         }
@@ -199,8 +224,8 @@ fn library_unwraps_stay_under_the_ceiling() {
         println!("{name}: {n}");
         total += n;
     }
-    assert!(
-        total <= UNWRAP_CEILING,
+    assert_eq!(
+        total, UNWRAP_CEILING,
         "{total} non-test unwrap/expect in the executor files, ceiling {UNWRAP_CEILING}"
     );
 }
