@@ -12,16 +12,16 @@
 //!    `count = rows` and `min` / `max` from the zone: `COUNT` / `MIN` /
 //!    `MAX` read no payload, and `SUM` / `AVG` read one Σ, a wrapping `i64`
 //!    sum that is exact whenever `rows · min ≥ −2^63` and
-//!    `rows · max < 2^63`. Vertical codecs sum through
-//!    [`IntAccess::sum_wrapping`] (FOR in the offset domain, RLE per run,
-//!    Dict per distinct value); NonHier sums `Σ ref + n · base + Σ diff`
-//!    without reconstructing a row; Hier folds once per metadata entry;
-//!    MultiRef sums its reconstruction.
+//!    `rows · max < 2^63`. Σ is the resolved column's
+//!    [`IntAccess::sum_wrapping`](corra_encodings::IntAccess::sum_wrapping)
+//!    (FOR in the offset domain, RLE per run, Dict and Hier per distinct
+//!    value, NonHier as `Σ ref + n · base + Σ diff` without reconstructing
+//!    a row, MultiRef over its reconstruction).
 //! 3. **Exact folds** — everything else: a block with no zone or a sum
 //!    that may leave the `i64` domain folds every row into an `i128`
 //!    ([`IntAggState::update_slice`]); a *filtered* fold reads only the
 //!    selected rows, through the reference accessors per the paper's
-//!    reconstruction rules; grouped folds run per codec.
+//!    reconstruction rules; a grouped fold is one `aggregate_grouped`.
 //! 4. **Merge** — per-block partial states ([`IntAggState`] /
 //!    [`StrAggState`], `SUM` in `i128` so it never silently wraps) merge
 //!    in block order ([`aggregate_blocks`]).
@@ -40,10 +40,10 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::RangeVerdict;
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
-use corra_encodings::{wrapping_sum, IntAccess, IntEncoding};
+use corra_encodings::IntEncoding;
 
-use crate::compressor::{vertical_codec, BlockSource, BlockView, ColumnCodec, CompressedBlock};
-use crate::query::{eval_formula_mask, int_column, whole_column, IntColumn, WholeColumn};
+use crate::compressor::{BlockSource, BlockView, ColumnCodec, CompressedBlock};
+use crate::query::{code_access, int_column, DecodeScratch};
 use crate::scan::{scan_pruned, validate_pred, zone_verdict, Predicate, ScanStats};
 
 /// The aggregate function of an [`AggExpr`].
@@ -491,7 +491,7 @@ pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
         }
         if let (Some(idx), Some(zone)) = (target, zone) {
             if sum_is_exact(rows, zone) {
-                let sum = sum_wrapping(block, idx)?;
+                let sum = int_column(block, idx, &DecodeScratch::default(), |c| c.sum_wrapping())?;
                 return Ok((
                     PartialAgg::Int(zone_state(rows, zone, sum.into())),
                     pruned,
@@ -535,26 +535,6 @@ fn sum_is_exact(rows: usize, zone: ZoneMap) -> bool {
         && rows * i128::from(zone.max) <= i128::from(i64::MAX)
 }
 
-/// The payload half of the whole-block rule: Σ over every row of integer
-/// column `idx`, mod 2^64, read once. Vertical codecs take their
-/// `sum_wrapping` (FOR / Dict / RLE in the compressed domain), NonHier sums
-/// its reference and its diffs without reconstructing a row, Hier folds
-/// once per metadata entry, and MultiRef sums its reconstruction.
-fn sum_wrapping<B: BlockView + ?Sized>(block: &B, idx: usize) -> Result<i64> {
-    if let ColumnCodec::NonHier { enc, reference } = block.view_codec(idx)? {
-        return enc.sum_wrapping(vertical_codec(block, *reference as usize)?);
-    }
-    Ok(match whole_column(block, idx)? {
-        WholeColumn::Vertical(enc) => enc.sum_wrapping(),
-        WholeColumn::Hier { enc, codes } => {
-            let mut state = IntAggState::default();
-            enc.aggregate_with_parents(|i| codes.code(i), &mut state);
-            state.sum as i64
-        }
-        WholeColumn::Decoded(values) => wrapping_sum(0, &values),
-    })
-}
-
 /// Ungrouped evaluation: one fold over the full column or the selection.
 fn eval_scalar<B: BlockView + ?Sized>(
     block: &B,
@@ -596,7 +576,7 @@ fn eval_scalar<B: BlockView + ?Sized>(
             return Ok(PartialAgg::Str(state));
         }
         ColumnCodec::HierStr { enc, reference } => {
-            let codes = crate::query::code_access(block, *reference as usize)?;
+            let codes = code_access(block, *reference as usize)?;
             let mut state = StrAggState::default();
             match sel {
                 None => enc.aggregate_with_parents(|i| codes.code(i), &mut state),
@@ -607,34 +587,12 @@ fn eval_scalar<B: BlockView + ?Sized>(
         _ => {}
     }
     let mut state = IntAggState::default();
-    let Some(s) = sel else {
+    int_column(block, idx, &DecodeScratch::default(), |c| match sel {
         // The exact `i128` fold, for a block the whole-block rule could not
         // answer: no zone, or a sum that may leave the `i64` domain.
-        match whole_column(block, idx)? {
-            WholeColumn::Vertical(enc) => {
-                enc.for_each_chunk(&mut |_, chunk| state.update_slice(chunk))
-            }
-            WholeColumn::Hier { enc, codes } => {
-                enc.aggregate_with_parents(|i| codes.code(i), &mut state)
-            }
-            WholeColumn::Decoded(values) => state.update_slice(&values),
-        }
-        return Ok(PartialAgg::Int(state));
-    };
-    match int_column(block, idx)? {
-        IntColumn::Vertical(enc) => enc.aggregate_selected(s, &mut state),
-        IntColumn::NonHier { enc, refs } => {
-            enc.aggregate_selected_map(s, |i| refs.get(i), &mut state)
-        }
-        IntColumn::Hier { enc, codes } => {
-            enc.aggregate_selected_with_parents(s, |i| codes.code(i), &mut state)
-        }
-        IntColumn::MultiRef { enc, members } => enc.aggregate_selected_masked(
-            s,
-            |mask, i| eval_formula_mask(&members, mask, i),
-            &mut state,
-        ),
-    }
+        None => c.for_each_chunk(&mut |_, chunk| state.update_slice(chunk)),
+        Some(s) => c.aggregate_selected(s, &mut state),
+    })?;
     Ok(PartialAgg::Int(state))
 }
 
@@ -666,6 +624,13 @@ fn eval_grouped<B: BlockView + ?Sized>(
         }
         _ => return Err(group_not_dictionary(group_col)),
     };
+    // Every kernel below pairs a code with a row of the target.
+    if codes.len() != block.rows() {
+        return Err(Error::LengthMismatch {
+            left: codes.len(),
+            right: block.rows(),
+        });
+    }
     let n_groups = keys.len();
     // Route filtered-out rows to a trailing discard group, dropped below.
     let n_states = n_groups + usize::from(sel.is_some());
@@ -717,7 +682,7 @@ fn eval_grouped<B: BlockView + ?Sized>(
             return Ok(collect_grouped_str(keys, states));
         }
         ColumnCodec::HierStr { enc, reference } => {
-            let pcodes = crate::query::code_access(block, *reference as usize)?;
+            let pcodes = code_access(block, *reference as usize)?;
             let mut states = vec![StrAggState::default(); n_states];
             enc.aggregate_grouped_with_parents(&codes, |i| pcodes.code(i), &mut states);
             return Ok(collect_grouped_str(keys, states));
@@ -725,23 +690,9 @@ fn eval_grouped<B: BlockView + ?Sized>(
         _ => {}
     }
     let mut states = vec![IntAggState::default(); n_states];
-    match whole_column(block, idx)? {
-        WholeColumn::Vertical(enc) => enc.aggregate_grouped(&codes, &mut states),
-        WholeColumn::Hier { enc, codes: pcodes } => {
-            enc.aggregate_grouped_with_parents(&codes, |i| pcodes.code(i), &mut states)
-        }
-        WholeColumn::Decoded(values) => {
-            if values.len() != codes.len() {
-                return Err(Error::LengthMismatch {
-                    left: codes.len(),
-                    right: values.len(),
-                });
-            }
-            for (&v, &g) in values.iter().zip(&codes) {
-                states[g as usize].update(v);
-            }
-        }
-    }
+    int_column(block, idx, &DecodeScratch::default(), |c| {
+        c.aggregate_grouped(&codes, &mut states)
+    })?;
     Ok(PartialAgg::GroupedInt(
         keys.into_iter()
             .zip(states)
@@ -1080,13 +1031,15 @@ mod tests {
 
     #[test]
     fn grouped_fold_over_misaligned_group_codes_errors() {
+        use crate::hier::HierInt;
         use crate::multiref::MultiRefInt;
-        use corra_encodings::{DictInt, PlainInt};
-        // The group column stores 3 rows, the reconstructed target 10.
+        use corra_encodings::{DictInt, DictStr, PlainInt};
+        // The group column stores 3 rows; every target, and the block, 10.
         let reference: Vec<i64> = (0..10).collect();
+        let parent_codes: Vec<u32> = (0..10).map(|i| i % 2).collect();
         let block = CompressedBlock::new_unchecked(
             10,
-            ["g", "r", "t"].map(String::from).to_vec(),
+            ["g", "r", "t", "p", "h", "s"].map(String::from).to_vec(),
             vec![
                 ColumnCodec::Int(IntEncoding::Dict(DictInt::encode(&[1, 2, 1]))),
                 ColumnCodec::Int(IntEncoding::Plain(PlainInt::encode(&reference))),
@@ -1095,14 +1048,35 @@ mod tests {
                         .unwrap(),
                     groups: vec![vec![1]],
                 },
+                ColumnCodec::Int(IntEncoding::Dict(DictInt::encode(
+                    &parent_codes
+                        .iter()
+                        .map(|&c| i64::from(c))
+                        .collect::<Vec<_>>(),
+                ))),
+                ColumnCodec::HierInt {
+                    enc: HierInt::encode(&reference, &parent_codes, 2).unwrap(),
+                    reference: 3,
+                },
+                ColumnCodec::Str(DictStr::encode(["a"; 10])),
             ],
-            vec![None; 3],
+            vec![None; 6],
         );
-        let got = aggregate(&block, &AggExpr::sum("t").with_group_by("g"));
-        assert!(matches!(
-            got,
-            Err(Error::LengthMismatch { left: 3, right: 10 })
-        ));
+        // MultiRef, Plain (the parent `p`), Hier and string targets, and
+        // COUNT(*), which reads no target: all refuse before any kernel.
+        for expr in [
+            AggExpr::sum("t"),
+            AggExpr::sum("p"),
+            AggExpr::sum("h"),
+            AggExpr::min("s"),
+            AggExpr::count(),
+        ] {
+            let got = aggregate(&block, &expr.clone().with_group_by("g"));
+            assert!(
+                matches!(got, Err(Error::LengthMismatch { left: 3, right: 10 })),
+                "{expr:?}: {got:?}"
+            );
+        }
     }
 
     #[test]

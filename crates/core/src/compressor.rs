@@ -23,6 +23,7 @@ use rustc_hash::FxHashMap;
 use crate::hier::{HierInt, HierStr};
 use crate::multiref::MultiRefInt;
 use crate::nonhier::NonHierInt;
+use crate::query::{code_access, int_column, DecodeScratch};
 use crate::store::LoadCost;
 
 /// Per-column compression plan.
@@ -602,11 +603,11 @@ impl CompressedBlock {
     /// carries no zones, pays on [`from_bytes`](Self::from_bytes). The only
     /// place a zone is derived from a payload.
     pub(crate) fn with_decoded_zones(mut self) -> Result<Self> {
-        let mut scratch = DecodeScratch::default();
+        let (scratch, mut values) = (DecodeScratch::default(), Vec::new());
         for i in 0..self.codecs.len() {
             if !self.codecs[i].is_string() {
-                decode_int_column(&self, i, &mut scratch)?;
-                self.zones[i] = ZoneMap::from_values(&scratch.values);
+                int_column(&self, i, &scratch, |c| c.decode_into(&mut values))?;
+                self.zones[i] = ZoneMap::from_values(&values);
             }
         }
         Ok(self)
@@ -672,146 +673,20 @@ pub fn decompress_column<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<C
         ColumnCodec::PlainStr(p) => Ok(Column::Utf8(p.clone())),
         ColumnCodec::HierStr { enc, reference } => {
             let mut codes = Vec::new();
-            parent_codes_into(block, *reference as usize, &mut codes)?;
+            code_access(block, *reference as usize)?.codes_into(&mut codes);
             Ok(Column::Utf8(enc.decode_into_pool(&codes)?))
         }
         ColumnCodec::Int(_)
         | ColumnCodec::NonHier { .. }
         | ColumnCodec::HierInt { .. }
         | ColumnCodec::MultiRef { .. } => {
-            let mut scratch = DecodeScratch::default();
-            decode_int_column(block, i, &mut scratch)?;
-            Ok(Column::Int64(scratch.values))
+            let mut values = Vec::new();
+            int_column(block, i, &DecodeScratch::default(), |c| {
+                c.decode_into(&mut values)
+            })?;
+            Ok(Column::Int64(values))
         }
     }
-}
-
-/// The buffers one integer column reconstructs through: its values, and
-/// what its reconstruction rule reads them from. A caller that decodes
-/// block after block (TOP-K over a horizontal target) keeps one and pays
-/// for the allocations once.
-#[derive(Debug, Default)]
-pub(crate) struct DecodeScratch {
-    /// The reconstructed column, after [`decode_int_column`].
-    pub(crate) values: Vec<i64>,
-    /// A decoded reference column (NonHier), or one group member (MultiRef).
-    refs: Vec<i64>,
-    /// Per-row parent dictionary codes (Hier).
-    codes: Vec<u32>,
-    /// Per-group reference sums (MultiRef).
-    sums: Vec<Vec<i64>>,
-}
-
-/// Reconstructs integer column `i` into `scratch.values` a block at a time:
-/// the batched decode of each referenced column, then the codec's bulk
-/// reconstruction kernel over it.
-///
-/// # Errors
-///
-/// [`Error::TypeMismatch`] for a string column; otherwise whatever loading
-/// or decoding the column and its references reports.
-pub(crate) fn decode_int_column<B: BlockView + ?Sized>(
-    block: &B,
-    i: usize,
-    scratch: &mut DecodeScratch,
-) -> Result<()> {
-    let DecodeScratch {
-        values,
-        refs,
-        codes,
-        sums,
-    } = scratch;
-    match block.view_codec(i)? {
-        ColumnCodec::Int(enc) => {
-            enc.decode_into(values);
-            Ok(())
-        }
-        ColumnCodec::NonHier { enc, reference } => {
-            decode_vertical_into(block, *reference as usize, refs)?;
-            enc.decode_into(refs, values)
-        }
-        ColumnCodec::HierInt { enc, reference } => {
-            parent_codes_into(block, *reference as usize, codes)?;
-            enc.decode_into(codes, values)
-        }
-        ColumnCodec::MultiRef { enc, groups } => {
-            sums.resize_with(groups.len(), Vec::new);
-            for (sum, group) in sums.iter_mut().zip(groups) {
-                // The first member decodes straight into the group sum.
-                let Some((&first, rest)) = group.split_first() else {
-                    sum.clear();
-                    sum.resize(block.rows(), 0);
-                    continue;
-                };
-                decode_vertical_into(block, first as usize, sum)?;
-                for &member in rest {
-                    decode_vertical_into(block, member as usize, refs)?;
-                    if refs.len() != sum.len() {
-                        return Err(Error::LengthMismatch {
-                            left: sum.len(),
-                            right: refs.len(),
-                        });
-                    }
-                    for (acc, &x) in sum.iter_mut().zip(refs.iter()) {
-                        *acc = acc.wrapping_add(x);
-                    }
-                }
-            }
-            enc.decode_into(sums, values)
-        }
-        ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. } => {
-            Err(Error::TypeMismatch {
-                expected: "integer column",
-                found: "string column",
-            })
-        }
-    }
-}
-
-/// Decodes an integer column (must be vertical) to raw values.
-fn decode_vertical_into<B: BlockView + ?Sized>(
-    block: &B,
-    i: usize,
-    out: &mut Vec<i64>,
-) -> Result<()> {
-    vertical_codec(block, i)?.decode_into(out);
-    Ok(())
-}
-
-/// The codec of reference column `i`, which must be vertical.
-///
-/// # Errors
-///
-/// [`Error::TypeMismatch`] for any other codec, plus whatever loading it
-/// reports.
-pub(crate) fn vertical_codec<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<&IntEncoding> {
-    match block.view_codec(i)? {
-        ColumnCodec::Int(enc) => Ok(enc),
-        other => Err(Error::TypeMismatch {
-            expected: "vertical int reference",
-            found: codec_kind(other),
-        }),
-    }
-}
-
-/// Extracts per-row parent dictionary codes from a reference column
-/// through the batched code kernels.
-fn parent_codes_into<B: BlockView + ?Sized>(
-    block: &B,
-    i: usize,
-    codes: &mut Vec<u32>,
-) -> Result<()> {
-    match block.view_codec(i)? {
-        ColumnCodec::Int(IntEncoding::Dict(d)) => d.codes_into(codes),
-        ColumnCodec::Str(d) => d.codes_into(codes),
-        other => {
-            return Err(Error::TypeMismatch {
-                expected: "dict-encoded reference",
-                found: codec_kind(other),
-            })
-        }
-    }
-    Ok(())
 }
 
 fn parent_codes_of(codec: &Option<ColumnCodec>, rows: usize) -> Result<(Vec<u32>, usize)> {
@@ -835,7 +710,8 @@ fn parent_codes_of(codec: &Option<ColumnCodec>, rows: usize) -> Result<(Vec<u32>
     }
 }
 
-fn codec_kind(c: &ColumnCodec) -> &'static str {
+/// A codec's kind, as type-mismatch errors name it.
+pub(crate) fn codec_kind(c: &ColumnCodec) -> &'static str {
     match c {
         ColumnCodec::Int(_) => "vertical int",
         ColumnCodec::Str(_) => "dict str",

@@ -21,7 +21,10 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::strings::{StringDictBuilder, StringPool};
+use corra_encodings::IntAccess;
 use rustc_hash::FxHashMap;
+
+use crate::query::{stream_reconstructed, CodeAccess, DecodeScratch};
 
 /// Hierarchically encoded column with integer child values
 /// (e.g. zip codes w.r.t. city, IPs w.r.t. country).
@@ -141,6 +144,13 @@ impl HierInt {
                 right: self.len(),
             });
         }
+        self.reconstruct(parent_codes, out);
+        Ok(())
+    }
+
+    /// [`decode_into`](Self::decode_into) over parent codes already checked
+    /// to be one per row.
+    fn reconstruct(&self, parent_codes: &[u32], out: &mut Vec<i64>) {
         out.clear();
         out.reserve(self.len());
         // Batched group-index unpack; Alg. 1's metadata lookup runs over
@@ -149,105 +159,6 @@ impl HierInt {
             for (&p, &c) in parent_codes[start..start + chunk.len()].iter().zip(chunk) {
                 let off = self.offsets[p as usize];
                 out.push(self.values[(off + c as u32) as usize]);
-            }
-        });
-        Ok(())
-    }
-
-    /// Materializes selected rows through a parent-code accessor (the
-    /// hierarchical query path of Fig. 5: fetch city code, then zip lookup).
-    pub fn gather_into(
-        &self,
-        sel: &SelectionVector,
-        parent_code_at: impl Fn(usize) -> u32,
-        out: &mut Vec<i64>,
-    ) {
-        out.clear();
-        out.reserve(sel.len());
-        for &p in sel.positions() {
-            out.push(self.get(p as usize, parent_code_at(p as usize)));
-        }
-    }
-
-    /// Predicate pushdown: evaluates `range` once per distinct
-    /// (parent, child) metadata entry — the flattened `values` array of
-    /// Fig. 3 — and then tests each row by indexing the precomputed verdicts
-    /// with `offsets[parent] + code`, the same address Alg. 1 reads. No
-    /// child value is reconstructed per row.
-    pub fn filter_with_parents(
-        &self,
-        range: &IntRange,
-        parent_code_at: impl Fn(usize) -> u32,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        let verdicts: Vec<bool> = self.values.iter().map(|&v| range.matches(v)).collect();
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                let off = self.offsets[parent_code_at(i) as usize];
-                if verdicts[(off + c as u32) as usize] {
-                    out.push(i as u32);
-                }
-            }
-        });
-    }
-
-    /// Aggregate pushdown: histograms the per-row metadata addresses
-    /// (`offsets[parent] + code`, the same address Alg. 1 reads), then
-    /// folds once per distinct (parent, child) entry weighted by its count
-    /// — no child value is reconstructed per row.
-    pub fn aggregate_with_parents(
-        &self,
-        parent_code_at: impl Fn(usize) -> u32,
-        state: &mut IntAggState,
-    ) {
-        let mut counts = vec![0u64; self.values.len()];
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let off = self.offsets[parent_code_at(start + j) as usize];
-                counts[(off + c as u32) as usize] += 1;
-            }
-        });
-        for (&v, &n) in self.values.iter().zip(&counts) {
-            state.update_n(v, n);
-        }
-    }
-
-    /// [`aggregate_with_parents`](Self::aggregate_with_parents) over the
-    /// selected positions only (the caller validates `sel`).
-    pub fn aggregate_selected_with_parents(
-        &self,
-        sel: &SelectionVector,
-        parent_code_at: impl Fn(usize) -> u32,
-        state: &mut IntAggState,
-    ) {
-        debug_assert!(sel.validate(self.len()));
-        let mut counts = vec![0u64; self.values.len()];
-        for &p in sel.positions() {
-            let i = p as usize;
-            let off = self.offsets[parent_code_at(i) as usize];
-            counts[(off + self.codes.get_unchecked_len(i) as u32) as usize] += 1;
-        }
-        for (&v, &n) in self.values.iter().zip(&counts) {
-            state.update_n(v, n);
-        }
-    }
-
-    /// Grouped aggregate pushdown: folds row `i` into
-    /// `states[group_of[i]]` through the Alg. 1 metadata address.
-    pub fn aggregate_grouped_with_parents(
-        &self,
-        group_of: &[u32],
-        parent_code_at: impl Fn(usize) -> u32,
-        states: &mut [IntAggState],
-    ) {
-        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                let off = self.offsets[parent_code_at(i) as usize];
-                states[group_of[i] as usize].update(self.values[(off + c as u32) as usize]);
             }
         });
     }
@@ -315,6 +226,121 @@ impl HierInt {
             values,
             offsets,
         })
+    }
+}
+
+/// A hierarchical column resolved against its parent ([`int_column`]):
+/// Alg. 1 per row, the batch reconstruction over the parent's decoded
+/// codes, and the kernels that work per distinct (parent, child) metadata
+/// entry instead of per row — a predicate is evaluated once per entry, and
+/// sums and folds histogram the metadata address `offsets[parent] + code`.
+///
+/// [`int_column`]: crate::query::int_column
+pub(crate) struct HierColumn<'a> {
+    enc: &'a HierInt,
+    parent: CodeAccess<'a>,
+    scratch: &'a DecodeScratch,
+}
+
+impl<'a> HierColumn<'a> {
+    /// `enc` under `parent`, which the caller checked has one code per row.
+    pub(crate) fn new(
+        enc: &'a HierInt,
+        parent: CodeAccess<'a>,
+        scratch: &'a DecodeScratch,
+    ) -> Self {
+        Self {
+            enc,
+            parent,
+            scratch,
+        }
+    }
+
+    /// The Alg. 1 metadata address of row `i` whose group index is `code`.
+    #[inline]
+    fn address(&self, i: usize, code: u64) -> usize {
+        (self.enc.offsets[self.parent.code(i) as usize] + code as u32) as usize
+    }
+
+    /// Calls `f(row, address)` for every row, in row order, unpacking the
+    /// group indexes through the batched kernels.
+    #[inline]
+    fn for_each_address(&self, mut f: impl FnMut(usize, usize)) {
+        self.enc.codes.unpack_chunks(|start, chunk| {
+            for (j, &c) in chunk.iter().enumerate() {
+                f(start + j, self.address(start + j, c));
+            }
+        });
+    }
+}
+
+impl IntAccess for HierColumn<'_> {
+    fn len(&self) -> usize {
+        self.enc.len()
+    }
+
+    // `always`: the per-row step of the provided selected kernels (gather,
+    // selected fold, selected TOP-K); left to the hint it stayed a call.
+    #[inline(always)]
+    fn get(&self, i: usize) -> i64 {
+        // One bounds check for both reads: the parent has one code per row
+        // (checked at resolution).
+        assert!(i < self.len(), "row out of bounds");
+        self.enc.get_unchecked_len(i, self.parent.code(i))
+    }
+
+    fn compressed_bytes(&self) -> usize {
+        self.enc.compressed_bytes()
+    }
+
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+        stream_reconstructed(self, self.scratch, f);
+    }
+
+    fn decode_into(&self, out: &mut Vec<i64>) {
+        let mut codes = self.scratch.codes.borrow_mut();
+        self.parent.codes_into(&mut codes);
+        self.enc.reconstruct(&codes, out);
+    }
+
+    /// Evaluates `range` once per metadata entry, then tests each row by
+    /// indexing the verdicts with its Alg. 1 address.
+    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
+        out.clear();
+        let verdicts: Vec<bool> = self.enc.values.iter().map(|&v| range.matches(v)).collect();
+        self.for_each_address(|i, at| {
+            if verdicts[at] {
+                out.push(i as u32);
+            }
+        });
+    }
+
+    /// Histograms the rows' metadata addresses, then sums once per entry.
+    fn sum_wrapping(&self) -> i64 {
+        let mut counts = vec![0u64; self.enc.values.len()];
+        self.for_each_address(|_, at| counts[at] += 1);
+        self.enc
+            .values
+            .iter()
+            .zip(&counts)
+            .fold(0i64, |s, (&v, &n)| s.wrapping_add(v.wrapping_mul(n as i64)))
+    }
+
+    fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
+        assert!(sel.validate(self.len()), "selection out of bounds");
+        let mut counts = vec![0u64; self.enc.values.len()];
+        for &p in sel.positions() {
+            let i = p as usize;
+            counts[self.address(i, self.enc.codes.get_unchecked_len(i))] += 1;
+        }
+        for (&v, &n) in self.enc.values.iter().zip(&counts) {
+            state.update_n(v, n);
+        }
+    }
+
+    fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]) {
+        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
+        self.for_each_address(|i, at| states[group_of[i] as usize].update(self.enc.values[at]));
     }
 }
 
@@ -438,8 +464,8 @@ impl HierStr {
 
     /// Predicate pushdown for string equality: evaluates the comparison once
     /// per distinct (parent, child) pool entry, then tests rows against the
-    /// precomputed verdicts — the string analogue of
-    /// [`HierInt::filter_with_parents`].
+    /// precomputed verdicts — the string analogue of the integer Hier
+    /// column's `filter_into`.
     pub fn filter_eq_with_parents(
         &self,
         value: &str,
@@ -579,6 +605,7 @@ impl HierStr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corra_encodings::DictInt;
 
     /// The paper's Fig. 3 worked example.
     fn fig3() -> (Vec<i64>, Vec<u32>) {
@@ -658,9 +685,17 @@ mod tests {
     fn gather_through_accessor() {
         let (zips, cities) = fig3();
         let enc = HierInt::encode(&zips, &cities, 3).unwrap();
+        // City codes 0..3 dictionary-encode to themselves.
+        let parent = DictInt::encode(&cities.iter().map(|&c| i64::from(c)).collect::<Vec<_>>());
+        let scratch = DecodeScratch::default();
+        let column = HierColumn::new(
+            &enc,
+            CodeAccess::IntDict(&parent, parent.code_reader()),
+            &scratch,
+        );
         let sel = SelectionVector::new(vec![0, 3, 5]);
         let mut out = Vec::new();
-        enc.gather_into(&sel, |i| cities[i], &mut out);
+        column.gather_into(&sel, &mut out);
         assert_eq!(out, vec![13_045, 34_102, 10_001]);
     }
 

@@ -8,7 +8,7 @@
 //! 1. **CPU stage** ([`encode_segment`]) — split rows into blocks, run
 //!    the codec chooser and compress every block (the morsel-parallel
 //!    [`compress_blocks`] driver), frame them with the store's
-//!    footer-last v3 checksum layout into one in-memory segment image.
+//!    footer-last v4 checksum layout into one in-memory segment image.
 //!    Pure computation, no I/O.
 //! 2. **I/O stage** — write the image through the backend, `fsync` the
 //!    segment, then publish a new manifest (temp + fsync + rename +
@@ -96,7 +96,7 @@ pub struct PreparedSegment {
 }
 
 impl PreparedSegment {
-    /// The framed segment image (store layout, footer-last, v3
+    /// The framed segment image (store layout, footer-last, v4
     /// checksums).
     #[must_use]
     pub fn bytes(&self) -> &[u8] {

@@ -13,12 +13,12 @@
 //! `2^code_bits` subsets that together explain the most rows.
 
 use bytes::{Buf, BufMut};
-use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
-use corra_columnar::selection::SelectionVector;
+use corra_encodings::{IntAccess, IntEncoding};
 
 use crate::outlier::OutlierRegion;
+use crate::query::{stream_reconstructed, DecodeScratch, RefAccess};
 
 /// Maximum number of reference groups (masks are stored in a `u8`).
 pub const MAX_GROUPS: usize = 8;
@@ -312,6 +312,13 @@ impl MultiRefInt {
             }
         }
         self.validate_groups(group_sums.len())?;
+        self.reconstruct(group_sums, out);
+        Ok(())
+    }
+
+    /// [`decode_into`](Self::decode_into) over group sums already checked:
+    /// one per group the formulas name, each as long as the column.
+    fn reconstruct(&self, group_sums: &[Vec<i64>], out: &mut Vec<i64>) {
         // Codes are below `formulas.len()` (checked on construction and
         // read), which is at most 255, so `code as u8` indexes losslessly.
         let mut keep: Vec<(&[i64], [i64; 256])> = Vec::with_capacity(group_sums.len());
@@ -336,60 +343,6 @@ impl MultiRefInt {
             }
         });
         self.outliers.patch(out);
-        Ok(())
-    }
-
-    /// Materializes selected rows, evaluating only the reference groups the
-    /// row's formula names: `eval_mask(mask, row)` must return the sum of
-    /// the groups set in `mask` at `row`. This is the paper's decompression
-    /// order — outlier check first, then fetch exactly the needed columns.
-    pub fn gather_masked(
-        &self,
-        sel: &SelectionVector,
-        eval_mask: impl Fn(u8, usize) -> i64,
-        out: &mut Vec<i64>,
-    ) {
-        debug_assert!(sel.validate(self.len()));
-        out.clear();
-        out.reserve(sel.len());
-        if self.outliers.is_empty() {
-            for &p in sel.positions() {
-                let i = p as usize;
-                let mask = self.formulas[self.codes.get_unchecked_len(i) as usize].0;
-                out.push(eval_mask(mask, i));
-            }
-        } else {
-            for &p in sel.positions() {
-                let i = p as usize;
-                if let Some(v) = self.outliers.lookup(p) {
-                    out.push(v);
-                    continue;
-                }
-                let mask = self.formulas[self.codes.get_unchecked_len(i) as usize].0;
-                out.push(eval_mask(mask, i));
-            }
-        }
-    }
-
-    /// Folds the selected rows into `state`, evaluating only the reference
-    /// groups each row's formula names, per the §2.3 decompression order
-    /// (the caller validates `sel`). A whole-block fold reconstructs through
-    /// [`decode_into`](Self::decode_into) instead.
-    pub fn aggregate_selected_masked(
-        &self,
-        sel: &SelectionVector,
-        eval_mask: impl Fn(u8, usize) -> i64,
-        state: &mut IntAggState,
-    ) {
-        debug_assert!(sel.validate(self.len()));
-        for &p in sel.positions() {
-            let i = p as usize;
-            let v = match self.outliers.lookup(p) {
-                Some(v) => v,
-                None => eval_mask(self.formulas[self.codes.get_unchecked_len(i) as usize].0, i),
-            };
-            state.update(v);
-        }
     }
 
     /// Checks every formula mask only names groups `< n_groups` — the
@@ -472,9 +425,107 @@ impl MultiRefInt {
     }
 }
 
+/// A MultiRef column resolved against its reference groups
+/// ([`int_column`]): the per-row rule of §2.3 (outlier first, then the
+/// coded formula over exactly the groups it names) and the branch-free
+/// batch reconstruction over the decoded group sums.
+///
+/// [`int_column`]: crate::query::int_column
+pub(crate) struct MultiRefColumn<'a> {
+    enc: &'a MultiRefInt,
+    /// Each group's member codecs, for the batch decode.
+    groups: Vec<Vec<&'a IntEncoding>>,
+    /// The same members as per-row accessors, for `get`.
+    members: Vec<Vec<RefAccess<'a>>>,
+    scratch: &'a DecodeScratch,
+}
+
+impl<'a> MultiRefColumn<'a> {
+    /// `enc` over `groups`, which the caller checked: every member as long
+    /// as the column, and every formula naming only groups that exist.
+    pub(crate) fn new(
+        enc: &'a MultiRefInt,
+        groups: Vec<Vec<&'a IntEncoding>>,
+        scratch: &'a DecodeScratch,
+    ) -> Self {
+        let members = groups
+            .iter()
+            .map(|group| group.iter().map(|&m| RefAccess::of(m)).collect())
+            .collect();
+        Self {
+            enc,
+            groups,
+            members,
+            scratch,
+        }
+    }
+}
+
+impl IntAccess for MultiRefColumn<'_> {
+    fn len(&self) -> usize {
+        self.enc.len()
+    }
+
+    // `always`: the per-row step of the provided selected kernels (gather,
+    // selected fold, selected TOP-K); left to the hint it stayed a call.
+    #[inline(always)]
+    fn get(&self, i: usize) -> i64 {
+        // One bounds check for every read below: each member is as long as
+        // the column (checked at resolution).
+        assert!(i < self.len(), "row out of bounds");
+        let enc = self.enc;
+        if let Some(v) = enc.outliers.lookup(i as u32) {
+            return v;
+        }
+        // §2.3 decompression: "read the values from the reference columns"
+        // — exactly the groups the row's formula names.
+        let mut acc = 0i64;
+        let mut mask = enc.formulas[enc.codes.get_unchecked_len(i) as usize].0;
+        while mask != 0 {
+            for r in &self.members[mask.trailing_zeros() as usize] {
+                acc = acc.wrapping_add(r.get(i));
+            }
+            mask &= mask - 1;
+        }
+        acc
+    }
+
+    fn compressed_bytes(&self) -> usize {
+        self.enc.compressed_bytes()
+    }
+
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+        stream_reconstructed(self, self.scratch, f);
+    }
+
+    fn decode_into(&self, out: &mut Vec<i64>) {
+        let mut refs = self.scratch.refs.borrow_mut();
+        let mut sums = self.scratch.sums.borrow_mut();
+        sums.resize_with(self.groups.len(), Vec::new);
+        for (sum, group) in sums.iter_mut().zip(&self.groups) {
+            // The first member decodes straight into the group sum.
+            let Some((first, rest)) = group.split_first() else {
+                sum.clear();
+                sum.resize(self.len(), 0);
+                continue;
+            };
+            first.decode_into(sum);
+            for member in rest {
+                member.decode_into(&mut refs);
+                for (acc, &x) in sum.iter_mut().zip(refs.iter()) {
+                    *acc = acc.wrapping_add(x);
+                }
+            }
+        }
+        self.enc.reconstruct(&sums, out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corra_columnar::selection::SelectionVector;
+    use corra_encodings::PlainInt;
 
     /// Builds a Taxi-like mixture: target = A, A+B, A+C, A+B+C, or junk.
     fn taxi_like(n: usize) -> (Vec<i64>, Vec<Vec<i64>>) {
@@ -555,9 +606,14 @@ mod tests {
         let (target, groups) = taxi_like(3_000);
         let enc = MultiRefInt::encode(&target, &groups, 2).unwrap();
         let sel = SelectionVector::new(vec![0, 997, 999, 1_001, 2_999]);
-        let sums_at = |i: usize| [groups[0][i], groups[1][i], groups[2][i]];
+        let codecs: Vec<IntEncoding> = groups
+            .iter()
+            .map(|g| IntEncoding::Plain(PlainInt::encode(g)))
+            .collect();
+        let scratch = DecodeScratch::default();
+        let column = MultiRefColumn::new(&enc, codecs.iter().map(|c| vec![c]).collect(), &scratch);
         let mut out = Vec::new();
-        enc.gather_masked(&sel, |mask, i| Formula(mask).eval(&sums_at(i)), &mut out);
+        column.gather_into(&sel, &mut out);
         let mut bulk = Vec::new();
         enc.decode_into(&groups, &mut bulk).unwrap();
         assert_eq!(bulk, target);
@@ -625,7 +681,6 @@ mod tests {
         let (target, groups) = taxi_like(50_000);
         let enc = MultiRefInt::encode(&target, &groups, 2).unwrap();
         let vertical = corra_encodings::ForInt::encode(&target);
-        use corra_encodings::IntAccess;
         let saving = 1.0 - enc.compressed_bytes() as f64 / vertical.compressed_bytes() as f64;
         assert!(saving > 0.8, "saving {saving}");
     }

@@ -13,13 +13,13 @@
 //! assert that property on TPC-H-shaped data.
 
 use bytes::{Buf, BufMut};
-use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{bits_needed, BitPackedVec};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
 use corra_encodings::{IntAccess, IntEncoding};
 
 use crate::outlier::{OutlierRegion, OUTLIER_COST_BYTES};
+use crate::query::{stream_reconstructed, DecodeScratch, RefAccess};
 
 /// A column diff-encoded w.r.t. a single reference column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,6 +229,13 @@ impl NonHierInt {
                 right: self.len(),
             });
         }
+        self.reconstruct(reference, out);
+        Ok(())
+    }
+
+    /// [`decode_into`](Self::decode_into) over a reference already checked
+    /// to be as long as the column.
+    fn reconstruct(&self, reference: &[i64], out: &mut Vec<i64>) {
         out.clear();
         out.reserve(self.len());
         // Batched diff unpack fused with the reference add; the outlier
@@ -243,7 +250,6 @@ impl NonHierInt {
             );
         });
         self.outliers.patch(out);
-        Ok(())
     }
 
     /// The sum of every reconstructed row mod 2^64, with no row
@@ -264,6 +270,12 @@ impl NonHierInt {
                 right: self.len(),
             });
         }
+        Ok(self.sum_over(reference))
+    }
+
+    /// [`sum_wrapping`](Self::sum_wrapping) over a reference already
+    /// checked to be as long as the column.
+    fn sum_over(&self, reference: &IntEncoding) -> i64 {
         let mut diffs = 0u64;
         self.diffs.unpack_chunks(|_, chunk| {
             diffs = chunk.iter().fold(diffs, |s, &d| s.wrapping_add(d));
@@ -280,54 +292,13 @@ impl NonHierInt {
                 .wrapping_add(self.diffs.get(i) as i64);
             sum = sum.wrapping_add(v.wrapping_sub(decoded));
         }
-        Ok(sum)
+        sum
     }
 
-    /// Materializes selected rows, fetching the reference through `ref_at`
-    /// (the query path of Fig. 5 passes the reference's own compressed
-    /// accessor), with a fast path for the (common, per the paper)
-    /// outlier-free case. The caller must have validated `sel` against the
-    /// column length.
-    pub fn gather_map(
-        &self,
-        sel: &SelectionVector,
-        ref_at: impl Fn(usize) -> i64,
-        out: &mut Vec<i64>,
-    ) {
-        debug_assert!(sel.validate(self.len()));
-        out.clear();
-        out.reserve(sel.len());
-        let base = self.base;
-        if self.outliers.is_empty() {
-            // Hot path: reconstruction is a single addition per row
-            // ("non-hierarchical encoding reconstructs the second column by
-            // direct addition", §3).
-            for &p in sel.positions() {
-                let i = p as usize;
-                out.push(
-                    ref_at(i)
-                        .wrapping_add(base)
-                        .wrapping_add(self.diffs.get_unchecked_len(i) as i64),
-                );
-            }
-        } else {
-            for &p in sel.positions() {
-                let i = p as usize;
-                match self.outliers.lookup(p) {
-                    Some(v) => out.push(v),
-                    None => out.push(
-                        ref_at(i)
-                            .wrapping_add(base)
-                            .wrapping_add(self.diffs.get_unchecked_len(i) as i64),
-                    ),
-                }
-            }
-        }
-    }
-
-    /// Like [`gather_map`](Self::gather_map) but also materializes the
-    /// reference values ("query on both columns": the reference is fetched
-    /// once and reused).
+    /// Materializes the selected rows and their reference values ("query
+    /// on both columns": the reference is fetched once per row through
+    /// `ref_at` and reused for the §2.1 addition). The caller must have
+    /// validated `sel` against the column length.
     pub fn gather_both_map(
         &self,
         sel: &SelectionVector,
@@ -367,31 +338,6 @@ impl NonHierInt {
         }
     }
 
-    /// Folds the reconstructed values (`reference + base + diff`) at the
-    /// selected positions into `state`, fetching the reference through
-    /// `ref_at`. The caller must have validated `sel` against the column
-    /// length. A whole-block fold reconstructs through
-    /// [`decode_into`](Self::decode_into) instead.
-    pub fn aggregate_selected_map(
-        &self,
-        sel: &SelectionVector,
-        ref_at: impl Fn(usize) -> i64,
-        state: &mut IntAggState,
-    ) {
-        debug_assert!(sel.validate(self.len()));
-        let base = self.base;
-        for &p in sel.positions() {
-            let i = p as usize;
-            let v = match self.outliers.lookup(p) {
-                Some(v) => v,
-                None => ref_at(i)
-                    .wrapping_add(base)
-                    .wrapping_add(self.diffs.get_unchecked_len(i) as i64),
-            };
-            state.update(v);
-        }
-    }
-
     /// Compressed size: diff payload + frame metadata + outlier region.
     pub fn compressed_bytes(&self) -> usize {
         8 + 1 + self.diffs.tight_bytes() + self.outliers.compressed_bytes()
@@ -427,6 +373,74 @@ impl NonHierInt {
             diffs,
             outliers,
         })
+    }
+}
+
+/// A NonHier column resolved against its reference ([`int_column`]): the
+/// per-row rule (outlier first, then `reference + base + diff`), the batch
+/// reconstruction, and the whole-block sum `Σ ref + n · base + Σ diff`
+/// that reads no reconstructed row.
+///
+/// [`int_column`]: crate::query::int_column
+pub(crate) struct NonHierColumn<'a> {
+    enc: &'a NonHierInt,
+    reference: &'a IntEncoding,
+    refs: RefAccess<'a>,
+    scratch: &'a DecodeScratch,
+}
+
+impl<'a> NonHierColumn<'a> {
+    /// `enc` over `reference`, which the caller checked is as long.
+    pub(crate) fn new(
+        enc: &'a NonHierInt,
+        reference: &'a IntEncoding,
+        scratch: &'a DecodeScratch,
+    ) -> Self {
+        Self {
+            enc,
+            reference,
+            refs: RefAccess::of(reference),
+            scratch,
+        }
+    }
+}
+
+impl IntAccess for NonHierColumn<'_> {
+    fn len(&self) -> usize {
+        self.enc.len()
+    }
+
+    // `always`: the per-row step of the provided selected kernels (gather,
+    // selected fold, selected TOP-K); left to the hint it stayed a call.
+    #[inline(always)]
+    fn get(&self, i: usize) -> i64 {
+        // One bounds check for every read below: the reference is as long
+        // as the column (checked at resolution).
+        assert!(i < self.len(), "row out of bounds");
+        let enc = self.enc;
+        if let Some(v) = enc.outliers.lookup(i as u32) {
+            return v;
+        }
+        let diff = enc.diffs.get_unchecked_len(i) as i64;
+        self.refs.get(i).wrapping_add(enc.base).wrapping_add(diff)
+    }
+
+    fn compressed_bytes(&self) -> usize {
+        self.enc.compressed_bytes()
+    }
+
+    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+        stream_reconstructed(self, self.scratch, f);
+    }
+
+    fn decode_into(&self, out: &mut Vec<i64>) {
+        let mut refs = self.scratch.refs.borrow_mut();
+        self.reference.decode_into(&mut refs);
+        self.enc.reconstruct(&refs, out);
+    }
+
+    fn sum_wrapping(&self) -> i64 {
+        self.enc.sum_over(self.reference)
     }
 }
 
@@ -536,10 +550,12 @@ mod tests {
     fn gather_through_compressed_reference() {
         let (ship, receipt) = tpch_like(2_000);
         let enc = NonHierInt::encode(&receipt, &ship).unwrap();
-        let ref_enc = PlainInt::encode(&ship);
+        let reference = IntEncoding::Plain(PlainInt::encode(&ship));
+        let scratch = DecodeScratch::default();
+        let column = NonHierColumn::new(&enc, &reference, &scratch);
         let sel = SelectionVector::new(vec![0, 99, 1_500]);
         let mut out = Vec::new();
-        enc.gather_map(&sel, |i| ref_enc.get(i), &mut out);
+        column.gather_into(&sel, &mut out);
         assert_eq!(out, vec![receipt[0], receipt[99], receipt[1_500]]);
     }
 

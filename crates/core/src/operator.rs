@@ -2,10 +2,9 @@
 //! joins.
 //!
 //! Both operators follow the same shape as [`mod@crate::aggregate`]: a
-//! per-block kernel dispatched through the `IntColumn` visitor (so each
-//! codec family contributes one fast path, not seven ladders) and one
-//! multi-block driver, a plain loop over the blocks of any source — in
-//! memory, one file or a segmented table.
+//! per-block kernel that is one method call on the resolved column
+//! (`query::int_column`) and one multi-block driver, a plain loop over the
+//! blocks of any source — in memory, one file or a segmented table.
 //!
 //! **TOP-K** is threshold-first at every layer. The drivers visit blocks
 //! best-zone-first (`topk_visit_order`), so the k-th bound is as tight
@@ -36,11 +35,11 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 use corra_columnar::topk::{rank, TopKHeap};
-use corra_encodings::{IntAccess, IntEncoding};
+use corra_encodings::IntEncoding;
 use rustc_hash::FxHashMap;
 
-use crate::compressor::{decode_int_column, BlockSource, BlockView, ColumnCodec, DecodeScratch};
-use crate::query::{eval_formula_mask, int_column, query_column, IntColumn, QueryOutput};
+use crate::compressor::{BlockSource, BlockView, ColumnCodec};
+use crate::query::{int_column, query_column, DecodeScratch, QueryOutput};
 use crate::scan::{scan_pruned, validate_pred, Predicate, ScanStats};
 
 /// A TOP-K (`ORDER BY <column> LIMIT k`) over one integer column, with an
@@ -207,62 +206,6 @@ fn validate_topk<B: BlockView + ?Sized>(block: &B, expr: &TopKExpr) -> Result<()
     Ok(())
 }
 
-fn offer_selected<B: BlockView + ?Sized>(
-    block: &B,
-    idx: usize,
-    base: u64,
-    sel: &SelectionVector,
-    heap: &mut TopKHeap,
-) -> Result<()> {
-    match int_column(block, idx)? {
-        IntColumn::Vertical(enc) => enc.top_k_selected(base, sel, heap),
-        IntColumn::NonHier { enc, refs } => {
-            let mut out = Vec::new();
-            enc.gather_map(sel, |i| refs.get(i), &mut out);
-            for (&v, &p) in out.iter().zip(sel.positions()) {
-                heap.offer(v, base + p as u64);
-            }
-        }
-        IntColumn::Hier { enc, codes } => {
-            for &p in sel.positions() {
-                let i = p as usize;
-                heap.offer(enc.get_unchecked_len(i, codes.code(i)), base + p as u64);
-            }
-        }
-        IntColumn::MultiRef { enc, members } => {
-            let mut out = Vec::new();
-            enc.gather_masked(
-                sel,
-                |mask, i| eval_formula_mask(&members, mask, i),
-                &mut out,
-            );
-            for (&v, &p) in out.iter().zip(sel.positions()) {
-                heap.offer(v, base + p as u64);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Offers every row of the block's column `idx`: a vertical codec through
-/// its own (possibly compressed-domain) kernel, a horizontal target
-/// reconstructed whole into `scratch` and offered as one chunk.
-fn offer_full<B: BlockView + ?Sized>(
-    block: &B,
-    idx: usize,
-    base: u64,
-    heap: &mut TopKHeap,
-    scratch: &mut DecodeScratch,
-) -> Result<()> {
-    if let ColumnCodec::Int(enc) = block.view_codec(idx)? {
-        enc.top_k_into(base, heap);
-        return Ok(());
-    }
-    decode_int_column(block, idx, scratch)?;
-    heap.offer_chunk(base, &scratch.values);
-    Ok(())
-}
-
 /// Runs the TOP-K kernel over one block, offering candidates into `heap`
 /// with positions based at `block_no << 32`. `best` is the rank of the
 /// best value the block's zone admits ([`topk_visit_order`]).
@@ -280,7 +223,7 @@ pub(crate) fn top_k_block<B: BlockView + ?Sized>(
     best: Option<u64>,
     expr: &TopKExpr,
     heap: &mut TopKHeap,
-    scratch: &mut DecodeScratch,
+    scratch: &DecodeScratch,
 ) -> Result<(bool, usize)> {
     validate_topk(block, expr)?;
     let rows = block.rows();
@@ -289,23 +232,20 @@ pub(crate) fn top_k_block<B: BlockView + ?Sized>(
     }
     let idx = block.index_of(&expr.column)?;
     let base = (block_no as u64) << 32;
-    match &expr.filter {
-        Some(pred) => {
-            let (sel, pruned) = scan_pruned(block, pred)?;
-            let matched = sel.len();
-            if matched == rows {
-                // Full-block match: normalize to the unfiltered fast paths.
-                offer_full(block, idx, base, heap, scratch)?;
-            } else if matched > 0 {
-                offer_selected(block, idx, base, &sel, heap)?;
-            }
-            Ok((pruned, matched))
-        }
-        None => {
-            offer_full(block, idx, base, heap, scratch)?;
-            Ok((false, rows))
-        }
+    let Some(pred) = &expr.filter else {
+        int_column(block, idx, scratch, |c| c.top_k_into(base, heap))?;
+        return Ok((false, rows));
+    };
+    let (sel, pruned) = scan_pruned(block, pred)?;
+    let matched = sel.len();
+    // The column loads only once some row passed the filter; a full-block
+    // match takes the unfiltered kernel.
+    if matched == rows {
+        int_column(block, idx, scratch, |c| c.top_k_into(base, heap))?;
+    } else if matched > 0 {
+        int_column(block, idx, scratch, |c| c.top_k_selected(base, &sel, heap))?;
     }
+    Ok((pruned, matched))
 }
 
 /// TOP-K over in-memory blocks: blocks are visited in
@@ -335,7 +275,7 @@ pub(crate) fn top_k_source<S: BlockSource + ?Sized>(
     expr: &TopKExpr,
 ) -> Result<(Vec<TopKRow>, ScanStats)> {
     let mut heap = TopKHeap::new(expr.k, expr.descending);
-    let mut scratch = DecodeScratch::default();
+    let scratch = DecodeScratch::default();
     // A block whose column does not resolve sorts last, un-zoned, and
     // reports its error when it is visited.
     let order = topk_visit_order(source.n_blocks(), expr.descending, |b| {
@@ -345,7 +285,7 @@ pub(crate) fn top_k_source<S: BlockSource + ?Sized>(
     for (b, best) in order {
         let view = source.open(b)?;
         let block: &S::Block = view.borrow();
-        let (pruned, matched) = top_k_block(block, b as u32, best, expr, &mut heap, &mut scratch)?;
+        let (pruned, matched) = top_k_block(block, b as u32, best, expr, &mut heap, &scratch)?;
         stats.record_block(block.rows(), matched, pruned, S::io(block));
     }
     Ok((rows_from(heap), stats))

@@ -9,11 +9,17 @@
 //!   the reference fetch is shared, so non-hierarchical Corra reconstructs
 //!   the target by "direct addition" at ~no extra cost.
 
+use std::cell::RefCell;
+
+use corra_columnar::bitpack::PackedReader;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
-use corra_encodings::{IntAccess, IntEncoding};
+use corra_encodings::{DictInt, DictStr, IntAccess, IntEncoding};
 
-use crate::compressor::{decode_int_column, BlockView, ColumnCodec, DecodeScratch};
+use crate::compressor::{codec_kind, BlockView, ColumnCodec};
+use crate::hier::HierColumn;
+use crate::multiref::MultiRefColumn;
+use crate::nonhier::NonHierColumn;
 
 /// Materialized query output (the paper materializes values, not positions).
 #[derive(Debug, Clone, PartialEq)]
@@ -63,26 +69,42 @@ impl QueryOutput {
 
 /// Fast reference-value accessor resolved once per query: the common
 /// vertical codecs get direct, assertion-free paths with the bit-width
-/// mask hoisted into a [`PackedReader`](corra_columnar::bitpack::PackedReader)
-/// (the selection vector is validated once at query entry).
+/// mask hoisted into a [`PackedReader`] (the resolution checked the
+/// reference's length; the row's own codec checks the position).
 pub(crate) enum RefAccess<'a> {
     For {
         base: i64,
-        offsets: corra_columnar::bitpack::PackedReader<'a>,
+        offsets: PackedReader<'a>,
     },
     Dict {
         dict: &'a [i64],
-        codes: corra_columnar::bitpack::PackedReader<'a>,
+        codes: PackedReader<'a>,
     },
     Plain(&'a [i64]),
     Other(&'a IntEncoding),
 }
 
-impl RefAccess<'_> {
+impl<'a> RefAccess<'a> {
+    /// The accessor of a vertical reference codec.
+    pub(crate) fn of(enc: &'a IntEncoding) -> Self {
+        match enc {
+            IntEncoding::For(e) => RefAccess::For {
+                base: e.base(),
+                offsets: e.offset_reader(),
+            },
+            IntEncoding::Dict(e) => RefAccess::Dict {
+                dict: e.dict(),
+                codes: e.code_reader(),
+            },
+            IntEncoding::Plain(e) => RefAccess::Plain(e.values()),
+            e => RefAccess::Other(e),
+        }
+    }
+
     // `always`: this is the per-value step of every selected MultiRef /
-    // NonHier kernel. Under the plain hint, whether it was inlined into
-    // `eval_formula_mask` depended on which other callers shared its
-    // codegen unit — a ~10 % swing on MultiRef scans from unrelated edits.
+    // NonHier kernel. Under the plain hint, whether it was inlined into the
+    // formula sum depended on which other callers shared its codegen unit
+    // — a ~10 % swing on MultiRef scans from unrelated edits.
     #[inline(always)]
     pub(crate) fn get(&self, i: usize) -> i64 {
         match self {
@@ -94,204 +116,168 @@ impl RefAccess<'_> {
     }
 }
 
-/// Parent-code accessor for hierarchical targets (hoisted-mask readers).
+/// A dictionary-encoded reference read as per-row codes — the parent of a
+/// hierarchical column, whose code is Alg. 1's `ref`: one row at a time
+/// through a hoisted-mask reader, or the whole column through the batched
+/// code kernels.
 pub(crate) enum CodeAccess<'a> {
-    IntDict(corra_columnar::bitpack::PackedReader<'a>),
-    StrDict(corra_columnar::bitpack::PackedReader<'a>),
+    IntDict(&'a DictInt, PackedReader<'a>),
+    StrDict(&'a DictStr, PackedReader<'a>),
 }
 
 impl CodeAccess<'_> {
     #[inline]
     pub(crate) fn code(&self, i: usize) -> u32 {
         match self {
-            CodeAccess::IntDict(r) | CodeAccess::StrDict(r) => r.get(i) as u32,
+            CodeAccess::IntDict(_, r) | CodeAccess::StrDict(_, r) => r.get(i) as u32,
+        }
+    }
+
+    /// Every row's code, into `out` (cleared first).
+    pub(crate) fn codes_into(&self, out: &mut Vec<u32>) {
+        match self {
+            CodeAccess::IntDict(d, _) => d.codes_into(out),
+            CodeAccess::StrDict(d, _) => d.codes_into(out),
         }
     }
 }
 
-pub(crate) fn ref_access<'a, B: BlockView + ?Sized>(
-    block: &'a B,
-    idx: usize,
-) -> Result<RefAccess<'a>> {
-    match block.view_codec(idx)? {
-        ColumnCodec::Int(IntEncoding::For(e)) => Ok(RefAccess::For {
-            base: e.base(),
-            offsets: e.offset_reader(),
-        }),
-        ColumnCodec::Int(IntEncoding::Dict(e)) => Ok(RefAccess::Dict {
-            dict: e.dict(),
-            codes: e.code_reader(),
-        }),
-        ColumnCodec::Int(IntEncoding::Plain(e)) => Ok(RefAccess::Plain(e.values())),
-        ColumnCodec::Int(e) => Ok(RefAccess::Other(e)),
-        _ => Err(Error::TypeMismatch {
+/// Errors unless a column of `len` rows is aligned with its block's
+/// `rows`.
+fn aligned(len: usize, rows: usize) -> Result<()> {
+    if len == rows {
+        Ok(())
+    } else {
+        Err(Error::LengthMismatch {
+            left: len,
+            right: rows,
+        })
+    }
+}
+
+/// Reference column `idx` of a NonHier or MultiRef column: the one place
+/// such a reference is checked to be vertical and one value per row.
+fn vertical_ref<B: BlockView + ?Sized>(block: &B, idx: u32) -> Result<&IntEncoding> {
+    match block.view_codec(idx as usize)? {
+        ColumnCodec::Int(enc) => {
+            aligned(enc.len(), block.rows())?;
+            Ok(enc)
+        }
+        other => Err(Error::TypeMismatch {
             expected: "vertical int reference",
-            found: "non-int reference",
+            found: codec_kind(other),
         }),
     }
 }
 
-/// Resolves every multi-reference group member to a fast accessor, shared
-/// by the selected paths (gather, filtered fold, filtered TOP-K).
-pub(crate) fn multiref_members<'a, B: BlockView + ?Sized>(
-    block: &'a B,
-    groups: &[Vec<u32>],
-) -> Result<Vec<Vec<RefAccess<'a>>>> {
-    let mut members = Vec::with_capacity(groups.len());
-    for group in groups {
-        let mut accs = Vec::with_capacity(group.len());
-        for &g in group {
-            accs.push(ref_access(block, g as usize)?);
+/// Parent column `idx` of a hierarchical column (integer or string): the
+/// one place a parent is checked to be a dictionary of one code per row.
+pub(crate) fn code_access<B: BlockView + ?Sized>(block: &B, idx: usize) -> Result<CodeAccess<'_>> {
+    let (access, len) = match block.view_codec(idx)? {
+        ColumnCodec::Int(IntEncoding::Dict(d)) => {
+            (CodeAccess::IntDict(d, d.code_reader()), d.len())
         }
-        members.push(accs);
-    }
-    Ok(members)
-}
-
-/// Evaluates a formula mask at row `i`: sums exactly the reference groups
-/// the mask names (§2.3 decompression — "read the values from the
-/// reference columns").
-pub(crate) fn eval_formula_mask(members: &[Vec<RefAccess<'_>>], mask: u8, i: usize) -> i64 {
-    let mut acc = 0i64;
-    let mut m = mask;
-    while m != 0 {
-        let g = m.trailing_zeros() as usize;
-        for r in &members[g] {
-            acc = acc.wrapping_add(r.get(i));
+        ColumnCodec::Str(d) => (CodeAccess::StrDict(d, d.code_reader()), d.len()),
+        other => {
+            return Err(Error::TypeMismatch {
+                expected: "dict-encoded reference",
+                found: codec_kind(other),
+            })
         }
-        m &= m - 1;
-    }
-    acc
+    };
+    aligned(len, block.rows())?;
+    Ok(access)
 }
 
-pub(crate) fn code_access<'a, B: BlockView + ?Sized>(
-    block: &'a B,
-    idx: usize,
-) -> Result<CodeAccess<'a>> {
-    match block.view_codec(idx)? {
-        ColumnCodec::Int(IntEncoding::Dict(d)) => Ok(CodeAccess::IntDict(d.code_reader())),
-        ColumnCodec::Str(d) => Ok(CodeAccess::StrDict(d.code_reader())),
-        _ => Err(Error::TypeMismatch {
-            expected: "dict-encoded reference",
-            found: "non-dict reference",
-        }),
-    }
-}
-
-/// One integer column resolved into its kernel shape: the codec plus every
-/// reference accessor its reconstruction rule needs, ready for a per-family
-/// kernel dispatch.
+/// The buffers a horizontal column reconstructs through: the decoded
+/// reference (NonHier) or one group member (MultiRef), the parent codes
+/// (Hier), the group sums (MultiRef), and the reconstructed block its
+/// chunk stream hands out. A caller resolving block after block (TOP-K)
+/// keeps one and pays for the allocations once.
 ///
-/// This is the shape of the *selected* kernels — gather ([`query_column`]),
-/// the filtered folds of [`crate::aggregate`] and the filtered TOP-K offer
-/// — which keep the §2.3 per-row order: only the selected rows, and only
-/// the references each row's reconstruction names, are read. Whole-block
-/// kernels go through [`WholeColumn`] instead.
-pub(crate) enum IntColumn<'a> {
-    /// Vertically encoded column: the kernel runs on the codec alone.
-    Vertical(&'a IntEncoding),
-    /// §2.1 diff-encoded column: reconstruction adds the reference value.
-    NonHier {
-        /// The diff encoding.
-        enc: &'a crate::nonhier::NonHierInt,
-        /// Fast accessor over the reference column.
-        refs: RefAccess<'a>,
-    },
-    /// §2.2 hierarchical column: reconstruction indexes metadata by the
-    /// parent's dictionary code.
-    Hier {
-        /// The hierarchical encoding.
-        enc: &'a crate::hier::HierInt,
-        /// Fast accessor over the parent's codes.
-        codes: CodeAccess<'a>,
-    },
-    /// §2.3 multi-reference column: reconstruction sums the formula-named
-    /// reference groups.
-    MultiRef {
-        /// The multi-reference encoding.
-        enc: &'a crate::multiref::MultiRefInt,
-        /// Fast accessors over every group member.
-        members: Vec<Vec<RefAccess<'a>>>,
-    },
+/// The cells sit behind the resolved column's shared reference rather than
+/// in it, so the column itself holds no interior mutability and the
+/// compiler may keep its fields in registers across a selected kernel's
+/// output writes (inside it, a NonHier gather reloaded them per row and
+/// ran 12 % slower).
+#[derive(Debug, Default)]
+pub(crate) struct DecodeScratch {
+    pub(crate) values: RefCell<Vec<i64>>,
+    pub(crate) refs: RefCell<Vec<i64>>,
+    pub(crate) codes: RefCell<Vec<u32>>,
+    pub(crate) sums: RefCell<Vec<Vec<i64>>>,
 }
 
-/// Resolves the column at `idx` into an [`IntColumn`].
+/// The chunk stream of a horizontal column: the block reconstructed whole
+/// by `column.decode_into` (the batch kernels) into the scratch's reused
+/// buffer, handed out as one chunk.
+pub(crate) fn stream_reconstructed(
+    column: &impl IntAccess,
+    scratch: &DecodeScratch,
+    f: &mut dyn FnMut(usize, &[i64]),
+) {
+    let mut values = scratch.values.take();
+    column.decode_into(&mut values);
+    if !values.is_empty() {
+        f(0, &values);
+    }
+    scratch.values.replace(values);
+}
+
+/// Resolves the integer column at `idx` and runs `kernel` on it — the only
+/// integer-column resolution, so every integer operator is one
+/// [`IntAccess`] call. The column and every reference it reads load here,
+/// in rule order, checked to hold one value per row.
+///
+/// A vertical codec is its own `IntAccess`. A horizontal column becomes
+/// its family's (`NonHierColumn`, `HierColumn`, `MultiRefColumn`): `get`
+/// is the per-row rule — outlier first, then the reference probe, Alg. 1's
+/// metadata address or the formula-named groups — so the provided
+/// selected kernels keep the §2.3 order, and the chunk stream reconstructs
+/// the block through the batch kernels into `scratch`.
 ///
 /// # Errors
 ///
-/// [`Error::TypeMismatch`] for string codecs, plus anything reference
-/// resolution reports (lazy-load I/O, corrupt wiring).
-pub(crate) fn int_column<'a, B: BlockView + ?Sized>(
-    block: &'a B,
+/// [`Error::TypeMismatch`] for a string column or a reference of the wrong
+/// kind, [`Error::LengthMismatch`] for a column or reference not as long as
+/// the block, [`Error::Corrupt`] for a MultiRef formula naming a group its
+/// wiring lacks, plus anything loading a payload reports.
+pub(crate) fn int_column<B: BlockView + ?Sized, R>(
+    block: &B,
     idx: usize,
-) -> Result<IntColumn<'a>> {
-    match block.view_codec(idx)? {
-        ColumnCodec::Int(enc) => Ok(IntColumn::Vertical(enc)),
-        ColumnCodec::NonHier { enc, reference } => Ok(IntColumn::NonHier {
+    scratch: &DecodeScratch,
+    kernel: impl FnOnce(&dyn IntAccess) -> R,
+) -> Result<R> {
+    let codec = block.view_codec(idx)?;
+    if !codec.is_string() {
+        aligned(codec.len(), block.rows())?;
+    }
+    Ok(match codec {
+        ColumnCodec::Int(enc) => kernel(enc),
+        ColumnCodec::NonHier { enc, reference } => kernel(&NonHierColumn::new(
             enc,
-            refs: ref_access(block, *reference as usize)?,
-        }),
-        ColumnCodec::HierInt { enc, reference } => Ok(IntColumn::Hier {
-            enc,
-            codes: code_access(block, *reference as usize)?,
-        }),
-        ColumnCodec::MultiRef { enc, groups } => Ok(IntColumn::MultiRef {
-            enc,
-            members: multiref_members(block, groups)?,
-        }),
+            vertical_ref(block, *reference)?,
+            scratch,
+        )),
+        ColumnCodec::HierInt { enc, reference } => {
+            let parent = code_access(block, *reference as usize)?;
+            kernel(&HierColumn::new(enc, parent, scratch))
+        }
+        ColumnCodec::MultiRef { enc, groups } => {
+            enc.validate_groups(groups.len())?;
+            let members = groups
+                .iter()
+                .map(|group| group.iter().map(|&m| vertical_ref(block, m)).collect())
+                .collect::<Result<_>>()?;
+            kernel(&MultiRefColumn::new(enc, members, scratch))
+        }
         ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. } => {
-            Err(Error::TypeMismatch {
+            return Err(Error::TypeMismatch {
                 expected: "integer column",
                 found: "string column",
             })
         }
-    }
-}
-
-/// One integer column resolved for a whole-block kernel — a filter or fold
-/// over every row. Vertical codecs and Hier keep their compressed-domain
-/// kernels; NonHier and MultiRef are reconstructed once through
-/// [`decode_int_column`]'s batch kernels, so the vertical slice kernels
-/// (`filter_i64_slice`, [`IntAggState::update_slice`]) run on the result
-/// instead of a reference probe per row.
-///
-/// [`IntAggState::update_slice`]: corra_columnar::aggregate::IntAggState::update_slice
-pub(crate) enum WholeColumn<'a> {
-    /// Vertically encoded column: the kernel runs on the codec alone.
-    Vertical(&'a IntEncoding),
-    /// §2.2 hierarchical column and its parent's codes.
-    Hier {
-        /// The hierarchical encoding.
-        enc: &'a crate::hier::HierInt,
-        /// Fast accessor over the parent's codes.
-        codes: CodeAccess<'a>,
-    },
-    /// A reconstructed NonHier or MultiRef column, one value per row.
-    Decoded(Vec<i64>),
-}
-
-/// Resolves the column at `idx` into a [`WholeColumn`].
-///
-/// # Errors
-///
-/// [`Error::TypeMismatch`] for string codecs, plus anything loading or
-/// reconstructing the column and its references reports.
-pub(crate) fn whole_column<'a, B: BlockView + ?Sized>(
-    block: &'a B,
-    idx: usize,
-) -> Result<WholeColumn<'a>> {
-    match block.view_codec(idx)? {
-        ColumnCodec::Int(enc) => Ok(WholeColumn::Vertical(enc)),
-        ColumnCodec::HierInt { enc, reference } => Ok(WholeColumn::Hier {
-            enc,
-            codes: code_access(block, *reference as usize)?,
-        }),
-        _ => {
-            let mut scratch = DecodeScratch::default();
-            decode_int_column(block, idx, &mut scratch)?;
-            Ok(WholeColumn::Decoded(scratch.values))
-        }
-    }
+    })
 }
 
 /// Queries a single column: decompress and materialize the values at the
@@ -330,28 +316,12 @@ pub fn query_column<B: BlockView + ?Sized>(
         }
         _ => {}
     }
+    // Per §2.3 decompression, a horizontal row reads only the references
+    // its rule names.
     let mut out = Vec::new();
-    match int_column(block, idx)? {
-        IntColumn::Vertical(enc) => enc.gather_into(sel, &mut out),
-        IntColumn::NonHier { enc, refs } => enc.gather_map(sel, |i| refs.get(i), &mut out),
-        IntColumn::Hier { enc, codes } => {
-            out.reserve(sel.len());
-            for &p in sel.positions() {
-                let i = p as usize;
-                out.push(enc.get_unchecked_len(i, codes.code(i)));
-            }
-        }
-        IntColumn::MultiRef { enc, members } => {
-            // Per §2.3 decompression: identify the row's coded formula, then
-            // "read the values from the reference columns" — only the
-            // groups that formula actually sums are fetched.
-            enc.gather_masked(
-                sel,
-                |mask, i| eval_formula_mask(&members, mask, i),
-                &mut out,
-            );
-        }
-    }
+    int_column(block, idx, &DecodeScratch::default(), |c| {
+        c.gather_into(sel, &mut out)
+    })?;
     Ok(QueryOutput::Int(out))
 }
 
@@ -378,18 +348,17 @@ pub fn query_both<B: BlockView + ?Sized>(
     let idx = block.index_of(name)?;
     match block.view_codec(idx)? {
         ColumnCodec::NonHier { enc, reference } => {
-            let refs = ref_access(block, *reference as usize)?;
+            let refs = RefAccess::of(vertical_ref(block, *reference)?);
             let mut tgt = Vec::new();
             let mut rf = Vec::new();
             enc.gather_both_map(sel, |i| refs.get(i), &mut tgt, &mut rf);
             Ok((QueryOutput::Int(tgt), QueryOutput::Int(rf)))
         }
         ColumnCodec::HierInt { enc, reference } => {
-            let ridx = *reference as usize;
-            let codes = code_access(block, ridx)?;
+            let codes = code_access(block, *reference as usize)?;
             let mut tgt = Vec::with_capacity(sel.len());
-            match block.view_codec(ridx)? {
-                ColumnCodec::Int(IntEncoding::Dict(d)) => {
+            match &codes {
+                CodeAccess::IntDict(d, _) => {
                     let mut rf = Vec::with_capacity(sel.len());
                     for &p in sel.positions() {
                         let code = codes.code(p as usize);
@@ -398,7 +367,7 @@ pub fn query_both<B: BlockView + ?Sized>(
                     }
                     Ok((QueryOutput::Int(tgt), QueryOutput::Int(rf)))
                 }
-                ColumnCodec::Str(d) => {
+                CodeAccess::StrDict(d, _) => {
                     let mut rf = Vec::with_capacity(sel.len());
                     for &p in sel.positions() {
                         let code = codes.code(p as usize);
@@ -407,15 +376,13 @@ pub fn query_both<B: BlockView + ?Sized>(
                     }
                     Ok((QueryOutput::Int(tgt), QueryOutput::Str(rf)))
                 }
-                _ => unreachable!("code_access validated the reference codec"),
             }
         }
         ColumnCodec::HierStr { enc, reference } => {
-            let ridx = *reference as usize;
-            let codes = code_access(block, ridx)?;
+            let codes = code_access(block, *reference as usize)?;
             let mut tgt = Vec::with_capacity(sel.len());
-            match block.view_codec(ridx)? {
-                ColumnCodec::Int(IntEncoding::Dict(d)) => {
+            match &codes {
+                CodeAccess::IntDict(d, _) => {
                     let mut rf = Vec::with_capacity(sel.len());
                     for &p in sel.positions() {
                         let code = codes.code(p as usize);
@@ -424,7 +391,7 @@ pub fn query_both<B: BlockView + ?Sized>(
                     }
                     Ok((QueryOutput::Str(tgt), QueryOutput::Int(rf)))
                 }
-                ColumnCodec::Str(d) => {
+                CodeAccess::StrDict(d, _) => {
                     let mut rf = Vec::with_capacity(sel.len());
                     for &p in sel.positions() {
                         let code = codes.code(p as usize);
@@ -433,7 +400,6 @@ pub fn query_both<B: BlockView + ?Sized>(
                     }
                     Ok((QueryOutput::Str(tgt), QueryOutput::Str(rf)))
                 }
-                _ => unreachable!("code_access validated the reference codec"),
             }
         }
         ColumnCodec::MultiRef { .. } => Err(Error::invalid(
@@ -465,13 +431,16 @@ pub fn query_two_columns<B: BlockView + ?Sized>(
 mod tests {
     use super::*;
     use crate::compressor::{ColumnPlan, CompressedBlock, CompressionConfig};
+    use corra_columnar::aggregate::IntAggState;
     use corra_columnar::block::DataBlock;
     use corra_columnar::column::{Column, DataType};
+    use corra_columnar::predicate::IntRange;
     use corra_columnar::schema::{Field, Schema};
     use corra_columnar::selection::{sample_uniform, SelectionVector};
     use corra_columnar::strings::StringPool;
+    use corra_columnar::topk::TopKHeap;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn date_block(n: usize) -> (DataBlock, CompressionConfig) {
         let ship: Vec<i64> = (0..n).map(|i| 8_035 + (i as i64 * 17 % 2_500)).collect();
@@ -669,6 +638,170 @@ mod tests {
         let sel = SelectionVector::new(vec![100]);
         assert!(query_column(&compressed, "l_shipdate", &sel).is_err());
         assert!(query_both(&compressed, "l_receiptdate", &sel).is_err());
+    }
+
+    /// A resolved column seen through its four required methods only, so
+    /// every other method is the trait's provided body — the reference each
+    /// override is held to.
+    struct Provided<'a>(&'a dyn IntAccess);
+
+    impl IntAccess for Provided<'_> {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn get(&self, i: usize) -> i64 {
+            self.0.get(i)
+        }
+
+        fn compressed_bytes(&self) -> usize {
+            self.0.compressed_bytes()
+        }
+
+        fn for_each_chunk(&self, f: &mut dyn FnMut(usize, &[i64])) {
+            self.0.for_each_chunk(f)
+        }
+    }
+
+    /// Every kernel of `column`, overridden or not, answers exactly what the
+    /// provided body answers on the same input.
+    fn check_overrides(column: &dyn IntAccess, label: &str) {
+        let provided = Provided(column);
+        let n = column.len();
+        let (mut values, mut want) = (Vec::new(), vec![7]);
+        column.decode_into(&mut values);
+        provided.decode_into(&mut want);
+        assert_eq!(values, want, "{label}: decode");
+        let at = |q: usize| values.get(q * n / 4).copied().unwrap_or(0);
+        let (lo, hi) = (at(1).min(at(2)), at(1).max(at(2)));
+        for range in [
+            IntRange::new(lo, hi),
+            IntRange::negated(lo, hi),
+            IntRange::negated(at(3), at(3)),
+            IntRange::empty(),
+            IntRange::all(),
+        ] {
+            let (mut got, mut want) = (vec![7], vec![9]);
+            column.filter_into(&range, &mut got);
+            provided.filter_into(&range, &mut want);
+            assert_eq!(got, want, "{label}: filter {range:?}");
+        }
+        assert_eq!(column.sum_wrapping(), provided.sum_wrapping(), "{label}");
+        let group_of: Vec<u32> = (0..n as u32).map(|i| i % 3).collect();
+        let mut got = vec![IntAggState::default(); 3];
+        let mut want = got.clone();
+        column.aggregate_grouped(&group_of, &mut got);
+        provided.aggregate_grouped(&group_of, &mut want);
+        assert_eq!(got, want, "{label}: grouped");
+        let sels = [
+            SelectionVector::empty(),
+            SelectionVector::all(n),
+            SelectionVector::new((0..n as u32).step_by(7).collect()),
+        ];
+        for sel in &sels {
+            let (mut got, mut want) = (vec![7], vec![9]);
+            column.gather_into(sel, &mut got);
+            provided.gather_into(sel, &mut want);
+            assert_eq!(got, want, "{label}: gather {}", sel.len());
+            let (mut got, mut want) = (IntAggState::default(), IntAggState::default());
+            column.aggregate_selected(sel, &mut got);
+            provided.aggregate_selected(sel, &mut want);
+            assert_eq!(got, want, "{label}: selected fold {}", sel.len());
+        }
+        for (k, descending) in [(0, false), (1, true), (7, false), (n + 2, true)] {
+            let heap = || TopKHeap::new(k, descending);
+            let (mut got, mut want) = (heap(), heap());
+            column.top_k_into(1 << 32, &mut got);
+            provided.top_k_into(1 << 32, &mut want);
+            assert_eq!(got.into_sorted(), want.into_sorted(), "{label}: top {k}");
+            for sel in &sels {
+                let (mut got, mut want) = (heap(), heap());
+                column.top_k_selected(1 << 32, sel, &mut got);
+                provided.top_k_selected(1 << 32, sel, &mut want);
+                assert_eq!(got.into_sorted(), want.into_sorted(), "{label}: top {k}");
+            }
+        }
+    }
+
+    /// `n` rows: dictionary parents `d` (int) and `s` (string), reference
+    /// members `m0..m7`, and a target per family — NonHier `nh` over `m0`
+    /// (every 97th row an outlier when `outliers`), Hier `hi` under `d` and
+    /// `hs` under `s`, MultiRef `mr` over `groups` one-member groups.
+    fn family_block(n: usize, groups: usize, outliers: bool) -> CompressedBlock {
+        let mut rng = StdRng::seed_from_u64((n * 16 + groups) as u64);
+        let parent: Vec<i64> = (0..n).map(|_| rng.gen_range(0..6)).collect();
+        let members: Vec<Vec<i64>> = (0..8)
+            .map(|_| (0..n).map(|_| rng.gen_range(-999..999)).collect())
+            .collect();
+        let nonhier = (0..n).map(|i| match outliers && i % 97 == 0 {
+            true => 1 << 40,
+            false => members[0][i] + (i % 5) as i64,
+        });
+        let mask = |i: usize| 1 + (i * 37) % ((1 << groups) - 1);
+        let multiref = (0..n).map(|i| {
+            (0..groups)
+                .filter(|&g| (mask(i) >> g) & 1 == 1)
+                .map(|g| members[g][i])
+                .sum()
+        });
+        let hier: Vec<i64> = (0..n).map(|i| parent[i] * 100 + (i % 3) as i64).collect();
+        let strings = parent
+            .iter()
+            .map(|&p| ["a", "b", "c", "d", "e", "f"][p as usize]);
+        let mut fields = vec![Field::new("s", DataType::Utf8)];
+        let mut columns = vec![Column::Utf8(strings.collect())];
+        let targets = [
+            ("nh", nonhier.collect()),
+            ("hi", hier.clone()),
+            ("hs", hier),
+            ("mr", multiref.collect()),
+            ("d", parent),
+        ];
+        for (name, values) in targets.into_iter().map(|(k, v)| (k.to_owned(), v)).chain(
+            members
+                .into_iter()
+                .enumerate()
+                .map(|(j, m)| (format!("m{j}"), m)),
+        ) {
+            fields.push(Field::new(name, DataType::Int64));
+            columns.push(Column::Int64(values));
+        }
+        let under = |parent: &str| ColumnPlan::Hier {
+            reference: parent.into(),
+        };
+        let nonhier = ColumnPlan::NonHier {
+            reference: "m0".into(),
+        };
+        let groups = (0..groups).map(|g| vec![format!("m{g}")]).collect();
+        let cfg = CompressionConfig::baseline()
+            .with("d", ColumnPlan::Dict)
+            .with("nh", nonhier)
+            .with("hi", under("d"))
+            .with("hs", under("s"))
+            .with(
+                "mr",
+                ColumnPlan::MultiRef {
+                    groups,
+                    code_bits: 2,
+                },
+            );
+        let block = DataBlock::new(Schema::new(fields).unwrap(), columns).unwrap();
+        CompressedBlock::compress(&block, &cfg).unwrap()
+    }
+
+    #[test]
+    fn resolved_overrides_match_provided_bodies() {
+        for n in [0, 1, 1_023, 1_024, 1_025] {
+            for groups in 1..=8 {
+                let block = family_block(n, groups, groups % 2 == 0);
+                for name in ["d", "nh", "hi", "hs", "mr"] {
+                    let label = format!("{name}: n {n} groups {groups}");
+                    let idx = block.index_of(name).unwrap();
+                    let scratch = DecodeScratch::default();
+                    int_column(&block, idx, &scratch, |c| check_overrides(c, &label)).unwrap();
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //!    against the column's exact [`ZoneMap`] ([`BlockView::zone`], recorded
 //!    at encode for every integer column). Blocks whose zone proves
 //!    `None`/`All` decode zero values.
-//! 2. **Per-codec kernels** — vertical codecs use
-//!    [`corra_encodings::IntAccess::filter_into`]; hierarchical columns
-//!    test a verdict per Alg. 1 metadata entry; non-hierarchical and
-//!    multi-reference columns are reconstructed a block at a time through
-//!    the batch kernels decompression uses (decode the reference or the
-//!    group sums, then §2.1 addition / the branch-free formula pass) and
-//!    the result runs through the same SIMD range kernel as a vertical
-//!    chunk. Materializing *selected* rows keeps the per-row §2.3 order.
+//! 2. **One kernel per column** — the resolved column's
+//!    [`corra_encodings::IntAccess::filter_into`]: vertical codecs in
+//!    their compressed domain, hierarchical columns with a verdict per
+//!    Alg. 1 metadata entry, non-hierarchical and multi-reference columns
+//!    reconstructed a block at a time through the batch kernels
+//!    decompression uses and run through the same SIMD range kernel as a
+//!    vertical chunk. Materializing *selected* rows keeps the per-row §2.3
+//!    order.
 //! 3. **Materialization** — [`scan_query`] / [`scan_query_both`] feed the
 //!    produced selection into the existing [`crate::query`] kernels, so
 //!    filter → materialize runs end to end on compressed data.
@@ -33,11 +33,9 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::{IntRange, RangeVerdict};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
-use corra_encodings::filter::filter_i64_slice;
-use corra_encodings::IntAccess;
 
 use crate::compressor::{BlockSource, BlockView, ColumnCodec, CompressedBlock};
-use crate::query::{code_access, whole_column, QueryOutput, WholeColumn};
+use crate::query::{code_access, int_column, DecodeScratch, QueryOutput};
 use crate::store::LoadCost;
 
 /// A comparison operator of a scan predicate.
@@ -546,13 +544,9 @@ fn eval_int_leaf<B: BlockView + ?Sized>(
         }
     }
     let mut out = Vec::new();
-    match whole_column(block, idx)? {
-        WholeColumn::Vertical(enc) => enc.filter_into(range, &mut out),
-        WholeColumn::Hier { enc, codes } => {
-            enc.filter_with_parents(range, |i| codes.code(i), &mut out)
-        }
-        WholeColumn::Decoded(values) => filter_i64_slice(&values, range, 0, &mut out),
-    }
+    int_column(block, idx, &DecodeScratch::default(), |c| {
+        c.filter_into(range, &mut out)
+    })?;
     Ok((SelectionVector::from_sorted(out)?, true))
 }
 

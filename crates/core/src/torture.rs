@@ -263,7 +263,7 @@ mod tests {
         let report = corruption_sweep(&bytes, &SweepOptions::default());
         assert_eq!(report.truncations_rejected, bytes.len());
         assert!(report.flips_tested > 0);
-        // With v3 checksums every flip in footer/trailer bytes is caught at
+        // With v4 checksums every flip in footer/trailer bytes is caught at
         // open, and payload flips are caught by the payload checksum in
         // whichever op touches them.
         assert!(report.flips_rejected_at_open > 0);

@@ -1,13 +1,18 @@
-//! Whole-block filters and folds on the horizontal codecs that reconstruct
-//! a block through the batch decode (NonHier, MultiRef) and run the
-//! vertical slice kernels on it. Filter positions, scalar aggregate states
-//! and grouped states must equal decompress-then-oracle:
+//! Every integer kernel on the horizontal codecs, through the one
+//! resolution they share: whole-block filters and folds (NonHier and
+//! MultiRef reconstruct the block through the batch decode and run the
+//! vertical slice kernels on it, Hier works per metadata entry), TOP-K and
+//! gather. Filter positions, scalar aggregate states, grouped states, TOP-K
+//! rows and gathered values must equal decompress-then-oracle:
 //!
 //! * block lengths on and around the 1 024-row unpack chunk (0, 1, 1 023,
 //!   1 024, 1 025, 16 384) with plain, negated and empty ranges;
 //! * NonHier with and without outliers, MultiRef over 1..=8 reference
 //!   groups at code widths 1..=6, outliers at rows 0, 1 023, 1 024 and the
-//!   last row, and all-outlier blocks;
+//!   last row, and all-outlier blocks, a Hier target under the dictionary
+//!   column `g`;
+//! * TOP-K ascending and descending at `k` 0, 1 and 7, unfiltered and
+//!   under every predicate, and `query_column` at every scan's positions;
 //! * `IntAggState::update_slice` equal to a per-row `update` fold, on the
 //!   `i64` extremes, the empty slice and a pre-filled state.
 
@@ -18,9 +23,10 @@ use corra_columnar::block::DataBlock;
 use corra_columnar::column::{Column, DataType};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::schema::{Field, Schema};
+use corra_columnar::topk::rank;
 use corra_core::{
-    aggregate, scan, AggExpr, AggFunc, AggValue, ColumnCodec, ColumnPlan, CompressedBlock,
-    CompressionConfig, GroupKey, Predicate,
+    aggregate, query_column, scan, top_k_blocks, AggExpr, AggFunc, AggValue, ColumnCodec,
+    ColumnPlan, CompressedBlock, CompressionConfig, GroupKey, Predicate, TopKExpr,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,9 +44,9 @@ enum Outliers {
 }
 
 /// The raw block plus its plan: a dictionary group column `g`, reference
-/// members `m0..`, a NonHier target over `m0` and a MultiRef target over
+/// members `m0..`, a NonHier target over `m0`, a MultiRef target over
 /// `n_groups` groups (group A sums `m0 + m1`, every other group is one
-/// member).
+/// member) and a Hier target under `g`.
 fn horizontal_block(
     n: usize,
     n_groups: usize,
@@ -84,6 +90,10 @@ fn horizontal_block(
         nonhier.push(reference + rng.gen_range(0i64..30));
     }
     let group: Vec<i64> = (0..n).map(|_| rng.gen_range(0i64..5) * 10).collect();
+    let hier: Vec<i64> = group
+        .iter()
+        .map(|&g| g * 1_000 - rng.gen_range(0i64..7))
+        .collect();
 
     let mut fields = vec![Field::new("g", DataType::Int64)];
     let mut columns = vec![Column::Int64(group)];
@@ -95,6 +105,8 @@ fn horizontal_block(
     columns.push(Column::Int64(nonhier));
     fields.push(Field::new("multiref", DataType::Int64));
     columns.push(Column::Int64(multiref));
+    fields.push(Field::new("hier", DataType::Int64));
+    columns.push(Column::Int64(hier));
     let block = DataBlock::new(Schema::new(fields).unwrap(), columns).unwrap();
 
     let mut groups = vec![vec!["m0".to_owned(), "m1".to_owned()]];
@@ -107,7 +119,13 @@ fn horizontal_block(
                 reference: "m0".into(),
             },
         )
-        .with("multiref", ColumnPlan::MultiRef { groups, code_bits });
+        .with("multiref", ColumnPlan::MultiRef { groups, code_bits })
+        .with(
+            "hier",
+            ColumnPlan::Hier {
+                reference: "g".into(),
+            },
+        );
     (block, cfg)
 }
 
@@ -158,13 +176,61 @@ fn predicates(column: &str, values: &[i64], rng: &mut StdRng) -> Vec<(Predicate,
     ]
 }
 
-/// Checks every whole-block filter and fold of the two horizontal targets
-/// against the raw columns.
+/// TOP-K of `values` at the rows `keep` admits, as `(value, row)` pairs
+/// best-first: rank, then the earlier row.
+fn top_k_oracle(
+    values: &[i64],
+    keep: impl Fn(usize) -> bool,
+    k: usize,
+    descending: bool,
+) -> Vec<(i64, u32)> {
+    let mut rows: Vec<(i64, u32)> = (0..values.len())
+        .filter(|&i| keep(i))
+        .map(|i| (values[i], i as u32))
+        .collect();
+    rows.sort_by_key(|&(v, i)| (rank(v, descending), i));
+    rows.truncate(k);
+    rows
+}
+
+/// TOP-K of `column`, ascending and descending at `k` 0, 1 and 7, against
+/// the oracle over the rows `filter` keeps (every row without one).
+fn check_top_k(
+    compressed: &CompressedBlock,
+    column: &str,
+    values: &[i64],
+    filter: Option<(&Predicate, &IntRange)>,
+) -> Result<(), String> {
+    for k in [0, 1, 7] {
+        for descending in [false, true] {
+            let mut expr = if descending {
+                TopKExpr::desc(column, k)
+            } else {
+                TopKExpr::asc(column, k)
+            };
+            if let Some((pred, _)) = filter {
+                expr = expr.with_filter(pred.clone());
+            }
+            let keep = |i: usize| filter.is_none_or(|(_, range)| range.matches(values[i]));
+            let (rows, _) =
+                top_k_blocks(std::slice::from_ref(compressed), &expr).map_err(|e| e.to_string())?;
+            let got: Vec<(i64, u32)> = rows.iter().map(|r| (r.value, r.row)).collect();
+            let want = top_k_oracle(values, keep, k, descending);
+            if got != want {
+                return Err(format!("{column} {expr:?}: {got:?} vs {want:?}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Checks every filter, fold, TOP-K and gather of the three horizontal
+/// targets against the raw columns.
 fn check_block(block: &DataBlock, cfg: &CompressionConfig, seed: u64) -> Result<(), String> {
     let compressed = CompressedBlock::compress(block, cfg).map_err(|e| e.to_string())?;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     let group = raw(block, "g");
-    for column in ["nonhier", "multiref"] {
+    for column in ["nonhier", "multiref", "hier"] {
         let values = raw(block, column);
         let decoded = compressed.decompress(column).map_err(|e| e.to_string())?;
         if decoded.as_i64().ok() != Some(values) {
@@ -178,6 +244,12 @@ fn check_block(block: &DataBlock, cfg: &CompressionConfig, seed: u64) -> Result<
             if sel.positions() != want.as_slice() {
                 return Err(format!("{column} {pred:?}: positions differ"));
             }
+            let gathered = query_column(&compressed, column, &sel).map_err(|e| e.to_string())?;
+            let want: Vec<i64> = want.iter().map(|&i| values[i as usize]).collect();
+            if gathered.as_int().ok() != Some(want.as_slice()) {
+                return Err(format!("{column} {pred:?}: gathered values differ"));
+            }
+            check_top_k(&compressed, column, values, Some((&pred, &range)))?;
             // Filtered folds: the selected path, or the whole-block path
             // when the filter keeps every row.
             let kept = fold(values, |i| range.matches(values[i]));
@@ -189,6 +261,7 @@ fn check_block(block: &DataBlock, cfg: &CompressionConfig, seed: u64) -> Result<
                 }
             }
         }
+        check_top_k(&compressed, column, values, None)?;
         let all = fold(values, |_| true);
         let mut by_group: BTreeMap<i64, IntAggState> = BTreeMap::new();
         for (&g, &v) in group.iter().zip(values) {

@@ -50,8 +50,8 @@ fn scoped_threads_live_only_in_the_morsel_loop_and_the_ingest_pipeline() {
 #[test]
 fn whole_block_horizontal_kernels_go_through_the_batch_decode() {
     // The per-row reference-probe filter and fold kernels of NonHier and
-    // MultiRef; a whole-block kernel reconstructs through
-    // `decode_int_column` and runs the vertical slice kernels instead.
+    // MultiRef; a whole-block kernel reconstructs through the resolved
+    // column's batch decode and runs the vertical slice kernels instead.
     let retired = [
         "filter_masked",
         "aggregate_masked",
@@ -68,7 +68,7 @@ fn whole_block_horizontal_kernels_go_through_the_batch_decode() {
             assert!(
                 !source.contains(name),
                 "{} brings back `{name}`; filter and fold whole blocks through \
-                 decode_int_column",
+                 the batch reconstruction",
                 path.display()
             );
         }
@@ -199,6 +199,35 @@ fn whole_block_integer_folds_are_one_sum() {
                 !signature.contains("IntAggState"),
                 "{} brings back an integer `aggregate_into`; sum whole blocks \
                  through IntAccess::sum_wrapping",
+                path.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn integer_columns_have_one_resolution() {
+    // `query::int_column` resolves every integer column into one
+    // `IntAccess`, and each operator is one method call on it: the second
+    // (whole-block) resolution, the TOP-K offer pair and the per-codec
+    // selected loops that differed only in where the values went stay
+    // deleted.
+    let retired = [
+        "enum WholeColumn",
+        "fn whole_column",
+        "fn offer_selected",
+        "fn offer_full",
+        "fn gather_map",
+        "fn aggregate_selected_map",
+        "fn gather_masked",
+        "fn aggregate_selected_masked",
+    ];
+    for (path, source) in crate_sources() {
+        for name in retired {
+            assert!(
+                !source.contains(name),
+                "{} brings back `{name}`; resolve integer columns through \
+                 query::int_column and call one IntAccess method",
                 path.display()
             );
         }

@@ -24,7 +24,9 @@
 //! a decoded chunk stream, and decode / gather / filter / the whole-column
 //! sum / the aggregate folds / TOP-K are provided methods over them,
 //! overridden only where a codec works in its compressed domain (FOR
-//! offsets, Dict codes, RLE runs, Frequency verdict tables). [`dict::DictStr`] carries the
+//! offsets, Dict codes, RLE runs, Frequency verdict tables). The
+//! horizontal columns of `corra-core`, resolved against their references,
+//! implement the same trait, so every integer kernel is written once. [`dict::DictStr`] carries the
 //! string analogues (equality filter, `COUNT` and lexicographic `MIN` /
 //! `MAX`) as inherent methods; its pool is first-occurrence-ordered, so
 //! only code *identity* is meaningful there, while int dictionaries are

@@ -1,4 +1,4 @@
-//! The one interface every vertical integer codec implements.
+//! The one interface every integer column is queried through.
 //!
 //! A codec supplies four things — [`len`](IntAccess::len),
 //! [`get`](IntAccess::get), [`compressed_bytes`](IntAccess::compressed_bytes)
@@ -25,6 +25,14 @@
 //!
 //! The provided bodies are also the reference the overrides are tested
 //! against (`tests/proptest_encodings.rs`).
+//!
+//! It is also the horizontal resolution: `corra-core` resolves a NonHier,
+//! Hier or MultiRef column against its references into an `IntAccess`
+//! whose `get` is the paper's per-row reconstruction rule and whose chunk
+//! stream is the block's batch reconstruction, so every operator calls one
+//! method on any integer column. Those columns override only Hier's
+//! per-metadata-entry filter, sums and folds and NonHier's
+//! `Σ ref + n · base + Σ diff`.
 
 use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
