@@ -219,7 +219,7 @@ pub fn detect_multiref(
     }
     let take = sample_rows.min(rows);
     let sums: Vec<&[i64]> = references.iter().map(|&(_, r)| r).collect();
-    let picked = FormulaMatches::new(&target[..take], &sums).greedy_cover(max_formulas);
+    let (picked, _) = FormulaMatches::new(&target[..take], &sums).greedy_cover(max_formulas);
     let covered: usize = picked.iter().map(|&(_, count)| count).sum();
     Ok(MultiRefCandidate {
         references: (0..g).collect(),

@@ -15,7 +15,7 @@
 use bytes::{Buf, BufMut};
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
-use corra_encodings::{IntAccess, IntEncoding};
+use corra_encodings::{IntAccess, IntEncoding, PlainInt};
 
 use crate::outlier::OutlierRegion;
 use crate::query::{stream_reconstructed, DecodeScratch, RefAccess};
@@ -89,84 +89,84 @@ impl FormulaStats {
 }
 
 /// Which candidate formulas — every non-empty subset of up to
-/// [`MAX_GROUPS`] reference groups — reproduce each target row: a bitset of
-/// `2^groups - 1` bits per row, bit `m - 1` standing for mask `m`. Shared by
-/// the encoder and the sample-based detector.
+/// [`MAX_GROUPS`] reference groups — reproduce each target row: one bitmap
+/// over the rows per mask. Shared by the encoder and the sample-based
+/// detector.
 pub(crate) struct FormulaMatches {
     rows: usize,
-    n_masks: usize,
-    /// Words per row: 255 masks over 8 groups need four.
-    words: usize,
-    bits: Vec<u64>,
+    /// Mask `m`'s bitmap at `bits[m - 1]`: bit `i` set when `m` reproduces
+    /// row `i`.
+    bits: Vec<Vec<u64>>,
 }
 
 impl FormulaMatches {
     /// Tests every candidate mask on every row; `group_sums` holds one
     /// slice per group (`1..=MAX_GROUPS` of them), each at least as long as
-    /// `target`.
+    /// `target`. A mask's sum is the sum of the mask without its lowest
+    /// group plus that group, which equals [`Formula::eval`] because
+    /// wrapping addition is associative and commutative.
     pub(crate) fn new(target: &[i64], group_sums: &[&[i64]]) -> Self {
+        // Rows per pass, a multiple of 64: 255 masks' sums take 512 KiB.
+        const ROWS: usize = 256;
         let n_masks = (1usize << group_sums.len()) - 1;
-        let words = n_masks.div_ceil(64);
-        let mut bits = vec![0u64; target.len() * words];
-        let mut sums_at = vec![0i64; group_sums.len()];
-        for (i, (&t, row)) in target.iter().zip(bits.chunks_exact_mut(words)).enumerate() {
-            for (slot, s) in sums_at.iter_mut().zip(group_sums) {
-                *slot = s[i];
-            }
-            for m in 0..n_masks {
-                if Formula(m as u8 + 1).eval(&sums_at) == t {
-                    row[m / 64] |= 1 << (m % 64);
+        let mut bits = vec![vec![0u64; target.len().div_ceil(64)]; n_masks];
+        // Row `r` of mask `m`'s sum at `sums[m * ROWS + r]`; mask 0 stays 0.
+        let mut sums = vec![0i64; (n_masks + 1) * ROWS];
+        for start in (0..target.len()).step_by(ROWS) {
+            let t = &target[start..target.len().min(start + ROWS)];
+            for m in 1..=n_masks {
+                let (below, at) = sums.split_at_mut(m * ROWS);
+                let without_low = &below[(m & (m - 1)) * ROWS..][..t.len()];
+                let low = &group_sums[m.trailing_zeros() as usize][start..][..t.len()];
+                let at = &mut at[..t.len()];
+                for ((sum, &a), &b) in at.iter_mut().zip(without_low).zip(low) {
+                    *sum = a.wrapping_add(b);
+                }
+                let words = &mut bits[m - 1][start / 64..];
+                for (word, (sums, t)) in words.iter_mut().zip(at.chunks(64).zip(t.chunks(64))) {
+                    let hits = sums.iter().zip(t).map(|(s, t)| u64::from(s == t));
+                    *word = hits.enumerate().fold(0, |w, (b, hit)| w | hit << b);
                 }
             }
         }
         Self {
             rows: target.len(),
-            n_masks,
-            words,
             bits,
         }
     }
 
-    fn row(&self, i: usize) -> &[u64] {
-        &self.bits[i * self.words..(i + 1) * self.words]
-    }
-
-    /// Whether formula `f` reproduces row `i`.
-    pub(crate) fn matches(&self, i: usize, f: Formula) -> bool {
-        let m = f.0 as usize - 1;
-        (self.row(i)[m / 64] >> (m % 64)) & 1 == 1
-    }
-
     /// Greedy set cover: up to `max` formulas, each the one reproducing the
     /// most rows no earlier pick covers (the last such on a tie), with that
-    /// count; stops early once no formula covers a new row.
-    pub(crate) fn greedy_cover(&self, max: usize) -> Vec<(Formula, usize)> {
-        let mut covered = vec![false; self.rows];
+    /// count; stops early once no formula covers a new row. Also returns,
+    /// per row, the index of the first pick reproducing it (its code), or
+    /// `None` for a row no pick reproduces (an outlier).
+    pub(crate) fn greedy_cover(&self, max: usize) -> (Vec<(Formula, usize)>, Vec<Option<u8>>) {
+        // Bits past the last row are clear in every bitmap.
+        let mut uncovered = vec![u64::MAX; self.rows.div_ceil(64)];
+        let mut cover = vec![None; self.rows];
         let mut picked = Vec::new();
-        for _ in 0..max {
-            let mut counts = vec![0usize; self.n_masks];
-            for i in (0..self.rows).filter(|&i| !covered[i]) {
-                for (w, &word) in self.row(i).iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        counts[w * 64 + bits.trailing_zeros() as usize] += 1;
-                        bits &= bits - 1;
-                    }
-                }
-            }
-            let Some((best, &count)) = counts.iter().enumerate().max_by_key(|&(_, &c)| c) else {
+        while picked.len() < max {
+            let best = self.bits.iter().enumerate().map(|(m, bitmap)| {
+                let count = bitmap.iter().zip(&uncovered);
+                (m, count.map(|(b, u)| (b & u).count_ones() as usize).sum())
+            });
+            let Some((m, count)) = best.max_by_key(|&(_, count)| count).filter(|&(_, c)| c > 0)
+            else {
                 break;
             };
-            if count == 0 {
-                break;
+            // At most 255 picks: each covers every row its mask reproduces.
+            let code = Some(picked.len() as u8);
+            for (w, (u, &b)) in uncovered.iter_mut().zip(&self.bits[m]).enumerate() {
+                let mut new = *u & b;
+                *u &= !b;
+                while new != 0 {
+                    cover[w * 64 + new.trailing_zeros() as usize] = code;
+                    new &= new - 1;
+                }
             }
-            let f = Formula((best + 1) as u8);
-            for (i, c) in covered.iter_mut().enumerate() {
-                *c |= self.matches(i, f);
-            }
-            picked.push((f, count));
+            picked.push((Formula(m as u8 + 1), count));
         }
-        picked
+        (picked, cover)
     }
 }
 
@@ -207,27 +207,21 @@ impl MultiRefInt {
             }
         }
         let sums: Vec<&[i64]> = group_sums.iter().map(Vec::as_slice).collect();
-        let matches = FormulaMatches::new(target, &sums);
-        let mut selected: Vec<Formula> = matches
-            .greedy_cover(1 << code_bits)
-            .into_iter()
-            .map(|(f, _)| f)
-            .collect();
+        let (picked, cover) = FormulaMatches::new(target, &sums).greedy_cover(1 << code_bits);
+        let mut selected: Vec<Formula> = picked.into_iter().map(|(f, _)| f).collect();
         if selected.is_empty() {
             // Degenerate: nothing matches; keep one formula so codes exist.
             selected.push(Formula(1));
         }
-        // Assign codes: first selected formula that matches; else outlier.
-        let mut codes = Vec::with_capacity(n);
+        // A row's code is the first pick reproducing it; else an outlier.
+        let codes: Vec<u64> = cover.iter().map(|&c| u64::from(c.unwrap_or(0))).collect();
         let mut outliers = OutlierRegion::new();
-        for (i, &t) in target.iter().enumerate() {
-            match selected.iter().position(|&f| matches.matches(i, f)) {
-                Some(c) => codes.push(c as u64),
-                None => {
-                    codes.push(0);
-                    outliers.push(i as u32, t);
-                }
-            }
+        for (i, &t) in target
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| cover[i].is_none())
+        {
+            outliers.push(i as u32, t);
         }
         Ok(Self {
             formulas: selected,
@@ -264,11 +258,10 @@ impl MultiRefInt {
     /// Per-formula usage statistics (Table 1).
     pub fn stats(&self) -> FormulaStats {
         let mut counts = vec![0usize; self.formulas.len()];
-        let outlier_set = self.outliers.build_map();
-        for i in 0..self.len() {
-            if !outlier_set.contains_key(&(i as u32)) {
-                counts[self.codes.get(i) as usize] += 1;
-            }
+        self.codes
+            .unpack_chunks(|_, chunk| chunk.iter().for_each(|&c| counts[c as usize] += 1));
+        for (i, _) in self.outliers.iter() {
+            counts[self.codes.get(i as usize) as usize] -= 1;
         }
         FormulaStats {
             formulas: self.formulas.iter().copied().zip(counts).collect(),
@@ -277,31 +270,16 @@ impl MultiRefInt {
         }
     }
 
-    /// Reconstructs row `i` given that row's per-group sums.
-    ///
-    /// The decompression procedure of §2.3: check the outlier mapping first;
-    /// otherwise evaluate the coded formula over the reference columns.
-    #[inline]
-    pub fn get(&self, i: usize, group_sums_at_row: &[i64]) -> i64 {
-        if let Some(v) = self.outliers.lookup(i as u32) {
-            return v;
-        }
-        self.formulas[self.codes.get(i) as usize].eval(group_sums_at_row)
-    }
-
-    /// Bulk decode given full per-group sum columns — the whole-block
-    /// reconstruction every scan, fold, TOP-K and decompress of the column
-    /// runs through. Branch-free: each group gets a table
-    /// `keep[code]` of 0 or −1 (whether that code's formula names the
-    /// group), and each chunk of codes adds `sum & keep[code]` one group at
-    /// a time; outliers are patched in afterwards.
+    /// Bulk decode given full per-group sum columns: the reconstruction
+    /// every MultiRef column runs (the resolved column's `decode_into`),
+    /// with each group sum as one varying member.
     ///
     /// # Errors
     ///
     /// [`Error::LengthMismatch`] when a group sum is not one value per row,
     /// and [`Error::Corrupt`] when a formula names a group past
     /// `group_sums` (see [`validate_groups`](Self::validate_groups)) —
-    /// the table would otherwise read that group as zero.
+    /// the reconstruction would otherwise read that group as zero.
     pub fn decode_into(&self, group_sums: &[Vec<i64>], out: &mut Vec<i64>) -> Result<()> {
         for s in group_sums {
             if s.len() != self.len() {
@@ -312,37 +290,13 @@ impl MultiRefInt {
             }
         }
         self.validate_groups(group_sums.len())?;
-        self.reconstruct(group_sums, out);
+        let sums: Vec<IntEncoding> = group_sums
+            .iter()
+            .map(|s| IntEncoding::Plain(PlainInt::encode(s)))
+            .collect();
+        let groups = sums.iter().map(|s| vec![s]).collect();
+        MultiRefColumn::new(self, groups, &DecodeScratch::default()).decode_into(out);
         Ok(())
-    }
-
-    /// [`decode_into`](Self::decode_into) over group sums already checked:
-    /// one per group the formulas name, each as long as the column.
-    fn reconstruct(&self, group_sums: &[Vec<i64>], out: &mut Vec<i64>) {
-        // Codes are below `formulas.len()` (checked on construction and
-        // read), which is at most 255, so `code as u8` indexes losslessly.
-        let mut keep: Vec<(&[i64], [i64; 256])> = Vec::with_capacity(group_sums.len());
-        for (g, sum) in group_sums.iter().enumerate().take(MAX_GROUPS) {
-            let mut table = [0i64; 256];
-            for (slot, f) in table.iter_mut().zip(&self.formulas) {
-                *slot = -i64::from((f.0 >> g) & 1);
-            }
-            if table.iter().any(|&k| k != 0) {
-                keep.push((sum, table));
-            }
-        }
-        out.clear();
-        out.resize(self.len(), 0);
-        self.codes.unpack_chunks(|start, chunk| {
-            let out = &mut out[start..start + chunk.len()];
-            for (sum, table) in &keep {
-                let sum = &sum[start..start + chunk.len()];
-                for ((o, &s), &c) in out.iter_mut().zip(sum).zip(chunk) {
-                    *o = o.wrapping_add(s & table[c as u8 as usize]);
-                }
-            }
-        });
-        self.outliers.patch(out);
     }
 
     /// Checks every formula mask only names groups `< n_groups` — the
@@ -426,17 +380,23 @@ impl MultiRefInt {
 }
 
 /// A MultiRef column resolved against its reference groups
-/// ([`int_column`]): the per-row rule of §2.3 (outlier first, then the
-/// coded formula over exactly the groups it names) and the branch-free
-/// batch reconstruction over the decoded group sums.
+/// ([`int_column`]), once per block: a member whose codec metadata proves
+/// it constant ([`IntEncoding::constant`]) is added into `addend[code]` for
+/// every formula naming its group and never read again. `get` is §2.3's
+/// rule — outlier first, then `addend[code]` plus the varying members of
+/// the groups the coded formula names — and `decode_into` rebuilds the
+/// block from the same parts.
 ///
 /// [`int_column`]: crate::query::int_column
 pub(crate) struct MultiRefColumn<'a> {
     enc: &'a MultiRefInt,
-    /// Each group's member codecs, for the batch decode.
-    groups: Vec<Vec<&'a IntEncoding>>,
-    /// The same members as per-row accessors, for `get`.
-    members: Vec<Vec<RefAccess<'a>>>,
+    /// Per code: the constant members its formula names, summed.
+    addend: [i64; 256],
+    /// Every other member: its group's mask bit, its codec (batch decode)
+    /// and its per-row accessor (`get`).
+    varying: Vec<(u8, &'a IntEncoding, RefAccess<'a>)>,
+    /// The groups every formula names: their members add in unmasked.
+    every: u8,
     scratch: &'a DecodeScratch,
 }
 
@@ -448,14 +408,28 @@ impl<'a> MultiRefColumn<'a> {
         groups: Vec<Vec<&'a IntEncoding>>,
         scratch: &'a DecodeScratch,
     ) -> Self {
-        let members = groups
-            .iter()
-            .map(|group| group.iter().map(|&m| RefAccess::of(m)).collect())
-            .collect();
+        let mut addend = [0i64; 256];
+        let mut varying = Vec::new();
+        for (g, group) in groups.into_iter().enumerate() {
+            // Zero past `MAX_GROUPS`: a group no formula can name.
+            let bit = 1u8.checked_shl(g as u32).unwrap_or(0);
+            for member in group {
+                let Some(v) = member.constant() else {
+                    varying.push((bit, member, RefAccess::of(member)));
+                    continue;
+                };
+                for (slot, f) in addend.iter_mut().zip(&enc.formulas) {
+                    if f.0 & bit != 0 {
+                        *slot = slot.wrapping_add(v);
+                    }
+                }
+            }
+        }
         Self {
             enc,
-            groups,
-            members,
+            addend,
+            varying,
+            every: enc.formulas.iter().fold(u8::MAX, |every, f| every & f.0),
             scratch,
         }
     }
@@ -478,14 +452,15 @@ impl IntAccess for MultiRefColumn<'_> {
             return v;
         }
         // §2.3 decompression: "read the values from the reference columns"
-        // — exactly the groups the row's formula names.
-        let mut acc = 0i64;
-        let mut mask = enc.formulas[enc.codes.get_unchecked_len(i) as usize].0;
-        while mask != 0 {
-            for r in &self.members[mask.trailing_zeros() as usize] {
+        // — the varying members of exactly the groups the row's formula
+        // names, on top of its constant ones.
+        let code = enc.codes.get_unchecked_len(i) as u8 as usize;
+        let mask = enc.formulas[code].0;
+        let mut acc = self.addend[code];
+        for (bit, _, r) in &self.varying {
+            if mask & bit != 0 {
                 acc = acc.wrapping_add(r.get(i));
             }
-            mask &= mask - 1;
         }
         acc
     }
@@ -498,26 +473,44 @@ impl IntAccess for MultiRefColumn<'_> {
         stream_reconstructed(self, self.scratch, f);
     }
 
+    /// The whole-block reconstruction behind every scan, fold, TOP-K and
+    /// decompress of the column: one pass over the codes writes
+    /// `addend[code]`, then each varying member is decoded and added in
+    /// place — unmasked when every formula names its group, otherwise
+    /// through a table `keep[code]` of 0 or −1 (whether that code's formula
+    /// names the group) — and the outliers are patched last. Wrapping
+    /// addition is associative and commutative, so every row equals its
+    /// formula evaluated over the group sums, overflow included.
     fn decode_into(&self, out: &mut Vec<i64>) {
-        let mut refs = self.scratch.refs.borrow_mut();
-        let mut sums = self.scratch.sums.borrow_mut();
-        sums.resize_with(self.groups.len(), Vec::new);
-        for (sum, group) in sums.iter_mut().zip(&self.groups) {
-            // The first member decodes straight into the group sum.
-            let Some((first, rest)) = group.split_first() else {
-                sum.clear();
-                sum.resize(self.len(), 0);
-                continue;
-            };
-            first.decode_into(sum);
-            for member in rest {
-                member.decode_into(&mut refs);
-                for (acc, &x) in sum.iter_mut().zip(refs.iter()) {
-                    *acc = acc.wrapping_add(x);
+        let enc = self.enc;
+        // Codes are below `formulas.len()` (checked on construction and
+        // read), which is at most 255, so `code as u8` indexes losslessly.
+        out.clear();
+        out.reserve(self.len());
+        enc.codes.unpack_chunks(|_, chunk| {
+            out.extend(chunk.iter().map(|&c| self.addend[c as u8 as usize]));
+        });
+        let mut buf = self.scratch.refs.borrow_mut();
+        for &(bit, member, _) in &self.varying {
+            member.decode_into(&mut buf);
+            if self.every & bit != 0 {
+                for (o, &v) in out.iter_mut().zip(buf.iter()) {
+                    *o = o.wrapping_add(v);
                 }
+                continue;
             }
+            let mut keep = [0i64; 256];
+            for (slot, f) in keep.iter_mut().zip(&enc.formulas) {
+                *slot = -i64::from(f.0 & bit != 0);
+            }
+            enc.codes.unpack_chunks(|start, chunk| {
+                let end = start + chunk.len();
+                for ((o, &v), &c) in out[start..end].iter_mut().zip(&buf[start..end]).zip(chunk) {
+                    *o = o.wrapping_add(v & keep[c as u8 as usize]);
+                }
+            });
         }
-        self.enc.reconstruct(&sums, out);
+        enc.outliers.patch(out);
     }
 }
 
@@ -525,7 +518,7 @@ impl IntAccess for MultiRefColumn<'_> {
 mod tests {
     use super::*;
     use corra_columnar::selection::SelectionVector;
-    use corra_encodings::PlainInt;
+    use corra_encodings::{DictInt, ForInt};
 
     /// Builds a Taxi-like mixture: target = A, A+B, A+C, A+B+C, or junk.
     fn taxi_like(n: usize) -> (Vec<i64>, Vec<Vec<i64>>) {
@@ -592,12 +585,14 @@ mod tests {
     fn point_access_including_outliers() {
         let (target, groups) = taxi_like(2_000);
         let enc = MultiRefInt::encode(&target, &groups, 2).unwrap();
-        let mut sums_at = vec![0i64; 3];
-        for i in 0..target.len() {
-            for g in 0..3 {
-                sums_at[g] = groups[g][i];
-            }
-            assert_eq!(enc.get(i, &sums_at), target[i], "row {i}");
+        let codecs: Vec<IntEncoding> = groups
+            .iter()
+            .map(|g| IntEncoding::Plain(PlainInt::encode(g)))
+            .collect();
+        let scratch = DecodeScratch::default();
+        let column = MultiRefColumn::new(&enc, codecs.iter().map(|c| vec![c]).collect(), &scratch);
+        for (i, &t) in target.iter().enumerate() {
+            assert_eq!(column.get(i), t, "row {i}");
         }
     }
 
@@ -619,6 +614,35 @@ mod tests {
         assert_eq!(bulk, target);
         let want: Vec<i64> = sel.positions().iter().map(|&p| bulk[p as usize]).collect();
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn resolved_column_folds_constant_members() {
+        let (target, groups) = taxi_like(3_000);
+        let enc = MultiRefInt::encode(&target, &groups, 2).unwrap();
+        let mut explicit = Vec::new();
+        enc.decode_into(&groups, &mut explicit).unwrap();
+        assert_eq!(explicit, target);
+        // Group A is a varying member plus a constant one; C is a one-entry
+        // Dict; B a width-0 FOR (folded, every formula's group mask taken
+        // whole) or Plain (varying, added through the keep table).
+        let a: Vec<i64> = groups[0].iter().map(|&v| v - 30).collect();
+        let a = [ForInt::encode(&a), ForInt::encode(&[30; 3_000])].map(IntEncoding::For);
+        let c = IntEncoding::Dict(DictInt::encode(&groups[2]));
+        assert!(a[1].constant().is_some() && c.constant().is_some());
+        for b in [
+            IntEncoding::For(ForInt::encode(&groups[1])),
+            IntEncoding::Plain(PlainInt::encode(&groups[1])),
+        ] {
+            let scratch = DecodeScratch::default();
+            let members = vec![vec![&a[0], &a[1]], vec![&b], vec![&c]];
+            let column = MultiRefColumn::new(&enc, members, &scratch);
+            let mut resolved = Vec::new();
+            column.decode_into(&mut resolved);
+            assert_eq!(resolved, explicit, "{}", b.scheme());
+            let rows: Vec<i64> = (0..target.len()).map(|i| column.get(i)).collect();
+            assert_eq!(rows, explicit, "{}", b.scheme());
+        }
     }
 
     #[test]

@@ -190,10 +190,10 @@ pub(crate) fn code_access<B: BlockView + ?Sized>(block: &B, idx: usize) -> Resul
 }
 
 /// The buffers a horizontal column reconstructs through: the decoded
-/// reference (NonHier) or one group member (MultiRef), the parent codes
-/// (Hier), the group sums (MultiRef), and the reconstructed block its
-/// chunk stream hands out. A caller resolving block after block (TOP-K)
-/// keeps one and pays for the allocations once.
+/// reference (NonHier) or one varying member (MultiRef), the parent codes
+/// (Hier), and the reconstructed block its chunk stream hands out. A
+/// caller resolving block after block (TOP-K) keeps one and pays for the
+/// allocations once.
 ///
 /// The cells sit behind the resolved column's shared reference rather than
 /// in it, so the column itself holds no interior mutability and the
@@ -205,7 +205,6 @@ pub(crate) struct DecodeScratch {
     pub(crate) values: RefCell<Vec<i64>>,
     pub(crate) refs: RefCell<Vec<i64>>,
     pub(crate) codes: RefCell<Vec<u32>>,
-    pub(crate) sums: RefCell<Vec<Vec<i64>>>,
 }
 
 /// The chunk stream of a horizontal column: the block reconstructed whole
@@ -726,12 +725,19 @@ mod tests {
     /// `n` rows: dictionary parents `d` (int) and `s` (string), reference
     /// members `m0..m7`, and a target per family — NonHier `nh` over `m0`
     /// (every 97th row an outlier when `outliers`), Hier `hi` under `d` and
-    /// `hs` under `s`, MultiRef `mr` over `groups` one-member groups.
-    fn family_block(n: usize, groups: usize, outliers: bool) -> CompressedBlock {
+    /// `hs` under `s`, MultiRef `mr` over `groups` one-member groups. `m1`,
+    /// `m4` (a one-entry Dict) and `m7` are constant, `m1` and `m7` near
+    /// the `i64` ends, so `mr` folds them into a wrapping addend.
+    fn family_block(n: usize, groups: usize, outliers: bool) -> (DataBlock, CompressedBlock) {
         let mut rng = StdRng::seed_from_u64((n * 16 + groups) as u64);
         let parent: Vec<i64> = (0..n).map(|_| rng.gen_range(0..6)).collect();
         let members: Vec<Vec<i64>> = (0..8)
-            .map(|_| (0..n).map(|_| rng.gen_range(-999..999)).collect())
+            .map(|j| match j {
+                1 => vec![i64::MAX - 7; n],
+                4 => vec![250; n],
+                7 => vec![i64::MIN + 3; n],
+                _ => (0..n).map(|_| rng.gen_range(-999..999)).collect(),
+            })
             .collect();
         let nonhier = (0..n).map(|i| match outliers && i % 97 == 0 {
             true => 1 << 40,
@@ -742,7 +748,7 @@ mod tests {
             (0..groups)
                 .filter(|&g| (mask(i) >> g) & 1 == 1)
                 .map(|g| members[g][i])
-                .sum()
+                .fold(0, i64::wrapping_add)
         });
         let hier: Vec<i64> = (0..n).map(|i| parent[i] * 100 + (i % 3) as i64).collect();
         let strings = parent
@@ -775,6 +781,7 @@ mod tests {
         let groups = (0..groups).map(|g| vec![format!("m{g}")]).collect();
         let cfg = CompressionConfig::baseline()
             .with("d", ColumnPlan::Dict)
+            .with("m4", ColumnPlan::Dict)
             .with("nh", nonhier)
             .with("hi", under("d"))
             .with("hs", under("s"))
@@ -786,19 +793,32 @@ mod tests {
                 },
             );
         let block = DataBlock::new(Schema::new(fields).unwrap(), columns).unwrap();
-        CompressedBlock::compress(&block, &cfg).unwrap()
+        let compressed = CompressedBlock::compress(&block, &cfg).unwrap();
+        (block, compressed)
     }
 
     #[test]
     fn resolved_overrides_match_provided_bodies() {
         for n in [0, 1, 1_023, 1_024, 1_025] {
             for groups in 1..=8 {
-                let block = family_block(n, groups, groups % 2 == 0);
+                let (raw, block) = family_block(n, groups, groups % 2 == 0);
                 for name in ["d", "nh", "hi", "hs", "mr"] {
                     let label = format!("{name}: n {n} groups {groups}");
                     let idx = block.index_of(name).unwrap();
+                    let want = raw.column(name).unwrap().as_i64().unwrap();
                     let scratch = DecodeScratch::default();
-                    int_column(&block, idx, &scratch, |c| check_overrides(c, &label)).unwrap();
+                    int_column(&block, idx, &scratch, |c| {
+                        // The batch decode and `get` resolve constant members
+                        // through one fold, so hold both to the raw values
+                        // as well as to each other.
+                        let mut values = Vec::new();
+                        c.decode_into(&mut values);
+                        assert_eq!(values, want, "{label}: decode");
+                        let rows: Vec<i64> = (0..c.len()).map(|i| c.get(i)).collect();
+                        assert_eq!(rows, want, "{label}: get");
+                        check_overrides(c, &label)
+                    })
+                    .unwrap();
                 }
             }
         }

@@ -8,9 +8,10 @@
 //! * block lengths on and around the 1 024-row unpack chunk (0, 1, 1 023,
 //!   1 024, 1 025, 16 384) with plain, negated and empty ranges;
 //! * NonHier with and without outliers, MultiRef over 1..=8 reference
-//!   groups at code widths 1..=6, outliers at rows 0, 1 023, 1 024 and the
-//!   last row, and all-outlier blocks, a Hier target under the dictionary
-//!   column `g`;
+//!   groups at code widths 1..=6 with constant members (FOR or one-entry
+//!   Dict, wrapping near the `i64` ends) folded into its per-code addend,
+//!   outliers at rows 0, 1 023, 1 024 and the last row, and all-outlier
+//!   blocks, a Hier target under the dictionary column `g`;
 //! * TOP-K ascending and descending at `k` 0, 1 and 7, unfiltered and
 //!   under every predicate, and `query_column` at every scan's positions;
 //! * `IntAggState::update_slice` equal to a per-row `update` fold, on the
@@ -47,6 +48,12 @@ enum Outliers {
 /// members `m0..`, a NonHier target over `m0`, a MultiRef target over
 /// `n_groups` groups (group A sums `m0 + m1`, every other group is one
 /// member) and a Hier target under `g`.
+///
+/// The seed makes about half of `m1..` constant — `m1` beside the varying
+/// `m0` in group A, or a whole singleton group — so the MultiRef column
+/// folds them into its per-code addend: small values or values near
+/// `i64::MAX` / `i64::MIN`, whose sums wrap, each planned as FOR (width 0)
+/// or as a one-entry Dict. The target sums wrap too.
 fn horizontal_block(
     n: usize,
     n_groups: usize,
@@ -55,11 +62,26 @@ fn horizontal_block(
     seed: u64,
 ) -> (DataBlock, CompressionConfig) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let members: Vec<Vec<i64>> = (0..=n_groups)
-        .map(|_| (0..n).map(|_| rng.gen_range(-5_000i64..5_000)).collect())
+    // `(value, planned as Dict)` for each constant member.
+    let constants: Vec<Option<(i64, bool)>> = (0..=n_groups)
+        .map(|j| {
+            let value = match rng.gen_range(0u8..3) {
+                0 => rng.gen_range(-50i64..50),
+                1 => i64::MAX - rng.gen_range(0i64..1_000),
+                _ => i64::MIN + rng.gen_range(0i64..1_000),
+            };
+            (j > 0 && rng.gen_bool(0.5)).then(|| (value, rng.gen_bool(0.5)))
+        })
+        .collect();
+    let members: Vec<Vec<i64>> = constants
+        .iter()
+        .map(|constant| match constant {
+            Some((v, _)) => vec![*v; n],
+            None => (0..n).map(|_| rng.gen_range(-5_000i64..5_000)).collect(),
+        })
         .collect();
     let group_sum = |g: usize, i: usize| match g {
-        0 => members[0][i] + members[1][i],
+        0 => members[0][i].wrapping_add(members[1][i]),
         _ => members[g + 1][i],
     };
     // A handful of formulas per block, more than `2^code_bits` at narrow
@@ -85,7 +107,7 @@ fn horizontal_block(
             (0..n_groups)
                 .filter(|g| (mask >> g) & 1 == 1)
                 .map(|g| group_sum(g, i))
-                .sum(),
+                .fold(0, i64::wrapping_add),
         );
         nonhier.push(reference + rng.gen_range(0i64..30));
     }
@@ -111,7 +133,15 @@ fn horizontal_block(
 
     let mut groups = vec![vec!["m0".to_owned(), "m1".to_owned()]];
     groups.extend((1..n_groups).map(|g| vec![format!("m{}", g + 1)]));
-    let cfg = CompressionConfig::baseline()
+    let dict_constants = constants
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.is_some_and(|(_, dict)| dict));
+    let mut cfg = CompressionConfig::baseline();
+    for (j, _) in dict_constants {
+        cfg = cfg.with(&format!("m{j}"), ColumnPlan::Dict);
+    }
+    let cfg = cfg
         .with("g", ColumnPlan::Dict)
         .with(
             "nonhier",
@@ -228,6 +258,22 @@ fn check_top_k(
 /// targets against the raw columns.
 fn check_block(block: &DataBlock, cfg: &CompressionConfig, seed: u64) -> Result<(), String> {
     let compressed = CompressedBlock::compress(block, cfg).map_err(|e| e.to_string())?;
+    // Each constant member's codec proves it constant, so MultiRef folds it.
+    for (j, member) in (0..).map_while(|j| Some((j, block.column(&format!("m{j}")).ok()?))) {
+        let values = member.as_i64().map_err(|e| e.to_string())?;
+        if values
+            .first()
+            .is_some_and(|&v| values.iter().all(|&x| x == v))
+        {
+            let proven = match compressed.codec(&format!("m{j}")) {
+                Ok(ColumnCodec::Int(enc)) => enc.constant(),
+                _ => None,
+            };
+            if proven != Some(values[0]) {
+                return Err(format!("m{j}: constant {} proven {proven:?}", values[0]));
+            }
+        }
+    }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     let group = raw(block, "g");
     for column in ["nonhier", "multiref", "hier"] {

@@ -281,3 +281,41 @@ fn the_full_chooser_sizes_from_stats_not_by_encoding() {
         );
     }
 }
+
+#[test]
+fn multiref_reconstructs_through_one_kernel() {
+    // A resolved MultiRef column folds its constant members into a per-code
+    // addend and adds each varying member into the output in place
+    // (`MultiRefColumn::decode_into`); `MultiRefInt::decode_into` runs the
+    // same kernel over explicit group sums. The per-group sum buffers and
+    // any second keep-table loop stay deleted.
+    let query = library_part(include_str!("../src/query.rs"));
+    let scratch = query
+        .split("struct DecodeScratch")
+        .nth(1)
+        .and_then(|rest| rest.split('}').next())
+        .expect("DecodeScratch lives in query.rs");
+    assert!(
+        !scratch.contains("sums"),
+        "DecodeScratch regains per-group sums; add varying members into the \
+         output in MultiRefColumn::decode_into"
+    );
+    // The keep table's construction and its masked add, across the
+    // library sources.
+    let markers = ["-i64::from(", "& keep["];
+    for marker in markers {
+        let sites: Vec<String> = crate_sources()
+            .iter()
+            .filter(|(_, source)| library_part(source).contains(marker))
+            .map(|(path, source)| {
+                let n = library_part(source).matches(marker).count();
+                format!("{} ({n})", path.file_name().unwrap().to_string_lossy())
+            })
+            .collect();
+        assert_eq!(
+            sites,
+            ["multiref.rs (1)"],
+            "`{marker}` outside the one reconstruction kernel"
+        );
+    }
+}

@@ -78,6 +78,18 @@ impl IntEncoding {
         }
     }
 
+    /// The value every row holds, when the codec's metadata alone proves
+    /// it: FOR at width 0, a one-entry dictionary, a single RLE run. `None`
+    /// otherwise, though the column may still happen to be constant.
+    pub fn constant(&self) -> Option<i64> {
+        match self {
+            IntEncoding::For(e) if e.bits() == 0 => Some(e.base()),
+            IntEncoding::Dict(e) if e.dict().len() == 1 => Some(e.dict()[0]),
+            IntEncoding::Rle(e) if e.runs() == 1 => Some(e.run_values()[0]),
+            _ => None,
+        }
+    }
+
     /// Discriminant tag used in the serialized block format.
     fn tag(&self) -> u8 {
         match self {

@@ -271,7 +271,9 @@ proptest! {
         check_roundtrip(&PlainInt::encode(&values), &values)?;
     }
 
-    /// get(i) == full decode[i] at every position, for the chosen encoding.
+    /// get(i) == full decode[i] at every position, for the chosen encoding;
+    /// and `constant()`, on every codec, names a value only when every row
+    /// holds it, and names it for FOR, Dict and RLE of a constant column.
     #[test]
     fn chooser_random_access_consistent(values in int_column()) {
         for enc in [choose_int_baseline(&values), choose_int_full(&values)] {
@@ -279,6 +281,27 @@ proptest! {
             enc.decode_into(&mut full);
             for (i, &v) in full.iter().enumerate() {
                 prop_assert_eq!(enc.get(i), v);
+            }
+        }
+        let same = vec![values.first().copied().unwrap_or(0); values.len()];
+        for column in [&values, &same] {
+            let all = [
+                IntEncoding::For(ForInt::encode(column)),
+                IntEncoding::Dict(DictInt::encode(column)),
+                IntEncoding::Rle(RleInt::encode(column)),
+                IntEncoding::Delta(DeltaInt::encode(column)),
+                IntEncoding::Frequency(FrequencyInt::encode(column, 16)),
+                IntEncoding::Plain(PlainInt::encode(column)),
+            ];
+            for enc in &all {
+                if let Some(c) = enc.constant() {
+                    prop_assert!(column.iter().all(|&v| v == c), "{}", enc.scheme());
+                }
+            }
+            if !column.is_empty() && column.iter().all(|&v| v == column[0]) {
+                for enc in &all[..3] {
+                    prop_assert_eq!(enc.constant(), Some(column[0]));
+                }
             }
         }
     }
