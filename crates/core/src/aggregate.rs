@@ -40,10 +40,9 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::RangeVerdict;
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
-use corra_encodings::IntEncoding;
 
-use crate::compressor::{BlockSource, BlockView, ColumnCodec, CompressedBlock};
-use crate::query::{code_access, int_column, DecodeScratch};
+use crate::compressor::{BlockSource, BlockView, CompressedBlock};
+use crate::query::{dict_column, int_column, str_column, CodeAccess, DecodeScratch, DictKeys};
 use crate::scan::{scan_pruned, validate_pred, zone_verdict, Predicate, ScanStats};
 
 /// The aggregate function of an [`AggExpr`].
@@ -379,6 +378,14 @@ fn group_not_dictionary(group: &str) -> Error {
     ))
 }
 
+/// The dictionary view of `GROUP BY` column `group`: its keys and per-row
+/// codes.
+fn group_keys<'b, B: BlockView + ?Sized>(block: &'b B, group: &str) -> Result<CodeAccess<'b>> {
+    dict_column(block, block.index_of(group)?, |_| {
+        group_not_dictionary(group)
+    })
+}
+
 /// Validates the whole expression against one block up front, from column
 /// metadata alone (no payload is loaded) — unknown columns, `SUM`/`AVG` on
 /// strings, a horizontal `GROUP BY` column and malformed filters error
@@ -442,13 +449,7 @@ pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
             // Load the group codec all the same: whether a vertical column
             // is a dictionary is payload-level, and a non-dictionary
             // GROUP BY errors whatever the filter selects.
-            let codec = block.view_codec(block.index_of(group)?)?;
-            if !matches!(
-                codec,
-                ColumnCodec::Int(IntEncoding::Dict(_)) | ColumnCodec::Str(_)
-            ) {
-                return Err(group_not_dictionary(group));
-            }
+            group_keys(block, group)?;
         }
         return Ok((PartialAgg::empty(string_target, grouped), true, 0));
     }
@@ -550,41 +551,10 @@ fn eval_scalar<B: BlockView + ?Sized>(
         }));
     };
     let idx = block.index_of(col)?;
-    match block.view_codec(idx)? {
-        ColumnCodec::Str(enc) => {
-            let mut state = StrAggState::default();
-            match sel {
-                None => enc.aggregate_into(&mut state),
-                Some(s) => enc.aggregate_selected(s, &mut state),
-            }
-            return Ok(PartialAgg::Str(state));
-        }
-        ColumnCodec::PlainStr(pool) => {
-            let mut state = StrAggState::default();
-            match sel {
-                None => {
-                    for s in pool.iter() {
-                        state.update(s);
-                    }
-                }
-                Some(sel) => {
-                    for &p in sel.positions() {
-                        state.update(pool.get(p as usize));
-                    }
-                }
-            }
-            return Ok(PartialAgg::Str(state));
-        }
-        ColumnCodec::HierStr { enc, reference } => {
-            let codes = code_access(block, *reference as usize)?;
-            let mut state = StrAggState::default();
-            match sel {
-                None => enc.aggregate_with_parents(|i| codes.code(i), &mut state),
-                Some(s) => enc.aggregate_selected_with_parents(s, |i| codes.code(i), &mut state),
-            }
-            return Ok(PartialAgg::Str(state));
-        }
-        _ => {}
+    if block.is_string(idx) {
+        let mut state = StrAggState::default();
+        str_column(block, idx)?.aggregate(sel, &mut state);
+        return Ok(PartialAgg::Str(state));
     }
     let mut state = IntAggState::default();
     int_column(block, idx, &DecodeScratch::default(), |c| match sel {
@@ -605,32 +575,13 @@ fn eval_grouped<B: BlockView + ?Sized>(
     group_col: &str,
     sel: Option<&SelectionVector>,
 ) -> Result<PartialAgg> {
-    let gidx = block.index_of(group_col)?;
-    let (keys, mut codes): (Vec<GroupKey>, Vec<u32>) = match block.view_codec(gidx)? {
-        ColumnCodec::Int(IntEncoding::Dict(d)) => {
-            let mut c = Vec::new();
-            d.codes_into(&mut c);
-            (d.dict().iter().map(|&v| GroupKey::Int(v)).collect(), c)
-        }
-        ColumnCodec::Str(d) => {
-            let mut c = Vec::new();
-            d.codes_into(&mut c);
-            (
-                (0..d.distinct())
-                    .map(|k| GroupKey::Str(d.pool().get(k).to_owned()))
-                    .collect(),
-                c,
-            )
-        }
-        _ => return Err(group_not_dictionary(group_col)),
+    let group = group_keys(block, group_col)?;
+    let keys: Vec<GroupKey> = match group.keys {
+        DictKeys::Int(d) => d.iter().map(|&v| GroupKey::Int(v)).collect(),
+        DictKeys::Str(p) => p.iter().map(|s| GroupKey::Str(s.to_owned())).collect(),
     };
-    // Every kernel below pairs a code with a row of the target.
-    if codes.len() != block.rows() {
-        return Err(Error::LengthMismatch {
-            left: codes.len(),
-            right: block.rows(),
-        });
-    }
+    let mut codes = Vec::new();
+    group.codes_into(&mut codes);
     let n_groups = keys.len();
     // Route filtered-out rows to a trailing discard group, dropped below.
     let n_states = n_groups + usize::from(sel.is_some());
@@ -668,26 +619,15 @@ fn eval_grouped<B: BlockView + ?Sized>(
         ));
     };
     let idx = block.index_of(col)?;
-    match block.view_codec(idx)? {
-        ColumnCodec::Str(enc) => {
-            let mut states = vec![StrAggState::default(); n_states];
-            enc.aggregate_grouped(&codes, &mut states);
-            return Ok(collect_grouped_str(keys, states));
-        }
-        ColumnCodec::PlainStr(pool) => {
-            let mut states = vec![StrAggState::default(); n_states];
-            for (i, &c) in codes.iter().enumerate() {
-                states[c as usize].update(pool.get(i));
-            }
-            return Ok(collect_grouped_str(keys, states));
-        }
-        ColumnCodec::HierStr { enc, reference } => {
-            let pcodes = code_access(block, *reference as usize)?;
-            let mut states = vec![StrAggState::default(); n_states];
-            enc.aggregate_grouped_with_parents(&codes, |i| pcodes.code(i), &mut states);
-            return Ok(collect_grouped_str(keys, states));
-        }
-        _ => {}
+    if block.is_string(idx) {
+        let mut states = vec![StrAggState::default(); n_states];
+        str_column(block, idx)?.aggregate_grouped(&codes, &mut states);
+        return Ok(PartialAgg::GroupedStr(
+            keys.into_iter()
+                .zip(states)
+                .filter(|(_, s)| s.count > 0)
+                .collect(),
+        ));
     }
     let mut states = vec![IntAggState::default(); n_states];
     int_column(block, idx, &DecodeScratch::default(), |c| {
@@ -699,15 +639,6 @@ fn eval_grouped<B: BlockView + ?Sized>(
             .filter(|(_, s)| s.count > 0)
             .collect(),
     ))
-}
-
-fn collect_grouped_str(keys: Vec<GroupKey>, states: Vec<StrAggState>) -> PartialAgg {
-    PartialAgg::GroupedStr(
-        keys.into_iter()
-            .zip(states)
-            .filter(|(_, s)| s.count > 0)
-            .collect(),
-    )
 }
 
 /// Evaluates `expr` against one block (in-memory or a lazy store handle).
@@ -760,7 +691,7 @@ pub(crate) fn aggregate_source<S: BlockSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressor::{ColumnPlan, CompressionConfig};
+    use crate::compressor::{ColumnCodec, ColumnPlan, CompressionConfig};
     use corra_columnar::block::DataBlock;
     use corra_columnar::column::{Column, DataType};
     use corra_columnar::schema::{Field, Schema};
@@ -1033,7 +964,7 @@ mod tests {
     fn grouped_fold_over_misaligned_group_codes_errors() {
         use crate::hier::HierInt;
         use crate::multiref::MultiRefInt;
-        use corra_encodings::{DictInt, DictStr, PlainInt};
+        use corra_encodings::{DictInt, DictStr, IntEncoding, PlainInt};
         // The group column stores 3 rows; every target, and the block, 10.
         let reference: Vec<i64> = (0..10).collect();
         let parent_codes: Vec<u32> = (0..10).map(|i| i % 2).collect();
@@ -1082,7 +1013,7 @@ mod tests {
     #[test]
     fn sum_over_a_miswired_nonhier_errors() {
         use crate::nonhier::NonHierInt;
-        use corra_encodings::PlainInt;
+        use corra_encodings::{IntEncoding, PlainInt};
         // A zone inside the exactness bound sends SUM to the reference +
         // diff sum, which must refuse a reference it cannot pair row by row
         // exactly as the decode does.

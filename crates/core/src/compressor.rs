@@ -23,7 +23,7 @@ use rustc_hash::FxHashMap;
 use crate::hier::{HierInt, HierStr};
 use crate::multiref::MultiRefInt;
 use crate::nonhier::NonHierInt;
-use crate::query::{code_access, int_column, DecodeScratch};
+use crate::query::{int_column, str_column, CodeAccess, DecodeScratch};
 use crate::store::LoadCost;
 
 /// Per-column compression plan.
@@ -525,7 +525,7 @@ impl CompressedBlock {
                 }
                 ColumnPlan::Hier { reference } => {
                     let r = idx_of(reference)?;
-                    let (parent_codes, n_parents) = parent_codes_of(&codecs[r], block.rows())?;
+                    let (parent_codes, n_parents) = parent_codes_of(&codecs[r])?;
                     match col {
                         Column::Int64(v) => ColumnCodec::HierInt {
                             enc: HierInt::encode(v, &parent_codes, n_parents)?,
@@ -668,46 +668,29 @@ impl CompressedBlock {
 /// codecs — on a lazy view this is what makes projected reads fetch only
 /// the payloads they need.
 pub fn decompress_column<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<Column> {
-    match block.view_codec(i)? {
-        ColumnCodec::Str(enc) => Ok(Column::Utf8(enc.decode_into_pool())),
-        ColumnCodec::PlainStr(p) => Ok(Column::Utf8(p.clone())),
-        ColumnCodec::HierStr { enc, reference } => {
-            let mut codes = Vec::new();
-            code_access(block, *reference as usize)?.codes_into(&mut codes);
-            Ok(Column::Utf8(enc.decode_into_pool(&codes)?))
-        }
-        ColumnCodec::Int(_)
-        | ColumnCodec::NonHier { .. }
-        | ColumnCodec::HierInt { .. }
-        | ColumnCodec::MultiRef { .. } => {
-            let mut values = Vec::new();
-            int_column(block, i, &DecodeScratch::default(), |c| {
-                c.decode_into(&mut values)
-            })?;
-            Ok(Column::Int64(values))
-        }
+    if block.is_string(i) {
+        return Ok(Column::Utf8(str_column(block, i)?.decode()));
     }
+    let mut values = Vec::new();
+    int_column(block, i, &DecodeScratch::default(), |c| {
+        c.decode_into(&mut values)
+    })?;
+    Ok(Column::Int64(values))
 }
 
-fn parent_codes_of(codec: &Option<ColumnCodec>, rows: usize) -> Result<(Vec<u32>, usize)> {
+/// The per-row codes and entry count of a Hier parent's dictionary, at
+/// encode.
+fn parent_codes_of(codec: &Option<ColumnCodec>) -> Result<(Vec<u32>, usize)> {
+    let codec = codec
+        .as_ref()
+        .ok_or_else(|| Error::invalid("reference column not yet encoded"))?;
+    let parent = CodeAccess::of(codec).ok_or_else(|| Error::TypeMismatch {
+        expected: "dict-encoded reference",
+        found: codec_kind(codec),
+    })?;
     let mut codes = Vec::new();
-    match codec {
-        Some(ColumnCodec::Int(IntEncoding::Dict(d))) => {
-            debug_assert_eq!(d.len(), rows);
-            d.codes_into(&mut codes);
-            Ok((codes, d.dict().len()))
-        }
-        Some(ColumnCodec::Str(d)) => {
-            debug_assert_eq!(d.len(), rows);
-            d.codes_into(&mut codes);
-            Ok((codes, d.distinct()))
-        }
-        Some(other) => Err(Error::TypeMismatch {
-            expected: "dict-encoded reference",
-            found: codec_kind(other),
-        }),
-        None => Err(Error::invalid("reference column not yet encoded")),
-    }
+    parent.codes_into(&mut codes);
+    Ok((codes, parent.keys.len()))
 }
 
 /// A codec's kind, as type-mismatch errors name it.

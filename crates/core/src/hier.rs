@@ -15,7 +15,7 @@
 //! ```
 
 use bytes::{Buf, BufMut};
-use corra_columnar::aggregate::{IntAggState, StrAggState};
+use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
@@ -415,139 +415,10 @@ impl HierStr {
         self.offsets.len() - 1
     }
 
-    /// Alg. 1 for strings.
-    #[inline]
-    pub fn get(&self, i: usize, parent_code: u32) -> &str {
-        let off = self.offsets[parent_code as usize];
-        self.values.get((off + self.codes.get(i) as u32) as usize)
-    }
-
-    /// [`get`](Self::get) skipping the bounds assertion (validated hot paths).
-    #[inline]
-    pub fn get_unchecked_len(&self, i: usize, parent_code: u32) -> &str {
-        let off = self.offsets[parent_code as usize];
-        self.values
-            .get((off + self.codes.get_unchecked_len(i) as u32) as usize)
-    }
-
-    /// Bulk decode into a per-row pool.
-    pub fn decode_into_pool(&self, parent_codes: &[u32]) -> Result<StringPool> {
-        if parent_codes.len() != self.len() {
-            return Err(Error::LengthMismatch {
-                left: parent_codes.len(),
-                right: self.len(),
-            });
-        }
-        let mut pool = StringPool::with_capacity(self.len(), self.len() * 8);
-        self.codes.unpack_chunks(|start, chunk| {
-            for (&p, &c) in parent_codes[start..start + chunk.len()].iter().zip(chunk) {
-                let off = self.offsets[p as usize];
-                pool.push(self.values.get((off + c as u32) as usize));
-            }
-        });
-        Ok(pool)
-    }
-
-    /// Materializes selected rows as owned strings.
-    pub fn gather_into(
-        &self,
-        sel: &SelectionVector,
-        parent_code_at: impl Fn(usize) -> u32,
-        out: &mut Vec<String>,
-    ) {
-        out.clear();
-        out.reserve(sel.len());
-        for &p in sel.positions() {
-            out.push(self.get(p as usize, parent_code_at(p as usize)).to_owned());
-        }
-    }
-
-    /// Predicate pushdown for string equality: evaluates the comparison once
-    /// per distinct (parent, child) pool entry, then tests rows against the
-    /// precomputed verdicts — the string analogue of the integer Hier
-    /// column's `filter_into`.
-    pub fn filter_eq_with_parents(
-        &self,
-        value: &str,
-        negate: bool,
-        parent_code_at: impl Fn(usize) -> u32,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        let verdicts: Vec<bool> = (0..self.values.len())
-            .map(|k| (self.values.get(k) == value) != negate)
-            .collect();
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                let off = self.offsets[parent_code_at(i) as usize];
-                if verdicts[(off + c as u32) as usize] {
-                    out.push(i as u32);
-                }
-            }
-        });
-    }
-
-    /// Aggregate pushdown (`COUNT`, lexicographic `MIN`/`MAX`): histograms
-    /// the metadata addresses, then compares each distinct (parent, child)
-    /// string against the bounds once, weighted by its count.
-    pub fn aggregate_with_parents(
-        &self,
-        parent_code_at: impl Fn(usize) -> u32,
-        state: &mut StrAggState,
-    ) {
-        let mut counts = vec![0u64; self.values.len()];
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let off = self.offsets[parent_code_at(start + j) as usize];
-                counts[(off + c as u32) as usize] += 1;
-            }
-        });
-        for (k, &n) in counts.iter().enumerate() {
-            if n > 0 {
-                state.update_n(self.values.get(k), n);
-            }
-        }
-    }
-
-    /// [`aggregate_with_parents`](Self::aggregate_with_parents) over the
-    /// selected positions only (the caller validates `sel`).
-    pub fn aggregate_selected_with_parents(
-        &self,
-        sel: &SelectionVector,
-        parent_code_at: impl Fn(usize) -> u32,
-        state: &mut StrAggState,
-    ) {
-        debug_assert!(sel.validate(self.len()));
-        let mut counts = vec![0u64; self.values.len()];
-        for &p in sel.positions() {
-            let i = p as usize;
-            let off = self.offsets[parent_code_at(i) as usize];
-            counts[(off + self.codes.get_unchecked_len(i) as u32) as usize] += 1;
-        }
-        for (k, &n) in counts.iter().enumerate() {
-            if n > 0 {
-                state.update_n(self.values.get(k), n);
-            }
-        }
-    }
-
-    /// Grouped aggregate pushdown: folds row `i` into
-    /// `states[group_of[i]]` through the metadata address.
-    pub fn aggregate_grouped_with_parents(
-        &self,
-        group_of: &[u32],
-        parent_code_at: impl Fn(usize) -> u32,
-        states: &mut [StrAggState],
-    ) {
-        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                let off = self.offsets[parent_code_at(i) as usize];
-                states[group_of[i] as usize].update(self.values.get((off + c as u32) as usize));
-            }
-        });
+    /// The per-row group indexes, the child strings grouped by parent and
+    /// the group starts — what the string-column view reads.
+    pub(crate) fn parts(&self) -> (&BitPackedVec, &StringPool, &[u32]) {
+        (&self.codes, &self.values, &self.offsets)
     }
 
     /// Compressed size: packed codes + flattened string metadata + offsets.
@@ -605,7 +476,8 @@ impl HierStr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corra_encodings::DictInt;
+    use crate::compressor::ColumnCodec;
+    use corra_encodings::{DictInt, IntEncoding};
 
     /// The paper's Fig. 3 worked example.
     fn fig3() -> (Vec<i64>, Vec<u32>) {
@@ -687,12 +559,9 @@ mod tests {
         let enc = HierInt::encode(&zips, &cities, 3).unwrap();
         // City codes 0..3 dictionary-encode to themselves.
         let parent = DictInt::encode(&cities.iter().map(|&c| i64::from(c)).collect::<Vec<_>>());
+        let parent = ColumnCodec::Int(IntEncoding::Dict(parent));
         let scratch = DecodeScratch::default();
-        let column = HierColumn::new(
-            &enc,
-            CodeAccess::IntDict(&parent, parent.code_reader()),
-            &scratch,
-        );
+        let column = HierColumn::new(&enc, CodeAccess::of(&parent).unwrap(), &scratch);
         let sel = SelectionVector::new(vec![0, 3, 5]);
         let mut out = Vec::new();
         column.gather_into(&sel, &mut out);
@@ -713,29 +582,26 @@ mod tests {
 
     #[test]
     fn str_roundtrip_state_city() {
-        // state -> city (the paper's DMV (state, city) pair).
+        // state -> city (the paper's DMV (state, city) pair). The decode runs
+        // through the string-column view:
+        // `tests/string_columns.rs::hier_str_decode_and_gather_state_city`.
         let states = vec![0u32, 0, 1, 1, 0, 1];
         let cities = StringPool::from_iter(["NYC", "Albany", "Miami", "Naples", "NYC", "Miami"]);
         let enc = HierStr::encode(&cities, &states, 2).unwrap();
         assert_eq!(enc.n_parents(), 2);
         assert_eq!(enc.bits(), 1);
-        assert_eq!(enc.get(0, 0), "NYC");
-        assert_eq!(enc.get(3, 1), "Naples");
-        let pool = enc.decode_into_pool(&states).unwrap();
-        for i in 0..cities.len() {
-            assert_eq!(pool.get(i), cities.get(i));
-        }
+        assert_eq!(enc.offsets, [0, 2, 4]);
+        let groups: Vec<&str> = enc.values.iter().collect();
+        assert_eq!(groups, ["NYC", "Albany", "Miami", "Naples"]);
     }
 
     #[test]
     fn str_gather_and_serialization() {
+        // The gather runs through the string-column view:
+        // `tests/string_columns.rs::hier_str_decode_and_gather_state_city`.
         let states = vec![0u32, 1, 0];
         let cities = StringPool::from_iter(["A", "B", "C"]);
         let enc = HierStr::encode(&cities, &states, 2).unwrap();
-        let sel = SelectionVector::new(vec![1, 2]);
-        let mut out = Vec::new();
-        enc.gather_into(&sel, |i| states[i], &mut out);
-        assert_eq!(out, vec!["B".to_owned(), "C".to_owned()]);
         let mut buf = Vec::new();
         enc.write_to(&mut buf);
         assert_eq!(buf.len(), enc.serialized_len());

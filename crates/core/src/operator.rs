@@ -30,16 +30,18 @@
 //! so only touched blocks and only named columns decode.
 
 use std::borrow::Borrow;
+use std::hash::Hash;
 
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 use corra_columnar::topk::{rank, TopKHeap};
-use corra_encodings::IntEncoding;
 use rustc_hash::FxHashMap;
 
-use crate::compressor::{BlockSource, BlockView, ColumnCodec};
-use crate::query::{int_column, query_column, DecodeScratch, QueryOutput};
+use crate::compressor::{BlockSource, BlockView};
+use crate::query::{
+    dict_column, int_column, query_column, CodeAccess, DecodeScratch, DictKeys, QueryOutput,
+};
 use crate::scan::{scan_pruned, validate_pred, Predicate, ScanStats};
 
 /// A TOP-K (`ORDER BY <column> LIMIT k`) over one integer column, with an
@@ -346,9 +348,62 @@ pub struct JoinStats {
 
 const MISS: u32 = u32::MAX;
 
+/// The global key table: one id per distinct key, in first-occurrence
+/// order.
 enum KeySpace {
     Int(FxHashMap<i64, u32>),
     Str(FxHashMap<String, u32>),
+}
+
+impl KeySpace {
+    /// An empty table for keys of `keys`' kind.
+    fn new(keys: DictKeys<'_>) -> Self {
+        match keys {
+            DictKeys::Int(_) => KeySpace::Int(FxHashMap::default()),
+            DictKeys::Str(_) => KeySpace::Str(FxHashMap::default()),
+        }
+    }
+
+    fn kind(&self) -> &'static str {
+        match self {
+            KeySpace::Int(_) => "int join key",
+            KeySpace::Str(_) => "str join key",
+        }
+    }
+}
+
+/// `key`'s id in `map`. An unseen key gets the next id (one more
+/// `rows_of` list) when `intern`, and [`MISS`] otherwise.
+fn key_id<K, Q>(
+    map: &mut FxHashMap<K, u32>,
+    key: &Q,
+    intern: bool,
+    rows_of: &mut Vec<Vec<RowId>>,
+) -> u32
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: ToOwned<Owned = K> + Hash + Eq + ?Sized,
+{
+    if let Some(&id) = map.get(key) {
+        return id;
+    }
+    if !intern {
+        return MISS;
+    }
+    let id = rows_of.len() as u32;
+    map.insert(key.to_owned(), id);
+    rows_of.push(Vec::new());
+    id
+}
+
+/// The dictionary view of join key column `key`.
+fn join_key<'b, B: BlockView + ?Sized>(block: &'b B, key: &str) -> Result<CodeAccess<'b>> {
+    dict_column(block, block.index_of(key)?, |other| {
+        Error::invalid(format!(
+            "join key '{key}' must be dictionary-encoded (got {})",
+            other.scheme()
+        ))
+    })
 }
 
 /// The build side of a dict-code hash join: a global key table plus, per
@@ -361,159 +416,67 @@ struct BuildTable {
 }
 
 impl BuildTable {
-    fn intern_int(&mut self, v: i64) -> u32 {
-        let space = self
-            .space
-            .get_or_insert_with(|| KeySpace::Int(FxHashMap::default()));
-        match space {
-            KeySpace::Int(m) => {
-                let next = self.rows_of.len() as u32;
-                let id = *m.entry(v).or_insert(next);
-                if id == next && self.rows_of.len() == next as usize {
-                    self.rows_of.push(Vec::new());
-                }
-                id
+    /// The per-block code → global-id remap: hashes each *distinct* key of
+    /// `keys` once. The build (`intern`) gives unseen keys new ids; a probe
+    /// maps them, and every key of an empty build, to [`MISS`].
+    fn remap(&mut self, keys: DictKeys<'_>, intern: bool) -> Result<Vec<u32>> {
+        if self.space.is_none() && !intern {
+            return Ok(vec![MISS; keys.len()]);
+        }
+        let space = self.space.get_or_insert_with(|| KeySpace::new(keys));
+        let rows_of = &mut self.rows_of;
+        match (space, keys) {
+            (KeySpace::Int(m), DictKeys::Int(d)) => {
+                Ok(d.iter().map(|v| key_id(m, v, intern, rows_of)).collect())
             }
-            KeySpace::Str(_) => unreachable!("checked before interning"),
+            // String codes are first-occurrence-ordered, so nothing here
+            // compares codes across blocks — rows ride on the remap.
+            (KeySpace::Str(m), DictKeys::Str(p)) => {
+                Ok(p.iter().map(|s| key_id(m, s, intern, rows_of)).collect())
+            }
+            (space, _) => Err(Error::TypeMismatch {
+                expected: space.kind(),
+                found: KeySpace::new(keys).kind(),
+            }),
         }
     }
 
-    fn intern_str(&mut self, s: &str) -> u32 {
-        let space = self
-            .space
-            .get_or_insert_with(|| KeySpace::Str(FxHashMap::default()));
-        match space {
-            KeySpace::Str(m) => {
-                if let Some(&id) = m.get(s) {
-                    id
-                } else {
-                    let id = self.rows_of.len() as u32;
-                    m.insert(s.to_owned(), id);
-                    self.rows_of.push(Vec::new());
-                    id
-                }
-            }
-            KeySpace::Int(_) => unreachable!("checked before interning"),
-        }
-    }
-
-    /// Adds one build block: hashes each *distinct* key once into the
-    /// global table (the per-block code→global-id remap), then streams the
-    /// packed codes so per-row work is an array index.
+    /// Adds one build block: remaps its distinct keys into the global
+    /// table, then streams the packed codes so per-row work is an array
+    /// index.
     fn add_block<B: BlockView + ?Sized>(
         &mut self,
         block: &B,
         block_no: u32,
         key: &str,
     ) -> Result<()> {
-        let idx = block.index_of(key)?;
-        match block.view_codec(idx)? {
-            ColumnCodec::Int(IntEncoding::Dict(d)) => {
-                if matches!(self.space, Some(KeySpace::Str(_))) {
-                    return Err(Error::TypeMismatch {
-                        expected: "int join key",
-                        found: "str join key",
-                    });
-                }
-                let remap: Vec<u32> = d.dict().iter().map(|&v| self.intern_int(v)).collect();
-                let mut codes = Vec::new();
-                d.codes_into(&mut codes);
-                for (i, &c) in codes.iter().enumerate() {
-                    self.rows_of[remap[c as usize] as usize].push(RowId {
-                        block: block_no,
-                        row: i as u32,
-                    });
-                }
-                self.build_rows += codes.len();
-                Ok(())
-            }
-            ColumnCodec::Str(d) => {
-                if matches!(self.space, Some(KeySpace::Int(_))) {
-                    return Err(Error::TypeMismatch {
-                        expected: "str join key",
-                        found: "int join key",
-                    });
-                }
-                // String codes are first-occurrence-ordered, so nothing
-                // here compares codes across blocks — each distinct string
-                // is hashed once and rows ride on the remap.
-                let remap: Vec<u32> = (0..d.distinct())
-                    .map(|c| self.intern_str(d.pool().get(c)))
-                    .collect();
-                let mut codes = Vec::new();
-                d.codes_into(&mut codes);
-                for (i, &c) in codes.iter().enumerate() {
-                    self.rows_of[remap[c as usize] as usize].push(RowId {
-                        block: block_no,
-                        row: i as u32,
-                    });
-                }
-                self.build_rows += codes.len();
-                Ok(())
-            }
-            other => Err(Error::invalid(format!(
-                "join key '{key}' must be dictionary-encoded (got {})",
-                other.scheme()
-            ))),
+        let dict = join_key(block, key)?;
+        let remap = self.remap(dict.keys, true)?;
+        let mut codes = Vec::new();
+        dict.codes_into(&mut codes);
+        for (i, &c) in codes.iter().enumerate() {
+            self.rows_of[remap[c as usize] as usize].push(RowId {
+                block: block_no,
+                row: i as u32,
+            });
         }
+        self.build_rows += codes.len();
+        Ok(())
     }
 
     /// Probes one block: resolves each *distinct* probe key against the
-    /// build table once (code→global-id remap), then streams the packed
-    /// codes emitting pairs in probe-row order. Returns the block's pairs
-    /// and its probe row count.
+    /// build table once, then streams the packed codes emitting pairs in
+    /// probe-row order. Returns the block's pairs and its probe row count.
     fn probe_block<B: BlockView + ?Sized>(
-        &self,
+        &mut self,
         block: &B,
         block_no: u32,
         key: &str,
     ) -> Result<(Vec<JoinPair>, usize)> {
-        let idx = block.index_of(key)?;
-        let (remap, codes) = match block.view_codec(idx)? {
-            ColumnCodec::Int(IntEncoding::Dict(d)) => {
-                let remap: Vec<u32> = match &self.space {
-                    Some(KeySpace::Int(m)) => d
-                        .dict()
-                        .iter()
-                        .map(|v| m.get(v).copied().unwrap_or(MISS))
-                        .collect(),
-                    Some(KeySpace::Str(_)) => {
-                        return Err(Error::TypeMismatch {
-                            expected: "str join key",
-                            found: "int join key",
-                        })
-                    }
-                    // Empty build side: shape-check only, nothing matches.
-                    None => vec![MISS; d.dict().len()],
-                };
-                let mut codes = Vec::new();
-                d.codes_into(&mut codes);
-                (remap, codes)
-            }
-            ColumnCodec::Str(d) => {
-                let remap: Vec<u32> = match &self.space {
-                    Some(KeySpace::Str(m)) => (0..d.distinct())
-                        .map(|c| m.get(d.pool().get(c)).copied().unwrap_or(MISS))
-                        .collect(),
-                    Some(KeySpace::Int(_)) => {
-                        return Err(Error::TypeMismatch {
-                            expected: "int join key",
-                            found: "str join key",
-                        })
-                    }
-                    None => vec![MISS; d.distinct()],
-                };
-                let mut codes = Vec::new();
-                d.codes_into(&mut codes);
-                (remap, codes)
-            }
-            other => {
-                return Err(Error::invalid(format!(
-                    "join key '{key}' must be dictionary-encoded (got {})",
-                    other.scheme()
-                )))
-            }
-        };
+        let dict = join_key(block, key)?;
+        let remap = self.remap(dict.keys, false)?;
+        let mut codes = Vec::new();
+        dict.codes_into(&mut codes);
         let mut pairs = Vec::new();
         for (i, &c) in codes.iter().enumerate() {
             let id = remap[c as usize];

@@ -11,10 +11,12 @@
 
 use std::cell::RefCell;
 
-use corra_columnar::bitpack::PackedReader;
+use corra_columnar::aggregate::StrAggState;
+use corra_columnar::bitpack::{BitPackedVec, PackedReader};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
-use corra_encodings::{DictInt, DictStr, IntAccess, IntEncoding};
+use corra_columnar::strings::StringPool;
+use corra_encodings::{IntAccess, IntEncoding};
 
 use crate::compressor::{codec_kind, BlockView, ColumnCodec};
 use crate::hier::HierColumn;
@@ -116,28 +118,79 @@ impl<'a> RefAccess<'a> {
     }
 }
 
-/// A dictionary-encoded reference read as per-row codes — the parent of a
-/// hierarchical column, whose code is Alg. 1's `ref`: one row at a time
-/// through a hoisted-mask reader, or the whole column through the batched
-/// code kernels.
-pub(crate) enum CodeAccess<'a> {
-    IntDict(&'a DictInt, PackedReader<'a>),
-    StrDict(&'a DictStr, PackedReader<'a>),
+/// The keys of a dictionary: sorted integer values, or a
+/// first-occurrence-ordered string pool.
+#[derive(Clone, Copy)]
+pub(crate) enum DictKeys<'a> {
+    Int(&'a [i64]),
+    Str(&'a StringPool),
 }
 
-impl CodeAccess<'_> {
+impl DictKeys<'_> {
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            DictKeys::Int(d) => d.len(),
+            DictKeys::Str(p) => p.len(),
+        }
+    }
+}
+
+/// The one dictionary view: keys plus per-row codes, for an integer or a
+/// string dictionary alike. A Hier parent reads Alg. 1's `ref` through it,
+/// and GROUP BY keys, the join's build and probe and `query_both`'s
+/// reference output come from it — one row at a time through a
+/// hoisted-mask reader, or the whole column through the batched code
+/// kernels.
+pub(crate) struct CodeAccess<'a> {
+    pub(crate) keys: DictKeys<'a>,
+    codes: &'a BitPackedVec,
+    reader: PackedReader<'a>,
+}
+
+impl<'a> CodeAccess<'a> {
+    /// The dictionary view of `codec`; `None` unless it is an integer or a
+    /// string dictionary.
+    pub(crate) fn of(codec: &'a ColumnCodec) -> Option<Self> {
+        let (keys, codes) = match codec {
+            ColumnCodec::Int(IntEncoding::Dict(d)) => (DictKeys::Int(d.dict()), d.codes()),
+            ColumnCodec::Str(d) => (DictKeys::Str(d.pool()), d.codes()),
+            _ => return None,
+        };
+        Some(Self {
+            keys,
+            codes,
+            reader: codes.reader(),
+        })
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.codes.len()
+    }
+
     #[inline]
     pub(crate) fn code(&self, i: usize) -> u32 {
-        match self {
-            CodeAccess::IntDict(_, r) | CodeAccess::StrDict(_, r) => r.get(i) as u32,
-        }
+        self.reader.get(i) as u32
     }
 
     /// Every row's code, into `out` (cleared first).
     pub(crate) fn codes_into(&self, out: &mut Vec<u32>) {
-        match self {
-            CodeAccess::IntDict(d, _) => d.codes_into(out),
-            CodeAccess::StrDict(d, _) => d.codes_into(out),
+        out.clear();
+        out.reserve(self.len());
+        self.codes
+            .unpack_chunks(|_, chunk| out.extend(chunk.iter().map(|&c| c as u32)));
+    }
+
+    /// The keys of the selected rows (the caller validated `sel`).
+    fn gather(&self, sel: &SelectionVector) -> QueryOutput {
+        let codes = sel
+            .positions()
+            .iter()
+            .map(|&p| self.code(p as usize) as usize);
+        match self.keys {
+            DictKeys::Int(d) => QueryOutput::Int(codes.map(|c| d[c]).collect()),
+            DictKeys::Str(p) => QueryOutput::Str(codes.map(|c| p.get(c).to_owned()).collect()),
         }
     }
 }
@@ -170,23 +223,41 @@ fn vertical_ref<B: BlockView + ?Sized>(block: &B, idx: u32) -> Result<&IntEncodi
     }
 }
 
-/// Parent column `idx` of a hierarchical column (integer or string): the
-/// one place a parent is checked to be a dictionary of one code per row.
-pub(crate) fn code_access<B: BlockView + ?Sized>(block: &B, idx: usize) -> Result<CodeAccess<'_>> {
-    let (access, len) = match block.view_codec(idx)? {
-        ColumnCodec::Int(IntEncoding::Dict(d)) => {
-            (CodeAccess::IntDict(d, d.code_reader()), d.len())
-        }
-        ColumnCodec::Str(d) => (CodeAccess::StrDict(d, d.code_reader()), d.len()),
-        other => {
-            return Err(Error::TypeMismatch {
-                expected: "dict-encoded reference",
-                found: codec_kind(other),
-            })
-        }
-    };
-    aligned(len, block.rows())?;
+/// The dictionary view of column `idx` — a Hier parent, a GROUP BY key or
+/// a join key — checked to hold one code per row; `not_dict` names the
+/// error for any other codec.
+pub(crate) fn dict_column<B: BlockView + ?Sized>(
+    block: &B,
+    idx: usize,
+    not_dict: impl FnOnce(&ColumnCodec) -> Error,
+) -> Result<CodeAccess<'_>> {
+    let codec = block.view_codec(idx)?;
+    let access = CodeAccess::of(codec).ok_or_else(|| not_dict(codec))?;
+    aligned(access.len(), block.rows())?;
     Ok(access)
+}
+
+/// Parent column `reference` of a hierarchical column with `n_parents`
+/// groups (integer or string children): the one place a Hier parent is
+/// checked. It must be a dictionary of one code per row, with no more
+/// entries than the child has groups — a code past them would address no
+/// `offsets` slot.
+fn hier_parent<B: BlockView + ?Sized>(
+    block: &B,
+    reference: u32,
+    n_parents: usize,
+) -> Result<CodeAccess<'_>> {
+    let parent = dict_column(block, reference as usize, |other| Error::TypeMismatch {
+        expected: "dict-encoded reference",
+        found: codec_kind(other),
+    })?;
+    if parent.keys.len() > n_parents {
+        return Err(Error::corrupt(format!(
+            "hier parent has {} entries for {n_parents} groups",
+            parent.keys.len()
+        )));
+    }
+    Ok(parent)
 }
 
 /// The buffers a horizontal column reconstructs through: the decoded
@@ -259,7 +330,7 @@ pub(crate) fn int_column<B: BlockView + ?Sized, R>(
             scratch,
         )),
         ColumnCodec::HierInt { enc, reference } => {
-            let parent = code_access(block, *reference as usize)?;
+            let parent = hier_parent(block, *reference, enc.n_parents())?;
             kernel(&HierColumn::new(enc, parent, scratch))
         }
         ColumnCodec::MultiRef { enc, groups } => {
@@ -279,6 +350,197 @@ pub(crate) fn int_column<B: BlockView + ?Sized, R>(
     })
 }
 
+/// Where row `i` of a string column finds its string in the pool.
+enum EntryMap<'a> {
+    /// `PlainStr`: the pool holds one entry per row.
+    Identity,
+    /// `DictStr`: the packed code.
+    Code(&'a BitPackedVec),
+    /// `HierStr`, Alg. 1's metadata address `offsets[parent code] + code`.
+    Hier {
+        codes: &'a BitPackedVec,
+        offsets: &'a [u32],
+        parent: CodeAccess<'a>,
+    },
+}
+
+/// A string column resolved by [`str_column`]: a [`StringPool`] plus a
+/// row → entry map. Every string kernel is written once over the map: the
+/// entry stream `for_each_entry`, which unpacks codes through the batched
+/// kernels, and `for_each_entry_at` for selected rows. Work that depends
+/// only on a string — an equality verdict, a `MIN` / `MAX` comparison —
+/// runs once per pool entry, not once per row.
+pub(crate) struct StrColumn<'a> {
+    pool: &'a StringPool,
+    rows: usize,
+    map: EntryMap<'a>,
+}
+
+impl StrColumn<'_> {
+    /// Calls `f(entry)` for the row at each of `positions`, in order (the
+    /// caller validated them).
+    #[inline]
+    fn for_each_entry_at(&self, positions: &[u32], mut f: impl FnMut(usize)) {
+        match &self.map {
+            EntryMap::Identity => positions.iter().for_each(|&p| f(p as usize)),
+            EntryMap::Code(codes) => {
+                let codes = codes.reader();
+                positions
+                    .iter()
+                    .for_each(|&p| f(codes.get(p as usize) as usize));
+            }
+            EntryMap::Hier {
+                codes,
+                offsets,
+                parent,
+            } => {
+                let codes = codes.reader();
+                positions.iter().for_each(|&p| {
+                    let i = p as usize;
+                    f(offsets[parent.code(i) as usize] as usize + codes.get(i) as usize)
+                });
+            }
+        }
+    }
+
+    /// Calls `f(row, entry)` for every row, in row order.
+    #[inline]
+    fn for_each_entry(&self, mut f: impl FnMut(usize, usize)) {
+        match &self.map {
+            EntryMap::Identity => (0..self.rows).for_each(|i| f(i, i)),
+            EntryMap::Code(codes) => codes.unpack_chunks(|start, chunk| {
+                for (j, &c) in chunk.iter().enumerate() {
+                    f(start + j, c as usize);
+                }
+            }),
+            EntryMap::Hier {
+                codes,
+                offsets,
+                parent,
+            } => codes.unpack_chunks(|start, chunk| {
+                for (j, &c) in chunk.iter().enumerate() {
+                    let i = start + j;
+                    f(i, offsets[parent.code(i) as usize] as usize + c as usize);
+                }
+            }),
+        }
+    }
+
+    /// The strings of the selected rows.
+    pub(crate) fn gather(&self, sel: &SelectionVector) -> Vec<String> {
+        assert!(sel.validate(self.rows), "selection out of bounds");
+        let mut out = Vec::with_capacity(sel.len());
+        self.for_each_entry_at(sel.positions(), |e| out.push(self.pool.get(e).to_owned()));
+        out
+    }
+
+    /// The rows whose string equals `value` (or differs, when `negate`),
+    /// into `out` (cleared first). The comparison runs once per pool
+    /// entry. A pool holding `value` once (a dictionary's always does)
+    /// leaves one entry compare per row, one holding it several times a
+    /// verdict-table lookup, and one without it no row (every row for
+    /// `!=`).
+    pub(crate) fn filter_eq(&self, value: &str, negate: bool, out: &mut Vec<u32>) {
+        out.clear();
+        let mut hits = (0..self.pool.len()).filter(|&k| self.pool.get(k) == value);
+        match (hits.next(), hits.next()) {
+            (None, _) if negate => out.extend(0..self.rows as u32),
+            (None, _) => {}
+            (Some(hit), None) => self.for_each_entry(|i, e| {
+                if (e == hit) != negate {
+                    out.push(i as u32);
+                }
+            }),
+            (Some(a), Some(b)) => {
+                let mut verdicts = vec![negate; self.pool.len()];
+                for k in [a, b].into_iter().chain(hits) {
+                    verdicts[k] = !negate;
+                }
+                self.for_each_entry(|i, e| {
+                    if verdicts[e] {
+                        out.push(i as u32);
+                    }
+                });
+            }
+        }
+    }
+
+    /// Folds every row (`sel` is `None`) or the selected rows into
+    /// `state` (`COUNT`, lexicographic `MIN` / `MAX`): histograms the
+    /// entries, then folds each entry present once, weighted by its count.
+    pub(crate) fn aggregate(&self, sel: Option<&SelectionVector>, state: &mut StrAggState) {
+        let mut counts = vec![0u64; self.pool.len()];
+        match sel {
+            None => self.for_each_entry(|_, e| counts[e] += 1),
+            Some(sel) => {
+                assert!(sel.validate(self.rows), "selection out of bounds");
+                self.for_each_entry_at(sel.positions(), |e| counts[e] += 1);
+            }
+        }
+        for (k, &n) in counts.iter().enumerate() {
+            if n > 0 {
+                state.update_n(self.pool.get(k), n);
+            }
+        }
+    }
+
+    /// Folds row `i` into `states[group_of[i]]` for every row.
+    pub(crate) fn aggregate_grouped(&self, group_of: &[u32], states: &mut [StrAggState]) {
+        assert_eq!(group_of.len(), self.rows, "group codes misaligned");
+        self.for_each_entry(|i, e| states[group_of[i] as usize].update(self.pool.get(e)));
+    }
+
+    /// Every row's string, as a per-row pool.
+    pub(crate) fn decode(&self) -> StringPool {
+        let mut out = StringPool::with_capacity(self.rows, self.rows * 8);
+        self.for_each_entry(|_, e| {
+            out.push(self.pool.get(e));
+        });
+        out
+    }
+}
+
+/// Resolves the string column at `idx` — the only string-column
+/// resolution, so every string operator is one [`StrColumn`] call. The
+/// column is checked to hold one row per block row, and a Hier column's
+/// parent loads and is checked here.
+///
+/// # Errors
+///
+/// [`Error::TypeMismatch`] for an integer column or a Hier parent that is
+/// not a dictionary, [`Error::LengthMismatch`] for a column or parent not
+/// as long as the block, [`Error::Corrupt`] for a parent with more entries
+/// than the column has groups, plus anything loading a payload reports.
+pub(crate) fn str_column<B: BlockView + ?Sized>(block: &B, idx: usize) -> Result<StrColumn<'_>> {
+    let codec = block.view_codec(idx)?;
+    let (pool, map) = match codec {
+        ColumnCodec::Str(d) => (d.pool(), EntryMap::Code(d.codes())),
+        ColumnCodec::PlainStr(pool) => (pool, EntryMap::Identity),
+        ColumnCodec::HierStr { enc, reference } => {
+            let parent = hier_parent(block, *reference, enc.n_parents())?;
+            let (codes, pool, offsets) = enc.parts();
+            let map = EntryMap::Hier {
+                codes,
+                offsets,
+                parent,
+            };
+            (pool, map)
+        }
+        _ => {
+            return Err(Error::TypeMismatch {
+                expected: "string column",
+                found: "integer column",
+            })
+        }
+    };
+    aligned(codec.len(), block.rows())?;
+    Ok(StrColumn {
+        pool,
+        rows: codec.len(),
+        map,
+    })
+}
+
 /// Queries a single column: decompress and materialize the values at the
 /// selected positions ("query on diff-encoded column" when the target is
 /// horizontal).
@@ -291,29 +553,8 @@ pub fn query_column<B: BlockView + ?Sized>(
         return Err(Error::invalid("selection vector exceeds block rows"));
     }
     let idx = block.index_of(name)?;
-    match block.view_codec(idx)? {
-        ColumnCodec::Str(enc) => {
-            let mut out = Vec::new();
-            enc.gather_into(sel, &mut out);
-            return Ok(QueryOutput::Str(out));
-        }
-        ColumnCodec::PlainStr(pool) => {
-            let mut out = Vec::with_capacity(sel.len());
-            for &p in sel.positions() {
-                out.push(pool.get(p as usize).to_owned());
-            }
-            return Ok(QueryOutput::Str(out));
-        }
-        ColumnCodec::HierStr { enc, reference } => {
-            let codes = code_access(block, *reference as usize)?;
-            let mut out = Vec::with_capacity(sel.len());
-            for &p in sel.positions() {
-                let i = p as usize;
-                out.push(enc.get_unchecked_len(i, codes.code(i)).to_owned());
-            }
-            return Ok(QueryOutput::Str(out));
-        }
-        _ => {}
+    if block.is_string(idx) {
+        return Ok(QueryOutput::Str(str_column(block, idx)?.gather(sel)));
     }
     // Per §2.3 decompression, a horizontal row reads only the references
     // its rule names.
@@ -354,52 +595,12 @@ pub fn query_both<B: BlockView + ?Sized>(
             Ok((QueryOutput::Int(tgt), QueryOutput::Int(rf)))
         }
         ColumnCodec::HierInt { enc, reference } => {
-            let codes = code_access(block, *reference as usize)?;
-            let mut tgt = Vec::with_capacity(sel.len());
-            match &codes {
-                CodeAccess::IntDict(d, _) => {
-                    let mut rf = Vec::with_capacity(sel.len());
-                    for &p in sel.positions() {
-                        let code = codes.code(p as usize);
-                        rf.push(d.dict()[code as usize]);
-                        tgt.push(enc.get_unchecked_len(p as usize, code));
-                    }
-                    Ok((QueryOutput::Int(tgt), QueryOutput::Int(rf)))
-                }
-                CodeAccess::StrDict(d, _) => {
-                    let mut rf = Vec::with_capacity(sel.len());
-                    for &p in sel.positions() {
-                        let code = codes.code(p as usize);
-                        rf.push(d.pool().get(code as usize).to_owned());
-                        tgt.push(enc.get_unchecked_len(p as usize, code));
-                    }
-                    Ok((QueryOutput::Int(tgt), QueryOutput::Str(rf)))
-                }
-            }
+            let parent = hier_parent(block, *reference, enc.n_parents())?;
+            Ok((query_column(block, name, sel)?, parent.gather(sel)))
         }
         ColumnCodec::HierStr { enc, reference } => {
-            let codes = code_access(block, *reference as usize)?;
-            let mut tgt = Vec::with_capacity(sel.len());
-            match &codes {
-                CodeAccess::IntDict(d, _) => {
-                    let mut rf = Vec::with_capacity(sel.len());
-                    for &p in sel.positions() {
-                        let code = codes.code(p as usize);
-                        rf.push(d.dict()[code as usize]);
-                        tgt.push(enc.get_unchecked_len(p as usize, code).to_owned());
-                    }
-                    Ok((QueryOutput::Str(tgt), QueryOutput::Int(rf)))
-                }
-                CodeAccess::StrDict(d, _) => {
-                    let mut rf = Vec::with_capacity(sel.len());
-                    for &p in sel.positions() {
-                        let code = codes.code(p as usize);
-                        rf.push(d.pool().get(code as usize).to_owned());
-                        tgt.push(enc.get_unchecked_len(p as usize, code).to_owned());
-                    }
-                    Ok((QueryOutput::Str(tgt), QueryOutput::Str(rf)))
-                }
-            }
+            let parent = hier_parent(block, *reference, enc.n_parents())?;
+            Ok((query_column(block, name, sel)?, parent.gather(sel)))
         }
         ColumnCodec::MultiRef { .. } => Err(Error::invalid(
             "query_both is undefined for multi-reference targets (cf. Fig. 8)",
@@ -840,5 +1041,59 @@ mod tests {
             &["y".to_owned(), "z".to_owned()]
         );
         assert!(got.as_int().is_err());
+    }
+
+    #[test]
+    fn hier_parent_with_more_entries_than_groups_is_corrupt() {
+        use crate::hier::{HierInt, HierStr};
+        use crate::store::{TableReader, TableWriter};
+        use corra_encodings::DictInt;
+        // A four-entry parent over children encoded for two groups: a row
+        // under parent code 2 or 3 would address no `offsets` slot.
+        let parent = ColumnCodec::Int(IntEncoding::Dict(DictInt::encode(&[10, 20, 30, 40])));
+        let groups = [0, 1, 0, 1];
+        let children = [
+            ColumnCodec::HierInt {
+                enc: HierInt::encode(&[10, 20, 30, 40], &groups, 2).unwrap(),
+                reference: 0,
+            },
+            ColumnCodec::HierStr {
+                enc: HierStr::encode(&StringPool::from_iter(["a", "b", "c", "d"]), &groups, 2)
+                    .unwrap(),
+                reference: 0,
+            },
+        ];
+        fn check<B: BlockView + ?Sized>(label: &str, view: &B) {
+            let sel = SelectionVector::all(4);
+            let idx = view.index_of("c").unwrap();
+            for err in [
+                query_column(view, "c", &sel).err(),
+                query_both(view, "c", &sel).err(),
+                crate::compressor::decompress_column(view, idx).err(),
+            ] {
+                assert!(matches!(err, Some(Error::Corrupt(_))), "{label}: {err:?}");
+            }
+        }
+        for child in children {
+            let label = child.scheme();
+            let codecs = vec![parent.clone(), child];
+            let block = CompressedBlock::new_unchecked(
+                4,
+                vec!["p".into(), "c".into()],
+                codecs,
+                vec![None; 2],
+            );
+            check(label, &block);
+            // A bare block decodes its integer zones on the way in.
+            match CompressedBlock::from_bytes(&block.to_bytes().unwrap()) {
+                Ok(back) => check(label, &back),
+                Err(err) => assert!(matches!(err, Error::Corrupt(_)), "{label}: {err:?}"),
+            }
+            let mut writer = TableWriter::new(Vec::new()).unwrap();
+            writer.write_block(&block).unwrap();
+            let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
+            check(label, &reader.block_handle(0).unwrap());
+            check(label, &reader.read_block(0).unwrap());
+        }
     }
 }

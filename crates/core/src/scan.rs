@@ -34,8 +34,8 @@ use corra_columnar::predicate::{IntRange, RangeVerdict};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 
-use crate::compressor::{BlockSource, BlockView, ColumnCodec, CompressedBlock};
-use crate::query::{code_access, int_column, DecodeScratch, QueryOutput};
+use crate::compressor::{BlockSource, BlockView, CompressedBlock};
+use crate::query::{int_column, str_column, DecodeScratch, QueryOutput};
 use crate::store::LoadCost;
 
 /// A comparison operator of a scan predicate.
@@ -556,28 +556,8 @@ fn eval_str_leaf<B: BlockView + ?Sized>(
     value: &str,
     negate: bool,
 ) -> Result<(SelectionVector, bool)> {
-    let idx = block.index_of(column)?;
     let mut out = Vec::new();
-    match block.view_codec(idx)? {
-        ColumnCodec::Str(enc) => enc.filter_eq_into(value, negate, &mut out),
-        ColumnCodec::PlainStr(pool) => {
-            for i in 0..pool.len() {
-                if (pool.get(i) == value) != negate {
-                    out.push(i as u32);
-                }
-            }
-        }
-        ColumnCodec::HierStr { enc, reference } => {
-            let codes = code_access(block, *reference as usize)?;
-            enc.filter_eq_with_parents(value, negate, |i| codes.code(i), &mut out);
-        }
-        _ => {
-            return Err(Error::TypeMismatch {
-                expected: "string column for string predicate",
-                found: "integer column",
-            });
-        }
-    }
+    str_column(block, block.index_of(column)?)?.filter_eq(value, negate, &mut out);
     Ok((SelectionVector::from_sorted(out)?, true))
 }
 

@@ -96,7 +96,7 @@ pub fn mixed_block(n: usize, salt: i64) -> (DataBlock, CompressionConfig) {
 }
 
 /// A two-block mixed-codec table: raw blocks, compressed blocks, and the
-/// serialized (v3, checksummed) file bytes.
+/// serialized (footer v4, checksummed) file bytes.
 pub fn small_table() -> (Vec<DataBlock>, Vec<CompressedBlock>, Vec<u8>) {
     let mut raws = Vec::new();
     let mut blocks = Vec::new();

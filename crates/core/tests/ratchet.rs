@@ -190,8 +190,8 @@ fn whole_block_integer_folds_are_one_sum() {
     // An unfiltered, ungrouped integer aggregate takes `count` and
     // `min` / `max` from the zone and reads one wrapping sum
     // (`IntAccess::sum_wrapping`); the per-codec whole-column fold into an
-    // `IntAggState` stays deleted. `DictStr::aggregate_into`, the string
-    // fold, keeps its name.
+    // `IntAggState` stays deleted. Strings fold through the string-column
+    // view (`StrColumn::aggregate`).
     for (path, source) in crate_sources() {
         for (at, _) in source.match_indices("fn aggregate_into(") {
             let signature = source[at..].split(')').next().unwrap_or_default();
@@ -228,6 +228,50 @@ fn integer_columns_have_one_resolution() {
                 !source.contains(name),
                 "{} brings back `{name}`; resolve integer columns through \
                  query::int_column and call one IntAccess method",
+                path.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn string_columns_have_one_resolution() {
+    // A string column is a pool plus a row → entry map, resolved by
+    // `query::str_column`, and each string operator is one call on that
+    // view; a Hier parent, a GROUP BY key and a join key are one
+    // dictionary view (`query::CodeAccess`). The string codecs are named
+    // only where blocks are built, serialized and resolved, and the Hier
+    // string kernels that took the parent as a closure stay deleted.
+    let resolvers = ["compressor.rs", "format.rs", "query.rs"];
+    let arms = [
+        "ColumnCodec::Str(",
+        "ColumnCodec::PlainStr(",
+        "ColumnCodec::HierStr {",
+    ];
+    let twins = [
+        "fn filter_eq_with_parents",
+        "fn aggregate_with_parents",
+        "fn aggregate_selected_with_parents",
+        "fn aggregate_grouped_with_parents",
+    ];
+    for (path, source) in crate_sources() {
+        let name = path.file_name().unwrap().to_string_lossy();
+        let library = library_part(&source);
+        if !resolvers.contains(&name.as_ref()) {
+            for arm in arms {
+                assert!(
+                    !library.contains(arm),
+                    "{} matches `{arm}`; resolve string columns through \
+                     query::str_column",
+                    path.display()
+                );
+            }
+        }
+        for twin in twins {
+            assert!(
+                !source.contains(twin),
+                "{} brings back `{twin}`; write string kernels once over \
+                 the string-column view",
                 path.display()
             );
         }

@@ -7,7 +7,7 @@
 //! row stores a bit-packed code.
 
 use bytes::{Buf, BufMut};
-use corra_columnar::aggregate::{IntAggState, StrAggState};
+use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
@@ -86,6 +86,11 @@ impl DictInt {
     #[inline]
     pub fn code_reader(&self) -> corra_columnar::bitpack::PackedReader<'_> {
         self.codes.reader()
+    }
+
+    /// The per-row bit-packed codes into [`dict`](Self::dict).
+    pub fn codes(&self) -> &BitPackedVec {
+        &self.codes
     }
 
     /// Bulk-decodes the per-row codes into `out` (cleared first) through the
@@ -331,37 +336,9 @@ impl DictStr {
         self.codes.get(i) as u32
     }
 
-    /// Code access skipping the bounds assertion (validated hot paths).
-    #[inline]
-    pub fn code_at_unchecked(&self, i: usize) -> u32 {
-        self.codes.get_unchecked_len(i) as u32
-    }
-
-    /// A hoisted-mask reader over the packed codes (hot query loops).
-    #[inline]
-    pub fn code_reader(&self) -> corra_columnar::bitpack::PackedReader<'_> {
-        self.codes.reader()
-    }
-
-    /// Bulk-decodes the per-row codes into `out` (cleared first) through the
-    /// batched kernels.
-    pub fn codes_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.reserve(self.len());
-        self.codes.unpack_chunks(|_, chunk| {
-            out.extend(chunk.iter().map(|&c| c as u32));
-        });
-    }
-
-    /// Bulk-decodes every row back into a per-row [`StringPool`].
-    pub fn decode_into_pool(&self) -> StringPool {
-        let mut pool = StringPool::with_capacity(self.len(), self.len() * 8);
-        self.codes.unpack_chunks(|_, chunk| {
-            for &c in chunk {
-                pool.push(self.pool.get(c as usize));
-            }
-        });
-        pool
+    /// The per-row bit-packed codes into [`pool`](Self::pool).
+    pub fn codes(&self) -> &BitPackedVec {
+        &self.codes
     }
 
     /// Serialized length of [`write_to`](Self::write_to).
@@ -408,93 +385,10 @@ impl DictStr {
         self.pool.get(self.codes.get(i) as usize)
     }
 
-    /// Materializes selected strings (as owned copies, matching the paper's
-    /// "materialize the query output") into `out` (cleared first).
-    pub fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<String>) {
-        check_selection(sel, self.len());
-        out.clear();
-        out.reserve(sel.len());
-        let r = self.codes.reader();
-        for &p in sel.positions() {
-            out.push(self.pool.get(r.get(p as usize) as usize).to_owned());
-        }
-    }
-
     /// Compressed size in bytes including metadata.
     pub fn compressed_bytes(&self) -> usize {
         // flattened distinct strings + offsets + width byte + packed codes.
         self.pool.heap_bytes() + 1 + self.codes.tight_bytes()
-    }
-
-    /// Appends the positions (ascending) of all rows whose string equals
-    /// `value` (or differs, when `negate`) into `out` (cleared first):
-    /// evaluates the equality once per distinct string (one pool walk to
-    /// find the matching code), then compares bit-packed codes.
-    pub fn filter_eq_into(&self, value: &str, negate: bool, out: &mut Vec<u32>) {
-        out.clear();
-        let n = self.len();
-        // Pool entries are distinct, so at most one code matches.
-        let target = (0..self.pool.len()).find(|&k| self.pool.get(k) == value);
-        let Some(target) = target else {
-            if negate {
-                out.extend(0..n as u32);
-            }
-            return;
-        };
-        let target = target as u64;
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                if (c == target) != negate {
-                    out.push((start + j) as u32);
-                }
-            }
-        });
-    }
-
-    /// Folds every row into `state` (`COUNT`, lexicographic `MIN`/`MAX`):
-    /// histograms the codes, then compares each *distinct* string against
-    /// the running bounds exactly once, weighted by its count.
-    pub fn aggregate_into(&self, state: &mut StrAggState) {
-        if self.is_empty() {
-            return;
-        }
-        let mut counts = vec![0u64; self.pool.len().max(1)];
-        self.codes.unpack_chunks(|_, chunk| {
-            for &c in chunk {
-                counts[c as usize] += 1;
-            }
-        });
-        for (k, &n) in counts.iter().enumerate() {
-            if n > 0 {
-                state.update_n(self.pool.get(k), n);
-            }
-        }
-    }
-
-    /// Folds the rows at the selected positions into `state`.
-    pub fn aggregate_selected(&self, sel: &SelectionVector, state: &mut StrAggState) {
-        check_selection(sel, self.len());
-        let mut counts = vec![0u64; self.pool.len().max(1)];
-        let r = self.codes.reader();
-        for &p in sel.positions() {
-            counts[r.get(p as usize) as usize] += 1;
-        }
-        for (k, &n) in counts.iter().enumerate() {
-            if n > 0 {
-                state.update_n(self.pool.get(k), n);
-            }
-        }
-    }
-
-    /// Folds row `i` into `states[group_of[i]]` for every row;
-    /// `group_of.len()` must equal the column length.
-    pub fn aggregate_grouped(&self, group_of: &[u32], states: &mut [StrAggState]) {
-        assert_eq!(group_of.len(), self.len(), "group codes misaligned");
-        self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                states[group_of[start + j] as usize].update(self.pool.get(c as usize));
-            }
-        });
     }
 }
 
@@ -588,10 +482,14 @@ mod tests {
 
     #[test]
     fn dict_str_gather() {
+        // Selected rows materialize as owned copies of their pool entries.
         let enc = DictStr::encode(["a", "b", "c", "a"]);
         let sel = SelectionVector::new(vec![1, 3]);
-        let mut out = Vec::new();
-        enc.gather_into(&sel, &mut out);
+        let out: Vec<String> = sel
+            .positions()
+            .iter()
+            .map(|&p| enc.get(p as usize).to_owned())
+            .collect();
         assert_eq!(out, vec!["b".to_owned(), "a".to_owned()]);
     }
 
@@ -659,15 +557,19 @@ mod tests {
 
     #[test]
     fn dict_str_filter_eq() {
+        // Pool entries are distinct, so string equality is code identity:
+        // one pool lookup, then a compare per packed code.
         let enc = DictStr::encode(["NYC", "Naples", "NYC", "Cortland"]);
-        let mut out = Vec::new();
-        enc.filter_eq_into("NYC", false, &mut out);
-        assert_eq!(out, vec![0, 2]);
-        enc.filter_eq_into("NYC", true, &mut out);
-        assert_eq!(out, vec![1, 3]);
-        enc.filter_eq_into("Miami", false, &mut out);
-        assert!(out.is_empty());
-        enc.filter_eq_into("Miami", true, &mut out);
-        assert_eq!(out, vec![0, 1, 2, 3]);
+        let code_of = |v: &str| (0..enc.distinct()).find(|&k| enc.pool().get(k) == v);
+        let rows = |target: Option<usize>, negate: bool| -> Vec<u32> {
+            (0..enc.len() as u32)
+                .filter(|&i| (Some(enc.codes().get(i as usize) as usize) == target) != negate)
+                .collect()
+        };
+        assert_eq!(rows(code_of("NYC"), false), vec![0, 2]);
+        assert_eq!(rows(code_of("NYC"), true), vec![1, 3]);
+        assert_eq!(code_of("Miami"), None);
+        assert!(rows(code_of("Miami"), false).is_empty());
+        assert_eq!(rows(code_of("Miami"), true), vec![0, 1, 2, 3]);
     }
 }

@@ -26,11 +26,11 @@
 //! overridden only where a codec works in its compressed domain (FOR
 //! offsets, Dict codes, RLE runs, Frequency verdict tables). The
 //! horizontal columns of `corra-core`, resolved against their references,
-//! implement the same trait, so every integer kernel is written once. [`dict::DictStr`] carries the
-//! string analogues (equality filter, `COUNT` and lexicographic `MIN` /
-//! `MAX`) as inherent methods; its pool is first-occurrence-ordered, so
-//! only code *identity* is meaningful there, while int dictionaries are
-//! sorted and code order is value order.
+//! implement the same trait, so every integer kernel is written once.
+//! [`dict::DictStr`] is a pool plus codes; the string kernels live once in
+//! `corra-core`, over every string codec. Its pool is
+//! first-occurrence-ordered, so only code *identity* is meaningful there,
+//! while int dictionaries are sorted and code order is value order.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
