@@ -281,6 +281,27 @@ impl BitPackedVec {
         }
     }
 
+    /// [`unpack_chunks`](Self::unpack_chunks) over this vector and `other`
+    /// (of the same length, else a panic) in step: `f(start, mine, theirs)`
+    /// receives both vectors' values for rows `start..start + mine.len()`.
+    #[inline]
+    pub fn unpack_chunks_with(
+        &self,
+        other: &BitPackedVec,
+        mut f: impl FnMut(usize, &[u64], &[u64]),
+    ) {
+        assert_eq!(self.len, other.len, "unpack_chunks_with: lengths differ");
+        let k = simd::active();
+        let mut theirs = ChunkBuf::zeroed();
+        self.unpack_chunks(|start, mine| {
+            let theirs = &mut theirs.0[..mine.len()];
+            // Chunks are word-aligned: start * bits is a multiple of 64.
+            let w0 = start * other.bits as usize / 64;
+            (k.unpack)(other.bits, &other.words[w0..], theirs);
+            f(start, mine, theirs);
+        });
+    }
+
     /// Whether every element is below `bound` — the range check of a
     /// code-indexed column at deserialization. Free when `bound >= 2^bits`
     /// (no packed value can reach it); otherwise one batched sweep comparing

@@ -10,11 +10,24 @@ use bytes::{Buf, BufMut};
 use rustc_hash::FxHashMap;
 
 /// A flattened, append-only pool of (not necessarily distinct) strings.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct StringPool {
-    bytes: Vec<u8>,
+    /// The heap. Every offset sits on one of its char boundaries, so a
+    /// string is a slice of it with no UTF-8 check per access.
+    bytes: String,
     /// `offsets.len() == count + 1`; string `i` is `bytes[offsets[i]..offsets[i+1]]`.
     offsets: Vec<u32>,
+}
+
+/// Prints the heap as bytes, as the pool always has, so `Debug` text (and
+/// whatever fingerprints it) does not depend on how the heap is typed.
+impl std::fmt::Debug for StringPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StringPool")
+            .field("bytes", &self.bytes.as_bytes())
+            .field("offsets", &self.offsets)
+            .finish()
+    }
 }
 
 impl Default for StringPool {
@@ -27,7 +40,7 @@ impl StringPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         Self {
-            bytes: Vec::new(),
+            bytes: String::new(),
             offsets: vec![0],
         }
     }
@@ -37,14 +50,14 @@ impl StringPool {
         let mut offsets = Vec::with_capacity(strings + 1);
         offsets.push(0);
         Self {
-            bytes: Vec::with_capacity(bytes),
+            bytes: String::with_capacity(bytes),
             offsets,
         }
     }
 
     /// Appends a string, returning its index.
     pub fn push(&mut self, s: &str) -> u32 {
-        self.bytes.extend_from_slice(s.as_bytes());
+        self.bytes.push_str(s);
         let idx = self.offsets.len() as u32 - 1;
         self.offsets.push(self.bytes.len() as u32);
         idx
@@ -62,17 +75,16 @@ impl StringPool {
         self.len() == 0
     }
 
-    /// Returns string `i`.
+    /// Returns string `i`: a slice of the heap, O(1).
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of bounds or the stored bytes are not UTF-8
-    /// (impossible via the safe constructors).
+    /// Panics if `i` is out of bounds. Every pool — built by `push` or
+    /// accepted by [`read_from`](Self::read_from) — has its offsets on char
+    /// boundaries, so the slice itself cannot fail.
     #[inline]
     pub fn get(&self, i: usize) -> &str {
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
-        std::str::from_utf8(&self.bytes[start..end]).expect("pool bytes are valid UTF-8")
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Checked access.
@@ -111,10 +123,12 @@ impl StringPool {
         for &o in &self.offsets {
             buf.put_u32_le(o);
         }
-        buf.put_slice(&self.bytes);
+        buf.put_slice(self.bytes.as_bytes());
     }
 
-    /// Reads a pool previously written by [`write_to`](Self::write_to).
+    /// Reads a pool previously written by [`write_to`](Self::write_to). The
+    /// one UTF-8 check of a pool's life: the heap must be UTF-8 and every
+    /// offset a char boundary of it, so [`get`](Self::get) is a plain slice.
     pub fn read_from(buf: &mut impl Buf) -> Result<Self> {
         if buf.remaining() < 16 {
             return Err(Error::corrupt("string pool header truncated"));
@@ -137,8 +151,10 @@ impl StringPool {
         }
         let mut bytes = vec![0u8; byte_len];
         buf.copy_to_slice(&mut bytes);
-        if std::str::from_utf8(&bytes).is_err() {
-            return Err(Error::corrupt("string pool bytes not UTF-8"));
+        let bytes =
+            String::from_utf8(bytes).map_err(|_| Error::corrupt("string pool bytes not UTF-8"))?;
+        if !offsets.iter().all(|&o| bytes.is_char_boundary(o as usize)) {
+            return Err(Error::corrupt("string pool offset splits a character"));
         }
         Ok(Self { bytes, offsets })
     }
@@ -270,6 +286,21 @@ mod tests {
         let n = buf.len();
         buf[n - 1] = 0xFF; // invalid UTF-8 continuation
         assert!(StringPool::read_from(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn pool_serialization_rejects_offsets_that_split_a_character() {
+        let pool = StringPool::from_iter(["日", "x"]);
+        let mut buf = Vec::new();
+        pool.write_to(&mut buf);
+        // Offsets [0, 3, 4] become [0, 1, 4]: the heap is still UTF-8, but
+        // string 0 would end inside "日".
+        assert_eq!(buf[20..24], 3u32.to_le_bytes());
+        buf[20..24].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            StringPool::read_from(&mut buf.as_slice()),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -16,10 +16,11 @@
 
 use bytes::{Buf, BufMut};
 use corra_columnar::aggregate::IntAggState;
-use corra_columnar::bitpack::BitPackedVec;
+use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
+use corra_columnar::simd::emit_positions;
 use corra_columnar::strings::{StringDictBuilder, StringPool};
 use corra_encodings::IntAccess;
 use rustc_hash::FxHashMap;
@@ -136,33 +137,6 @@ impl HierInt {
         self.values[(off + self.codes.get_unchecked_len(i) as u32) as usize]
     }
 
-    /// Bulk decode given per-row parent codes.
-    pub fn decode_into(&self, parent_codes: &[u32], out: &mut Vec<i64>) -> Result<()> {
-        if parent_codes.len() != self.len() {
-            return Err(Error::LengthMismatch {
-                left: parent_codes.len(),
-                right: self.len(),
-            });
-        }
-        self.reconstruct(parent_codes, out);
-        Ok(())
-    }
-
-    /// [`decode_into`](Self::decode_into) over parent codes already checked
-    /// to be one per row.
-    fn reconstruct(&self, parent_codes: &[u32], out: &mut Vec<i64>) {
-        out.clear();
-        out.reserve(self.len());
-        // Batched group-index unpack; Alg. 1's metadata lookup runs over
-        // cache-hot chunks.
-        self.codes.unpack_chunks(|start, chunk| {
-            for (&p, &c) in parent_codes[start..start + chunk.len()].iter().zip(chunk) {
-                let off = self.offsets[p as usize];
-                out.push(self.values[(off + c as u32) as usize]);
-            }
-        });
-    }
-
     /// Compressed size: packed codes + metadata arrays (the paper includes
     /// metadata in the reported compression size).
     pub fn compressed_bytes(&self) -> usize {
@@ -201,26 +175,7 @@ impl HierInt {
         for _ in 0..n_values {
             values.push(buf.get_i64_le());
         }
-        if buf.remaining() < 8 {
-            return Err(Error::corrupt("hier offsets header truncated"));
-        }
-        let n_offsets = buf.get_u64_le() as usize;
-        if n_offsets == 0 {
-            return Err(Error::corrupt("hier offsets empty"));
-        }
-        if buf.remaining() < n_offsets.saturating_mul(4) {
-            return Err(Error::corrupt("hier offsets truncated"));
-        }
-        let mut offsets = Vec::with_capacity(n_offsets);
-        for _ in 0..n_offsets {
-            offsets.push(buf.get_u32_le());
-        }
-        if offsets[0] != 0
-            || *offsets.last().unwrap() as usize != values.len()
-            || offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(Error::corrupt("hier offsets inconsistent"));
-        }
+        let offsets = read_offsets(buf, values.len(), "hier")?;
         Ok(Self {
             codes,
             values,
@@ -229,11 +184,61 @@ impl HierInt {
     }
 }
 
+/// Reads the group starts of a hierarchical column over `entries` metadata
+/// entries (`what` names the codec in errors): at least one, from 0 up to
+/// `entries`, never falling.
+fn read_offsets(buf: &mut impl Buf, entries: usize, what: &str) -> Result<Vec<u32>> {
+    let corrupt = |problem: &str| Error::corrupt(format!("{what} offsets {problem}"));
+    if buf.remaining() < 8 {
+        return Err(corrupt("header truncated"));
+    }
+    let n_offsets = buf.get_u64_le() as usize;
+    if n_offsets == 0 {
+        return Err(corrupt("empty"));
+    }
+    if buf.remaining() < n_offsets.saturating_mul(4) {
+        return Err(corrupt("truncated"));
+    }
+    let offsets: Vec<u32> = (0..n_offsets).map(|_| buf.get_u32_le()).collect();
+    if offsets[0] != 0
+        || *offsets.last().unwrap() as usize != entries
+        || offsets.windows(2).any(|w| w[0] > w[1])
+    {
+        return Err(corrupt("inconsistent"));
+    }
+    Ok(offsets)
+}
+
+/// Alg. 1 over a whole block, and the only loop that computes it: calls
+/// `f(start, addresses)` with the metadata address `offsets[parent] + code`
+/// of rows `start..start + addresses.len()`, in row order. The child's
+/// group indexes and the parent's codes unpack through the batched kernels
+/// in step, one [`UNPACK_CHUNK`] of each at a time. Both hierarchical
+/// families read it: the integer column's filter, folds and decode, and
+/// the string column's entry stream.
+#[inline]
+pub(crate) fn for_each_address_chunk(
+    codes: &BitPackedVec,
+    offsets: &[u32],
+    parent: &CodeAccess<'_>,
+    mut f: impl FnMut(usize, &[u32]),
+) {
+    let mut addresses = [0u32; UNPACK_CHUNK];
+    codes.unpack_chunks_with(parent.codes, |start, codes, parents| {
+        let addresses = &mut addresses[..codes.len()];
+        for ((at, &code), &p) in addresses.iter_mut().zip(codes).zip(parents) {
+            *at = offsets[p as usize] + code as u32;
+        }
+        f(start, addresses);
+    });
+}
+
 /// A hierarchical column resolved against its parent ([`int_column`]):
-/// Alg. 1 per row, the batch reconstruction over the parent's decoded
-/// codes, and the kernels that work per distinct (parent, child) metadata
-/// entry instead of per row — a predicate is evaluated once per entry, and
-/// sums and folds histogram the metadata address `offsets[parent] + code`.
+/// Alg. 1 per row, and the whole-block kernels over the address stream
+/// ([`for_each_address_chunk`]), which work per distinct (parent, child)
+/// metadata entry instead of per row — a predicate is evaluated once per
+/// entry, sums and folds histogram the addresses, and the decode looks
+/// each one up.
 ///
 /// [`int_column`]: crate::query::int_column
 pub(crate) struct HierColumn<'a> {
@@ -262,15 +267,10 @@ impl<'a> HierColumn<'a> {
         (self.enc.offsets[self.parent.code(i) as usize] + code as u32) as usize
     }
 
-    /// Calls `f(row, address)` for every row, in row order, unpacking the
-    /// group indexes through the batched kernels.
+    /// The block's address stream.
     #[inline]
-    fn for_each_address(&self, mut f: impl FnMut(usize, usize)) {
-        self.enc.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                f(start + j, self.address(start + j, c));
-            }
-        });
+    fn for_each_address_chunk(&self, f: impl FnMut(usize, &[u32])) {
+        for_each_address_chunk(&self.enc.codes, &self.enc.offsets, &self.parent, f);
     }
 }
 
@@ -298,27 +298,32 @@ impl IntAccess for HierColumn<'_> {
     }
 
     fn decode_into(&self, out: &mut Vec<i64>) {
-        let mut codes = self.scratch.codes.borrow_mut();
-        self.parent.codes_into(&mut codes);
-        self.enc.reconstruct(&codes, out);
+        out.clear();
+        out.reserve(self.len());
+        let values = &self.enc.values;
+        self.for_each_address_chunk(|_, at| out.extend(at.iter().map(|&a| values[a as usize])));
     }
 
-    /// Evaluates `range` once per metadata entry, then tests each row by
-    /// indexing the verdicts with its Alg. 1 address.
+    /// Evaluates `range` once per metadata entry, then turns each chunk's
+    /// addresses into a verdict bitmap and emits its set bits.
     fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
         out.clear();
-        let verdicts: Vec<bool> = self.enc.values.iter().map(|&v| range.matches(v)).collect();
-        self.for_each_address(|i, at| {
-            if verdicts[at] {
-                out.push(i as u32);
+        let values = &self.enc.values;
+        let verdicts: Vec<bool> = values.iter().map(|&v| range.matches(v)).collect();
+        let verdict = |a: &u32| u64::from(verdicts[*a as usize]);
+        let mut bitmap = [0u64; UNPACK_CHUNK / 64];
+        self.for_each_address_chunk(|start, at| {
+            for (word, at) in bitmap.iter_mut().zip(at.chunks(64)) {
+                *word = at.iter().rev().fold(0, |w, a| w << 1 | verdict(a));
             }
+            emit_positions(&bitmap, at.len(), false, start as u32, out);
         });
     }
 
     /// Histograms the rows' metadata addresses, then sums once per entry.
     fn sum_wrapping(&self) -> i64 {
         let mut counts = vec![0u64; self.enc.values.len()];
-        self.for_each_address(|_, at| counts[at] += 1);
+        self.for_each_address_chunk(|_, at| at.iter().for_each(|&a| counts[a as usize] += 1));
         self.enc
             .values
             .iter()
@@ -340,7 +345,12 @@ impl IntAccess for HierColumn<'_> {
 
     fn aggregate_grouped(&self, group_of: &[u32], states: &mut [IntAggState]) {
         assert_eq!(group_of.len(), self.len(), "group codes misaligned");
-        self.for_each_address(|i, at| states[group_of[i] as usize].update(self.enc.values[at]));
+        let values = &self.enc.values;
+        self.for_each_address_chunk(|start, at| {
+            for (&a, &g) in at.iter().zip(&group_of[start..]) {
+                states[g as usize].update(values[a as usize]);
+            }
+        });
     }
 }
 
@@ -445,26 +455,7 @@ impl HierStr {
     pub fn read_from(buf: &mut impl Buf) -> Result<Self> {
         let codes = BitPackedVec::read_from(buf)?;
         let values = StringPool::read_from(buf)?;
-        if buf.remaining() < 8 {
-            return Err(Error::corrupt("hier-str offsets header truncated"));
-        }
-        let n_offsets = buf.get_u64_le() as usize;
-        if n_offsets == 0 {
-            return Err(Error::corrupt("hier-str offsets empty"));
-        }
-        if buf.remaining() < n_offsets.saturating_mul(4) {
-            return Err(Error::corrupt("hier-str offsets truncated"));
-        }
-        let mut offsets = Vec::with_capacity(n_offsets);
-        for _ in 0..n_offsets {
-            offsets.push(buf.get_u32_le());
-        }
-        if offsets[0] != 0
-            || *offsets.last().unwrap() as usize != values.len()
-            || offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(Error::corrupt("hier-str offsets inconsistent"));
-        }
+        let offsets = read_offsets(buf, values.len(), "hier-str")?;
         Ok(Self {
             codes,
             values,
@@ -487,6 +478,20 @@ mod tests {
         (zips, cities)
     }
 
+    /// `enc` decoded under the per-row parent codes `parent`, through the
+    /// resolved column: the parent is an integer dictionary over the codes
+    /// themselves, which encode to themselves when every code up to the
+    /// largest occurs.
+    fn decode(enc: &HierInt, parent: &[u32]) -> Vec<i64> {
+        let parent = DictInt::encode(&parent.iter().map(|&c| i64::from(c)).collect::<Vec<_>>());
+        let parent = ColumnCodec::Int(IntEncoding::Dict(parent));
+        let scratch = DecodeScratch::default();
+        let column = HierColumn::new(enc, CodeAccess::of(&parent).unwrap(), &scratch);
+        let mut out = Vec::new();
+        column.decode_into(&mut out);
+        out
+    }
+
     #[test]
     fn fig3_metadata_layout() {
         let (zips, cities) = fig3();
@@ -497,9 +502,7 @@ mod tests {
         assert_eq!(enc.group_len(1), 2);
         assert_eq!(enc.group_len(2), 2);
         // Per-row codes from Fig. 3(b): [0, 0, 1, 0, 0, 1]
-        let mut out = Vec::new();
-        enc.decode_into(&cities, &mut out).unwrap();
-        assert_eq!(out, zips);
+        assert_eq!(decode(&enc, &cities), zips);
         // Alg. 1 point accesses.
         assert_eq!(enc.get(2, 1), 34_112);
         assert_eq!(enc.get(5, 2), 10_001);
@@ -522,9 +525,7 @@ mod tests {
         let enc = HierInt::encode(&child, &parent, 1_000).unwrap();
         assert_eq!(enc.bits(), 4);
         assert_eq!(enc.metadata_entries(), 16_000);
-        let mut out = Vec::new();
-        enc.decode_into(&parent, &mut out).unwrap();
-        assert_eq!(out, child);
+        assert_eq!(decode(&enc, &parent), child);
     }
 
     #[test]
@@ -548,9 +549,7 @@ mod tests {
         let enc = HierInt::encode(&child, &parent, 1).unwrap();
         assert_eq!(enc.group_len(0), 100);
         assert_eq!(enc.bits(), 7);
-        let mut out = Vec::new();
-        enc.decode_into(&parent, &mut out).unwrap();
-        assert_eq!(out, child);
+        assert_eq!(decode(&enc, &parent), child);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use corra_columnar::strings::StringPool;
 use corra_encodings::{IntAccess, IntEncoding};
 
 use crate::compressor::{codec_kind, BlockView, ColumnCodec};
-use crate::hier::HierColumn;
+use crate::hier::{for_each_address_chunk, HierColumn};
 use crate::multiref::MultiRefColumn;
 use crate::nonhier::NonHierColumn;
 
@@ -144,7 +144,7 @@ impl DictKeys<'_> {
 /// kernels.
 pub(crate) struct CodeAccess<'a> {
     pub(crate) keys: DictKeys<'a>,
-    codes: &'a BitPackedVec,
+    pub(crate) codes: &'a BitPackedVec,
     reader: PackedReader<'a>,
 }
 
@@ -261,8 +261,8 @@ fn hier_parent<B: BlockView + ?Sized>(
 }
 
 /// The buffers a horizontal column reconstructs through: the decoded
-/// reference (NonHier) or one varying member (MultiRef), the parent codes
-/// (Hier), and the reconstructed block its chunk stream hands out. A
+/// reference (NonHier) or one varying member (MultiRef), and the
+/// reconstructed block its chunk stream hands out. A
 /// caller resolving block after block (TOP-K) keeps one and pays for the
 /// allocations once.
 ///
@@ -275,7 +275,6 @@ fn hier_parent<B: BlockView + ?Sized>(
 pub(crate) struct DecodeScratch {
     pub(crate) values: RefCell<Vec<i64>>,
     pub(crate) refs: RefCell<Vec<i64>>,
-    pub(crate) codes: RefCell<Vec<u32>>,
 }
 
 /// The chunk stream of a horizontal column: the block reconstructed whole
@@ -417,10 +416,23 @@ impl StrColumn<'_> {
                 codes,
                 offsets,
                 parent,
-            } => codes.unpack_chunks(|start, chunk| {
-                for (j, &c) in chunk.iter().enumerate() {
-                    let i = start + j;
-                    f(i, offsets[parent.code(i) as usize] as usize + c as usize);
+            } => for_each_address_chunk(codes, offsets, parent, |start, at| {
+                for (j, &a) in at.iter().enumerate() {
+                    f(start + j, a as usize);
+                }
+            }),
+        }
+    }
+
+    /// Appends the rows whose entry is `hit` (or is not, when `negate`) to
+    /// `out`. A dictionary compares its packed codes in the code domain,
+    /// through the fused decode-compare kernel `DictInt::filter_into` runs.
+    fn filter_entry(&self, hit: usize, negate: bool, out: &mut Vec<u32>) {
+        match &self.map {
+            EntryMap::Code(codes) => codes.filter_range_into(hit as u64, hit as u64, negate, out),
+            _ => self.for_each_entry(|i, e| {
+                if (e == hit) != negate {
+                    out.push(i as u32);
                 }
             }),
         }
@@ -437,20 +449,16 @@ impl StrColumn<'_> {
     /// The rows whose string equals `value` (or differs, when `negate`),
     /// into `out` (cleared first). The comparison runs once per pool
     /// entry. A pool holding `value` once (a dictionary's always does)
-    /// leaves one entry compare per row, one holding it several times a
-    /// verdict-table lookup, and one without it no row (every row for
-    /// `!=`).
+    /// leaves one entry compare per row (`filter_entry`), one holding it
+    /// several times a verdict-table lookup, and one without it no row
+    /// (every row for `!=`).
     pub(crate) fn filter_eq(&self, value: &str, negate: bool, out: &mut Vec<u32>) {
         out.clear();
         let mut hits = (0..self.pool.len()).filter(|&k| self.pool.get(k) == value);
         match (hits.next(), hits.next()) {
             (None, _) if negate => out.extend(0..self.rows as u32),
             (None, _) => {}
-            (Some(hit), None) => self.for_each_entry(|i, e| {
-                if (e == hit) != negate {
-                    out.push(i as u32);
-                }
-            }),
+            (Some(hit), None) => self.filter_entry(hit, negate, out),
             (Some(a), Some(b)) => {
                 let mut verdicts = vec![negate; self.pool.len()];
                 for k in [a, b].into_iter().chain(hits) {

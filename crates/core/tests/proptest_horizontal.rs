@@ -12,6 +12,10 @@
 //!   Dict, wrapping near the `i64` ends) folded into its per-code addend,
 //!   outliers at rows 0, 1 023, 1 024 and the last row, and all-outlier
 //!   blocks, a Hier target under the dictionary column `g`;
+//! * the Hier address stream at its edges: parent dictionaries of 1 to
+//!   2 000 entries, child code widths 0..=8, blocks of 1 023 / 1 024 /
+//!   1 025 / 2 049 rows, ranges matching no metadata entry or every one,
+//!   plain and negated, in memory and after `to_bytes` / `from_bytes`;
 //! * TOP-K ascending and descending at `k` 0, 1 and 7, unfiltered and
 //!   under every predicate, and `query_column` at every scan's positions;
 //! * `IntAggState::update_slice` equal to a per-row `update` fold, on the
@@ -20,6 +24,7 @@
 use std::collections::BTreeMap;
 
 use corra_columnar::aggregate::IntAggState;
+use corra_columnar::bitpack::bits_needed;
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::{Column, DataType};
 use corra_columnar::predicate::IntRange;
@@ -278,62 +283,75 @@ fn check_block(block: &DataBlock, cfg: &CompressionConfig, seed: u64) -> Result<
     let group = raw(block, "g");
     for column in ["nonhier", "multiref", "hier"] {
         let values = raw(block, column);
-        let decoded = compressed.decompress(column).map_err(|e| e.to_string())?;
-        if decoded.as_i64().ok() != Some(values) {
-            return Err(format!("{column}: decompress differs from the input"));
+        let preds = predicates(column, values, &mut rng);
+        check_column(&compressed, column, values, group, &preds)?;
+    }
+    Ok(())
+}
+
+/// Checks every filter under `preds`, gather, fold, grouped fold (by `g`),
+/// TOP-K and the decode of `column` against its raw `values`.
+fn check_column(
+    compressed: &CompressedBlock,
+    column: &str,
+    values: &[i64],
+    group: &[i64],
+    preds: &[(Predicate, IntRange)],
+) -> Result<(), String> {
+    let decoded = compressed.decompress(column).map_err(|e| e.to_string())?;
+    if decoded.as_i64().ok() != Some(values) {
+        return Err(format!("{column}: decompress differs from the input"));
+    }
+    for (pred, range) in preds {
+        let sel = scan(compressed, pred).map_err(|e| e.to_string())?;
+        let want: Vec<u32> = (0..values.len() as u32)
+            .filter(|&i| range.matches(values[i as usize]))
+            .collect();
+        if sel.positions() != want.as_slice() {
+            return Err(format!("{column} {pred:?}: positions differ"));
         }
-        for (pred, range) in predicates(column, values, &mut rng) {
-            let sel = scan(&compressed, &pred).map_err(|e| e.to_string())?;
-            let want: Vec<u32> = (0..values.len() as u32)
-                .filter(|&i| range.matches(values[i as usize]))
-                .collect();
-            if sel.positions() != want.as_slice() {
-                return Err(format!("{column} {pred:?}: positions differ"));
-            }
-            let gathered = query_column(&compressed, column, &sel).map_err(|e| e.to_string())?;
-            let want: Vec<i64> = want.iter().map(|&i| values[i as usize]).collect();
-            if gathered.as_int().ok() != Some(want.as_slice()) {
-                return Err(format!("{column} {pred:?}: gathered values differ"));
-            }
-            check_top_k(&compressed, column, values, Some((&pred, &range)))?;
-            // Filtered folds: the selected path, or the whole-block path
-            // when the filter keeps every row.
-            let kept = fold(values, |i| range.matches(values[i]));
-            for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
-                let expr = AggExpr::of(func, column).with_filter(pred.clone());
-                let got = aggregate(&compressed, &expr).map_err(|e| e.to_string())?;
-                if got.as_scalar().ok() != Some(&value_of(func, &kept)) {
-                    return Err(format!("{column} {func:?} {pred:?}: {got:?} vs {kept:?}"));
-                }
+        let gathered = query_column(compressed, column, &sel).map_err(|e| e.to_string())?;
+        let want: Vec<i64> = want.iter().map(|&i| values[i as usize]).collect();
+        if gathered.as_int().ok() != Some(want.as_slice()) {
+            return Err(format!("{column} {pred:?}: gathered values differ"));
+        }
+        check_top_k(compressed, column, values, Some((pred, range)))?;
+        // Filtered folds: the selected path, or the whole-block path
+        // when the filter keeps every row.
+        let kept = fold(values, |i| range.matches(values[i]));
+        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
+            let expr = AggExpr::of(func, column).with_filter(pred.clone());
+            let got = aggregate(compressed, &expr).map_err(|e| e.to_string())?;
+            if got.as_scalar().ok() != Some(&value_of(func, &kept)) {
+                return Err(format!("{column} {func:?} {pred:?}: {got:?} vs {kept:?}"));
             }
         }
-        check_top_k(&compressed, column, values, None)?;
-        let all = fold(values, |_| true);
-        let mut by_group: BTreeMap<i64, IntAggState> = BTreeMap::new();
-        for (&g, &v) in group.iter().zip(values) {
-            by_group.entry(g).or_default().update(v);
+    }
+    check_top_k(compressed, column, values, None)?;
+    let all = fold(values, |_| true);
+    let mut by_group: BTreeMap<i64, IntAggState> = BTreeMap::new();
+    for (&g, &v) in group.iter().zip(values) {
+        by_group.entry(g).or_default().update(v);
+    }
+    for func in [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ] {
+        let got = aggregate(compressed, &AggExpr::of(func, column)).map_err(|e| e.to_string())?;
+        if got.as_scalar().ok() != Some(&value_of(func, &all)) {
+            return Err(format!("{column} {func:?}: {got:?} vs {all:?}"));
         }
-        for func in [
-            AggFunc::Count,
-            AggFunc::Sum,
-            AggFunc::Min,
-            AggFunc::Max,
-            AggFunc::Avg,
-        ] {
-            let got =
-                aggregate(&compressed, &AggExpr::of(func, column)).map_err(|e| e.to_string())?;
-            if got.as_scalar().ok() != Some(&value_of(func, &all)) {
-                return Err(format!("{column} {func:?}: {got:?} vs {all:?}"));
-            }
-            let got = aggregate(&compressed, &AggExpr::of(func, column).with_group_by("g"))
-                .map_err(|e| e.to_string())?;
-            let want: Vec<(GroupKey, AggValue)> = by_group
-                .iter()
-                .map(|(&k, s)| (GroupKey::Int(k), value_of(func, s)))
-                .collect();
-            if got.as_groups().ok() != Some(want.as_slice()) {
-                return Err(format!("{column} {func:?} GROUP BY g: {got:?} vs {want:?}"));
-            }
+        let got = aggregate(compressed, &AggExpr::of(func, column).with_group_by("g"))
+            .map_err(|e| e.to_string())?;
+        let want: Vec<(GroupKey, AggValue)> = by_group
+            .iter()
+            .map(|(&k, s)| (GroupKey::Int(k), value_of(func, s)))
+            .collect();
+        if got.as_groups().ok() != Some(want.as_slice()) {
+            return Err(format!("{column} {func:?} GROUP BY g: {got:?} vs {want:?}"));
         }
     }
     Ok(())
@@ -385,6 +403,85 @@ fn horizontal_edges_match_decompress_then_oracle() {
             }
             if outliers == Outliers::None {
                 assert_eq!(nonhier, 0, "{label}");
+            }
+        }
+    }
+}
+
+/// A Hier target `hier` under a dictionary parent `g` of `n_parents`
+/// entries whose groups hold up to `2^width` children. Row `i` is under
+/// parent `i % n_parents`, and its `k`-th visit to that parent picks child
+/// `k % 2^width`, so every parent occurs once the block has `n_parents`
+/// rows and the largest group has `min(2^width, ⌈n / n_parents⌉)`
+/// children. Every child value is a multiple of 3.
+fn hier_block(n: usize, n_parents: usize, width: u32) -> (DataBlock, CompressionConfig) {
+    // A permutation of the parents (7 919 is prime and above any count
+    // here), so dictionary codes do not follow row order.
+    let parent = |i: usize| ((i % n_parents) * 7_919 % n_parents) as i64 * 10 - 5_000;
+    let group: Vec<i64> = (0..n).map(parent).collect();
+    let hier: Vec<i64> = (0..n)
+        .map(|i| parent(i) * 3_000 + 3 * ((i / n_parents) % (1 << width)) as i64)
+        .collect();
+    let block = DataBlock::new(
+        Schema::new(vec![
+            Field::new("g", DataType::Int64),
+            Field::new("hier", DataType::Int64),
+        ])
+        .unwrap(),
+        vec![Column::Int64(group), Column::Int64(hier)],
+    )
+    .unwrap();
+    let cfg = CompressionConfig::baseline()
+        .with("g", ColumnPlan::Dict)
+        .with(
+            "hier",
+            ColumnPlan::Hier {
+                reference: "g".into(),
+            },
+        );
+    (block, cfg)
+}
+
+/// Alg. 1's address stream at its edges: parents of 1 entry (code width
+/// 0) to 2 000, child widths 0..=8, blocks one row either side of the
+/// unpack chunk and past two chunks, and ranges matching no metadata entry
+/// or every one, plain and negated — in memory and after `to_bytes` /
+/// `from_bytes`.
+#[test]
+fn hier_address_stream_edges_match_decompress_then_oracle() {
+    const PARENTS: [usize; 5] = [1, 2, 5, 300, 2_000];
+    for width in 0..=8u32 {
+        for (li, n) in [1_023, 1_024, 1_025, 2_049].into_iter().enumerate() {
+            let n_parents = PARENTS[(width as usize + li) % PARENTS.len()];
+            let (block, cfg) = hier_block(n, n_parents, width);
+            let label = format!("n {n} parents {n_parents} width {width}");
+            let compressed = CompressedBlock::compress(&block, &cfg).unwrap();
+            let largest = (1usize << width).min(n.div_ceil(n_parents)) as u64;
+            match compressed.codec("hier").unwrap() {
+                ColumnCodec::HierInt { enc, .. } => {
+                    assert_eq!(enc.bits(), bits_needed(largest - 1), "{label}");
+                    assert_eq!(enc.n_parents(), n_parents.min(n), "{label}");
+                }
+                other => panic!("{label}: hier planned as {other:?}"),
+            }
+            let values = raw(&block, "hier");
+            let (lo, hi) = (values.iter().min().unwrap(), values.iter().max().unwrap());
+            let mut rng = StdRng::seed_from_u64(n as u64 * 64 + u64::from(width));
+            let mut preds = predicates("hier", values, &mut rng);
+            // Between two entries (every value is a multiple of 3), and the
+            // whole zone — no entry and every entry, each also negated.
+            for (a, b) in [(lo + 1, lo + 1), (*lo, *hi)] {
+                preds.push((Predicate::between("hier", a, b), IntRange::new(a, b)));
+                preds.push((
+                    Predicate::not(Predicate::between("hier", a, b)),
+                    IntRange::negated(a, b),
+                ));
+            }
+            let back = CompressedBlock::from_bytes(&compressed.to_bytes().unwrap()).unwrap();
+            for view in [&compressed, &back] {
+                if let Err(e) = check_column(view, "hier", values, raw(&block, "g"), &preds) {
+                    panic!("{label}: {e}");
+                }
             }
         }
     }

@@ -363,3 +363,75 @@ fn multiref_reconstructs_through_one_kernel() {
         );
     }
 }
+
+/// The argument list of the call whose name starts at `at`: the text
+/// between its opening parenthesis and the one that closes it.
+fn call_arguments(source: &str, at: usize) -> &str {
+    let open = at + source[at..].find('(').unwrap_or(0);
+    let mut depth = 0;
+    for (i, c) in source[open..].char_indices() {
+        match c {
+            '(' => depth += 1,
+            ')' if depth == 1 => return &source[open + 1..open + i],
+            ')' => depth -= 1,
+            _ => {}
+        }
+    }
+    &source[open..]
+}
+
+#[test]
+fn hier_addresses_come_from_one_batched_stream() {
+    // Alg. 1 over a whole block is one loop (`hier::for_each_address_chunk`):
+    // it unpacks the child's group indexes and the parent's codes in step
+    // and hands out `offsets[parent] + code` per chunk. Every whole-block
+    // Hier kernel, integer or string, reads that stream; no chunk loop
+    // fetches the parent's code one row at a time.
+    let sources = [
+        ("hier.rs", library_part(include_str!("../src/hier.rs"))),
+        ("query.rs", library_part(include_str!("../src/query.rs"))),
+    ];
+    let mut address_loops = Vec::new();
+    for (name, source) in sources {
+        for (at, _) in source.match_indices(".unpack_chunks") {
+            let body = call_arguments(source, at);
+            for per_row in [".code(", ".address("] {
+                assert!(
+                    !body.contains(per_row),
+                    "{name}: an unpack_chunks loop calls `{per_row}` per row; \
+                     read the parent through hier::for_each_address_chunk:\n{body}"
+                );
+            }
+            if body.contains("offsets[") {
+                address_loops.push(name);
+            }
+        }
+    }
+    assert_eq!(
+        address_loops,
+        ["hier.rs"],
+        "the Alg. 1 address loop over a whole block is written once"
+    );
+}
+
+#[test]
+fn pool_strings_are_validated_once() {
+    // A string pool checks its heap and its offsets when it is read; `get`
+    // is a slice, with no UTF-8 scan per call.
+    let source = library_part(include_str!("../../columnar/src/strings.rs"));
+    let read_from = source
+        .split("pub fn read_from(")
+        .nth(1)
+        .and_then(|rest| rest.split("\n    }\n").next())
+        .expect("StringPool::read_from lives in strings.rs");
+    let everywhere = source.matches("from_utf8").count();
+    assert!(
+        read_from.contains("from_utf8"),
+        "StringPool::read_from no longer checks the heap"
+    );
+    assert_eq!(
+        everywhere,
+        read_from.matches("from_utf8").count(),
+        "strings.rs checks UTF-8 outside read_from; validate pools once, when read"
+    );
+}

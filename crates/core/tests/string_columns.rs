@@ -3,12 +3,16 @@
 //! hierarchical column (`HierStr`) under an integer and under a string
 //! dictionary parent. Each answer is checked on the in-memory block, on
 //! the block after `to_bytes` / `from_bytes`, and through a table file
-//! (lazy block handles and the reader's own drivers).
+//! (lazy block handles and the reader's own drivers). Block lengths reach
+//! past two 1 024-row unpack chunks, so the Hier entry stream crosses two
+//! chunk boundaries. A serialized pool whose offsets split a character is
+//! `Err(Corrupt)` at `from_bytes` for every string codec.
 
 use std::collections::BTreeMap;
 
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::{Column, DataType};
+use corra_columnar::error::Error;
 use corra_columnar::schema::{Field, Schema};
 use corra_columnar::selection::SelectionVector;
 use corra_core::store::{TableReader, TableWriter};
@@ -252,7 +256,7 @@ fn file_of(block: &CompressedBlock) -> TableReader {
 
 #[test]
 fn string_operators_match_the_row_oracle_in_memory_serialized_and_stored() {
-    for n in [0, 1, 2, 37, 1_100] {
+    for n in [0, 1, 2, 37, 1_100, 2_100] {
         let raw = Raw::new(n);
         let (data, cfg) = raw.block();
         let block = CompressedBlock::compress(&data, &cfg).unwrap();
@@ -372,5 +376,53 @@ fn hier_str_decode_and_gather_state_city() {
     for view in views(&block(&["x", "y", "x"], &["A", "B", "C"]), &cfg) {
         let got = query_column(&view, "city", &SelectionVector::new(vec![1, 2])).unwrap();
         assert_eq!(got, QueryOutput::Str(vec!["B".into(), "C".into()]));
+    }
+}
+
+#[test]
+fn pools_whose_offsets_split_a_character_are_corrupt() {
+    // `["日", "x"]` as every string codec, then the serialized pool's
+    // offsets `[0, 3, 4]` rewritten to `[0, 1, 4]`: the heap stays UTF-8,
+    // but string 0 would end inside "日".
+    let data = DataBlock::new(
+        Schema::new(vec![
+            Field::new("p", DataType::Int64),
+            Field::new("s", DataType::Utf8),
+        ])
+        .unwrap(),
+        vec![
+            Column::Int64(vec![5, 5]),
+            Column::Utf8(["日", "x"].into_iter().collect()),
+        ],
+    )
+    .unwrap();
+    let pool = [
+        &2u64.to_le_bytes()[..],
+        &4u64.to_le_bytes(),
+        &0u32.to_le_bytes(),
+        &3u32.to_le_bytes(),
+        &4u32.to_le_bytes(),
+        "日x".as_bytes(),
+    ]
+    .concat();
+    let hier = ColumnPlan::Hier {
+        reference: "p".into(),
+    };
+    for (plan, scheme) in [
+        (ColumnPlan::Dict, "dict-str"),
+        (ColumnPlan::Plain, "plain-str"),
+        (hier, "corra-hier"),
+    ] {
+        let cfg = CompressionConfig::baseline()
+            .with("p", ColumnPlan::Dict)
+            .with("s", plan);
+        let block = CompressedBlock::compress(&data, &cfg).unwrap();
+        assert_eq!(block.codec("s").unwrap().scheme(), scheme);
+        let mut bytes = block.to_bytes().unwrap();
+        let at = bytes.windows(pool.len()).position(|w| w == pool);
+        let at = at.unwrap_or_else(|| panic!("{scheme}: pool not found"));
+        bytes[at + 20..at + 24].copy_from_slice(&1u32.to_le_bytes());
+        let back = CompressedBlock::from_bytes(&bytes);
+        assert!(matches!(back, Err(Error::Corrupt(_))), "{scheme}: {back:?}");
     }
 }
