@@ -286,8 +286,8 @@ pub trait BlockView {
 }
 
 /// Where a whole-table operator's blocks come from: an in-memory slice
-/// (`[B]`) or the segment files of a table (`store::Segments`, a single
-/// file being the one-segment case). Every multi-block driver — scan,
+/// (`[B]`) or the segment files of a table (`&store::SegmentedTable`, a
+/// single file being the one-segment table). Every multi-block driver — scan,
 /// aggregate, TOP-K, join, gather — is one loop over a source, so memory,
 /// files, segmented tables and the serve front door run one body.
 pub(crate) trait BlockSource {

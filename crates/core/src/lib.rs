@@ -42,7 +42,7 @@
 //!   decoded codecs, LRU-evicted per shard, checksum-verified on fill;
 //! * [`serve`](mod@serve) — the concurrent serving front door:
 //!   [`serve::ServeSession`] runs mixed point-read/scan/aggregate traffic
-//!   from many threads against one shared reader + cache;
+//!   from many threads against one shared table + cache;
 //! * [`torture`](mod@torture) — exhaustive corruption sweeps (truncation +
 //!   bit flips) asserting every mutation surfaces as `Err` or leaves
 //!   results bit-identical, shared by the core tests and `corra-sim`;
@@ -112,7 +112,7 @@ pub use query::{query_both, query_column, query_two_columns, QueryOutput};
 pub use scan::{
     scan, scan_blocks, scan_pruned, scan_query, scan_query_both, CmpOp, Predicate, ScanStats,
 };
-pub use serve::{ServeOutcome, ServeRequest, ServeResult, ServeSession, ServeSource};
+pub use serve::{ServeOutcome, ServeRequest, ServeResult, ServeSession};
 pub use store::{
     write_table, BlockHandle, BlockMeta, ColumnMeta, SegmentedTable, TableFooter, TableReader,
     TableWriter,

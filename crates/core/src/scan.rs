@@ -24,7 +24,7 @@
 //!
 //! A multi-block scan is one loop over the blocks of any source — in
 //! memory ([`scan_blocks`]) or in table files
-//! ([`crate::store::TableReader::scan_blocks`]): selections come back in
+//! ([`crate::store::SegmentedTable::scan_blocks`]): selections come back in
 //! block order and [`ScanStats`] folds each block as it is scanned.
 
 use std::borrow::Borrow;

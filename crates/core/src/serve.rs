@@ -1,32 +1,34 @@
 //! Concurrent serving front door: mixed point-read / scan / aggregate
-//! traffic from N threads against one shared [`TableReader`] (+ cache).
+//! traffic from N threads against one shared [`SegmentedTable`] (+ cache).
 //!
-//! A [`ServeSession`] wraps an `Arc<TableReader>` — typically one carrying
-//! a [`ShardedCache`](crate::cache::ShardedCache) via
-//! [`TableReader::with_cache`] — and executes a batch of
-//! [`ServeRequest`]s. With `threads > 1`, workers pull request indices off
-//! the shared `crate::morsel::run` counter (the same loop block compression
-//! fans out on) and results merge in request order, so the returned
-//! results are **byte-identical to a serial run for any thread count**;
-//! only the latency distribution changes. Per-request wall latencies are
-//! recorded for p50/p99 reporting, and the scan/aggregate byte + cache
-//! counters are folded into one [`ScanStats`].
+//! A [`ServeSession`] wraps an `Arc<SegmentedTable>` — one file is the
+//! one-segment table, an ingest directory its manifest's segments —
+//! typically with a [`ShardedCache`](crate::cache::ShardedCache) attached
+//! to its readers, and executes a batch of [`ServeRequest`]s. With
+//! `threads > 1`, workers pull request indices off the shared
+//! `crate::morsel::run` counter (the same loop block compression fans out
+//! on) and results merge in request order, so the returned results are
+//! **byte-identical to a serial run for any thread count**; only the
+//! latency distribution changes. Per-request wall latencies are recorded,
+//! and the scan/aggregate byte + cache counters are folded into one
+//! [`ScanStats`].
 //!
 //! ```no_run
 //! # use std::sync::Arc;
 //! # use corra_core::{ServeRequest, ServeSession, Predicate};
 //! # use corra_core::cache::{CacheConfig, ShardedCache};
-//! # use corra_core::store::TableReader;
+//! # use corra_core::store::{SegmentedTable, TableReader};
 //! # fn demo() -> corra_columnar::error::Result<()> {
 //! let cache = Arc::new(ShardedCache::new(CacheConfig::with_budget(64 << 20)));
-//! let reader = Arc::new(TableReader::open("t.corra".as_ref())?.with_cache(cache));
-//! let session = ServeSession::new(reader);
+//! let reader = TableReader::open("t.corra".as_ref())?.with_cache(cache);
+//! let table = SegmentedTable::from_readers(vec![Arc::new(reader)]);
+//! let session = ServeSession::new(Arc::new(table));
 //! let requests = vec![
 //!     ServeRequest::point(0, "fee"),
 //!     ServeRequest::Scan(Predicate::between("fee", 100, 200)),
 //! ];
 //! let outcome = session.run(&requests, 8)?;
-//! println!("p99 = {:?}", outcome.latency_percentile(0.99));
+//! println!("slowest request: {:?}", outcome.latencies.iter().max());
 //! # Ok(())
 //! # }
 //! ```
@@ -38,34 +40,10 @@ use corra_columnar::column::Column;
 use corra_columnar::error::Result;
 use corra_columnar::selection::SelectionVector;
 
-use crate::aggregate::{aggregate_source, AggExpr, AggResult};
-use crate::compressor::BlockSource;
-use crate::operator::{top_k_source, TopKExpr, TopKRow};
-use crate::scan::{scan_source, Predicate, ScanStats};
-use crate::store::{SegmentedTable, Segments, TableReader};
-
-/// What a [`ServeSession`] serves from: any table-shaped source made of
-/// segment readers. Implemented by the single-file [`TableReader`] (the
-/// one-segment case) and the multi-segment [`SegmentedTable`], so the
-/// front door is indifferent to whether the table is one immutable file or
-/// an ingest directory's current manifest — every request runs the one
-/// whole-table body the store's own entry points use.
-pub trait ServeSource: Send + Sync {
-    /// The source's segment readers, in table order.
-    fn readers(&self) -> Vec<&TableReader>;
-}
-
-impl ServeSource for TableReader {
-    fn readers(&self) -> Vec<&TableReader> {
-        vec![self]
-    }
-}
-
-impl ServeSource for SegmentedTable {
-    fn readers(&self) -> Vec<&TableReader> {
-        self.segments().iter().map(Arc::as_ref).collect()
-    }
-}
+use crate::aggregate::{AggExpr, AggResult};
+use crate::operator::{TopKExpr, TopKRow};
+use crate::scan::{Predicate, ScanStats};
+use crate::store::SegmentedTable;
 
 /// One unit of serving traffic.
 #[derive(Debug, Clone)]
@@ -124,69 +102,27 @@ pub struct ServeOutcome {
     pub wall: Duration,
 }
 
-impl ServeOutcome {
-    /// The `p`-th latency percentile (`0.5` = p50, `0.99` = p99) by the
-    /// nearest-rank method. Zero when the batch was empty.
-    #[must_use]
-    pub fn latency_percentile(&self, p: f64) -> Duration {
-        percentile(&self.latencies, p)
-    }
-
-    /// Requests served per second of batch wall time.
-    #[must_use]
-    pub fn requests_per_sec(&self) -> f64 {
-        self.results.len() as f64 / self.wall.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
+/// A serving endpoint over one shared table. See the [module docs](self).
+#[derive(Clone)]
+pub struct ServeSession {
+    table: Arc<SegmentedTable>,
 }
 
-/// The `p`-th percentile of `samples` by the nearest-rank method (the
-/// sample order does not need to be sorted). Zero when empty.
-#[must_use]
-pub fn percentile(samples: &[Duration], p: f64) -> Duration {
-    if samples.is_empty() {
-        return Duration::ZERO;
-    }
-    let mut sorted: Vec<Duration> = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = (p.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank]
-}
-
-/// A serving endpoint over one shared source (a single-file
-/// [`TableReader`] by default, or any other [`ServeSource`] such as a
-/// [`SegmentedTable`]). See the [module docs](self).
-pub struct ServeSession<S: ServeSource = TableReader> {
-    reader: Arc<S>,
-}
-
-impl<S: ServeSource> Clone for ServeSession<S> {
-    fn clone(&self) -> Self {
-        Self {
-            reader: Arc::clone(&self.reader),
-        }
-    }
-}
-
-impl<S: ServeSource> ServeSession<S> {
-    /// Wraps a shared source (attach a cache to it first — e.g.
-    /// [`TableReader::with_cache`] — to make repeated traffic cheap).
+impl ServeSession {
+    /// Wraps a shared table (attach a cache to its readers first — e.g.
+    /// [`TableReader::with_cache`](crate::store::TableReader::with_cache)
+    /// — to make repeated traffic cheap).
     #[must_use]
-    pub fn new(reader: Arc<S>) -> Self {
-        Self { reader }
-    }
-
-    /// The shared source.
-    #[must_use]
-    pub fn reader(&self) -> &Arc<S> {
-        &self.reader
+    pub fn new(table: Arc<SegmentedTable>) -> Self {
+        Self { table }
     }
 
     /// Executes one request, returning its result and cost counters.
     fn execute(&self, request: &ServeRequest) -> Result<(ServeResult, ScanStats)> {
-        let source = Segments::new(self.reader.readers());
+        let table = &*self.table;
         match request {
             ServeRequest::Point { block, column } => {
-                let handle = source.open(*block)?;
+                let handle = table.block_handle(*block)?;
                 let values = handle.decompress(column)?;
                 let stats = ScanStats {
                     bytes_read: handle.loaded_bytes(),
@@ -198,15 +134,15 @@ impl<S: ServeSource> ServeSession<S> {
                 Ok((ServeResult::Column(values), stats))
             }
             ServeRequest::Scan(pred) => {
-                let (sels, stats) = scan_source(&source, pred)?;
+                let (sels, stats) = table.scan_blocks(pred)?;
                 Ok((ServeResult::Scan(sels), stats))
             }
             ServeRequest::Aggregate(expr) => {
-                let (agg, stats) = aggregate_source(&source, expr)?;
+                let (agg, stats) = table.aggregate(expr)?;
                 Ok((ServeResult::Aggregate(agg), stats))
             }
             ServeRequest::TopK(expr) => {
-                let (rows, stats) = top_k_source(&source, expr)?;
+                let (rows, stats) = table.top_k(expr)?;
                 Ok((ServeResult::TopK(rows), stats))
             }
         }
@@ -246,24 +182,5 @@ impl<S: ServeSource> ServeSession<S> {
             stats,
             wall: start.elapsed(),
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let ms: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&ms, 0.0), Duration::from_millis(1));
-        assert_eq!(percentile(&ms, 0.5), Duration::from_millis(51));
-        assert_eq!(percentile(&ms, 0.99), Duration::from_millis(99));
-        assert_eq!(percentile(&ms, 1.0), Duration::from_millis(100));
-        assert_eq!(percentile(&[], 0.5), Duration::ZERO);
-        assert_eq!(
-            percentile(&[Duration::from_millis(7)], 0.99),
-            Duration::from_millis(7)
-        );
     }
 }

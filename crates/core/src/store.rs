@@ -19,11 +19,11 @@
 //! unchanged. That metadata enables three behaviors no sequential format
 //! can offer:
 //!
-//! * **Projection pushdown** — [`TableReader::read_column`] /
+//! * **Projection pushdown** — [`SegmentedTable::read_column`] /
 //!   [`BlockHandle`] deserialize only the referenced column plus its
 //!   transitively referenced reference columns, resolved by walking the
 //!   footer wiring (never the payload bytes);
-//! * **I/O-free pruning** — [`TableReader::scan_blocks`] consults footer
+//! * **I/O-free pruning** — [`SegmentedTable::scan_blocks`] consults footer
 //!   zone maps first and never touches a pruned block's bytes
 //!   ([`ScanStats::blocks_skipped_io`] / [`ScanStats::bytes_read`]);
 //! * **Streaming writes** — [`TableWriter::write_block`] emits each block
@@ -496,7 +496,9 @@ fn read_exact_vec(backend: &dyn IoBackend, offset: u64, len: usize) -> Result<Ve
     Ok(buf)
 }
 
-/// Random-access reader over an indexed table file.
+/// Random-access reader over one indexed table file: the footer, full
+/// block reads and lazy [`BlockHandle`]s. Whole-table operators run on a
+/// [`SegmentedTable`], of which one file is the one-segment case.
 ///
 /// All data access is metered: [`bytes_read`](Self::bytes_read) counts
 /// every payload/segment byte fetched after open (the footer parsed at
@@ -608,9 +610,10 @@ impl TableReader {
     /// process-unique table id for cache keying, so one cache can serve
     /// many readers without aliasing.
     ///
-    /// Every read path — [`read_block`](Self::read_block),
-    /// [`read_column`](Self::read_column), scans, aggregates — goes
-    /// through the cache unchanged; per-query hit/miss counts surface in
+    /// Every read path — [`read_block`](Self::read_block), the lazy loads
+    /// of [`block_handle`](Self::block_handle), and so every
+    /// [`SegmentedTable`] operator over this reader — goes through the
+    /// cache unchanged; per-query hit/miss counts surface in
     /// [`ScanStats::cache_hits`] / [`ScanStats::cache_misses`].
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<ShardedCache>) -> Self {
@@ -730,17 +733,6 @@ impl TableReader {
         })
     }
 
-    /// Projection pushdown: decompresses one column of one block, reading
-    /// only that column's payload plus its transitively referenced
-    /// reference payloads (resolved from footer wiring).
-    ///
-    /// # Errors
-    ///
-    /// Unknown column, out-of-range block, I/O errors, or corruption.
-    pub fn read_column(&self, block: usize, column: &str) -> Result<Column> {
-        self.block_handle(block)?.decompress(column)
-    }
-
     /// Loads the codec of `(block, col)` from its footer-addressed payload,
     /// or from the attached cache. Returns the codec and whether the cache
     /// answered (`true` = zero backend bytes fetched).
@@ -802,173 +794,6 @@ impl TableReader {
             );
         }
         Ok((codec, false))
-    }
-
-    /// Evaluates `pred` against one block (footer pruning included).
-    ///
-    /// # Errors
-    ///
-    /// Unknown columns, predicate/codec type mismatches, I/O errors.
-    pub fn scan(&self, block: usize, pred: &Predicate) -> Result<SelectionVector> {
-        crate::scan::scan(&self.block_handle(block)?, pred)
-    }
-
-    /// Scans every block, never touching the bytes of blocks the footer
-    /// zone maps prune. Selections are byte-identical to
-    /// [`crate::scan::scan_blocks`] over the same blocks in memory.
-    ///
-    /// # Errors
-    ///
-    /// As [`scan`](Self::scan).
-    pub fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        scan_source(&Segments::new([self]), pred)
-    }
-
-    /// Evaluates an aggregate across every block. A block the footer
-    /// decides — an empty filter verdict, a covered `COUNT` / `MIN` /
-    /// `MAX` — reads zero payload bytes. Results are identical to
-    /// [`crate::aggregate::aggregate_blocks`] over the same blocks.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::aggregate::aggregate`], plus I/O and corruption errors
-    /// from lazy payload loads.
-    pub fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        aggregate_source(&Segments::new([self]), expr)
-    }
-
-    /// Filter → materialize against one block, loading only the predicate
-    /// and projection columns (plus their reference chains).
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::scan::scan_query`].
-    pub fn scan_query(&self, block: usize, pred: &Predicate, project: &str) -> Result<QueryOutput> {
-        crate::scan::scan_query(&self.block_handle(block)?, pred, project)
-    }
-
-    /// Filter → materialize for a diff-encoded target *and* its reference
-    /// column against one block.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::scan::scan_query_both`].
-    pub fn scan_query_both(
-        &self,
-        block: usize,
-        pred: &Predicate,
-        target: &str,
-    ) -> Result<(QueryOutput, QueryOutput)> {
-        crate::scan::scan_query_both(&self.block_handle(block)?, pred, target)
-    }
-
-    /// TOP-K across every block. A block whose footer zone cannot beat
-    /// the running k-th bound reads zero payload bytes. Result rows are
-    /// identical to [`crate::operator::top_k_blocks`] over the same blocks.
-    ///
-    /// # Errors
-    ///
-    /// Unknown or non-integer target column, invalid filter, I/O errors,
-    /// or corruption.
-    pub fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        top_k_source(&Segments::new([self]), expr)
-    }
-
-    /// Materializes `columns` for an arbitrary row-id list (TOP-K winners,
-    /// join sides) through lazy per-block handles: each touched block
-    /// opens one handle and loads only the named columns (plus reference
-    /// chains). Outputs align with `ids`.
-    ///
-    /// # Errors
-    ///
-    /// Unknown columns, out-of-range row ids, I/O errors, or corruption.
-    pub fn gather_rows(&self, ids: &[RowId], columns: &[&str]) -> Result<Vec<QueryOutput>> {
-        gather_source(&Segments::new([self]), ids, columns)
-    }
-
-    /// Dict-code hash join: builds over this table's `build_key` column,
-    /// probes `probe`'s `probe_key` column, loading only the two key
-    /// columns (one lazy handle per block). Pairs are identical to
-    /// [`crate::operator::hash_join_blocks`] over the same blocks in
-    /// memory; [`JoinStats::io`] accounts bytes/cache traffic across both
-    /// sides.
-    ///
-    /// # Errors
-    ///
-    /// Unknown key columns, non-dictionary key codecs, mismatched key
-    /// types, I/O errors, or corruption.
-    pub fn hash_join(
-        &self,
-        probe: &TableReader,
-        expr: &JoinExpr,
-    ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        hash_join_sources(&Segments::new([self]), &Segments::new([probe]), expr)
-    }
-}
-
-/// A table's segment readers as one block source: the blocks of every
-/// segment in table order, so a block's position is its global index. A
-/// single file is the one-segment case — [`TableReader`]'s operators pass
-/// `[self]`, [`SegmentedTable`]'s its segment readers — and both run the
-/// drivers in-memory blocks run, over lazy [`BlockHandle`]s.
-pub(crate) struct Segments<'a> {
-    /// `(segment reader, local block index)` per global block.
-    blocks: Vec<(&'a TableReader, usize)>,
-    segments: usize,
-}
-
-impl<'a> Segments<'a> {
-    pub(crate) fn new(readers: impl IntoIterator<Item = &'a TableReader>) -> Self {
-        let (mut blocks, mut segments) = (Vec::new(), 0);
-        for reader in readers {
-            segments += 1;
-            blocks.extend((0..reader.n_blocks()).map(|local| (reader, local)));
-        }
-        Self { blocks, segments }
-    }
-
-    /// Maps a global block index to `(segment reader, local block index)`.
-    fn locate(&self, block: usize) -> Result<(&'a TableReader, usize)> {
-        self.blocks
-            .get(block)
-            .copied()
-            .ok_or(Error::IndexOutOfBounds {
-                index: block,
-                len: self.blocks.len(),
-            })
-    }
-}
-
-impl<'a> BlockSource for Segments<'a> {
-    type Block = BlockHandle<'a>;
-
-    type View<'s>
-        = BlockHandle<'a>
-    where
-        Self: 's;
-
-    fn n_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    fn segments(&self) -> usize {
-        self.segments
-    }
-
-    fn zone(&self, block: usize, column: &str) -> Option<ZoneMap> {
-        let (reader, local) = self.locate(block).ok()?;
-        reader
-            .footer
-            .zone(local, reader.schema().index_of(column).ok()?)
-    }
-
-    fn open(&self, block: usize) -> Result<BlockHandle<'a>> {
-        let (reader, local) = self.locate(block)?;
-        reader.block_handle(local)
-    }
-
-    fn io(handle: &BlockHandle<'a>) -> Option<(bool, LoadCost)> {
-        Some((handle.loaded_columns() == 0, handle.cost.get()))
     }
 }
 
@@ -1074,16 +899,20 @@ impl BlockView for BlockHandle<'_> {
     }
 }
 
-/// A read view over a multi-segment table: one [`TableReader`] per live
-/// segment of a [`Manifest`](crate::manifest::Manifest), presented as a
-/// single table whose block indices run through the segments in manifest
-/// order.
+/// A table: one [`TableReader`] per segment file, presented as one ordered
+/// list of blocks whose global indices run through the segments in table
+/// order. A single file is the one-segment case
+/// (`SegmentedTable::from_readers(vec![Arc::new(reader)])`); an ingest
+/// directory opens one segment per live entry of its
+/// [`Manifest`](crate::manifest::Manifest).
 ///
-/// Every whole-table operator is the body [`TableReader`] runs (a single
-/// file is the one-segment case) over all segments' blocks — selections,
-/// TOP-K rows and join pairs are byte-identical to a single file holding
-/// the same blocks, and aggregate partials merge through one `AggMerger`,
-/// so `AVG` and friends stay exact across segment boundaries.
+/// Every whole-table operator runs the one driver in-memory blocks run,
+/// over lazy [`BlockHandle`]s — selections, TOP-K rows and join pairs are
+/// byte-identical whether the blocks sit in one file or in many, and
+/// aggregate partials merge through one `AggMerger`, so `AVG` and friends
+/// stay exact across segment boundaries. The global block map is built
+/// once, when the table is assembled; operators and point reads only
+/// borrow it.
 ///
 /// When opened with a cache, each segment reader takes its own
 /// process-unique table id ([`TableReader::with_cache`]), so compaction
@@ -1091,6 +920,9 @@ impl BlockView for BlockHandle<'_> {
 /// is impossible by construction.
 pub struct SegmentedTable {
     readers: Vec<Arc<TableReader>>,
+    /// The global index of each segment's first block, then the block
+    /// total: segment `s` holds blocks `starts[s]..starts[s + 1]`.
+    starts: Vec<usize>,
 }
 
 impl SegmentedTable {
@@ -1144,13 +976,18 @@ impl SegmentedTable {
             }
             readers.push(Arc::new(reader));
         }
-        Ok(Self { readers })
+        Ok(Self::from_readers(readers))
     }
 
     /// Wraps already-open segment readers, in table order.
     #[must_use]
     pub fn from_readers(readers: Vec<Arc<TableReader>>) -> Self {
-        Self { readers }
+        let mut starts = Vec::with_capacity(readers.len() + 1);
+        starts.push(0);
+        for reader in &readers {
+            starts.push(starts[starts.len() - 1] + reader.n_blocks());
+        }
+        Self { readers, starts }
     }
 
     /// The per-segment readers, in table order.
@@ -1168,7 +1005,7 @@ impl SegmentedTable {
     /// Total blocks across all segments.
     #[must_use]
     pub fn n_blocks(&self) -> usize {
-        self.readers.iter().map(|r| r.n_blocks()).sum()
+        self.starts[self.readers.len()]
     }
 
     /// Total rows across all segments.
@@ -1177,25 +1014,36 @@ impl SegmentedTable {
         self.readers.iter().map(|r| r.rows_total()).sum()
     }
 
-    /// The block source every whole-table operator runs over.
-    fn source(&self) -> Segments<'_> {
-        Segments::new(self.readers.iter().map(Arc::as_ref))
+    /// Maps a global block index to `(segment reader, local block index)`.
+    /// Empty segments own no index: the last segment starting at or before
+    /// `block` holds it.
+    fn locate(&self, block: usize) -> Result<(&TableReader, usize)> {
+        let len = self.n_blocks();
+        if block >= len {
+            return Err(Error::IndexOutOfBounds { index: block, len });
+        }
+        let segment = self.starts.partition_point(|&start| start <= block) - 1;
+        Ok((&self.readers[segment], block - self.starts[segment]))
     }
 
-    /// A lazy handle on the global `block` index.
+    /// A lazy handle on the global `block` index: columns load on first
+    /// touch.
     ///
     /// # Errors
     ///
-    /// Unknown block; I/O errors reading the segment.
+    /// Out-of-range index.
     pub fn block_handle(&self, block: usize) -> Result<BlockHandle<'_>> {
-        self.source().open(block)
+        let (reader, local) = self.locate(block)?;
+        reader.block_handle(local)
     }
 
-    /// Decompresses one column of the global `block` index.
+    /// Projection pushdown: decompresses one column of the global `block`
+    /// index, reading only that column's payload plus its transitively
+    /// referenced reference payloads (resolved from footer wiring).
     ///
     /// # Errors
     ///
-    /// As [`TableReader::read_column`].
+    /// Unknown column, out-of-range block, I/O errors, or corruption.
     pub fn read_column(&self, block: usize, column: &str) -> Result<Column> {
         self.block_handle(block)?.decompress(column)
     }
@@ -1206,66 +1054,111 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::read_block`].
     pub fn read_block(&self, block: usize) -> Result<CompressedBlock> {
-        let (reader, local) = self.source().locate(block)?;
+        let (reader, local) = self.locate(block)?;
         reader.read_block(local)
     }
 
-    /// Scans every block of every segment; selections are the
-    /// concatenation of the per-segment scans, in manifest order.
+    /// Scans every block, never touching the bytes of blocks the footer
+    /// zone maps prune. Selections are byte-identical to
+    /// [`crate::scan::scan_blocks`] over the same blocks in memory.
     ///
     /// # Errors
     ///
-    /// As [`TableReader::scan_blocks`].
+    /// Unknown columns, predicate/codec type mismatches, I/O errors.
     pub fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        scan_source(&self.source(), pred)
+        scan_source(&self, pred)
     }
 
-    /// Evaluates an aggregate across every segment, merging per-block
-    /// partials through the same `AggMerger` as the single-file path —
-    /// results are identical to aggregating one file holding all blocks.
+    /// Evaluates an aggregate across every block. A block the footer
+    /// decides — an empty filter verdict, a covered `COUNT` / `MIN` /
+    /// `MAX` — reads zero payload bytes. Results are identical to
+    /// [`crate::aggregate::aggregate_blocks`] over the same blocks.
     ///
     /// # Errors
     ///
-    /// As [`TableReader::aggregate`].
+    /// As [`crate::aggregate::aggregate`], plus I/O and corruption errors
+    /// from lazy payload loads.
     pub fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        aggregate_source(&self.source(), expr)
+        aggregate_source(&self, expr)
     }
 
-    /// TOP-K across every segment's blocks, sharing one running k-th
-    /// bound — block numbering (and so the `(value, block, row)`
-    /// tie-break) runs through the segments in manifest order, identical
-    /// to a single file holding the same blocks.
+    /// TOP-K across every block, sharing one running k-th bound; a block
+    /// whose footer zone cannot beat it reads zero payload bytes. Rows are
+    /// identical to [`crate::operator::top_k_blocks`] over the same blocks.
     ///
     /// # Errors
     ///
-    /// As [`TableReader::top_k`].
+    /// Unknown or non-integer target column, invalid filter, I/O errors,
+    /// or corruption.
     pub fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        top_k_source(&self.source(), expr)
+        top_k_source(&self, expr)
     }
 
-    /// Materializes `columns` for row ids addressed by *global* block
-    /// index, one lazy handle per touched block.
+    /// Materializes `columns` for an arbitrary row-id list (TOP-K winners,
+    /// join sides) through lazy per-block handles: each touched block
+    /// opens one handle and loads only the named columns (plus reference
+    /// chains). Outputs align with `ids`.
     ///
     /// # Errors
     ///
-    /// As [`TableReader::gather_rows`].
+    /// Unknown columns, out-of-range row ids, I/O errors, or corruption.
     pub fn gather_rows(&self, ids: &[RowId], columns: &[&str]) -> Result<Vec<QueryOutput>> {
-        gather_source(&self.source(), ids, columns)
+        gather_source(&self, ids, columns)
     }
 
-    /// Dict-code hash join building over this table, probing `probe` —
-    /// block numbering on each side is global (manifest order), so pairs
-    /// are identical to single-file tables holding the same blocks.
+    /// Dict-code hash join: builds over this table's `build_key` column,
+    /// probes `probe`'s `probe_key` column, loading only the two key
+    /// columns (one lazy handle per block). Pairs are identical to
+    /// [`crate::operator::hash_join_blocks`] over the same blocks in
+    /// memory; [`JoinStats::io`] accounts bytes/cache traffic across both
+    /// sides.
     ///
     /// # Errors
     ///
-    /// As [`TableReader::hash_join`].
+    /// Unknown key columns, non-dictionary key codecs, mismatched key
+    /// types, I/O errors, or corruption.
     pub fn hash_join(
         &self,
         probe: &SegmentedTable,
         expr: &JoinExpr,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        hash_join_sources(&self.source(), &probe.source(), expr)
+        hash_join_sources(&self, &probe, expr)
+    }
+}
+
+/// A table as a block source: the blocks of every segment in table order,
+/// so a block's position is its global index. Every operator — in memory,
+/// on one file, on many, and behind the serve front door — runs its one
+/// driver over this and over `[B]`.
+impl<'a> BlockSource for &'a SegmentedTable {
+    type Block = BlockHandle<'a>;
+
+    type View<'s>
+        = BlockHandle<'a>
+    where
+        Self: 's;
+
+    fn n_blocks(&self) -> usize {
+        SegmentedTable::n_blocks(self)
+    }
+
+    fn segments(&self) -> usize {
+        self.readers.len()
+    }
+
+    fn zone(&self, block: usize, column: &str) -> Option<ZoneMap> {
+        let (reader, local) = self.locate(block).ok()?;
+        reader
+            .footer
+            .zone(local, reader.schema().index_of(column).ok()?)
+    }
+
+    fn open(&self, block: usize) -> Result<BlockHandle<'a>> {
+        SegmentedTable::block_handle(self, block)
+    }
+
+    fn io(handle: &BlockHandle<'a>) -> Option<(bool, LoadCost)> {
+        Some((handle.loaded_columns() == 0, handle.cost.get()))
     }
 }
 
@@ -1351,6 +1244,15 @@ mod tests {
         writer.finish().unwrap()
     }
 
+    /// `bytes` as a reader and as the one-segment table over it.
+    fn one_segment(bytes: Vec<u8>) -> (Arc<TableReader>, SegmentedTable) {
+        let reader = Arc::new(TableReader::from_bytes(bytes).unwrap());
+        (
+            Arc::clone(&reader),
+            SegmentedTable::from_readers(vec![reader]),
+        )
+    }
+
     fn three_block_table() -> (Vec<DataBlock>, Vec<CompressedBlock>, Vec<u8>) {
         // Distinct value domains per block so zone maps differ.
         let mut raws = Vec::new();
@@ -1367,7 +1269,7 @@ mod tests {
     #[test]
     fn full_roundtrip_through_reader() {
         let (raws, blocks, bytes) = three_block_table();
-        let reader = TableReader::from_bytes(bytes).unwrap();
+        let (reader, table) = one_segment(bytes);
         assert_eq!(reader.n_blocks(), 3);
         assert_eq!(reader.rows_total(), 6_000);
         assert_eq!(reader.schema().len(), 7);
@@ -1376,7 +1278,7 @@ mod tests {
             assert_eq!(&back, block, "block {i}");
             for name in ["city", "zip", "l_receiptdate", "total"] {
                 assert_eq!(
-                    &reader.read_column(i, name).unwrap(),
+                    &table.read_column(i, name).unwrap(),
                     raw.column(name).unwrap(),
                     "block {i} column {name}"
                 );
@@ -1414,10 +1316,10 @@ mod tests {
         let (raw, cfg) = wide_block(20_000, 0);
         let block = CompressedBlock::compress(&raw, &cfg).unwrap();
         let bytes = table_bytes(std::slice::from_ref(&block));
-        let reader = TableReader::from_bytes(bytes).unwrap();
+        let (reader, table) = one_segment(bytes);
         // "total" pulls its whole multiref closure (total + fee + extra) yet
         // still skips the expensive date and string payloads.
-        let col = reader.read_column(0, "total").unwrap();
+        let col = table.read_column(0, "total").unwrap();
         assert_eq!(&col, raw.column("total").unwrap());
         let read = reader.bytes_read();
         assert!(read > 0);
@@ -1435,7 +1337,7 @@ mod tests {
     #[test]
     fn footer_pruning_reads_zero_bytes_and_matches_in_memory() {
         let (_raws, blocks, bytes) = three_block_table();
-        let reader = TableReader::from_bytes(bytes).unwrap();
+        let (reader, table) = one_segment(bytes);
         // Block domains: [8035, ~10k], [108035, ~110k], [208035, ~210k].
         for pred in [
             Predicate::between("l_shipdate", 108_000, 111_000), // middle only
@@ -1453,7 +1355,7 @@ mod tests {
             Predicate::str_eq("city", "Naples"),
         ] {
             let (want_sels, want_stats) = crate::scan::scan_blocks(&blocks, &pred).unwrap();
-            let (sels, stats) = reader.scan_blocks(&pred).unwrap();
+            let (sels, stats) = table.scan_blocks(&pred).unwrap();
             assert_eq!(sels, want_sels, "{pred:?}");
             assert_eq!(stats.blocks, want_stats.blocks);
             assert_eq!(stats.rows_total, want_stats.rows_total);
@@ -1463,21 +1365,19 @@ mod tests {
         // off-domain blocks' bytes entirely: only the middle block is
         // touched by a kernel.
         let before = reader.bytes_read();
-        let (_, stats) = reader
+        let (_, stats) = table
             .scan_blocks(&Predicate::between("l_shipdate", 108_000, 109_000))
             .unwrap();
         assert_eq!(stats.blocks_skipped_io, 2);
         assert_eq!(stats.blocks_pruned, 2);
         assert_eq!(stats.bytes_read, reader.bytes_read() - before);
         // A fully-pruned scan reads zero bytes.
-        let (sels, stats) = reader.scan_blocks(&Predicate::lt("l_shipdate", 0)).unwrap();
+        let (sels, stats) = table.scan_blocks(&Predicate::lt("l_shipdate", 0)).unwrap();
         assert_eq!(stats.blocks_skipped_io, 3);
         assert_eq!(stats.bytes_read, 0);
         assert!(sels.iter().all(SelectionVector::is_empty));
         // A covering scan also answers purely from the footer.
-        let (sels, stats) = reader
-            .scan_blocks(&Predicate::ge("l_shipdate", -5))
-            .unwrap();
+        let (sels, stats) = table.scan_blocks(&Predicate::ge("l_shipdate", -5)).unwrap();
         assert_eq!(stats.bytes_read, 0);
         assert_eq!(stats.blocks_skipped_io, 3);
         assert!(sels.iter().all(|s| s.len() == 2_000));
@@ -1486,29 +1386,30 @@ mod tests {
     #[test]
     fn store_scan_validates_like_in_memory() {
         let (_raws, _blocks, bytes) = three_block_table();
-        let reader = TableReader::from_bytes(bytes).unwrap();
+        let (_, table) = one_segment(bytes);
         // Unknown column: errors even though the scan would prune.
-        assert!(reader
+        assert!(table
             .scan_blocks(&Predicate::and(vec![
                 Predicate::lt("l_shipdate", 0),
                 Predicate::eq("typo", 1),
             ]))
             .is_err());
         // Type mismatches caught from footer tags alone.
-        assert!(reader.scan_blocks(&Predicate::eq("city", 1)).is_err());
-        assert!(reader.scan_blocks(&Predicate::str_eq("zip", "x")).is_err());
+        assert!(table.scan_blocks(&Predicate::eq("city", 1)).is_err());
+        assert!(table.scan_blocks(&Predicate::str_eq("zip", "x")).is_err());
     }
 
     #[test]
     fn scan_query_entry_points_match_block_paths() {
         let (_raws, blocks, bytes) = three_block_table();
         let reader = TableReader::from_bytes(bytes).unwrap();
+        let handle = reader.block_handle(0).unwrap();
         let pred = Predicate::between("l_receiptdate", 8_100, 8_300);
         let want = crate::scan::scan_query(&blocks[0], &pred, "l_receiptdate").unwrap();
-        let got = reader.scan_query(0, &pred, "l_receiptdate").unwrap();
+        let got = crate::scan::scan_query(&handle, &pred, "l_receiptdate").unwrap();
         assert_eq!(got, want);
         let want = crate::scan::scan_query_both(&blocks[0], &pred, "l_receiptdate").unwrap();
-        let got = reader.scan_query_both(0, &pred, "l_receiptdate").unwrap();
+        let got = crate::scan::scan_query_both(&handle, &pred, "l_receiptdate").unwrap();
         assert_eq!(got, want);
     }
 
@@ -1561,13 +1462,14 @@ mod tests {
     #[test]
     fn empty_table_roundtrips() {
         let bytes = table_bytes(&[]);
-        let reader = TableReader::from_bytes(bytes).unwrap();
+        let (reader, table) = one_segment(bytes);
         assert_eq!(reader.n_blocks(), 0);
-        assert_eq!(reader.rows_total(), 0);
-        let (sels, stats) = reader.scan_blocks(&Predicate::eq("x", 1)).unwrap();
+        assert_eq!(table.rows_total(), 0);
+        let (sels, stats) = table.scan_blocks(&Predicate::eq("x", 1)).unwrap();
         assert!(sels.is_empty());
         assert_eq!(stats.blocks, 0);
         assert!(reader.read_block(0).is_err());
+        assert!(table.read_block(0).is_err());
     }
 
     /// A per-test unique scratch directory (process id + counter), so
@@ -1594,16 +1496,17 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
         let reader = TableReader::open(&path).unwrap();
         assert_eq!(reader.file_bytes(), written);
+        let table = SegmentedTable::from_readers(vec![Arc::new(reader)]);
         for (i, raw) in raws.iter().enumerate() {
             assert_eq!(
-                &reader.read_column(i, "total").unwrap(),
+                &table.read_column(i, "total").unwrap(),
                 raw.column("total").unwrap()
             );
         }
         let pred = Predicate::between("l_shipdate", 108_000, 111_000);
-        let (sels, stats) = reader.scan_blocks(&pred).unwrap();
-        let mem_reader = TableReader::from_bytes(bytes).unwrap();
-        let (mem_sels, mem_stats) = mem_reader.scan_blocks(&pred).unwrap();
+        let (sels, stats) = table.scan_blocks(&pred).unwrap();
+        let (_, mem_table) = one_segment(bytes);
+        let (mem_sels, mem_stats) = mem_table.scan_blocks(&pred).unwrap();
         assert_eq!(sels, mem_sels);
         assert_eq!(stats, mem_stats);
         std::fs::remove_dir_all(&dir).ok();

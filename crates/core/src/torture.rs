@@ -17,10 +17,12 @@
 //! [`SweepReport`] so callers can assert the sweep actually exercised
 //! detection paths.
 
+use std::sync::Arc;
+
 use crate::aggregate::AggExpr;
 use crate::io::checksum64;
-use crate::scan::Predicate;
-use crate::store::TableReader;
+use crate::scan::{scan, Predicate};
+use crate::store::{SegmentedTable, TableReader};
 
 /// Tuning knobs for [`corruption_sweep`].
 #[derive(Debug, Clone)]
@@ -137,25 +139,27 @@ fn fp<T: std::fmt::Debug>(result: corra_columnar::error::Result<T>) -> Option<u6
 /// Runs the full operation suite, or `None` when the file does not open.
 fn run_ops(bytes: &[u8], plan: &OpPlan) -> Option<Vec<Option<u64>>> {
     let reader = TableReader::from_bytes(bytes.to_vec()).ok()?;
+    let table = SegmentedTable::from_readers(vec![Arc::new(reader)]);
     let mut out = Vec::new();
     for b in 0..plan.n_blocks {
-        out.push(fp(reader.read_block(b)));
+        out.push(fp(table.read_block(b)));
         if let Some((col, mid)) = &plan.int_col {
-            out.push(fp(reader.read_column(b, col)));
-            out.push(fp(reader.scan(b, &Predicate::ge(col, *mid))));
+            out.push(fp(table.read_column(b, col)));
+            let pred = Predicate::ge(col, *mid);
+            out.push(fp(table.block_handle(b).and_then(|h| scan(&h, &pred))));
         }
         if let Some(col) = &plan.str_col {
-            out.push(fp(reader.read_column(b, col)));
+            out.push(fp(table.read_column(b, col)));
         }
     }
     if let Some((col, mid)) = &plan.int_col {
-        out.push(fp(reader.aggregate(&AggExpr::sum(col)).map(|(r, _)| r)));
-        out.push(fp(reader.aggregate(&AggExpr::min(col)).map(|(r, _)| r)));
-        out.push(fp(reader
+        out.push(fp(table.aggregate(&AggExpr::sum(col)).map(|(r, _)| r)));
+        out.push(fp(table.aggregate(&AggExpr::min(col)).map(|(r, _)| r)));
+        out.push(fp(table
             .aggregate(&AggExpr::count().with_filter(Predicate::ge(col, *mid)))
             .map(|(r, _)| r)));
         if let Some(group) = &plan.str_col {
-            out.push(fp(reader
+            out.push(fp(table
                 .aggregate(&AggExpr::sum(col).with_group_by(group))
                 .map(|(r, _)| r)));
         }

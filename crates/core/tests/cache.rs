@@ -8,7 +8,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{mixed_block, small_table};
+use common::{mixed_block, one_segment, small_table};
 use corra_core::cache::{CacheConfig, ShardedCache};
 use corra_core::io::{FaultPlan, FaultyBackend, MemBackend};
 use corra_core::store::{TableReader, TableWriter};
@@ -46,13 +46,13 @@ fn mixed_requests(n_blocks: usize) -> Vec<ServeRequest> {
 #[test]
 fn cached_repeat_traffic_is_byte_identical_and_cheaper() {
     let bytes = wide_table();
-    let oracle = TableReader::from_bytes(bytes.clone()).unwrap();
+    let oracle = one_segment(TableReader::from_bytes(bytes.clone()).unwrap());
     let cache = Arc::new(ShardedCache::new(CacheConfig::with_budget(64 << 20)));
-    let reader = Arc::new(
+    let reader = Arc::new(one_segment(
         TableReader::from_bytes(bytes)
             .unwrap()
             .with_cache(Arc::clone(&cache)),
-    );
+    ));
     let session = ServeSession::new(Arc::clone(&reader));
     let requests = mixed_requests(reader.n_blocks());
 
@@ -87,7 +87,9 @@ fn cached_repeat_traffic_is_byte_identical_and_cheaper() {
 fn serve_results_identical_for_every_thread_count() {
     let bytes = wide_table();
     let cache = Arc::new(ShardedCache::new(CacheConfig::with_budget(64 << 20)));
-    let reader = Arc::new(TableReader::from_bytes(bytes).unwrap().with_cache(cache));
+    let reader = Arc::new(one_segment(
+        TableReader::from_bytes(bytes).unwrap().with_cache(cache),
+    ));
     let session = ServeSession::new(Arc::clone(&reader));
     let requests = mixed_requests(reader.n_blocks());
     let want = session.run(&requests, 1).unwrap();
@@ -105,17 +107,17 @@ fn serve_results_identical_for_every_thread_count() {
 #[test]
 fn concurrent_stress_under_tiny_budget_matches_uncached_oracle() {
     let bytes = wide_table();
-    let oracle = TableReader::from_bytes(bytes.clone()).unwrap();
+    let oracle = one_segment(TableReader::from_bytes(bytes.clone()).unwrap());
 
     // A budget sized to hold *some* entries but nowhere near all of them:
     // half of one block's segment, single shard — every worker's fill
     // shoves out someone else's entry, which is exactly the churn we want.
-    let seg0 = oracle.footer().blocks[0].len;
+    let seg0 = oracle.segments()[0].footer().blocks[0].len;
     let cache = Arc::new(ShardedCache::new(CacheConfig {
         byte_budget: seg0 / 2,
         shards: 1,
     }));
-    let reader = Arc::new(
+    let reader = one_segment(
         TableReader::from_bytes(bytes)
             .unwrap()
             .with_cache(Arc::clone(&cache)),
@@ -198,9 +200,11 @@ fn faulty_backend_stats_stay_visible_through_the_cache_layer() {
     let plan = FaultPlan::none(0xFEED).with_short_reads(0.5);
     let backend = Arc::new(FaultyBackend::new(MemBackend::new(bytes), plan));
     let cache = Arc::new(ShardedCache::new(CacheConfig::with_budget(64 << 20)));
-    let reader = TableReader::from_backend(Box::new(Arc::clone(&backend)))
-        .unwrap()
-        .with_cache(Arc::clone(&cache));
+    let reader = one_segment(
+        TableReader::from_backend(Box::new(Arc::clone(&backend)))
+            .unwrap()
+            .with_cache(Arc::clone(&cache)),
+    );
 
     let expr = AggExpr::sum("total").with_group_by("city");
     let (want, _) = reader.aggregate(&expr).unwrap();
@@ -229,7 +233,7 @@ fn hostile_fills_error_and_never_poison_the_cache() {
     let backend = FaultyBackend::new(MemBackend::new(bytes), plan);
     let cache = Arc::new(ShardedCache::new(CacheConfig::with_budget(64 << 20)));
     if let Ok(reader) = TableReader::from_backend(Box::new(backend)) {
-        let reader = reader.with_cache(Arc::clone(&cache));
+        let reader = one_segment(reader.with_cache(Arc::clone(&cache)));
         for b in 0..reader.n_blocks() {
             assert!(reader.read_block(b).is_err());
             assert!(reader.read_column(b, "total").is_err());

@@ -13,7 +13,9 @@ pub use corra_core::torture::{corruption_sweep, SweepOptions};
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::{Column, DataType};
 use corra_columnar::schema::{Field, Schema};
-use corra_core::store::TableWriter;
+use std::sync::Arc;
+
+use corra_core::store::{SegmentedTable, TableReader, TableWriter};
 use corra_core::{ColumnPlan, CompressedBlock, CompressionConfig};
 
 /// A block exercising every codec family the block format serializes:
@@ -111,4 +113,9 @@ pub fn small_table() -> (Vec<DataBlock>, Vec<CompressedBlock>, Vec<u8>) {
     }
     let bytes = writer.finish().unwrap();
     (raws, blocks, bytes)
+}
+
+/// One table file as a table: the one-segment [`SegmentedTable`].
+pub fn one_segment(reader: TableReader) -> SegmentedTable {
+    SegmentedTable::from_readers(vec![Arc::new(reader)])
 }

@@ -201,10 +201,7 @@ fn append_compact_read_matches_write_once_baseline() {
     }
     let bytes = writer.finish().unwrap();
     let baseline = TableReader::from_backend(Box::new(MemBackend::new(bytes))).unwrap();
-    let mut expected = Vec::new();
-    for b in 0..baseline.footer().blocks.len() {
-        expected.extend_from_slice(baseline.read_column(b, "v").unwrap().as_i64().unwrap());
-    }
+    let expected = read_all_segmented(&SegmentedTable::from_readers(vec![Arc::new(baseline)]));
 
     assert_eq!(ingested, expected);
     assert_eq!(ingested, (0..1000).collect::<Vec<i64>>());

@@ -20,6 +20,7 @@ mod common;
 
 use std::collections::BTreeMap;
 
+use common::one_segment;
 use corra_columnar::aggregate::{IntAggState, StrAggState};
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::{Column, DataType};
@@ -478,7 +479,7 @@ proptest! {
         for b in &blocks {
             writer.write_block(b).unwrap();
         }
-        let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
+        let reader = one_segment(TableReader::from_bytes(writer.finish().unwrap()).unwrap());
         for expr in [
             AggExpr::count(),
             AggExpr::sum("target"),
@@ -544,7 +545,7 @@ fn sum_overflow_edges_are_exact_serial_and_parallel() {
     for block in &blocks {
         writer.write_block(block).unwrap();
     }
-    let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
+    let reader = one_segment(TableReader::from_bytes(writer.finish().unwrap()).unwrap());
     for expr in [AggExpr::sum("v"), AggExpr::avg("v"), AggExpr::min("v")] {
         let (want, want_stats) = aggregate_blocks(&blocks, &expr).unwrap();
         let (got, stats) = reader.aggregate(&expr).unwrap();
@@ -601,7 +602,7 @@ fn date_table(salts: &[i64]) -> (Vec<CompressedBlock>, Vec<u8>) {
 #[test]
 fn store_min_max_count_over_covered_blocks_reads_zero_bytes() {
     let (blocks, bytes) = date_table(&[0, 100_000, 200_000]);
-    let reader = TableReader::from_bytes(bytes).unwrap();
+    let reader = one_segment(TableReader::from_bytes(bytes).unwrap());
     for expr in [
         AggExpr::count(),
         AggExpr::min("l_shipdate"),
@@ -652,7 +653,7 @@ fn store_min_max_count_over_covered_blocks_reads_zero_bytes() {
 #[test]
 fn store_aggregate_validates_like_in_memory() {
     let (_, bytes) = date_table(&[0]);
-    let reader = TableReader::from_bytes(bytes).unwrap();
+    let reader = one_segment(TableReader::from_bytes(bytes).unwrap());
     assert!(reader.aggregate(&AggExpr::sum("nope")).is_err());
     assert!(reader
         .aggregate(&AggExpr::count().with_filter(Predicate::eq("typo", 1)))
@@ -698,7 +699,7 @@ fn aggregate_paths_survive_corruption_sweep() {
 #[test]
 fn store_count_on_string_column_merges_across_mixed_verdicts() {
     let (blocks, bytes) = date_table(&[0, 100_000]);
-    let reader = TableReader::from_bytes(bytes).unwrap();
+    let reader = one_segment(TableReader::from_bytes(bytes).unwrap());
     // Block 0 straddles 8_500 (Partial → kernel), block 1 is fully
     // covered (All → footer fast path).
     let expr = AggExpr::of(AggFunc::Count, "city").with_filter(Predicate::ge("l_shipdate", 8_500));

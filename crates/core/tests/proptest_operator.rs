@@ -13,7 +13,7 @@ use corra_columnar::column::{Column, DataType};
 use corra_columnar::error::Error;
 use corra_columnar::schema::{Field, Schema};
 use corra_core::ingest::{IngestConfig, IngestTable};
-use corra_core::store::{TableReader, TableWriter};
+use corra_core::store::{SegmentedTable, TableReader, TableWriter};
 use corra_core::vfs::SimVfs;
 use corra_core::{
     gather_rows, gather_rows_with, hash_join_blocks, top_k_blocks, ColumnPlan, CompressedBlock,
@@ -64,13 +64,15 @@ fn str_blocks(name: &str, values: &[&str], block_rows: usize) -> Vec<CompressedB
         .collect()
 }
 
-/// Streams blocks into an in-memory table file and reopens it.
-fn store_reader(blocks: &[CompressedBlock]) -> TableReader {
+/// Streams blocks into an in-memory table file and reopens it as the
+/// one-segment table.
+fn store_reader(blocks: &[CompressedBlock]) -> SegmentedTable {
     let mut writer = TableWriter::new(Vec::new()).unwrap();
     for b in blocks {
         writer.write_block(b).unwrap();
     }
-    TableReader::from_bytes(writer.finish().unwrap()).unwrap()
+    let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
+    SegmentedTable::from_readers(vec![Arc::new(reader)])
 }
 
 /// The decompress-then-sort oracle: filter, stable-order by (value,

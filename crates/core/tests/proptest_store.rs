@@ -121,7 +121,7 @@ proptest! {
         for name in ["city", "zip", "reference", "target", "fee", "extra", "total"] {
             // Fresh handle per column: the projected load path runs from
             // scratch (payload + reference closure only).
-            let projected = reader.read_column(0, name).unwrap();
+            let projected = reader.block_handle(0).unwrap().decompress(name).unwrap();
             let full = reader.read_block(0).unwrap().decompress(name).unwrap();
             prop_assert_eq!(&projected, &full);
             prop_assert_eq!(&projected, raw.column(name).unwrap());
@@ -149,7 +149,7 @@ proptest! {
         for b in &blocks {
             writer.write_block(b).unwrap();
         }
-        let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
+        let reader = common::one_segment(TableReader::from_bytes(writer.finish().unwrap()).unwrap());
         let _ = raw;
         for pred in [
             Predicate::between("target", lo, lo + width),

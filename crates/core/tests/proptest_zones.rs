@@ -18,13 +18,16 @@
 //!   fold outside it or without a zone — and all three equal a naive
 //!   `i128` oracle, in memory and from a table.
 
+mod common;
+
+use common::one_segment;
 use corra_columnar::aggregate::IntAggState;
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::{Column, DataType};
 use corra_columnar::error::Error;
 use corra_columnar::schema::{Field, Schema};
 use corra_columnar::stats::ZoneMap;
-use corra_core::store::{TableReader, TableWriter};
+use corra_core::store::{SegmentedTable, TableReader, TableWriter};
 use corra_core::{
     aggregate_blocks, checksum64, scan_blocks, top_k_blocks, AggExpr, AggFunc, AggResult, AggValue,
     BlockView, ColumnPlan, CompressedBlock, CompressionConfig, NonHierInt, Predicate, TopKExpr,
@@ -173,7 +176,7 @@ fn min_max_answer_from_zones_for_every_plan_kind() {
             "{column}"
         );
     }
-    let reader = TableReader::from_bytes(table_bytes(&blocks)).unwrap();
+    let reader = one_segment(TableReader::from_bytes(table_bytes(&blocks)).unwrap());
     for (column, _) in PLANNED {
         for max in [false, true] {
             let expr = if max {
@@ -207,7 +210,7 @@ fn descending_top_k_over_nonhier_skips_all_but_the_best_block() {
     let (rows, stats) = top_k_blocks(&blocks, &expr).unwrap();
     assert_eq!(rows.iter().map(|r| r.value).collect::<Vec<_>>(), want);
     assert_eq!(stats.blocks_pruned, n_blocks - 1);
-    let reader = TableReader::from_bytes(table_bytes(&blocks)).unwrap();
+    let reader = one_segment(TableReader::from_bytes(table_bytes(&blocks)).unwrap());
     let (store_rows, stats) = reader.top_k(&expr).unwrap();
     assert_eq!(store_rows, rows);
     assert_eq!(stats.blocks_skipped_io, n_blocks - 1);
@@ -245,7 +248,8 @@ fn covering_footer_zones_of_older_writers_read_as_absent() {
     let clean = TableReader::from_bytes(bytes.clone()).unwrap();
     let idx = clean.schema().index_of("for").unwrap();
     widen_as_covering(&mut bytes, &clean, idx, 500);
-    let reader = TableReader::from_bytes(bytes).unwrap();
+    let table = one_segment(TableReader::from_bytes(bytes).unwrap());
+    let reader = &table.segments()[0];
     for b in 0..3 {
         assert_eq!(reader.footer().zone(b, idx), None);
         let block = reader.read_block(b).unwrap();
@@ -267,7 +271,7 @@ fn covering_footer_zones_of_older_writers_read_as_absent() {
         } else {
             AggExpr::min("for")
         };
-        let (got, stats) = reader.aggregate(&expr).unwrap();
+        let (got, stats) = table.aggregate(&expr).unwrap();
         assert_eq!(got, oracle(&raws, "for", max), "{expr:?}");
         assert!(
             stats.bytes_read > 0,
@@ -289,12 +293,12 @@ fn covering_footer_zones_of_older_writers_read_as_absent() {
         Predicate::between("for", 1_000_000, 1_000_400),
     ] {
         let (want, _) = scan_blocks(&blocks, &pred).unwrap();
-        let (got, _) = reader.scan_blocks(&pred).unwrap();
+        let (got, _) = table.scan_blocks(&pred).unwrap();
         assert_eq!(got, want, "{pred:?}");
     }
     let expr = TopKExpr::desc("for", 5);
     assert_eq!(
-        reader.top_k(&expr).unwrap().0,
+        table.top_k(&expr).unwrap().0,
         top_k_blocks(&blocks, &expr).unwrap().0
     );
 }
@@ -456,7 +460,7 @@ fn exact(raws: &[DataBlock], column: &str, func: AggFunc) -> AggResult {
 fn check_sums(
     raws: &[DataBlock],
     blocks: &[CompressedBlock],
-    reader: &TableReader,
+    reader: &SegmentedTable,
 ) -> Result<(), TestCaseError> {
     for (field, column) in raws[0].schema().fields().iter().zip(raws[0].columns()) {
         if !matches!(column, Column::Int64(_)) {
@@ -511,7 +515,7 @@ proptest! {
                 (raw, block)
             })
             .unzip();
-        let reader = TableReader::from_bytes(table_bytes(&blocks)).unwrap();
+        let reader = one_segment(TableReader::from_bytes(table_bytes(&blocks)).unwrap());
         check_sums(&raws, &blocks, &reader)?;
 
         // Every plan kind on data inside the bound, then with the `for`
@@ -524,16 +528,16 @@ proptest! {
             })
             .unzip();
         let mut bytes = table_bytes(&blocks);
-        let reader = TableReader::from_bytes(bytes.clone()).unwrap();
+        let reader = one_segment(TableReader::from_bytes(bytes.clone()).unwrap());
         check_sums(&raws, &blocks, &reader)?;
         for column in ["for", "nonhier"] {
-            let idx = reader.schema().index_of(column).unwrap();
             let clean = TableReader::from_bytes(bytes.clone()).unwrap();
+            let idx = clean.schema().index_of(column).unwrap();
             widen_as_covering(&mut bytes, &clean, idx, 0);
         }
         let reader = TableReader::from_bytes(bytes).unwrap();
         prop_assert_eq!(reader.footer().zone(0, reader.schema().index_of("nonhier").unwrap()), None);
-        check_sums(&raws, &blocks, &reader)?;
+        check_sums(&raws, &blocks, &one_segment(reader))?;
 
         // The NonHier identity on the codec, at a chosen diff width: the
         // window-planned encode for widths 0 and 5 (with outliers at both
@@ -612,7 +616,9 @@ fn sums_past_the_i64_domain_take_the_exact_fold() {
                 },
             );
         let block = CompressedBlock::compress(&raw, &cfg).unwrap();
-        let reader = TableReader::from_bytes(table_bytes(std::slice::from_ref(&block))).unwrap();
+        let reader = one_segment(
+            TableReader::from_bytes(table_bytes(std::slice::from_ref(&block))).unwrap(),
+        );
         for column in ["for", "dict", "plain", "full", "nonhier", "total"] {
             let want = AggResult::Scalar(AggValue::Sum(Some(i128::from(sign) << 64)));
             let got = aggregate_blocks(std::slice::from_ref(&block), &AggExpr::sum(column));
@@ -639,7 +645,7 @@ fn sums_past_the_i64_domain_take_the_exact_fold() {
 fn count_of_a_column_reads_no_payload() {
     let n_blocks = 3;
     let (raws, blocks) = plan_table(n_blocks);
-    let reader = TableReader::from_bytes(table_bytes(&blocks)).unwrap();
+    let reader = one_segment(TableReader::from_bytes(table_bytes(&blocks)).unwrap());
     for (column, _) in PLANNED {
         let expr = AggExpr::of(AggFunc::Count, column);
         let want = exact(&raws, column, AggFunc::Count);

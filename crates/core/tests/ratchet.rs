@@ -155,6 +155,42 @@ fn query_operators_have_one_serial_body() {
 }
 
 #[test]
+fn a_table_file_is_the_one_segment_table() {
+    // One whole-table type: a `TableReader` is one segment file (footer,
+    // full block reads, lazy handles), and `SegmentedTable` — one file
+    // being the one-segment case — runs every whole-table operator over a
+    // block map built once, when the table is assembled. The serve front
+    // door holds a `SegmentedTable`, so no trait covers two table types
+    // and no call flattens the segments' block lists again.
+    for (path, source) in crate_sources() {
+        for retired in ["ServeSource", "Segments::new(", "struct Segments"] {
+            assert!(
+                !source.contains(retired),
+                "{} brings back `{retired}`; serve and query a SegmentedTable",
+                path.display()
+            );
+        }
+    }
+    let store = library_part(include_str!("../src/store.rs"));
+    for op in [
+        "pub fn scan_blocks(",
+        "pub fn aggregate(",
+        "pub fn top_k(",
+        "pub fn gather_rows(",
+        "pub fn hash_join(",
+        "pub fn read_column(",
+        "BlockSource for",
+    ] {
+        assert_eq!(
+            store.matches(op).count(),
+            1,
+            "store.rs must define `{op}` once, on SegmentedTable; a table \
+             file is the one-segment table"
+        );
+    }
+}
+
+#[test]
 fn zones_are_recorded_at_encode_not_derived_per_codec() {
     // A zone is data: `CompressedBlock::compress` records each integer
     // column's exact min / max, the footer carries it, and every reader

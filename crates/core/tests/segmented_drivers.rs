@@ -1,14 +1,17 @@
 //! The store's whole-table operators run over one global block list, so a
 //! table of single-block segments — every un-compacted append — answers
-//! exactly like one file holding the same blocks: scan, aggregate, TOP-K
-//! and join.
+//! exactly like one file holding the same blocks: scan, aggregate, TOP-K,
+//! join, and every point read by global block number.
 
 mod common;
 
 use std::sync::Arc;
 
+use corra_columnar::error::{Error, Result};
 use corra_core::store::{SegmentedTable, TableReader, TableWriter};
-use corra_core::{AggExpr, CompressedBlock, JoinExpr, Predicate, TopKExpr};
+use corra_core::{
+    AggExpr, CompressedBlock, JoinExpr, Predicate, ServeRequest, ServeSession, TopKExpr,
+};
 
 const SEGMENTS: usize = 10;
 
@@ -110,8 +113,8 @@ fn segmented_drivers_match_one_file_over_single_block_segments() {
     );
 }
 
-/// The same blocks as [`segmented`], in one file.
-fn single_file() -> TableReader {
+/// The same blocks as [`segmented`], in one file: the one-segment table.
+fn single_file() -> SegmentedTable {
     let mut writer = TableWriter::new(Vec::new()).unwrap();
     for seg in 0..SEGMENTS {
         let (raw, cfg) = common::mixed_block(32, seg as i64 * 10_000);
@@ -119,5 +122,66 @@ fn single_file() -> TableReader {
             .write_block(&CompressedBlock::compress(&raw, &cfg).unwrap())
             .unwrap();
     }
-    TableReader::from_bytes(writer.finish().unwrap()).unwrap()
+    common::one_segment(TableReader::from_bytes(writer.finish().unwrap()).unwrap())
+}
+
+/// A table file with no blocks.
+fn empty_segment() -> Arc<TableReader> {
+    let bytes = TableWriter::new(Vec::new()).unwrap().finish().unwrap();
+    Arc::new(TableReader::from_bytes(bytes).unwrap())
+}
+
+fn is_out_of_bounds<T: std::fmt::Debug>(result: Result<T>, len: usize) -> bool {
+    matches!(result, Err(Error::IndexOutOfBounds { index, len: l }) if index == len && l == len)
+}
+
+#[test]
+fn global_block_numbers_address_the_same_blocks_as_one_file() {
+    let single = single_file();
+    let names: Vec<String> = single.segments()[0]
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| f.name().to_owned())
+        .collect();
+    // Empty segments own no block number: interleaved at the start, the
+    // middle and the end, they shift nothing.
+    let mut readers: Vec<Arc<TableReader>> = segment_bytes()
+        .into_iter()
+        .map(|bytes| Arc::new(TableReader::from_bytes(bytes).unwrap()))
+        .collect();
+    for at in [SEGMENTS, SEGMENTS / 2, 0] {
+        readers.insert(at, empty_segment());
+    }
+    let padded = SegmentedTable::from_readers(readers);
+    assert_eq!(padded.n_segments(), SEGMENTS + 3);
+    for table in [segmented(), padded] {
+        assert_eq!(table.n_blocks(), single.n_blocks());
+        for b in 0..table.n_blocks() {
+            assert_eq!(
+                table.read_block(b).unwrap(),
+                single.read_block(b).unwrap(),
+                "block {b}"
+            );
+            let handle = table.block_handle(b).unwrap();
+            for name in &names {
+                let want = single.read_column(b, name).unwrap();
+                assert_eq!(
+                    table.read_column(b, name).unwrap(),
+                    want,
+                    "block {b} {name}"
+                );
+                assert_eq!(handle.decompress(name).unwrap(), want, "block {b} {name}");
+            }
+        }
+        let n = table.n_blocks();
+        assert!(is_out_of_bounds(table.read_block(n), n));
+        assert!(is_out_of_bounds(table.read_column(n, "fee"), n));
+        assert!(is_out_of_bounds(table.block_handle(n).map(|_| ()), n));
+        let session = ServeSession::new(Arc::new(table));
+        assert!(is_out_of_bounds(
+            session.run(&[ServeRequest::point(n, "fee")], 1),
+            n
+        ));
+    }
 }

@@ -25,7 +25,7 @@ fn blocks() -> Vec<CompressedBlock> {
         .collect()
 }
 
-fn file_of(blocks: &[CompressedBlock]) -> TableReader {
+fn reader_of(blocks: &[CompressedBlock]) -> TableReader {
     let mut writer = TableWriter::new(Vec::new()).unwrap();
     for block in blocks {
         writer.write_block(block).unwrap();
@@ -33,11 +33,16 @@ fn file_of(blocks: &[CompressedBlock]) -> TableReader {
     TableReader::from_bytes(writer.finish().unwrap()).unwrap()
 }
 
+/// The blocks in one table file: the one-segment table.
+fn file_of(blocks: &[CompressedBlock]) -> SegmentedTable {
+    common::one_segment(reader_of(blocks))
+}
+
 /// The same blocks as one single-block segment each.
 fn segmented_of(blocks: &[CompressedBlock]) -> SegmentedTable {
     let readers = blocks
         .iter()
-        .map(|b| Arc::new(file_of(std::slice::from_ref(b))))
+        .map(|b| Arc::new(reader_of(std::slice::from_ref(b))))
         .collect();
     SegmentedTable::from_readers(readers)
 }

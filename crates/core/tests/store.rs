@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{corruption_sweep, mixed_block, small_table, SweepOptions};
+use common::{corruption_sweep, mixed_block, one_segment, small_table, SweepOptions};
 use std::sync::Arc;
 
 use corra_columnar::selection::SelectionVector;
@@ -61,11 +61,11 @@ fn short_reads_are_healed_by_the_read_loop() {
     // that returns partial reads on most calls must be fully transparent —
     // same results as the clean reader, no errors, nothing silently wrong.
     let (raws, blocks, bytes) = small_table();
-    let clean = TableReader::from_bytes(bytes.clone()).unwrap();
+    let clean = one_segment(TableReader::from_bytes(bytes.clone()).unwrap());
     let plan = FaultPlan::none(0xC0FFEE).with_short_reads(0.85);
     assert!(plan.is_benign());
     let faulty = FaultyBackend::new(MemBackend::new(bytes), plan);
-    let reader = TableReader::from_backend(Box::new(faulty)).unwrap();
+    let reader = one_segment(TableReader::from_backend(Box::new(faulty)).unwrap());
     for (i, raw) in raws.iter().enumerate() {
         assert_eq!(&reader.read_block(i).unwrap(), &blocks[i]);
         for name in ["city", "note", "zip", "l_receiptdate", "total", "sparse"] {
@@ -93,7 +93,7 @@ fn hostile_fault_backends_error_and_never_serve_wrong_data() {
     // either error or return the clean result; and the fault schedule is
     // deterministic, so two identical runs agree outcome-for-outcome.
     let (_, _, bytes) = small_table();
-    let clean = TableReader::from_bytes(bytes.clone()).unwrap();
+    let clean = one_segment(TableReader::from_bytes(bytes.clone()).unwrap());
     let clean_sum = clean.aggregate(&AggExpr::sum("total")).unwrap().0;
     let run = |seed: u64| {
         let plan = FaultPlan::none(seed)
@@ -104,6 +104,7 @@ fn hostile_fault_backends_error_and_never_serve_wrong_data() {
         match TableReader::from_backend(Box::new(faulty)) {
             Err(e) => outcomes.push(format!("open: {e}")),
             Ok(reader) => {
+                let reader = one_segment(reader);
                 for b in 0..reader.n_blocks() {
                     outcomes.push(match reader.read_column(b, "total") {
                         Ok(col) => format!("col{b}: {col:?}"),
@@ -196,17 +197,17 @@ fn pruned_store_scan_reads_zero_bytes_and_matches_serial_in_memory() {
     for b in &blocks {
         writer.write_block(b).unwrap();
     }
-    let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
+    let table = one_segment(TableReader::from_bytes(writer.finish().unwrap()).unwrap());
     // Straddles only the middle block's domain.
     let pred = Predicate::between("l_shipdate", 108_000, 109_000);
     let (want_sels, want_stats) = scan_blocks(&blocks, &pred).unwrap();
-    let (sels, stats) = reader.scan_blocks(&pred).unwrap();
+    let (sels, stats) = table.scan_blocks(&pred).unwrap();
     assert_eq!(sels, want_sels, "selections must be byte-identical");
     assert_eq!(stats.rows_matched, want_stats.rows_matched);
     assert_eq!(stats.blocks_skipped_io, 2, "two blocks pruned via footer");
     // Zero bytes of the pruned blocks were read: everything fetched lies
     // within the middle block's segment.
-    let middle = &reader.footer().blocks[1];
+    let middle = &table.segments()[0].footer().blocks[1];
     let touched = stats.bytes_read;
     assert!(touched > 0);
     assert!(
@@ -215,7 +216,7 @@ fn pruned_store_scan_reads_zero_bytes_and_matches_serial_in_memory() {
         middle.len
     );
     // Fully disjoint predicate: zero bytes total.
-    let (sels, stats) = reader.scan_blocks(&Predicate::lt("l_shipdate", 0)).unwrap();
+    let (sels, stats) = table.scan_blocks(&Predicate::lt("l_shipdate", 0)).unwrap();
     assert_eq!(stats.bytes_read, 0);
     assert_eq!(stats.blocks_skipped_io, 3);
     assert!(sels.iter().all(SelectionVector::is_empty));
@@ -224,11 +225,12 @@ fn pruned_store_scan_reads_zero_bytes_and_matches_serial_in_memory() {
 }
 
 /// A one-column `ts` table of 512-row blocks, three ways: compressed in
-/// memory, as one file, and as `segments` appended segments.
+/// memory, as one file (the one-segment table), and as `segments` appended
+/// segments.
 fn ts_tables(
     values: Vec<i64>,
     segments: usize,
-) -> (Vec<CompressedBlock>, TableReader, SegmentedTable) {
+) -> (Vec<CompressedBlock>, SegmentedTable, SegmentedTable) {
     let block_rows = 512;
     let schema = Schema::new(vec![Field::new("ts", DataType::Timestamp)]).unwrap();
     let table = |rows: &[i64]| Table::new(schema.clone(), vec![Column::Int64(rows.to_vec())]);
@@ -242,7 +244,7 @@ fn ts_tables(
     for b in &blocks {
         writer.write_block(b).unwrap();
     }
-    let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
+    let reader = one_segment(TableReader::from_bytes(writer.finish().unwrap()).unwrap());
     let config = IngestConfig {
         block_rows,
         ..IngestConfig::default()

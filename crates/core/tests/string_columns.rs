@@ -3,19 +3,20 @@
 //! hierarchical column (`HierStr`) under an integer and under a string
 //! dictionary parent. Each answer is checked on the in-memory block, on
 //! the block after `to_bytes` / `from_bytes`, and through a table file
-//! (lazy block handles and the reader's own drivers). Block lengths reach
+//! (lazy block handles and the table's drivers). Block lengths reach
 //! past two 1 024-row unpack chunks, so the Hier entry stream crosses two
 //! chunk boundaries. A serialized pool whose offsets split a character is
 //! `Err(Corrupt)` at `from_bytes` for every string codec.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::{Column, DataType};
 use corra_columnar::error::Error;
 use corra_columnar::schema::{Field, Schema};
 use corra_columnar::selection::SelectionVector;
-use corra_core::store::{TableReader, TableWriter};
+use corra_core::store::{SegmentedTable, TableReader, TableWriter};
 use corra_core::{
     aggregate, decompress_column, query_both, query_column, scan, AggExpr, AggFunc, AggResult,
     AggValue, BlockView, ColumnPlan, CompressedBlock, CompressionConfig, GroupKey, Predicate,
@@ -248,10 +249,12 @@ fn check_view<B: BlockView + ?Sized>(label: &str, view: &B, raw: &Raw) {
     }
 }
 
-fn file_of(block: &CompressedBlock) -> TableReader {
+/// `block` in a table file, as the one-segment table.
+fn file_of(block: &CompressedBlock) -> SegmentedTable {
     let mut writer = TableWriter::new(Vec::new()).unwrap();
     writer.write_block(block).unwrap();
-    TableReader::from_bytes(writer.finish().unwrap()).unwrap()
+    let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
+    SegmentedTable::from_readers(vec![Arc::new(reader)])
 }
 
 #[test]

@@ -35,8 +35,8 @@ use corra_core::vfs::{SimVfs, Vfs};
 use corra_core::{
     aggregate_blocks, compact, corruption_sweep, hash_join_blocks, scan_blocks, top_k_blocks,
     AggExpr, AggFunc, AggResult, ColumnPlan, CompactionConfig, CompressedBlock, CompressionConfig,
-    FaultPlan, FaultyBackend, JoinExpr, JoinPair, MemBackend, Predicate, SweepOptions, TopKExpr,
-    TopKRow,
+    FaultPlan, FaultyBackend, JoinExpr, JoinPair, MemBackend, Predicate, ScanStats, SweepOptions,
+    TopKExpr, TopKRow,
 };
 use corra_datagen::{
     taxi, DmvParams, DmvTable, LineitemDates, MessageParams, MessageTable, TaxiParams, TaxiTable,
@@ -250,11 +250,13 @@ impl Scenario {
     /// Clean differential pass: store reader + in-memory engine vs the
     /// model, for every operation. Returns the result fingerprint.
     pub fn verify_clean(&self) -> Result<u64, SimFailure> {
-        let reader = TableReader::from_bytes(self.bytes.clone())
+        let table = TableReader::from_bytes(self.bytes.clone())
+            .map(one_segment)
             .map_err(|e| self.fail(format!("clean open failed: {e}")))?;
         let mut fp = fnv1a64(b"corra-sim");
         for (i, (op, want)) in self.ops.iter().zip(&self.expected).enumerate() {
-            let got = run_op(&reader, op).map_err(|e| self.fail(format!("op {i} {op:?}: {e}")))?;
+            let (got, _) =
+                run_op(&table, op).map_err(|e| self.fail(format!("op {i} {op:?}: {e}")))?;
             if &got != want {
                 return Err(self.fail(format!(
                     "op {i} {op:?}: engine disagrees with model\n  got  {got:?}\n  want {want:?}"
@@ -315,18 +317,20 @@ impl Scenario {
             let reader = TableReader::from_bytes(self.bytes.clone())
                 .map_err(|e| self.fail(format!("cached open failed: {e}")))?
                 .with_cache(Arc::clone(&cache));
+            let reader = Arc::new(reader);
+            let table = SegmentedTable::from_readers(vec![Arc::clone(&reader)]);
             for pass in ["cold", "warm"] {
                 let before = reader.bytes_read();
                 let mut hits = 0u64;
                 for (i, (op, want)) in self.ops.iter().zip(&self.expected).enumerate() {
-                    let (got, stats) = run_op_counted(&reader, op)
+                    let (got, stats) = run_op(&table, op)
                         .map_err(|e| self.fail(format!("{label} {pass} op {i} {op:?}: {e}")))?;
                     if &got != want {
                         return Err(self.fail(format!(
                             "{label} {pass} op {i} {op:?}: cached result diverged from oracle"
                         )));
                     }
-                    hits += stats;
+                    hits += stats.cache_hits;
                 }
                 if label == "ample" && pass == "warm" {
                     let read = reader.bytes_read() - before;
@@ -353,11 +357,12 @@ impl Scenario {
         let plan = FaultPlan::none(rng.gen()).with_short_reads(rng.gen_range(0.4..0.95));
         debug_assert!(plan.is_benign());
         let backend = FaultyBackend::new(MemBackend::new(self.bytes.clone()), plan);
-        let reader = TableReader::from_backend(Box::new(backend))
+        let table = TableReader::from_backend(Box::new(backend))
+            .map(one_segment)
             .map_err(|e| self.fail(format!("benign-fault open failed: {e}")))?;
         let mut healed = 0u64;
         for (i, (op, want)) in self.ops.iter().zip(&self.expected).enumerate() {
-            let got = run_op(&reader, op)
+            let (got, _) = run_op(&table, op)
                 .map_err(|e| self.fail(format!("benign op {i} {op:?} errored: {e}")))?;
             if &got != want {
                 return Err(self.fail(format!(
@@ -391,10 +396,11 @@ impl Scenario {
                 match TableReader::from_backend(Box::new(backend)) {
                     Err(e) => log.push(format!("open err: {e}")),
                     Ok(reader) => {
+                        let table = one_segment(reader);
                         for (i, (op, want)) in self.ops.iter().zip(&self.expected).enumerate() {
-                            match run_op(&reader, op) {
+                            match run_op(&table, op) {
                                 Err(e) => log.push(format!("op {i} err: {e}")),
-                                Ok(got) => {
+                                Ok((got, _)) => {
                                     if &got != want {
                                         return Err(self.fail(format!(
                                             "hostile episode {episode} op {i} {op:?}: \
@@ -437,12 +443,12 @@ impl Scenario {
             let Ok(reader) = TableReader::from_backend(Box::new(backend)) else {
                 continue; // open itself was flipped — nothing cached, done
             };
-            let reader = reader.with_cache(Arc::clone(&cache));
+            let table = one_segment(reader.with_cache(Arc::clone(&cache)));
             for round in 0..2 {
                 for (i, (op, want)) in self.ops.iter().zip(&self.expected).enumerate() {
-                    match run_op(&reader, op) {
+                    match run_op(&table, op) {
                         Err(_) => {}
-                        Ok(got) => {
+                        Ok((got, _)) => {
                             if &got != want {
                                 return Err(self.fail(format!(
                                     "hostile cached episode {episode} round {round} op {i} \
@@ -508,14 +514,14 @@ impl Scenario {
         }
         let mut segments_opened = 0u64;
         for (i, (op, want)) in self.ops.iter().zip(&self.expected).enumerate() {
-            let (got, opened) = run_op_segmented(&reader, op)
+            let (got, stats) = run_op(&reader, op)
                 .map_err(|e| self.fail(format!("segmented op {i} {op:?}: {e}")))?;
             if &got != want {
                 return Err(self.fail(format!(
                     "segmented op {i} {op:?}: multi-segment reader diverged from oracle"
                 )));
             }
-            segments_opened += opened;
+            segments_opened += stats.segments_opened as u64;
         }
 
         // Compact and re-verify row-for-row (block boundaries change, so
@@ -725,78 +731,35 @@ pub fn run_seed(seed: u64, opts: &SimOptions) -> Result<ScenarioOutcome, SimFail
     })
 }
 
-/// Runs one op against the store reader. Backend reads happen in one
-/// deterministic order, which the hostile-episode replay check relies on.
-fn run_op(reader: &TableReader, op: &Op) -> corra_columnar::error::Result<Expected> {
-    Ok(match op {
-        Op::ReadBlock(b) => Expected::Block(reader.read_block(*b)?),
-        Op::ReadColumn(b, name) => Expected::Column(reader.read_column(*b, name)?),
-        Op::Scan(pred) => Expected::Scan(reader.scan_blocks(pred)?.0),
-        Op::Aggregate(expr) => Expected::Agg(reader.aggregate(expr)?.0),
-        Op::TopK(expr) => Expected::TopK(reader.top_k(expr)?.0),
-        Op::Join(expr) => {
-            let (pairs, _) = reader.hash_join(reader, expr)?;
-            Expected::Join(pairs.len(), digest_pairs(&pairs))
-        }
-    })
+/// A table file as the one-segment table.
+fn one_segment(reader: TableReader) -> SegmentedTable {
+    SegmentedTable::from_readers(vec![Arc::new(reader)])
 }
 
-/// [`run_op`] plus the op's cache-hit count (scans and aggregates
-/// report hits through `ScanStats`; point ops return 0).
-fn run_op_counted(reader: &TableReader, op: &Op) -> corra_columnar::error::Result<(Expected, u64)> {
+/// Runs one op against a store table, returning the result and the op's
+/// counters (point ops report none: their per-block stats are covered by
+/// the serve tests). Backend reads happen in one deterministic order,
+/// which the hostile-episode replay check relies on.
+fn run_op(table: &SegmentedTable, op: &Op) -> corra_columnar::error::Result<(Expected, ScanStats)> {
+    let none = ScanStats::default();
     Ok(match op {
-        Op::ReadBlock(b) => (Expected::Block(reader.read_block(*b)?), 0),
-        Op::ReadColumn(b, name) => (Expected::Column(reader.read_column(*b, name)?), 0),
+        Op::ReadBlock(b) => (Expected::Block(table.read_block(*b)?), none),
+        Op::ReadColumn(b, name) => (Expected::Column(table.read_column(*b, name)?), none),
         Op::Scan(pred) => {
-            let (sels, stats) = reader.scan_blocks(pred)?;
-            (Expected::Scan(sels), stats.cache_hits)
+            let (sels, stats) = table.scan_blocks(pred)?;
+            (Expected::Scan(sels), stats)
         }
         Op::Aggregate(expr) => {
-            let (agg, stats) = reader.aggregate(expr)?;
-            (Expected::Agg(agg), stats.cache_hits)
+            let (agg, stats) = table.aggregate(expr)?;
+            (Expected::Agg(agg), stats)
         }
         Op::TopK(expr) => {
-            let (rows, stats) = reader.top_k(expr)?;
-            (Expected::TopK(rows), stats.cache_hits)
+            let (rows, stats) = table.top_k(expr)?;
+            (Expected::TopK(rows), stats)
         }
         Op::Join(expr) => {
-            let (pairs, stats) = reader.hash_join(reader, expr)?;
-            (
-                Expected::Join(pairs.len(), digest_pairs(&pairs)),
-                stats.io.cache_hits,
-            )
-        }
-    })
-}
-
-/// Runs one op against the multi-segment reader, returning the result and
-/// the `segments_opened` count the op reported (point ops report 0 here —
-/// their per-block stats are covered by the serve tests).
-fn run_op_segmented(
-    reader: &SegmentedTable,
-    op: &Op,
-) -> corra_columnar::error::Result<(Expected, u64)> {
-    Ok(match op {
-        Op::ReadBlock(b) => (Expected::Block(reader.read_block(*b)?), 0),
-        Op::ReadColumn(b, name) => (Expected::Column(reader.read_column(*b, name)?), 0),
-        Op::Scan(pred) => {
-            let (sels, stats) = reader.scan_blocks(pred)?;
-            (Expected::Scan(sels), stats.segments_opened as u64)
-        }
-        Op::Aggregate(expr) => {
-            let (agg, stats) = reader.aggregate(expr)?;
-            (Expected::Agg(agg), stats.segments_opened as u64)
-        }
-        Op::TopK(expr) => {
-            let (rows, stats) = reader.top_k(expr)?;
-            (Expected::TopK(rows), stats.segments_opened as u64)
-        }
-        Op::Join(expr) => {
-            let (pairs, stats) = reader.hash_join(reader, expr)?;
-            (
-                Expected::Join(pairs.len(), digest_pairs(&pairs)),
-                stats.io.segments_opened as u64,
-            )
+            let (pairs, stats) = table.hash_join(table, expr)?;
+            (Expected::Join(pairs.len(), digest_pairs(&pairs)), stats.io)
         }
     })
 }

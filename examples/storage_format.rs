@@ -1,13 +1,17 @@
 //! Storage-format walkthrough: stream a compressed multi-block table into
-//! an indexed v2 table file, then read it back three ways — full blocks,
+//! an indexed table file, then read it back three ways — full blocks,
 //! single projected columns (only the referenced payloads are fetched),
-//! and a footer-pruned scan that never touches pruned blocks' bytes.
+//! and a footer-pruned scan that never touches pruned blocks' bytes. The
+//! file is read as a table of one segment, the same type an ingest
+//! directory of many segment files opens as.
 //!
 //! ```sh
 //! cargo run --release --example storage_format
 //! ```
 
-use corra::core::store::{TableReader, TableWriter};
+use std::sync::Arc;
+
+use corra::core::store::{SegmentedTable, TableReader, TableWriter};
 use corra::core::Predicate;
 use corra::datagen::{MessageParams, MessageTable};
 use corra::prelude::*;
@@ -41,7 +45,8 @@ fn main() {
     }
     writer.finish().expect("finish table");
 
-    let reader = TableReader::open(&path).expect("open table");
+    let reader = Arc::new(TableReader::open(&path).expect("open table"));
+    let table = SegmentedTable::from_readers(vec![Arc::clone(&reader)]);
     println!(
         "wrote {} blocks, {} B total to {}",
         reader.n_blocks(),
@@ -51,7 +56,7 @@ fn main() {
 
     // Read back only the *middle* block — the footer knows its byte range,
     // so no other block is touched.
-    let middle = reader.read_block(1).expect("read middle block");
+    let middle = table.read_block(1).expect("read middle block");
     println!(
         "independently decoded block 1: {} rows, ip column = {} B ({})",
         middle.rows(),
@@ -62,7 +67,7 @@ fn main() {
     // Projection pushdown: one column of one block. The reader fetches the
     // ip payload plus its countryid reference payload — nothing else.
     let before = reader.bytes_read();
-    let ips = reader.read_column(1, "ip").expect("projected read");
+    let ips = table.read_column(1, "ip").expect("projected read");
     println!(
         "projected ip read: {} values, {} B fetched ({:.1}% of file)",
         ips.len(),
@@ -73,7 +78,7 @@ fn main() {
     // Footer-driven pruning: a predicate outside every block's zone map
     // answers from metadata alone — zero payload bytes read.
     let before = reader.bytes_read();
-    let (sels, stats) = reader
+    let (sels, stats) = table
         .scan_blocks(&Predicate::lt("ip", 0))
         .expect("pruned scan");
     println!(
