@@ -20,6 +20,7 @@ use corra_encodings::{
 };
 use rustc_hash::FxHashMap;
 
+use crate::format::check_column;
 use crate::hier::{HierInt, HierStr};
 use crate::multiref::MultiRefInt;
 use crate::nonhier::NonHierInt;
@@ -582,20 +583,25 @@ impl CompressedBlock {
         })
     }
 
-    /// Assembles a block from parts that have already been validated
-    /// (deserialization path), with the zones the caller vouches for.
-    pub(crate) fn new_unchecked(
+    /// Assembles a block from parsed parts, with the zones the caller
+    /// vouches for, once every column passes
+    /// [`check_column`](crate::format::check_column).
+    pub(crate) fn from_parts(
         rows: u32,
         names: Vec<String>,
         codecs: Vec<ColumnCodec>,
         zones: Vec<Option<ZoneMap>>,
-    ) -> Self {
-        Self {
+    ) -> Result<Self> {
+        let block = Self {
             rows,
             names,
             codecs,
             zones,
+        };
+        for codec in &block.codecs {
+            check_column(codec, block.rows(), &block)?;
         }
+        Ok(block)
     }
 
     /// Recomputes every integer column's exact zone with one

@@ -34,10 +34,11 @@ use corra_columnar::stats::ZoneMap;
 use corra_columnar::strings::StringPool;
 use corra_encodings::{DictStr, IntEncoding};
 
-use crate::compressor::{ColumnCodec, CompressedBlock};
+use crate::compressor::{codec_kind, BlockView, ColumnCodec, CompressedBlock};
 use crate::hier::{HierInt, HierStr};
 use crate::multiref::MultiRefInt;
 use crate::nonhier::NonHierInt;
+use crate::query::CodeAccess;
 
 /// File magic identifying a Corra block.
 pub const MAGIC: [u8; 4] = *b"CORA";
@@ -153,8 +154,8 @@ impl CodecHeader {
         Ok(())
     }
 
-    /// Parses `tag | wiring`, checking every reference against `n_cols`.
-    pub(crate) fn read_from(buf: &mut impl Buf, n_cols: usize) -> Result<Self> {
+    /// Parses `tag | wiring`; [`check_wiring`] judges the references.
+    pub(crate) fn read_from(buf: &mut impl Buf) -> Result<Self> {
         if buf.remaining() < 1 {
             return Err(Error::corrupt("codec tag truncated"));
         }
@@ -163,11 +164,7 @@ impl CodecHeader {
             if buf.remaining() < 4 {
                 return Err(Error::corrupt("codec reference truncated"));
             }
-            let r = buf.get_u32_le();
-            if r as usize >= n_cols {
-                return Err(Error::corrupt("codec reference out of range"));
-            }
-            Ok(r)
+            Ok(buf.get_u32_le())
         };
         let wiring = match tag {
             TAG_INT | TAG_STR | TAG_PLAIN_STR => CodecWiring::None,
@@ -213,45 +210,35 @@ pub(crate) fn write_codec_payload(codec: &ColumnCodec, buf: &mut Vec<u8>) {
 }
 
 /// Parses a codec payload previously written by [`write_codec_payload`],
-/// re-attaching the header's wiring.
-pub(crate) fn read_codec_payload(header: &CodecHeader, buf: &mut &[u8]) -> Result<ColumnCodec> {
-    match (header.tag, &header.wiring) {
-        (TAG_INT, CodecWiring::None) => Ok(ColumnCodec::Int(IntEncoding::read_from(buf)?)),
-        (TAG_STR, CodecWiring::None) => Ok(ColumnCodec::Str(DictStr::read_from(buf)?)),
-        (TAG_PLAIN_STR, CodecWiring::None) => {
-            Ok(ColumnCodec::PlainStr(StringPool::read_from(buf)?))
-        }
-        (TAG_NONHIER, CodecWiring::Reference(reference)) => Ok(ColumnCodec::NonHier {
+/// re-attaching the header's wiring; `buf` must hold exactly the payload.
+pub(crate) fn read_codec_payload(header: &CodecHeader, mut buf: &[u8]) -> Result<ColumnCodec> {
+    let buf = &mut buf;
+    let codec = match (header.tag, &header.wiring) {
+        (TAG_INT, CodecWiring::None) => ColumnCodec::Int(IntEncoding::read_from(buf)?),
+        (TAG_STR, CodecWiring::None) => ColumnCodec::Str(DictStr::read_from(buf)?),
+        (TAG_PLAIN_STR, CodecWiring::None) => ColumnCodec::PlainStr(StringPool::read_from(buf)?),
+        (TAG_NONHIER, CodecWiring::Reference(reference)) => ColumnCodec::NonHier {
             enc: NonHierInt::read_from(buf)?,
             reference: *reference,
-        }),
-        (TAG_HIER_INT, CodecWiring::Reference(reference)) => Ok(ColumnCodec::HierInt {
+        },
+        (TAG_HIER_INT, CodecWiring::Reference(reference)) => ColumnCodec::HierInt {
             enc: HierInt::read_from(buf)?,
             reference: *reference,
-        }),
-        (TAG_HIER_STR, CodecWiring::Reference(reference)) => Ok(ColumnCodec::HierStr {
+        },
+        (TAG_HIER_STR, CodecWiring::Reference(reference)) => ColumnCodec::HierStr {
             enc: HierStr::read_from(buf)?,
             reference: *reference,
-        }),
-        (TAG_MULTIREF, CodecWiring::Groups(groups)) => Ok(ColumnCodec::MultiRef {
+        },
+        (TAG_MULTIREF, CodecWiring::Groups(groups)) => ColumnCodec::MultiRef {
             enc: MultiRefInt::read_from(buf)?,
             groups: groups.clone(),
-        }),
-        _ => Err(Error::corrupt("codec tag and wiring disagree")),
-    }
-}
-
-/// Parses a *framed* codec payload, requiring exact consumption.
-pub(crate) fn read_codec_payload_framed(
-    header: &CodecHeader,
-    buf: &mut &[u8],
-) -> Result<ColumnCodec> {
-    let mut frame = take_frame(buf)?;
-    let codec = read_codec_payload(header, &mut frame)?;
-    if !frame.is_empty() {
+        },
+        _ => return Err(Error::corrupt("codec tag and wiring disagree")),
+    };
+    if !buf.is_empty() {
         return Err(Error::corrupt(format!(
-            "{} trailing bytes inside codec payload frame",
-            frame.len()
+            "{} trailing bytes in codec payload",
+            buf.len()
         )));
     }
     Ok(codec)
@@ -373,41 +360,15 @@ impl CompressedBlock {
             buf.copy_to_slice(&mut name_bytes);
             let name = String::from_utf8(name_bytes)
                 .map_err(|_| Error::corrupt("column name not UTF-8"))?;
-            let header = CodecHeader::read_from(&mut buf, n_cols)?;
+            let header = CodecHeader::read_from(&mut buf)?;
             names.push(name);
-            codecs.push(read_codec_payload_framed(&header, &mut buf)?);
+            codecs.push(read_codec_payload(&header, take_frame(&mut buf)?)?);
         }
         if !buf.is_empty() {
             return Err(Error::corrupt(format!(
                 "{} trailing bytes after last column",
                 buf.len()
             )));
-        }
-        // Every codec must store exactly the block's row count — hostile
-        // length fields (e.g. a zero-bit packing claiming 2^42 rows with no
-        // payload behind it) are rejected here, before anything decodes.
-        for (i, codec) in codecs.iter().enumerate() {
-            if codec.len() != rows as usize {
-                return Err(Error::corrupt(format!(
-                    "column {i} stores {} rows, block has {rows}",
-                    codec.len()
-                )));
-            }
-        }
-        // Validate references point at vertical columns, and multiref
-        // formula masks stay within their wiring's group count.
-        for codec in &codecs {
-            for r in CodecHeader::of(codec).wiring.references() {
-                let Some(target) = codecs.get(r as usize) else {
-                    return Err(Error::corrupt("codec reference out of range"));
-                };
-                if target.is_horizontal() {
-                    return Err(Error::corrupt("codec references a horizontal column"));
-                }
-            }
-            if let ColumnCodec::MultiRef { enc, groups } = codec {
-                enc.validate_groups(groups.len())?;
-            }
         }
         let zones = zones.unwrap_or_else(|| vec![None; n_cols]);
         if zones.len() != n_cols {
@@ -416,8 +377,105 @@ impl CompressedBlock {
                 zones.len()
             )));
         }
-        Ok(Self::new_unchecked(rows, names, codecs, zones))
+        Self::from_parts(rows, names, codecs, zones)
     }
+}
+
+/// The wiring rule, shared by block assembly and the table footer: every
+/// reference names one of the block's `n_cols` columns, and that column is
+/// vertical — references never chain.
+pub(crate) fn check_wiring(
+    wiring: &CodecWiring,
+    n_cols: usize,
+    is_horizontal: impl Fn(usize) -> bool,
+) -> Result<()> {
+    for r in wiring.references() {
+        let r = r as usize;
+        if r >= n_cols {
+            return Err(Error::corrupt("codec reference out of range"));
+        }
+        if is_horizontal(r) {
+            return Err(Error::corrupt("codec references a horizontal column"));
+        }
+    }
+    Ok(())
+}
+
+/// The one structural check of a column: every invariant a kernel relies
+/// on that its payload alone cannot vouch for (the list is in
+/// `docs/FORMAT.md`) — the codec and each reference store `rows` values,
+/// the wiring passes [`check_wiring`], NonHier / MultiRef members are
+/// vertical integer columns, formulas name only wired groups, and a Hier
+/// parent is a dictionary of at most `n_parents` entries whose every row's
+/// group index lies inside that row's parent's group. It runs where a
+/// block is assembled: [`CompressedBlock::from_parts`], and a table
+/// reader's first load of a column through a lazy
+/// [`crate::store::BlockHandle`], whose references load through `block`.
+pub(crate) fn check_column<B: BlockView + ?Sized>(
+    codec: &ColumnCodec,
+    rows: usize,
+    block: &B,
+) -> Result<()> {
+    let stores_rows = |codec: &ColumnCodec| {
+        if codec.len() == rows {
+            Ok(())
+        } else {
+            Err(Error::LengthMismatch {
+                left: codec.len(),
+                right: rows,
+            })
+        }
+    };
+    stores_rows(codec)?;
+    check_wiring(&CodecHeader::of(codec).wiring, block.names().len(), |r| {
+        block.is_horizontal(r)
+    })?;
+    let int_member = |r: u32| match block.view_codec(r as usize)? {
+        member @ ColumnCodec::Int(_) => stores_rows(member),
+        other => Err(Error::TypeMismatch {
+            expected: "vertical int reference",
+            found: codec_kind(other),
+        }),
+    };
+    let (codes, offsets, parent) = match codec {
+        ColumnCodec::NonHier { reference, .. } => return int_member(*reference),
+        ColumnCodec::MultiRef { enc, groups } => {
+            enc.validate_groups(groups.len())?;
+            return groups.iter().flatten().try_for_each(|&m| int_member(m));
+        }
+        ColumnCodec::HierInt { enc, reference } => (enc.parts().0, enc.parts().2, *reference),
+        ColumnCodec::HierStr { enc, reference } => (enc.parts().0, enc.parts().2, *reference),
+        ColumnCodec::Int(_) | ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) => return Ok(()),
+    };
+    let parent = block.view_codec(parent as usize)?;
+    let access = CodeAccess::of(parent).ok_or_else(|| Error::TypeMismatch {
+        expected: "dict-encoded reference",
+        found: codec_kind(parent),
+    })?;
+    stores_rows(parent)?;
+    let n_parents = offsets.len() - 1;
+    if access.keys.len() > n_parents {
+        return Err(Error::corrupt(format!(
+            "hier parent has {} entries for {n_parents} groups",
+            access.keys.len()
+        )));
+    }
+    // Alg. 1's row bound, `code < offsets[p + 1] - offsets[p]`, in one
+    // batched sweep of both code columns; the parent's codes are below its
+    // entry count (its payload's own rule), so each indexes `group_len`.
+    let group_len: Vec<u64> = offsets.windows(2).map(|w| u64::from(w[1] - w[0])).collect();
+    let mut outside = false;
+    codes.unpack_chunks_with(access.codes, |_, codes, parents| {
+        for (&code, &p) in codes.iter().zip(parents) {
+            outside |= code >= group_len[p as usize];
+        }
+    });
+    if outside {
+        return Err(Error::corrupt(
+            "hier group index outside its parent's group",
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -531,9 +589,7 @@ mod tests {
         for (i, span) in spans.iter().enumerate() {
             let payload = &bytes[span.offset as usize..span.offset as usize + span.len as usize];
             let header = CodecHeader::of(compressed.codec_at(i));
-            let mut cursor = payload;
-            let codec = read_codec_payload(&header, &mut cursor).unwrap();
-            assert!(cursor.is_empty(), "column {i} span mismatch");
+            let codec = read_codec_payload(&header, payload).unwrap();
             assert_eq!(&codec, compressed.codec_at(i), "column {i}");
         }
     }
@@ -640,7 +696,7 @@ mod tests {
         let codecs: Vec<ColumnCodec> = (0..n)
             .map(|_| ColumnCodec::Int(IntEncoding::Plain(PlainInt::encode(&[]))))
             .collect();
-        let block = CompressedBlock::new_unchecked(0, names, codecs, vec![None; n]);
+        let block = CompressedBlock::from_parts(0, names, codecs, vec![None; n]).unwrap();
         let err = block.to_bytes().unwrap_err();
         assert!(
             err.to_string().contains("column-count"),
@@ -680,7 +736,7 @@ mod tests {
             let header = CodecHeader::of(compressed.codec_at(i));
             let mut buf = Vec::new();
             header.write_to(&mut buf).unwrap();
-            let back = CodecHeader::read_from(&mut buf.as_slice(), n).unwrap();
+            let back = CodecHeader::read_from(&mut buf.as_slice()).unwrap();
             assert_eq!(back, header, "column {i}");
             assert_eq!(
                 header.is_horizontal(),

@@ -112,6 +112,12 @@ impl HierInt {
         self.offsets.len() - 1
     }
 
+    /// The per-row group indexes, the child values grouped by parent and
+    /// the group starts — what the block's structural check reads.
+    pub(crate) fn parts(&self) -> (&BitPackedVec, &[i64], &[u32]) {
+        (&self.codes, &self.values, &self.offsets)
+    }
+
     /// Total distinct (parent, child) pairs stored in metadata.
     pub fn metadata_entries(&self) -> usize {
         self.values.len()
@@ -248,7 +254,9 @@ pub(crate) struct HierColumn<'a> {
 }
 
 impl<'a> HierColumn<'a> {
-    /// `enc` under `parent`, which the caller checked has one code per row.
+    /// `enc` under `parent`, which the block's assembly checked
+    /// (`check_column`): one code per row, and every row's group index
+    /// inside its parent's group.
     pub(crate) fn new(
         enc: &'a HierInt,
         parent: CodeAccess<'a>,
@@ -284,7 +292,7 @@ impl IntAccess for HierColumn<'_> {
     #[inline(always)]
     fn get(&self, i: usize) -> i64 {
         // One bounds check for both reads: the parent has one code per row
-        // (checked at resolution).
+        // (checked when the block was assembled).
         assert!(i < self.len(), "row out of bounds");
         self.enc.get_unchecked_len(i, self.parent.code(i))
     }
@@ -426,7 +434,8 @@ impl HierStr {
     }
 
     /// The per-row group indexes, the child strings grouped by parent and
-    /// the group starts — what the string-column view reads.
+    /// the group starts — what the string-column view and the block's
+    /// structural check read.
     pub(crate) fn parts(&self) -> (&BitPackedVec, &StringPool, &[u32]) {
         (&self.codes, &self.values, &self.offsets)
     }

@@ -103,8 +103,8 @@ pub use manifest::{Manifest, SegmentEntry};
 pub use multiref::{Formula, FormulaStats, MultiRefInt};
 pub use nonhier::{plan_window, NonHierInt, WindowPlan};
 pub use operator::{
-    gather_rows, gather_rows_with, hash_join_blocks, join_materialize, top_k_blocks,
-    top_k_materialize, JoinExpr, JoinPair, JoinStats, RowId, TopKExpr, TopKRow,
+    gather_rows, gather_rows_with, hash_join_blocks, top_k_blocks, JoinExpr, JoinPair, JoinStats,
+    RowId, TopKExpr, TopKRow,
 };
 pub use optimizer::{apply_assignment, Assignment, ColumnGraph, EncodedColumn};
 pub use outlier::OutlierRegion;

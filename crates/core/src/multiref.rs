@@ -401,8 +401,9 @@ pub(crate) struct MultiRefColumn<'a> {
 }
 
 impl<'a> MultiRefColumn<'a> {
-    /// `enc` over `groups`, which the caller checked: every member as long
-    /// as the column, and every formula naming only groups that exist.
+    /// `enc` over `groups`, as the block's assembly checked them
+    /// (`check_column`): every member as long as the column, and every
+    /// formula naming only groups that exist.
     pub(crate) fn new(
         enc: &'a MultiRefInt,
         groups: Vec<Vec<&'a IntEncoding>>,
@@ -445,7 +446,7 @@ impl IntAccess for MultiRefColumn<'_> {
     #[inline(always)]
     fn get(&self, i: usize) -> i64 {
         // One bounds check for every read below: each member is as long as
-        // the column (checked at resolution).
+        // the column (checked when the block was assembled).
         assert!(i < self.len(), "row out of bounds");
         let enc = self.enc;
         if let Some(v) = enc.outliers.lookup(i as u32) {

@@ -390,7 +390,8 @@ pub(crate) struct NonHierColumn<'a> {
 }
 
 impl<'a> NonHierColumn<'a> {
-    /// `enc` over `reference`, which the caller checked is as long.
+    /// `enc` over `reference`, which the block's assembly checked is as
+    /// long (`check_column`).
     pub(crate) fn new(
         enc: &'a NonHierInt,
         reference: &'a IntEncoding,
@@ -415,7 +416,7 @@ impl IntAccess for NonHierColumn<'_> {
     #[inline(always)]
     fn get(&self, i: usize) -> i64 {
         // One bounds check for every read below: the reference is as long
-        // as the column (checked at resolution).
+        // as the column (checked when the block was assembled).
         assert!(i < self.len(), "row out of bounds");
         let enc = self.enc;
         if let Some(v) = enc.outliers.lookup(i as u32) {

@@ -650,39 +650,3 @@ pub(crate) fn gather_source<S: BlockSource + ?Sized>(
         cols.iter().map(|c| query_column(block, c, sel)).collect()
     })
 }
-
-/// Materializes payload `columns` for TOP-K winners, aligned with `rows`.
-///
-/// # Errors
-///
-/// See [`gather_rows`].
-pub fn top_k_materialize<B: BlockView>(
-    blocks: &[B],
-    rows: &[TopKRow],
-    columns: &[&str],
-) -> Result<Vec<QueryOutput>> {
-    let ids: Vec<RowId> = rows.iter().map(TopKRow::id).collect();
-    gather_rows(blocks, &ids, columns)
-}
-
-/// Materializes both sides of a join result: `build_columns` gather from
-/// the build blocks, `probe_columns` from the probe blocks, each aligned
-/// with `pairs`.
-///
-/// # Errors
-///
-/// See [`gather_rows`].
-pub fn join_materialize<B1: BlockView, B2: BlockView>(
-    build_blocks: &[B1],
-    probe_blocks: &[B2],
-    pairs: &[JoinPair],
-    build_columns: &[&str],
-    probe_columns: &[&str],
-) -> Result<(Vec<QueryOutput>, Vec<QueryOutput>)> {
-    let build_ids: Vec<RowId> = pairs.iter().map(|p| p.build).collect();
-    let probe_ids: Vec<RowId> = pairs.iter().map(|p| p.probe).collect();
-    Ok((
-        gather_rows(build_blocks, &build_ids, build_columns)?,
-        gather_rows(probe_blocks, &probe_ids, probe_columns)?,
-    ))
-}

@@ -71,7 +71,7 @@ impl QueryOutput {
 
 /// Fast reference-value accessor resolved once per query: the common
 /// vertical codecs get direct, assertion-free paths with the bit-width
-/// mask hoisted into a [`PackedReader`] (the resolution checked the
+/// mask hoisted into a [`PackedReader`] (the block's assembly checked the
 /// reference's length; the row's own codec checks the position).
 pub(crate) enum RefAccess<'a> {
     For {
@@ -195,27 +195,13 @@ impl<'a> CodeAccess<'a> {
     }
 }
 
-/// Errors unless a column of `len` rows is aligned with its block's
-/// `rows`.
-fn aligned(len: usize, rows: usize) -> Result<()> {
-    if len == rows {
-        Ok(())
-    } else {
-        Err(Error::LengthMismatch {
-            left: len,
-            right: rows,
-        })
-    }
-}
-
-/// Reference column `idx` of a NonHier or MultiRef column: the one place
-/// such a reference is checked to be vertical and one value per row.
+/// Reference column `idx` of a NonHier or MultiRef column, as the integer
+/// codec [`check_column`] found it to be.
+///
+/// [`check_column`]: crate::format::check_column
 fn vertical_ref<B: BlockView + ?Sized>(block: &B, idx: u32) -> Result<&IntEncoding> {
     match block.view_codec(idx as usize)? {
-        ColumnCodec::Int(enc) => {
-            aligned(enc.len(), block.rows())?;
-            Ok(enc)
-        }
+        ColumnCodec::Int(enc) => Ok(enc),
         other => Err(Error::TypeMismatch {
             expected: "vertical int reference",
             found: codec_kind(other),
@@ -224,40 +210,22 @@ fn vertical_ref<B: BlockView + ?Sized>(block: &B, idx: u32) -> Result<&IntEncodi
 }
 
 /// The dictionary view of column `idx` — a Hier parent, a GROUP BY key or
-/// a join key — checked to hold one code per row; `not_dict` names the
-/// error for any other codec.
+/// a join key; `not_dict` names the error for any other codec.
 pub(crate) fn dict_column<B: BlockView + ?Sized>(
     block: &B,
     idx: usize,
     not_dict: impl FnOnce(&ColumnCodec) -> Error,
 ) -> Result<CodeAccess<'_>> {
     let codec = block.view_codec(idx)?;
-    let access = CodeAccess::of(codec).ok_or_else(|| not_dict(codec))?;
-    aligned(access.len(), block.rows())?;
-    Ok(access)
+    CodeAccess::of(codec).ok_or_else(|| not_dict(codec))
 }
 
-/// Parent column `reference` of a hierarchical column with `n_parents`
-/// groups (integer or string children): the one place a Hier parent is
-/// checked. It must be a dictionary of one code per row, with no more
-/// entries than the child has groups — a code past them would address no
-/// `offsets` slot.
-fn hier_parent<B: BlockView + ?Sized>(
-    block: &B,
-    reference: u32,
-    n_parents: usize,
-) -> Result<CodeAccess<'_>> {
-    let parent = dict_column(block, reference as usize, |other| Error::TypeMismatch {
+/// The error for a Hier parent that is not a dictionary.
+fn not_a_parent(other: &ColumnCodec) -> Error {
+    Error::TypeMismatch {
         expected: "dict-encoded reference",
         found: codec_kind(other),
-    })?;
-    if parent.keys.len() > n_parents {
-        return Err(Error::corrupt(format!(
-            "hier parent has {} entries for {n_parents} groups",
-            parent.keys.len()
-        )));
     }
-    Ok(parent)
 }
 
 /// The buffers a horizontal column reconstructs through: the decoded
@@ -296,7 +264,8 @@ pub(crate) fn stream_reconstructed(
 /// Resolves the integer column at `idx` and runs `kernel` on it — the only
 /// integer-column resolution, so every integer operator is one
 /// [`IntAccess`] call. The column and every reference it reads load here,
-/// in rule order, checked to hold one value per row.
+/// in rule order; the block checked their structure when it was assembled
+/// ([`check_column`]), so nothing is re-checked here.
 ///
 /// A vertical codec is its own `IntAccess`. A horizontal column becomes
 /// its family's (`NonHierColumn`, `HierColumn`, `MultiRefColumn`): `get`
@@ -307,21 +276,17 @@ pub(crate) fn stream_reconstructed(
 ///
 /// # Errors
 ///
-/// [`Error::TypeMismatch`] for a string column or a reference of the wrong
-/// kind, [`Error::LengthMismatch`] for a column or reference not as long as
-/// the block, [`Error::Corrupt`] for a MultiRef formula naming a group its
-/// wiring lacks, plus anything loading a payload reports.
+/// [`Error::TypeMismatch`] for a string column, plus anything loading a
+/// payload reports — on a lazy handle, `check_column`'s verdict too.
+///
+/// [`check_column`]: crate::format::check_column
 pub(crate) fn int_column<B: BlockView + ?Sized, R>(
     block: &B,
     idx: usize,
     scratch: &DecodeScratch,
     kernel: impl FnOnce(&dyn IntAccess) -> R,
 ) -> Result<R> {
-    let codec = block.view_codec(idx)?;
-    if !codec.is_string() {
-        aligned(codec.len(), block.rows())?;
-    }
-    Ok(match codec {
+    Ok(match block.view_codec(idx)? {
         ColumnCodec::Int(enc) => kernel(enc),
         ColumnCodec::NonHier { enc, reference } => kernel(&NonHierColumn::new(
             enc,
@@ -329,11 +294,10 @@ pub(crate) fn int_column<B: BlockView + ?Sized, R>(
             scratch,
         )),
         ColumnCodec::HierInt { enc, reference } => {
-            let parent = hier_parent(block, *reference, enc.n_parents())?;
+            let parent = dict_column(block, *reference as usize, not_a_parent)?;
             kernel(&HierColumn::new(enc, parent, scratch))
         }
         ColumnCodec::MultiRef { enc, groups } => {
-            enc.validate_groups(groups.len())?;
             let members = groups
                 .iter()
                 .map(|group| group.iter().map(|&m| vertical_ref(block, m)).collect())
@@ -509,23 +473,23 @@ impl StrColumn<'_> {
 }
 
 /// Resolves the string column at `idx` — the only string-column
-/// resolution, so every string operator is one [`StrColumn`] call. The
-/// column is checked to hold one row per block row, and a Hier column's
-/// parent loads and is checked here.
+/// resolution, so every string operator is one [`StrColumn`] call. A Hier
+/// column's parent loads here; the block checked both when it was
+/// assembled ([`check_column`]).
 ///
 /// # Errors
 ///
-/// [`Error::TypeMismatch`] for an integer column or a Hier parent that is
-/// not a dictionary, [`Error::LengthMismatch`] for a column or parent not
-/// as long as the block, [`Error::Corrupt`] for a parent with more entries
-/// than the column has groups, plus anything loading a payload reports.
+/// [`Error::TypeMismatch`] for an integer column, plus anything loading a
+/// payload reports — on a lazy handle, `check_column`'s verdict too.
+///
+/// [`check_column`]: crate::format::check_column
 pub(crate) fn str_column<B: BlockView + ?Sized>(block: &B, idx: usize) -> Result<StrColumn<'_>> {
     let codec = block.view_codec(idx)?;
     let (pool, map) = match codec {
         ColumnCodec::Str(d) => (d.pool(), EntryMap::Code(d.codes())),
         ColumnCodec::PlainStr(pool) => (pool, EntryMap::Identity),
         ColumnCodec::HierStr { enc, reference } => {
-            let parent = hier_parent(block, *reference, enc.n_parents())?;
+            let parent = dict_column(block, *reference as usize, not_a_parent)?;
             let (codes, pool, offsets) = enc.parts();
             let map = EntryMap::Hier {
                 codes,
@@ -541,7 +505,6 @@ pub(crate) fn str_column<B: BlockView + ?Sized>(block: &B, idx: usize) -> Result
             })
         }
     };
-    aligned(codec.len(), block.rows())?;
     Ok(StrColumn {
         pool,
         rows: codec.len(),
@@ -602,12 +565,8 @@ pub fn query_both<B: BlockView + ?Sized>(
             enc.gather_both_map(sel, |i| refs.get(i), &mut tgt, &mut rf);
             Ok((QueryOutput::Int(tgt), QueryOutput::Int(rf)))
         }
-        ColumnCodec::HierInt { enc, reference } => {
-            let parent = hier_parent(block, *reference, enc.n_parents())?;
-            Ok((query_column(block, name, sel)?, parent.gather(sel)))
-        }
-        ColumnCodec::HierStr { enc, reference } => {
-            let parent = hier_parent(block, *reference, enc.n_parents())?;
+        ColumnCodec::HierInt { reference, .. } | ColumnCodec::HierStr { reference, .. } => {
+            let parent = dict_column(block, *reference as usize, not_a_parent)?;
             Ok((query_column(block, name, sel)?, parent.gather(sel)))
         }
         ColumnCodec::MultiRef { .. } => Err(Error::invalid(
@@ -1054,10 +1013,10 @@ mod tests {
     #[test]
     fn hier_parent_with_more_entries_than_groups_is_corrupt() {
         use crate::hier::{HierInt, HierStr};
-        use crate::store::{TableReader, TableWriter};
         use corra_encodings::DictInt;
         // A four-entry parent over children encoded for two groups: a row
-        // under parent code 2 or 3 would address no `offsets` slot.
+        // under parent code 2 or 3 would address no `offsets` slot. The
+        // block's assembly refuses it, so no query ever sees it.
         let parent = ColumnCodec::Int(IntEncoding::Dict(DictInt::encode(&[10, 20, 30, 40])));
         let groups = [0, 1, 0, 1];
         let children = [
@@ -1071,37 +1030,12 @@ mod tests {
                 reference: 0,
             },
         ];
-        fn check<B: BlockView + ?Sized>(label: &str, view: &B) {
-            let sel = SelectionVector::all(4);
-            let idx = view.index_of("c").unwrap();
-            for err in [
-                query_column(view, "c", &sel).err(),
-                query_both(view, "c", &sel).err(),
-                crate::compressor::decompress_column(view, idx).err(),
-            ] {
-                assert!(matches!(err, Some(Error::Corrupt(_))), "{label}: {err:?}");
-            }
-        }
         for child in children {
             let label = child.scheme();
             let codecs = vec![parent.clone(), child];
-            let block = CompressedBlock::new_unchecked(
-                4,
-                vec!["p".into(), "c".into()],
-                codecs,
-                vec![None; 2],
-            );
-            check(label, &block);
-            // A bare block decodes its integer zones on the way in.
-            match CompressedBlock::from_bytes(&block.to_bytes().unwrap()) {
-                Ok(back) => check(label, &back),
-                Err(err) => assert!(matches!(err, Error::Corrupt(_)), "{label}: {err:?}"),
-            }
-            let mut writer = TableWriter::new(Vec::new()).unwrap();
-            writer.write_block(&block).unwrap();
-            let reader = TableReader::from_bytes(writer.finish().unwrap()).unwrap();
-            check(label, &reader.block_handle(0).unwrap());
-            check(label, &reader.read_block(0).unwrap());
+            let got =
+                CompressedBlock::from_parts(4, vec!["p".into(), "c".into()], codecs, vec![None; 2]);
+            assert!(matches!(got, Err(Error::Corrupt(_))), "{label}: {got:?}");
         }
     }
 }

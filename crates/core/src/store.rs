@@ -43,7 +43,7 @@
 
 use std::cell::{Cell, OnceCell};
 use std::io::{Seek, SeekFrom, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
@@ -56,7 +56,7 @@ use corra_columnar::stats::ZoneMap;
 use crate::aggregate::{aggregate_source, AggExpr, AggResult};
 use crate::cache::{next_table_id, CacheKey, CacheValue, ShardedCache};
 use crate::compressor::{decompress_column, BlockSource, BlockView, ColumnCodec, CompressedBlock};
-use crate::format::{read_codec_payload, CodecHeader, PayloadSpan};
+use crate::format::{check_column, check_wiring, read_codec_payload, CodecHeader, PayloadSpan};
 use crate::io::{checksum64, read_full_at, FileBackend, IoBackend, MemBackend};
 use crate::operator::{
     gather_source, hash_join_sources, top_k_source, JoinExpr, JoinPair, JoinStats, RowId, TopKExpr,
@@ -127,31 +127,24 @@ impl TableFooter {
         self.blocks.get(block)?.columns.get(column)?.zone
     }
 
-    /// The transitive reference closure of column `column`: the column
-    /// itself plus every column its codec needs for reconstruction,
-    /// resolved purely from footer wiring (no payload bytes touched).
+    /// The reference closure of column `column`: the column itself plus
+    /// every column its codec reads to reconstruct, resolved purely from
+    /// footer wiring (no payload bytes touched). References are vertical
+    /// (checked when the footer is parsed), so one hop is the closure.
     pub fn reference_closure(&self, block: usize, column: usize) -> Result<Vec<usize>> {
         let meta = self
             .blocks
             .get(block)
             .ok_or_else(|| Error::invalid(format!("block {block} out of range")))?;
+        let cm = meta.columns.get(column).ok_or(Error::IndexOutOfBounds {
+            index: column,
+            len: meta.columns.len(),
+        })?;
         let mut out = vec![column];
-        // References never chain (enforced at write), so one hop suffices;
-        // still, walk generically in case that invariant is ever relaxed.
-        let mut i = 0;
-        while i < out.len() {
-            let col = out[i];
-            let cm = meta.columns.get(col).ok_or(Error::IndexOutOfBounds {
-                index: col,
-                len: meta.columns.len(),
-            })?;
-            for r in cm.header.wiring.references() {
-                let r = r as usize;
-                if !out.contains(&r) {
-                    out.push(r);
-                }
+        for r in cm.header.wiring.references() {
+            if !out.contains(&(r as usize)) {
+                out.push(r as usize);
             }
-            i += 1;
         }
         Ok(out)
     }
@@ -226,7 +219,7 @@ impl TableFooter {
             let block_checksum = buf.get_u64_le();
             let mut columns = Vec::with_capacity(n_cols);
             for _ in 0..n_cols {
-                let header = CodecHeader::read_from(&mut buf, n_cols)?;
+                let header = CodecHeader::read_from(&mut buf)?;
                 if buf.remaining() < 8 + 4 + 8 + 1 {
                     return Err(Error::corrupt("footer column span truncated"));
                 }
@@ -259,16 +252,10 @@ impl TableFooter {
                     checksum,
                 });
             }
-            // Horizontal wiring must target vertical columns, the same
-            // invariant CompressedBlock::from_bytes enforces on payloads.
             for col in &columns {
-                for r in col.header.wiring.references() {
-                    if columns[r as usize].header.is_horizontal() {
-                        return Err(Error::corrupt(
-                            "footer wiring references a horizontal column",
-                        ));
-                    }
-                }
+                check_wiring(&col.header.wiring, columns.len(), |r| {
+                    columns[r].header.is_horizontal()
+                })?;
             }
             blocks.push(BlockMeta {
                 offset,
@@ -514,6 +501,11 @@ pub struct TableReader {
     /// Attached serving cache plus this reader's cache-keying table id
     /// (see [`TableReader::with_cache`]).
     cache: Option<(Arc<ShardedCache>, u64)>,
+    /// Per `(block, column)`, at `block * n_cols + column`: whether a load
+    /// of that payload passed `check_column` on this reader. The file is
+    /// immutable and every load is checksummed, so a re-load of a column
+    /// whose cached codec was evicted needs no second check.
+    checked: Vec<AtomicBool>,
 }
 
 /// What one footer-addressed payload load cost: bytes fetched from the
@@ -587,11 +579,14 @@ impl TableReader {
                 )));
             }
         }
-        let names = footer
+        let names: Vec<String> = footer
             .schema
             .fields()
             .iter()
             .map(|f| f.name().to_owned())
+            .collect();
+        let checked = (0..footer.blocks.len() * names.len())
+            .map(|_| AtomicBool::new(false))
             .collect();
         Ok(Self {
             source,
@@ -600,6 +595,7 @@ impl TableReader {
             names,
             bytes_read: AtomicU64::new(0),
             cache: None,
+            checked,
         })
     }
 
@@ -737,10 +733,16 @@ impl TableReader {
     /// or from the attached cache. Returns the codec and whether the cache
     /// answered (`true` = zero backend bytes fetched).
     ///
-    /// The decoded codec enters the cache only after the payload checksum
-    /// *and* every structural validation passed — a bit-flipped fill
-    /// surfaces as `Err` and never as a poisoned entry.
-    fn load_codec(&self, block: usize, col: usize) -> Result<(Arc<ColumnCodec>, bool)> {
+    /// A loaded codec enters the cache only after the payload checksum
+    /// *and* `check` passed — a bit-flipped or malformed fill surfaces as
+    /// `Err` and never as a poisoned entry, so a hit needs no check, and
+    /// `check` runs once per column on this reader.
+    fn load_codec(
+        &self,
+        block: usize,
+        col: usize,
+        check: impl FnOnce(&ColumnCodec) -> Result<()>,
+    ) -> Result<(Arc<ColumnCodec>, bool)> {
         let meta = self.block_meta(block)?;
         let cm = meta.columns.get(col).ok_or(Error::IndexOutOfBounds {
             index: col,
@@ -761,26 +763,13 @@ impl TableReader {
                 "column {col} payload checksum mismatch in block {block}"
             )));
         }
-        let mut cursor = bytes.as_slice();
-        let codec = read_codec_payload(&cm.header, &mut cursor)?;
-        if !cursor.is_empty() {
-            return Err(Error::corrupt(format!(
-                "{} trailing bytes in column payload",
-                cursor.len()
-            )));
-        }
-        // The same validations CompressedBlock::from_bytes runs: a hostile
-        // length field or formula mask must not survive into the decode
-        // kernels.
-        if codec.len() != meta.rows as usize {
-            return Err(Error::corrupt(format!(
-                "column {col} stores {} rows, block has {}",
-                codec.len(),
-                meta.rows
-            )));
-        }
-        if let ColumnCodec::MultiRef { enc, groups } = &codec {
-            enc.validate_groups(groups.len())?;
+        let codec = read_codec_payload(&cm.header, &bytes)?;
+        // `Relaxed`: the flag publishes no data — every load parses its own
+        // checksummed copy of the same immutable bytes.
+        let checked = &self.checked[block * self.names.len() + col];
+        if !checked.load(Ordering::Relaxed) {
+            check(&codec)?;
+            checked.store(true, Ordering::Relaxed);
         }
         let codec = Arc::new(codec);
         if let (Some((cache, _)), Some(key)) = (&self.cache, key) {
@@ -873,7 +862,11 @@ impl BlockView for BlockHandle<'_> {
         if let Some(codec) = cell.get() {
             return Ok(codec);
         }
-        let (codec, from_cache) = self.reader.load_codec(self.block, i)?;
+        // A first load passes the block's structural check before it is
+        // cached or handed out; its references load into this handle first.
+        let (codec, from_cache) = self
+            .reader
+            .load_codec(self.block, i, |codec| check_column(codec, self.rows, self))?;
         let mut cost = self.cost.get();
         if from_cache {
             cost.cache_hits += 1;

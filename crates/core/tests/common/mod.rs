@@ -15,8 +15,8 @@ use corra_columnar::column::{Column, DataType};
 use corra_columnar::schema::{Field, Schema};
 use std::sync::Arc;
 
-use corra_core::store::{SegmentedTable, TableReader, TableWriter};
-use corra_core::{ColumnPlan, CompressedBlock, CompressionConfig};
+use corra_core::store::{SegmentedTable, TableFooter, TableReader, TableWriter};
+use corra_core::{checksum64, ColumnPlan, CompressedBlock, CompressionConfig};
 
 /// A block exercising every codec family the block format serializes:
 /// dict-string, hier-int-under-string, FOR dates, nonhier, plain string,
@@ -118,4 +118,49 @@ pub fn small_table() -> (Vec<DataBlock>, Vec<CompressedBlock>, Vec<u8>) {
 /// One table file as a table: the one-segment [`SegmentedTable`].
 pub fn one_segment(reader: TableReader) -> SegmentedTable {
     SegmentedTable::from_readers(vec![Arc::new(reader)])
+}
+
+/// Re-seals a table file whose block bytes were rewritten in place, as a
+/// writer that encoded the rewritten bytes would have sealed them: every
+/// column and block checksum in the footer is recomputed, every zone is
+/// marked as an older writer's covering bounds (flag 1, which a reader
+/// ignores — the rewritten payloads no longer match the zones), and the
+/// footer's own checksum is recomputed. `footer` is the file's footer
+/// before the rewrite.
+pub fn reseal(bytes: &mut [u8], footer: &TableFooter) {
+    let end = bytes.len() - 16;
+    let footer_len = u64::from_le_bytes(bytes[end..end + 8].try_into().unwrap()) as usize;
+    let start = end - footer_len;
+    let find = |bytes: &[u8], pattern: &[u8]| {
+        start
+            + bytes[start..end]
+                .windows(pattern.len())
+                .position(|w| w == pattern)
+                .expect("the field is in the footer")
+    };
+    for block in &footer.blocks {
+        let at = block.offset as usize;
+        let image = at..at + block.len as usize;
+        for col in &block.columns {
+            let payload = at + col.span.offset as usize;
+            let sum = checksum64(&bytes[payload..payload + col.span.len as usize]);
+            let mut field = col.span.offset.to_le_bytes().to_vec();
+            field.extend(col.span.len.to_le_bytes());
+            field.extend(col.checksum.to_le_bytes());
+            let pos = find(bytes, &field);
+            bytes[pos + 12..pos + 20].copy_from_slice(&sum.to_le_bytes());
+            if bytes[pos + 20] == 2 {
+                bytes[pos + 20] = 1;
+            }
+        }
+        let mut field = block.offset.to_le_bytes().to_vec();
+        field.extend(block.len.to_le_bytes());
+        field.extend(block.rows.to_le_bytes());
+        field.extend(block.checksum.to_le_bytes());
+        let pos = find(bytes, &field);
+        let sum = checksum64(&bytes[image]);
+        bytes[pos + 20..pos + 28].copy_from_slice(&sum.to_le_bytes());
+    }
+    let sum = checksum64(&bytes[start..end - 8]);
+    bytes[end - 8..end].copy_from_slice(&sum.to_le_bytes());
 }

@@ -471,3 +471,51 @@ fn pool_strings_are_validated_once() {
         "strings.rs checks UTF-8 outside read_from; validate pools once, when read"
     );
 }
+
+#[test]
+fn block_structure_is_checked_once_where_a_block_is_assembled() {
+    // `format::check_column` holds every cross-column invariant a kernel
+    // relies on, and runs where a block is assembled — over every column in
+    // `CompressedBlock::from_parts`, and on a lazy handle's first load of a
+    // column — so the resolutions and the store's loads do not re-check.
+    let retired = ["fn aligned(", "new_unchecked", "validate_groups("];
+    let home = ["format.rs", "multiref.rs"];
+    let mut callers = Vec::new();
+    for (path, source) in crate_sources() {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let library = library_part(&source);
+        if library.contains("check_column(") && name != "format.rs" {
+            callers.push(name.clone());
+        }
+        if home.contains(&name.as_str()) {
+            continue;
+        }
+        for copy in retired {
+            assert!(
+                !library.contains(copy),
+                "{} brings back `{copy}`; a block's structure is checked once, \
+                 in format::check_column",
+                path.display()
+            );
+        }
+    }
+    callers.sort();
+    assert_eq!(
+        callers,
+        ["compressor.rs", "store.rs"],
+        "check_column runs where a block is assembled: from_parts and the \
+         lazy handle's load"
+    );
+    for (name, source) in [
+        ("query.rs", library_part(include_str!("../src/query.rs"))),
+        ("store.rs", library_part(include_str!("../src/store.rs"))),
+    ] {
+        for check in ["LengthMismatch", "n_parents", "stores {} rows"] {
+            assert!(
+                !source.contains(check),
+                "{name} re-checks structure (`{check}`); format::check_column \
+                 already did"
+            );
+        }
+    }
+}
