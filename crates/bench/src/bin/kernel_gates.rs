@@ -35,6 +35,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use corra_columnar::bitpack::BitPackedVec;
+use corra_columnar::selection::SelectionVector;
 use corra_columnar::simd::{self, KernelTier};
 use corra_columnar::topk::TopKHeap;
 use corra_core::checksum64;
@@ -127,21 +128,25 @@ fn per_value_unpack(packed: &BitPackedVec, out: &mut Vec<u64>) {
     }
 }
 
-/// Materialize through the active tier, then compare in a second pass.
+/// Materialize through the active tier, then compare in a second pass
+/// into a selection bitmap.
 fn two_pass_filter(
     packed: &BitPackedVec,
     lo: u64,
     hi: u64,
     vals: &mut Vec<u64>,
-    sel: &mut Vec<u32>,
+    sel: &mut SelectionVector,
 ) {
     packed.unpack_into(vals);
-    sel.clear();
-    for (i, &v) in vals.iter().enumerate() {
-        if v >= lo && v <= hi {
-            sel.push(i as u32);
-        }
-    }
+    let words = vals
+        .chunks(64)
+        .map(|c| {
+            c.iter()
+                .rev()
+                .fold(0, |w, &v| w << 1 | u64::from(v >= lo && v <= hi))
+        })
+        .collect();
+    *sel = SelectionVector::from_words(words, vals.len());
 }
 
 /// `n` scrambled values filling `bits`, and their packed vector.
@@ -161,7 +166,7 @@ fn unpack_gates(bits: u8, simd_on: bool, gates: &mut Vec<Gate>) {
     let (lo, hi) = (mask / 4, mask / 2);
 
     let (mut a, mut b) = (Vec::new(), Vec::new());
-    let (mut sel_a, mut sel_b) = (Vec::new(), Vec::new());
+    let (mut sel_a, mut sel_b) = (SelectionVector::empty(), SelectionVector::empty());
     // Parity first: a gate never times a wrong kernel.
     per_value_unpack(&packed, &mut a);
     assert_eq!(a, values, "{bits}-bit per-value decode diverged");
@@ -187,10 +192,7 @@ fn unpack_gates(bits: u8, simd_on: bool, gates: &mut Vec<Gate>) {
     let fused = median_ratio(
         PASSES,
         || two_pass_filter(&packed, lo, hi, &mut b, black_box(&mut sel_b)),
-        || {
-            sel_a.clear();
-            packed.filter_range_into(lo, hi, false, black_box(&mut sel_a));
-        },
+        || packed.filter_range_into(lo, hi, false, black_box(&mut sel_a)),
     );
     for (what, ratio, min, binding) in [
         ("batched unpack / per-value", batched, MIN_BATCHED, true),

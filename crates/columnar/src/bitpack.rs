@@ -40,6 +40,7 @@
 //! and benches can pin a tier per call.
 
 use crate::error::{Error, Result};
+use crate::selection::SelectionVector;
 use crate::simd::{self, KernelTable};
 use bytes::{Buf, BufMut};
 
@@ -317,16 +318,17 @@ impl BitPackedVec {
         below
     }
 
-    /// Fused decode+filter: pushes the index of every packed value inside
-    /// (or, with `negate`, outside) the inclusive unsigned interval
-    /// `[lo, hi]` onto `out` — decode and compare run as one chunked sweep
-    /// over the compressed words that never materializes the column. This
+    /// Fused decode+filter: replaces `out` with the bitmap of every packed
+    /// value inside (or, with `negate`, outside) the inclusive unsigned
+    /// interval `[lo, hi]` — decode and compare run as one chunked sweep
+    /// over the compressed words that never materializes the column, and
+    /// each chunk's compare bitmap is written into `out` as it stands. This
     /// is the one-pass cold-scan primitive behind the FOR (offset-domain)
     /// and Dict (code-domain) filter kernels.
     ///
     /// `lo > hi` denotes the empty interval (matches nothing, or everything
-    /// when negated). `out` is *not* cleared: callers may stack spans.
-    pub fn filter_range_into(&self, lo: u64, hi: u64, negate: bool, out: &mut Vec<u32>) {
+    /// when negated).
+    pub fn filter_range_into(&self, lo: u64, hi: u64, negate: bool, out: &mut SelectionVector) {
         self.filter_range_into_with(simd::active(), lo, hi, negate, out);
     }
 
@@ -338,34 +340,37 @@ impl BitPackedVec {
         lo: u64,
         hi: u64,
         negate: bool,
-        out: &mut Vec<u32>,
+        out: &mut SelectionVector,
     ) {
-        if self.len == 0 {
-            return;
-        }
-        let all = |out: &mut Vec<u32>| out.extend(0..self.len as u32);
-        if lo > hi {
-            // Empty interval: negation selects every row.
-            if negate {
-                all(out);
+        // Each early exit decides every row with one comparison: an empty
+        // interval, a constant-zero column, or an interval covering the
+        // whole packed domain (no decode needed).
+        let every_row = if lo > hi {
+            Some(negate)
+        } else if self.bits == 0 {
+            Some((lo == 0) != negate)
+        } else if lo == 0 && hi >= mask_for(self.bits) {
+            Some(!negate)
+        } else {
+            None
+        };
+        *out = match every_row {
+            Some(every) => SelectionVector::all_or_none(self.len, every),
+            None => {
+                let mut sel = SelectionVector::none(self.len);
+                simd::filter_packed_span(
+                    k,
+                    self.bits,
+                    &self.words,
+                    self.len,
+                    lo,
+                    hi,
+                    negate,
+                    &mut sel,
+                );
+                sel
             }
-            return;
-        }
-        if self.bits == 0 {
-            // Constant-zero column: one comparison decides every row.
-            if (lo == 0) != negate {
-                all(out);
-            }
-            return;
-        }
-        if lo == 0 && hi >= mask_for(self.bits) {
-            // Interval covers the whole packed domain: no decode needed.
-            if !negate {
-                all(out);
-            }
-            return;
-        }
-        simd::filter_packed_span(k, self.bits, &self.words, self.len, lo, hi, negate, 0, out);
+        };
     }
 
     /// Decodes the whole vector into a fresh `Vec`.

@@ -1,49 +1,107 @@
-//! Selection vectors for the query-latency experiments.
+//! Selection vectors: which rows of one block an operator reads.
+//!
+//! A [`SelectionVector`] is a block-local bitmap — bit `j` of word `w` is
+//! row `64 · w + j` — plus its cached popcount. A filter kernel writes
+//! the words straight from its compare bitmaps, `AND` / `OR` / `NOT`
+//! combine words, and `COUNT` reads the cached popcount. Row positions
+//! are expanded only where they are used — by a selected-row kernel
+//! (gather, filtered fold, filtered TOP-K) or a caller that needs them as
+//! a list — through [`SelectionVector::positions`].
 //!
 //! The paper (§3, Experimental Setup): *"When measuring query latency, we
 //! generate 10 uniform random selection vectors for each individual
 //! selectivity (as done, e.g., in Lang et al.). In the experiment, we
 //! decompress and materialize the values at the specified positions."*
-//!
-//! A [`SelectionVector`] is a sorted list of distinct row positions within a
-//! block. [`sample_uniform`] draws one by including each row independently…
-//! no — by a uniform fixed-size sample without replacement, matching the
-//! "uniform random selection vector of selectivity s" construction.
+//! [`sample_uniform`] draws one as a uniform fixed-size sample without
+//! replacement, matching the "uniform random selection vector of
+//! selectivity s" construction.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A sorted vector of distinct row positions to materialize.
-#[derive(Debug, Clone, PartialEq, Eq)]
+use crate::simd::{emit_positions, EMIT_SLACK};
+
+/// The selected rows of a block, as a bitmap.
+///
+/// The bitmap is `bit_len` bits long: a block's rows for a kernel's
+/// output, `last + 1` for [`new`](Self::new) / [`from_sorted`](Self::from_sorted),
+/// so it costs `bit_len / 8` bytes whatever the number of rows selected.
+/// Two selections are equal when they select the same rows, whatever
+/// their bitmap lengths.
+#[derive(Clone, Default)]
 pub struct SelectionVector {
-    positions: Vec<u32>,
+    /// `bit_len.div_ceil(64)` words; bits at and past `bit_len` are zero.
+    words: Vec<u64>,
+    bit_len: usize,
+    /// The number of set bits.
+    count: usize,
 }
 
 impl SelectionVector {
-    /// Creates a selection vector from positions; sorts and deduplicates.
-    pub fn new(mut positions: Vec<u32>) -> Self {
-        positions.sort_unstable();
-        positions.dedup();
-        Self { positions }
+    /// Creates a selection vector from positions in any order, duplicates
+    /// allowed.
+    pub fn new(positions: Vec<u32>) -> Self {
+        let mut sel = Self::none(positions.iter().max().map_or(0, |&p| p as usize + 1));
+        for &p in &positions {
+            sel.or_word(p as usize / 64, 1 << (p % 64));
+        }
+        sel
     }
 
     /// Creates a selection covering every row in `0..rows`.
     pub fn all(rows: usize) -> Self {
-        Self {
-            positions: (0..rows as u32).collect(),
+        Self::from_words(vec![u64::MAX; rows.div_ceil(64)], rows)
+    }
+
+    /// Creates an empty selection (no rows): [`none(0)`](Self::none).
+    pub fn empty() -> Self {
+        Self::default()
+    }
+
+    /// Every row of `0..rows` when `every`, else none: the answer of a
+    /// filter its predicate decides without reading a row.
+    pub fn all_or_none(rows: usize, every: bool) -> Self {
+        if every {
+            Self::all(rows)
+        } else {
+            Self::none(rows)
         }
     }
 
-    /// Creates an empty selection (no rows).
-    pub fn empty() -> Self {
+    /// A selection of none of `rows` rows: the bitmap a filter kernel
+    /// writes into ([`write_bits`](Self::write_bits),
+    /// [`set_range`](Self::set_range)).
+    ///
+    /// The words come zeroed from the allocator, so the pages of a long
+    /// bitmap are touched only where a bit is set.
+    pub fn none(rows: usize) -> Self {
         Self {
-            positions: Vec::new(),
+            words: vec![0; rows.div_ceil(64)],
+            bit_len: rows,
+            count: 0,
+        }
+    }
+
+    /// The selection whose bit `j` of word `w` selects row `64 · w + j`,
+    /// over `rows` rows: bits at and past `rows` are dropped, and `words`
+    /// is cut or zero-extended to `rows.div_ceil(64)` words.
+    pub fn from_words(mut words: Vec<u64>, rows: usize) -> Self {
+        words.resize(rows.div_ceil(64), 0);
+        if rows % 64 != 0 {
+            if let Some(last) = words.last_mut() {
+                *last &= (1u64 << (rows % 64)) - 1;
+            }
+        }
+        let count = popcount(&words);
+        Self {
+            words,
+            bit_len: rows,
+            count,
         }
     }
 
     /// Wraps positions that are already strictly increasing, skipping the
-    /// sort/dedup of [`new`](Self::new). This is the constructor used by the
-    /// scan kernels, which emit positions in row order by construction.
+    /// duplicate handling of [`new`](Self::new).
     ///
     /// # Errors
     ///
@@ -54,57 +112,85 @@ impl SelectionVector {
                 "selection positions must be strictly increasing",
             ));
         }
-        Ok(Self { positions })
+        Ok(Self::new(positions))
     }
 
-    /// The sorted intersection of two selections (merge walk).
+    /// Selects rows `start + j` for every bit `j < n` of `bits` (of its
+    /// complement, when `negate`), keeping the rows already selected. The
+    /// filter kernels' write: one call per compare bitmap.
+    ///
+    /// # Panics
+    ///
+    /// If `start + n` exceeds the bitmap length or `bits` holds fewer
+    /// than `n` bits.
+    pub fn write_bits(&mut self, start: usize, bits: &[u64], n: usize, negate: bool) {
+        assert!(
+            start + n <= self.bit_len && bits.len() * 64 >= n,
+            "bitmap write out of bounds"
+        );
+        let (w0, shift) = (start / 64, start % 64);
+        for (k, &b) in bits[..n.div_ceil(64)].iter().enumerate() {
+            let mut b = if negate { !b } else { b };
+            let rem = n - k * 64;
+            if rem < 64 {
+                b &= (1u64 << rem) - 1;
+            }
+            self.or_word(w0 + k, b << shift);
+            // Bits shifted past this word belong to rows below
+            // `start + n`, so the next word exists whenever any is set.
+            if shift != 0 && b >> (64 - shift) != 0 {
+                self.or_word(w0 + k + 1, b >> (64 - shift));
+            }
+        }
+    }
+
+    /// Selects every row in `start..end`, keeping the rows already
+    /// selected.
+    ///
+    /// # Panics
+    ///
+    /// If `end` exceeds the bitmap length.
+    pub fn set_range(&mut self, start: usize, end: usize) {
+        assert!(end <= self.bit_len, "bitmap write out of bounds");
+        let mut row = start;
+        while row < end {
+            let bit = row % 64;
+            let n = (end - row).min(64 - bit);
+            self.or_word(row / 64, (u64::MAX >> (64 - n)) << bit);
+            row += n;
+        }
+    }
+
+    #[inline]
+    fn or_word(&mut self, w: usize, bits: u64) {
+        let old = self.words[w];
+        self.count += (bits & !old).count_ones() as usize;
+        self.words[w] = old | bits;
+    }
+
+    /// The rows both selections select (word `AND`).
     pub fn intersect(&self, other: &SelectionVector) -> SelectionVector {
-        let (mut a, mut b) = (self.positions.iter().peekable(), other.positions.iter());
-        let mut out = Vec::with_capacity(self.len().min(other.len()));
-        'outer: for &pb in b.by_ref() {
-            while let Some(&&pa) = a.peek() {
-                match pa.cmp(&pb) {
-                    std::cmp::Ordering::Less => {
-                        a.next();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        out.push(pb);
-                        a.next();
-                        continue 'outer;
-                    }
-                    std::cmp::Ordering::Greater => continue 'outer,
-                }
-            }
-            break;
-        }
-        SelectionVector { positions: out }
+        let words = self
+            .words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| a & b)
+            .collect();
+        Self::from_words(words, self.bit_len.min(other.bit_len))
     }
 
-    /// The sorted union of two selections (merge walk).
+    /// The rows either selection selects (word `OR`).
     pub fn union(&self, other: &SelectionVector) -> SelectionVector {
-        let (a, b) = (&self.positions, &other.positions);
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
+        let (long, short) = if self.words.len() >= other.words.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let mut words = long.words.clone();
+        for (w, &s) in words.iter_mut().zip(&short.words) {
+            *w |= s;
         }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        SelectionVector { positions: out }
+        Self::from_words(words, long.bit_len.max(short.bit_len))
     }
 
     /// The complement of this selection within `0..rows`: every row of the
@@ -113,34 +199,57 @@ impl SelectionVector {
     /// Positions `>= rows` are ignored; validate the selection first if
     /// out-of-range positions should be an error.
     pub fn complement(&self, rows: usize) -> SelectionVector {
-        let mut out = Vec::with_capacity(rows.saturating_sub(self.positions.len()));
-        let mut sel = self.positions.iter().peekable();
-        for p in 0..rows as u32 {
-            if sel.peek() == Some(&&p) {
-                sel.next();
-            } else {
-                out.push(p);
+        let words = (0..rows.div_ceil(64))
+            .map(|w| !self.words.get(w).copied().unwrap_or(0))
+            .collect();
+        Self::from_words(words, rows)
+    }
+
+    /// The selected positions, ascending and distinct: the one expansion
+    /// of the bitmap into rows, for the selected-row kernels and callers
+    /// that need them as a list.
+    ///
+    /// An all-zero stride of 1 024 words (64 K rows) is stepped over with
+    /// one slice compare (a `memcmp`), so a bitmap built from far-apart
+    /// positions (`new(vec![0, u32::MAX])`: 2^26 words) expands in the
+    /// time it takes to read its pages, not one emit step per word.
+    pub fn positions(&self) -> Vec<u32> {
+        let mut out = vec![0; self.count + EMIT_SLACK];
+        let mut n = 0;
+        for (s, stride) in self.words.chunks(ZERO_WORDS.len()).enumerate() {
+            if stride != &ZERO_WORDS[..stride.len()] {
+                let first_row = (s * ZERO_WORDS.len() * 64) as u32;
+                n += emit_positions(stride, first_row, &mut out[n..]);
             }
         }
-        SelectionVector { positions: out }
+        out.truncate(n);
+        out
     }
 
-    /// The selected positions, ascending and distinct.
+    /// Whether row `row` is selected.
     #[inline]
-    pub fn positions(&self) -> &[u32] {
-        &self.positions
+    pub fn contains(&self, row: usize) -> bool {
+        self.words
+            .get(row / 64)
+            .is_some_and(|w| w >> (row % 64) & 1 == 1)
     }
 
-    /// Number of selected rows.
+    /// The bitmap's length in rows.
+    #[inline]
+    pub fn bit_len(&self) -> usize {
+        self.bit_len
+    }
+
+    /// Number of selected rows (the cached popcount).
     #[inline]
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.count
     }
 
     /// Whether nothing is selected.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.count == 0
     }
 
     /// The realized selectivity w.r.t. a block of `rows` rows.
@@ -152,22 +261,65 @@ impl SelectionVector {
         if rows == 0 {
             0.0
         } else {
-            self.positions.len() as f64 / rows as f64
+            self.count as f64 / rows as f64
         }
     }
 
-    /// Checks every position is `< rows`.
+    /// Checks every selected position is `< rows`.
     ///
     /// For `rows == 0` only the empty selection validates: any stored
     /// position would address a nonexistent row, so a non-empty selection is
     /// rejected rather than vacuously accepted.
     pub fn validate(&self, rows: usize) -> bool {
-        if rows == 0 {
-            return self.is_empty();
-        }
-        self.positions.last().is_none_or(|&p| (p as usize) < rows)
+        self.bit_len <= rows || self.last().is_none_or(|p| (p as usize) < rows)
+    }
+
+    /// The highest selected position.
+    fn last(&self) -> Option<u32> {
+        let w = self.words.iter().rposition(|&w| w != 0)?;
+        Some((w * 64 + 63 - self.words[w].leading_zeros() as usize) as u32)
     }
 }
+
+/// Whether `rows` is strictly ascending and every row is below `len`:
+/// what [`SelectionVector::positions`] returns for a selection that
+/// validates against `len`, and what a gather over a row list requires.
+pub fn rows_fit(rows: &[u32], len: usize) -> bool {
+    rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&p| (p as usize) < len)
+}
+
+/// The stride [`SelectionVector::positions`] compares against before it
+/// expands: 64 K rows.
+static ZERO_WORDS: [u64; 1024] = [0; 1024];
+
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Prints the selected positions, as the list-backed selection's derived
+/// `Debug` did: `corra-sim` fingerprints answers by their `Debug` text.
+impl std::fmt::Debug for SelectionVector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SelectionVector")
+            .field("positions", &self.positions())
+            .finish()
+    }
+}
+
+impl PartialEq for SelectionVector {
+    fn eq(&self, other: &Self) -> bool {
+        let (long, short) = if self.words.len() >= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        self.count == other.count
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for SelectionVector {}
 
 /// Draws a uniform random selection vector of `k = round(selectivity * rows)`
 /// distinct positions (Floyd's algorithm, O(k) expected).
@@ -190,9 +342,7 @@ pub fn sample_uniform(rows: usize, selectivity: f64, rng: &mut StdRng) -> Select
             chosen.insert(j as u32);
         }
     }
-    let mut positions: Vec<u32> = chosen.into_iter().collect();
-    positions.sort_unstable();
-    SelectionVector { positions }
+    SelectionVector::new(chosen.into_iter().collect())
 }
 
 /// Generates the paper's per-selectivity workload: `n` independent uniform

@@ -63,6 +63,7 @@
 //! design.
 
 use crate::bitpack::{self, UNPACK_CHUNK};
+use crate::selection::SelectionVector;
 use std::sync::OnceLock;
 
 /// Which implementation tier a [`KernelTable`] was built from.
@@ -105,6 +106,9 @@ pub struct KernelTable {
     pub range_bitmap_u64: fn(&[u64], u64, u64, &mut [u64]),
     /// `(vals, lo, hi, bitmap)` — signed inclusive-range selection bits.
     pub range_bitmap_i64: fn(&[i64], i64, i64, &mut [u64]),
+    /// `(bitmap, first_row, out)` — selection bits to row positions; see
+    /// [`emit_positions`].
+    pub emit_positions: fn(&[u64], u32, &mut [u32]) -> usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -135,12 +139,52 @@ fn scalar_range_bitmap_i64(vals: &[i64], lo: i64, hi: i64, bm: &mut [u64]) {
     }
 }
 
+/// Slots past its set bits that [`emit_positions`] may overwrite.
+pub const EMIT_SLACK: usize = 8;
+
+/// The body of every tier's `emit_positions`. A word writes one position
+/// unconditionally, then eight at a time while set bits remain; past its
+/// set bits the slots hold garbage that the next word overwrites. A word
+/// of a sparse selection (a gather's 1 %: almost every word holds zero or
+/// one row) takes no data-dependent branch, and a dense one loops once
+/// per eight rows instead of once per row (the variants measured are in
+/// `docs/PERF.md`, "Selections are block bitmaps").
+#[inline(always)]
+fn expand_bits(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize {
+    let mut n = 0;
+    for (wi, &w) in bm.iter().enumerate() {
+        let base = first_row.wrapping_add(wi as u32 * 64);
+        let set = w.count_ones() as usize;
+        let mut m = w;
+        let mut emit = |slots: &mut [u32]| {
+            for slot in slots {
+                // An exhausted word has 64 trailing zeros: a garbage slot.
+                *slot = base.wrapping_add(m.trailing_zeros());
+                m &= m.wrapping_sub(1);
+            }
+        };
+        emit(&mut out[n..n + 1]);
+        let mut at = n + 1;
+        while at < n + set {
+            emit(&mut out[at..at + 8]);
+            at += 8;
+        }
+        n += set;
+    }
+    n
+}
+
+fn scalar_emit_positions(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize {
+    expand_bits(bm, first_row, out)
+}
+
 static SCALAR: KernelTable = KernelTable {
     tier: KernelTier::Scalar,
     unpack: scalar_unpack,
     unpack_add: scalar_unpack_add,
     range_bitmap_u64: scalar_range_bitmap_u64,
     range_bitmap_i64: scalar_range_bitmap_i64,
+    emit_positions: scalar_emit_positions,
 };
 
 // ---------------------------------------------------------------------------
@@ -173,13 +217,30 @@ fn avx2_range_bitmap_i64(vals: &[i64], lo: i64, hi: i64, bm: &mut [u64]) {
 }
 
 #[cfg(target_arch = "x86_64")]
+fn avx2_emit_positions(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize {
+    // SAFETY: as above — table construction implies AVX2, BMI1 and POPCNT.
+    unsafe { avx2::emit_positions(bm, first_row, out) }
+}
+
+#[cfg(target_arch = "x86_64")]
 static AVX2: KernelTable = KernelTable {
     tier: KernelTier::Avx2,
     unpack: avx2_unpack,
     unpack_add: avx2_unpack_add,
     range_bitmap_u64: avx2_range_bitmap_u64,
     range_bitmap_i64: avx2_range_bitmap_i64,
+    emit_positions: avx2_emit_positions,
 };
+
+/// Whether this CPU runs the AVX2 tier: AVX2 for the decode and compare
+/// kernels, BMI1 and POPCNT for `emit_positions`' bit scans (every AVX2
+/// CPU shipped so far has both).
+#[cfg(target_arch = "x86_64")]
+fn avx2_detected() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("bmi1")
+        && std::arch::is_x86_feature_detected!("popcnt")
+}
 
 // ---------------------------------------------------------------------------
 // Dispatch.
@@ -199,7 +260,7 @@ pub fn tiers() -> &'static [&'static KernelTable] {
         #[allow(unused_mut)]
         let mut t: Vec<&'static KernelTable> = vec![&SCALAR];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if avx2_detected() {
             t.push(&AVX2);
         }
         t
@@ -208,7 +269,7 @@ pub fn tiers() -> &'static [&'static KernelTable] {
 
 fn best() -> &'static KernelTable {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if avx2_detected() {
         return &AVX2;
     }
     &SCALAR
@@ -220,7 +281,7 @@ fn resolve() -> &'static KernelTable {
             "scalar" => &SCALAR,
             "avx2" => {
                 #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("avx2") {
+                if avx2_detected() {
                     return &AVX2;
                 }
                 eprintln!(
@@ -246,38 +307,32 @@ pub fn active() -> &'static KernelTable {
     ACTIVE.get_or_init(resolve)
 }
 
-/// Expands a selection bitmap into row positions: for every set bit `j`
-/// (flipped by `negate`, with bits past `len` ignored) pushes
-/// `first_row + j`. The shared back half of every fused decode-filter pass.
-pub fn emit_positions(bm: &[u64], len: usize, negate: bool, first_row: u32, out: &mut Vec<u32>) {
-    let n_words = len.div_ceil(64);
-    debug_assert!(bm.len() >= n_words);
-    for (wi, &wv) in bm[..n_words].iter().enumerate() {
-        let mut m = if negate { !wv } else { wv };
-        let rem = len - wi * 64;
-        if rem < 64 {
-            m &= (1u64 << rem) - 1;
-        }
-        let base = first_row + (wi as u32) * 64;
-        while m != 0 {
-            out.push(base + m.trailing_zeros());
-            m &= m - 1;
-        }
-    }
+/// Expands a selection bitmap into row positions: writes
+/// `first_row + 64 · w + j` for every set bit `j` of word `w`, ascending,
+/// to the front of `out` and returns how many it wrote, through the
+/// active tier. `out` must hold the set bits plus [`EMIT_SLACK`] slots,
+/// which are left holding garbage. The one expansion of a selection into
+/// rows ([`SelectionVector::positions`]).
+///
+/// # Panics
+///
+/// If `out` is shorter than that.
+pub fn emit_positions(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize {
+    (active().emit_positions)(bm, first_row, out)
 }
 
-/// Fused range filter over a materialized `i64` slice: pushes
-/// `first_row + j` for every value in (or, negated, outside) the inclusive
-/// `[lo, hi]` interval, running the active tier's SIMD compare in
-/// cache-sized strides. Used by the Plain and Delta filter kernels.
+/// Fused range filter over a materialized `i64` slice: selects row
+/// `first_row + j` of `out` for every value in (or, negated, outside) the
+/// inclusive `[lo, hi]` interval, running the active tier's SIMD compare
+/// in cache-sized strides. Used by the Plain and Delta filter kernels.
 pub fn filter_i64_into(
     k: &KernelTable,
     values: &[i64],
     lo: i64,
     hi: i64,
     negate: bool,
-    first_row: u32,
-    out: &mut Vec<u32>,
+    first_row: usize,
+    out: &mut SelectionVector,
 ) {
     const STRIDE: usize = 4096;
     let mut bm = [0u64; STRIDE / 64];
@@ -286,16 +341,16 @@ pub fn filter_i64_into(
         let n = (values.len() - start).min(STRIDE);
         let nw = n.div_ceil(64);
         (k.range_bitmap_i64)(&values[start..start + n], lo, hi, &mut bm[..nw]);
-        emit_positions(&bm[..nw], n, negate, first_row + start as u32, out);
+        out.write_bits(first_row + start, &bm[..nw], n, negate);
         start += n;
     }
 }
 
 /// Chunked fused decode+compare over a packed span: decodes
-/// [`UNPACK_CHUNK`]-sized chunks with `k.unpack` and emits matching
-/// positions (offset by `first_row`) without ever materializing the span.
-/// `words` must start word-aligned for value 0 and `lo <= hi`; the packed
-/// domain is unsigned. Shared by
+/// [`UNPACK_CHUNK`]-sized chunks with `k.unpack` and selects the matching
+/// rows of `out` without ever materializing the span. `words` must start
+/// word-aligned for value 0 and `lo <= hi`; the packed domain is unsigned.
+/// Shared by
 /// [`BitPackedVec::filter_range_into`](crate::bitpack::BitPackedVec::filter_range_into).
 #[allow(clippy::too_many_arguments)] // one call site; a params struct would only obscure it
 pub(crate) fn filter_packed_span(
@@ -306,8 +361,7 @@ pub(crate) fn filter_packed_span(
     lo: u64,
     hi: u64,
     negate: bool,
-    first_row: u32,
-    out: &mut Vec<u32>,
+    out: &mut SelectionVector,
 ) {
     debug_assert!(bits >= 1 && lo <= hi);
     let mut buf = crate::bitpack::ChunkBuf::zeroed();
@@ -320,7 +374,7 @@ pub(crate) fn filter_packed_span(
         (k.unpack)(bits, &words[w0..], &mut buf.0[..n]);
         let nw = n.div_ceil(64);
         (k.range_bitmap_u64)(&buf.0[..n], lo, hi, &mut bm[..nw]);
-        emit_positions(&bm[..nw], n, negate, first_row + start as u32, out);
+        out.write_bits(start, &bm[..nw], n, negate);
         start += n;
     }
 }
@@ -674,6 +728,18 @@ mod avx2 {
     pub unsafe fn range_bitmap_i64(vals: &[i64], lo: i64, hi: i64, bm: &mut [u64]) {
         range_bitmap_impl::<true>(vals.as_ptr(), vals.len(), lo, hi, bm);
     }
+
+    /// See [`emit_positions`](super::emit_positions): the portable body
+    /// compiled with hardware bit counts and scans.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support BMI1 and POPCNT (checked by the dispatch
+    /// layer, which hands out this tier only with AVX2, BMI1 and POPCNT).
+    #[target_feature(enable = "bmi1,popcnt")]
+    pub unsafe fn emit_positions(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize {
+        super::expand_bits(bm, first_row, out)
+    }
 }
 
 #[cfg(test)]
@@ -694,16 +760,18 @@ mod tests {
     }
 
     #[test]
-    fn emit_positions_masks_and_negates() {
-        let mut out = Vec::new();
-        emit_positions(&[0b1011], 3, false, 10, &mut out);
-        assert_eq!(out, vec![10, 11]); // bit 3 is past len
-        out.clear();
-        emit_positions(&[0b1011], 3, true, 0, &mut out);
-        assert_eq!(out, vec![2]);
-        out.clear();
-        emit_positions(&[u64::MAX, u64::MAX], 65, true, 0, &mut out);
-        assert!(out.is_empty());
+    fn emit_positions_expands_set_bits_in_order() {
+        for k in tiers() {
+            let mut out = [0u32; 64 + 1 + EMIT_SLACK];
+            let n = (k.emit_positions)(&[0b1011, 0, 1 << 63], 10, &mut out);
+            assert_eq!(out[..n], [10, 11, 13, 201], "{}", k.tier.as_str());
+            assert_eq!((k.emit_positions)(&[], 0, &mut out[..0]), 0);
+            assert_eq!((k.emit_positions)(&[0], 0, &mut out[..EMIT_SLACK]), 0);
+            // A word past four set bits, then a sparse one.
+            let n = (k.emit_positions)(&[u64::MAX, 1 << 5], 0, &mut out);
+            let want: Vec<u32> = (0..64).chain([69]).collect();
+            assert_eq!(out[..n], want[..], "{}", k.tier.as_str());
+        }
     }
 
     #[test]
@@ -712,16 +780,16 @@ mod tests {
             let vals: Vec<u64> = (0..130).collect();
             let mut bm = vec![0u64; 3];
             (k.range_bitmap_u64)(&vals, 5, 10, &mut bm);
-            let mut got = Vec::new();
-            emit_positions(&bm, vals.len(), false, 0, &mut got);
-            assert_eq!(got, vec![5, 6, 7, 8, 9, 10], "{}", k.tier.as_str());
+            let mut got = vec![0; vals.len() + EMIT_SLACK];
+            let n = emit_positions(&bm, 0, &mut got);
+            assert_eq!(got[..n], [5, 6, 7, 8, 9, 10], "{}", k.tier.as_str());
             // Signed compare crosses zero correctly.
             let svals: Vec<i64> = (-70..70).collect();
             let mut bm = vec![0u64; 3];
             (k.range_bitmap_i64)(&svals, -2, 1, &mut bm);
-            let mut got = Vec::new();
-            emit_positions(&bm, svals.len(), false, 0, &mut got);
-            assert_eq!(got, vec![68, 69, 70, 71], "{}", k.tier.as_str());
+            let mut got = vec![0; svals.len() + EMIT_SLACK];
+            let n = emit_positions(&bm, 0, &mut got);
+            assert_eq!(got[..n], [68, 69, 70, 71], "{}", k.tier.as_str());
         }
     }
 }

@@ -7,6 +7,7 @@
 //! range boundaries. Failures name the width (and tier) that diverged.
 
 use corra_columnar::bitpack::BitPackedVec;
+use corra_columnar::selection::SelectionVector;
 use corra_columnar::simd;
 use proptest::prelude::*;
 
@@ -109,17 +110,18 @@ fn fused_compare_boundary_parity_every_width_all_tiers() {
                 let packed = BitPackedVec::pack(&values, bits).unwrap();
                 for (lo, hi) in boundary_ranges(bits) {
                     for negate in [false, true] {
-                        let mut got = Vec::new();
+                        let mut got = SelectionVector::empty();
                         packed.filter_range_into_with(k, lo, hi, negate, &mut got);
                         let want = naive_filter(&values, lo, hi, negate);
                         assert_eq!(
-                            got, want,
+                            got.positions(),
+                            want,
                             "tier {tier} width {bits} len {len} range [{lo}, {hi}] negate {negate}"
                         );
                     }
                 }
                 // The empty interval matches nothing (everything negated).
-                let mut got = Vec::new();
+                let mut got = SelectionVector::empty();
                 packed.filter_range_into_with(k, 1, 0, false, &mut got);
                 assert!(got.is_empty(), "tier {tier} width {bits}");
                 packed.filter_range_into_with(k, 1, 0, true, &mut got);
@@ -150,7 +152,7 @@ fn signed_slice_filter_parity_all_tiers() {
             (i64::MIN, i64::MIN),
         ] {
             for negate in [false, true] {
-                let mut got = Vec::new();
+                let mut got = SelectionVector::none(7 + values.len());
                 simd::filter_i64_into(k, &values, lo, hi, negate, 7, &mut got);
                 let want: Vec<u32> = values
                     .iter()
@@ -158,7 +160,11 @@ fn signed_slice_filter_parity_all_tiers() {
                     .filter(|&(_, &v)| ((v >= lo) && (v <= hi)) != negate)
                     .map(|(i, _)| 7 + i as u32)
                     .collect();
-                assert_eq!(got, want, "tier {tier} range [{lo}, {hi}] negate {negate}");
+                assert_eq!(
+                    got.positions(),
+                    want,
+                    "tier {tier} range [{lo}, {hi}] negate {negate}"
+                );
             }
         }
     }
@@ -206,9 +212,9 @@ proptest! {
         let packed = BitPackedVec::pack(&values, bits).unwrap();
         let want = naive_filter(&values, lo, hi, negate);
         for k in simd::tiers() {
-            let mut got = Vec::new();
+            let mut got = SelectionVector::empty();
             packed.filter_range_into_with(k, lo, hi, negate, &mut got);
-            assert_eq!(&got, &want, "tier {} width {bits}", k.tier.as_str());
+            assert_eq!(&got.positions(), &want, "tier {} width {bits}", k.tier.as_str());
         }
     }
 }

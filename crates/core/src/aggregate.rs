@@ -586,12 +586,8 @@ fn eval_grouped<B: BlockView + ?Sized>(
     // Route filtered-out rows to a trailing discard group, dropped below.
     let n_states = n_groups + usize::from(sel.is_some());
     if let Some(s) = sel {
-        let mut keep = vec![false; block.rows()];
-        for &p in s.positions() {
-            keep[p as usize] = true;
-        }
         for (i, c) in codes.iter_mut().enumerate() {
-            if !keep[i] {
+            if !s.contains(i) {
                 *c = n_groups as u32;
             }
         }
@@ -696,6 +692,7 @@ mod tests {
     use corra_columnar::column::{Column, DataType};
     use corra_columnar::schema::{Field, Schema};
     use corra_columnar::strings::StringPool;
+    use std::sync::atomic::AtomicBool;
 
     fn mixed_block(n: usize, salt: i64) -> (DataBlock, CompressionConfig) {
         let city = StringPool::from_iter((0..n).map(|i| ["NYC", "Albany", "Naples"][i % 3]));
@@ -995,6 +992,7 @@ mod tests {
                 ColumnCodec::Str(DictStr::encode(["a"; 10])),
             ],
             vec![None; 6],
+            &AtomicBool::new(false),
         );
         assert!(
             matches!(block, Err(Error::LengthMismatch { left: 3, right: 10 })),
@@ -1022,6 +1020,7 @@ mod tests {
                     },
                 ],
                 vec![None, ZoneMap::from_values(&target)],
+                &AtomicBool::new(false),
             )
         };
         let short = block(ColumnCodec::Int(IntEncoding::Plain(PlainInt::encode(&[

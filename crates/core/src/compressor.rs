@@ -9,6 +9,7 @@
 //! diff-encoded columns against them.
 
 use std::borrow::Borrow;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use corra_columnar::block::DataBlock;
 use corra_columnar::column::Column;
@@ -585,12 +586,15 @@ impl CompressedBlock {
 
     /// Assembles a block from parsed parts, with the zones the caller
     /// vouches for, once every column passes
-    /// [`check_column`](crate::format::check_column).
+    /// [`check_column`](crate::format::check_column). `passed` records
+    /// that these very bytes passed before, so a set memo skips the checks
+    /// and a clean first assembly sets it; a failed check leaves it unset.
     pub(crate) fn from_parts(
         rows: u32,
         names: Vec<String>,
         codecs: Vec<ColumnCodec>,
         zones: Vec<Option<ZoneMap>>,
+        passed: &AtomicBool,
     ) -> Result<Self> {
         let block = Self {
             rows,
@@ -598,8 +602,13 @@ impl CompressedBlock {
             codecs,
             zones,
         };
-        for codec in &block.codecs {
-            check_column(codec, block.rows(), &block)?;
+        // `Relaxed`: the flag publishes no data — every assembly parses its
+        // own copy of the same immutable bytes.
+        if !passed.load(Ordering::Relaxed) {
+            for codec in &block.codecs {
+                check_column(codec, block.rows(), &block)?;
+            }
+            passed.store(true, Ordering::Relaxed);
         }
         Ok(block)
     }

@@ -27,6 +27,8 @@
 //! ([`VERSION`]); [`CompressedBlock::from_bytes`] rejects any other version
 //! word as [`Error::Corrupt`].
 
+use std::sync::atomic::AtomicBool;
+
 use bytes::{Buf, BufMut};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::frame::{take_frame, write_frame};
@@ -321,16 +323,19 @@ impl CompressedBlock {
     /// truncation, or any inconsistent codec payload; whatever the
     /// reconstruction reports.
     pub fn from_bytes(buf: &[u8]) -> Result<Self> {
-        Self::from_bytes_zoned(buf, None)?.with_decoded_zones()
+        Self::from_bytes_zoned(buf, None, &AtomicBool::new(false))?.with_decoded_zones()
     }
 
     /// Deserializes a block and attaches `zones`, one per column, without
     /// decoding anything — what a table reader does with its footer's
     /// zones. `None` leaves the block zoneless (for
-    /// [`with_decoded_zones`](Self::with_decoded_zones) to fill).
+    /// [`with_decoded_zones`](Self::with_decoded_zones) to fill). `passed`
+    /// is the memo of [`from_parts`](Self::from_parts): whether
+    /// these bytes passed the structural check before.
     pub(crate) fn from_bytes_zoned(
         mut buf: &[u8],
         zones: Option<Vec<Option<ZoneMap>>>,
+        passed: &AtomicBool,
     ) -> Result<Self> {
         if buf.remaining() < 4 + 2 + 4 + 2 {
             return Err(Error::corrupt("block header truncated"));
@@ -377,7 +382,7 @@ impl CompressedBlock {
                 zones.len()
             )));
         }
-        Self::from_parts(rows, names, codecs, zones)
+        Self::from_parts(rows, names, codecs, zones, passed)
     }
 }
 
@@ -696,7 +701,9 @@ mod tests {
         let codecs: Vec<ColumnCodec> = (0..n)
             .map(|_| ColumnCodec::Int(IntEncoding::Plain(PlainInt::encode(&[]))))
             .collect();
-        let block = CompressedBlock::from_parts(0, names, codecs, vec![None; n]).unwrap();
+        let block =
+            CompressedBlock::from_parts(0, names, codecs, vec![None; n], &AtomicBool::new(false))
+                .unwrap();
         let err = block.to_bytes().unwrap_err();
         assert!(
             err.to_string().contains("column-count"),

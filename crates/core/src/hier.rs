@@ -20,7 +20,6 @@ use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
-use corra_columnar::simd::emit_positions;
 use corra_columnar::strings::{StringDictBuilder, StringPool};
 use corra_encodings::IntAccess;
 use rustc_hash::FxHashMap;
@@ -313,19 +312,23 @@ impl IntAccess for HierColumn<'_> {
     }
 
     /// Evaluates `range` once per metadata entry, then turns each chunk's
-    /// addresses into a verdict bitmap and emits its set bits.
-    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
-        out.clear();
+    /// addresses into the selection's bitmap words.
+    fn filter_into(&self, range: &IntRange, out: &mut SelectionVector) {
         let values = &self.enc.values;
-        let verdicts: Vec<bool> = values.iter().map(|&v| range.matches(v)).collect();
-        let verdict = |a: &u32| u64::from(verdicts[*a as usize]);
-        let mut bitmap = [0u64; UNPACK_CHUNK / 64];
+        let verdicts: Vec<u64> = values
+            .iter()
+            .map(|&v| u64::from(range.matches(v)))
+            .collect();
+        let mut words = vec![0u64; self.len().div_ceil(64)];
         self.for_each_address_chunk(|start, at| {
-            for (word, at) in bitmap.iter_mut().zip(at.chunks(64)) {
-                *word = at.iter().rev().fold(0, |w, a| w << 1 | verdict(a));
+            for (word, at) in words[start / 64..].iter_mut().zip(at.chunks(64)) {
+                *word = at
+                    .iter()
+                    .rev()
+                    .fold(0, |w, &a| w << 1 | verdicts[a as usize]);
             }
-            emit_positions(&bitmap, at.len(), false, start as u32, out);
         });
+        *out = SelectionVector::from_words(words, self.len());
     }
 
     /// Histograms the rows' metadata addresses, then sums once per entry.
@@ -342,7 +345,7 @@ impl IntAccess for HierColumn<'_> {
     fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
         assert!(sel.validate(self.len()), "selection out of bounds");
         let mut counts = vec![0u64; self.enc.values.len()];
-        for &p in sel.positions() {
+        for p in sel.positions() {
             let i = p as usize;
             counts[self.address(i, self.enc.codes.get_unchecked_len(i))] += 1;
         }
@@ -570,9 +573,8 @@ mod tests {
         let parent = ColumnCodec::Int(IntEncoding::Dict(parent));
         let scratch = DecodeScratch::default();
         let column = HierColumn::new(&enc, CodeAccess::of(&parent).unwrap(), &scratch);
-        let sel = SelectionVector::new(vec![0, 3, 5]);
         let mut out = Vec::new();
-        column.gather_into(&sel, &mut out);
+        column.gather_into(&[0, 3, 5], &mut out);
         assert_eq!(out, vec![13_045, 34_102, 10_001]);
     }
 

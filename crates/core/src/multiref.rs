@@ -609,7 +609,7 @@ mod tests {
         let scratch = DecodeScratch::default();
         let column = MultiRefColumn::new(&enc, codecs.iter().map(|c| vec![c]).collect(), &scratch);
         let mut out = Vec::new();
-        column.gather_into(&sel, &mut out);
+        column.gather_into(&sel.positions(), &mut out);
         let mut bulk = Vec::new();
         enc.decode_into(&groups, &mut bulk).unwrap();
         assert_eq!(bulk, target);

@@ -15,7 +15,7 @@
 use bytes::{Buf, BufMut};
 use corra_columnar::bitpack::{bits_needed, BitPackedVec};
 use corra_columnar::error::{Error, Result};
-use corra_columnar::selection::SelectionVector;
+use corra_columnar::selection::rows_fit;
 use corra_encodings::{IntAccess, IntEncoding};
 
 use crate::outlier::{OutlierRegion, OUTLIER_COST_BYTES};
@@ -297,23 +297,23 @@ impl NonHierInt {
 
     /// Materializes the selected rows and their reference values ("query
     /// on both columns": the reference is fetched once per row through
-    /// `ref_at` and reused for the §2.1 addition). The caller must have
-    /// validated `sel` against the column length.
+    /// `ref_at` and reused for the §2.1 addition). `rows` ascend and lie
+    /// below the column length.
     pub fn gather_both_map(
         &self,
-        sel: &SelectionVector,
+        rows: &[u32],
         ref_at: impl Fn(usize) -> i64,
         target_out: &mut Vec<i64>,
         ref_out: &mut Vec<i64>,
     ) {
-        debug_assert!(sel.validate(self.len()));
+        assert!(rows_fit(rows, self.len()), "rows out of bounds");
         target_out.clear();
-        target_out.reserve(sel.len());
+        target_out.reserve(rows.len());
         ref_out.clear();
-        ref_out.reserve(sel.len());
+        ref_out.reserve(rows.len());
         let base = self.base;
         if self.outliers.is_empty() {
-            for &p in sel.positions() {
+            for &p in rows {
                 let i = p as usize;
                 let r = ref_at(i);
                 ref_out.push(r);
@@ -323,7 +323,7 @@ impl NonHierInt {
                 );
             }
         } else {
-            for &p in sel.positions() {
+            for &p in rows {
                 let i = p as usize;
                 let r = ref_at(i);
                 ref_out.push(r);
@@ -554,9 +554,8 @@ mod tests {
         let reference = IntEncoding::Plain(PlainInt::encode(&ship));
         let scratch = DecodeScratch::default();
         let column = NonHierColumn::new(&enc, &reference, &scratch);
-        let sel = SelectionVector::new(vec![0, 99, 1_500]);
         let mut out = Vec::new();
-        column.gather_into(&sel, &mut out);
+        column.gather_into(&[0, 99, 1_500], &mut out);
         assert_eq!(out, vec![receipt[0], receipt[99], receipt[1_500]]);
     }
 

@@ -33,14 +33,14 @@ use std::borrow::Borrow;
 use std::hash::Hash;
 
 use corra_columnar::error::{Error, Result};
-use corra_columnar::selection::SelectionVector;
+use corra_columnar::selection::rows_fit;
 use corra_columnar::stats::ZoneMap;
 use corra_columnar::topk::{rank, TopKHeap};
 use rustc_hash::FxHashMap;
 
 use crate::compressor::{BlockSource, BlockView};
 use crate::query::{
-    dict_column, int_column, query_column, CodeAccess, DecodeScratch, DictKeys, QueryOutput,
+    dict_column, gather_column, int_column, CodeAccess, DecodeScratch, DictKeys, QueryOutput,
 };
 use crate::scan::{scan_pruned, validate_pred, Predicate, ScanStats};
 
@@ -552,7 +552,7 @@ pub(crate) fn hash_join_sources<S1: BlockSource + ?Sized, S2: BlockSource + ?Siz
 }
 
 /// Late materialization for an arbitrary row-id list: `fetch` is called
-/// once per *touched block* with a sorted deduplicated selection and the
+/// once per *touched block* with its rows, strictly ascending, and the
 /// full column list, and the per-block gathers are scattered back into
 /// `ids` order. Store-backed callers hand a closure that opens one lazy
 /// [`BlockView`] handle per block, so only the named columns load.
@@ -565,18 +565,18 @@ pub(crate) fn hash_join_sources<S1: BlockSource + ?Sized, S2: BlockSource + ?Siz
 ///
 /// Whatever `fetch` reports (unknown columns, I/O, corruption), and
 /// [`Error::InvalidData`] when it answers with fewer or more columns or
-/// rows than the selection it was handed.
+/// rows than it was handed.
 pub fn gather_rows_with<F>(
     ids: &[RowId],
     columns: &[&str],
     mut fetch: F,
 ) -> Result<Vec<QueryOutput>>
 where
-    F: FnMut(u32, &SelectionVector, &[&str]) -> Result<Vec<QueryOutput>>,
+    F: FnMut(u32, &[u32], &[&str]) -> Result<Vec<QueryOutput>>,
 {
     // Walk the ids in (block, row) order: each run of one block becomes a
-    // sorted, deduplicated selection, and `slot_of[n]` records where
-    // `ids[n]` landed — (fetched block, row within its selection).
+    // sorted, deduplicated row list, and `slot_of[n]` records where
+    // `ids[n]` landed — (fetched block, index in its row list).
     let mut by_id: Vec<usize> = (0..ids.len()).collect();
     by_id.sort_unstable_by_key(|&n| ids[n]);
     let mut slot_of = vec![(0usize, 0usize); ids.len()];
@@ -592,13 +592,12 @@ where
             }
             slot_of[n] = (fetched.len(), rows.len() - 1);
         }
-        let sel = SelectionVector::from_sorted(rows)?;
-        let outs = fetch(block, &sel, columns)?;
-        if outs.len() != columns.len() || outs.iter().any(|out| out.len() != sel.len()) {
+        let outs = fetch(block, &rows, columns)?;
+        if outs.len() != columns.len() || outs.iter().any(|out| out.len() != rows.len()) {
             return Err(Error::invalid(format!(
                 "gather of block {block} returned a different shape than the {} columns x {} rows asked for",
                 columns.len(),
-                sel.len()
+                rows.len()
             )));
         }
         fetched.push(outs);
@@ -638,15 +637,21 @@ pub fn gather_rows<B: BlockView>(
 }
 
 /// The one late materialization: one opened view per touched block, so a
-/// lazy handle loads only the named columns (plus reference chains).
+/// lazy handle loads only the named columns (plus reference chains), and
+/// every column gathers the same row list.
 pub(crate) fn gather_source<S: BlockSource + ?Sized>(
     source: &S,
     ids: &[RowId],
     columns: &[&str],
 ) -> Result<Vec<QueryOutput>> {
-    gather_rows_with(ids, columns, |b, sel, cols| {
+    gather_rows_with(ids, columns, |b, rows, cols| {
         let view = source.open(b as usize)?;
         let block: &S::Block = view.borrow();
-        cols.iter().map(|c| query_column(block, c, sel)).collect()
+        if !rows_fit(rows, block.rows()) {
+            return Err(Error::invalid(format!("row id past the rows of block {b}")));
+        }
+        cols.iter()
+            .map(|c| gather_column(block, block.index_of(c)?, rows))
+            .collect()
     })
 }

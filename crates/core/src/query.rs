@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use corra_columnar::aggregate::StrAggState;
 use corra_columnar::bitpack::{BitPackedVec, PackedReader};
 use corra_columnar::error::{Error, Result};
-use corra_columnar::selection::SelectionVector;
+use corra_columnar::selection::{rows_fit, SelectionVector};
 use corra_columnar::strings::StringPool;
 use corra_encodings::{IntAccess, IntEncoding};
 
@@ -182,12 +182,9 @@ impl<'a> CodeAccess<'a> {
             .unpack_chunks(|_, chunk| out.extend(chunk.iter().map(|&c| c as u32)));
     }
 
-    /// The keys of the selected rows (the caller validated `sel`).
-    fn gather(&self, sel: &SelectionVector) -> QueryOutput {
-        let codes = sel
-            .positions()
-            .iter()
-            .map(|&p| self.code(p as usize) as usize);
+    /// The keys of `rows` (the caller checked them against the block).
+    fn gather(&self, rows: &[u32]) -> QueryOutput {
+        let codes = rows.iter().map(|&p| self.code(p as usize) as usize);
         match self.keys {
             DictKeys::Int(d) => QueryOutput::Int(codes.map(|c| d[c]).collect()),
             DictKeys::Str(p) => QueryOutput::Str(codes.map(|c| p.get(c).to_owned()).collect()),
@@ -388,51 +385,52 @@ impl StrColumn<'_> {
         }
     }
 
-    /// Appends the rows whose entry is `hit` (or is not, when `negate`) to
-    /// `out`. A dictionary compares its packed codes in the code domain,
-    /// through the fused decode-compare kernel `DictInt::filter_into` runs.
-    fn filter_entry(&self, hit: usize, negate: bool, out: &mut Vec<u32>) {
+    /// The rows whose entry is `hit` (or is not, when `negate`). A
+    /// dictionary compares its packed codes in the code domain, through
+    /// the fused decode-compare kernel `DictInt::filter_into` runs.
+    fn filter_entry(&self, hit: usize, negate: bool) -> SelectionVector {
         match &self.map {
-            EntryMap::Code(codes) => codes.filter_range_into(hit as u64, hit as u64, negate, out),
-            _ => self.for_each_entry(|i, e| {
-                if (e == hit) != negate {
-                    out.push(i as u32);
-                }
-            }),
+            EntryMap::Code(codes) => {
+                let mut out = SelectionVector::empty();
+                codes.filter_range_into(hit as u64, hit as u64, negate, &mut out);
+                out
+            }
+            _ => self.filter_by(|e| e == hit, negate),
         }
     }
 
-    /// The strings of the selected rows.
-    pub(crate) fn gather(&self, sel: &SelectionVector) -> Vec<String> {
-        assert!(sel.validate(self.rows), "selection out of bounds");
-        let mut out = Vec::with_capacity(sel.len());
-        self.for_each_entry_at(sel.positions(), |e| out.push(self.pool.get(e).to_owned()));
+    /// The rows whose entry `matches` (or does not, when `negate`), one
+    /// bitmap bit per row.
+    fn filter_by(&self, matches: impl Fn(usize) -> bool, negate: bool) -> SelectionVector {
+        let mut words = vec![0u64; self.rows.div_ceil(64)];
+        self.for_each_entry(|i, e| words[i / 64] |= u64::from(matches(e) != negate) << (i % 64));
+        SelectionVector::from_words(words, self.rows)
+    }
+
+    /// The strings of `rows` (ascending, below the column length).
+    pub(crate) fn gather(&self, rows: &[u32]) -> Vec<String> {
+        assert!(rows_fit(rows, self.rows), "rows out of bounds");
+        let mut out = Vec::with_capacity(rows.len());
+        self.for_each_entry_at(rows, |e| out.push(self.pool.get(e).to_owned()));
         out
     }
 
-    /// The rows whose string equals `value` (or differs, when `negate`),
-    /// into `out` (cleared first). The comparison runs once per pool
-    /// entry. A pool holding `value` once (a dictionary's always does)
-    /// leaves one entry compare per row (`filter_entry`), one holding it
-    /// several times a verdict-table lookup, and one without it no row
-    /// (every row for `!=`).
-    pub(crate) fn filter_eq(&self, value: &str, negate: bool, out: &mut Vec<u32>) {
-        out.clear();
+    /// The rows whose string equals `value` (or differs, when `negate`).
+    /// The comparison runs once per pool entry. A pool holding `value`
+    /// once (a dictionary's always does) leaves one entry compare per row
+    /// (`filter_entry`), one holding it several times a verdict-table
+    /// lookup, and one without it no row (every row for `!=`).
+    pub(crate) fn filter_eq(&self, value: &str, negate: bool) -> SelectionVector {
         let mut hits = (0..self.pool.len()).filter(|&k| self.pool.get(k) == value);
         match (hits.next(), hits.next()) {
-            (None, _) if negate => out.extend(0..self.rows as u32),
-            (None, _) => {}
-            (Some(hit), None) => self.filter_entry(hit, negate, out),
+            (None, _) => SelectionVector::all_or_none(self.rows, negate),
+            (Some(hit), None) => self.filter_entry(hit, negate),
             (Some(a), Some(b)) => {
-                let mut verdicts = vec![negate; self.pool.len()];
+                let mut verdicts = vec![false; self.pool.len()];
                 for k in [a, b].into_iter().chain(hits) {
-                    verdicts[k] = !negate;
+                    verdicts[k] = true;
                 }
-                self.for_each_entry(|i, e| {
-                    if verdicts[e] {
-                        out.push(i as u32);
-                    }
-                });
+                self.filter_by(|e| verdicts[e], negate)
             }
         }
     }
@@ -446,7 +444,7 @@ impl StrColumn<'_> {
             None => self.for_each_entry(|_, e| counts[e] += 1),
             Some(sel) => {
                 assert!(sel.validate(self.rows), "selection out of bounds");
-                self.for_each_entry_at(sel.positions(), |e| counts[e] += 1);
+                self.for_each_entry_at(&sel.positions(), |e| counts[e] += 1);
             }
         }
         for (k, &n) in counts.iter().enumerate() {
@@ -523,15 +521,25 @@ pub fn query_column<B: BlockView + ?Sized>(
     if !sel.validate(block.rows()) {
         return Err(Error::invalid("selection vector exceeds block rows"));
     }
-    let idx = block.index_of(name)?;
+    gather_column(block, block.index_of(name)?, &sel.positions())
+}
+
+/// The values of column `idx` at `rows`, which the caller checked against
+/// the block ([`rows_fit`]): the one per-column gather, so a caller
+/// reading several columns of a selection expands it once.
+pub(crate) fn gather_column<B: BlockView + ?Sized>(
+    block: &B,
+    idx: usize,
+    rows: &[u32],
+) -> Result<QueryOutput> {
     if block.is_string(idx) {
-        return Ok(QueryOutput::Str(str_column(block, idx)?.gather(sel)));
+        return Ok(QueryOutput::Str(str_column(block, idx)?.gather(rows)));
     }
     // Per §2.3 decompression, a horizontal row reads only the references
     // its rule names.
     let mut out = Vec::new();
     int_column(block, idx, &DecodeScratch::default(), |c| {
-        c.gather_into(sel, &mut out)
+        c.gather_into(rows, &mut out)
     })?;
     Ok(QueryOutput::Int(out))
 }
@@ -562,12 +570,13 @@ pub fn query_both<B: BlockView + ?Sized>(
             let refs = RefAccess::of(vertical_ref(block, *reference)?);
             let mut tgt = Vec::new();
             let mut rf = Vec::new();
-            enc.gather_both_map(sel, |i| refs.get(i), &mut tgt, &mut rf);
+            enc.gather_both_map(&sel.positions(), |i| refs.get(i), &mut tgt, &mut rf);
             Ok((QueryOutput::Int(tgt), QueryOutput::Int(rf)))
         }
         ColumnCodec::HierInt { reference, .. } | ColumnCodec::HierStr { reference, .. } => {
             let parent = dict_column(block, *reference as usize, not_a_parent)?;
-            Ok((query_column(block, name, sel)?, parent.gather(sel)))
+            let rows = sel.positions();
+            Ok((gather_column(block, idx, &rows)?, parent.gather(&rows)))
         }
         ColumnCodec::MultiRef { .. } => Err(Error::invalid(
             "query_both is undefined for multi-reference targets (cf. Fig. 8)",
@@ -608,6 +617,7 @@ mod tests {
     use corra_columnar::topk::TopKHeap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::atomic::AtomicBool;
 
     fn date_block(n: usize) -> (DataBlock, CompressionConfig) {
         let ship: Vec<i64> = (0..n).map(|i| 8_035 + (i as i64 * 17 % 2_500)).collect();
@@ -848,10 +858,16 @@ mod tests {
             IntRange::empty(),
             IntRange::all(),
         ] {
-            let (mut got, mut want) = (vec![7], vec![9]);
+            let (mut got, mut want) =
+                (SelectionVector::new(vec![7]), SelectionVector::new(vec![9]));
             column.filter_into(&range, &mut got);
             provided.filter_into(&range, &mut want);
             assert_eq!(got, want, "{label}: filter {range:?}");
+            assert_eq!(
+                (got.bit_len(), want.bit_len()),
+                (n, n),
+                "{label}: bitmap length"
+            );
         }
         assert_eq!(column.sum_wrapping(), provided.sum_wrapping(), "{label}");
         let group_of: Vec<u32> = (0..n as u32).map(|i| i % 3).collect();
@@ -867,8 +883,8 @@ mod tests {
         ];
         for sel in &sels {
             let (mut got, mut want) = (vec![7], vec![9]);
-            column.gather_into(sel, &mut got);
-            provided.gather_into(sel, &mut want);
+            column.gather_into(&sel.positions(), &mut got);
+            provided.gather_into(&sel.positions(), &mut want);
             assert_eq!(got, want, "{label}: gather {}", sel.len());
             let (mut got, mut want) = (IntAggState::default(), IntAggState::default());
             column.aggregate_selected(sel, &mut got);
@@ -1033,8 +1049,14 @@ mod tests {
         for child in children {
             let label = child.scheme();
             let codecs = vec![parent.clone(), child];
-            let got =
-                CompressedBlock::from_parts(4, vec!["p".into(), "c".into()], codecs, vec![None; 2]);
+            let names = vec!["p".into(), "c".into()];
+            let got = CompressedBlock::from_parts(
+                4,
+                names,
+                codecs,
+                vec![None; 2],
+                &AtomicBool::new(false),
+            );
             assert!(matches!(got, Err(Error::Corrupt(_))), "{label}: {got:?}");
         }
     }

@@ -543,11 +543,11 @@ fn eval_int_leaf<B: BlockView + ?Sized>(
             RangeVerdict::Partial => {}
         }
     }
-    let mut out = Vec::new();
+    let mut out = SelectionVector::empty();
     int_column(block, idx, &DecodeScratch::default(), |c| {
         c.filter_into(range, &mut out)
     })?;
-    Ok((SelectionVector::from_sorted(out)?, true))
+    Ok((out, true))
 }
 
 fn eval_str_leaf<B: BlockView + ?Sized>(
@@ -556,9 +556,8 @@ fn eval_str_leaf<B: BlockView + ?Sized>(
     value: &str,
     negate: bool,
 ) -> Result<(SelectionVector, bool)> {
-    let mut out = Vec::new();
-    str_column(block, block.index_of(column)?)?.filter_eq(value, negate, &mut out);
-    Ok((SelectionVector::from_sorted(out)?, true))
+    let sel = str_column(block, block.index_of(column)?)?.filter_eq(value, negate);
+    Ok((sel, true))
 }
 
 #[cfg(test)]

@@ -506,6 +506,12 @@ pub struct TableReader {
     /// immutable and every load is checksummed, so a re-load of a column
     /// whose cached codec was evicted needs no second check.
     checked: Vec<AtomicBool>,
+    /// Per block: whether [`read_block`](Self::read_block)'s parse of the
+    /// whole segment passed every column's check. Apart from `checked`:
+    /// the footer's payload spans and codec headers are not tied to the
+    /// segment's own column frames, so a column that passed through one
+    /// path vouches for nothing the other path parses.
+    segment_checked: Vec<AtomicBool>,
 }
 
 /// What one footer-addressed payload load cost: bytes fetched from the
@@ -588,6 +594,9 @@ impl TableReader {
         let checked = (0..footer.blocks.len() * names.len())
             .map(|_| AtomicBool::new(false))
             .collect();
+        let segment_checked = (0..footer.blocks.len())
+            .map(|_| AtomicBool::new(false))
+            .collect();
         Ok(Self {
             source,
             file_len,
@@ -596,6 +605,7 @@ impl TableReader {
             bytes_read: AtomicU64::new(0),
             cache: None,
             checked,
+            segment_checked,
         })
     }
 
@@ -689,10 +699,11 @@ impl TableReader {
     pub fn read_block(&self, block: usize) -> Result<CompressedBlock> {
         let meta = self.block_meta(block)?;
         let zones = || Some(meta.columns.iter().map(|c| c.zone).collect());
+        let passed = &self.segment_checked[block];
         if let Some((cache, table)) = &self.cache {
             let key = CacheKey::segment(*table, block as u32);
             if let Some(CacheValue::Segment(bytes)) = cache.get(&key) {
-                return CompressedBlock::from_bytes_zoned(&bytes, zones());
+                return CompressedBlock::from_bytes_zoned(&bytes, zones(), passed);
             }
         }
         let len = usize::try_from(meta.len)
@@ -703,7 +714,7 @@ impl TableReader {
                 "block {block} segment checksum mismatch"
             )));
         }
-        let parsed = CompressedBlock::from_bytes_zoned(&bytes, zones())?;
+        let parsed = CompressedBlock::from_bytes_zoned(&bytes, zones(), passed)?;
         // Admit only after the checksum *and* a full parse succeeded: a
         // frame that cannot deserialize is useless to every future hit.
         if let Some((cache, table)) = &self.cache {

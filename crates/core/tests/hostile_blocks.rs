@@ -16,6 +16,7 @@ use corra_columnar::error::Error;
 use corra_columnar::schema::{Field, Schema};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::strings::StringPool;
+use corra_core::cache::{CacheConfig, ShardedCache};
 use corra_core::store::{SegmentedTable, TableReader, TableWriter};
 use corra_core::{
     aggregate_blocks, gather_rows, query_both, scan_blocks, top_k_blocks, AggExpr, ColumnCodec,
@@ -91,6 +92,23 @@ fn hier_row_outside_its_parents_group_is_corrupt_everywhere() {
     let got = CompressedBlock::from_bytes(&image);
     assert!(is_corrupt(&got), "from_bytes: {got:?}");
 
+    // `read_block` remembers a segment that passed, never one that
+    // failed: every read of the hostile block is refused, with or without
+    // a cache to serve a second read from.
+    let cache = Arc::new(ShardedCache::new(CacheConfig {
+        byte_budget: 1 << 20,
+        shards: 1,
+    }));
+    let cached = TableReader::from_bytes(bytes.clone())
+        .unwrap()
+        .with_cache(cache);
+    for read in ["first", "second"] {
+        assert!(
+            is_corrupt(&cached.read_block(0)),
+            "{read} cached read_block"
+        );
+    }
+
     let hostile = TableReader::from_bytes(bytes).unwrap();
     let handle = hostile.block_handle(0).unwrap();
     assert!(is_corrupt(&handle.decompress("c")), "block_handle");
@@ -101,6 +119,7 @@ fn hier_row_outside_its_parents_group_is_corrupt_everywhere() {
         Column::Int64(vec![7, 3, 3])
     );
     assert!(is_corrupt(&hostile.read_block(0)), "read_block");
+    assert!(is_corrupt(&hostile.read_block(0)), "second read_block");
     let hostile = Arc::new(hostile);
     let file = SegmentedTable::from_readers(vec![Arc::clone(&hostile)]);
     assert!(is_corrupt(&file.read_column(0, "c")), "read_column");

@@ -307,19 +307,19 @@ fn top_k_on_string_column_is_rejected_everywhere() {
 
 /// `gather_rows_with` is public and takes the caller's `fetch`: ids come
 /// back in input order whatever their block order and however often one
-/// repeats, each block is fetched once with a sorted deduplicated
-/// selection, and a `fetch` that answers with fewer columns or rows than
+/// repeats, each block is fetched once with its rows sorted and
+/// deduplicated, and a `fetch` that answers with fewer columns or rows than
 /// asked is an error — it used to index out of bounds in release builds.
 #[test]
 fn gather_rows_with_scatters_back_and_rejects_a_short_fetch() {
     let id = |block, row| RowId { block, row };
     let ids = [id(2, 5), id(0, 9), id(2, 1), id(2, 5), id(0, 0)];
     let mut fetches = Vec::new();
-    let got = gather_rows_with(&ids, &["a", "b"], |block, sel, cols| {
-        fetches.push((block, sel.positions().to_vec()));
+    let got = gather_rows_with(&ids, &["a", "b"], |block, rows, cols| {
+        fetches.push((block, rows.to_vec()));
         let value = |c: usize| move |&p: &u32| (block * 100 + p) as i64 * 10 + c as i64;
         Ok((0..cols.len())
-            .map(|c| QueryOutput::Int(sel.positions().iter().map(value(c)).collect()))
+            .map(|c| QueryOutput::Int(rows.iter().map(value(c)).collect()))
             .collect())
     })
     .unwrap();
@@ -327,20 +327,30 @@ fn gather_rows_with_scatters_back_and_rejects_a_short_fetch() {
     assert_eq!(got[0], QueryOutput::Int(vec![2050, 90, 2010, 2050, 0]));
     assert_eq!(got[1], QueryOutput::Int(vec![2051, 91, 2011, 2051, 1]));
 
-    let one_column = |_: u32, sel: &corra_columnar::selection::SelectionVector, _: &[&str]| {
-        Ok(vec![QueryOutput::Int(vec![0; sel.len()])])
-    };
+    let one_column =
+        |_: u32, rows: &[u32], _: &[&str]| Ok(vec![QueryOutput::Int(vec![0; rows.len()])]);
     assert!(matches!(
         gather_rows_with(&ids, &["a", "b"], one_column),
         Err(Error::InvalidData(_))
     ));
-    let one_row_short = |_: u32, sel: &corra_columnar::selection::SelectionVector, _: &[&str]| {
-        Ok(vec![QueryOutput::Int(vec![0; sel.len() - 1])])
-    };
+    let one_row_short =
+        |_: u32, rows: &[u32], _: &[&str]| Ok(vec![QueryOutput::Int(vec![0; rows.len() - 1])]);
     assert!(matches!(
         gather_rows_with(&ids, &["a"], one_row_short),
         Err(Error::InvalidData(_))
     ));
+}
+
+/// A row id past its block is an error, refused against the block's rows
+/// before any per-block structure is built: no bitmap as long as the row
+/// id, so `u32::MAX` allocates nothing before the refusal.
+#[test]
+fn gather_rows_refuses_a_row_past_its_block() {
+    let blocks = int_blocks("a", &[1, 2, 3], 3, false);
+    for row in [3, u32::MAX] {
+        let got = gather_rows(&blocks, &[RowId { block: 0, row }], &["a"]);
+        assert!(matches!(got, Err(Error::InvalidData(_))), "{row}: {got:?}");
+    }
 }
 
 /// Satellite regression: joining on a key column that is not

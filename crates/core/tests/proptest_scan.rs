@@ -139,7 +139,7 @@ proptest! {
             let sel = scan(&compressed, &pred).unwrap();
             let want = naive(&block, column, &op.to_range(value));
             prop_assert!(
-                sel.positions() == &want[..],
+                sel.positions() == want,
                 "{} {:?} {}: {:?} != {:?}", column, op, value, sel.positions(), want
             );
             prop_assert!(sel.validate(compressed.rows()));

@@ -519,3 +519,33 @@ fn block_structure_is_checked_once_where_a_block_is_assembled() {
         }
     }
 }
+
+#[test]
+fn selections_stay_bitmaps_until_a_caller_asks_for_positions() {
+    // A filter kernel writes its compare bitmaps into the selection's words;
+    // the one place a bitmap becomes a list of rows is
+    // `SelectionVector::positions`.
+    let mut emitters = Vec::new();
+    for (path, source) in crate_sources() {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let library = library_part(&source);
+        // simd.rs defines the kernel and dispatches it to its tiers.
+        if name != "simd.rs" && library.contains("emit_positions(") {
+            emitters.push(name.clone());
+        }
+        for (at, _) in library.match_indices("fn filter") {
+            let args = call_arguments(library, at);
+            assert!(
+                !args.contains("Vec<u32>"),
+                "{}: a filter kernel takes a list of positions; write the \
+                 selection's bitmap instead:\n{args}",
+                path.display()
+            );
+        }
+    }
+    assert_eq!(
+        emitters,
+        ["selection.rs"],
+        "positions are expanded only by SelectionVector::positions"
+    );
+}

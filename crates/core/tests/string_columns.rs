@@ -180,7 +180,7 @@ fn check_view<B: BlockView + ?Sized>(label: &str, view: &B, raw: &Raw) {
             let both = query_both(view, target, &sel);
             match target {
                 "hi" => {
-                    let parents = sel.positions().iter().map(|&p| raw.pi[p as usize]);
+                    let parents = sel.positions().into_iter().map(|p| raw.pi[p as usize]);
                     let want_ref = QueryOutput::Int(parents.collect());
                     assert_eq!(
                         both.unwrap(),
@@ -189,7 +189,10 @@ fn check_view<B: BlockView + ?Sized>(label: &str, view: &B, raw: &Raw) {
                     );
                 }
                 "hs" => {
-                    let parents = sel.positions().iter().map(|&p| raw.st[p as usize].clone());
+                    let parents = sel
+                        .positions()
+                        .into_iter()
+                        .map(|p| raw.st[p as usize].clone());
                     let want_ref = QueryOutput::Str(parents.collect());
                     assert_eq!(
                         both.unwrap(),

@@ -20,7 +20,7 @@ pub fn aggregate_naive(values: &[i64]) -> IntAggState {
 /// Decompress-then-fold oracle over the selected positions.
 pub fn aggregate_naive_selected(values: &[i64], sel: &SelectionVector) -> IntAggState {
     let mut state = IntAggState::default();
-    for &p in sel.positions() {
+    for p in sel.positions() {
         state.update(values[p as usize]);
     }
     state

@@ -176,11 +176,11 @@ impl IntAccess for IntEncoding {
         self.codec().decode_into(out)
     }
 
-    fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
-        self.codec().gather_into(sel, out)
+    fn gather_into(&self, rows: &[u32], out: &mut Vec<i64>) {
+        self.codec().gather_into(rows, out)
     }
 
-    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
+    fn filter_into(&self, range: &IntRange, out: &mut SelectionVector) {
         self.codec().filter_into(range, out)
     }
 

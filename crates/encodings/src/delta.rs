@@ -12,7 +12,7 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::topk::TopKHeap;
 
-use crate::traits::{check_selection, stream_packed, IntAccess};
+use crate::traits::{check_rows, stream_packed, IntAccess};
 
 /// Rows per miniblock (restart interval); defined beside the stats pass
 /// that sizes this codec.
@@ -96,15 +96,15 @@ impl DeltaInt {
         })
     }
 
-    /// Calls `f(row, value)` for every selected row, in selection order.
-    /// A selection is sorted, so the prefix sum resumes from the previous
-    /// selected row while the next one lies in the same miniblock and pays
-    /// the restart only when it does not.
-    fn for_each_selected(&self, sel: &SelectionVector, mut f: impl FnMut(u32, i64)) {
-        check_selection(sel, self.len);
+    /// Calls `f(row, value)` for every row of `rows`, in order. The rows
+    /// ascend, so the prefix sum resumes from the previous row while the
+    /// next one lies in the same miniblock and pays the restart only when
+    /// it does not.
+    fn for_each_row(&self, rows: &[u32], mut f: impl FnMut(u32, i64)) {
+        check_rows(rows, self.len);
         // `v` is the value of row `at`; row 0 is the first restart.
         let (mut at, mut v) = (0, self.restarts.first().copied().unwrap_or(0));
-        for &p in sel.positions() {
+        for &p in rows {
             let i = p as usize;
             let restart = i - i % MINIBLOCK;
             if at < restart {
@@ -158,21 +158,21 @@ impl IntAccess for DeltaInt {
         stream_packed(&self.deltas, value, f);
     }
 
-    fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
+    fn gather_into(&self, rows: &[u32], out: &mut Vec<i64>) {
         out.clear();
-        out.reserve(sel.len());
-        self.for_each_selected(sel, |_, v| out.push(v));
+        out.reserve(rows.len());
+        self.for_each_row(rows, |_, v| out.push(v));
     }
 
     fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
-        self.for_each_selected(sel, |_, v| state.update(v));
+        self.for_each_row(&sel.positions(), |_, v| state.update(v));
     }
 
     fn top_k_selected(&self, base: u64, sel: &SelectionVector, heap: &mut TopKHeap) {
         if heap.k() == 0 {
             return;
         }
-        self.for_each_selected(sel, |p, v| heap.offer(v, base + p as u64));
+        self.for_each_row(&sel.positions(), |p, v| heap.offer(v, base + p as u64));
     }
 }
 
@@ -247,9 +247,8 @@ mod tests {
     fn gather() {
         let values: Vec<i64> = (0..1000).map(|i| i / 3).collect();
         let enc = DeltaInt::encode(&values);
-        let sel = SelectionVector::new(vec![10, 400, 999]);
         let mut out = Vec::new();
-        enc.gather_into(&sel, &mut out);
+        enc.gather_into(&[10, 400, 999], &mut out);
         assert_eq!(out, vec![values[10], values[400], values[999]]);
     }
 
@@ -257,7 +256,7 @@ mod tests {
     fn filter_streams_across_miniblocks() {
         let values: Vec<i64> = (0..500).map(|i| (i * i) as i64 % 977).collect();
         let enc = DeltaInt::encode(&values);
-        let mut out = Vec::new();
+        let mut out = SelectionVector::empty();
         for range in [
             IntRange::new(0, 100),
             IntRange::negated(500, 976),
@@ -265,7 +264,7 @@ mod tests {
         ] {
             enc.filter_into(&range, &mut out);
             assert_eq!(
-                out,
+                out.positions(),
                 crate::filter::filter_naive(&values, &range),
                 "{range:?}"
             );

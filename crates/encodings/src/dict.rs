@@ -16,7 +16,7 @@ use corra_columnar::strings::{StringDictBuilder, StringPool};
 use corra_columnar::topk::TopKHeap;
 use rustc_hash::FxHashMap;
 
-use crate::traits::{check_selection, code_counts, stream_packed, IntAccess};
+use crate::traits::{check_rows, check_selection, code_counts, stream_packed, IntAccess};
 
 /// Dictionary-encoded integer column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,12 +178,12 @@ impl IntAccess for DictInt {
         });
     }
 
-    fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
-        check_selection(sel, self.len());
+    fn gather_into(&self, rows: &[u32], out: &mut Vec<i64>) {
+        check_rows(rows, self.len());
         out.clear();
-        out.reserve(sel.len());
+        out.reserve(rows.len());
         let r = self.codes.reader();
-        for &p in sel.positions() {
+        for &p in rows {
             out.push(self.dict[r.get(p as usize) as usize]);
         }
     }
@@ -191,13 +191,9 @@ impl IntAccess for DictInt {
     /// The sorted dictionary turns a value range into a contiguous *code*
     /// interval (two binary searches — one evaluation per distinct value
     /// boundary), after which only bit-packed codes are compared.
-    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
-        out.clear();
-        let n = self.len();
+    fn filter_into(&self, range: &IntRange, out: &mut SelectionVector) {
         if range.interval_is_empty() {
-            if range.negate {
-                out.extend(0..n as u32);
-            }
+            *out = SelectionVector::all_or_none(self.len(), range.negate);
             return;
         }
         // Codes in [lo_code, hi_code) hold dictionary values inside the
@@ -205,9 +201,7 @@ impl IntAccess for DictInt {
         let lo_code = self.dict.partition_point(|&v| v < range.lo) as u64;
         let hi_code = self.dict.partition_point(|&v| v <= range.hi) as u64;
         if lo_code >= hi_code {
-            if range.negate {
-                out.extend(0..n as u32);
-            }
+            *out = SelectionVector::all_or_none(self.len(), range.negate);
             return;
         }
         // Fused decode+compare in the code domain (hi_code is exclusive and
@@ -232,7 +226,7 @@ impl IntAccess for DictInt {
         check_selection(sel, self.len());
         let mut counts = vec![0u64; self.dict.len()];
         let r = self.codes.reader();
-        for &p in sel.positions() {
+        for p in sel.positions() {
             counts[r.get(p as usize) as usize] += 1;
         }
         for (&v, &n) in self.dict.iter().zip(&counts) {
@@ -523,7 +517,7 @@ mod tests {
     fn dict_int_filter_code_interval() {
         let values = vec![500i64, 100, 500, 300, 100, 500, 900];
         let enc = DictInt::encode(&values);
-        let mut out = Vec::new();
+        let mut out = SelectionVector::empty();
         for range in [
             IntRange::new(100, 300),
             IntRange::new(150, 450),
@@ -534,7 +528,7 @@ mod tests {
         ] {
             enc.filter_into(&range, &mut out);
             assert_eq!(
-                out,
+                out.positions(),
                 crate::filter::filter_naive(&values, &range),
                 "{range:?}"
             );

@@ -12,7 +12,7 @@ use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
 use corra_columnar::selection::SelectionVector;
 
-use crate::traits::{check_selection, stream_packed, IntAccess};
+use crate::traits::{check_rows, stream_packed, IntAccess};
 
 /// FOR + bit-packed integer column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,13 +125,13 @@ impl IntAccess for ForInt {
         self.packed.unpack_add_into(self.base, out);
     }
 
-    fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
-        check_selection(sel, self.len());
+    fn gather_into(&self, rows: &[u32], out: &mut Vec<i64>) {
+        check_rows(rows, self.len());
         out.clear();
-        out.reserve(sel.len());
+        out.reserve(rows.len());
         let base = self.base;
         let r = self.packed.reader();
-        for &p in sel.positions() {
+        for &p in rows {
             out.push(base.wrapping_add(r.get(p as usize) as i64));
         }
     }
@@ -139,17 +139,13 @@ impl IntAccess for ForInt {
     /// Rewrites `[lo, hi]` into the packed offset domain (`v - base`) once
     /// and compares raw offsets per row — no per-row reconstruction to
     /// `i64`.
-    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
-        out.clear();
-        let n = self.len();
+    fn filter_into(&self, range: &IntRange, out: &mut SelectionVector) {
         // Offset-domain interval. Offsets live in [0, u64::MAX]; anything
         // outside means the positive interval misses the whole frame.
         let lo_wide = range.lo as i128 - self.base as i128;
         let hi_wide = range.hi as i128 - self.base as i128;
         if range.interval_is_empty() || hi_wide < 0 || lo_wide > u64::MAX as i128 {
-            if range.negate {
-                out.extend(0..n as u32);
-            }
+            *out = SelectionVector::all_or_none(self.len(), range.negate);
             return;
         }
         let lo_off = lo_wide.max(0) as u64;
@@ -254,9 +250,8 @@ mod tests {
     #[test]
     fn gather() {
         let enc = ForInt::encode(&(0..1000i64).map(|i| i + 5000).collect::<Vec<_>>());
-        let sel = SelectionVector::new(vec![0, 500, 999]);
         let mut out = Vec::new();
-        enc.gather_into(&sel, &mut out);
+        enc.gather_into(&[0, 500, 999], &mut out);
         assert_eq!(out, vec![5000, 5500, 5999]);
     }
 
@@ -264,10 +259,10 @@ mod tests {
     fn filter_in_packed_domain() {
         let values: Vec<i64> = (0..100).map(|i| 1_000 + i % 16).collect();
         let enc = ForInt::encode(&values);
-        let mut out = Vec::new();
+        let mut out = SelectionVector::empty();
         enc.filter_into(&IntRange::new(1_003, 1_005), &mut out);
         assert_eq!(
-            out,
+            out.positions(),
             crate::filter::filter_naive(&values, &IntRange::new(1_003, 1_005))
         );
         // Range entirely below / above the frame.
@@ -281,7 +276,7 @@ mod tests {
     fn filter_extreme_base() {
         let values = vec![i64::MIN, -1, i64::MAX];
         let enc = ForInt::encode(&values);
-        let mut out = Vec::new();
+        let mut out = SelectionVector::empty();
         for range in [
             IntRange::new(i64::MIN, -1),
             IntRange::new(0, i64::MAX),
@@ -289,7 +284,7 @@ mod tests {
         ] {
             enc.filter_into(&range, &mut out);
             assert_eq!(
-                out,
+                out.positions(),
                 crate::filter::filter_naive(&values, &range),
                 "{range:?}"
             );

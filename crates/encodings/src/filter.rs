@@ -1,21 +1,25 @@
 //! The value-domain range compare behind
 //! [`IntAccess::filter_into`](crate::traits::IntAccess::filter_into)'s
 //! provided body, and the decompress-then-filter oracle the kernels are
-//! tested against. Positions come out in strictly increasing row order,
-//! matching
-//! [`SelectionVector::from_sorted`](corra_columnar::selection::SelectionVector::from_sorted).
+//! tested against.
 
 use corra_columnar::predicate::IntRange;
+use corra_columnar::selection::SelectionVector;
 use corra_columnar::simd;
 
-/// Fused range compare over a materialized `i64` span: appends
-/// `first_row + j` for every value matching `range`, running the active
-/// SIMD tier's compare kernel. `out` is *not* cleared, so chunked callers
-/// can stack spans.
-pub fn filter_i64_slice(values: &[i64], range: &IntRange, first_row: u32, out: &mut Vec<u32>) {
+/// Fused range compare over a materialized `i64` span: selects row
+/// `first_row + j` of `out` for every value matching `range`, running the
+/// active SIMD tier's compare kernel. Rows already selected stay, so
+/// chunked callers can stack spans.
+pub fn filter_i64_slice(
+    values: &[i64],
+    range: &IntRange,
+    first_row: usize,
+    out: &mut SelectionVector,
+) {
     if range.interval_is_empty() {
         if range.negate {
-            out.extend(first_row..first_row + values.len() as u32);
+            out.set_range(first_row, first_row + values.len());
         }
         return;
     }

@@ -10,6 +10,7 @@ use bytes::{Buf, BufMut};
 use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::IntRange;
+use corra_columnar::selection::SelectionVector;
 use rustc_hash::FxHashMap;
 
 use crate::traits::{code_counts, IntAccess};
@@ -223,26 +224,31 @@ impl IntAccess for FrequencyInt {
             .fold(sum, |s, (&v, n)| s.wrapping_add(v.wrapping_mul(n as i64)))
     }
 
-    /// Evaluates the predicate once per distinct *hot* value, then walks the
-    /// codes against the precomputed verdicts; exception rows are tested on
-    /// their verbatim values.
-    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
-        out.clear();
-        let hot_match: Vec<bool> = self.hot.iter().map(|&v| range.matches(v)).collect();
-        let mut e = 0usize;
+    /// Evaluates the predicate once per distinct *hot* value, turns the
+    /// codes into bitmap words against the precomputed verdicts, then sets
+    /// each exception row's bit from its verbatim value.
+    fn filter_into(&self, range: &IntRange, out: &mut SelectionVector) {
+        // Codes are below `max(hot, 1)`; an exception row's code is padding.
+        let mut hot_match: Vec<u64> = self
+            .hot
+            .iter()
+            .map(|&v| u64::from(range.matches(v)))
+            .collect();
+        hot_match.resize(self.hot.len().max(1), 0);
+        let mut words = vec![0u64; self.len().div_ceil(64)];
         self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                if e < self.exc_pos.len() && self.exc_pos[e] == i as u32 {
-                    if range.matches(self.exc_val[e]) {
-                        out.push(i as u32);
-                    }
-                    e += 1;
-                } else if hot_match[c as usize] {
-                    out.push(i as u32);
-                }
+            for (word, codes) in words[start / 64..].iter_mut().zip(chunk.chunks(64)) {
+                *word = codes
+                    .iter()
+                    .rev()
+                    .fold(0, |w, &c| w << 1 | hot_match[c as usize]);
             }
         });
+        for (&p, &v) in self.exc_pos.iter().zip(&self.exc_val) {
+            let (w, bit) = (p as usize / 64, p % 64);
+            words[w] = words[w] & !(1 << bit) | u64::from(range.matches(v)) << bit;
+        }
+        *out = SelectionVector::from_words(words, self.len());
     }
 }
 
@@ -335,7 +341,7 @@ mod tests {
         let values = vec![7i64, 3, 7, 7, 4, 7, 9, 7];
         let enc = FrequencyInt::encode(&values, 1);
         assert_eq!(enc.exceptions(), 3);
-        let mut out = Vec::new();
+        let mut out = SelectionVector::empty();
         for range in [
             IntRange::new(7, 7),
             IntRange::negated(7, 7),
@@ -344,7 +350,7 @@ mod tests {
         ] {
             enc.filter_into(&range, &mut out);
             assert_eq!(
-                out,
+                out.positions(),
                 crate::filter::filter_naive(&values, &range),
                 "{range:?}"
             );

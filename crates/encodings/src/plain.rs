@@ -105,9 +105,8 @@ mod tests {
     #[test]
     fn plain_int_gather() {
         let enc = PlainInt::encode(&(0..100i64).collect::<Vec<_>>());
-        let sel = SelectionVector::new(vec![3, 97]);
         let mut out = Vec::new();
-        enc.gather_into(&sel, &mut out);
+        enc.gather_into(&[3, 97], &mut out);
         assert_eq!(out, vec![3, 97]);
     }
 
@@ -133,10 +132,10 @@ mod tests {
     fn plain_filters() {
         let values = vec![10i64, -20, 30, 10];
         let enc = PlainInt::encode(&values);
-        let mut out = Vec::new();
+        let mut out = SelectionVector::empty();
         enc.filter_into(&IntRange::new(0, 15), &mut out);
-        assert_eq!(out, vec![0, 3]);
+        assert_eq!(out.positions(), vec![0, 3]);
         enc.filter_into(&IntRange::negated(0, 15), &mut out);
-        assert_eq!(out, vec![1, 2]);
+        assert_eq!(out.positions(), vec![1, 2]);
     }
 }

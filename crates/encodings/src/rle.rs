@@ -173,14 +173,14 @@ impl IntAccess for RleInt {
 
     /// Evaluates the predicate once per *run*: a non-matching run is skipped
     /// wholesale, a matching run contributes all of its positions.
-    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
-        out.clear();
-        let mut start = 0u32;
+    fn filter_into(&self, range: &IntRange, out: &mut SelectionVector) {
+        *out = SelectionVector::none(self.len());
+        let mut start = 0;
         for (&v, &end) in self.run_values.iter().zip(&self.run_ends) {
             if range.matches(v) {
-                out.extend(start..end);
+                out.set_range(start, end as usize);
             }
-            start = end;
+            start = end as usize;
         }
     }
 
@@ -294,9 +294,8 @@ mod tests {
     fn gather() {
         let values = vec![1i64, 1, 2, 2, 2, 3];
         let enc = RleInt::encode(&values);
-        let sel = SelectionVector::new(vec![0, 2, 5]);
         let mut out = Vec::new();
-        enc.gather_into(&sel, &mut out);
+        enc.gather_into(&[0, 2, 5], &mut out);
         assert_eq!(out, vec![1, 2, 3]);
     }
 
@@ -304,7 +303,7 @@ mod tests {
     fn filter_skips_runs() {
         let values = vec![1i64, 1, 2, 2, 2, 3, 1, 1];
         let enc = RleInt::encode(&values);
-        let mut out = Vec::new();
+        let mut out = SelectionVector::empty();
         for range in [
             IntRange::new(2, 2),
             IntRange::negated(1, 1),
@@ -313,7 +312,7 @@ mod tests {
         ] {
             enc.filter_into(&range, &mut out);
             assert_eq!(
-                out,
+                out.positions(),
                 crate::filter::filter_naive(&values, &range),
                 "{range:?}"
             );

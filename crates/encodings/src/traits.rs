@@ -37,7 +37,7 @@
 use corra_columnar::aggregate::IntAggState;
 use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
 use corra_columnar::predicate::IntRange;
-use corra_columnar::selection::SelectionVector;
+use corra_columnar::selection::{rows_fit, SelectionVector};
 use corra_columnar::topk::TopKHeap;
 
 use crate::filter::filter_i64_slice;
@@ -82,24 +82,24 @@ pub trait IntAccess {
         self.for_each_chunk(&mut |_, chunk| out.extend_from_slice(chunk));
     }
 
-    /// Materializes the values at the selected positions into `out`
-    /// (cleared first). This is the query kernel of the latency experiments.
-    fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
+    /// Materializes the values at `rows` into `out` (cleared first); `rows`
+    /// is strictly ascending and below [`len`](Self::len), as
+    /// [`SelectionVector::positions`] returns them, so a caller reading
+    /// several columns expands a selection once. This is the query kernel
+    /// of the latency experiments.
+    fn gather_into(&self, rows: &[u32], out: &mut Vec<i64>) {
         out.clear();
-        out.reserve(sel.len());
-        for &p in sel.positions() {
+        out.reserve(rows.len());
+        for &p in rows {
             out.push(self.get(p as usize));
         }
     }
 
-    /// Appends the positions (ascending) of all rows matching `range` into
-    /// `out` (cleared first), each decoded chunk going through the SIMD
-    /// range kernel.
-    fn filter_into(&self, range: &IntRange, out: &mut Vec<u32>) {
-        out.clear();
-        self.for_each_chunk(&mut |start, chunk| {
-            filter_i64_slice(chunk, range, start as u32, out);
-        });
+    /// Replaces `out` with the bitmap of the rows matching `range`, each
+    /// decoded chunk going through the SIMD range kernel.
+    fn filter_into(&self, range: &IntRange, out: &mut SelectionVector) {
+        *out = SelectionVector::none(self.len());
+        self.for_each_chunk(&mut |start, chunk| filter_i64_slice(chunk, range, start, out));
     }
 
     /// The sum of every row mod 2^64, by wrapping `i64` adds. It is the
@@ -114,7 +114,7 @@ pub trait IntAccess {
 
     /// Folds the rows at the selected positions into `state`.
     fn aggregate_selected(&self, sel: &SelectionVector, state: &mut IntAggState) {
-        for &p in sel.positions() {
+        for p in sel.positions() {
             state.update(self.get(p as usize));
         }
     }
@@ -152,7 +152,7 @@ pub trait IntAccess {
         if heap.k() == 0 {
             return;
         }
-        for &p in sel.positions() {
+        for p in sel.positions() {
             heap.offer(self.get(p as usize), base + p as u64);
         }
     }
@@ -185,10 +185,20 @@ pub(crate) fn code_counts(codes: &BitPackedVec, n_codes: usize) -> Vec<u64> {
     counts.iter().map(|c| c.iter().sum()).collect()
 }
 
-/// Positions are sorted, so one check on the last bounds them all — for
-/// kernels that read packed words without the scalar getter's own check.
+/// Bounds a selection for kernels that read packed words without the
+/// scalar getter's own check: a selection that validates against `len`
+/// expands only to rows below it.
 pub(crate) fn check_selection(sel: &SelectionVector, len: usize) {
     assert!(sel.validate(len), "selection out of bounds (len {len})");
+}
+
+/// [`check_selection`] for a row list: strictly ascending, every row
+/// below `len`.
+pub(crate) fn check_rows(rows: &[u32], len: usize) {
+    assert!(
+        rows_fit(rows, len),
+        "rows not ascending or out of bounds (len {len})"
+    );
 }
 
 /// The chunk stream of a bit-packed codec: unpacks `packed` through the

@@ -172,10 +172,11 @@ fn check_overrides(
     reference.decode_into(&mut want);
     prop_assert_eq!(&got, &want);
     for range in ranges {
-        let (mut got, mut want) = (vec![7], vec![9]);
+        let (mut got, mut want) = (SelectionVector::new(vec![7]), SelectionVector::new(vec![9]));
         enc.filter_into(range, &mut got);
         reference.filter_into(range, &mut want);
         prop_assert!(got == want, "filter {:?}: {:?} != {:?}", range, got, want);
+        prop_assert_eq!(got.bit_len(), enc.len());
     }
 
     // The whole-column sum, overridden or not, is the decoded column's sum
@@ -201,8 +202,8 @@ fn check_overrides(
 
     for sel in sels {
         let (mut got, mut want) = (vec![7], vec![9]);
-        enc.gather_into(sel, &mut got);
-        reference.gather_into(sel, &mut want);
+        enc.gather_into(&sel.positions(), &mut got);
+        reference.gather_into(&sel.positions(), &mut want);
         prop_assert_eq!(got, want);
         let (mut got, mut want) = (IntAggState::default(), IntAggState::default());
         enc.aggregate_selected(sel, &mut got);
@@ -316,7 +317,7 @@ proptest! {
         let sel = SelectionVector::new(raw_sel.into_iter().map(|p| p % n).collect());
         let enc = choose_int_full(&values);
         let mut got = Vec::new();
-        enc.gather_into(&sel, &mut got);
+        enc.gather_into(&sel.positions(), &mut got);
         let want: Vec<i64> = sel.positions().iter().map(|&p| values[p as usize]).collect();
         prop_assert_eq!(got, want);
     }
@@ -386,8 +387,9 @@ proptest! {
         for range in &ranges {
             let want = filter_naive(&values, range);
             for enc in &encodings {
-                let mut got = Vec::new();
+                let mut got = SelectionVector::empty();
                 enc.filter_into(range, &mut got);
+                let got = got.positions();
                 prop_assert!(got == want, "{} {:?}: {:?} != {:?}", enc.scheme(), range, got, want);
             }
         }
