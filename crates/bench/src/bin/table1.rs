@@ -6,41 +6,15 @@
 //! cargo run --release -p corra-bench --bin table1
 //! ```
 
-use corra_bench::emit_json;
-use corra_core::MultiRefInt;
-use corra_datagen::{rows_from_env, TaxiParams, TaxiTable};
+use corra_bench::{emit_json, table1_encoding, table1_rows};
+use corra_datagen::rows_from_env;
 
 fn main() {
     let rows = rows_from_env();
-    let taxi = TaxiTable::generate(
-        TaxiParams {
-            rows,
-            ..Default::default()
-        },
-        23,
-    );
+    let enc = table1_encoding(rows);
     println!("Table 1 reproduction: Taxi total_amount vs reference groups, {rows} rows\n");
-
-    let [a, b, c] = taxi.group_sums();
-    let enc = MultiRefInt::encode(&taxi.total_amount, &[a, b, c], 2).expect("encode");
     let stats = enc.stats();
-
-    // Order codes by paper convention: sort formulas by mask so A, A+B,
-    // A+C, A+B+C print in the familiar order (codes themselves are assigned
-    // by coverage).
-    let mut rows_out: Vec<(String, f64, String)> = stats
-        .formulas
-        .iter()
-        .enumerate()
-        .map(|(code, (f, count))| {
-            (
-                f.describe(),
-                *count as f64 / stats.rows as f64,
-                format!("{code:02b}"),
-            )
-        })
-        .collect();
-    rows_out.sort_by(|x, y| x.0.len().cmp(&y.0.len()).then(x.0.cmp(&y.0)));
+    let rows_out = table1_rows(&stats);
 
     println!(
         "{:<16} {:>12} {:>16}",

@@ -9,104 +9,21 @@
 //! the paper's row counts for the MB columns; saving rates are scale-free.
 
 use corra_bench::{
-    column_bytes, compress_table, emit_json, paper_scale, print_size_table, SizeRow,
+    column_bytes, compress_table, emit_json, paper_scale, print_size_table, table2_lineitem,
+    table2_taxi, SizeRow,
 };
 use corra_core::{ColumnPlan, CompressionConfig};
-use corra_datagen::{
-    rows_from_env, DmvParams, DmvTable, LineitemDates, MessageParams, MessageTable, TaxiParams,
-    TaxiTable,
-};
+use corra_datagen::{rows_from_env, DmvParams, DmvTable, MessageParams, MessageTable};
 
 fn main() {
     let rows = rows_from_env();
     println!("Table 2 reproduction at {rows} rows per dataset (CORRA_ROWS to change)\n");
     let mut out: Vec<SizeRow> = Vec::new();
 
-    // --- TPC-H lineitem: receiptdate & commitdate vs shipdate (§2.1).
-    {
-        let table = LineitemDates::generate(rows, 42).into_table();
-        let baseline_cfg = CompressionConfig::baseline();
-        let corra_cfg = CompressionConfig::baseline()
-            .with(
-                "l_commitdate",
-                ColumnPlan::NonHier {
-                    reference: "l_shipdate".into(),
-                },
-            )
-            .with(
-                "l_receiptdate",
-                ColumnPlan::NonHier {
-                    reference: "l_shipdate".into(),
-                },
-            );
-        let (_, base) = compress_table(table.clone(), &baseline_cfg);
-        let (_, corra) = compress_table(table, &corra_cfg);
-        for (col, paper_saving) in [("l_receiptdate", 0.583), ("l_commitdate", 0.333)] {
-            out.push(SizeRow {
-                dataset: "lineitem (SF 10)".into(),
-                column: col.into(),
-                encoding: "Non-hierarchical".into(),
-                reference: "l_shipdate".into(),
-                baseline_bytes: column_bytes(&base, col),
-                corra_bytes: column_bytes(&corra, col),
-                rows,
-                paper_rows: paper_scale::LINEITEM_ROWS,
-                paper_saving,
-            });
-        }
-    }
-
-    // --- Taxi: dropoff vs pickup (§2.1) and total_amount vs groups (§2.3).
-    {
-        let taxi = TaxiTable::generate(
-            TaxiParams {
-                rows,
-                ..Default::default()
-            },
-            23,
-        );
-        let groups = TaxiTable::reference_groups();
-        let table = taxi.into_table();
-        let baseline_cfg = CompressionConfig::baseline();
-        let corra_cfg = CompressionConfig::baseline()
-            .with(
-                "dropoff",
-                ColumnPlan::NonHier {
-                    reference: "pickup".into(),
-                },
-            )
-            .with(
-                "total_amount",
-                ColumnPlan::MultiRef {
-                    groups,
-                    code_bits: 2,
-                },
-            );
-        let (_, base) = compress_table(table.clone(), &baseline_cfg);
-        let (_, corra) = compress_table(table, &corra_cfg);
-        out.push(SizeRow {
-            dataset: "Taxi".into(),
-            column: "dropff".into(),
-            encoding: "Non-hierarchical".into(),
-            reference: "pickup".into(),
-            baseline_bytes: column_bytes(&base, "dropoff"),
-            corra_bytes: column_bytes(&corra, "dropoff"),
-            rows,
-            paper_rows: paper_scale::TAXI_ROWS,
-            paper_saving: 0.306,
-        });
-        out.push(SizeRow {
-            dataset: "Taxi".into(),
-            column: "total_amount".into(),
-            encoding: "Non-hierarchical".into(),
-            reference: "multiple (§2.3)".into(),
-            baseline_bytes: column_bytes(&base, "total_amount"),
-            corra_bytes: column_bytes(&corra, "total_amount"),
-            rows,
-            paper_rows: paper_scale::TAXI_ROWS,
-            paper_saving: 0.8516,
-        });
-    }
+    // --- TPC-H lineitem: receiptdate & commitdate vs shipdate (§2.1), and
+    // Taxi: dropoff vs pickup (§2.1) and total_amount vs groups (§2.3).
+    out.extend(table2_lineitem(rows));
+    out.extend(table2_taxi(rows));
 
     // --- DMV: zip vs city and city vs state (§2.2). Two configurations —
     // a column cannot be reference and diff-encoded at once.

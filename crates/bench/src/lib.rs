@@ -8,7 +8,8 @@ use std::time::Instant;
 
 use corra_columnar::block::{DataBlock, Table, DEFAULT_BLOCK_ROWS};
 use corra_columnar::selection::SelectionVector;
-use corra_core::{CompressedBlock, CompressionConfig};
+use corra_core::{ColumnPlan, CompressedBlock, CompressionConfig, FormulaStats, MultiRefInt};
+use corra_datagen::{LineitemDates, TaxiParams, TaxiTable};
 
 /// Paper row counts for extrapolating measured bytes to paper scale.
 pub mod paper_scale {
@@ -123,6 +124,115 @@ pub fn column_bytes(blocks: &[CompressedBlock], column: &str) -> usize {
         .iter()
         .map(|b| b.column_bytes(column).expect("column exists"))
         .sum()
+}
+
+/// Table 1: Taxi `total_amount` (`rows` rows, seed 23) encoded over its
+/// three reference groups with 2-bit formula codes.
+pub fn table1_encoding(rows: usize) -> MultiRefInt {
+    let taxi = TaxiTable::generate(
+        TaxiParams {
+            rows,
+            ..Default::default()
+        },
+        23,
+    );
+    let [a, b, c] = taxi.group_sums();
+    MultiRefInt::encode(&taxi.total_amount, &[a, b, c], 2).expect("encode")
+}
+
+/// Table 1's rows for an encoding's `stats`: each formula with the
+/// fraction of rows it covers and its binary code, in the paper's order
+/// (A, A+B, A+C, A+B+C; codes themselves are assigned by coverage).
+pub fn table1_rows(stats: &FormulaStats) -> Vec<(String, f64, String)> {
+    let mut rows: Vec<(String, f64, String)> = stats
+        .formulas
+        .iter()
+        .enumerate()
+        .map(|(code, (f, count))| {
+            (
+                f.describe(),
+                *count as f64 / stats.rows as f64,
+                format!("{code:02b}"),
+            )
+        })
+        .collect();
+    rows.sort_by(|x, y| x.0.len().cmp(&y.0.len()).then(x.0.cmp(&y.0)));
+    rows
+}
+
+/// Table 2's lineitem rows: `l_receiptdate` and `l_commitdate`
+/// NonHier-encoded against `l_shipdate` (§2.1), `rows` rows of TPC-H
+/// dates (seed 42).
+pub fn table2_lineitem(rows: usize) -> Vec<SizeRow> {
+    let table = LineitemDates::generate(rows, 42).into_table();
+    let against_ship = || ColumnPlan::NonHier {
+        reference: "l_shipdate".into(),
+    };
+    let corra_cfg = CompressionConfig::baseline()
+        .with("l_commitdate", against_ship())
+        .with("l_receiptdate", against_ship());
+    let (_, base) = compress_table(table.clone(), &CompressionConfig::baseline());
+    let (_, corra) = compress_table(table, &corra_cfg);
+    [("l_receiptdate", 0.583), ("l_commitdate", 0.333)]
+        .into_iter()
+        .map(|(col, paper_saving)| SizeRow {
+            dataset: "lineitem (SF 10)".into(),
+            column: col.into(),
+            encoding: "Non-hierarchical".into(),
+            reference: "l_shipdate".into(),
+            baseline_bytes: column_bytes(&base, col),
+            corra_bytes: column_bytes(&corra, col),
+            rows,
+            paper_rows: paper_scale::LINEITEM_ROWS,
+            paper_saving,
+        })
+        .collect()
+}
+
+/// Table 2's Taxi rows: `dropoff` NonHier-encoded against `pickup` (§2.1)
+/// and `total_amount` over its reference groups (§2.3), `rows` rows
+/// (seed 23).
+pub fn table2_taxi(rows: usize) -> Vec<SizeRow> {
+    let taxi = TaxiTable::generate(
+        TaxiParams {
+            rows,
+            ..Default::default()
+        },
+        23,
+    );
+    let groups = TaxiTable::reference_groups();
+    let table = taxi.into_table();
+    let corra_cfg = CompressionConfig::baseline()
+        .with(
+            "dropoff",
+            ColumnPlan::NonHier {
+                reference: "pickup".into(),
+            },
+        )
+        .with(
+            "total_amount",
+            ColumnPlan::MultiRef {
+                groups,
+                code_bits: 2,
+            },
+        );
+    let (_, base) = compress_table(table.clone(), &CompressionConfig::baseline());
+    let (_, corra) = compress_table(table, &corra_cfg);
+    let row = |label: &str, col: &str, reference: &str, paper_saving| SizeRow {
+        dataset: "Taxi".into(),
+        column: label.into(),
+        encoding: "Non-hierarchical".into(),
+        reference: reference.into(),
+        baseline_bytes: column_bytes(&base, col),
+        corra_bytes: column_bytes(&corra, col),
+        rows,
+        paper_rows: paper_scale::TAXI_ROWS,
+        paper_saving,
+    };
+    vec![
+        row("dropff", "dropoff", "pickup", 0.306),
+        row("total_amount", "total_amount", "multiple (§2.3)", 0.8516),
+    ]
 }
 
 /// Times `f` over `reps` repetitions and returns the median seconds.

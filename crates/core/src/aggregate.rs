@@ -692,7 +692,6 @@ mod tests {
     use corra_columnar::column::{Column, DataType};
     use corra_columnar::schema::{Field, Schema};
     use corra_columnar::strings::StringPool;
-    use std::sync::atomic::AtomicBool;
 
     fn mixed_block(n: usize, salt: i64) -> (DataBlock, CompressionConfig) {
         let city = StringPool::from_iter((0..n).map(|i| ["NYC", "Albany", "Naples"][i % 3]));
@@ -992,7 +991,7 @@ mod tests {
                 ColumnCodec::Str(DictStr::encode(["a"; 10])),
             ],
             vec![None; 6],
-            &AtomicBool::new(false),
+            &[],
         );
         assert!(
             matches!(block, Err(Error::LengthMismatch { left: 3, right: 10 })),
@@ -1020,7 +1019,7 @@ mod tests {
                     },
                 ],
                 vec![None, ZoneMap::from_values(&target)],
-                &AtomicBool::new(false),
+                &[],
             )
         };
         let short = block(ColumnCodec::Int(IntEncoding::Plain(PlainInt::encode(&[

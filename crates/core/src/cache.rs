@@ -10,8 +10,9 @@
 //!
 //! Two entry kinds are cached, keyed by `(table, block, column, kind)`:
 //!
-//! * **Segments** ([`CacheValue::Segment`]) — the compressed frame of a
-//!   whole block, filled by `read_block`. Saves the I/O, not the decode.
+//! * **Segments** ([`CacheValue::Segment`]) — the compressed bytes of a
+//!   whole block segment, filled by `read_block`, which parses each column
+//!   out of them by its footer span. Saves the I/O, not the decode.
 //! * **Codecs** ([`CacheValue::Codec`]) — a fully deserialized
 //!   [`ColumnCodec`] (dictionaries, packed vectors, reference wiring),
 //!   filled by the lazy per-column loads underneath `read_column`, scans

@@ -586,15 +586,17 @@ impl CompressedBlock {
 
     /// Assembles a block from parsed parts, with the zones the caller
     /// vouches for, once every column passes
-    /// [`check_column`](crate::format::check_column). `passed` records
-    /// that these very bytes passed before, so a set memo skips the checks
-    /// and a clean first assembly sets it; a failed check leaves it unset.
+    /// [`check_column`](crate::format::check_column). `checked` is a table
+    /// reader's memo per column — whether these very bytes passed before
+    /// (see [`crate::store::TableReader`]): a set memo skips its column's
+    /// check, and a column that passes sets it. A bare block keeps no memo
+    /// (`&[]`) and checks every column.
     pub(crate) fn from_parts(
         rows: u32,
         names: Vec<String>,
         codecs: Vec<ColumnCodec>,
         zones: Vec<Option<ZoneMap>>,
-        passed: &AtomicBool,
+        checked: &[AtomicBool],
     ) -> Result<Self> {
         let block = Self {
             rows,
@@ -602,13 +604,16 @@ impl CompressedBlock {
             codecs,
             zones,
         };
-        // `Relaxed`: the flag publishes no data — every assembly parses its
+        // `Relaxed`: a flag publishes no data — every assembly parses its
         // own copy of the same immutable bytes.
-        if !passed.load(Ordering::Relaxed) {
-            for codec in &block.codecs {
+        for (i, codec) in block.codecs.iter().enumerate() {
+            let memo = checked.get(i);
+            if !memo.is_some_and(|m| m.load(Ordering::Relaxed)) {
                 check_column(codec, block.rows(), &block)?;
+                if let Some(memo) = memo {
+                    memo.store(true, Ordering::Relaxed);
+                }
             }
-            passed.store(true, Ordering::Relaxed);
         }
         Ok(block)
     }

@@ -23,16 +23,16 @@
 //! built by [`crate::store`] records the `(offset, len)` of every
 //! `(block, column)` payload plus the [`CodecHeader`] wiring, so a reader
 //! can fetch exactly one column — and walk its reference chain — without
-//! touching any other payload bytes. There is one block version
-//! ([`VERSION`]); [`CompressedBlock::from_bytes`] rejects any other version
-//! word as [`Error::Corrupt`].
-
-use std::sync::atomic::AtomicBool;
+//! touching any other payload bytes. In a table file that footer is the one
+//! index: every read, whole-block or lazy, parses each column from the
+//! footer's header and span, and only a bare [`CompressedBlock::from_bytes`]
+//! reads the envelope's names, headers and frame lengths. There is one
+//! block version ([`VERSION`]); `from_bytes` rejects any other version word
+//! as [`Error::Corrupt`].
 
 use bytes::{Buf, BufMut};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::frame::{take_frame, write_frame};
-use corra_columnar::stats::ZoneMap;
 use corra_columnar::strings::StringPool;
 use corra_encodings::{DictStr, IntEncoding};
 
@@ -258,6 +258,13 @@ pub struct PayloadSpan {
     pub len: u32,
 }
 
+impl PayloadSpan {
+    /// The payload's byte range within its block segment.
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
+        self.offset as usize..self.offset as usize + self.len as usize
+    }
+}
+
 impl CompressedBlock {
     /// Serializes the block into a fresh buffer.
     ///
@@ -315,28 +322,15 @@ impl CompressedBlock {
     /// The serialized block carries no zones, so each integer column's
     /// exact zone is recomputed here with one reconstruction — a bare block
     /// stays self-contained and `from_bytes(to_bytes(b)) == b`. A table
-    /// reader attaches its footer's zones instead and decodes nothing.
+    /// file's blocks never come through here: its reader parses each
+    /// column from the footer and attaches the footer's zones.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corrupt`] on bad magic, unsupported version,
     /// truncation, or any inconsistent codec payload; whatever the
     /// reconstruction reports.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self> {
-        Self::from_bytes_zoned(buf, None, &AtomicBool::new(false))?.with_decoded_zones()
-    }
-
-    /// Deserializes a block and attaches `zones`, one per column, without
-    /// decoding anything — what a table reader does with its footer's
-    /// zones. `None` leaves the block zoneless (for
-    /// [`with_decoded_zones`](Self::with_decoded_zones) to fill). `passed`
-    /// is the memo of [`from_parts`](Self::from_parts): whether
-    /// these bytes passed the structural check before.
-    pub(crate) fn from_bytes_zoned(
-        mut buf: &[u8],
-        zones: Option<Vec<Option<ZoneMap>>>,
-        passed: &AtomicBool,
-    ) -> Result<Self> {
+    pub fn from_bytes(mut buf: &[u8]) -> Result<Self> {
         if buf.remaining() < 4 + 2 + 4 + 2 {
             return Err(Error::corrupt("block header truncated"));
         }
@@ -375,14 +369,7 @@ impl CompressedBlock {
                 buf.len()
             )));
         }
-        let zones = zones.unwrap_or_else(|| vec![None; n_cols]);
-        if zones.len() != n_cols {
-            return Err(Error::corrupt(format!(
-                "{} zones for a block of {n_cols} columns",
-                zones.len()
-            )));
-        }
-        Self::from_parts(rows, names, codecs, zones, passed)
+        Self::from_parts(rows, names, codecs, vec![None; n_cols], &[])?.with_decoded_zones()
     }
 }
 
@@ -592,7 +579,7 @@ mod tests {
         let spans = compressed.write_to(&mut bytes).unwrap();
         assert_eq!(bytes, compressed.to_bytes().unwrap());
         for (i, span) in spans.iter().enumerate() {
-            let payload = &bytes[span.offset as usize..span.offset as usize + span.len as usize];
+            let payload = &bytes[span.range()];
             let header = CodecHeader::of(compressed.codec_at(i));
             let codec = read_codec_payload(&header, payload).unwrap();
             assert_eq!(&codec, compressed.codec_at(i), "column {i}");
@@ -701,9 +688,7 @@ mod tests {
         let codecs: Vec<ColumnCodec> = (0..n)
             .map(|_| ColumnCodec::Int(IntEncoding::Plain(PlainInt::encode(&[]))))
             .collect();
-        let block =
-            CompressedBlock::from_parts(0, names, codecs, vec![None; n], &AtomicBool::new(false))
-                .unwrap();
+        let block = CompressedBlock::from_parts(0, names, codecs, vec![None; n], &[]).unwrap();
         let err = block.to_bytes().unwrap_err();
         assert!(
             err.to_string().contains("column-count"),

@@ -617,7 +617,6 @@ mod tests {
     use corra_columnar::topk::TopKHeap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::atomic::AtomicBool;
 
     fn date_block(n: usize) -> (DataBlock, CompressionConfig) {
         let ship: Vec<i64> = (0..n).map(|i| 8_035 + (i as i64 * 17 % 2_500)).collect();
@@ -1050,13 +1049,7 @@ mod tests {
             let label = child.scheme();
             let codecs = vec![parent.clone(), child];
             let names = vec!["p".into(), "c".into()];
-            let got = CompressedBlock::from_parts(
-                4,
-                names,
-                codecs,
-                vec![None; 2],
-                &AtomicBool::new(false),
-            );
+            let got = CompressedBlock::from_parts(4, names, codecs, vec![None; 2], &[]);
             assert!(matches!(got, Err(Error::Corrupt(_))), "{label}: {got:?}");
         }
     }

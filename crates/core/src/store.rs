@@ -31,12 +31,14 @@
 //!   [`crate::compressor::compress_blocks`]) and buffers only footer
 //!   metadata, never the file.
 //!
-//! The footer carries end-to-end integrity: a [`checksum64`] per column
-//! payload span (verified on every lazy load), per block segment (verified
-//! by [`TableReader::read_block`]), and a footer self-checksum — so any
-//! flipped bit anywhere in the file surfaces as [`Error::Corrupt`] rather
-//! than silently wrong data. There is one footer version
-//! ([`FOOTER_VERSION`]); any other version word is [`Error::Corrupt`].
+//! The footer is the file's one index: [`TableReader::read_block`] parses
+//! each column from its footer header and span as a lazy load does, never
+//! from the segment's own envelope. It carries end-to-end integrity: a
+//! [`checksum64`] per column payload span (verified on every lazy load),
+//! per block segment (verified by `read_block`), and a footer
+//! self-checksum — so any flipped bit anywhere in the file surfaces as
+//! [`Error::Corrupt`] rather than silently wrong data. There is one footer
+//! version ([`FOOTER_VERSION`]); any other version word is corrupt.
 //!
 //! All reads go through the pluggable [`IoBackend`] seam (see
 //! [`crate::io`]), which is also where the torture harness injects faults.
@@ -355,7 +357,7 @@ impl<W: Write> TableWriter<W> {
         let columns = (0..block.names().len())
             .map(|i| {
                 let span = spans[i];
-                let payload = &buf[span.offset as usize..span.offset as usize + span.len as usize];
+                let payload = &buf[span.range()];
                 ColumnMeta {
                     header: CodecHeader::of(block.codec_at(i)),
                     span,
@@ -501,17 +503,11 @@ pub struct TableReader {
     /// Attached serving cache plus this reader's cache-keying table id
     /// (see [`TableReader::with_cache`]).
     cache: Option<(Arc<ShardedCache>, u64)>,
-    /// Per `(block, column)`, at `block * n_cols + column`: whether a load
-    /// of that payload passed `check_column` on this reader. The file is
-    /// immutable and every load is checksummed, so a re-load of a column
-    /// whose cached codec was evicted needs no second check.
+    /// Per `(block, column)`, at `block * n_cols + column`: whether that
+    /// column passed `check_column` on this reader. [`read_block`](
+    /// Self::read_block) and a lazy load parse it from the same footer
+    /// header and immutable, checksummed span, so it is checked once.
     checked: Vec<AtomicBool>,
-    /// Per block: whether [`read_block`](Self::read_block)'s parse of the
-    /// whole segment passed every column's check. Apart from `checked`:
-    /// the footer's payload spans and codec headers are not tied to the
-    /// segment's own column frames, so a column that passed through one
-    /// path vouches for nothing the other path parses.
-    segment_checked: Vec<AtomicBool>,
 }
 
 /// What one footer-addressed payload load cost: bytes fetched from the
@@ -594,9 +590,6 @@ impl TableReader {
         let checked = (0..footer.blocks.len() * names.len())
             .map(|_| AtomicBool::new(false))
             .collect();
-        let segment_checked = (0..footer.blocks.len())
-            .map(|_| AtomicBool::new(false))
-            .collect();
         Ok(Self {
             source,
             file_len,
@@ -605,7 +598,6 @@ impl TableReader {
             bytes_read: AtomicU64::new(0),
             cache: None,
             checked,
-            segment_checked,
         })
     }
 
@@ -669,10 +661,13 @@ impl TableReader {
         self.bytes_read.load(Ordering::Relaxed)
     }
 
-    fn metered_read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+    /// Metered read of `len` bytes at `offset`; `None` unless they hash to `checksum`.
+    fn metered_read(&self, offset: u64, len: u64, checksum: u64) -> Result<Option<Vec<u8>>> {
+        let len = usize::try_from(len)
+            .map_err(|_| Error::corrupt("block segment exceeds addressable memory"))?;
         let buf = read_exact_vec(self.source.as_ref(), offset, len)?;
         self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
-        Ok(buf)
+        Ok((checksum64(&buf) == checksum).then_some(buf))
     }
 
     fn block_meta(&self, block: usize) -> Result<&BlockMeta> {
@@ -685,36 +680,39 @@ impl TableReader {
             })
     }
 
-    /// Reads and fully deserializes block `block` (every column payload),
-    /// attaching the footer's zones — nothing is decoded to find them.
-    ///
-    /// With an attached cache, the segment's compressed frame is served
-    /// from memory after the first read; the frame is checksum-verified
-    /// *before* it enters the cache, so a corrupt fill errors out and is
-    /// never cached.
+    /// Reads block `block` in one segment read and parses each column from
+    /// its footer header and payload span, as a [`BlockHandle`] does; rows,
+    /// names and zones come from the footer, and the envelope goes unread.
+    /// An attached cache serves the segment's bytes after the first read,
+    /// admitted only once their checksum and parse passed.
     ///
     /// # Errors
     ///
     /// Out-of-range index, I/O errors, or segment corruption.
     pub fn read_block(&self, block: usize) -> Result<CompressedBlock> {
         let meta = self.block_meta(block)?;
-        let zones = || Some(meta.columns.iter().map(|c| c.zone).collect());
-        let passed = &self.segment_checked[block];
+        let n = self.names.len();
+        let parse = |bytes: &[u8]| {
+            // A shared cache may hold any bytes under a segment key.
+            let column = |cm: &ColumnMeta| match bytes.get(cm.span.range()) {
+                Some(payload) => read_codec_payload(&cm.header, payload),
+                None => Err(Error::corrupt("column payload span exceeds its segment")),
+            };
+            let codecs = meta.columns.iter().map(column).collect::<Result<_>>()?;
+            let zones = meta.columns.iter().map(|cm| cm.zone).collect();
+            let checked = &self.checked[block * n..(block + 1) * n];
+            CompressedBlock::from_parts(meta.rows, self.names.clone(), codecs, zones, checked)
+        };
         if let Some((cache, table)) = &self.cache {
             let key = CacheKey::segment(*table, block as u32);
             if let Some(CacheValue::Segment(bytes)) = cache.get(&key) {
-                return CompressedBlock::from_bytes_zoned(&bytes, zones(), passed);
+                return parse(&bytes);
             }
         }
-        let len = usize::try_from(meta.len)
-            .map_err(|_| Error::corrupt("block segment exceeds addressable memory"))?;
-        let bytes = self.metered_read(meta.offset, len)?;
-        if checksum64(&bytes) != meta.checksum {
-            return Err(Error::corrupt(format!(
-                "block {block} segment checksum mismatch"
-            )));
-        }
-        let parsed = CompressedBlock::from_bytes_zoned(&bytes, zones(), passed)?;
+        let bytes = self
+            .metered_read(meta.offset, meta.len, meta.checksum)?
+            .ok_or_else(|| Error::corrupt(format!("block {block} segment checksum mismatch")))?;
+        let parsed = parse(&bytes)?;
         // Admit only after the checksum *and* a full parse succeeded: a
         // frame that cannot deserialize is useless to every future hit.
         if let Some((cache, table)) = &self.cache {
@@ -768,12 +766,12 @@ impl TableReader {
                 return Ok((codec, true));
             }
         }
-        let bytes = self.metered_read(meta.offset + cm.span.offset, cm.span.len as usize)?;
-        if checksum64(&bytes) != cm.checksum {
-            return Err(Error::corrupt(format!(
-                "column {col} payload checksum mismatch in block {block}"
-            )));
-        }
+        let at = meta.offset + cm.span.offset;
+        let bytes = self
+            .metered_read(at, cm.span.len.into(), cm.checksum)?
+            .ok_or_else(|| {
+                Error::corrupt(format!("block {block} column {col} checksum mismatch"))
+            })?;
         let codec = read_codec_payload(&cm.header, &bytes)?;
         // `Relaxed`: the flag publishes no data — every load parses its own
         // checksummed copy of the same immutable bytes.

@@ -15,7 +15,7 @@ use corra_columnar::column::{Column, DataType};
 use corra_columnar::schema::{Field, Schema};
 use std::sync::Arc;
 
-use corra_core::store::{SegmentedTable, TableFooter, TableReader, TableWriter};
+use corra_core::store::{ColumnMeta, SegmentedTable, TableFooter, TableReader, TableWriter};
 use corra_core::{checksum64, ColumnPlan, CompressedBlock, CompressionConfig};
 
 /// A block exercising every codec family the block format serializes:
@@ -128,26 +128,13 @@ pub fn one_segment(reader: TableReader) -> SegmentedTable {
 /// footer's own checksum is recomputed. `footer` is the file's footer
 /// before the rewrite.
 pub fn reseal(bytes: &mut [u8], footer: &TableFooter) {
-    let end = bytes.len() - 16;
-    let footer_len = u64::from_le_bytes(bytes[end..end + 8].try_into().unwrap()) as usize;
-    let start = end - footer_len;
-    let find = |bytes: &[u8], pattern: &[u8]| {
-        start
-            + bytes[start..end]
-                .windows(pattern.len())
-                .position(|w| w == pattern)
-                .expect("the field is in the footer")
-    };
     for block in &footer.blocks {
         let at = block.offset as usize;
         let image = at..at + block.len as usize;
         for col in &block.columns {
             let payload = at + col.span.offset as usize;
             let sum = checksum64(&bytes[payload..payload + col.span.len as usize]);
-            let mut field = col.span.offset.to_le_bytes().to_vec();
-            field.extend(col.span.len.to_le_bytes());
-            field.extend(col.checksum.to_le_bytes());
-            let pos = find(bytes, &field);
+            let pos = span_entry(bytes, col);
             bytes[pos + 12..pos + 20].copy_from_slice(&sum.to_le_bytes());
             if bytes[pos + 20] == 2 {
                 bytes[pos + 20] = 1;
@@ -157,10 +144,44 @@ pub fn reseal(bytes: &mut [u8], footer: &TableFooter) {
         field.extend(block.len.to_le_bytes());
         field.extend(block.rows.to_le_bytes());
         field.extend(block.checksum.to_le_bytes());
-        let pos = find(bytes, &field);
+        let pos = find_in_footer(bytes, &field);
         let sum = checksum64(&bytes[image]);
         bytes[pos + 20..pos + 28].copy_from_slice(&sum.to_le_bytes());
     }
-    let sum = checksum64(&bytes[start..end - 8]);
-    bytes[end - 8..end].copy_from_slice(&sum.to_le_bytes());
+    reseal_footer(bytes);
+}
+
+/// The footer of a table file: the bytes before its self-checksum,
+/// length and trailing magic.
+fn footer_range(bytes: &[u8]) -> std::ops::Range<usize> {
+    let end = bytes.len() - 16;
+    let footer_len = u64::from_le_bytes(bytes[end..end + 8].try_into().unwrap()) as usize;
+    end - footer_len..end - 8
+}
+
+/// Where `pattern` first occurs in the footer, as a file offset.
+fn find_in_footer(bytes: &[u8], pattern: &[u8]) -> usize {
+    let footer = footer_range(bytes);
+    footer.start
+        + bytes[footer]
+            .windows(pattern.len())
+            .position(|w| w == pattern)
+            .expect("the field is in the footer")
+}
+
+/// The file offset of `col`'s footer span entry: `payload_off u64 |
+/// payload_len u32 | checksum u64`, then the zone flag.
+pub fn span_entry(bytes: &[u8], col: &ColumnMeta) -> usize {
+    let mut field = col.span.offset.to_le_bytes().to_vec();
+    field.extend(col.span.len.to_le_bytes());
+    field.extend(col.checksum.to_le_bytes());
+    find_in_footer(bytes, &field)
+}
+
+/// Recomputes the footer self-checksum of a table file whose footer was
+/// patched in place.
+pub fn reseal_footer(bytes: &mut [u8]) {
+    let footer = footer_range(bytes);
+    let sum = checksum64(&bytes[footer.clone()]);
+    bytes[footer.end..footer.end + 8].copy_from_slice(&sum.to_le_bytes());
 }

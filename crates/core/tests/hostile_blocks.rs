@@ -19,8 +19,9 @@ use corra_columnar::strings::StringPool;
 use corra_core::cache::{CacheConfig, ShardedCache};
 use corra_core::store::{SegmentedTable, TableReader, TableWriter};
 use corra_core::{
-    aggregate_blocks, gather_rows, query_both, scan_blocks, top_k_blocks, AggExpr, ColumnCodec,
-    ColumnPlan, CompressedBlock, CompressionConfig, Predicate, QueryOutput, RowId, TopKExpr,
+    aggregate_blocks, gather_rows, query_both, scan_blocks, top_k_blocks, AggExpr, AggValue,
+    ColumnCodec, ColumnPlan, CompressedBlock, CompressionConfig, Predicate, QueryOutput, RowId,
+    TopKExpr,
 };
 use corra_encodings::IntEncoding;
 use proptest::prelude::*;
@@ -140,6 +141,97 @@ fn hier_row_outside_its_parents_group_is_corrupt_everywhere() {
     assert!(is_corrupt(&handle.decompress("c")), "segments block_handle");
     assert!(is_corrupt(&table.scan_blocks(&Predicate::ge("c", 0))));
     assert!(is_corrupt(&table.aggregate(&AggExpr::sum("c"))));
+}
+
+#[test]
+fn swapped_footer_spans_tell_one_story() {
+    // Two `Plain` columns, `a = [1, 2, 3]` and `b = [7, 8, 9]`, whose footer
+    // span entries (payload offset, length and checksum) trade places;
+    // only the footer checksum is recomputed, so the segment, its envelope
+    // and every payload checksum still pass. The footer is the file's one
+    // index: every path — a full `read_block` (compaction's merge read,
+    // cached or not, first or second) and every lazy load — must read the
+    // same values for a column, or refuse the file. Zones stay with their
+    // footer entries, so MIN / MAX and pruning are not asked here.
+    let raw = DataBlock::new(
+        Schema::new(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("b", DataType::Int64),
+        ])
+        .unwrap(),
+        vec![Column::Int64(vec![1, 2, 3]), Column::Int64(vec![7, 8, 9])],
+    )
+    .unwrap();
+    let cfg = CompressionConfig::baseline()
+        .with("a", ColumnPlan::Plain)
+        .with("b", ColumnPlan::Plain);
+    let clean = CompressedBlock::compress(&raw, &cfg).unwrap();
+    let mut bytes = table_bytes(&[&clean]);
+    let footer = TableReader::from_bytes(bytes.clone())
+        .unwrap()
+        .footer()
+        .clone();
+    let [a, b] = [0, 1].map(|i| common::span_entry(&bytes, &footer.blocks[0].columns[i]));
+    let entry = |at: usize| bytes[at..at + 20].to_vec();
+    let (entry_a, entry_b) = (entry(a), entry(b));
+    bytes[a..a + 20].copy_from_slice(&entry_b);
+    bytes[b..b + 20].copy_from_slice(&entry_a);
+    common::reseal_footer(&mut bytes);
+
+    let ints = |c: Column| match c {
+        Column::Int64(v) => v,
+        other => panic!("not an integer column: {other:?}"),
+    };
+    let ids: Vec<RowId> = (0..3).map(|row| RowId { block: 0, row }).collect();
+    // Without a cache `read_block` reads first, with one it reads last, so
+    // each path also meets the check memos the other one left.
+    for cached in [false, true] {
+        let mut reader = TableReader::from_bytes(bytes.clone()).unwrap();
+        if cached {
+            reader = reader.with_cache(Arc::new(ShardedCache::new(CacheConfig {
+                byte_budget: 1 << 20,
+                shards: 1,
+            })));
+        }
+        let table = common::one_segment(reader);
+        for column in ["a", "b"] {
+            let read_block = || table.read_block(0).and_then(|b| b.decompress(column));
+            let mut told = Vec::new();
+            if !cached {
+                told.push(("first read_block", read_block().map(ints)));
+                told.push(("second read_block", read_block().map(ints)));
+            }
+            told.push(("read_column", table.read_column(0, column).map(ints)));
+            let handle = table.block_handle(0).unwrap();
+            told.push(("block_handle", handle.decompress(column).map(ints)));
+            let gathered = table.gather_rows(&ids, &[column]);
+            told.push((
+                "gather_rows",
+                gathered.map(|out| match &out[0] {
+                    QueryOutput::Int(v) => v.clone(),
+                    other => panic!("gathered strings: {other:?}"),
+                }),
+            ));
+            if cached {
+                told.push(("first cached read_block", read_block().map(ints)));
+                told.push(("second cached read_block", read_block().map(ints)));
+            }
+            let story = told.iter().find_map(|(_, got)| got.as_ref().ok());
+            for (path, got) in &told {
+                assert!(
+                    is_corrupt(got) || got.as_ref().ok() == story,
+                    "{path} reads {column} as {got:?}, another path as {story:?}"
+                );
+            }
+            let sum = table.aggregate(&AggExpr::sum(column));
+            let want = story.map(|v| AggValue::Sum(Some(v.iter().map(|&x| i128::from(x)).sum())));
+            assert!(
+                is_corrupt(&sum)
+                    || sum.as_ref().ok().map(|(r, _)| r.as_scalar().unwrap()) == want.as_ref(),
+                "SUM({column}) is {sum:?}, the column reads {story:?}"
+            );
+        }
+    }
 }
 
 /// `n` rows: dictionary parents `d` (int) and `s` (string), Hier children

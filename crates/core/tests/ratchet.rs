@@ -478,8 +478,18 @@ fn block_structure_is_checked_once_where_a_block_is_assembled() {
     // relies on, and runs where a block is assembled — over every column in
     // `CompressedBlock::from_parts`, and on a lazy handle's first load of a
     // column — so the resolutions and the store's loads do not re-check.
-    let retired = ["fn aligned(", "new_unchecked", "validate_groups("];
+    // Each retired name comes with the files that may still hold it: the
+    // re-check helpers only their home, and a table file's second parse
+    // of its blocks — `read_block`'s envelope walk and the check memo it
+    // needed — no file.
     let home = ["format.rs", "multiref.rs"];
+    let retired: [(&str, &[&str]); 5] = [
+        ("fn aligned(", &home),
+        ("new_unchecked", &home),
+        ("validate_groups(", &home),
+        ("from_bytes_zoned", &[]),
+        ("segment_checked", &[]),
+    ];
     let mut callers = Vec::new();
     for (path, source) in crate_sources() {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -487,14 +497,11 @@ fn block_structure_is_checked_once_where_a_block_is_assembled() {
         if library.contains("check_column(") && name != "format.rs" {
             callers.push(name.clone());
         }
-        if home.contains(&name.as_str()) {
-            continue;
-        }
-        for copy in retired {
+        for (copy, homes) in retired {
             assert!(
-                !library.contains(copy),
+                homes.contains(&name.as_str()) || !library.contains(copy),
                 "{} brings back `{copy}`; a block's structure is checked once, \
-                 in format::check_column",
+                 in format::check_column, under one memo per (block, column)",
                 path.display()
             );
         }
@@ -506,9 +513,20 @@ fn block_structure_is_checked_once_where_a_block_is_assembled() {
         "check_column runs where a block is assembled: from_parts and the \
          lazy handle's load"
     );
+    // A table file has one index, its footer: the store parses every
+    // column from a footer header and span and never walks a segment's
+    // envelope (`TableReader::from_bytes` opens a file, and may stay).
+    let store = library_part(include_str!("../src/store.rs"));
+    for walk in ["CompressedBlock::from_bytes", "take_frame("] {
+        assert!(
+            !store.contains(walk),
+            "store.rs parses a segment's envelope (`{walk}`); read each column \
+             from its footer header and span"
+        );
+    }
     for (name, source) in [
         ("query.rs", library_part(include_str!("../src/query.rs"))),
-        ("store.rs", library_part(include_str!("../src/store.rs"))),
+        ("store.rs", store),
     ] {
         for check in ["LengthMismatch", "n_parents", "stores {} rows"] {
             assert!(
