@@ -26,6 +26,14 @@
 //! `CORRA_DECODE_KERNEL=scalar` (or on a host without AVX2) they print as
 //! skipped. Exit code 1 when a binding gate fails. No flags.
 //!
+//! Both tiers run the same kernel bodies (see `corra_columnar::simd`): the
+//! AVX2 tier compiles them under AVX2 and keeps hand-written intrinsic
+//! unpack bodies only at widths 6–16 even and 24 (and 32 for the fused
+//! FOR add). On that tier the active-tier gates at 8 / 12 / 16 time those
+//! intrinsics against the scalar tier, the width sweep times the
+//! AVX2-compiled body at every other width, and the fused gate times the
+//! AVX2-compiled compare, which builds each bitmap word in a register.
+//!
 //! ```sh
 //! cargo run --release -p corra-bench --bin kernel_gates
 //! CORRA_DECODE_KERNEL=scalar cargo run --release -p corra-bench --bin kernel_gates
@@ -65,11 +73,12 @@ const MIN_TOPK: f64 = 1.5;
 const GATED_WIDTHS: [u8; 3] = [8, 12, 16];
 /// Widths the sweep gate times, one packed vector each.
 const SWEPT_WIDTHS: std::ops::RangeInclusive<u8> = 1..=32;
-/// Slowest swept width vs the fastest, ns per value (measured 1.5× AVX2,
-/// 1.3× scalar; 8.5× / 6.4× while the tile loop stayed rolled).
+/// Slowest swept width vs the fastest, ns per value (measured 2.0–2.2×
+/// AVX2, 1.35–1.5× scalar; 8.5× / 6.4× while the tile loop stayed
+/// rolled).
 const MAX_WIDTH_SPREAD: f64 = 2.5;
 /// Values per swept vector: 128 KB decoded, L2-resident. At [`VALUES`]
-/// the AVX2 tier's byte-aligned kernels (widths 6–16 even, 32) store at
+/// the AVX2 tier's byte-aligned kernels (widths 6–16 even, 24, 32) store at
 /// L1 speed, 0.08–0.09 ns / value against the scalar tiles' 0.22–0.24, so
 /// the spread there is L1 store bandwidth rather than a tile loop that
 /// stopped unrolling.

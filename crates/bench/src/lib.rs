@@ -1,6 +1,7 @@
 //! Shared experiment harness: dataset builders, timing utilities and
 //! paper-scale extrapolation used by the per-table/per-figure binaries.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

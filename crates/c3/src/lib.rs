@@ -23,6 +23,7 @@
 //! compressed size and decodes (the losslessness check) — it has no query
 //! kernels and no serialized form.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -21,8 +21,8 @@
 //! constant shifts; straddling widths decode FastLanes-style tiles of up to
 //! 64 values. Both loops are written out in full, so every shift, word
 //! index and straddle test is a constant at every width — there are no
-//! branches and no width that decodes slower than its neighbours (0.17–0.27
-//! ns / value for widths 1–32 on either tier, see [`crate::simd`]). The
+//! branches, and `kernel_gates` holds every width 1–32 within 2.5× of the
+//! fastest on each tier (the sweep is in `docs/PERF.md`). The
 //! kernels take a value transform, which gives FOR-family codecs a fused
 //! [`unpack_add_into`](BitPackedVec::unpack_add_into) (offset → `i64` in
 //! one pass, no second add pass) and every table-driven codec a streaming
@@ -30,14 +30,16 @@
 //!
 //! # SIMD tier
 //!
-//! On top of the scalar engine sits a runtime-dispatched SIMD tier (see
-//! [`crate::simd`]): `unpack_into`, `unpack_add_into`, `unpack_chunks` and
-//! the fused [`filter_range_into`](BitPackedVec::filter_range_into) all
-//! route through a process-wide table of kernel function pointers resolved
-//! once from CPU feature detection (AVX2 on x86-64, scalar fallback
-//! everywhere, `CORRA_DECODE_KERNEL` override). The `*_with` variants take
-//! an explicit [`simd::KernelTable`] so tests
-//! and benches can pin a tier per call.
+//! `unpack_into`, `unpack_add_into`, `unpack_chunks` and the fused
+//! [`filter_range_into`](BitPackedVec::filter_range_into) all route
+//! through a process-wide table of kernel function pointers resolved once
+//! from CPU feature detection (see [`crate::simd`]; `CORRA_DECODE_KERNEL`
+//! overrides it). Every tier runs this engine: the scalar tier as it is
+//! compiled here, the AVX2 tier the same code compiled under
+//! `#[target_feature(enable = "avx2,bmi1,popcnt")]`, with hand-written
+//! intrinsics kept only at the byte-group widths where they measured
+//! ≥ 1.1× faster. The `*_with` variants take an explicit
+//! [`simd::KernelTable`] so tests and benches can pin a tier per call.
 
 use crate::error::{Error, Result};
 use crate::selection::SelectionVector;
@@ -561,7 +563,12 @@ fn unpack_chunk<const BITS: u32, T: Copy>(
         // Two phases per tile: the raw decode fills a register-friendly
         // stack buffer, then `f` maps it in a trivially vectorizable pass.
         let mut buf = [0u64; 64];
-        for (win, os) in words.chunks_exact(tw).zip(out.chunks_exact_mut(vpt)) {
+        // The window is indexed from the tile number, not zipped: inside
+        // the AVX2 tier's wrapper LLVM left `Zip::new` un-inlined here,
+        // the tile constants became run-time values and widths 25–31
+        // decoded 3× slower than on the scalar tier.
+        for (t, os) in out.chunks_exact_mut(vpt).enumerate() {
+            let win = &words[t * tw..][..tw];
             unrolled_64!(vpt, |k| {
                 let bit = k * BITS as usize;
                 let lo = bit >> 6;
@@ -572,8 +579,8 @@ fn unpack_chunk<const BITS: u32, T: Copy>(
                 let hi = if lo + 1 < tw { win[lo + 1] } else { 0 };
                 buf[k] = ((win[lo] >> off) | (hi << 1 << (63 - off))) & mask;
             });
-            for (o, &v) in os.iter_mut().zip(&buf[..vpt]) {
-                *o = f(v);
+            for (k, o) in os.iter_mut().enumerate() {
+                *o = f(buf[k]);
             }
         }
     }
@@ -621,8 +628,10 @@ macro_rules! width_specialized {
 
 /// Batched decode entry point: `out` must already hold `len` slots; `f`
 /// maps each packed value to the output type (identity, FOR add, …).
-/// This is the scalar engine; [`crate::simd`] layers runtime-dispatched
-/// SIMD kernels on top for the identity / FOR-add transforms.
+/// This is the one decode body of every [`crate::simd`] tier:
+/// `#[inline(always)]`, so each tier's kernel compiles its own copy under
+/// that tier's target features.
+#[inline(always)]
 pub(crate) fn unpack_all<T: Copy>(
     bits: u8,
     words: &[u64],

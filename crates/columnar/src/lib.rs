@@ -31,6 +31,7 @@
 //!   codec payload independently addressable;
 //! * [`temporal`] — from-scratch civil-date ↔ epoch-day conversion.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -43,6 +44,9 @@ pub mod frame;
 pub mod predicate;
 pub mod schema;
 pub mod selection;
+// The only `unsafe` in the workspace's libraries: the SIMD tier's
+// target-feature shims and its intrinsic unpack bodies.
+#[allow(unsafe_code)]
 pub mod simd;
 pub mod stats;
 pub mod strings;

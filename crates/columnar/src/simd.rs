@@ -1,13 +1,5 @@
-//! Runtime-dispatched SIMD decode kernels.
-//!
-//! The batched engine in [`bitpack`] is branch-free scalar:
-//! compiled at the baseline `x86-64` target it autovectorizes to SSE2 at
-//! best, and SSE2 has no per-lane variable shifts — exactly the operation
-//! bit-unpacking lives on. This module adds an explicit AVX2 tier written
-//! against `core::arch` and picks the implementation **once per process**
-//! via runtime feature detection, resolved into a table of plain function
-//! pointers (a [`KernelTable`]) so the hot loops pay one indirect call per
-//! batch, not per value.
+//! Runtime-dispatched decode kernels: one body per kernel, compiled once
+//! per tier.
 //!
 //! Three kernel families are dispatched:
 //!
@@ -22,45 +14,53 @@
 //!   chunked unpack so a cold scan is decode+filter in a single sweep that
 //!   never materializes the column.
 //!
+//! plus [`emit_positions`], the one expansion of a selection into rows.
+//!
+//! # One body per kernel
+//!
+//! Each kernel is written once, as a safe `#[inline(always)]` body: the
+//! batched engine's `bitpack::unpack_all`, a compare that builds each
+//! bitmap word in a register, and the bit-scan expansion. `kernel_table!`
+//! builds every tier's [`KernelTable`] from those bodies. The scalar tier
+//! calls them as they are, compiled for the baseline target (SSE2 on
+//! x86-64, which has no per-lane variable shift). The AVX2 tier calls the
+//! same bodies through wrappers compiled under
+//! `#[target_feature(enable = "avx2,bmi1,popcnt")]`, so LLVM vectorizes
+//! them with AVX2 and the bit scans use `popcnt` / `tzcnt`.
+//!
+//! `emit_positions` is the one exception to the shared feature set: its
+//! AVX2 entry compiles with BMI1 and POPCNT only, because under AVX2 the
+//! SLP vectorizer packs its eight position stores into a `vpinsrd` chain
+//! (measured 1.3× slower at 97 % density).
+//!
+//! Hand-written AVX2 intrinsics remain only in the unpack kernels, at the
+//! widths where they beat the same body compiled under AVX2 by at least
+//! 1.1× — the median of 15 per-pair ratios, the `kernel_gates` way, in at
+//! least one of four cells (4 096 / 16 384 values; output 64-byte aligned,
+//! as `ChunkBuf` gives every chunked decode, or 16 bytes off, as the heap
+//! gives a large `Vec`), on a 2-vCPU AVX2 Xeon. The best cell per kernel:
+//!
+//! | widths | intrinsic body | `unpack` | `unpack_add` |
+//! |---|---|---:|---:|
+//! | 6, 10, 12, 14 | memory-source `vpbroadcastq` + constant `vpsrlvq` | 1.21–1.64× | 1.31–1.70× |
+//! | 8, 16 | `vpmovzx` widening loads, unrolled 4× | 1.27×, 1.65× | 1.83×, 1.46× |
+//! | 24 | `pshufb` byte-triple gather + `vpmovzxdq` | 1.93× | 1.72× |
+//! | 32 | `vpmovzxdq`, `unpack_add` only | (1.02×) | 2.09× |
+//!
+//! Every other width, and `unpack` at 32, runs the body. The full
+//! per-cell table, and the body against the scalar tier at every width,
+//! are in `docs/PERF.md` ("The SIMD tier").
+//!
 //! # Tier selection
 //!
 //! [`active`] resolves the table on first use: AVX2 when
-//! `is_x86_feature_detected!("avx2")` says so, scalar otherwise. The
-//! `CORRA_DECODE_KERNEL` environment variable (`scalar` | `avx2` | `auto`)
-//! overrides detection for testing and reproduction; forcing `avx2` on a
-//! machine without it falls back to scalar with a warning rather than
-//! crashing. Every tier is bit-exact against the scalar engine — the
-//! differential proptests in `proptest_simd_parity` force both tiers on
-//! the same inputs for every width in `0..=64`.
-//!
-//! # AVX2 width strategy
-//!
-//! | widths            | kernel                                            | ns / value |
-//! |-------------------|---------------------------------------------------|------------|
-//! | 1, 2, 4           | broadcast word + `vpsrlvq` variable shifts        | 0.17–0.18  |
-//! | 6, 10, 12, 14     | memory-source `vpbroadcastq` + constant `vpsrlvq` | 0.18–0.19  |
-//! |                   | (4 values = a whole number of bytes, one qword)   |            |
-//! | 8, 16, 32         | `vpmovzx` widening loads, unrolled                | 0.18–0.19  |
-//! | 24                | `pshufb` byte gather → dword lanes + `vpmovzxdq`  | 0.20       |
-//! | 64                | word copy                                         |            |
-//! | everything else   | the batched scalar engine (measured faster than   | 0.23–0.27  |
-//! |                   | `vpgatherqq` for straddling widths on modern x86) |            |
-//!
-//! The last column is decoded output per value for widths up to 32, 16 384
-//! values per width (128 KB out, L2-resident), median of 15 runs on a
-//! 2-vCPU AVX2 Xeon; the scalar tier reads 0.22–0.27 at every width 1–32.
-//! The scalar engine's 0.23–0.27 holds only because its tile loop is
-//! written out in full: with the loop left for LLVM to unroll, every odd
-//! width and 18 / 22 / 26 / 30 read 1.38–1.45 on this tier, and every width
-//! not divisible by 4 read 1.38–1.41 scalar (width 1: 0.50). At 4 096 values (L1-resident) the SIMD kernels store at
-//! 0.09–0.18 and the scalar engine stays at 0.23–0.27.
-//!
-//! Every SIMD main loop bounds itself so unaligned loads never read past
-//! the packed word buffer; the remainder runs through the scalar core.
-//! The broadcast kernel carries the non-byte-dividing gated width (12):
-//! a memory-source broadcast costs no shuffle-port micro-op, so the loop
-//! is load/shift/store bound instead of port-5 bound like a `pshufb`
-//! design.
+//! `is_x86_feature_detected!` reports AVX2, BMI1 and POPCNT, scalar
+//! otherwise. The `CORRA_DECODE_KERNEL` environment variable (`scalar` |
+//! `avx2` | `auto`) overrides detection for testing and reproduction;
+//! forcing `avx2` on a machine without it falls back to scalar with a
+//! warning rather than crashing. Every tier is bit-exact against the
+//! scalar engine — the differential proptests in `proptest_simd_parity`
+//! force both tiers on the same inputs for every width in `0..=64`.
 
 use crate::bitpack::{self, UNPACK_CHUNK};
 use crate::selection::SelectionVector;
@@ -93,8 +93,8 @@ impl KernelTier {
 /// `words` (width `0..=64`, width 0 emits zeros / `base`), and the range
 /// kernels set bit `j` of the bitmap iff value `j` lies in the inclusive
 /// `[lo, hi]` interval (unsigned for the packed domain, signed for
-/// materialized `i64` columns). The bitmap must hold `ceil(n / 64)` words
-/// and is fully overwritten.
+/// materialized `i64` columns). The bitmap must hold `ceil(n / 64)` words,
+/// which are fully overwritten.
 pub struct KernelTable {
     /// The tier these kernels belong to.
     pub tier: KernelTier,
@@ -112,125 +112,139 @@ pub struct KernelTable {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar tier (always available, the parity reference).
+// The kernel bodies: safe, written once, inlined into every tier.
 // ---------------------------------------------------------------------------
 
-fn scalar_unpack(bits: u8, words: &[u64], out: &mut [u64]) {
-    bitpack::unpack_all(bits, words, out, |v| v);
-}
+mod body {
+    use crate::bitpack;
 
-fn scalar_unpack_add(bits: u8, words: &[u64], base: i64, out: &mut [i64]) {
-    bitpack::unpack_all(bits, words, out, |v| base.wrapping_add(v as i64));
-}
-
-fn scalar_range_bitmap_u64(vals: &[u64], lo: u64, hi: u64, bm: &mut [u64]) {
-    bm.fill(0);
-    for (j, &v) in vals.iter().enumerate() {
-        let hit = ((v >= lo) & (v <= hi)) as u64;
-        bm[j >> 6] |= hit << (j & 63);
+    #[inline(always)]
+    pub(super) fn unpack(bits: u8, words: &[u64], out: &mut [u64]) {
+        bitpack::unpack_all(bits, words, out, |v| v);
     }
-}
 
-fn scalar_range_bitmap_i64(vals: &[i64], lo: i64, hi: i64, bm: &mut [u64]) {
-    bm.fill(0);
-    for (j, &v) in vals.iter().enumerate() {
-        let hit = ((v >= lo) & (v <= hi)) as u64;
-        bm[j >> 6] |= hit << (j & 63);
+    #[inline(always)]
+    pub(super) fn unpack_add(bits: u8, words: &[u64], base: i64, out: &mut [i64]) {
+        bitpack::unpack_all(bits, words, out, |v| base.wrapping_add(v as i64));
+    }
+
+    /// One bitmap word per 64 values, built in a register: a fixed
+    /// 64-value fold with no loop-carried store, which LLVM vectorizes on
+    /// either tier (a read-modify-write of `bm` per value does not).
+    #[inline(always)]
+    pub(super) fn range_bitmap<T: Copy + PartialOrd>(vals: &[T], lo: T, hi: T, bm: &mut [u64]) {
+        assert!(bm.len() >= vals.len().div_ceil(64), "bitmap too short");
+        let word = |vs: &[T]| {
+            vs.iter().enumerate().fold(0u64, |w, (k, &v)| {
+                w | (u64::from((v >= lo) & (v <= hi)) << k)
+            })
+        };
+        let words = vals.chunks_exact(64);
+        let tail = words.remainder();
+        for (w, vs) in bm.iter_mut().zip(words) {
+            *w = word(vs);
+        }
+        if !tail.is_empty() {
+            bm[vals.len() / 64] = word(tail);
+        }
+    }
+
+    /// A word writes one position unconditionally, then eight at a time
+    /// while set bits remain; past its set bits the slots hold garbage that
+    /// the next word overwrites. A word of a sparse selection (a gather's
+    /// 1 %: almost every word holds zero or one row) takes no
+    /// data-dependent branch, and a dense one loops once per eight rows
+    /// instead of once per row (the variants measured are in
+    /// `docs/PERF.md`, "Selections are block bitmaps").
+    #[inline(always)]
+    pub(super) fn emit_positions(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize {
+        let mut n = 0;
+        for (wi, &w) in bm.iter().enumerate() {
+            let base = first_row.wrapping_add(wi as u32 * 64);
+            let set = w.count_ones() as usize;
+            let mut m = w;
+            let mut emit = |slots: &mut [u32]| {
+                for slot in slots {
+                    // An exhausted word has 64 trailing zeros: a garbage slot.
+                    *slot = base.wrapping_add(m.trailing_zeros());
+                    m &= m.wrapping_sub(1);
+                }
+            };
+            emit(&mut out[n..n + 1]);
+            let mut at = n + 1;
+            while at < n + set {
+                emit(&mut out[at..at + 8]);
+                at += 8;
+            }
+            n += set;
+        }
+        n
     }
 }
 
 /// Slots past its set bits that [`emit_positions`] may overwrite.
 pub const EMIT_SLACK: usize = 8;
 
-/// The body of every tier's `emit_positions`. A word writes one position
-/// unconditionally, then eight at a time while set bits remain; past its
-/// set bits the slots hold garbage that the next word overwrites. A word
-/// of a sparse selection (a gather's 1 %: almost every word holds zero or
-/// one row) takes no data-dependent branch, and a dense one loops once
-/// per eight rows instead of once per row (the variants measured are in
-/// `docs/PERF.md`, "Selections are block bitmaps").
-#[inline(always)]
-fn expand_bits(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize {
-    let mut n = 0;
-    for (wi, &w) in bm.iter().enumerate() {
-        let base = first_row.wrapping_add(wi as u32 * 64);
-        let set = w.count_ones() as usize;
-        let mut m = w;
-        let mut emit = |slots: &mut [u32]| {
-            for slot in slots {
-                // An exhausted word has 64 trailing zeros: a garbage slot.
-                *slot = base.wrapping_add(m.trailing_zeros());
-                m &= m.wrapping_sub(1);
-            }
-        };
-        emit(&mut out[n..n + 1]);
-        let mut at = n + 1;
-        while at < n + set {
-            emit(&mut out[at..at + 8]);
-            at += 8;
+/// Builds a tier's [`KernelTable`] from the kernel bodies. Without target
+/// features every entry calls its body as it is. With them, every entry is
+/// a safe shim over an `unsafe fn` that compiles the body under those
+/// features; the `unsafe fn` is needed because a safe `#[target_feature]`
+/// function is newer than the workspace's minimum Rust (1.82).
+macro_rules! kernel_table {
+    (
+        $tier:expr $(, $features:literal, $scan_features:literal)?;
+        unpack: $unpack:path, unpack_add: $unpack_add:path
+    ) => {{
+        kernel_table!(@entry $($features)?;
+            fn unpack(bits: u8, words: &[u64], out: &mut [u64]) = $unpack);
+        kernel_table!(@entry $($features)?;
+            fn unpack_add(bits: u8, words: &[u64], base: i64, out: &mut [i64]) = $unpack_add);
+        kernel_table!(@entry $($features)?;
+            fn range_bitmap_u64(vals: &[u64], lo: u64, hi: u64, bm: &mut [u64]) = body::range_bitmap);
+        kernel_table!(@entry $($features)?;
+            fn range_bitmap_i64(vals: &[i64], lo: i64, hi: i64, bm: &mut [u64]) = body::range_bitmap);
+        kernel_table!(@entry $($scan_features)?;
+            fn emit_positions(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize = body::emit_positions);
+        KernelTable {
+            tier: $tier,
+            unpack,
+            unpack_add,
+            range_bitmap_u64,
+            range_bitmap_i64,
+            emit_positions,
         }
-        n += set;
-    }
-    n
+    }};
+    (@entry; fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? = $body:path) => {
+        fn $name($($arg: $ty),*) $(-> $ret)? {
+            $body($($arg),*)
+        }
+    };
+    (@entry $features:literal; fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? = $body:path) => {
+        fn $name($($arg: $ty),*) $(-> $ret)? {
+            /// # Safety
+            ///
+            /// The CPU must support every feature this is compiled with.
+            #[target_feature(enable = $features)]
+            unsafe fn compiled($($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+            // SAFETY: a table built with target features is handed out only
+            // after `avx2_detected` confirmed this CPU has every one of them
+            // (`tiers`, `best` and `resolve` are its only readers).
+            unsafe { compiled($($arg),*) }
+        }
+    };
 }
 
-fn scalar_emit_positions(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize {
-    expand_bits(bm, first_row, out)
-}
+/// The portable tier: the parity reference every tier is checked against.
+static SCALAR: KernelTable =
+    kernel_table!(KernelTier::Scalar; unpack: body::unpack, unpack_add: body::unpack_add);
 
-static SCALAR: KernelTable = KernelTable {
-    tier: KernelTier::Scalar,
-    unpack: scalar_unpack,
-    unpack_add: scalar_unpack_add,
-    range_bitmap_u64: scalar_range_bitmap_u64,
-    range_bitmap_i64: scalar_range_bitmap_i64,
-    emit_positions: scalar_emit_positions,
-};
-
-// ---------------------------------------------------------------------------
-// AVX2 tier (x86-64 only; reachable only after runtime detection).
-// ---------------------------------------------------------------------------
-
+/// The AVX2 tier: the same bodies compiled under AVX2, BMI1 and POPCNT,
+/// with the intrinsic unpack bodies at the widths where they still win.
 #[cfg(target_arch = "x86_64")]
-fn avx2_unpack(bits: u8, words: &[u64], out: &mut [u64]) {
-    // SAFETY: the AVX2 table is only ever handed out after
-    // `is_x86_feature_detected!("avx2")` succeeded (see `resolve`/`tiers`).
-    unsafe { avx2::unpack(bits, words, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_unpack_add(bits: u8, words: &[u64], base: i64, out: &mut [i64]) {
-    // SAFETY: as above — table construction implies AVX2 is present.
-    unsafe { avx2::unpack_add(bits, words, base, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_range_bitmap_u64(vals: &[u64], lo: u64, hi: u64, bm: &mut [u64]) {
-    // SAFETY: as above — table construction implies AVX2 is present.
-    unsafe { avx2::range_bitmap_u64(vals, lo, hi, bm) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_range_bitmap_i64(vals: &[i64], lo: i64, hi: i64, bm: &mut [u64]) {
-    // SAFETY: as above — table construction implies AVX2 is present.
-    unsafe { avx2::range_bitmap_i64(vals, lo, hi, bm) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_emit_positions(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize {
-    // SAFETY: as above — table construction implies AVX2, BMI1 and POPCNT.
-    unsafe { avx2::emit_positions(bm, first_row, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-static AVX2: KernelTable = KernelTable {
-    tier: KernelTier::Avx2,
-    unpack: avx2_unpack,
-    unpack_add: avx2_unpack_add,
-    range_bitmap_u64: avx2_range_bitmap_u64,
-    range_bitmap_i64: avx2_range_bitmap_i64,
-    emit_positions: avx2_emit_positions,
-};
+static AVX2: KernelTable = kernel_table!(KernelTier::Avx2, "avx2,bmi1,popcnt", "bmi1,popcnt";
+    unpack: avx2::unpack, unpack_add: avx2::unpack_add);
 
 /// Whether this CPU runs the AVX2 tier: AVX2 for the decode and compare
 /// kernels, BMI1 and POPCNT for `emit_positions`' bit scans (every AVX2
@@ -381,67 +395,66 @@ pub(crate) fn filter_packed_span(
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! The AVX2 kernel bodies. Everything here is `unsafe fn` carrying
-    //! `#[target_feature(enable = "avx2")]`; callers must have verified
-    //! AVX2 via runtime detection. Inner helpers are `#[inline(always)]`
-    //! so they inherit the enabled feature set of their callers.
+    //! The intrinsic unpack bodies, kept at the widths where they beat the
+    //! body compiled under AVX2. Everything here is an `#[inline(always)]`
+    //! `unsafe fn` that only the AVX2 table's target-feature wrappers call:
+    //! inlined there, it inherits their feature set. Each requires AVX2 of
+    //! its caller, and the pointer-taking ones the `out` / `words` extents
+    //! that [`intrinsic`] documents.
 
     use super::bitpack;
     use core::arch::x86_64::*;
 
+    /// See [`KernelTable::unpack`](super::KernelTable).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[inline(always)]
-    fn mask_of(bits: u8) -> u64 {
-        u64::MAX >> (64 - bits as u32)
+    pub(super) unsafe fn unpack(bits: u8, words: &[u64], out: &mut [u64]) {
+        if !intrinsic::<false>(bits, words, 0, out.as_mut_ptr(), out.len()) {
+            super::body::unpack(bits, words, out);
+        }
     }
 
-    /// Decode + optional fused add. `out` must hold `n` writable `u64`
-    /// slots (an `i64` buffer reinterpreted bitwise when `ADD`); `words`
-    /// must cover `ceil(n * bits / 64)` words.
+    /// See [`KernelTable::unpack_add`](super::KernelTable).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[inline(always)]
-    unsafe fn unpack_impl<const ADD: bool>(
+    pub(super) unsafe fn unpack_add(bits: u8, words: &[u64], base: i64, out: &mut [i64]) {
+        let (p, n) = (out.as_mut_ptr() as *mut u64, out.len());
+        if !intrinsic::<true>(bits, words, base, p, n) {
+            super::body::unpack_add(bits, words, base, out);
+        }
+    }
+
+    /// Decodes through the intrinsic body for `bits` (plus the optional
+    /// fused add) if it has one, and returns whether it did.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; `out` must hold `n` writable `u64`
+    /// slots (an `i64` buffer reinterpreted bitwise when `ADD`), and
+    /// `words` must cover `ceil(n * bits / 64)` words.
+    #[inline(always)]
+    unsafe fn intrinsic<const ADD: bool>(
         bits: u8,
         words: &[u64],
         base: i64,
         out: *mut u64,
         n: usize,
-    ) {
-        if bits == 0 {
-            let fill = if ADD { base as u64 } else { 0 };
-            for i in 0..n {
-                *out.add(i) = fill;
-            }
-            return;
-        }
+    ) -> bool {
         match bits {
-            1 | 2 | 4 => unpack_bcast::<ADD>(bits, words, base, out, n),
             6 | 10 | 12 | 14 => unpack_even16::<ADD>(bits, words, base, out, n),
             8 => unpack_cvt::<8, ADD>(words, base, out, n),
             16 => unpack_cvt::<16, ADD>(words, base, out, n),
             24 => unpack_w24::<ADD>(words, base, out, n),
-            32 => unpack_cvt::<32, ADD>(words, base, out, n),
-            64 => {
-                for (i, &v) in words.iter().enumerate().take(n) {
-                    *out.add(i) = if ADD {
-                        base.wrapping_add(v as i64) as u64
-                    } else {
-                        v
-                    };
-                }
-            }
-            // Straddling widths: the autovectorized batched scalar engine
-            // beats a `vpgatherqq` design (gather throughput ≈ 1 value per
-            // cycle), so the AVX2 tier calls the scalar tier's kernels
-            // rather than regressing — the same code, compiled once.
-            _ => {
-                if ADD {
-                    let s = core::slice::from_raw_parts_mut(out as *mut i64, n);
-                    super::scalar_unpack_add(bits, words, base, s);
-                } else {
-                    let s = core::slice::from_raw_parts_mut(out, n);
-                    super::scalar_unpack(bits, words, s);
-                }
-            }
+            32 if ADD => unpack_cvt::<32, ADD>(words, base, out, n),
+            _ => return false,
         }
+        true
     }
 
     /// Scalar remainder shared by every SIMD main loop: values `j0..n`
@@ -455,7 +468,7 @@ mod avx2 {
         j0: usize,
         n: usize,
     ) {
-        let mask = mask_of(bits);
+        let mask = bitpack::mask_for(bits);
         for j in j0..n {
             let v = bitpack::read_raw(words, bits, mask, j);
             *out.add(j) = if ADD {
@@ -472,44 +485,12 @@ mod avx2 {
         _mm256_storeu_si256(out.add(j) as *mut __m256i, v);
     }
 
-    /// Widths 1/2/4: broadcast each packed word and shift four lanes at a
-    /// time with `vpsrlvq` — the per-lane variable shift scalar code never
-    /// gets below AVX2.
-    #[inline(always)]
-    unsafe fn unpack_bcast<const ADD: bool>(
-        bits: u8,
-        words: &[u64],
-        base: i64,
-        out: *mut u64,
-        n: usize,
-    ) {
-        let b = bits as i64;
-        let vpw = 64 / bits as usize;
-        let maskv = _mm256_set1_epi64x(mask_of(bits) as i64);
-        let basev = _mm256_set1_epi64x(base);
-        let step = _mm256_set1_epi64x(4 * b);
-        let sh0 = _mm256_setr_epi64x(0, b, 2 * b, 3 * b);
-        let mut j = 0usize;
-        while j + vpw <= n {
-            let wv = _mm256_set1_epi64x(words[j / vpw] as i64);
-            let mut sh = sh0;
-            for g in 0..vpw / 4 {
-                let v = _mm256_and_si256(_mm256_srlv_epi64(wv, sh), maskv);
-                finish::<ADD>(v, basev, out, j + 4 * g);
-                sh = _mm256_add_epi64(sh, step);
-            }
-            j += vpw;
-        }
-        scalar_span::<ADD>(bits, words, base, out, j, n);
-    }
-
-    /// Even widths 6–16 (the gated 8/12/16 live here): four consecutive
-    /// values span `4 * bits` bits — a whole number of bytes (`bits / 2`
-    /// per value group) that fits one qword. So each group is one
-    /// memory-source `vpbroadcastq` plus a *constant* `vpsrlvq` shift
-    /// vector `{0, b, 2b, 3b}` and a mask: no shuffle-port micro-ops, no
-    /// gathers, no cross-lane traffic. Unrolled 4× (16 values/iteration)
-    /// to amortize loop overhead.
+    /// Even widths 6–14: four consecutive values span `4 * bits` bits — a
+    /// whole number of bytes (`bits / 2` per value group) that fits one
+    /// qword. So each group is one memory-source `vpbroadcastq` plus a
+    /// *constant* `vpsrlvq` shift vector `{0, b, 2b, 3b}` and a mask: no
+    /// shuffle-port micro-ops, no gathers, no cross-lane traffic. Unrolled
+    /// 4× (16 values/iteration) to amortize loop overhead.
     #[inline(always)]
     unsafe fn unpack_even16<const ADD: bool>(
         bits: u8,
@@ -518,12 +499,12 @@ mod avx2 {
         out: *mut u64,
         n: usize,
     ) {
-        debug_assert!((6..=16).contains(&bits) && bits % 2 == 0);
+        debug_assert!((6..=14).contains(&bits) && bits % 2 == 0);
         let bytes = words.len() * 8;
         let p = words.as_ptr() as *const u8;
         let b = bits as i64;
         let stride = bits as usize / 2; // bytes per 4-value group
-        let maskv = _mm256_set1_epi64x(mask_of(bits) as i64);
+        let maskv = _mm256_set1_epi64x(bitpack::mask_for(bits) as i64);
         let basev = _mm256_set1_epi64x(base);
         let sh = _mm256_setr_epi64x(0, b, 2 * b, 3 * b);
         let mut j = 0usize;
@@ -594,7 +575,7 @@ mod avx2 {
         scalar_span::<ADD>(24, words, base, out, j, n);
     }
 
-    /// Byte-dividing widths 8/16/32: `vpmovzx` widening loads, three
+    /// Byte-dividing widths 8 / 16 / 32: `vpmovzx` widening loads, three
     /// micro-ops per four values (load, zero-extend, store), unrolled 4×.
     /// Packed words are padded to a whole word, so every load through
     /// `j + 4 <= n` stays inside the buffer.
@@ -629,116 +610,6 @@ mod avx2 {
             j += 4;
         }
         scalar_span::<ADD>(W, words, base, out, j, n);
-    }
-
-    /// See [`KernelTable::unpack`](super::KernelTable).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (checked by the dispatch layer).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn unpack(bits: u8, words: &[u64], out: &mut [u64]) {
-        unpack_impl::<false>(bits, words, 0, out.as_mut_ptr(), out.len());
-    }
-
-    /// See [`KernelTable::unpack_add`](super::KernelTable).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (checked by the dispatch layer).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn unpack_add(bits: u8, words: &[u64], base: i64, out: &mut [i64]) {
-        unpack_impl::<true>(bits, words, base, out.as_mut_ptr() as *mut u64, out.len());
-    }
-
-    /// Inclusive-range compare over 4 lanes at a time. Unsigned inputs are
-    /// mapped onto signed compares by flipping the sign bit of both the
-    /// values and the bounds.
-    #[inline(always)]
-    unsafe fn range_bitmap_impl<const SIGNED: bool>(
-        vals: *const i64,
-        n: usize,
-        lo: i64,
-        hi: i64,
-        bm: &mut [u64],
-    ) {
-        let flip = _mm256_set1_epi64x(i64::MIN);
-        let (lov, hiv) = if SIGNED {
-            (_mm256_set1_epi64x(lo), _mm256_set1_epi64x(hi))
-        } else {
-            (
-                _mm256_set1_epi64x(lo ^ i64::MIN),
-                _mm256_set1_epi64x(hi ^ i64::MIN),
-            )
-        };
-        let mut j = 0usize;
-        let mut wi = 0usize;
-        while j + 64 <= n {
-            let mut acc = 0u64;
-            for k in 0..16 {
-                let mut v = _mm256_loadu_si256(vals.add(j + 4 * k) as *const __m256i);
-                if !SIGNED {
-                    v = _mm256_xor_si256(v, flip);
-                }
-                let miss = _mm256_or_si256(_mm256_cmpgt_epi64(lov, v), _mm256_cmpgt_epi64(v, hiv));
-                let miss4 = _mm256_movemask_pd(_mm256_castsi256_pd(miss)) as u64;
-                acc |= (!miss4 & 0xF) << (4 * k);
-            }
-            bm[wi] = acc;
-            wi += 1;
-            j += 64;
-        }
-        if j < n {
-            let mut acc = 0u64;
-            for (k, jj) in (j..n).enumerate() {
-                let v = *vals.add(jj);
-                let hit = if SIGNED {
-                    v >= lo && v <= hi
-                } else {
-                    (v as u64) >= (lo as u64) && (v as u64) <= (hi as u64)
-                };
-                acc |= (hit as u64) << k;
-            }
-            bm[wi] = acc;
-        }
-    }
-
-    /// See [`KernelTable::range_bitmap_u64`](super::KernelTable).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (checked by the dispatch layer).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn range_bitmap_u64(vals: &[u64], lo: u64, hi: u64, bm: &mut [u64]) {
-        range_bitmap_impl::<false>(
-            vals.as_ptr() as *const i64,
-            vals.len(),
-            lo as i64,
-            hi as i64,
-            bm,
-        );
-    }
-
-    /// See [`KernelTable::range_bitmap_i64`](super::KernelTable).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (checked by the dispatch layer).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn range_bitmap_i64(vals: &[i64], lo: i64, hi: i64, bm: &mut [u64]) {
-        range_bitmap_impl::<true>(vals.as_ptr(), vals.len(), lo, hi, bm);
-    }
-
-    /// See [`emit_positions`](super::emit_positions): the portable body
-    /// compiled with hardware bit counts and scans.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support BMI1 and POPCNT (checked by the dispatch
-    /// layer, which hands out this tier only with AVX2, BMI1 and POPCNT).
-    #[target_feature(enable = "bmi1,popcnt")]
-    pub unsafe fn emit_positions(bm: &[u64], first_row: u32, out: &mut [u32]) -> usize {
-        super::expand_bits(bm, first_row, out)
     }
 }
 
@@ -790,6 +661,58 @@ mod tests {
             let mut got = vec![0; svals.len() + EMIT_SLACK];
             let n = emit_positions(&bm, 0, &mut got);
             assert_eq!(got[..n], [68, 69, 70, 71], "{}", k.tier.as_str());
+        }
+        // Every word shape the register-built compare sees — none, one
+        // partial, exactly full, full plus a partial — with values and
+        // bounds at the domain edges, against a per-value oracle. The
+        // bitmap starts all ones: every word, tail included, is overwritten.
+        let oracle = |hits: Vec<bool>| {
+            let mut bm = vec![0u64; hits.len().div_ceil(64)];
+            for (j, hit) in hits.into_iter().enumerate() {
+                bm[j / 64] |= u64::from(hit) << (j % 64);
+            }
+            bm
+        };
+        for k in tiers() {
+            for len in [0usize, 1, 63, 64, 65, 128] {
+                let svals: Vec<i64> = (0..len as i64)
+                    .map(|i| match i % 6 {
+                        0 => i64::MIN,
+                        1 => i64::MAX,
+                        2 => -1,
+                        3 => -i,
+                        4 => i,
+                        _ => 0,
+                    })
+                    .collect();
+                let uvals: Vec<u64> = svals.iter().map(|&v| v as u64).collect();
+                let at = |what: String| format!("{} len {len} {what}", k.tier.as_str());
+                for (lo, hi) in [
+                    (i64::MIN, i64::MAX),
+                    (i64::MIN, i64::MIN),
+                    (i64::MAX, i64::MAX),
+                    (i64::MIN, -1),
+                    (-3, 3),
+                    (0, i64::MAX),
+                ] {
+                    let mut bm = vec![u64::MAX; len.div_ceil(64)];
+                    (k.range_bitmap_i64)(&svals, lo, hi, &mut bm);
+                    let want = oracle(svals.iter().map(|&v| lo <= v && v <= hi).collect());
+                    assert_eq!(bm, want, "{}", at(format!("i64 [{lo}, {hi}]")));
+                }
+                for (lo, hi) in [
+                    (0, u64::MAX),
+                    (u64::MAX, u64::MAX),
+                    (0, 0),
+                    (i64::MAX as u64, u64::MAX),
+                    (1 << 63, u64::MAX - 1),
+                ] {
+                    let mut bm = vec![u64::MAX; len.div_ceil(64)];
+                    (k.range_bitmap_u64)(&uvals, lo, hi, &mut bm);
+                    let want = oracle(uvals.iter().map(|&v| lo <= v && v <= hi).collect());
+                    assert_eq!(bm, want, "{}", at(format!("u64 [{lo}, {hi}]")));
+                }
+            }
         }
     }
 }

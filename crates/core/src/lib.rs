@@ -60,6 +60,7 @@
 //!   codec chooser on the merged distribution, retiring inputs only after
 //!   the new manifest is durable.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -476,6 +476,14 @@ pub fn write_table(path: &std::path::Path, blocks: &[CompressedBlock]) -> Result
         .map_err(|e| io_err("sizing table", e))
 }
 
+/// The first column of `meta` whose payload span of the segment `bytes`
+/// is missing or fails its footer checksum.
+fn bad_payload(meta: &BlockMeta, bytes: &[u8]) -> Option<usize> {
+    meta.columns
+        .iter()
+        .position(|cm| bytes.get(cm.span.range()).map(checksum64) != Some(cm.checksum))
+}
+
 /// Reads exactly `len` bytes at `offset`, looping over short reads (see
 /// [`read_full_at`] — satisfying the pread contract is the backend's only
 /// obligation; wholeness is enforced here).
@@ -684,11 +692,13 @@ impl TableReader {
     /// its footer header and payload span, as a [`BlockHandle`] does; rows,
     /// names and zones come from the footer, and the envelope goes unread.
     /// An attached cache serves the segment's bytes after the first read,
-    /// admitted only once their checksum and parse passed.
+    /// admitted only once the segment checksum, every column's payload
+    /// checksum and the parse passed.
     ///
     /// # Errors
     ///
-    /// Out-of-range index, I/O errors, or segment corruption.
+    /// Out-of-range index, I/O errors, a segment or payload checksum
+    /// mismatch, or segment corruption.
     pub fn read_block(&self, block: usize) -> Result<CompressedBlock> {
         let meta = self.block_meta(block)?;
         let n = self.names.len();
@@ -712,8 +722,16 @@ impl TableReader {
         let bytes = self
             .metered_read(meta.offset, meta.len, meta.checksum)?
             .ok_or_else(|| Error::corrupt(format!("block {block} segment checksum mismatch")))?;
+        // Every column's payload checksum too, as a lazy load checks it: a
+        // footer whose payload checksum disagrees with intact segment bytes
+        // is the same corrupt file on every path.
+        if let Some(col) = bad_payload(meta, &bytes) {
+            return Err(Error::corrupt(format!(
+                "block {block} column {col} checksum mismatch"
+            )));
+        }
         let parsed = parse(&bytes)?;
-        // Admit only after the checksum *and* a full parse succeeded: a
+        // Admit only after every checksum *and* a full parse succeeded: a
         // frame that cannot deserialize is useless to every future hit.
         if let Some((cache, table)) = &self.cache {
             let key = CacheKey::segment(*table, block as u32);

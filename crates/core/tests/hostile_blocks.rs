@@ -17,7 +17,7 @@ use corra_columnar::schema::{Field, Schema};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::strings::StringPool;
 use corra_core::cache::{CacheConfig, ShardedCache};
-use corra_core::store::{SegmentedTable, TableReader, TableWriter};
+use corra_core::store::{SegmentedTable, TableFooter, TableReader, TableWriter};
 use corra_core::{
     aggregate_blocks, gather_rows, query_both, scan_blocks, top_k_blocks, AggExpr, AggValue,
     ColumnCodec, ColumnPlan, CompressedBlock, CompressionConfig, Predicate, QueryOutput, RowId,
@@ -153,24 +153,7 @@ fn swapped_footer_spans_tell_one_story() {
     // cached or not, first or second) and every lazy load — must read the
     // same values for a column, or refuse the file. Zones stay with their
     // footer entries, so MIN / MAX and pruning are not asked here.
-    let raw = DataBlock::new(
-        Schema::new(vec![
-            Field::new("a", DataType::Int64),
-            Field::new("b", DataType::Int64),
-        ])
-        .unwrap(),
-        vec![Column::Int64(vec![1, 2, 3]), Column::Int64(vec![7, 8, 9])],
-    )
-    .unwrap();
-    let cfg = CompressionConfig::baseline()
-        .with("a", ColumnPlan::Plain)
-        .with("b", ColumnPlan::Plain);
-    let clean = CompressedBlock::compress(&raw, &cfg).unwrap();
-    let mut bytes = table_bytes(&[&clean]);
-    let footer = TableReader::from_bytes(bytes.clone())
-        .unwrap()
-        .footer()
-        .clone();
+    let (mut bytes, footer) = plain_ab_file();
     let [a, b] = [0, 1].map(|i| common::span_entry(&bytes, &footer.blocks[0].columns[i]));
     let entry = |at: usize| bytes[at..at + 20].to_vec();
     let (entry_a, entry_b) = (entry(a), entry(b));
@@ -186,14 +169,7 @@ fn swapped_footer_spans_tell_one_story() {
     // Without a cache `read_block` reads first, with one it reads last, so
     // each path also meets the check memos the other one left.
     for cached in [false, true] {
-        let mut reader = TableReader::from_bytes(bytes.clone()).unwrap();
-        if cached {
-            reader = reader.with_cache(Arc::new(ShardedCache::new(CacheConfig {
-                byte_budget: 1 << 20,
-                shards: 1,
-            })));
-        }
-        let table = common::one_segment(reader);
+        let table = file_table(&bytes, cached);
         for column in ["a", "b"] {
             let read_block = || table.read_block(0).and_then(|b| b.decompress(column));
             let mut told = Vec::new();
@@ -232,6 +208,72 @@ fn swapped_footer_spans_tell_one_story() {
             );
         }
     }
+}
+
+#[test]
+fn footer_payload_checksum_is_checked_by_every_read() {
+    // Column `b`'s footer payload checksum disagrees with its intact
+    // payload; only the footer checksum is recomputed, so the segment
+    // checksum still passes. A lazy load refuses the column, so a whole
+    // `read_block` — compaction's merge read, which would re-seal `b` as
+    // clean — must refuse the block too, uncached and cached, every time.
+    let (mut bytes, footer) = plain_ab_file();
+    let b = common::span_entry(&bytes, &footer.blocks[0].columns[1]);
+    bytes[b + 12] ^= 1;
+    common::reseal_footer(&mut bytes);
+    for cached in [false, true] {
+        let table = file_table(&bytes, cached);
+        assert!(
+            is_corrupt(&table.read_block(0)),
+            "first read_block, cached {cached}"
+        );
+        assert!(
+            is_corrupt(&table.read_block(0)),
+            "second read_block, cached {cached}"
+        );
+        assert!(
+            is_corrupt(&table.read_column(0, "b")),
+            "read_column, cached {cached}"
+        );
+        let sum = table.aggregate(&AggExpr::sum("b"));
+        assert!(is_corrupt(&sum), "SUM(b) is {sum:?}, cached {cached}");
+    }
+}
+
+/// A one-block file of two `Plain` columns, `a = [1, 2, 3]` and
+/// `b = [7, 8, 9]`, and its footer.
+fn plain_ab_file() -> (Vec<u8>, TableFooter) {
+    let raw = DataBlock::new(
+        Schema::new(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("b", DataType::Int64),
+        ])
+        .unwrap(),
+        vec![Column::Int64(vec![1, 2, 3]), Column::Int64(vec![7, 8, 9])],
+    )
+    .unwrap();
+    let cfg = CompressionConfig::baseline()
+        .with("a", ColumnPlan::Plain)
+        .with("b", ColumnPlan::Plain);
+    let clean = CompressedBlock::compress(&raw, &cfg).unwrap();
+    let bytes = table_bytes(&[&clean]);
+    let footer = TableReader::from_bytes(bytes.clone())
+        .unwrap()
+        .footer()
+        .clone();
+    (bytes, footer)
+}
+
+/// `bytes` as a one-segment table, with a cache attached if `cached`.
+fn file_table(bytes: &[u8], cached: bool) -> SegmentedTable {
+    let mut reader = TableReader::from_bytes(bytes.to_vec()).unwrap();
+    if cached {
+        reader = reader.with_cache(Arc::new(ShardedCache::new(CacheConfig {
+            byte_budget: 1 << 20,
+            shards: 1,
+        })));
+    }
+    common::one_segment(reader)
 }
 
 /// `n` rows: dictionary parents `d` (int) and `s` (string), Hier children

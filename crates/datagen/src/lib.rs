@@ -20,6 +20,7 @@
 //! The environment variable convention used by the experiment binaries is
 //! [`rows_from_env`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -32,6 +32,7 @@
 //! first-occurrence-ordered, so only code *identity* is meaningful there,
 //! while int dictionaries are sorted and code order is value order.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

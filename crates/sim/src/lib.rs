@@ -17,6 +17,7 @@
 //!
 //! replays the exact failing scenario, bit for bit.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -42,6 +42,7 @@
 //! | [`datagen`] | synthetic TPC-H / LDBC / DMV / Taxi generators |
 //! | [`c3`] | the C3 size comparator (DFOR, Numerical, 1-to-1, hierarchical FOR): encode, size, decode |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use corra_c3 as c3;
